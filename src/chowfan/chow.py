@@ -23,13 +23,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 from .cones import (
     Cone,
     Fan,
     NotComplete,
+    _relint_sample_or_zero,
+    _span_lattice,
+    affine_polyhedron_sample,
     affine_slice_type,
     cone_from_generators,
     cone_from_halfspaces,
@@ -38,14 +40,13 @@ from .cones import (
     image_cone,
     intersect_cones,
     is_complete,
-    relative_interior_sample,
     validate_fan,
-    _fm_sample,
 )
 from .intlinalg import (
     QuotientMap,
     Sublattice,
     Vec,
+    clear_denominators,
     dot,
     image_lattice,
     is_zero,
@@ -55,7 +56,6 @@ from .intlinalg import (
     primitive,
     quotient_map,
     saturate,
-    sublattice,
 )
 from .monoids import AffineMonoid, saturated_monoid
 from .stacks import InternalConsistencyError, ToricStackDatum
@@ -78,15 +78,6 @@ def meeting_cones(fan: Fan, sub: Sublattice, psi: Sequence) -> frozenset[int]:
     return frozenset(out)
 
 
-def point_slice_cones(fan: Fan, sub: Sublattice, psi: Sequence) -> frozenset[int]:
-    """Cones whose relative interior meets ``psi + span(sub)`` in one point."""
-    out = set()
-    for i, c in enumerate(fan.cones):
-        if affine_slice_type(c, psi, sub) == "point":
-            out.add(i)
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # multiplicities
 
@@ -98,7 +89,7 @@ def multiplicity(fan: Fan, sub: Sublattice, cone_index: int) -> int:
     of the combined span.  Requires the spans to meet only at the origin.
     """
     c = fan.cones[cone_index]
-    span_sigma = saturate(sublattice(fan.ambient_rank, c.generators))
+    span_sigma = _span_lattice(c)
     if lattice_intersection(span_sigma, sub).rank != 0:
         raise InfiniteIndex(
             f"span of cone {cone_index} meets the sublattice span nontrivially"
@@ -113,25 +104,6 @@ def multiplicity(fan: Fan, sub: Sublattice, cone_index: int) -> int:
 # arrangement cells
 
 
-def _scale_to_int(point: Sequence[Fraction]) -> Vec:
-    denom = 1
-    for x in point:
-        f = Fraction(x)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    return tuple(int(Fraction(x) * denom) for x in point)
-
-
-def _sign_system(normals, signs):
-    """FM input for the relatively open cell with the given sign vector."""
-    ineqs = []
-    for h, s in zip(normals, signs):
-        if s > 0:
-            ineqs.append((tuple(Fraction(x) for x in h), Fraction(0), True))
-        elif s < 0:
-            ineqs.append((tuple(-Fraction(x) for x in h), Fraction(0), True))
-    return ineqs
-
-
 def _cell_split(normals, rank: int):
     """Enumerate nonempty relatively open cells of a central arrangement.
 
@@ -143,26 +115,28 @@ def _cell_split(normals, rank: int):
     cells: list[tuple[tuple[int, ...], tuple[Fraction, ...]]] = [
         ((), tuple(Fraction(0) for _ in range(rank)))
     ]
-    eq_basis_cache: dict = {}
     for idx, h in enumerate(normals):
+        prior = normals[:idx]
         new_cells = []
         for signs, sample in cells:
+            eqs = [(n, 0) for n, s in zip(prior, signs) if s == 0]
+            ineqs = [
+                (tuple(s * x for x in n), 0, True)
+                for n, s in zip(prior, signs)
+                if s != 0
+            ]
+
+            def side(sign: int):
+                """Sample of the part of the cell where ``sign * h > 0``."""
+                res = affine_polyhedron_sample(
+                    eqs, ineqs + [(tuple(sign * x for x in h), 0, True)], rank
+                )
+                return None if res is None else res[0]
+
             val = dot(h, sample)
             if val != 0:
                 base_sign = 1 if val > 0 else -1
-                opposite = _sign_system(normals[:idx], signs) + [
-                    (
-                        tuple(-base_sign * Fraction(x) for x in h),
-                        Fraction(0),
-                        True,
-                    )
-                ]
-                eqs = [
-                    tuple(Fraction(x) for x in n)
-                    for n, s in zip(normals[:idx], signs)
-                    if s == 0
-                ]
-                opp_sample = _solve_cell(eqs, opposite, rank)
+                opp_sample = side(-base_sign)
                 new_cells.append((signs + (base_sign,), sample))
                 if opp_sample is not None:
                     new_cells.append((signs + (-base_sign,), opp_sample))
@@ -177,54 +151,17 @@ def _cell_split(normals, rank: int):
             else:
                 # sample lies on the hyperplane: either the cell is inside it
                 # or the hyperplane cuts through the relatively open cell
-                eqs = [
-                    tuple(Fraction(x) for x in n)
-                    for n, s in zip(normals[:idx], signs)
-                    if s == 0
-                ]
-                plus = _solve_cell(
-                    eqs,
-                    _sign_system(normals[:idx], signs)
-                    + [(tuple(Fraction(x) for x in h), Fraction(0), True)],
-                    rank,
-                )
+                plus = side(1)
                 if plus is None:
                     new_cells.append((signs + (0,), sample))
                 else:
-                    minus = _solve_cell(
-                        eqs,
-                        _sign_system(normals[:idx], signs)
-                        + [(tuple(-Fraction(x) for x in h), Fraction(0), True)],
-                        rank,
-                    )
+                    minus = side(-1)
                     assert minus is not None, "open cell must cross the hyperplane"
                     new_cells.append((signs + (1,), plus))
                     new_cells.append((signs + (-1,), minus))
                     new_cells.append((signs + (0,), sample))
         cells = new_cells
-    return [(signs, _scale_to_int(sample)) for signs, sample in cells]
-
-
-def _solve_cell(eqs, strict_ineqs, rank: int):
-    """Sample of ``{x : eqs.x == 0, strict ineqs}`` or None."""
-    from .cones import _gauss_affine
-
-    solved = _gauss_affine([(e, Fraction(0)) for e in eqs], rank)
-    if solved is None:
-        return None
-    particular, basis = solved
-    reduced = []
-    for a, c, strict in strict_ineqs:
-        const = dot(a, particular) + c
-        coefs = tuple(dot(a, b) for b in basis)
-        reduced.append((coefs, const, strict))
-    t = _fm_sample(reduced, len(basis))
-    if t is None:
-        return None
-    point = list(particular)
-    for coef, b in zip(t, basis):
-        point = [p + coef * x for p, x in zip(point, b)]
-    return tuple(point)
+    return [(signs, clear_denominators(sample)[1]) for signs, sample in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +194,6 @@ class ChowQuotient:
             f"ChowQuotient(rank {self.fan.ambient_rank} -> {self.projection.target_rank}, "
             f"{len(self.quotient_fan.cones)} quotient cones)"
         )
-
-
-def _relint_sample_or_zero(c: Cone, variant: int = 0) -> Vec:
-    if c.is_zero():
-        return tuple(0 for _ in range(c.ambient_rank))
-    return relative_interior_sample(c, variant)
 
 
 def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
@@ -390,7 +321,7 @@ def _cone_data(
     lattice: Optional[Sublattice] = None
     raw_cone: Optional[Cone] = None
     for i in point_cones:
-        span_sigma = saturate(sublattice(fan.ambient_rank, fan.cones[i].generators))
+        span_sigma = _span_lattice(fan.cones[i])
         m_sigma = image_lattice(proj.matrix, span_sigma)
         lattice = m_sigma if lattice is None else lattice_intersection(lattice, m_sigma)
         raw_cone = images[i] if raw_cone is None else intersect_cones(raw_cone, images[i])

@@ -72,6 +72,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _degree_bound(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="chowfan", description=__doc__)
     p.add_argument("command", choices=[
@@ -83,7 +90,7 @@ def _build_parser() -> _Parser:
                    help="replace the sublattice by its saturation instead of failing")
     p.add_argument("--cone", type=int, default=None,
                    help="quotient cone index for cycle/fiber")
-    p.add_argument("--bound", type=int, default=8,
+    p.add_argument("--bound", type=_degree_bound, default=8,
                    help="degree bound for the integrality check")
     p.add_argument("--integral", action="store_true")
     p.add_argument("--reduced", action="store_true")

@@ -9,22 +9,26 @@ A cone is stored with both descriptions in canonical form:
   literally a swap of the two description pairs.
 
 Conversions run the double description method with exact integer
-arithmetic; strict feasibility questions (relative interiors, affine slice
-types) go through small Fourier-Motzkin eliminations over Fractions.  This
-is comfortably fast at the intended scale (rank <= 5, fans of ~100 cones).
+arithmetic.  Strict feasibility questions (relative interiors, affine slice
+types, fiber dimensions, arrangement cells) all go through the one
+feasibility routine :func:`affine_polyhedron_sample`: it solves the
+equations with :func:`~chowfan.intlinalg.solve_rational` and samples the
+remaining inequalities by a small Fourier-Motzkin elimination over
+Fractions.  This is comfortably fast at the intended scale (rank <= 5,
+fans of ~100 cones).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .intlinalg import (
     Mat,
     Sublattice,
     Vec,
+    clear_denominators,
     dot,
     identity_matrix,
     integer_kernel,
@@ -34,6 +38,9 @@ from .intlinalg import (
     matrix_rank,
     primitive,
     row_lattice_hnf,
+    saturate,
+    solve_rational,
+    sublattice,
     vadd,
     vec,
     vscale,
@@ -298,10 +305,6 @@ def zero_cone(ambient_rank: int) -> Cone:
     return cone_from_generators([], ambient_rank=ambient_rank)
 
 
-def full_cone(ambient_rank: int) -> Cone:
-    return cone_from_halfspaces([], ambient_rank=ambient_rank)
-
-
 def dual_cone(c: Cone) -> Cone:
     """Polar dual ``{u : <u,x> >= 0 for all x in c}``; involutive."""
     return Cone(c.ambient_rank, c.halfspaces, c.equations, c.generators, c.lineality)
@@ -361,43 +364,20 @@ def relative_interior_sample(c: Cone, variant: int = 0) -> Vec:
     return total
 
 
+def _relint_sample_or_zero(c: Cone) -> Vec:
+    """:func:`relative_interior_sample`, or the origin for the zero cone."""
+    if c.is_zero():
+        return tuple(0 for _ in range(c.ambient_rank))
+    return relative_interior_sample(c)
+
+
+def _span_lattice(c: Cone) -> Sublattice:
+    """The saturated lattice ``span_R(c) ∩ Z^r``."""
+    return saturate(sublattice(c.ambient_rank, c.generators + c.lineality))
+
+
 # ---------------------------------------------------------------------------
 # exact linear feasibility (Fourier-Motzkin over Fractions)
-
-
-def _gauss_affine(eqs: list[tuple[tuple[Fraction, ...], Fraction]], nvars: int):
-    """Solve ``a.x + c == 0``; returns (particular, basis) or None."""
-    rows = [list(a) + [c] for a, c in eqs]
-    pivots = []
-    r = 0
-    for col in range(nvars):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][nvars] != 0:
-            return None
-    particular = [Fraction(0)] * nvars
-    for i, col in enumerate(pivots):
-        particular[col] = -rows[i][nvars]
-    free = [c for c in range(nvars) if c not in pivots]
-    basis = []
-    for fcol in free:
-        b = [Fraction(0)] * nvars
-        b[fcol] = Fraction(1)
-        for i, col in enumerate(pivots):
-            b[col] = -rows[i][fcol]
-        basis.append(tuple(b))
-    return tuple(particular), tuple(basis)
 
 
 def _fm_sample(ineqs: list[tuple[tuple[Fraction, ...], Fraction, bool]], nvars: int):
@@ -458,28 +438,28 @@ def affine_polyhedron_sample(
 ):
     """Sample of ``{x : a.x + c == 0, b.x + d >= 0 (or > 0)}`` or None.
 
-    Returns ``(point, dim_of_equation_solution_space)``; the dimension refers
-    to the affine space cut by the equations alone.
+    The one feasibility routine: the equations are solved exactly, then
+    the inequalities, restricted to their solution space, are sampled by
+    Fourier-Motzkin.  Returns ``(point, dim_of_equation_solution_space)``;
+    the dimension refers to the affine space cut by the equations alone.
     """
-    frac_eqs = [(tuple(Fraction(x) for x in a), Fraction(c)) for a, c in eqs]
-    solved = _gauss_affine(frac_eqs, nvars)
+    solved = solve_rational([a for a, _ in eqs], [-c for _, c in eqs], nvars)
     if solved is None:
         return None
     particular, basis = solved
-    d = len(basis)
     reduced = []
     for a, c, strict in ineqs:
         af = tuple(Fraction(x) for x in a)
         const = dot(af, particular) + Fraction(c)
         coefs = tuple(dot(af, b) for b in basis)
         reduced.append((coefs, const, strict))
-    t = _fm_sample(reduced, d)
+    t = _fm_sample(reduced, len(basis))
     if t is None:
         return None
     point = list(particular)
     for coef, b in zip(t, basis):
         point = [p + coef * x for p, x in zip(point, b)]
-    return tuple(point), d
+    return tuple(point), len(basis)
 
 
 def affine_slice_type(c: Cone, psi: Sequence, sub: Sublattice) -> str:
@@ -492,35 +472,19 @@ def affine_slice_type(c: Cone, psi: Sequence, sub: Sublattice) -> str:
     if len(psi) != c.ambient_rank or sub.ambient_rank != c.ambient_rank:
         raise ValueError("dimension mismatch")
     basis = sub.basis
-    nvars = len(basis)
-    psi_f = tuple(Fraction(x) for x in psi)
-    eqs = []
-    for e in c.equations:
-        coefs = tuple(dot(e, b) for b in basis)
-        eqs.append((coefs, dot(e, psi_f)))
-    ineqs = []
-    for h in c.halfspaces:
-        coefs = tuple(dot(h, b) for b in basis)
-        ineqs.append((coefs, dot(h, psi_f), True))
     if c.is_zero():
         # relint of the zero cone is the origin itself
-        eqs = [(tuple(b[j] for b in basis), psi_f[j]) for j in range(c.ambient_rank)]
+        eqs = [(tuple(b[j] for b in basis), psi[j]) for j in range(c.ambient_rank)]
         ineqs = []
-    frac_eqs = [(tuple(Fraction(x) for x in a), Fraction(cst)) for a, cst in eqs]
-    solved = _gauss_affine(frac_eqs, nvars)
-    if solved is None:
+    else:
+        eqs = [(tuple(dot(e, b) for b in basis), dot(e, psi)) for e in c.equations]
+        ineqs = [
+            (tuple(dot(h, b) for b in basis), dot(h, psi), True) for h in c.halfspaces
+        ]
+    res = affine_polyhedron_sample(eqs, ineqs, len(basis))
+    if res is None:
         return "empty"
-    particular, bas = solved
-    reduced = []
-    for a, cst, strict in ineqs:
-        af = tuple(Fraction(x) for x in a)
-        const = dot(af, particular) + Fraction(cst)
-        coefs = tuple(dot(af, b) for b in bas)
-        reduced.append((coefs, const, strict))
-    t = _fm_sample(reduced, len(bas))
-    if t is None:
-        return "empty"
-    return "point" if len(bas) == 0 else "positive_dim"
+    return "point" if res[1] == 0 else "positive_dim"
 
 
 def fiber_dimension(c: Cone, matrix: Mat, value: Sequence) -> Optional[int]:
@@ -530,34 +494,21 @@ def fiber_dimension(c: Cone, matrix: Mat, value: Sequence) -> Optional[int]:
     then implicit equalities among the halfspace constraints.
     """
     rank = c.ambient_rank
-    eqs = [(row, -Fraction(v)) for row, v in zip(matrix, value)]
-    eqs += [(e, Fraction(0)) for e in c.equations]
-    ineqs = [(h, Fraction(0), False) for h in c.halfspaces]
-    res = affine_polyhedron_sample(eqs, ineqs, rank)
-    if res is None:
+    eqs = [(row, -v) for row, v in zip(matrix, value)]
+    eqs += [(e, 0) for e in c.equations]
+    ineqs = [(h, 0, False) for h in c.halfspaces]
+    if affine_polyhedron_sample(eqs, ineqs, rank) is None:
         return None
-    _, d = res
-    # dimension = d minus the rank of constraints that hold with equality
-    # everywhere on the feasible set
-    frac_eqs = [(tuple(Fraction(x) for x in a), Fraction(cst)) for a, cst in eqs]
-    solved = _gauss_affine(frac_eqs, rank)
-    assert solved is not None
-    _, basis = solved
+    _, basis = solve_rational([a for a, _ in eqs], [-cst for _, cst in eqs], rank)
+    # dimension = dim of the equation solutions minus the rank of the
+    # constraints that hold with equality everywhere on the feasible set
     implicit = []
     for h in c.halfspaces:
-        strict_test = [(h2, Fraction(0), h2 == h) for h2 in c.halfspaces]
+        strict_test = [(h2, 0, h2 == h) for h2 in c.halfspaces]
         if affine_polyhedron_sample(eqs, strict_test, rank) is None:
-            implicit.append(tuple(dot(tuple(Fraction(x) for x in h), b) for b in basis))
-    implicit = [row for row in implicit if any(x != 0 for x in row)]
-    if not implicit:
-        return d
-    scaled = []
-    for row in implicit:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        scaled.append(tuple(int(x * denom) for x in row))
-    return d - matrix_rank(scaled)
+            implicit.append(tuple(dot(h, b) for b in basis))
+    implicit = [clear_denominators(row)[1] for row in implicit if any(row)]
+    return len(basis) - matrix_rank(implicit)
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +657,14 @@ class FanValidationReport:
 
 
 def validate_fan(f: Fan) -> FanValidationReport:
-    """Check strict convexity, face closure and pairwise face intersections."""
+    """Check strict convexity, face closure and pairwise face intersections.
+
+    The report is computed once per fan and kept on it, so every caller
+    holding the same fan shares one O(n^2) pass.
+    """
+    rep = getattr(f, "_validation_cache", None)
+    if rep is not None:
+        return rep
     problems = []
     index = {c.key(): i for i, c in enumerate(f.cones)}
     for i, c in enumerate(f.cones):
@@ -723,7 +681,9 @@ def validate_fan(f: Fan) -> FanValidationReport:
             inter = intersect_cones(a, b)
             if not (is_face_of(inter, a) and is_face_of(inter, b)):
                 problems.append(f"intersection of cones {i} and {j} is not a common face")
-    return FanValidationReport(not problems, tuple(problems))
+    rep = FanValidationReport(not problems, tuple(problems))
+    object.__setattr__(f, "_validation_cache", rep)
+    return rep
 
 
 def is_complete(f: Fan) -> bool:

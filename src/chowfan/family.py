@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .chow import ChowQuotient, chow_stack_datum, point_fiber_cones
 from .cones import (
     Cone,
     Fan,
+    _relint_sample_or_zero,
+    _span_lattice,
     cone_from_generators,
     cone_from_halfspaces,
     dual_cone,
@@ -35,6 +36,7 @@ from .cones import (
 from .intlinalg import (
     Sublattice,
     Vec,
+    clear_denominators,
     coordinates_in,
     dot,
     full_lattice,
@@ -45,7 +47,6 @@ from .intlinalg import (
     row_lattice_hnf,
     saturate,
     solve_rational,
-    sublattice,
     vadd,
     vec,
     vsub,
@@ -130,11 +131,7 @@ def universal_family(cq: ChowQuotient) -> UniversalFamily:
 
 def _host_index(fan: Fan, c: Cone) -> int:
     """The unique input cone whose relative interior contains c's interior."""
-    if c.is_zero():
-        sample = tuple(0 for _ in range(c.ambient_rank))
-    else:
-        sample = relative_interior_sample(c)
-    idx = fan.cone_containing_in_relint(sample)
+    idx = fan.cone_containing_in_relint(_relint_sample_or_zero(c))
     if idx is None:
         raise InternalConsistencyError("family cone escapes the input fan support")
     return idx
@@ -209,10 +206,6 @@ class Wall:
     direction: Vec  # primitive vector in the acting sublattice
 
 
-def _span_lattice(c: Cone) -> Sublattice:
-    return saturate(sublattice(c.ambient_rank, c.generators + c.lineality))
-
-
 def lift_into_span(proj, c: Cone, value: Sequence) -> tuple[Fraction, ...]:
     """The unique preimage of ``value`` in the span of ``c`` (rational)."""
     span = _span_lattice(c)
@@ -223,11 +216,11 @@ def lift_into_span(proj, c: Cone, value: Sequence) -> tuple[Fraction, ...]:
     rows = [
         tuple(dot(prow, b) for b in span.basis) for prow in proj.matrix
     ]
-    t = solve_rational(rows, value)
-    if t is None:
+    solved = solve_rational(rows, value)
+    if solved is None:
         raise ValueError("value is not in the projected span")
     out = [Fraction(0)] * c.ambient_rank
-    for coef, b in zip(t, span.basis):
+    for coef, b in zip(solved[0], span.basis):
         out = [x + coef * y for x, y in zip(out, b)]
     return tuple(out)
 
@@ -281,18 +274,12 @@ def wall_structure(fam: UniversalFamily, base_index: int, wall_index: int) -> Wa
         diff = tuple(Fraction(a) - b for a, b in zip(x, lifted))
         sign = _parallel_sign(diff, u0)
         return Wall(wall_index, base_index, "boundary", tuple(iso), _signed(u0, sign))
-    v = _relint_sample(kappa)
+    v = _relint_sample_or_zero(kappa)
     l1 = lift_into_span(proj, fam.fan.cones[iso[0]], v)
     l2 = lift_into_span(proj, fam.fan.cones[iso[1]], v)
     diff = tuple(b - a for a, b in zip(l1, l2))
     sign = _parallel_sign(diff, u0)
     return Wall(wall_index, base_index, "internal", tuple(iso), _signed(u0, sign))
-
-
-def _relint_sample(c: Cone) -> Vec:
-    if c.is_zero():
-        return tuple(0 for _ in range(c.ambient_rank))
-    return relative_interior_sample(c)
 
 
 def _parallel_sign(diff: Sequence[Fraction], u: Vec) -> int:
@@ -524,9 +511,9 @@ def _gluing_functional(fam: UniversalFamily, base_index: int, w: Wall):
                 coef = Fraction(d) / x
                 break
         values.append(coef)
-    gamma = solve_rational(span.basis, values)
-    assert gamma is not None
-    return gamma
+    solved = solve_rational(span.basis, values)
+    assert solved is not None
+    return solved[0]
 
 
 def _fiber_product_monoid(fam: UniversalFamily, base_index: int, w: Wall) -> AffineMonoid:
@@ -534,10 +521,7 @@ def _fiber_product_monoid(fam: UniversalFamily, base_index: int, w: Wall) -> Aff
     kappa = fam.base.fan.cones[base_index]
     q = fam.chow.projection.target_rank
     gamma = _gluing_functional(fam, base_index, w)
-    denom = 1
-    for x in gamma:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    gamma_int = [int(x * denom) for x in gamma]
+    denom, gamma_int = clear_denominators(gamma)
     halfspaces = [tuple(h) + (0, 0) for h in kappa.halfspaces]
     halfspaces.append(tuple(0 for _ in range(q)) + (1, 0))
     halfspaces.append(tuple(0 for _ in range(q)) + (0, 1))

@@ -4,7 +4,11 @@ Everything in this module works with plain Python integers (arbitrary
 precision) and tuples; there is no floating point anywhere.  The central
 objects are
 
-* row Hermite and Smith normal forms with unimodular transforms,
+* row Hermite and Smith normal forms with unimodular transforms; rank and
+  unimodular inverses are read off the Hermite form,
+* :func:`solve_rational`, the library's one Gauss-Jordan elimination over
+  Q (Fractions): every rational linear system in the package is solved
+  there,
 * :class:`Sublattice`, a canonicalized (row HNF) subgroup of Z^r, with
   saturation, sum, intersection and index computations,
 * :class:`QuotientMap`, a surjection Z^r -> Z^q with a prescribed saturated
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -75,6 +79,13 @@ def primitive(a: Sequence[int]) -> Vec:
     return tuple(x // g for x in a)
 
 
+def clear_denominators(v: Sequence) -> tuple[int, Vec]:
+    """``(d, d * v)`` for the least positive ``d`` making ``d * v`` integral."""
+    fractions = [Fraction(x) for x in v]
+    d = lcm(*(x.denominator for x in fractions))
+    return d, tuple(int(x * d) for x in fractions)
+
+
 def mat(rows: Iterable[Iterable[int]]) -> Mat:
     return tuple(vec(r) for r in rows)
 
@@ -99,24 +110,8 @@ def mat_vec(m: Mat, v: Sequence) -> tuple:
 
 
 def matrix_rank(m: Sequence[Sequence[int]]) -> int:
-    """Rank over Q, computed by fraction-free elimination."""
-    rows = [list(map(Fraction, r)) for r in m if not is_zero(r)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                f = rows[i][col] / rows[rank][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    """Rank over Q: the rank of the row lattice."""
+    return len(row_lattice_hnf(m))
 
 
 # ---------------------------------------------------------------------------
@@ -266,24 +261,9 @@ def elementary_divisors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 def unimodular_inverse(m: Mat) -> Mat:
     """Inverse of a unimodular integer matrix (exact, integer output)."""
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    out = []
-    for i in range(n):
-        row = aug[i][n:]
-        assert all(x.denominator == 1 for x in row), "matrix was not unimodular"
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    h, u = hermite_normal_form(m)
+    assert h == identity_matrix(len(m)), "matrix was not unimodular"
+    return u
 
 
 def integer_kernel(m: Sequence[Sequence[int]], ncols: Optional[int] = None) -> Mat:
@@ -303,48 +283,27 @@ def integer_kernel(m: Sequence[Sequence[int]], ncols: Optional[int] = None) -> M
     return row_lattice_hnf(kernel_rows) if kernel_rows else ()
 
 
-def solve_integer(m: Mat, target: Vec) -> Optional[Vec]:
-    """One integer solution x of ``m @ x == target``, or None.
+def solve_rational(
+    m: Sequence[Sequence], target: Sequence, ncols: Optional[int] = None
+) -> Optional[tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]]:
+    """All rational solutions of ``m @ x == target``, or None if inconsistent.
 
-    All solutions are ``x + integer_kernel(m)`` combinations.
+    Returns ``(particular, basis)``: the solutions are ``particular`` plus
+    the span of the null-space ``basis``.  This is the library's only
+    Gauss-Jordan elimination over Q.  Each column pivots on the first row
+    with a nonzero entry and free variables are 0 in ``particular``, so the
+    result depends only on the reduced row echelon form.  Entries may be
+    ints or Fractions; ``ncols`` is needed only when ``m`` has no rows.
     """
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    if nrows == 0:
-        return tuple(0 for _ in range(ncols))
-    # Solve x^T m^T = target via HNF of m^T: H = U m^T, x^T H' ... work with
-    # the row-style system y @ m^T == target where y = x.
-    mt = transpose(m)
-    h, u = hermite_normal_form(mt)
-    # find coefficients c with c @ h == target by pivot back-substitution
-    c = [0] * len(h)
-    residue = list(target)
-    for i, row in enumerate(h):
-        piv = next((j for j, x in enumerate(row) if x != 0), None)
-        if piv is None:
-            continue
-        if residue[piv] % row[piv] != 0:
-            return None
-        q = residue[piv] // row[piv]
-        c[i] = q
-        residue = [x - q * y for x, y in zip(residue, row)]
-    if not is_zero(residue):
-        return None
-    x = [0] * ncols
-    for ci, urow in zip(c, u):
-        if ci:
-            x = [a + ci * b for a, b in zip(x, urow)]
-    return tuple(x)
-
-
-def solve_rational(m: Sequence[Sequence[int]], target: Sequence) -> Optional[tuple[Fraction, ...]]:
-    """One rational solution of ``m @ x == target``, or None if inconsistent."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    if ncols is None:
+        ncols = len(m[0]) if nrows else 0
     aug = [[Fraction(x) for x in row] + [Fraction(t)] for row, t in zip(m, target)]
     pivots = []
     r = 0
     for col in range(ncols):
+        if r == nrows:
+            break
         piv = next((i for i in range(r, nrows) if aug[i][col] != 0), None)
         if piv is None:
             continue
@@ -357,15 +316,19 @@ def solve_rational(m: Sequence[Sequence[int]], target: Sequence) -> Optional[tup
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
         pivots.append(col)
         r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
+    if any(aug[i][ncols] != 0 for i in range(r, nrows)):
+        return None
+    particular = [Fraction(0)] * ncols
     for i, col in enumerate(pivots):
-        x[col] = aug[i][ncols]
-    return tuple(x)
+        particular[col] = aug[i][ncols]
+    basis = []
+    for fcol in (c for c in range(ncols) if c not in pivots):
+        b = [Fraction(0)] * ncols
+        b[fcol] = Fraction(1)
+        for i, col in enumerate(pivots):
+            b[col] = -aug[i][fcol]
+        basis.append(tuple(b))
+    return tuple(particular), tuple(basis)
 
 
 # ---------------------------------------------------------------------------

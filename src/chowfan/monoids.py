@@ -86,14 +86,19 @@ class AffineMonoid:
 
     def grading(self) -> Vec:
         """A functional strictly positive on the pointed part minus zero."""
-        total = tuple(0 for _ in range(self.ambient_rank))
-        for h in self.cone.halfspaces:
-            total = vadd(total, h)
-        return total
+        return _grading(self.cone)
 
     def __repr__(self) -> str:
         units = f", units rank {self.units.rank}" if self.units.rank else ""
         return f"AffineMonoid(rank {self.ambient_rank}, basis {list(self.hilbert_basis)}{units})"
+
+
+def _grading(c: Cone) -> Vec:
+    """Sum of the facet normals: positive on ``c`` off its lineality space."""
+    total = tuple(0 for _ in range(c.ambient_rank))
+    for h in c.halfspaces:
+        total = vadd(total, h)
+    return total
 
 
 def _reduce_mod_units(v: Sequence[int], units: Sublattice) -> Vec:
@@ -151,10 +156,10 @@ def _parallelepiped_points(simplex_rays: tuple[Vec, ...], rank: int) -> list[Vec
     for z in stack:
         y = mat_vec(transpose(v_inv), z)  # z @ v_inv
         w = mat_vec(transpose(span.basis), y)  # y @ basis
-        lam = solve_rational(ray_mat_t, w)
-        assert lam is not None
+        solved = solve_rational(ray_mat_t, w)
+        assert solved is not None
         shifted = list(w)
-        for coef, r in zip(lam, simplex_rays):
+        for coef, r in zip(solved[0], simplex_rays):
             f = coef.numerator // coef.denominator  # floor
             if f:
                 shifted = [a - f * b for a, b in zip(shifted, r)]
@@ -171,9 +176,7 @@ def _hilbert_basis_full(c: Cone) -> tuple[Vec, ...]:
     candidates = set(c.generators)
     for simplex in _triangulate(c):
         candidates.update(_parallelepiped_points(simplex, c.ambient_rank))
-    grading = tuple(0 for _ in range(c.ambient_rank))
-    for h in c.halfspaces:
-        grading = vadd(grading, h)
+    grading = _grading(c)
     halfspaces = c.halfspaces
     # precomputed halfspace values make the sieve pure integer comparisons
     valued = sorted(
@@ -262,9 +265,7 @@ def affine_monoid(rank: int, generators: Sequence[Sequence[int]]) -> AffineMonoi
             "generator-defined monoids with invertible elements are not supported"
         )
     group = Sublattice(rank, row_lattice_hnf(gens))
-    grading = tuple(0 for _ in range(rank))
-    for h in cone.halfspaces:
-        grading = vadd(grading, h)
+    grading = _grading(cone)
     uniq = sorted(set(gens), key=lambda x: (dot(grading, x), x))
     basis = []
     for x in uniq:

@@ -259,26 +259,9 @@ def encode_check_report(rep) -> dict:
     }
 
 
-def decode_check_report(doc: dict):
-    from .verify import CheckReport
-
-    return CheckReport(
-        str(_require(doc, "name")),
-        str(_require(doc, "verdict")),
-        tuple(_tupleize(w) for w in doc.get("witnesses", [])),
-        tuple(sorted((k, _tupleize(v)) for k, v in doc.get("parameters", {}).items())),
-    )
-
-
 def _jsonable(x: Any):
     if isinstance(x, (list, tuple)):
         return [_jsonable(y) for y in x]
     if isinstance(x, (dict,)):
         return {k: _jsonable(v) for k, v in x.items()}
-    return x
-
-
-def _tupleize(x: Any):
-    if isinstance(x, list):
-        return tuple(_tupleize(y) for y in x)
     return x

@@ -33,7 +33,7 @@ from .stacks import ToricStackDatum
 @dataclass(frozen=True)
 class CheckReport:
     name: str
-    verdict: str  # "pass", "fail" or "inconclusive"
+    verdict: str  # "pass" or "fail"
     witnesses: tuple
     parameters: tuple[tuple[str, object], ...] = ()
 
@@ -115,8 +115,11 @@ def check_integral(h: MonoidHom, degree_bound: int = 8) -> CheckReport:
     propagates to all its translates, so target pairs are walked in grade
     order and only pairs not dominated by an already-witnessed one trigger
     a fresh search.  A pass is a pass up to the recorded bound; a failure
-    reports the identity for which the witness search came up empty.
+    reports the identity for which the witness search came up empty.  A
+    bound below 1 would make the pass vacuous and raises ``ValueError``.
     """
+    if degree_bound < 1:
+        raise ValueError(f"degree bound must be at least 1, got {degree_bound}")
     source, target = h.source, h.target
     grading_s = source.grading()
     grading_t = target.grading()

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -167,6 +168,11 @@ class TestExitCodes:
         code, _ = _run(["frobnicate", P2])
         assert code == 1
 
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_bound_below_one_is_usage(self, bound):
+        code, out = _run(["check", P2, "--integral", "--bound", bound])
+        assert code == 1 and out == ""
+
     def test_missing_file_is_usage(self):
         code, _ = _run(["validate", "/nonexistent/input.json"])
         assert code == 1
@@ -212,6 +218,48 @@ class TestDeterminism:
         _, out = _run(["quotient", P1P1])
         doc = json.loads(out)
         assert json.loads(dumps(doc)) == doc
+
+
+class TestValidateOnce:
+    def test_all_validates_the_input_fan_once(self, monkeypatch):
+        """One ``all`` run builds two fan reports: one for the input fan,
+        shared by parsing, the quotient and the validation section, and one
+        for the quotient fan, checked inside ``chow_quotient``."""
+        import chowfan.cones as cones
+
+        built = []
+        real = cones.FanValidationReport
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cones, "FanValidationReport", counting)
+        code, _ = _run(["all", P1P1, "--bound", "1"])
+        assert code == 0
+        assert len(built) == 2
+
+
+class TestGoldenDigests:
+    """sha256 of ``chowfan all --bound 4`` on each fixture.
+
+    A refactor must not change a single output byte; an intended change to
+    the documents updates these digests together with
+    ``perfbench/reference.json``.
+    """
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("p1p1_diagonal.json", "66c4036e904aac2c33ab7a055bf0c9feea47ffd6d1a67ac293f2b94d51c3e270"),
+            ("p2_horizontal.json", "5ef4cf43a007e315f70284c264916e0bb7f25cb938dbdb89d99c2437e4cd8233"),
+            ("p2_weighted.json", "e51c27e53489ffdb7fe4037f3bc91894bfefb7c86013b144739071b67411f87d"),
+        ],
+    )
+    def test_all_document_digest(self, name, digest):
+        code, out = _run(["all", os.path.join(FIXTURES, name), "--bound", "4"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSerializeRoundTrips:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,16 +13,20 @@ from chowfan.intlinalg import (
     identity_matrix,
     image_lattice,
     integer_kernel,
+    is_zero,
     lattice_index,
     lattice_intersection,
     lattice_sum,
     mat,
     mat_mul,
+    mat_vec,
+    matrix_rank,
     preimage_lattice,
     quotient_map,
     row_lattice_hnf,
     saturate,
     smith_normal_form,
+    solve_rational,
     sublattice,
     unimodular_inverse,
     zero_sublattice,
@@ -77,6 +82,80 @@ class TestHermite:
         inv = unimodular_inverse(u)
         n = len(u)
         assert mat_mul(u, inv) == identity_matrix(n)
+
+
+# (m, free target, planted solution, whether to use the planted target)
+linear_systems = st.integers(1, 4).flatmap(
+    lambda rows: st.integers(1, 5).flatmap(
+        lambda cols: st.tuples(
+            st.lists(
+                st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                min_size=rows,
+                max_size=rows,
+            ),
+            st.lists(st.integers(-3, 3), min_size=rows, max_size=rows),
+            st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+            st.booleans(),
+        )
+    )
+)
+
+# (n, row operations (i, j, c, swap) applied to the identity)
+elementary_products = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.integers(-3, 3),
+                st.booleans(),
+            ),
+            max_size=8,
+        ),
+    )
+)
+
+
+class TestRationalKernel:
+    @settings(deadline=None, max_examples=200)
+    @given(linear_systems)
+    def test_solve_rational_property(self, system):
+        rows, free_target, x, planted = system
+        m = mat(rows)
+        target = mat_vec(m, x) if planted else tuple(free_target)
+        rank = matrix_rank(m)
+        solved = solve_rational(m, target)
+        augmented_rank = matrix_rank([r + (t,) for r, t in zip(m, target)])
+        if solved is None:
+            assert augmented_rank == rank + 1
+            return
+        assert augmented_rank == rank
+        particular, basis = solved
+        assert mat_vec(m, particular) == target
+        assert all(is_zero(mat_vec(m, b)) for b in basis)
+        assert len(basis) == len(m[0]) - rank
+        assert all(type(e) is Fraction for v in (particular, *basis) for e in v)
+
+    def test_solve_rational_without_rows(self):
+        particular, basis = solve_rational((), (), ncols=2)
+        assert particular == (0, 0)
+        assert basis == ((1, 0), (0, 1))
+
+    @settings(deadline=None, max_examples=100)
+    @given(elementary_products)
+    def test_unimodular_inverse_of_elementary_products(self, data):
+        n, ops = data
+        u = [list(r) for r in identity_matrix(n)]
+        for i, j, c, swap in ops:
+            if swap:
+                u[i], u[j] = u[j], u[i]
+            elif i != j:
+                u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+            else:
+                u[i] = [-a for a in u[i]]
+        u = mat(u)
+        assert mat_mul(unimodular_inverse(u), u) == identity_matrix(n)
 
 
 class TestSmith:

@@ -51,6 +51,12 @@ class TestIntegral:
         h = monoid_hom(((1, 1),), _n(2), _n(1))
         assert check_integral(h, 6).verdict == "fail"
 
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_bound_below_one_rejected(self, bound):
+        h = monoid_hom(((1,), (1,)), _n(1), _n(2))
+        with pytest.raises(ValueError):
+            check_integral(h, bound)
+
     def test_monotone_in_bound(self):
         h = monoid_hom(((1,), (1,)), _n(1), _n(2))
         for bound in (2, 4, 6):
