@@ -43,6 +43,8 @@ from .serialize import (
     encode_fiber_document,
     encode_sublattice,
     FORMAT_VERSION,
+    require,
+    strict_ints,
 )
 from .stacks import InternalConsistencyError, MonoidNotMapped, NotMaximalCone
 from .verify import (
@@ -120,41 +122,34 @@ def parse_input(text: str, allow_saturate: bool = False):
         ) from exc
     if not isinstance(doc, dict):
         raise DocumentError("input document must be a JSON object")
-    version = doc.get("format_version", FORMAT_VERSION)
+    version = strict_ints(doc.get("format_version", FORMAT_VERSION), "format_version")
     if version != FORMAT_VERSION:
         raise DocumentError(f"unsupported format_version {version}")
-    try:
-        rank = int(doc["lattice_rank"])
-    except KeyError:
-        raise DocumentError("missing field 'lattice_rank'") from None
-    raw_cones = doc.get("maximal_cones")
-    if raw_cones is None:
-        raise DocumentError("missing field 'maximal_cones'")
+    rank = strict_ints(require(doc, "lattice_rank"), "lattice_rank")
+    if rank < 0:
+        raise DocumentError(f"lattice_rank: expected a nonnegative integer, got {rank}")
     cones = []
-    for pos, gens in enumerate(raw_cones):
+    for pos, gens in enumerate(strict_ints(require(doc, "maximal_cones"), "maximal_cones", 3)):
         try:
-            cones.append(
-                cone_from_generators(
-                    [tuple(map(int, g)) for g in gens], ambient_rank=rank
-                )
-            )
-        except (TypeError, ValueError) as exc:
+            cones.append(cone_from_generators(gens, ambient_rank=rank))
+        except ValueError as exc:
             raise DocumentError(f"maximal_cones[{pos}]: {exc}") from exc
     fan = fan_from_cones(cones, ambient_rank=rank)
     rep = validate_fan(fan)
     if not rep.ok:
         raise ValidationError("invalid fan: " + "; ".join(rep.violations))
-    raw_sub = doc.get("sublattice")
-    if raw_sub is None:
-        raise DocumentError("missing field 'sublattice'")
+    gens = strict_ints(require(doc, "sublattice"), "sublattice", 2)
     try:
-        sub = sublattice(rank, [tuple(map(int, g)) for g in raw_sub])
-    except (TypeError, ValueError) as exc:
+        sub = sublattice(rank, gens)
+    except ValueError as exc:
         raise DocumentError(f"sublattice: {exc}") from exc
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise DocumentError("'options' must be an object")
-    saturate_flag = allow_saturate or bool(options.get("saturate", False))
+    flag = options.get("saturate", False)
+    if type(flag) is not bool:
+        raise DocumentError(f"options.saturate: expected true or false, got {json.dumps(flag)}")
+    saturate_flag = allow_saturate or flag
     saturated = saturate(sub)
     if saturated != sub:
         if not saturate_flag:

@@ -4,8 +4,11 @@ Everything in this module works with plain Python integers (arbitrary
 precision) and tuples; there is no floating point anywhere.  The central
 objects are
 
-* row Hermite and Smith normal forms with unimodular transforms; rank and
-  unimodular inverses are read off the Hermite form,
+* :func:`row_lattice_hnf`, the one Hermite elimination loop; it builds no
+  transform.  :func:`hermite_normal_form` reads ``H`` and a unimodular
+  ``U`` off the Hermite basis of ``[m | I]``, and rank, kernels and
+  unimodular inverses come from these,
+* the Smith normal form with its unimodular transforms,
 * :func:`solve_rational`, the library's one Gauss-Jordan elimination over
   Q (Fractions): every rational linear system in the package is solved
   there,
@@ -118,58 +121,53 @@ def matrix_rank(m: Sequence[Sequence[int]]) -> int:
 # normal forms
 
 
-def hermite_normal_form(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
-    """Row Hermite normal form.
-
-    Returns ``(H, U)`` with ``H = U @ m``, ``U`` unimodular, pivots positive,
-    entries above each pivot reduced into ``[0, pivot)`` and zero rows at the
-    bottom.  The result is the unique canonical form of the row lattice.
-    """
-    rows = [list(map(int, r)) for r in m]
-    nrows = len(rows)
-    u = [list(r) for r in identity_matrix(nrows)]
-    if nrows == 0:
-        return (), ()
-    ncols = len(rows[0])
-    pivot_row = 0
-    for col in range(ncols):
-        # clear below pivot_row in this column using extended gcd row ops
-        nz = [i for i in range(pivot_row, nrows) if rows[i][col] != 0]
-        if not nz:
-            continue
-        i0 = nz[0]
-        rows[pivot_row], rows[i0] = rows[i0], rows[pivot_row]
-        u[pivot_row], u[i0] = u[i0], u[pivot_row]
-        for i in range(pivot_row + 1, nrows):
-            while rows[i][col] != 0:
-                a, b = rows[pivot_row][col], rows[i][col]
-                if abs(a) > abs(b) or a == 0:
-                    rows[pivot_row], rows[i] = rows[i], rows[pivot_row]
-                    u[pivot_row], u[i] = u[i], u[pivot_row]
-                    continue
-                q = rows[i][col] // rows[pivot_row][col]
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[pivot_row])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[pivot_row])]
-        if rows[pivot_row][col] < 0:
-            rows[pivot_row] = [-x for x in rows[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
-        # reduce entries above the pivot
-        p = rows[pivot_row][col]
-        for i in range(pivot_row):
-            q = rows[i][col] // p
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[pivot_row])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[pivot_row])]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return mat(rows), mat(u)
-
-
 def row_lattice_hnf(rows: Sequence[Sequence[int]]) -> Mat:
-    """HNF basis (zero rows dropped) of the lattice generated by the rows."""
-    h, _ = hermite_normal_form(rows)
-    return tuple(r for r in h if not is_zero(r))
+    """HNF basis of the lattice generated by the rows (zero rows dropped).
+
+    Pivots are positive, entries above each pivot lie in ``[0, pivot)``; the
+    result is the unique canonical basis of the row lattice.  This is the
+    library's only Hermite elimination loop.
+    """
+    work = [list(map(int, r)) for r in rows if any(r)]
+    done: list[list[int]] = []
+    col = 0
+    while work:
+        nz = [r for r in work if r[col]]
+        work = [r for r in work if not r[col]]
+        while len(nz) > 1:  # Euclid on column col: reduce all by the smallest
+            p = min(nz, key=lambda r: abs(r[col]))
+            rest = [p]
+            for r in nz:
+                if r is not p:
+                    q = r[col] // p[col]
+                    r = [x - q * y for x, y in zip(r, p)]
+                    (rest if r[col] else work).append(r)
+            nz = rest
+        if nz:
+            p = nz[0] if nz[0][col] > 0 else [-x for x in nz[0]]
+            for i, d in enumerate(done):
+                q = d[col] // p[col]
+                if q:
+                    done[i] = [x - q * y for x, y in zip(d, p)]
+            done.append(p)
+        work = [r for r in work if any(r)]
+        col += 1
+    return mat(done)
+
+
+def hermite_normal_form(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
+    """Row Hermite normal form with a unimodular transform.
+
+    Returns ``(H, U)`` with ``H = U @ m``, ``U`` unimodular and ``H`` the
+    row HNF of ``m`` padded with zero rows at the bottom.  Both are read off
+    :func:`row_lattice_hnf` of ``[m | I]``, whose rows are ``(x @ m, x)``.
+    """
+    n = len(m)
+    if n == 0:
+        return (), ()
+    ncols = len(m[0])
+    aug = row_lattice_hnf([tuple(r) + e for r, e in zip(m, identity_matrix(n))])
+    return tuple(r[:ncols] for r in aug), tuple(r[ncols:] for r in aug)
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat, Mat]:

@@ -1,12 +1,14 @@
 """Finitely generated submonoids of lattices and their Hilbert bases.
 
-The workhorse is :func:`monoid_from_cone`: the saturated monoid of lattice
-points of a strictly convex cone, with its Hilbert basis computed by a
-pulling triangulation plus fundamental-parallelepiped enumeration and an
-irreducibility sieve.  Monoids built from arbitrary generator sets (not
-necessarily saturated) are supported as long as they are pointed; their
-membership test is a bounded search driven by a strictly positive grading,
-so it always terminates.
+The workhorse is :func:`saturated_monoid`: the monoid of lattice points of
+a cone, with its Hilbert basis computed by a pulling triangulation, an
+integer enumeration of each simplex's fundamental parallelepiped (one Smith
+form per simplex, no rational solve per point) and an irreducibility sieve
+that only tries reducers of at most half a candidate's grade.  Its group is
+read off the lattice, not from the Hilbert basis.  Monoids built from
+arbitrary generator sets (not necessarily saturated) are supported as long
+as they are pointed; their membership test is a bounded search driven by a
+strictly positive grading, so it always terminates.
 
 Monoids with invertible elements (units) arise as duals of monoids that are
 not full-dimensional; they are represented by the unit lattice plus a
@@ -16,11 +18,13 @@ canonical pointed generating set and are only built in saturated form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Optional, Sequence
 
 from .cones import (
     Cone,
     NotStrictlyConvex,
+    _span_lattice,
     cone_from_generators,
     cone_from_halfspaces,
     dual_cone,
@@ -31,6 +35,7 @@ from .intlinalg import (
     Mat,
     Sublattice,
     Vec,
+    coordinates_in,
     dot,
     full_lattice,
     is_zero,
@@ -38,8 +43,9 @@ from .intlinalg import (
     quotient_map,
     row_lattice_hnf,
     saturate,
-    solve_rational,
+    smith_normal_form,
     sublattice,
+    transpose,
     vadd,
     vec,
     vsub,
@@ -133,44 +139,41 @@ def _triangulate(c: Cone) -> list[tuple[Vec, ...]]:
 
 
 def _parallelepiped_points(simplex_rays: tuple[Vec, ...], rank: int) -> list[Vec]:
-    """Lattice points of the half-open parallelepiped of independent rays."""
-    from .intlinalg import (
-        coordinates_in,
-        smith_normal_form,
-        transpose,
-        unimodular_inverse,
-    )
+    """Nonzero lattice points of the half-open parallelepiped of independent rays.
 
+    With ``C`` the rays in coordinates of their saturated span and Smith form
+    ``S = U @ C @ V``, the points are the classes ``z @ inv(V)`` of
+    ``Z^n / Z^n C`` for ``z`` in the box of the diagonal ``d``.  Their ray
+    coefficients are ``z @ inv(V) @ C^-1 = z @ (det/d) U / det``; taken
+    mod ``det`` they give the point ``sum(num_i r_i) / det`` in integers.
+    """
     span = saturate(sublattice(rank, simplex_rays))
-    coords = [coordinates_in(span.basis, r) for r in simplex_rays]
-    assert all(c is not None for c in coords)
-    s, _, v = smith_normal_form(tuple(coords))
+    coords = tuple(coordinates_in(span.basis, r) for r in simplex_rays)
+    s, u, _ = smith_normal_form(coords)
     diag = [s[i][i] for i in range(len(simplex_rays))]
-    v_inv = unimodular_inverse(v)
-    reps: list[Vec] = []
-    stack = [()]
-    for d in diag:
-        stack = [t + (a,) for t in stack for a in range(d)]
-    ray_mat_t = transpose(tuple(simplex_rays))
+    det = prod(diag)
+    nums = [(0,) * len(diag)]
+    for d, row in zip(diag, u):
+        step = det // d
+        nums = [tuple(x + a * step * y for x, y in zip(t, row)) for t in nums for a in range(d)]
+    ray_cols = transpose(simplex_rays)
     out = []
-    for z in stack:
-        y = mat_vec(transpose(v_inv), z)  # z @ v_inv
-        w = mat_vec(transpose(span.basis), y)  # y @ basis
-        solved = solve_rational(ray_mat_t, w)
-        assert solved is not None
-        shifted = list(w)
-        for coef, r in zip(solved[0], simplex_rays):
-            f = coef.numerator // coef.denominator  # floor
-            if f:
-                shifted = [a - f * b for a, b in zip(shifted, r)]
-        pt = tuple(shifted)
-        if not is_zero(pt):
-            out.append(pt)
+    for t in nums:
+        num = [x % det for x in t]
+        if any(num):
+            out.append(tuple(dot(num, col) // det for col in ray_cols))
     return out
 
 
 def _hilbert_basis_full(c: Cone) -> tuple[Vec, ...]:
-    """Hilbert basis of ``c ∩ Z^rank`` for a strictly convex cone."""
+    """Hilbert basis of ``c ∩ Z^rank`` for a strictly convex cone.
+
+    Candidates are the rays and the parallelepiped points of a pulling
+    triangulation, enumerated in integers.  They are sieved in grade order:
+    ``x`` is reducible iff ``x - b`` lies in the cone for an irreducible
+    ``b`` with ``2 * grade(b) <= grade(x)``, since a sum of two or more
+    irreducibles has a summand of at most half its grade.
+    """
     if c.dim == 0:
         return ()
     candidates = set(c.generators)
@@ -183,12 +186,11 @@ def _hilbert_basis_full(c: Cone) -> tuple[Vec, ...]:
         ((dot(grading, x), x, tuple(dot(h, x) for h in halfspaces)) for x in candidates),
         key=lambda t: (t[0], t[1]),
     )
-    # processed in grade order, reducibility only needs smaller irreducibles
     basis: list[tuple[int, Vec, tuple[int, ...]]] = []
     for gx, x, hx in valued:
         reducible = False
         for gb, _b, hb in basis:
-            if gb >= gx:
+            if 2 * gb > gx:
                 break
             if all(p >= q for p, q in zip(hx, hb)):
                 reducible = True
@@ -207,24 +209,13 @@ def saturated_monoid(c: Cone, lattice: Sublattice) -> AffineMonoid:
     rank = c.ambient_rank
     if lattice.ambient_rank != rank:
         raise ValueError("lattice has wrong ambient rank")
-    if lattice.rank == 0:
-        return AffineMonoid(
-            rank, (), zero_sublattice(rank), cone_from_generators([], ambient_rank=rank),
-            zero_sublattice(rank), lattice,
-        )
     c2 = intersect_cones(c, _subspace_cone(lattice))
     basis = lattice.basis  # rows: coordinates y -> point y @ basis
     k = len(basis)
     pulled_h = [tuple(dot(h, b) for b in basis) for h in c2.halfspaces]
     pulled_e = [tuple(dot(e, b) for b in basis) for e in c2.equations]
     cy = cone_from_halfspaces(pulled_h, pulled_e, k)
-
-    def push(y: Sequence[int]) -> Vec:
-        out = [0] * rank
-        for coef, b in zip(y, basis):
-            out = [a + coef * x for a, x in zip(out, b)]
-        return tuple(out)
-
+    basis_t = transpose(basis)  # y @ basis == mat_vec(basis_t, y)
     if cy.lineality:
         units_y = Sublattice(k, cy.lineality)
         qu = quotient_map(k, units_y)
@@ -233,16 +224,14 @@ def saturated_monoid(c: Cone, lattice: Sublattice) -> AffineMonoid:
         )
         hb_down = _hilbert_basis_full(pointed)
         hb_y = [_reduce_mod_units(qu.lift(v), units_y) for v in hb_down]
-        units = Sublattice(rank, row_lattice_hnf([push(u) for u in units_y.basis]))
-        hb = tuple(sorted(push(y) for y in hb_y))
+        units = Sublattice(rank, row_lattice_hnf([mat_vec(basis_t, u) for u in units_y.basis]))
+        hb = tuple(sorted(mat_vec(basis_t, y) for y in hb_y))
     else:
         units = zero_sublattice(rank)
-        hb = tuple(sorted(push(y) for y in _hilbert_basis_full(cy)))
-    cone_back = cone_from_generators(
-        [g for g in hb], [u for u in units.basis], ambient_rank=rank
-    ) if (hb or units.rank) else cone_from_generators([], ambient_rank=rank)
-    group = Sublattice(rank, row_lattice_hnf(list(hb) + list(units.basis)))
-    return AffineMonoid(rank, hb, units, cone_back, group, lattice)
+        hb = tuple(sorted(mat_vec(basis_t, y) for y in _hilbert_basis_full(cy)))
+    # hb and units generate c2, and the group of cy ∩ Z^k is span(cy) ∩ Z^k
+    group = [mat_vec(basis_t, y) for y in _span_lattice(cy).basis]
+    return AffineMonoid(rank, hb, units, c2, Sublattice(rank, row_lattice_hnf(group)), lattice)
 
 
 def monoid_from_cone(c: Cone, lattice: Optional[Sublattice] = None) -> AffineMonoid:
@@ -335,13 +324,22 @@ def group_coordinates(m: AffineMonoid) -> tuple[AffineMonoid, Mat]:
     Returns ``(monoid', basis)`` where ``basis`` rows span the group and a
     point ``y`` of the new monoid corresponds to ``y @ basis``.  Useful for
     forming ``Hom(m, N)`` faithfully when the group is a proper sublattice.
+    A saturated monoid (``saturated_lattice`` set) is cone ∩ group, so its
+    Hilbert basis and units are mapped through :func:`coordinates_in`;
+    otherwise the saturation is recomputed in the new coordinates.
     """
     basis = m.group.basis
     k = len(basis)
     halfs = [tuple(dot(h, b) for b in basis) for h in m.cone.halfspaces]
     eqs = [tuple(dot(e, b) for b in basis) for e in m.cone.equations]
     cone = cone_from_halfspaces(halfs, eqs, k)
-    return saturated_monoid(cone, full_lattice(k)), basis
+    if m.saturated_lattice is None:
+        return saturated_monoid(cone, full_lattice(k)), basis
+    units = Sublattice(k, row_lattice_hnf([coordinates_in(basis, u) for u in m.units.basis]))
+    hb = tuple(sorted(
+        _reduce_mod_units(coordinates_in(basis, g), units) for g in m.hilbert_basis
+    ))
+    return AffineMonoid(k, hb, units, cone, full_lattice(k), full_lattice(k)), basis
 
 
 def is_saturated(m: AffineMonoid) -> bool:

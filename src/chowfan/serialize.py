@@ -13,8 +13,8 @@ import json
 from typing import Any
 
 from .cones import Cone, Fan, cone_from_generators, fan_from_cones
-from .intlinalg import Sublattice, row_lattice_hnf, mat
-from .monoids import AffineMonoid, affine_monoid
+from .intlinalg import Sublattice, row_lattice_hnf
+from .monoids import AffineMonoid, affine_monoid, saturated_monoid
 from .stacks import ToricStackDatum
 
 FORMAT_VERSION = 1
@@ -32,10 +32,25 @@ def _vectors(rows) -> list[list[int]]:
     return [list(map(int, r)) for r in rows]
 
 
-def _require(doc: dict, field: str):
+def require(doc: dict, field: str):
     if field not in doc:
         raise DocumentError(f"missing field {field!r}")
     return doc[field]
+
+
+def strict_ints(value, path: str, depth: int = 0):
+    """A JSON integer, or ``depth`` nested lists of them as tuples.
+
+    Anything else (floats, booleans, strings, other shapes) raises
+    :class:`DocumentError` at its JSON path, e.g. ``maximal_cones[0][0][0]``.
+    """
+    if depth == 0:
+        if type(value) is not int:
+            raise DocumentError(f"{path}: expected an integer, got {json.dumps(value)}")
+        return value
+    if not isinstance(value, list):
+        raise DocumentError(f"{path}: expected a list, got {json.dumps(value)}")
+    return tuple(strict_ints(v, f"{path}[{i}]", depth - 1) for i, v in enumerate(value))
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +62,8 @@ def encode_sublattice(s: Sublattice) -> dict:
 
 
 def decode_sublattice(doc: dict) -> Sublattice:
-    rank = int(_require(doc, "ambient_rank"))
-    basis = [tuple(map(int, r)) for r in _require(doc, "basis")]
+    rank = strict_ints(require(doc, "ambient_rank"), "ambient_rank")
+    basis = strict_ints(require(doc, "basis"), "basis", 2)
     for r in basis:
         if len(r) != rank:
             raise DocumentError("sublattice basis vector of wrong length")
@@ -64,11 +79,10 @@ def encode_cone(c: Cone) -> dict:
 
 
 def decode_cone(doc: dict) -> Cone:
-    rank = int(_require(doc, "ambient_rank"))
     return cone_from_generators(
-        [tuple(map(int, r)) for r in _require(doc, "rays")],
-        [tuple(map(int, r)) for r in doc.get("lineality", [])],
-        ambient_rank=rank,
+        strict_ints(require(doc, "rays"), "rays", 2),
+        strict_ints(doc.get("lineality", []), "lineality", 2),
+        ambient_rank=strict_ints(require(doc, "ambient_rank"), "ambient_rank"),
     )
 
 
@@ -84,13 +98,13 @@ def encode_fan(f: Fan) -> dict:
 
 
 def decode_fan(doc: dict) -> Fan:
-    rank = int(_require(doc, "lattice_rank"))
+    rank = strict_ints(require(doc, "lattice_rank"), "lattice_rank")
     cones = []
-    for cdoc in _require(doc, "cones"):
+    for i, cdoc in enumerate(require(doc, "cones")):
         cones.append(
             cone_from_generators(
-                [tuple(map(int, r)) for r in _require(cdoc, "rays")],
-                [tuple(map(int, r)) for r in cdoc.get("lineality", [])],
+                strict_ints(require(cdoc, "rays"), f"cones[{i}].rays", 2),
+                strict_ints(cdoc.get("lineality", []), f"cones[{i}].lineality", 2),
                 ambient_rank=rank,
             )
         )
@@ -106,21 +120,14 @@ def encode_monoid(m: AffineMonoid) -> dict:
 
 
 def decode_monoid(doc: dict) -> AffineMonoid:
-    rank = int(_require(doc, "ambient_rank"))
-    basis = [tuple(map(int, r)) for r in _require(doc, "hilbert_basis")]
-    units = [tuple(map(int, r)) for r in doc.get("units", [])]
+    rank = strict_ints(require(doc, "ambient_rank"), "ambient_rank")
+    basis = list(strict_ints(require(doc, "hilbert_basis"), "hilbert_basis", 2))
+    units = list(strict_ints(doc.get("units", []), "units", 2))
     if not units:
         return affine_monoid(rank, basis)
     # a monoid with units is stored in saturated form: cone ∩ group
-    from .cones import cone_from_generators as cfg
-    from .intlinalg import Sublattice as SL
-
-    gens = list(basis)
-    cone = cfg(gens, units, ambient_rank=rank)
-    group = SL(rank, row_lattice_hnf(gens + units))
-    from .monoids import saturated_monoid
-
-    return saturated_monoid(cone, group)
+    cone = cone_from_generators(basis, units, ambient_rank=rank)
+    return saturated_monoid(cone, Sublattice(rank, row_lattice_hnf(basis + units)))
 
 
 def encode_datum(d: ToricStackDatum) -> dict:
@@ -132,9 +139,9 @@ def encode_datum(d: ToricStackDatum) -> dict:
 
 
 def decode_datum(doc: dict) -> ToricStackDatum:
-    fan = decode_fan(_require(doc, "fan"))
-    monoids = tuple(decode_monoid(m) for m in _require(doc, "monoids"))
-    return ToricStackDatum(int(_require(doc, "lattice_rank")), fan, monoids)
+    fan = decode_fan(require(doc, "fan"))
+    monoids = tuple(decode_monoid(m) for m in require(doc, "monoids"))
+    return ToricStackDatum(strict_ints(require(doc, "lattice_rank"), "lattice_rank"), fan, monoids)
 
 
 # ---------------------------------------------------------------------------

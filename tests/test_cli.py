@@ -78,6 +78,57 @@ class TestParseInput:
         assert "maximal_cones" in str(err.value)
 
 
+P2_CONES = [[[1, 0], [0, 1]], [[0, 1], [-1, -1]], [[-1, -1], [1, 0]]]
+
+
+class TestStrictIntegers:
+    @pytest.mark.parametrize(
+        "change, location",
+        [
+            ({"maximal_cones": [[[1.7, 0], [0, 1]]] + P2_CONES[1:]}, "maximal_cones[0][0][0]"),
+            ({"maximal_cones": [[[1, 0], [0, True]]] + P2_CONES[1:]}, "maximal_cones[0][1][1]"),
+            ({"maximal_cones": [P2_CONES[0], "cone"] + P2_CONES[2:]}, "maximal_cones[1]"),
+            ({"maximal_cones": 5}, "maximal_cones"),
+            ({"lattice_rank": "x"}, "lattice_rank"),
+            ({"lattice_rank": 2.0}, "lattice_rank"),
+            ({"lattice_rank": True}, "lattice_rank"),
+            ({"lattice_rank": -1}, "lattice_rank"),
+            ({"sublattice": [[1, 0.0]]}, "sublattice[0][1]"),
+            ({"sublattice": [["1", 0]]}, "sublattice[0][0]"),
+            ({"sublattice": [1, 0]}, "sublattice[0]"),
+            ({"sublattice": {"basis": [[1, 0]]}}, "sublattice"),
+            ({"options": {"saturate": "no"}}, "options.saturate"),
+            ({"format_version": True}, "format_version"),
+        ],
+    )
+    def test_rejected_with_location(self, tmp_path, change, location):
+        doc = {"lattice_rank": 2, "maximal_cones": P2_CONES, "sublattice": [[1, 0]]}
+        doc.update(change)
+        with pytest.raises(DocumentError) as err:
+            parse_input(json.dumps(doc))
+        assert str(err.value).startswith(location + ":")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert _run(["validate", str(path)])[0] == 2
+
+    @pytest.mark.parametrize(
+        "decode, doc, location",
+        [
+            (decode_sublattice, {"ambient_rank": 2, "basis": [[1, 0.5]]}, "basis[0][1]"),
+            (decode_sublattice, {"ambient_rank": "2", "basis": []}, "ambient_rank"),
+            (decode_cone, {"ambient_rank": 2, "rays": [[True, 0]]}, "rays[0][0]"),
+            (decode_cone, {"ambient_rank": 2, "rays": [], "lineality": 3}, "lineality"),
+            (decode_fan, {"lattice_rank": 1, "cones": [{"rays": [[1.5]]}]}, "cones[0].rays[0][0]"),
+            (decode_monoid, {"ambient_rank": 1, "hilbert_basis": [["2"]]}, "hilbert_basis[0][0]"),
+            (decode_monoid, {"ambient_rank": 1, "hilbert_basis": [], "units": [[0.5]]}, "units[0][0]"),
+        ],
+    )
+    def test_decoders_reject_non_integers(self, decode, doc, location):
+        with pytest.raises(DocumentError) as err:
+            decode(doc)
+        assert str(err.value).startswith(location + ":")
+
+
 class TestCommands:
     def test_validate(self):
         code, out = _run(["validate", P2])

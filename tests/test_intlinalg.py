@@ -65,6 +65,9 @@ class TestHermite:
     def test_idempotent_and_transform(self, rows):
         h, u = hermite_normal_form(rows)
         assert mat_mul(u, mat(rows)) == h
+        assert oracles.gcd_of_minors(u, len(u)) == 1  # |det U| = 1
+        basis = row_lattice_hnf(rows)
+        assert h == basis + ((0,) * len(rows[0]),) * (len(rows) - len(basis))
         h2, _ = hermite_normal_form(h)
         assert h2 == h
 

@@ -1,9 +1,17 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from chowfan.cones import cone_from_generators, all_faces, zero_cone, NotStrictlyConvex
-from chowfan.intlinalg import sublattice
+from chowfan.cones import (
+    NotStrictlyConvex,
+    all_faces,
+    cone_from_generators,
+    cone_from_halfspaces,
+    zero_cone,
+)
+from chowfan.intlinalg import dot, full_lattice, sublattice
 from chowfan.monoids import (
     NotAFace,
     UnsupportedMonoid,
@@ -16,6 +24,7 @@ from chowfan.monoids import (
     monoid_from_cone,
     monoid_hom,
     restrict_to_face,
+    saturated_monoid,
 )
 
 from conftest import p2_fan, p1p1_fan
@@ -71,6 +80,80 @@ class TestHilbertBases:
             for y in range(-8, 9):
                 if c.contains((x, y)):
                     assert oracles.exhaustive_member(m.hilbert_basis, (x, y), bound=9)
+
+
+# rank-3 cones from 1-4 rays and at most one line, entries in [-3, 3]
+rank3_vectors = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
+rank3_cones = st.tuples(
+    st.lists(rank3_vectors, min_size=1, max_size=4), st.lists(rank3_vectors, max_size=1)
+).map(lambda t: cone_from_generators(t[0], t[1], ambient_rank=3))
+
+# sublattices of Z^3 of index at most 6, or rank-2 sublattices of such
+small_index_lattices = st.tuples(
+    st.sampled_from([d for d in product(range(1, 7), repeat=3) if d[0] * d[1] * d[2] <= 6]),
+    st.tuples(*[st.integers(-3, 3)] * 3),
+    st.booleans(),
+).map(
+    lambda t: sublattice(
+        3,
+        [(t[0][0], t[1][0], t[1][1]), (0, t[0][1], t[1][2]), (0, 0, t[0][2])][: 2 if t[2] else 3],
+    )
+)
+
+
+class TestSaturatedMonoidProperties:
+    @settings(deadline=None, max_examples=80)
+    @given(rank3_cones, small_index_lattices)
+    def test_basis_irreducible_and_generating(self, c, lattice):
+        assume(c.is_strictly_convex)
+        m = saturated_monoid(c, lattice)
+
+        def in_monoid(x):
+            return c.contains(x) and lattice.contains(x)
+
+        hb = m.hilbert_basis
+        assert all(in_monoid(b) for b in hb)
+        for b in hb:  # irreducible: no other basis element leaves a monoid rest
+            assert not any(a != b and in_monoid(tuple(p - q for p, q in zip(b, a))) for a in hb)
+        grading = tuple(sum(h[i] for h in c.halfspaces) for i in range(3))
+        assert all(dot(grading, b) >= 1 for b in hb)
+        for x in product(range(-4, 5), repeat=3):
+            if not in_monoid(x):
+                continue
+            # a summand b of x has x - b in the monoid and at most g(x)/g(b) copies
+            below = [b for b in hb if in_monoid(tuple(p - q for p, q in zip(x, b)))]
+            bound = max((dot(grading, x) // dot(grading, b) for b in below), default=0)
+            if (bound + 1) ** len(below) <= 20000:
+                assert oracles.exhaustive_member(below, x, bound=bound)
+
+    @settings(deadline=None, max_examples=60)
+    @given(rank3_cones, small_index_lattices)
+    def test_group_and_cone_are_generated_by_basis_and_units(self, c, lattice):
+        m = saturated_monoid(c, lattice)
+        assert m.group == sublattice(3, list(m.hilbert_basis) + list(m.units.basis))
+        assert m.cone == cone_from_generators(m.hilbert_basis, m.units.basis, ambient_rank=3)
+
+    @settings(deadline=None, max_examples=60)
+    @given(rank3_cones, small_index_lattices)
+    # units whose canonical representatives differ in the group's coordinates
+    @example(
+        cone_from_generators([(-3, -2, 2)], [(0, -2, 0)]),
+        sublattice(3, [(3, 2, -3), (0, 1, 3), (0, 0, 2)]),
+    )
+    def test_group_coordinates_match_recomputation(self, c, lattice):
+        m = saturated_monoid(c, lattice)
+        coords, basis = group_coordinates(m)
+        k = len(basis)
+        cone = cone_from_halfspaces(
+            [tuple(dot(h, b) for b in basis) for h in m.cone.halfspaces],
+            [tuple(dot(e, b) for b in basis) for e in m.cone.equations],
+            k,
+        )
+        fresh = saturated_monoid(cone, full_lattice(k))
+        assert coords == fresh
+        assert (coords.cone, coords.group, coords.saturated_lattice) == (
+            fresh.cone, fresh.group, fresh.saturated_lattice
+        )
 
 
 class TestMembership:
