@@ -22,7 +22,6 @@ intersecting the projected cone lattices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cones import (
@@ -31,7 +30,7 @@ from .cones import (
     NotComplete,
     _relint_sample_or_zero,
     _span_lattice,
-    affine_polyhedron_sample,
+    _strict_sample,
     affine_slice_type,
     cone_from_generators,
     cone_from_halfspaces,
@@ -46,7 +45,6 @@ from .intlinalg import (
     QuotientMap,
     Sublattice,
     Vec,
-    clear_denominators,
     dot,
     image_lattice,
     is_zero,
@@ -108,30 +106,22 @@ def _cell_split(normals, rank: int):
     """Enumerate nonempty relatively open cells of a central arrangement.
 
     Returns a list of ``(signs, integer sample)`` pairs.  Feasibility calls
-    are kept to one strict LP per split by reusing cell samples: a cell
-    splits along a hyperplane iff the opposite open side is nonempty, and
-    the middle sample is then a positive combination of the two sides.
+    (:func:`~chowfan.cones._strict_sample`, one double description each) are
+    kept to one per split by reusing cell samples: a cell splits along a
+    hyperplane iff the opposite open side is nonempty, and the middle sample
+    is then a positive combination of the two sides.
     """
-    cells: list[tuple[tuple[int, ...], tuple[Fraction, ...]]] = [
-        ((), tuple(Fraction(0) for _ in range(rank)))
-    ]
+    cells: list[tuple[tuple[int, ...], Vec]] = [((), tuple(0 for _ in range(rank)))]
     for idx, h in enumerate(normals):
         prior = normals[:idx]
         new_cells = []
         for signs, sample in cells:
-            eqs = [(n, 0) for n, s in zip(prior, signs) if s == 0]
-            ineqs = [
-                (tuple(s * x for x in n), 0, True)
-                for n, s in zip(prior, signs)
-                if s != 0
-            ]
+            eqs = [n for n, s in zip(prior, signs) if s == 0]
+            strict = [tuple(s * x for x in n) for n, s in zip(prior, signs) if s != 0]
 
-            def side(sign: int):
+            def side(sign: int) -> Optional[Vec]:
                 """Sample of the part of the cell where ``sign * h > 0``."""
-                res = affine_polyhedron_sample(
-                    eqs, ineqs + [(tuple(sign * x for x in h), 0, True)], rank
-                )
-                return None if res is None else res[0]
+                return _strict_sample(strict + [tuple(sign * x for x in h)], eqs, rank)
 
             val = dot(h, sample)
             if val != 0:
@@ -142,8 +132,8 @@ def _cell_split(normals, rank: int):
                     new_cells.append((signs + (-base_sign,), opp_sample))
                     a = dot(h, sample)
                     b = dot(h, opp_sample)
-                    middle = tuple(
-                        a * y - b * x for x, y in zip(sample, opp_sample)
+                    middle = primitive(
+                        tuple(a * y - b * x for x, y in zip(sample, opp_sample))
                     )
                     if base_sign < 0:
                         middle = tuple(-x for x in middle)
@@ -161,7 +151,7 @@ def _cell_split(normals, rank: int):
                     new_cells.append((signs + (-1,), minus))
                     new_cells.append((signs + (0,), sample))
         cells = new_cells
-    return [(signs, clear_denominators(sample)[1]) for signs, sample in cells]
+    return cells
 
 
 # ---------------------------------------------------------------------------

@@ -8,27 +8,25 @@ A cone is stored with both descriptions in canonical form:
 * halfspaces/equations: the same data for the dual cone, so that duality is
   literally a swap of the two description pairs.
 
-Conversions run the double description method with exact integer
-arithmetic.  Strict feasibility questions (relative interiors, affine slice
-types, fiber dimensions, arrangement cells) all go through the one
-feasibility routine :func:`affine_polyhedron_sample`: it solves the
-equations with :func:`~chowfan.intlinalg.solve_rational` and samples the
-remaining inequalities by a small Fourier-Motzkin elimination over
-Fractions.  This is comfortably fast at the intended scale (rank <= 5,
-fans of ~100 cones).
+Double description, in exact integer arithmetic, is the only polyhedral
+algorithm.  It converts between the two descriptions, and it decides strict
+feasibility: :func:`_strict_sample` finds an integer point of
+``{s.x > 0, e.x == 0}`` as the sum of the rays of its closure, or shows
+there is none.  Affine slice types, arrangement cells and (through a
+homogenised cone) fiber dimensions all reduce to it.  Every cone is interned
+in one cache keyed by its canonical V-description, which is looked up before
+any conversion runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .intlinalg import (
     Mat,
     Sublattice,
     Vec,
-    clear_denominators,
     dot,
     identity_matrix,
     integer_kernel,
@@ -39,7 +37,6 @@ from .intlinalg import (
     primitive,
     row_lattice_hnf,
     saturate,
-    solve_rational,
     sublattice,
     vadd,
     vec,
@@ -254,16 +251,19 @@ def _build_cone(rank: int, rays: tuple[Vec, ...], lines: Mat) -> Cone:
     ineqs, eqs = double_description(rays, lines, rank)
     cone = Cone(rank, rays, lines, ineqs, eqs)
     _cone_cache[key] = cone
-    _cone_cache[(rank, rays, lines, "v")] = cone
     return cone
 
 
 def cone_from_generators(
     rays: Sequence[Sequence[int]], lines: Sequence[Sequence[int]] = (), ambient_rank: Optional[int] = None
 ) -> Cone:
-    """Cone generated by rays (and optional lines), canonicalized."""
-    rays = [vec(r) for r in rays]
-    lines = [vec(l) for l in lines]
+    """Cone generated by rays (and optional lines), canonicalized.
+
+    Input that already is the canonical data of an interned cone returns
+    that cone without running double description.
+    """
+    rays = tuple(vec(r) for r in rays)
+    lines = tuple(vec(l) for l in lines)
     if ambient_rank is None:
         if rays:
             ambient_rank = len(rays[0])
@@ -271,9 +271,12 @@ def cone_from_generators(
             ambient_rank = len(lines[0])
         else:
             raise ValueError("ambient_rank required for the zero cone")
-    for v in list(rays) + list(lines):
+    for v in rays + lines:
         if len(v) != ambient_rank:
             raise ValueError("generator of wrong length")
+    cached = _cone_cache.get((ambient_rank, rays, lines))
+    if cached is not None:
+        return cached
     # dual H-description: functionals nonnegative on rays, zero on lines
     dual_rays, dual_lin = double_description(rays, lines, ambient_rank)
     # now rebuild the cone canonically from its own H-description
@@ -377,138 +380,66 @@ def _span_lattice(c: Cone) -> Sublattice:
 
 
 # ---------------------------------------------------------------------------
-# exact linear feasibility (Fourier-Motzkin over Fractions)
+# strict feasibility by double description
 
 
-def _fm_sample(ineqs: list[tuple[tuple[Fraction, ...], Fraction, bool]], nvars: int):
-    """A point satisfying ``a.x + c >= 0`` (``> 0`` when strict), or None."""
-    system = [(tuple(a), c, strict) for a, c, strict in ineqs]
-    stack = []
-    for v in range(nvars - 1, -1, -1):
-        lows, highs, rest = [], [], []
-        for a, c, strict in system:
-            coef = a[v]
-            trimmed = a[:v]
-            if coef == 0:
-                rest.append((trimmed, c, strict))
-            elif coef > 0:
-                lows.append((tuple(-x / coef for x in trimmed), -c / coef, strict))
-            else:
-                highs.append((tuple(-x / coef for x in trimmed), -c / coef, strict))
-        stack.append((lows, highs))
-        new_system = list(rest)
-        for la, lc, ls in lows:
-            for ha, hc, hs in highs:
-                new_system.append(
-                    (tuple(h - l for l, h in zip(la, ha)), hc - lc, ls or hs)
-                )
-        system = new_system
-    for a, c, strict in system:
-        if c < 0 or (strict and c == 0):
-            return None
-    point: list[Fraction] = []
-    for lows, highs in reversed(stack):
-        # feasibility was already decided above: if lo == hi here, every
-        # bound attaining it is non-strict, so the midpoint always works
-        lo = None
-        for a, c, _strict in lows:
-            val = dot(a, point) + c if a else c
-            if lo is None or val > lo:
-                lo = val
-        hi = None
-        for a, c, _strict in highs:
-            val = dot(a, point) + c if a else c
-            if hi is None or val < hi:
-                hi = val
-        if lo is None and hi is None:
-            point.append(Fraction(0))
-        elif lo is None:
-            point.append(hi - 1)
-        elif hi is None:
-            point.append(lo + 1)
-        else:
-            point.append((lo + hi) / 2)
-    return tuple(point)
+def _strict_sample(
+    strict: Sequence[Sequence[int]], eqs: Sequence[Sequence[int]], rank: int
+) -> Optional[Vec]:
+    """An integer point of ``{x : s.x > 0 for s in strict, e.x == 0}``, or None.
 
-
-def affine_polyhedron_sample(
-    eqs: Sequence[tuple[Sequence, object]],
-    ineqs: Sequence[tuple[Sequence, object, bool]],
-    nvars: int,
-):
-    """Sample of ``{x : a.x + c == 0, b.x + d >= 0 (or > 0)}`` or None.
-
-    The one feasibility routine: the equations are solved exactly, then
-    the inequalities, restricted to their solution space, are sampled by
-    Fourier-Motzkin.  Returns ``(point, dim_of_equation_solution_space)``;
-    the dimension refers to the affine space cut by the equations alone.
+    The set is nonempty exactly when it is the relative interior of its
+    closure ``{s.x >= 0, e.x == 0}``, and the sum of the closure's rays lies
+    in that relative interior; so it is nonempty exactly when every ``s`` is
+    positive on the sum.
     """
-    solved = solve_rational([a for a, _ in eqs], [-c for _, c in eqs], nvars)
-    if solved is None:
-        return None
-    particular, basis = solved
-    reduced = []
-    for a, c, strict in ineqs:
-        af = tuple(Fraction(x) for x in a)
-        const = dot(af, particular) + Fraction(c)
-        coefs = tuple(dot(af, b) for b in basis)
-        reduced.append((coefs, const, strict))
-    t = _fm_sample(reduced, len(basis))
-    if t is None:
-        return None
-    point = list(particular)
-    for coef, b in zip(t, basis):
-        point = [p + coef * x for p, x in zip(point, b)]
-    return tuple(point), len(basis)
+    rays, _ = double_description(strict, eqs, rank)
+    total = tuple(0 for _ in range(rank))
+    for r in rays:
+        total = vadd(total, r)
+    return total if all(dot(s, total) > 0 for s in strict) else None
 
 
 def affine_slice_type(c: Cone, psi: Sequence, sub: Sublattice) -> str:
     """Classify ``relint(c) ∩ (psi + span_R(sub))``.
 
-    Returns one of ``"empty"``, ``"point"``, ``"positive_dim"``.  Decided by
-    exact rational feasibility with strict inequalities; "point" requires the
-    solution set of the active equations to be zero-dimensional.
+    Returns one of ``"empty"``, ``"point"``, ``"positive_dim"``.  The slice
+    ``psi + sum t_i b_i`` is homogenised by a variable ``s > 0`` and decided
+    by :func:`_strict_sample`; it is a point when the equations of ``c``
+    restricted to ``span(sub)`` have full rank.
     """
     if len(psi) != c.ambient_rank or sub.ambient_rank != c.ambient_rank:
         raise ValueError("dimension mismatch")
     basis = sub.basis
-    if c.is_zero():
-        # relint of the zero cone is the origin itself
-        eqs = [(tuple(b[j] for b in basis), psi[j]) for j in range(c.ambient_rank)]
-        ineqs = []
-    else:
-        eqs = [(tuple(dot(e, b) for b in basis), dot(e, psi)) for e in c.equations]
-        ineqs = [
-            (tuple(dot(h, b) for b in basis), dot(h, psi), True) for h in c.halfspaces
-        ]
-    res = affine_polyhedron_sample(eqs, ineqs, len(basis))
-    if res is None:
+
+    def restrict(f: Vec) -> Vec:
+        return tuple(dot(f, b) for b in basis) + (dot(f, psi),)
+
+    eqs = [restrict(e) for e in c.equations]
+    strict = [restrict(h) for h in c.halfspaces]
+    strict.append(tuple(0 for _ in basis) + (1,))
+    if _strict_sample(strict, eqs, len(basis) + 1) is None:
         return "empty"
-    return "point" if res[1] == 0 else "positive_dim"
+    restricted = [e[:-1] for e in eqs]
+    return "point" if matrix_rank(restricted) == len(basis) else "positive_dim"
 
 
 def fiber_dimension(c: Cone, matrix: Mat, value: Sequence) -> Optional[int]:
     """Dimension of the closed fiber ``c ∩ {x : matrix @ x == value}``.
 
-    Returns None when the fiber is empty.  Computed exactly: feasibility,
-    then implicit equalities among the halfspace constraints.
+    Returns None when the fiber is empty.  The fiber is the slice ``s = 1``
+    of the homogenised cone ``(c × {s >= 0}) ∩ {matrix @ x == s * value}``:
+    it is nonempty when some ray of that cone has ``s > 0``, and then has
+    one dimension less than the cone.
     """
-    rank = c.ambient_rank
-    eqs = [(row, -v) for row, v in zip(matrix, value)]
-    eqs += [(e, 0) for e in c.equations]
-    ineqs = [(h, 0, False) for h in c.halfspaces]
-    if affine_polyhedron_sample(eqs, ineqs, rank) is None:
+    ineqs = [tuple(h) + (0,) for h in c.halfspaces]
+    ineqs.append(tuple(0 for _ in range(c.ambient_rank)) + (1,))
+    eqs = [tuple(e) + (0,) for e in c.equations]
+    eqs += [tuple(row) + (-v,) for row, v in zip(matrix, value)]
+    rays, lines = double_description(ineqs, eqs, c.ambient_rank + 1)
+    if all(r[-1] == 0 for r in rays):
         return None
-    _, basis = solve_rational([a for a, _ in eqs], [-cst for _, cst in eqs], rank)
-    # dimension = dim of the equation solutions minus the rank of the
-    # constraints that hold with equality everywhere on the feasible set
-    implicit = []
-    for h in c.halfspaces:
-        strict_test = [(h2, 0, h2 == h) for h2 in c.halfspaces]
-        if affine_polyhedron_sample(eqs, strict_test, rank) is None:
-            implicit.append(tuple(dot(h, b) for b in basis))
-    implicit = [clear_denominators(row)[1] for row in implicit if any(row)]
-    return len(basis) - matrix_rank(implicit)
+    return matrix_rank(rays + lines) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -520,16 +451,14 @@ def facets(c: Cone) -> tuple[Cone, ...]:
     out = []
     seen = set()
     for h in c.halfspaces:
+        # a subset of canonical generators with the same lineality is
+        # already the canonical description of the face
         rays = tuple(g for g in c.generators if dot(h, g) == 0)
-        f = _canonical_subcone(c, rays)
+        f = _build_cone(c.ambient_rank, rays, c.lineality)
         if f.key() not in seen:
             seen.add(f.key())
             out.append(f)
     return tuple(out)
-
-
-def _canonical_subcone(c: Cone, rays: tuple[Vec, ...]) -> Cone:
-    return cone_from_generators(rays, c.lineality, c.ambient_rank)
 
 
 def all_faces(c: Cone) -> tuple[Cone, ...]:
@@ -556,22 +485,15 @@ def is_face_of(face: Cone, c: Cone) -> bool:
     """Exact test that ``face`` is a face of ``c``."""
     if not c.contains_cone(face):
         return False
-    if face.key() == c.key():
-        return True
-    # the face must be the zero locus of the supporting functionals of c
-    # vanishing on it
+    # the smallest face of c containing ``face`` is the zero locus of the
+    # halfspaces of c vanishing on it; its canonical rays are generators of c
+    spanning = face.generators + face.lineality
     w = tuple(0 for _ in range(c.ambient_rank))
-    have = False
     for h in c.halfspaces:
-        if all(dot(h, g) == 0 for g in face.generators) and all(
-            dot(h, l) == 0 for l in face.lineality
-        ):
+        if all(dot(h, g) == 0 for g in spanning):
             w = vadd(w, h)
-            have = True
-    if not have:
-        return False
     rays = tuple(g for g in c.generators if dot(w, g) == 0)
-    return _canonical_subcone(c, rays).key() == face.key()
+    return (c.ambient_rank, rays, c.lineality) == face.key()
 
 
 # ---------------------------------------------------------------------------

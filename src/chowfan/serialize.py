@@ -32,10 +32,21 @@ def _vectors(rows) -> list[list[int]]:
     return [list(map(int, r)) for r in rows]
 
 
-def require(doc: dict, field: str):
+def require(doc: dict, field: str, path: str = "document"):
+    """``doc[field]``, where ``doc`` must be a JSON object found at ``path``."""
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{path}: expected an object, got {json.dumps(doc)}")
     if field not in doc:
         raise DocumentError(f"missing field {field!r}")
     return doc[field]
+
+
+def require_list(doc: dict, field: str) -> list:
+    """``doc[field]``, which must be a JSON list."""
+    value = require(doc, field)
+    if not isinstance(value, list):
+        raise DocumentError(f"{field}: expected a list, got {json.dumps(value)}")
+    return value
 
 
 def strict_ints(value, path: str, depth: int = 0):
@@ -100,10 +111,10 @@ def encode_fan(f: Fan) -> dict:
 def decode_fan(doc: dict) -> Fan:
     rank = strict_ints(require(doc, "lattice_rank"), "lattice_rank")
     cones = []
-    for i, cdoc in enumerate(require(doc, "cones")):
+    for i, cdoc in enumerate(require_list(doc, "cones")):
         cones.append(
             cone_from_generators(
-                strict_ints(require(cdoc, "rays"), f"cones[{i}].rays", 2),
+                strict_ints(require(cdoc, "rays", f"cones[{i}]"), f"cones[{i}].rays", 2),
                 strict_ints(cdoc.get("lineality", []), f"cones[{i}].lineality", 2),
                 ambient_rank=rank,
             )
@@ -140,7 +151,7 @@ def encode_datum(d: ToricStackDatum) -> dict:
 
 def decode_datum(doc: dict) -> ToricStackDatum:
     fan = decode_fan(require(doc, "fan"))
-    monoids = tuple(decode_monoid(m) for m in require(doc, "monoids"))
+    monoids = tuple(decode_monoid(m) for m in require_list(doc, "monoids"))
     return ToricStackDatum(strict_ints(require(doc, "lattice_rank"), "lattice_rank"), fan, monoids)
 
 

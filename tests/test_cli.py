@@ -2,6 +2,9 @@ import hashlib
 import io
 import json
 import os
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -121,6 +124,8 @@ class TestStrictIntegers:
             (decode_fan, {"lattice_rank": 1, "cones": [{"rays": [[1.5]]}]}, "cones[0].rays[0][0]"),
             (decode_monoid, {"ambient_rank": 1, "hilbert_basis": [["2"]]}, "hilbert_basis[0][0]"),
             (decode_monoid, {"ambient_rank": 1, "hilbert_basis": [], "units": [[0.5]]}, "units[0][0]"),
+            (decode_fan, {"lattice_rank": 1, "cones": [5]}, "cones[0]"),
+            (decode_fan, {"lattice_rank": 1, "cones": 5}, "cones"),
         ],
     )
     def test_decoders_reject_non_integers(self, decode, doc, location):
@@ -311,6 +316,41 @@ class TestGoldenDigests:
         code, out = _run(["all", os.path.join(FIXTURES, name), "--bound", "4"])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestMetamorphic:
+    """``chowfan all --bound 4`` does not depend on input order or hash seed."""
+
+    @pytest.mark.parametrize(
+        "name", ["p1p1_diagonal.json", "p2_horizontal.json", "p2_weighted.json"]
+    )
+    def test_all_document_is_invariant(self, tmp_path, name):
+        path = os.path.join(FIXTURES, name)
+        code, expected = _run(["all", path, "--bound", "4"])
+        assert code == 0
+        with open(path) as f:
+            doc = json.load(f)
+        cones = doc["maximal_cones"]
+        rng = random.Random(1)
+        shuffled = rng.sample(cones, len(cones))
+        shuffled = [rng.sample(rays, len(rays)) for rays in shuffled]
+        assert shuffled not in (cones, cones[::-1])
+        for order in (cones[::-1], shuffled):
+            moved = tmp_path / "moved.json"
+            moved.write_text(json.dumps(dict(doc, maximal_cones=order)))
+            assert _run(["all", str(moved), "--bound", "4"]) == (0, expected)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+            proc = subprocess.run(
+                [sys.executable, "-m", "chowfan.cli", "all", path, "--bound", "4"],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert (proc.returncode, proc.stdout) == (0, expected)
 
 
 class TestSerializeRoundTrips:

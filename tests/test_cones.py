@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from chowfan import cones
 from chowfan.cones import (
     NoTargetCone,
     ZeroCone,
@@ -11,6 +13,7 @@ from chowfan.cones import (
     cone_from_generators,
     cone_from_halfspaces,
     dual_cone,
+    facets,
     fan_from_cones,
     fiber_dimension,
     image_cone,
@@ -22,7 +25,14 @@ from chowfan.cones import (
     validate_fan,
     zero_cone,
 )
-from chowfan.intlinalg import dot, quotient_map, sublattice, zero_sublattice
+from chowfan.intlinalg import (
+    dot,
+    mat_vec,
+    quotient_map,
+    saturate,
+    sublattice,
+    zero_sublattice,
+)
 
 from conftest import p2_fan, p1p1_fan
 import oracles
@@ -190,6 +200,75 @@ class TestSliceTypes:
         assert fiber_dimension(ray, p.matrix, (1,)) == 0
         assert fiber_dimension(s3, p.matrix, (1,)) is None
         assert fiber_dimension(s3, p.matrix, (0,)) == 1
+
+
+rank3_vectors = st.tuples(*[st.integers(-3, 3)] * 3)
+rank3_cones = st.lists(rank3_vectors.filter(any), max_size=4).map(
+    lambda rays: cone_from_generators(rays, ambient_rank=3)
+)
+saturated_sublattices = (
+    st.lists(rank3_vectors, min_size=1, max_size=2)
+    .map(lambda gens: saturate(sublattice(3, gens)))
+    .filter(lambda s: s.rank >= 1)
+)
+
+
+class TestFeasibilityProperties:
+    """Slice types and fiber dimensions against the projected cone."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(rank3_cones, saturated_sublattices, rank3_vectors)
+    def test_slice_type_matches_image_cone(self, c, sub, psi):
+        p = quotient_map(3, sub)
+        image = image_cone(p, c)
+        meets = image.contains_in_relint(mat_vec(p.matrix, psi))
+        t = affine_slice_type(c, psi, sub)
+        assert (t != "empty") == meets
+        assert (t == "point") == (meets and image.dim == c.dim)
+        if oracles.grid_slice_nonempty(c.halfspaces, c.equations, psi, sub.basis):
+            assert t != "empty"
+
+    @settings(deadline=None, max_examples=150)
+    @given(rank3_cones, saturated_sublattices, rank3_vectors)
+    # the fiber contains a line of the cone
+    @example(
+        cone_from_generators([(1, 0, 0), (-1, 0, 0), (0, 1, 0)]),
+        sublattice(3, [(1, 0, 0)]),
+        (0, 1, 0),
+    )
+    def test_fiber_dimension_matches_image_cone(self, c, sub, psi):
+        p = quotient_map(3, sub)
+        image = image_cone(p, c)
+        for x in (psi, cones._relint_sample_or_zero(c)):
+            v = mat_vec(p.matrix, x)
+            if image.contains_in_relint(v):
+                assert fiber_dimension(c, p.matrix, v) == c.dim - image.dim
+            elif not image.contains(v):
+                assert fiber_dimension(c, p.matrix, v) is None
+
+
+class TestInterning:
+    def test_interned_cone_runs_no_double_description(self, monkeypatch):
+        c = cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2), (0, 0, 1)])
+        faces = facets(c)
+        assert all(is_face_of(f, c) for f in faces)
+        calls = []
+        real = cones.double_description
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cones, "double_description", counted)
+        assert cone_from_generators(c.generators, c.lineality, c.ambient_rank) is c
+        assert facets(c) == faces
+        assert all(is_face_of(f, c) for f in faces)
+        assert calls == []
+
+    def test_cache_holds_one_entry_per_cone(self):
+        cone_from_generators([(1, 0), (1, 2)])
+        cone_from_halfspaces([(1, 0), (-1, 2)])
+        assert all(key == c.key() for key, c in cones._cone_cache.items())
 
 
 class TestFacesAndFans:
