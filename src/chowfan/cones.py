@@ -21,6 +21,7 @@ any conversion runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .intlinalg import (
@@ -481,19 +482,25 @@ def all_faces(c: Cone) -> tuple[Cone, ...]:
     return tuple(sorted(seen.values(), key=_cone_sort_key))
 
 
+def _smallest_face_key(c: Cone, vectors: Sequence[Sequence[int]]):
+    """Key of the smallest face of ``c`` containing ``vectors`` (all in ``c``).
+
+    That face is the zero locus of the halfspaces of ``c`` vanishing on every
+    vector; its canonical rays are the generators of ``c`` on that locus.
+    """
+    w = tuple(0 for _ in range(c.ambient_rank))
+    for h in c.halfspaces:
+        if all(dot(h, g) == 0 for g in vectors):
+            w = vadd(w, h)
+    rays = tuple(g for g in c.generators if dot(w, g) == 0)
+    return (c.ambient_rank, rays, c.lineality)
+
+
 def is_face_of(face: Cone, c: Cone) -> bool:
     """Exact test that ``face`` is a face of ``c``."""
     if not c.contains_cone(face):
         return False
-    # the smallest face of c containing ``face`` is the zero locus of the
-    # halfspaces of c vanishing on it; its canonical rays are generators of c
-    spanning = face.generators + face.lineality
-    w = tuple(0 for _ in range(c.ambient_rank))
-    for h in c.halfspaces:
-        if all(dot(h, g) == 0 for g in spanning):
-            w = vadd(w, h)
-    rays = tuple(g for g in c.generators if dot(w, g) == 0)
-    return (c.ambient_rank, rays, c.lineality) == face.key()
+    return _smallest_face_key(c, face.generators + face.lineality) == face.key()
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +516,9 @@ class Fan:
     """A finite collection of strictly convex cones, closed under faces.
 
     Cones are stored sorted by a canonical key, so equal fans compare equal
-    and cone indices are stable across runs.
+    and cone indices are stable across runs.  The key index, the maximal
+    cones and the :func:`validate_fan` report are computed on first use and
+    kept on the (frozen) fan.
     """
 
     ambient_rank: int
@@ -529,18 +538,31 @@ class Fan:
         return c.key() in self._index()
 
     def maximal_indices(self) -> tuple[int, ...]:
-        out = []
-        for i, c in enumerate(self.cones):
-            if not any(
-                j != i and other.contains_cone(c) for j, other in enumerate(self.cones)
-            ):
-                out.append(i)
-        return tuple(out)
+        """Indices of the cones that are a facet of no cone of the fan.
+
+        In a fan a cone inside another is a face of it, hence a facet of a
+        cone in between; so on a fan these are the cones contained in no
+        other cone.  Facets are interned, so an interned fan runs no double
+        description here.  The result is computed once and kept on the fan.
+        """
+        out = getattr(self, "_maximal_cache", None)
+        if out is None:
+            covered = {f.key() for c in self.cones for f in facets(c)}
+            out = tuple(i for i, c in enumerate(self.cones) if c.key() not in covered)
+            object.__setattr__(self, "_maximal_cache", out)
+        return out
 
     def cone_containing_in_relint(self, v: Sequence) -> Optional[int]:
-        for i, c in enumerate(self.cones):
-            if c.contains_in_relint(v):
-                return i
+        """Index of the cone whose relative interior contains ``v``, or None.
+
+        Assumes a valid fan, where that cone is unique: it is the face cut
+        out by the halfspaces vanishing at ``v`` of any maximal cone that
+        contains ``v``, so only maximal cones are scanned.
+        """
+        for i in self.maximal_indices():
+            c = self.cones[i]
+            if c.contains(v):
+                return self._index().get(_smallest_face_key(c, (tuple(v),)))
         return None
 
     def face_indices(self, i: int) -> tuple[int, ...]:
@@ -581,14 +603,20 @@ class FanValidationReport:
 def validate_fan(f: Fan) -> FanValidationReport:
     """Check strict convexity, face closure and pairwise face intersections.
 
-    The report is computed once per fan and kept on it, so every caller
-    holding the same fan shares one O(n^2) pass.
+    Only pairs of maximal cones (:meth:`Fan.maximal_indices`) are
+    intersected.  In a face-closed collection every cone is a face of a
+    maximal one, and if maximal cones σ, τ meet in a common face ρ, then
+    for faces σ' ≤ σ and τ' ≤ τ the intersection σ'∩τ' = (σ'∩ρ) ∩ (τ'∩ρ)
+    is an intersection of two faces of ρ, so a face of σ' and of τ'.  The
+    verdict is that of the all-pairs check; an invalid collection may have
+    fewer violating pairs named.  The report is computed once per fan and
+    kept on it, so every caller holding the same fan shares one pass.
     """
     rep = getattr(f, "_validation_cache", None)
     if rep is not None:
         return rep
     problems = []
-    index = {c.key(): i for i, c in enumerate(f.cones)}
+    index = f._index()
     for i, c in enumerate(f.cones):
         if not c.is_strictly_convex:
             problems.append(f"cone {i} contains a line")
@@ -596,13 +624,11 @@ def validate_fan(f: Fan) -> FanValidationReport:
             if face.key() not in index:
                 problems.append(f"cone {i} has a face missing from the fan")
                 break
-    n = len(f.cones)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = f.cones[i], f.cones[j]
-            inter = intersect_cones(a, b)
-            if not (is_face_of(inter, a) and is_face_of(inter, b)):
-                problems.append(f"intersection of cones {i} and {j} is not a common face")
+    for i, j in combinations(f.maximal_indices(), 2):
+        a, b = f.cones[i], f.cones[j]
+        inter = intersect_cones(a, b)
+        if not (is_face_of(inter, a) and is_face_of(inter, b)):
+            problems.append(f"intersection of cones {i} and {j} is not a common face")
     rep = FanValidationReport(not problems, tuple(problems))
     object.__setattr__(f, "_validation_cache", rep)
     return rep
@@ -645,21 +671,25 @@ class FanMorphism:
 def check_fan_morphism(matrix_or_map, src: Fan, dst: Fan) -> FanMorphism:
     """Verify a lattice map sends every source cone into a target cone.
 
-    Assigns to each source cone the minimal target cone containing its
-    image; raises :class:`NoTargetCone` naming the first failure.
+    ``dst`` must be a valid fan; its cached :func:`validate_fan` report is
+    consulted and :class:`ValueError` raised otherwise.  Each source cone is
+    assigned the minimal target cone containing its image: the image itself
+    when it is a cone of ``dst``, else the cone whose relative interior holds
+    a relative-interior point of the image (in a fan, any cone containing
+    the image contains that one).  Raises :class:`NoTargetCone` naming the
+    first source cone whose image that cone does not contain.
     """
+    if not validate_fan(dst).ok:
+        raise ValueError("the target of a fan morphism is not a valid fan")
     matrix = getattr(matrix_or_map, "matrix", matrix_or_map)
+    index = dst._index()
     assignment = []
     for i, c in enumerate(src.cones):
         img = image_cone(matrix, c)
-        candidates = [j for j, t in enumerate(dst.cones) if t.contains_cone(img)]
-        if not candidates:
+        j = index.get(img.key())
+        if j is None:
+            j = dst.cone_containing_in_relint(_relint_sample_or_zero(img))
+        if j is None or not dst.cones[j].contains_cone(img):
             raise NoTargetCone(f"image of source cone {i} lies in no target cone")
-        minimal = min(candidates, key=lambda j: dst.cones[j].dim)
-        for j in candidates:
-            if not dst.cones[j].contains_cone(dst.cones[minimal]):
-                raise NoTargetCone(
-                    f"target cones containing the image of cone {i} have no minimum"
-                )
-        assignment.append(minimal)
+        assignment.append(j)
     return FanMorphism(mat(matrix), src, dst, tuple(assignment))

@@ -101,13 +101,14 @@ def universal_family(cq: ChowQuotient) -> UniversalFamily:
 
     provenance = []
     monoids = []
-    for c in ffan.cones:
-        host = _host_index(fan, c)
-        base = _base_index(cq, c)
+    for i, c in enumerate(ffan.cones):
+        host = _host_index(fan, c, i)
+        base = _base_index(cq, c, i)
         expected = intersect_cones(preimages[base], fan.cones[host])
         if expected.key() != c.key():
             raise InternalConsistencyError(
-                "family cone does not match its provenance intersection"
+                f"family cone {i} does not match its provenance intersection "
+                f"(host {host}, base {base})"
             )
         provenance.append((host, base))
         lift_lattice = cq.cone_data[base].lift_lattice
@@ -129,20 +130,21 @@ def universal_family(cq: ChowQuotient) -> UniversalFamily:
     )
 
 
-def _host_index(fan: Fan, c: Cone) -> int:
-    """The unique input cone whose relative interior contains c's interior."""
+def _host_index(fan: Fan, c: Cone, i: int) -> int:
+    """The unique input cone whose relative interior contains the interior of
+    family cone ``i``, which is ``c``."""
     idx = fan.cone_containing_in_relint(_relint_sample_or_zero(c))
     if idx is None:
-        raise InternalConsistencyError("family cone escapes the input fan support")
+        raise InternalConsistencyError(f"family cone {i} escapes the input fan support")
     return idx
 
 
-def _base_index(cq: ChowQuotient, c: Cone) -> int:
+def _base_index(cq: ChowQuotient, c: Cone, i: int) -> int:
     img = image_cone(cq.projection, c)
     idx = cq.quotient_fan._index().get(img.key())
     if idx is None:
         raise InternalConsistencyError(
-            "a family cone does not project onto a quotient cone"
+            f"family cone {i} does not project onto a quotient cone"
         )
     return idx
 

@@ -32,20 +32,26 @@ def _vectors(rows) -> list[list[int]]:
     return [list(map(int, r)) for r in rows]
 
 
-def require(doc: dict, field: str, path: str = "document"):
-    """``doc[field]``, where ``doc`` must be a JSON object found at ``path``."""
+def _at(prefix: str, field: str) -> str:
+    """JSON path of ``field`` inside the document found at ``prefix``."""
+    return f"{prefix}.{field}" if prefix else field
+
+
+def require(doc: dict, field: str, prefix: str = ""):
+    """``doc[field]``, where ``doc`` must be a JSON object found at the JSON
+    path ``prefix`` (the whole document when empty)."""
     if not isinstance(doc, dict):
-        raise DocumentError(f"{path}: expected an object, got {json.dumps(doc)}")
+        raise DocumentError(f"{prefix or 'document'}: expected an object, got {json.dumps(doc)}")
     if field not in doc:
-        raise DocumentError(f"missing field {field!r}")
+        raise DocumentError(f"missing field {_at(prefix, field)!r}")
     return doc[field]
 
 
-def require_list(doc: dict, field: str) -> list:
-    """``doc[field]``, which must be a JSON list."""
-    value = require(doc, field)
+def require_list(doc: dict, field: str, prefix: str = "") -> list:
+    """``doc[field]``, which must be a JSON list; ``prefix`` locates ``doc``."""
+    value = require(doc, field, prefix)
     if not isinstance(value, list):
-        raise DocumentError(f"{field}: expected a list, got {json.dumps(value)}")
+        raise DocumentError(f"{_at(prefix, field)}: expected a list, got {json.dumps(value)}")
     return value
 
 
@@ -108,14 +114,16 @@ def encode_fan(f: Fan) -> dict:
     }
 
 
-def decode_fan(doc: dict) -> Fan:
-    rank = strict_ints(require(doc, "lattice_rank"), "lattice_rank")
+def decode_fan(doc: dict, prefix: str = "") -> Fan:
+    """Fan document found at JSON path ``prefix`` (the top level when empty)."""
+    rank = strict_ints(require(doc, "lattice_rank", prefix), _at(prefix, "lattice_rank"))
     cones = []
-    for i, cdoc in enumerate(require_list(doc, "cones")):
+    for i, cdoc in enumerate(require_list(doc, "cones", prefix)):
+        at = _at(prefix, f"cones[{i}]")
         cones.append(
             cone_from_generators(
-                strict_ints(require(cdoc, "rays", f"cones[{i}]"), f"cones[{i}].rays", 2),
-                strict_ints(cdoc.get("lineality", []), f"cones[{i}].lineality", 2),
+                strict_ints(require(cdoc, "rays", at), f"{at}.rays", 2),
+                strict_ints(cdoc.get("lineality", []), f"{at}.lineality", 2),
                 ambient_rank=rank,
             )
         )
@@ -130,10 +138,13 @@ def encode_monoid(m: AffineMonoid) -> dict:
     }
 
 
-def decode_monoid(doc: dict) -> AffineMonoid:
-    rank = strict_ints(require(doc, "ambient_rank"), "ambient_rank")
-    basis = list(strict_ints(require(doc, "hilbert_basis"), "hilbert_basis", 2))
-    units = list(strict_ints(doc.get("units", []), "units", 2))
+def decode_monoid(doc: dict, prefix: str = "") -> AffineMonoid:
+    """Monoid document found at JSON path ``prefix`` (the top level when empty)."""
+    rank = strict_ints(require(doc, "ambient_rank", prefix), _at(prefix, "ambient_rank"))
+    basis = list(
+        strict_ints(require(doc, "hilbert_basis", prefix), _at(prefix, "hilbert_basis"), 2)
+    )
+    units = list(strict_ints(doc.get("units", []), _at(prefix, "units"), 2))
     if not units:
         return affine_monoid(rank, basis)
     # a monoid with units is stored in saturated form: cone ∩ group
@@ -150,8 +161,11 @@ def encode_datum(d: ToricStackDatum) -> dict:
 
 
 def decode_datum(doc: dict) -> ToricStackDatum:
-    fan = decode_fan(require(doc, "fan"))
-    monoids = tuple(decode_monoid(m) for m in require_list(doc, "monoids"))
+    fan = decode_fan(require(doc, "fan"), "fan")
+    monoids = tuple(
+        decode_monoid(m, f"monoids[{i}]")
+        for i, m in enumerate(require_list(doc, "monoids"))
+    )
     return ToricStackDatum(strict_ints(require(doc, "lattice_rank"), "lattice_rank"), fan, monoids)
 
 

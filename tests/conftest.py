@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -7,11 +8,15 @@ from chowfan import (
     Sublattice,
     cone_from_generators,
     fan_from_cones,
+    relative_interior_sample,
     saturate,
     sublattice,
     validate_fan,
     is_complete,
 )
+from chowfan.intlinalg import vadd
+
+import oracles
 
 
 def p2_fan() -> Fan:
@@ -167,3 +172,23 @@ def corpus(seed: int = 20240811, count: int = 10):
         if validate_fan(fan).ok and is_complete(fan):
             out.append((fan, sub))
     return out
+
+
+def check_fan_incidence(fan: Fan) -> bool:
+    """Assert that the fan's incidence agrees with the all-pairs oracles.
+
+    Returns whether the collection is a fan.  On a fan, compares the
+    maximal cones, and the cone holding in its relative interior each
+    generator sum: of every nonzero cone, and of every two rays.
+    """
+    ok = validate_fan(fan).ok
+    assert ok == oracles.fan_ok_all_pairs(fan)
+    if not ok:
+        return False
+    assert fan.maximal_indices() == oracles.maximal_by_containment(fan)
+    rays = [c.generators[0] for c in fan.cones if c.dim == 1]
+    probes = [relative_interior_sample(c) for c in fan.cones if not c.is_zero()]
+    probes += [vadd(a, b) for a, b in combinations(rays, 2)]
+    for v in probes:
+        assert fan.cone_containing_in_relint(v) == oracles.relint_cone_by_scan(fan, v)
+    return True

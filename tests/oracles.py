@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive (box enumeration, schoolbook row
 reduction, exhaustive search) and shares no code with the library paths it
-is used to check.
+is used to check.  The fan oracles at the end are the all-pairs scans that
+fan incidence once used; they build on the library's cone primitives
+(containment, intersection, faces) but not on its fan-level incidence.
 """
 
 from fractions import Fraction
@@ -219,3 +221,56 @@ def projected_ray_walls(fan, projection_matrix, sub_basis):
         if img != 0:
             walls.add(1 if img > 0 else -1)
     return walls
+
+
+def fan_ok_all_pairs(fan):
+    """Fan test over every pair of cones: strictly convex, closed under faces,
+    and every two cones meet in a common face of both."""
+    from chowfan.cones import all_faces, intersect_cones, is_face_of
+
+    keys = {c.key() for c in fan.cones}
+    for c in fan.cones:
+        if c.lineality or any(f.key() not in keys for f in all_faces(c)):
+            return False
+    for i, a in enumerate(fan.cones):
+        for b in fan.cones[i + 1 :]:
+            inter = intersect_cones(a, b)
+            if not (is_face_of(inter, a) and is_face_of(inter, b)):
+                return False
+    return True
+
+
+def maximal_by_containment(fan):
+    """Indices of the cones contained in no other cone of the fan."""
+    return tuple(
+        i
+        for i, c in enumerate(fan.cones)
+        if not any(j != i and o.contains_cone(c) for j, o in enumerate(fan.cones))
+    )
+
+
+def relint_cone_by_scan(fan, v):
+    """First cone of the fan whose relative interior contains ``v``, or None."""
+    for i, c in enumerate(fan.cones):
+        if c.contains_in_relint(v):
+            return i
+    return None
+
+
+def minimal_targets_by_scan(matrix, src, dst):
+    """Per source cone, the target cone of least dimension containing its
+    image, required to lie in every target cone containing the image; None
+    when some image has no such target cone."""
+    from chowfan.cones import image_cone
+
+    out = []
+    for c in src.cones:
+        img = image_cone(matrix, c)
+        cands = [j for j, t in enumerate(dst.cones) if t.contains_cone(img)]
+        if not cands:
+            return None
+        low = min(cands, key=lambda j: dst.cones[j].dim)
+        if not all(dst.cones[j].contains_cone(dst.cones[low]) for j in cands):
+            return None
+        out.append(low)
+    return tuple(out)

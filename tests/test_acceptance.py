@@ -20,6 +20,7 @@ from chowfan import (
     component_bijection,
     dual_cone,
     dual_monoid,
+    fan_from_cones,
     fiber_complex,
     hermite_normal_form,
     is_refinement_fixed_point,
@@ -38,6 +39,7 @@ from chowfan import (
     wall_structure,
 )
 from chowfan.family import basic_monoid
+from chowfan.intlinalg import identity_matrix, mat_mul, mat_vec
 from chowfan.serialize import (
     decode_cone,
     decode_monoid,
@@ -48,7 +50,7 @@ from chowfan.serialize import (
 )
 from chowfan.verify import check_family_integral
 
-from conftest import corpus, p2_fan, p1p1_fan
+from conftest import check_fan_incidence, corpus, p2_fan, p1p1_fan
 import oracles
 
 
@@ -301,3 +303,55 @@ def test_criterion_6_involutions_and_round_trips():
     assert failures == 0
     _announce("criterion 6: 1000-case involution, idempotence and "
               "round-trip sweeps, zero failures")
+
+
+def test_fan_incidence_matches_oracles(corpus_families):
+    for fan, sub, cq, fam in corpus_families:
+        for f in (fan, cq.quotient_fan, fam.fan):
+            assert check_fan_incidence(f)
+        rank = fan.ambient_rank
+        assert fam.to_base.cone_assignment == oracles.minimal_targets_by_scan(
+            cq.projection.matrix, fam.fan, cq.quotient_fan
+        )
+        assert fam.to_target.cone_assignment == oracles.minimal_targets_by_scan(
+            identity_matrix(rank), fam.fan, fan
+        )
+    _announce("fan incidence: validation, maximal cones, relative-interior "
+              "lookup and morphism targets equal the all-pairs scans on the "
+              "input, quotient and family fans")
+
+
+# products of elementary matrices: a swap, a sign change and shears
+GL_CHANGES = {
+    2: mat_mul(mat_mul(((0, 1), (1, 0)), ((1, 2), (0, 1))), ((1, 0), (-1, -1))),
+    3: mat_mul(
+        mat_mul(((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0), (2, 0, 1))),
+        ((1, 0, 0), (0, -1, -1), (0, 0, 1)),
+    ),
+}
+
+
+def _invariants(fan, cq, fam):
+    return (
+        len(cq.quotient_fan.cones),
+        sorted(tuple(sorted(m for _, m in d.cycle)) for d in cq.cone_data),
+        len(fam.fan.cones),
+        [len(f.maximal_indices()) for f in (fan, cq.quotient_fan, fam.fan)],
+        sorted(len(m.hilbert_basis) for m in fam.datum.monoids),
+    )
+
+
+def test_change_of_coordinates_by_gl_n(corpus_families):
+    for fan, sub, cq, fam in corpus_families[2:]:
+        g = GL_CHANGES[fan.ambient_rank]
+        moved_fan = fan_from_cones(
+            cone_from_generators([mat_vec(g, r) for r in fan.cones[i].generators])
+            for i in fan.maximal_indices()
+        )
+        moved_sub = sublattice(fan.ambient_rank, [mat_vec(g, b) for b in sub.basis])
+        moved_cq = chow_quotient(moved_fan, moved_sub)
+        moved = _invariants(moved_fan, moved_cq, universal_family(moved_cq))
+        assert moved == _invariants(fan, cq, fam)
+    _announce("change of coordinates: quotient and family cone counts, cycle "
+              "multiplicities, maximal cones and Hilbert-basis sizes are "
+              "invariant under GL_n(Z) on the ten corpus inputs")

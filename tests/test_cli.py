@@ -126,6 +126,17 @@ class TestStrictIntegers:
             (decode_monoid, {"ambient_rank": 1, "hilbert_basis": [], "units": [[0.5]]}, "units[0][0]"),
             (decode_fan, {"lattice_rank": 1, "cones": [5]}, "cones[0]"),
             (decode_fan, {"lattice_rank": 1, "cones": 5}, "cones"),
+            (decode_datum, {"fan": 5, "monoids": [], "lattice_rank": 1}, "fan"),
+            (
+                decode_datum,
+                {"fan": {"lattice_rank": 1, "cones": []}, "monoids": [5], "lattice_rank": 1},
+                "monoids[0]",
+            ),
+            (
+                decode_datum,
+                {"fan": {"lattice_rank": 1, "cones": [{"rays": [[1.5]]}]}, "monoids": [], "lattice_rank": 1},
+                "fan.cones[0].rays[0][0]",
+            ),
         ],
     )
     def test_decoders_reject_non_integers(self, decode, doc, location):

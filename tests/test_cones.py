@@ -34,7 +34,13 @@ from chowfan.intlinalg import (
     zero_sublattice,
 )
 
-from conftest import p2_fan, p1p1_fan
+from conftest import (
+    check_fan_incidence,
+    p1p1_fan,
+    p2_fan,
+    random_complete_fan_rank2,
+    random_complete_fan_rank3,
+)
 import oracles
 
 
@@ -327,3 +333,65 @@ class TestFacesAndFans:
         )
         with pytest.raises(NoTargetCone):
             check_fan_morphism(p, fan, target)
+
+    def test_fan_morphism_into_invalid_target_refused(self):
+        src = fan_from_cones([cone_from_generators([(1, 0)], ambient_rank=2)])
+        overlapping = fan_from_cones(
+            [
+                cone_from_generators([(1, 0), (0, 1)]),
+                cone_from_generators([(1, 1), (1, -1)]),
+            ]
+        )
+        with pytest.raises(ValueError, match="not a valid fan"):
+            check_fan_morphism(((1, 0), (0, 1)), src, overlapping)
+
+
+@st.composite
+def face_closed_collections(draw):
+    """Faces of some maximal cones of a random complete fan, plus up to two
+    cones of 1 to rank + 1 rays, which may overlap them or contain a line.
+    Every ray has entries in [-3, 3]."""
+    rank = draw(st.sampled_from([2, 3]))
+    make = random_complete_fan_rank2 if rank == 2 else random_complete_fan_rank3
+    base = make(random.Random(draw(st.integers(0, 1000))))
+    tops = [
+        c
+        for c in base.cones
+        if c.dim == rank and all(abs(x) <= 3 for g in c.generators for x in g)
+    ]
+    kept = draw(st.lists(st.sampled_from(tops), max_size=4))
+    vectors = st.tuples(*[st.integers(-3, 3)] * rank).filter(any)
+    extra = draw(st.lists(st.lists(vectors, min_size=1, max_size=rank + 1), max_size=2))
+    cones = kept + [cone_from_generators(rays, ambient_rank=rank) for rays in extra]
+    return fan_from_cones(cones, ambient_rank=rank)
+
+
+def _assert_assignment_matches(matrix, src, dst):
+    expected = oracles.minimal_targets_by_scan(matrix, src, dst)
+    if expected is None:
+        with pytest.raises(NoTargetCone):
+            check_fan_morphism(matrix, src, dst)
+    else:
+        assert check_fan_morphism(matrix, src, dst).cone_assignment == expected
+
+
+class TestFanIncidence:
+    """Maximal cones, fan validation, relative-interior lookup and morphism
+    targets read off the face poset, against the all-pairs scans."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(face_closed_collections(), st.data())
+    def test_matches_all_pairs_oracles(self, fan, data):
+        if not check_fan_incidence(fan):
+            return
+        rank = fan.ambient_rank
+        # drop the last coordinate, into the complete coordinate fan
+        proj = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank - 1))
+        line = fan_from_cones([cone_from_generators([(1,)]), cone_from_generators([(-1,)])])
+        _assert_assignment_matches(proj, fan, p1p1_fan() if rank == 3 else line)
+        # rays into the fan by the identity
+        vectors = st.tuples(*[st.integers(-3, 3)] * rank).filter(any)
+        rays = data.draw(st.lists(vectors, min_size=1, max_size=3))
+        src = fan_from_cones([cone_from_generators([r]) for r in rays])
+        identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+        _assert_assignment_matches(identity, src, fan)

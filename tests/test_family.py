@@ -1,9 +1,10 @@
 import pytest
 
 from chowfan.chow import chow_quotient, point_fiber_cones
-from chowfan.cones import cone_from_generators, zero_cone
+from chowfan.cones import Fan, cone_from_generators, zero_cone
 from chowfan.intlinalg import sublattice, zero_sublattice
 from chowfan.monoids import member, monoid_from_cone
+from chowfan.stacks import InternalConsistencyError
 from chowfan.family import (
     adjacency_dot,
     basic_monoid,
@@ -79,6 +80,19 @@ class TestRefinement:
         fam = _fam_p1p1()
         assert fam.to_base.cone_assignment == tuple(b for _, b in fam.provenance)
         assert fam.to_target.cone_assignment == tuple(h for h, _ in fam.provenance)
+
+    def test_consistency_error_names_the_family_cone(self, monkeypatch):
+        cq = chow_quotient(p2_fan(), sublattice(2, [[1, 0]]))
+        real = Fan.cone_containing_in_relint
+        calls = []
+
+        def lost_on_fourth_call(fan, v):
+            calls.append(v)
+            return None if len(calls) == 4 else real(fan, v)
+
+        monkeypatch.setattr(Fan, "cone_containing_in_relint", lost_on_fourth_call)
+        with pytest.raises(InternalConsistencyError, match="family cone 3 escapes"):
+            universal_family(cq)
 
 
 class TestHostCones:
