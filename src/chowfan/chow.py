@@ -222,7 +222,7 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
         inv = invariant_at(sample)
         if not inv:
             raise InternalConsistencyError(
-                "a quotient direction lies in no projected cone interior"
+                f"quotient direction {sample} lies in no projected cone interior"
             )
         groups.setdefault(inv, []).append((signs, sample))
 
@@ -249,13 +249,15 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
     for inv, cone in merged.items():
         if cone.lineality:
             raise InternalConsistencyError(
-                "a quotient class closed up to a non-pointed cone"
+                f"quotient class with meeting set {sorted(inv)} closed up to "
+                "a non-pointed cone"
             )
         for signs, sample in cells:
             if cone.contains_in_relint(sample):
                 if invariant_at(sample) != inv:
                     raise InternalConsistencyError(
-                        "merged quotient class is not convex"
+                        f"quotient class with meeting set {sorted(inv)} is not "
+                        f"convex: it contains direction {sample}"
                     )
 
     gfan = fan_from_cones(merged.values(), ambient_rank=q)
@@ -272,8 +274,8 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
         raise InternalConsistencyError("quotient fan is not complete")
 
     data = []
-    for kappa in gfan.cones:
-        data.append(_cone_data(fan, sub, proj, images, kappa))
+    for k, kappa in enumerate(gfan.cones):
+        data.append(_cone_data(fan, sub, proj, images, kappa, k))
     return ChowQuotient(fan, sub, proj, gfan, tuple(data), images)
 
 
@@ -291,7 +293,9 @@ def _cone_data(
     proj: QuotientMap,
     images: tuple[Cone, ...],
     kappa: Cone,
+    index: int,
 ) -> QuotientConeData:
+    """The data of quotient cone ``index``, which is ``kappa``."""
     sample = _relint_sample_or_zero(kappa)
     psi = proj.lift(sample)
     meeting = set()
@@ -304,7 +308,8 @@ def _cone_data(
             point_cones.append(i)
     if not point_cones:
         raise InternalConsistencyError(
-            "no cone meets the generic translate in a single point"
+            f"quotient cone {index}: no cone meets the generic translate "
+            "in a single point"
         )
     cycle = tuple((i, multiplicity(fan, sub, i)) for i in sorted(point_cones))
 
@@ -318,7 +323,9 @@ def _cone_data(
     assert lattice is not None and raw_cone is not None
     monoid = saturated_monoid(kappa, lattice)
     if not monoid.is_pointed:
-        raise InternalConsistencyError("quotient stack monoid has units")
+        raise InternalConsistencyError(
+            f"quotient cone {index}: quotient stack monoid has units"
+        )
     # diagnostic: does the raw intersection of projected monoids stay in the
     # quotient cone?  (equivalently: raw cone ∩ span(lattice) inside kappa)
     span_cone = cone_from_generators([], lattice.basis, proj.target_rank)

@@ -15,7 +15,6 @@ all of which is verified element by element rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .chow import ChowQuotient, chow_stack_datum, point_fiber_cones
@@ -36,19 +35,17 @@ from .cones import (
 from .intlinalg import (
     Sublattice,
     Vec,
-    clear_denominators,
     coordinates_in,
     dot,
     full_lattice,
     identity_matrix,
-    is_zero,
     lattice_intersection,
     preimage_lattice,
     row_lattice_hnf,
     saturate,
     solve_rational,
     vadd,
-    vec,
+    vscale,
     vsub,
 )
 from .monoids import AffineMonoid, member, saturated_monoid
@@ -89,10 +86,12 @@ def universal_family(cq: ChowQuotient) -> UniversalFamily:
     rank = fan.ambient_rank
     preimages = [preimage_cone(proj, kappa, rank) for kappa in gfan.cones]
     collected = {}
-    for pre in preimages:
-        for sigma in fan.cones:
+    pairs: dict = {}  # cone key -> the (base, host) pairs that produced it
+    for base, pre in enumerate(preimages):
+        for host, sigma in enumerate(fan.cones):
             c = intersect_cones(pre, sigma)
             collected[c.key()] = c
+            pairs.setdefault(c.key(), set()).add((base, host))
     ffan = fan_from_cones(collected.values(), ambient_rank=rank)
     if len(ffan.cones) != len(collected):
         raise InternalConsistencyError(
@@ -104,8 +103,7 @@ def universal_family(cq: ChowQuotient) -> UniversalFamily:
     for i, c in enumerate(ffan.cones):
         host = _host_index(fan, c, i)
         base = _base_index(cq, c, i)
-        expected = intersect_cones(preimages[base], fan.cones[host])
-        if expected.key() != c.key():
+        if (base, host) not in pairs.get(c.key(), ()):
             raise InternalConsistencyError(
                 f"family cone {i} does not match its provenance intersection "
                 f"(host {host}, base {base})"
@@ -208,32 +206,32 @@ class Wall:
     direction: Vec  # primitive vector in the acting sublattice
 
 
-def lift_into_span(proj, c: Cone, value: Sequence) -> tuple[Fraction, ...]:
-    """The unique preimage of ``value`` in the span of ``c`` (rational)."""
+def lift_into_span(proj, c: Cone, value: Sequence[int]) -> tuple[int, Vec]:
+    """The preimage of ``value`` in the span of ``c`` as ``(d, x)``.
+
+    The preimage is ``x / d`` with ``x`` integral and ``d > 0`` least; it is
+    unique when ``proj`` is injective on the span, as it is on a section.
+    Raises ValueError when ``value`` is not in the projected span.
+    """
     span = _span_lattice(c)
-    if span.rank == 0:
-        if any(Fraction(x) != 0 for x in value):
-            raise ValueError("nonzero value cannot lift into the zero cone")
-        return tuple(Fraction(0) for _ in range(c.ambient_rank))
-    rows = [
-        tuple(dot(prow, b) for b in span.basis) for prow in proj.matrix
-    ]
+    rows = [tuple(dot(prow, b) for b in span.basis) for prow in proj.matrix]
     solved = solve_rational(rows, value)
     if solved is None:
         raise ValueError("value is not in the projected span")
-    out = [Fraction(0)] * c.ambient_rank
-    for coef, b in zip(solved[0], span.basis):
+    d, coefs = solved
+    out = [0] * c.ambient_rank
+    for coef, b in zip(coefs, span.basis):
         out = [x + coef * y for x, y in zip(out, b)]
-    return tuple(out)
+    return d, tuple(out)
 
 
 def integral_lift(proj, c: Cone, value: Sequence[int]) -> Vec:
-    lifted = lift_into_span(proj, c, value)
-    if any(x.denominator != 1 for x in lifted):
+    d, lifted = lift_into_span(proj, c, value)
+    if d != 1:
         raise InternalConsistencyError(
             f"lift of {tuple(value)} into a section is not integral"
         )
-    return tuple(int(x) for x in lifted)
+    return lifted
 
 
 def _wall_direction_lattice(fam: UniversalFamily, wall_index: int) -> Vec:
@@ -268,38 +266,24 @@ def wall_structure(fam: UniversalFamily, base_index: int, wall_index: int) -> Wa
         raise InternalConsistencyError(
             f"wall {wall_index} has {len(iso)} sections over its base cone"
         )
+    # u0 is primitive, so each integral displacement below is a multiple of it
     u0 = _wall_direction_lattice(fam, wall_index)
     if len(iso) == 1:
+        kind = "boundary"
         x = relative_interior_sample(wall)
-        v = proj.apply(x)
-        lifted = lift_into_span(proj, fam.fan.cones[iso[0]], v)
-        diff = tuple(Fraction(a) - b for a, b in zip(x, lifted))
-        sign = _parallel_sign(diff, u0)
-        return Wall(wall_index, base_index, "boundary", tuple(iso), _signed(u0, sign))
-    v = _relint_sample_or_zero(kappa)
-    l1 = lift_into_span(proj, fam.fan.cones[iso[0]], v)
-    l2 = lift_into_span(proj, fam.fan.cones[iso[1]], v)
-    diff = tuple(b - a for a, b in zip(l1, l2))
-    sign = _parallel_sign(diff, u0)
-    return Wall(wall_index, base_index, "internal", tuple(iso), _signed(u0, sign))
-
-
-def _parallel_sign(diff: Sequence[Fraction], u: Vec) -> int:
-    coef = None
-    for d, x in zip(diff, u):
-        if x != 0:
-            coef = Fraction(d) / x
-            break
-    if coef is None or coef == 0:
+        d, lifted = lift_into_span(proj, fam.fan.cones[iso[0]], proj.apply(x))
+        diff = vsub(vscale(d, x), lifted)
+    else:
+        kind = "internal"
+        v = _relint_sample_or_zero(kappa)
+        d1, l1 = lift_into_span(proj, fam.fan.cones[iso[0]], v)
+        d2, l2 = lift_into_span(proj, fam.fan.cones[iso[1]], v)
+        diff = vsub(vscale(d1, l2), vscale(d2, l1))
+    n = _parallel_multiple(diff, u0)
+    if n == 0:
         raise InternalConsistencyError("wall direction degenerated to zero")
-    for d, x in zip(diff, u):
-        if Fraction(d) != coef * x:
-            raise InternalConsistencyError("wall displacement is not parallel to the line")
-    return 1 if coef > 0 else -1
-
-
-def _signed(u: Vec, sign: int) -> Vec:
-    return u if sign > 0 else tuple(-x for x in u)
+    direction = u0 if n > 0 else vscale(-1, u0)
+    return Wall(wall_index, base_index, kind, tuple(iso), direction)
 
 
 def segment_length(
@@ -318,27 +302,21 @@ def segment_length(
     proj = fam.chow.projection
     v1 = integral_lift(proj, fam.fan.cones[w.iso_faces[0]], value)
     v2 = integral_lift(proj, fam.fan.cones[w.iso_faces[1]], value)
-    diff = vsub(v2, v1)
-    if is_zero(diff):
-        return 0
-    m = _parallel_multiple(diff, w.direction)
+    m = _parallel_multiple(vsub(v2, v1), w.direction)
     if m < 0:
         raise InternalConsistencyError("gluing length came out negative")
     return m
 
 
 def _parallel_multiple(diff: Vec, u: Vec) -> int:
-    coef = None
-    for d, x in zip(diff, u):
-        if x != 0:
-            if d % x != 0:
-                raise InternalConsistencyError("segment is not an integral multiple")
-            coef = d // x
-            break
-    assert coef is not None
-    if vec(tuple(coef * x for x in u)) != diff:
+    """The integer ``n`` with ``diff == n * u``, for a nonzero ``u``."""
+    i = next(i for i, x in enumerate(u) if x)
+    if diff[i] % u[i] != 0:
+        raise InternalConsistencyError("segment is not an integral multiple")
+    n = diff[i] // u[i]
+    if vscale(n, u) != diff:
         raise InternalConsistencyError("segment is not parallel to the wall direction")
-    return coef
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -497,39 +475,30 @@ def wall_monoid_structure(
     return WallMonoidStructure(w, "fiber_product", gluing)
 
 
-def _gluing_functional(fam: UniversalFamily, base_index: int, w: Wall):
-    """Rational row with <row, v> = gluing length for v in the base span."""
+def _fiber_product_monoid(fam: UniversalFamily, base_index: int, w: Wall) -> AffineMonoid:
+    """Triples (v, a, b) with v in the base monoid and a + b = gluing(v).
+
+    The gluing length is linear and nonnegative on the pointed cone kappa,
+    so the cone of triples is spanned by ``(D g, n, 0)`` and ``(D g, 0, n)``
+    over the rays ``g`` of kappa, where ``n / D`` is the gluing length at
+    ``g`` and ``D = d1 * d2`` clears the denominators of its two section
+    lifts.  No rational functional is solved for.
+    """
     proj = fam.chow.projection
     kappa = fam.base.fan.cones[base_index]
-    span = _span_lattice(kappa)
-    values = []
-    for b in span.basis:
-        l1 = lift_into_span(proj, fam.fan.cones[w.iso_faces[0]], b)
-        l2 = lift_into_span(proj, fam.fan.cones[w.iso_faces[1]], b)
-        diff = tuple(y - x for x, y in zip(l1, l2))
-        coef = Fraction(0)
-        for d, x in zip(diff, w.direction):
-            if x != 0:
-                coef = Fraction(d) / x
-                break
-        values.append(coef)
-    solved = solve_rational(span.basis, values)
-    assert solved is not None
-    return solved[0]
-
-
-def _fiber_product_monoid(fam: UniversalFamily, base_index: int, w: Wall) -> AffineMonoid:
-    """Triples (v, a, b) with v in the base monoid and a + b = gluing(v)."""
-    kappa = fam.base.fan.cones[base_index]
-    q = fam.chow.projection.target_rank
-    gamma = _gluing_functional(fam, base_index, w)
-    denom, gamma_int = clear_denominators(gamma)
-    halfspaces = [tuple(h) + (0, 0) for h in kappa.halfspaces]
-    halfspaces.append(tuple(0 for _ in range(q)) + (1, 0))
-    halfspaces.append(tuple(0 for _ in range(q)) + (0, 1))
-    equations = [tuple(e) + (0, 0) for e in kappa.equations]
-    equations.append(tuple(-x for x in gamma_int) + (denom, denom))
-    cone = cone_from_halfspaces(halfspaces, equations, q + 2)
+    q = proj.target_rank
+    gens = []
+    for g in kappa.generators:
+        d1, l1 = lift_into_span(proj, fam.fan.cones[w.iso_faces[0]], g)
+        d2, l2 = lift_into_span(proj, fam.fan.cones[w.iso_faces[1]], g)
+        n = _parallel_multiple(vsub(vscale(d1, l2), vscale(d2, l1)), w.direction)
+        if n < 0:
+            raise InternalConsistencyError(
+                f"gluing length is negative on ray {g} of quotient cone {base_index}"
+            )
+        dg = vscale(d1 * d2, g)
+        gens += [dg + (n, 0), dg + (0, n)]
+    cone = cone_from_generators(gens, ambient_rank=q + 2)
     lat = fam.chow.cone_data[base_index].lift_lattice
     rows = [tuple(b) + (0, 0) for b in lat.basis]
     rows.append(tuple(0 for _ in range(q)) + (1, 0))
@@ -628,11 +597,7 @@ def presentation_tuple(
     for l in lifts:
         out.extend(l)
     for i, j, u, _ in pres.wall_relations:
-        diff = vsub(lifts[i], lifts[j])
-        if is_zero(diff):
-            out.append(0)
-        else:
-            out.append(_parallel_multiple(diff, u))
+        out.append(_parallel_multiple(vsub(lifts[i], lifts[j]), u))
     return tuple(out)
 
 

@@ -1,17 +1,17 @@
 """Exact integer linear algebra over Z^r.
 
 Everything in this module works with plain Python integers (arbitrary
-precision) and tuples; there is no floating point anywhere.  The central
-objects are
+precision) and tuples; there is no floating point and no rational
+arithmetic anywhere.  The central objects are
 
 * :func:`row_lattice_hnf`, the one Hermite elimination loop; it builds no
   transform.  :func:`hermite_normal_form` reads ``H`` and a unimodular
   ``U`` off the Hermite basis of ``[m | I]``, and rank, kernels and
   unimodular inverses come from these,
 * the Smith normal form with its unimodular transforms,
-* :func:`solve_rational`, the library's one Gauss-Jordan elimination over
-  Q (Fractions): every rational linear system in the package is solved
-  there,
+* :func:`solve_rational`, which solves every rational linear system in
+  the package through the Smith form, as an integer numerator over a
+  least common denominator,
 * :class:`Sublattice`, a canonicalized (row HNF) subgroup of Z^r, with
   saturation, sum, intersection and index computations,
 * :class:`QuotientMap`, a surjection Z^r -> Z^q with a prescribed saturated
@@ -23,7 +23,6 @@ Vectors are tuples of ints, matrices are tuples of row tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -80,13 +79,6 @@ def primitive(a: Sequence[int]) -> Vec:
     if g <= 1:
         return tuple(a)
     return tuple(x // g for x in a)
-
-
-def clear_denominators(v: Sequence) -> tuple[int, Vec]:
-    """``(d, d * v)`` for the least positive ``d`` making ``d * v`` integral."""
-    fractions = [Fraction(x) for x in v]
-    d = lcm(*(x.denominator for x in fractions))
-    return d, tuple(int(x * d) for x in fractions)
 
 
 def mat(rows: Iterable[Iterable[int]]) -> Mat:
@@ -282,51 +274,25 @@ def integer_kernel(m: Sequence[Sequence[int]], ncols: Optional[int] = None) -> M
 
 
 def solve_rational(
-    m: Sequence[Sequence], target: Sequence, ncols: Optional[int] = None
-) -> Optional[tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]]:
-    """All rational solutions of ``m @ x == target``, or None if inconsistent.
+    m: Sequence[Sequence[int]], target: Sequence[int]
+) -> Optional[tuple[int, Vec]]:
+    """A rational solution of ``m @ x == target`` as ``(d, x)``, or None.
 
-    Returns ``(particular, basis)``: the solutions are ``particular`` plus
-    the span of the null-space ``basis``.  This is the library's only
-    Gauss-Jordan elimination over Q.  Each column pivots on the first row
-    with a nonzero entry and free variables are 0 in ``particular``, so the
-    result depends only on the reduced row echelon form.  Entries may be
-    ints or Fractions; ``ncols`` is needed only when ``m`` has no rows.
+    ``x`` is integral, ``d > 0`` is least and ``m @ x == d * target``; None
+    means the system is inconsistent.  With ``S = U @ m @ V`` the Smith form
+    and ``c = U @ target``, the system reads ``S @ y == d * c`` for
+    ``x = V @ y``: the rows past the rank need ``c_i == 0``, row ``i`` needs
+    ``s_i | d * c_i``, and the free coordinates of ``y`` are 0.  When ``m``
+    has full column rank, ``x / d`` is the unique solution.
     """
-    nrows = len(m)
-    if ncols is None:
-        ncols = len(m[0]) if nrows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(t)] for row, t in zip(m, target)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    if any(aug[i][ncols] != 0 for i in range(r, nrows)):
+    s, u, v = smith_normal_form(m)
+    c = mat_vec(u, target)
+    diag = [row[i] for i, row in enumerate(s) if i < len(row) and row[i]]
+    if any(c[len(diag):]):
         return None
-    particular = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        particular[col] = aug[i][ncols]
-    basis = []
-    for fcol in (c for c in range(ncols) if c not in pivots):
-        b = [Fraction(0)] * ncols
-        b[fcol] = Fraction(1)
-        for i, col in enumerate(pivots):
-            b[col] = -aug[i][fcol]
-        basis.append(tuple(b))
-    return tuple(particular), tuple(basis)
+    d = lcm(*(si // gcd(si, ci) for si, ci in zip(diag, c)))
+    y = [d * ci // si for si, ci in zip(diag, c)] + [0] * (len(v) - len(diag))
+    return d, mat_vec(v, y)
 
 
 # ---------------------------------------------------------------------------

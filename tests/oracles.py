@@ -140,6 +140,48 @@ def _rank(rows):
     return rank
 
 
+def gauss_jordan_solve(m, target, ncols):
+    """All rational solutions of ``m @ x == target``, or None if inconsistent.
+
+    Schoolbook Gauss-Jordan elimination over Q.  Returns ``(particular,
+    basis)``: the solutions are ``particular`` plus the span of the
+    null-space ``basis``.  Each column pivots on the first row with a
+    nonzero entry and free variables are 0 in ``particular``.
+    """
+    nrows = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(t)] for row, t in zip(m, target)]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if aug[i][col] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][col]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(nrows):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+    if any(aug[i][ncols] != 0 for i in range(r, nrows)):
+        return None
+    particular = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        particular[col] = aug[i][ncols]
+    basis = []
+    for fcol in (c for c in range(ncols) if c not in pivots):
+        b = [Fraction(0)] * ncols
+        b[fcol] = Fraction(1)
+        for i, col in enumerate(pivots):
+            b[col] = -aug[i][fcol]
+        basis.append(tuple(b))
+    return tuple(particular), tuple(basis)
+
+
 def coset_count(sub_basis, super_basis, box=8):
     """Index [super : sub] by counting residues in a fundamental domain.
 

@@ -6,6 +6,8 @@ see them); any failure is a build-blocking defect.
 """
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -36,9 +38,10 @@ from chowfan import (
     universal_family,
     validate_stack_datum,
     validate_stack_morphism,
+    wall_monoid_structure,
     wall_structure,
 )
-from chowfan.family import basic_monoid
+from chowfan.family import basic_monoid, lift_into_span
 from chowfan.intlinalg import identity_matrix, mat_mul, mat_vec
 from chowfan.serialize import (
     decode_cone,
@@ -182,6 +185,49 @@ def test_criterion_4e_walls_have_one_or_two_sections(corpus_families):
                 walls_seen += 1
     assert walls_seen > 0
     _announce(f"criterion 4e: all {walls_seen} walls carry one or two sections")
+
+
+def test_criterion_4e_wall_monoids_split(corpus_families):
+    kinds = {"boundary": "product", "internal": "fiber_product"}
+    seen = {"product": 0, "fiber_product": 0}
+    for fan, sub, cq, fam in corpus_families:
+        for k in range(len(fam.base.fan.cones)):
+            for w_idx in cones_over(fam, k, 1):
+                ws = wall_monoid_structure(fam, k, w_idx)  # raises on failure
+                assert ws.kind == kinds[ws.wall.kind]
+                seen[ws.kind] += 1
+    assert seen["product"] > 0 and seen["fiber_product"] > 0
+    _announce(f"criterion 4e: {seen['product']} boundary wall monoids are "
+              f"products, {seen['fiber_product']} internal ones fiber products")
+
+
+def test_section_lifts_match_the_rational_oracle(corpus_families):
+    lifts = 0
+    for fan, sub, cq, fam in corpus_families:
+        proj = cq.projection
+        for k, kappa in enumerate(fam.base.fan.cones):
+            values = list(cq.cone_data[k].monoid.hilbert_basis)
+            if not kappa.is_zero():
+                values.append(relative_interior_sample(kappa))
+            for w_idx in cones_over(fam, k, 1):
+                for s in wall_structure(fam, k, w_idx).iso_faces:
+                    section = fam.fan.cones[s]
+                    gens = section.generators + section.lineality
+                    rows = [[sum(a * b for a, b in zip(p, g)) for g in gens]
+                            for p in proj.matrix]
+                    for v in values:
+                        d, x = lift_into_span(proj, section, v)
+                        coefs, _ = oracles.gauss_jordan_solve(rows, v, len(gens))
+                        expected = tuple(
+                            sum(c * g[i] for c, g in zip(coefs, gens))
+                            for i in range(fan.ambient_rank)
+                        )
+                        assert tuple(Fraction(e, d) for e in x) == expected
+                        assert gcd(d, *x) == 1
+                        lifts += 1
+    assert lifts > 0
+    _announce(f"section lifts: {lifts} lifts equal the Gauss-Jordan oracle "
+              "in lowest terms")
 
 
 def test_criterion_4f_fibers_connected(corpus_families):

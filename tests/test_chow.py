@@ -22,7 +22,7 @@ from chowfan.cones import (
 )
 from chowfan.intlinalg import sublattice, zero_sublattice
 from chowfan.monoids import restrict_to_face
-from chowfan.stacks import validate_stack_datum
+from chowfan.stacks import InternalConsistencyError, validate_stack_datum
 
 from conftest import corpus, p2_fan, p1p1_fan
 import oracles
@@ -125,6 +125,25 @@ class TestQuotientFan:
                         relative_interior_sample(kappa, variant)
                     )
                     assert meeting_cones(fan, sub, psi) == data.meeting_set
+
+    def test_consistency_error_names_the_quotient_cone(
+        self, p2, l_horizontal, monkeypatch
+    ):
+        import chowfan.chow
+
+        real = chowfan.chow.affine_slice_type
+        calls = []
+
+        def empty_over_third_cone(c, psi, sub):
+            calls.append(c)
+            # _cone_data scans every input cone once per quotient cone
+            if (len(calls) - 1) // len(p2.cones) == 2:
+                return "empty"
+            return real(c, psi, sub)
+
+        monkeypatch.setattr(chowfan.chow, "affine_slice_type", empty_over_third_cone)
+        with pytest.raises(InternalConsistencyError, match="quotient cone 2: no cone"):
+            chow_quotient(p2, l_horizontal)
 
 
 class TestPointFibersAndCycles:

@@ -94,6 +94,21 @@ class TestRefinement:
         with pytest.raises(InternalConsistencyError, match="family cone 3 escapes"):
             universal_family(cq)
 
+    def test_one_intersection_per_pair(self, monkeypatch):
+        import chowfan.family
+
+        cq = chow_quotient(p1p1_fan(), sublattice(2, [[1, 1]]))
+        real = chowfan.family.intersect_cones
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(chowfan.family, "intersect_cones", counted)
+        universal_family(cq)
+        assert len(calls) == len(cq.quotient_fan.cones) * len(cq.fan.cones)
+
 
 class TestHostCones:
     def test_refined_cone_hosts(self):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,16 +135,18 @@ class TestRationalKernel:
             assert augmented_rank == rank + 1
             return
         assert augmented_rank == rank
-        particular, basis = solved
-        assert mat_vec(m, particular) == target
-        assert all(is_zero(mat_vec(m, b)) for b in basis)
-        assert len(basis) == len(m[0]) - rank
-        assert all(type(e) is Fraction for v in (particular, *basis) for e in v)
+        d, sol = solved
+        assert d > 0 and all(type(e) is int for e in (d, *sol))
+        assert mat_vec(m, sol) == tuple(d * t for t in target)
+        assert gcd(d, *sol) == 1
+        if rank == len(m[0]):
+            particular, _ = oracles.gauss_jordan_solve(m, target, len(m[0]))
+            assert tuple(Fraction(e, d) for e in sol) == particular
 
     def test_solve_rational_without_rows(self):
-        particular, basis = solve_rational((), (), ncols=2)
-        assert particular == (0, 0)
-        assert basis == ((1, 0), (0, 1))
+        assert solve_rational((), ()) == (1, ())
+        assert solve_rational(((), ()), (0, 0)) == (1, ())
+        assert solve_rational(((), ()), (0, 1)) is None
 
     @settings(deadline=None, max_examples=100)
     @given(elementary_products)
