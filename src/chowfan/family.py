@@ -249,8 +249,20 @@ def wall_structure(fam: UniversalFamily, base_index: int, wall_index: int) -> Wa
 
     Walls admit exactly one iso section (boundary, direction from interior
     point minus its section image) or two (internal, direction from second
-    section minus first); any other count is an internal error.
+    section minus first); any other count is an internal error.  Each wall
+    is classified once per base cone and kept on the family.
     """
+    cache = getattr(fam, "_wall_cache", None)
+    if cache is None:
+        cache = {}
+        object.__setattr__(fam, "_wall_cache", cache)
+    w = cache.get((base_index, wall_index))
+    if w is None:
+        w = cache[base_index, wall_index] = _classify_wall(fam, base_index, wall_index)
+    return w
+
+
+def _classify_wall(fam: UniversalFamily, base_index: int, wall_index: int) -> Wall:
     if wall_index not in cones_over(fam, base_index, 1):
         raise ValueError("cone is not a wall over this base cone")
     kappa = fam.base.fan.cones[base_index]

@@ -4,11 +4,14 @@ The workhorse is :func:`saturated_monoid`: the monoid of lattice points of
 a cone, with its Hilbert basis computed by a pulling triangulation, an
 integer enumeration of each simplex's fundamental parallelepiped (one Smith
 form per simplex, no rational solve per point) and an irreducibility sieve
-that only tries reducers of at most half a candidate's grade.  Its group is
-read off the lattice, not from the Hilbert basis.  Monoids built from
-arbitrary generator sets (not necessarily saturated) are supported as long
-as they are pointed; their membership test is a bounded search driven by a
-strictly positive grading, so it always terminates.
+that only tries reducers of at most half a candidate's grade, each try one
+big-int operation on halfspace values packed into guarded bit fields.  Its
+group is read off the lattice, not from the Hilbert basis.  The monoid on a
+face of its cone is filtered from its Hilbert basis, not recomputed
+(:func:`restrict_to_face`).  Monoids built from arbitrary generator sets
+(not necessarily saturated) are supported as long as they are pointed;
+their membership test is a bounded search driven by a strictly positive
+grading, so it always terminates.
 
 Monoids with invertible elements (units) arise as duals of monoids that are
 not full-dimensional; they are represented by the unit lattice plus a
@@ -39,6 +42,7 @@ from .intlinalg import (
     dot,
     full_lattice,
     is_zero,
+    lattice_intersection,
     mat_vec,
     quotient_map,
     row_lattice_hnf,
@@ -165,6 +169,19 @@ def _parallelepiped_points(simplex_rays: tuple[Vec, ...], rank: int) -> list[Vec
     return out
 
 
+def _packed_columns(halfspaces: Sequence[Vec], rank: int, top: int) -> tuple[list[int], int]:
+    """Columns packing halfspace values in ``[0, top]`` into guarded fields.
+
+    Returns ``(cols, guard)``: ``dot(cols, x)`` holds ``h_i.x`` in bits
+    ``[i*w, i*w + w - 1)`` with ``w = bitlen(top) + 1``, and ``guard`` has
+    the top bit ``i*w + w - 1`` of every field set.
+    """
+    w = top.bit_length() + 1
+    cols = [sum(h[k] << (i * w) for i, h in enumerate(halfspaces)) for k in range(rank)]
+    guard = sum(1 << (i * w + w - 1) for i in range(len(halfspaces)))
+    return cols, guard
+
+
 def _hilbert_basis_full(c: Cone) -> tuple[Vec, ...]:
     """Hilbert basis of ``c ∩ Z^rank`` for a strictly convex cone.
 
@@ -173,6 +190,17 @@ def _hilbert_basis_full(c: Cone) -> tuple[Vec, ...]:
     ``x`` is reducible iff ``x - b`` lies in the cone for an irreducible
     ``b`` with ``2 * grade(b) <= grade(x)``, since a sum of two or more
     irreducibles has a summand of at most half its grade.
+
+    ``x - b`` lies in the cone iff ``h.x >= h.b`` for every halfspace ``h``,
+    and that test is one big-int operation (Lamport, CACM 18(8), 1975).
+    Every candidate is a ray or a sum of rays with coefficients below 1, so
+    its halfspace values lie in ``[0, top]`` with ``top = max_h sum_r h.r``.
+    In fields of width ``w = bitlen(top) + 1`` the values pack into one
+    integer ``X = sum_i (h_i.x) << (i*w)``, which is ``dot(cols, x)`` for
+    the packed columns ``cols[k] = sum_i h_i[k] << (i*w)``.  With ``G`` the
+    top (guard) bit of every field, no field of ``(X | G) - B`` borrows
+    from the next, and its guard survives iff ``h_i.x >= h_i.b``; so
+    ``x - b`` is in the cone iff ``((X | G) - B) & G == G``.
     """
     if c.dim == 0:
         return ()
@@ -181,23 +209,22 @@ def _hilbert_basis_full(c: Cone) -> tuple[Vec, ...]:
         candidates.update(_parallelepiped_points(simplex, c.ambient_rank))
     grading = _grading(c)
     halfspaces = c.halfspaces
-    # precomputed halfspace values make the sieve pure integer comparisons
-    valued = sorted(
-        ((dot(grading, x), x, tuple(dot(h, x) for h in halfspaces)) for x in candidates),
-        key=lambda t: (t[0], t[1]),
-    )
-    basis: list[tuple[int, Vec, tuple[int, ...]]] = []
-    for gx, x, hx in valued:
+    top = max(sum(dot(h, r) for r in c.generators) for h in halfspaces)
+    cols, guard = _packed_columns(halfspaces, c.ambient_rank, top)
+    valued = sorted((dot(grading, x), x, dot(cols, x)) for x in candidates)
+    basis: list[tuple[int, Vec, int]] = []
+    for gx, x, px in valued:
+        xg = px | guard
         reducible = False
-        for gb, _b, hb in basis:
+        for gb, _b, pb in basis:
             if 2 * gb > gx:
                 break
-            if all(p >= q for p, q in zip(hx, hb)):
+            if (xg - pb) & guard == guard:
                 reducible = True
                 break
         if not reducible:
-            basis.append((gx, x, hx))
-    return tuple(sorted(x for _, x, _hx in basis))
+            basis.append((gx, x, px))
+    return tuple(sorted(x for _, x, _px in basis))
 
 
 def _subspace_cone(s: Sublattice) -> Cone:
@@ -351,12 +378,23 @@ def is_saturated(m: AffineMonoid) -> bool:
 
 
 def restrict_to_face(m: AffineMonoid, face: Cone) -> AffineMonoid:
-    """The submonoid of elements lying on a face of the monoid's cone."""
+    """The submonoid of elements lying on a face of the monoid's cone.
+
+    For a saturated ``M = c ∩ L`` and a face ``F`` of its cone, ``M ∩ F``
+    is a face of ``M``: a sum of elements of ``M`` lies on ``F`` only if
+    every summand does.  So its Hilbert basis is ``HB(M) ∩ F``, its units
+    are those of ``M`` (``F`` contains the lineality space), and it is the
+    saturated monoid ``F ∩ L`` with group ``span(F) ∩ L``.  Nothing is
+    recomputed but that group.  A generator-defined monoid is generated on
+    ``F`` by its generators on ``F``, for the same reason.
+    """
     if not is_face_of(face, m.cone):
         raise NotAFace(f"{face} is not a face of {m.cone}")
-    if m.saturated_lattice is not None:
-        return saturated_monoid(face, m.saturated_lattice)
-    picked = [g for g in m.hilbert_basis if face.contains(g)]
+    picked = tuple(g for g in m.hilbert_basis if face.contains(g))
+    lat = m.saturated_lattice
+    if lat is not None:
+        group = lattice_intersection(_span_lattice(face), lat)
+        return AffineMonoid(m.ambient_rank, picked, m.units, face, group, lat)
     return affine_monoid(m.ambient_rank, picked)
 
 

@@ -316,3 +316,40 @@ def minimal_targets_by_scan(matrix, src, dst):
             return None
         out.append(low)
     return tuple(out)
+
+
+def hilbert_basis_by_tuple_sieve(c):
+    """Hilbert basis of ``c ∩ Z^rank`` by the tuple-by-tuple dominance sieve.
+
+    Shares the library's candidates (pulling triangulation and
+    parallelepiped points) and its grade-order, half-grade cutoff; each
+    dominance test compares the two tuples of halfspace values entry by
+    entry, with no packing.
+    """
+    from chowfan.monoids import _grading, _parallelepiped_points, _triangulate
+
+    if c.dim == 0:
+        return ()
+    candidates = set(c.generators)
+    for simplex in _triangulate(c):
+        candidates.update(_parallelepiped_points(simplex, c.ambient_rank))
+    grading = _grading(c)
+
+    def value(h, x):
+        return sum(a * b for a, b in zip(h, x))
+
+    valued = sorted(
+        (value(grading, x), x, tuple(value(h, x) for h in c.halfspaces)) for x in candidates
+    )
+    basis = []
+    for gx, x, hx in valued:
+        reducible = False
+        for gb, _b, hb in basis:
+            if 2 * gb > gx:
+                break
+            if all(p >= q for p, q in zip(hx, hb)):
+                reducible = True
+                break
+        if not reducible:
+            basis.append((gx, x, hx))
+    return tuple(sorted(x for _, x, _hx in basis))

@@ -41,8 +41,10 @@ from chowfan import (
     wall_monoid_structure,
     wall_structure,
 )
+from chowfan.cones import all_faces, cone_from_halfspaces
 from chowfan.family import basic_monoid, lift_into_span
-from chowfan.intlinalg import identity_matrix, mat_mul, mat_vec
+from chowfan.intlinalg import dot, identity_matrix, mat_mul, mat_vec
+from chowfan.monoids import _hilbert_basis_full, restrict_to_face, saturated_monoid
 from chowfan.serialize import (
     decode_cone,
     decode_monoid,
@@ -365,6 +367,39 @@ def test_fan_incidence_matches_oracles(corpus_families):
     _announce("fan incidence: validation, maximal cones, relative-interior "
               "lookup and morphism targets equal the all-pairs scans on the "
               "input, quotient and family fans")
+
+
+def test_packed_sieve_matches_tuple_sieve_on_family_monoids(corpus_families):
+    count = 0
+    for fan, sub, cq, fam in corpus_families:
+        for m in fam.datum.monoids:
+            # the cone in coordinates of the monoid's lattice, as saturated_monoid sieves it
+            basis = m.saturated_lattice.basis
+            cy = cone_from_halfspaces(
+                [tuple(dot(h, b) for b in basis) for h in m.cone.halfspaces],
+                [tuple(dot(e, b) for b in basis) for e in m.cone.equations],
+                len(basis),
+            )
+            assert _hilbert_basis_full(cy) == oracles.hilbert_basis_by_tuple_sieve(cy)
+            count += 1
+    _announce(f"packed dominance sieve equals the tuple sieve on all {count} "
+              "family-cone monoids")
+
+
+def test_faces_by_filtering_on_quotient_data(corpus_families):
+    count = 0
+    for fan, sub, cq, fam in corpus_families:
+        for data in cq.cone_data:
+            m = data.monoid
+            for f in all_faces(m.cone):
+                face = restrict_to_face(m, f)
+                fresh = saturated_monoid(f, m.saturated_lattice)
+                assert (face.hilbert_basis, face.units, face.group) == (
+                    fresh.hilbert_basis, fresh.units, fresh.group
+                )
+                count += 1
+    _announce("restriction to a face by filtering equals the recomputed "
+              f"saturated monoid on all {count} (quotient cone, face) pairs")
 
 
 # products of elementary matrices: a swap, a sign change and shears

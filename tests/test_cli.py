@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chowfan.cli import parse_input, run
 from chowfan.serialize import (
@@ -28,7 +30,7 @@ from chowfan.cones import cone_from_generators
 from chowfan.monoids import affine_monoid, dual_monoid, monoid_from_cone
 from chowfan.stacks import variety_datum
 
-from conftest import p2_fan, p1p1_fan
+from conftest import corpus, p2_fan, p1p1_fan
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 P2 = os.path.join(FIXTURES, "p2_horizontal.json")
@@ -341,27 +343,147 @@ class TestMetamorphic:
         assert code == 0
         with open(path) as f:
             doc = json.load(f)
-        cones = doc["maximal_cones"]
-        rng = random.Random(1)
-        shuffled = rng.sample(cones, len(cones))
-        shuffled = [rng.sample(rays, len(rays)) for rays in shuffled]
-        assert shuffled not in (cones, cones[::-1])
-        for order in (cones[::-1], shuffled):
+        for order in _reorderings(doc["maximal_cones"]):
             moved = tmp_path / "moved.json"
             moved.write_text(json.dumps(dict(doc, maximal_cones=order)))
             assert _run(["all", str(moved), "--bound", "4"]) == (0, expected)
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
-            proc = subprocess.run(
-                [sys.executable, "-m", "chowfan.cli", "all", path, "--bound", "4"],
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=300,
-            )
+            proc = _run_with_hash_seed(["all", path, "--bound", "4"], seed)
             assert (proc.returncode, proc.stdout) == (0, expected)
+
+
+def _reorderings(cones):
+    """The cones reversed, and cones and their rays shuffled by ``Random(1)``."""
+    rng = random.Random(1)
+    shuffled = rng.sample(cones, len(cones))
+    shuffled = [rng.sample(rays, len(rays)) for rays in shuffled]
+    assert shuffled not in (cones, cones[::-1])
+    return cones[::-1], shuffled
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_documents():
+    """The ten corpus inputs as CLI input documents (JSON text)."""
+    return tuple(
+        json.dumps(
+            {
+                "lattice_rank": fan.ambient_rank,
+                "maximal_cones": [
+                    [list(r) for r in fan.cones[i].generators] for i in fan.maximal_indices()
+                ],
+                "sublattice": [list(b) for b in sub.basis],
+            }
+        )
+        for fan, sub in corpus(count=10)
+    )
+
+
+class TestCorpusMetamorphic:
+    """``chowfan family`` on the corpus does not depend on input order or hash seed."""
+
+    @pytest.mark.parametrize("index", range(10))
+    def test_family_document_is_invariant_under_reordering(self, tmp_path, index):
+        text = _corpus_documents()[index]
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        doc = json.loads(text)
+        code, expected = _run(["family", str(path)])
+        assert code == 0
+        for order in _reorderings(doc["maximal_cones"]):
+            moved = tmp_path / "moved.json"
+            moved.write_text(json.dumps(dict(doc, maximal_cones=order)))
+            assert _run(["family", str(moved)]) == (0, expected)
+
+    @pytest.mark.parametrize("index", [0, 8])
+    def test_family_document_is_invariant_under_hash_seed(self, tmp_path, index):
+        path = tmp_path / "input.json"
+        path.write_text(_corpus_documents()[index])
+        code, expected = _run(["family", str(path)])
+        assert code == 0
+        for seed in ("1", "2"):
+            proc = _run_with_hash_seed(["family", str(path)], seed)
+            assert (proc.returncode, proc.stdout) == (0, expected)
+
+
+def _run_with_hash_seed(args, seed):
+    """``python -m chowfan.cli`` in a fresh interpreter with a fixed hash seed."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+    return subprocess.run(
+        [sys.executable, "-m", "chowfan.cli"] + args,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def _perturb_entry(draw, doc):
+    """Add -3..3 to one entry of a ray or of a sublattice generator."""
+    rows = [ray for cone in doc["maximal_cones"] for ray in cone] + doc["sublattice"]
+    rows = [r for r in rows if r]
+    if rows:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] += draw(st.integers(-3, 3))
+
+
+def _reshape_sublattice(draw, doc):
+    """Add or drop a sublattice generator, or an entry of one."""
+    sub = doc["sublattice"]
+    change = draw(st.sampled_from(["drop_row", "add_row", "drop_entry", "add_entry"]))
+    if change == "add_row":
+        width = draw(st.integers(0, 3))
+        sub.insert(
+            draw(st.integers(0, len(sub))),
+            draw(st.lists(st.integers(-3, 3), min_size=width, max_size=width)),
+        )
+    elif not sub:
+        return
+    elif change == "drop_row":
+        del sub[draw(st.integers(0, len(sub) - 1))]
+    else:
+        row = draw(st.sampled_from(sub))
+        if change == "add_entry":
+            row.insert(draw(st.integers(0, len(row))), draw(st.integers(-3, 3)))
+        elif row:
+            del row[draw(st.integers(0, len(row) - 1))]
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture document after one to three random edits."""
+    name = draw(st.sampled_from(["p1p1_diagonal.json", "p2_horizontal.json", "p2_weighted.json"]))
+    with open(os.path.join(FIXTURES, name)) as f:
+        doc = json.load(f)
+    for _ in range(draw(st.integers(1, 3))):
+        cones = doc["maximal_cones"]
+        edit = draw(st.sampled_from(["drop", "duplicate", "perturb", "reshape"]))
+        if edit == "drop" and cones:
+            del cones[draw(st.integers(0, len(cones) - 1))]
+        elif edit == "duplicate" and cones:
+            copy = json.loads(json.dumps(draw(st.sampled_from(cones))))
+            cones.insert(draw(st.integers(0, len(cones))), copy)
+        elif edit == "perturb":
+            _perturb_entry(draw, doc)
+        elif edit == "reshape":
+            _reshape_sublattice(draw, doc)
+    return doc
+
+
+class TestFuzzedInputs:
+    """Mutated fixture documents end in a documented exit code, never a traceback."""
+
+    @settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=mutated_fixtures())
+    def test_family_exit_code_is_documented(self, tmp_path, capsys, doc):
+        path = tmp_path / "fuzzed.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code, _ = _run(["family", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err
 
 
 class TestSerializeRoundTrips:

@@ -183,6 +183,29 @@ class TestWalls:
                 {((0, 1),), ((-1, 0),)},
             )
 
+    def test_each_wall_is_classified_once(self, monkeypatch):
+        import chowfan.family as family
+        from chowfan.serialize import encode_fiber_document
+
+        calls = []
+        real = family._wall_direction_lattice
+
+        def counting(fam, wall_index):
+            calls.append(wall_index)
+            return real(fam, wall_index)
+
+        monkeypatch.setattr(family, "_wall_direction_lattice", counting)
+        fam = _fam_p1p1()
+        k = fam.base.fan.index_of(cone_from_generators([(1,)]))
+        fc = fiber_complex(fam, k)
+        for w in fc.internal_walls + fc.boundary_walls:
+            wall_monoid_structure(fam, k, w.index)
+        encode_fiber_document(
+            fam, fc, basic_monoid(fam, k), tropical_moduli_cone(fam, k), adjacency_dot(fam, fc)
+        )
+        assert fc.internal_walls
+        assert sorted(calls) == sorted(cones_over(fam, k, 1))
+
     def test_wall_structure_requires_wall(self):
         fam = _fam_p2()
         kpos = fam.base.fan.index_of(cone_from_generators([(1,)]))

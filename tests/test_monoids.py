@@ -9,12 +9,15 @@ from chowfan.cones import (
     all_faces,
     cone_from_generators,
     cone_from_halfspaces,
+    is_face_of,
     zero_cone,
 )
 from chowfan.intlinalg import dot, full_lattice, sublattice
 from chowfan.monoids import (
     NotAFace,
     UnsupportedMonoid,
+    _hilbert_basis_full,
+    _packed_columns,
     affine_monoid,
     dual_monoid,
     group_coordinates,
@@ -154,6 +157,65 @@ class TestSaturatedMonoidProperties:
         assert (coords.cone, coords.group, coords.saturated_lattice) == (
             fresh.cone, fresh.group, fresh.saturated_lattice
         )
+
+    @settings(deadline=None, max_examples=60)
+    @given(rank3_cones, small_index_lattices)
+    def test_faces_by_filtering_match_recomputation(self, c, lattice):
+        m = saturated_monoid(c, lattice)
+        # all_faces lists the zero cone also when it is not a face (lineality)
+        for f in (f for f in all_faces(m.cone) if is_face_of(f, m.cone)):
+            face = restrict_to_face(m, f)
+            fresh = saturated_monoid(f, lattice)
+            assert (face.hilbert_basis, face.units, face.group) == (
+                fresh.hilbert_basis, fresh.units, fresh.group
+            )
+            assert face.cone.key() == fresh.cone.key()
+            assert face.saturated_lattice == fresh.saturated_lattice
+
+
+def _fields(w):
+    """Values of one field of width ``w``: 0, the largest, and anything between."""
+    largest = 2 ** (w - 1) - 1
+    return st.one_of(st.sampled_from([0, largest]), st.integers(0, largest))
+
+
+@st.composite
+def packed_pairs(draw):
+    """Two value tuples in fields of width ``w``, some fields equal."""
+    w = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 6))
+    xs = draw(st.lists(_fields(w), min_size=n, max_size=n))
+    bs = draw(st.lists(_fields(w), min_size=n, max_size=n))
+    equal = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    bs = [x if e else b for x, b, e in zip(xs, bs, equal)]
+    return w, xs, bs
+
+
+class TestPackedDominance:
+    @settings(deadline=None, max_examples=300)
+    @given(packed_pairs())
+    @example((1, [0, 0], [0, 0]))
+    @example((3, [3, 0, 3], [3, 0, 0]))
+    @example((3, [3, 0, 3], [0, 1, 3]))
+    @example((12, [2047] * 6, [2047] * 5 + [0]))
+    def test_guard_test_is_componentwise_dominance(self, case):
+        w, xs, bs = case
+        n = len(xs)
+        # with unit halfspaces the packed value of x is x itself, field by field
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        cols, guard = _packed_columns(units, n, 2 ** (w - 1) - 1)
+        packed_x, packed_b = dot(cols, xs), dot(cols, bs)
+        assert packed_x == sum(x << (i * w) for i, x in enumerate(xs))
+        dominates = all(x >= b for x, b in zip(xs, bs))
+        assert (((packed_x | guard) - packed_b) & guard == guard) == dominates
+
+    @settings(deadline=None, max_examples=60)
+    @given(rank3_cones)
+    # a candidate's value on (1, -3, 0) is 20, above every ray's (at most 12)
+    @example(cone_from_generators([(2, -3, 2), (3, -3, -2), (3, 1, -3), (3, 1, 0)]))
+    def test_packed_sieve_matches_tuple_sieve(self, c):
+        assume(c.is_strictly_convex)
+        assert _hilbert_basis_full(c) == oracles.hilbert_basis_by_tuple_sieve(c)
 
 
 class TestMembership:
