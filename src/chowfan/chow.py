@@ -16,7 +16,8 @@ meeting sets, and verifies exactly that each merged class is convex.
 Each quotient cone carries provenance: the meeting set, the cones whose
 generic translate slice is a single point, the associated cycle with its
 lattice-index multiplicities, and the stack monoid obtained by
-intersecting the projected cone lattices.
+intersecting the projected cone lattices.  The single-point cones are the
+meeting cones whose dimension the projection keeps.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .cones import (
     _relint_sample_or_zero,
     _span_lattice,
     _strict_sample,
-    affine_slice_type,
     cone_from_generators,
     cone_from_halfspaces,
     fan_from_cones,
@@ -67,13 +67,16 @@ class InfiniteIndex(ValueError):
 # the class invariant
 
 
+def _meeting_set(images: Sequence[Cone], v: Sequence[int]) -> frozenset[int]:
+    """Indices of the projected cones whose relative interior contains ``v``."""
+    return frozenset(i for i, img in enumerate(images) if img.contains_in_relint(v))
+
+
 def meeting_cones(fan: Fan, sub: Sublattice, psi: Sequence) -> frozenset[int]:
     """Indices of fan cones whose relative interior meets ``psi + span(sub)``."""
-    out = set()
-    for i, c in enumerate(fan.cones):
-        if affine_slice_type(c, psi, sub) != "empty":
-            out.add(i)
-    return frozenset(out)
+    proj = quotient_map(fan.ambient_rank, saturate(sub))
+    images = [image_cone(proj, c) for c in fan.cones]
+    return _meeting_set(images, proj.apply(psi))
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +215,9 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
 
     cells = _cell_split(tuple(normals), q)
 
-    def invariant_at(v: Sequence[int]) -> frozenset[int]:
-        return frozenset(
-            i for i, img in enumerate(images) if img.contains_in_relint(v)
-        )
-
     groups: dict[frozenset[int], list[tuple[tuple[int, ...], Vec]]] = {}
     for signs, sample in cells:
-        inv = invariant_at(sample)
+        inv = _meeting_set(images, sample)
         if not inv:
             raise InternalConsistencyError(
                 f"quotient direction {sample} lies in no projected cone interior"
@@ -254,7 +252,7 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
             )
         for signs, sample in cells:
             if cone.contains_in_relint(sample):
-                if invariant_at(sample) != inv:
+                if _meeting_set(images, sample) != inv:
                     raise InternalConsistencyError(
                         f"quotient class with meeting set {sorted(inv)} is not "
                         f"convex: it contains direction {sample}"
@@ -296,22 +294,14 @@ def _cone_data(
     index: int,
 ) -> QuotientConeData:
     """The data of quotient cone ``index``, which is ``kappa``."""
-    sample = _relint_sample_or_zero(kappa)
-    psi = proj.lift(sample)
-    meeting = set()
-    point_cones = []
-    for i, c in enumerate(fan.cones):
-        t = affine_slice_type(c, psi, sub)
-        if t != "empty":
-            meeting.add(i)
-        if t == "point":
-            point_cones.append(i)
+    meeting = _meeting_set(images, _relint_sample_or_zero(kappa))
+    point_cones = [i for i in sorted(meeting) if images[i].dim == fan.cones[i].dim]
     if not point_cones:
         raise InternalConsistencyError(
             f"quotient cone {index}: no cone meets the generic translate "
             "in a single point"
         )
-    cycle = tuple((i, multiplicity(fan, sub, i)) for i in sorted(point_cones))
+    cycle = tuple((i, multiplicity(fan, sub, i)) for i in point_cones)
 
     lattice: Optional[Sublattice] = None
     raw_cone: Optional[Cone] = None
@@ -332,8 +322,8 @@ def _cone_data(
     raw_restricted = intersect_cones(raw_cone, span_cone)
     raw_inside = kappa.contains_cone(raw_restricted)
     return QuotientConeData(
-        frozenset(meeting),
-        tuple(sorted(point_cones)),
+        meeting,
+        tuple(point_cones),
         cycle,
         monoid,
         lattice,

@@ -12,8 +12,9 @@ Double description, in exact integer arithmetic, is the only polyhedral
 algorithm.  It converts between the two descriptions, and it decides strict
 feasibility: :func:`_strict_sample` finds an integer point of
 ``{s.x > 0, e.x == 0}`` as the sum of the rays of its closure, or shows
-there is none.  Affine slice types, arrangement cells and (through a
-homogenised cone) fiber dimensions all reduce to it.  Every cone is interned
+there is none.  Arrangement cells and (through a homogenised cone) fiber
+dimensions reduce to it; affine slice types are read off the projected
+cone (:func:`affine_slice_type`).  Every cone is interned
 in one cache keyed by its canonical V-description, which is looked up before
 any conversion runs.
 """
@@ -36,6 +37,7 @@ from .intlinalg import (
     mat_vec,
     matrix_rank,
     primitive,
+    quotient_map,
     row_lattice_hnf,
     saturate,
     sublattice,
@@ -404,25 +406,19 @@ def _strict_sample(
 def affine_slice_type(c: Cone, psi: Sequence, sub: Sublattice) -> str:
     """Classify ``relint(c) ∩ (psi + span_R(sub))``.
 
-    Returns one of ``"empty"``, ``"point"``, ``"positive_dim"``.  The slice
-    ``psi + sum t_i b_i`` is homogenised by a variable ``s > 0`` and decided
-    by :func:`_strict_sample`; it is a point when the equations of ``c``
-    restricted to ``span(sub)`` have full rank.
+    Returns one of ``"empty"``, ``"point"``, ``"positive_dim"``.  With ``p``
+    the projection along ``span(sub)``, ``p(relint c) = relint p(c)``, so the
+    slice is nonempty exactly when ``p(psi)`` lies in the relative interior
+    of ``p(c)``; it is then an open piece of a translate of
+    ``span(c) ∩ span(sub)``, a point exactly when ``dim p(c) == dim c``.
     """
     if len(psi) != c.ambient_rank or sub.ambient_rank != c.ambient_rank:
         raise ValueError("dimension mismatch")
-    basis = sub.basis
-
-    def restrict(f: Vec) -> Vec:
-        return tuple(dot(f, b) for b in basis) + (dot(f, psi),)
-
-    eqs = [restrict(e) for e in c.equations]
-    strict = [restrict(h) for h in c.halfspaces]
-    strict.append(tuple(0 for _ in basis) + (1,))
-    if _strict_sample(strict, eqs, len(basis) + 1) is None:
+    proj = quotient_map(c.ambient_rank, saturate(sub))
+    image = image_cone(proj, c)
+    if not image.contains_in_relint(proj.apply(psi)):
         return "empty"
-    restricted = [e[:-1] for e in eqs]
-    return "point" if matrix_rank(restricted) == len(basis) else "positive_dim"
+    return "point" if image.dim == c.dim else "positive_dim"
 
 
 def fiber_dimension(c: Cone, matrix: Mat, value: Sequence) -> Optional[int]:
@@ -463,22 +459,18 @@ def facets(c: Cone) -> tuple[Cone, ...]:
 
 
 def all_faces(c: Cone) -> tuple[Cone, ...]:
-    """Every face of ``c``, including ``c`` itself and the zero cone."""
+    """Every face of ``c``, from ``c`` down through facets to its minimal
+    face: the zero cone, or the lineality space when ``c`` has lines."""
     seen = {c.key(): c}
     frontier = [c]
     while frontier:
         nxt = []
         for f in frontier:
-            if f.dim == 0:
-                continue
             for g in facets(f):
                 if g.key() not in seen:
                     seen[g.key()] = g
                     nxt.append(g)
         frontier = nxt
-    z = zero_cone(c.ambient_rank)
-    if z.key() not in seen:
-        seen[z.key()] = z
     return tuple(sorted(seen.values(), key=_cone_sort_key))
 
 

@@ -1,15 +1,16 @@
 """The universal family over a Chow quotient and its degenerate fibers.
 
 The family fan is the common refinement ``{p^{-1}(kappa) ∩ sigma}`` over all
-pairs of quotient and input cones; it is the terminal fan mapping to both
-the input fan and the quotient fan.  Its monoids are cut from the input
-monoids by the quotient stack monoids.  Over each quotient cone the family
-decomposes into a broken toric variety: components (cones mapping
-isomorphically), walls of relative dimension one (with one or two sections,
-a primitive direction in the acting sublattice, and a lattice-length
-gluing map), and higher-dimensional strata.  The components-and-walls graph
-is connected and the wall monoids carry product / fiber-product structure,
-all of which is verified element by element rather than assumed.
+pairs of quotient and input cones, built from the maximal pairs alone; it
+is the terminal fan mapping to both the input fan and the quotient fan.
+Its monoids are cut from the input monoids by the quotient stack monoids.
+Over each quotient cone the family decomposes into a broken toric variety:
+components (cones mapping isomorphically), walls of relative dimension one
+(with one or two sections, a primitive direction in the acting sublattice,
+and a lattice-length gluing map), and higher-dimensional strata.  The
+components-and-walls graph is connected and the wall monoids carry
+product / fiber-product structure, all of which is verified element by
+element rather than assumed.
 """
 
 from __future__ import annotations
@@ -81,29 +82,30 @@ class UniversalFamily:
 
 
 def universal_family(cq: ChowQuotient) -> UniversalFamily:
-    """Terminal refinement with its monoids and both verified morphisms."""
+    """Terminal refinement with its monoids and both verified morphisms.
+
+    Maximal pairs suffice: the faces of ``P ∩ Q`` are the ``F ∩ G`` with
+    ``F ≤ P`` and ``G ≤ Q``, and as ``p`` is surjective the faces of
+    ``p^{-1}(kappa)`` are the preimages of the faces of ``kappa``.
+    """
     fan, proj, gfan = cq.fan, cq.projection, cq.quotient_fan
     rank = fan.ambient_rank
     preimages = [preimage_cone(proj, kappa, rank) for kappa in gfan.cones]
-    collected = {}
-    pairs: dict = {}  # cone key -> the (base, host) pairs that produced it
-    for base, pre in enumerate(preimages):
-        for host, sigma in enumerate(fan.cones):
-            c = intersect_cones(pre, sigma)
-            collected[c.key()] = c
-            pairs.setdefault(c.key(), set()).add((base, host))
-    ffan = fan_from_cones(collected.values(), ambient_rank=rank)
-    if len(ffan.cones) != len(collected):
-        raise InternalConsistencyError(
-            "refinement cones are not closed under taking faces"
-        )
+    ffan = fan_from_cones(
+        (
+            intersect_cones(preimages[b], fan.cones[h])
+            for b in gfan.maximal_indices()
+            for h in fan.maximal_indices()
+        ),
+        ambient_rank=rank,
+    )
 
     provenance = []
     monoids = []
     for i, c in enumerate(ffan.cones):
         host = _host_index(fan, c, i)
         base = _base_index(cq, c, i)
-        if (base, host) not in pairs.get(c.key(), ()):
+        if intersect_cones(preimages[base], fan.cones[host]).key() != c.key():
             raise InternalConsistencyError(
                 f"family cone {i} does not match its provenance intersection "
                 f"(host {host}, base {base})"

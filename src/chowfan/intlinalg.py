@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -59,7 +60,7 @@ def vscale(c: int, a: Sequence[int]) -> Vec:
 
 
 def dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def is_zero(a: Sequence[int]) -> bool:

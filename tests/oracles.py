@@ -240,6 +240,33 @@ def grid_slice_nonempty(halfspaces, equations, psi, directions, steps=24, span=6
     return False
 
 
+def affine_slice_type_by_homogenisation(c, psi, sub):
+    """Classify ``relint(c) ∩ (psi + span_R(sub))`` by one strict-feasibility
+    test in the slice coordinates.
+
+    The slice ``psi + sum t_i b_i`` is homogenised by a variable ``s > 0``;
+    it is a point when the equations of ``c`` restricted to ``span(sub)``
+    have full rank.
+    """
+    from chowfan.cones import _strict_sample
+    from chowfan.intlinalg import matrix_rank
+
+    basis = sub.basis
+
+    def restrict(f):
+        return tuple(sum(a * x for a, x in zip(f, b)) for b in basis) + (
+            sum(a * x for a, x in zip(f, psi)),
+        )
+
+    eqs = [restrict(e) for e in c.equations]
+    strict = [restrict(h) for h in c.halfspaces]
+    strict.append(tuple(0 for _ in basis) + (1,))
+    if _strict_sample(strict, eqs, len(basis) + 1) is None:
+        return "empty"
+    restricted = [e[:-1] for e in eqs]
+    return "point" if matrix_rank(restricted) == len(basis) else "positive_dim"
+
+
 def segment_integer_points(a, b):
     """Integer points on the segment [a, b] inclusive."""
     diff = tuple(y - x for x, y in zip(a, b))
@@ -353,3 +380,18 @@ def hilbert_basis_by_tuple_sieve(c):
         if not reducible:
             basis.append((gx, x, hx))
     return tuple(sorted(x for _, x, _hx in basis))
+
+
+def refinement_all_pairs(cq):
+    """The common refinement ``{p^{-1}(kappa) ∩ sigma}`` over every pair of
+    quotient and input cones, as a dict from cone key to the set of
+    ``(host, base)`` pairs whose intersection it is."""
+    from chowfan.cones import intersect_cones, preimage_cone
+
+    rank = cq.fan.ambient_rank
+    out = {}
+    for base, kappa in enumerate(cq.quotient_fan.cones):
+        pre = preimage_cone(cq.projection, kappa, rank)
+        for host, sigma in enumerate(cq.fan.cones):
+            out.setdefault(intersect_cones(pre, sigma).key(), set()).add((host, base))
+    return out

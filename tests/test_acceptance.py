@@ -41,7 +41,7 @@ from chowfan import (
     wall_monoid_structure,
     wall_structure,
 )
-from chowfan.cones import all_faces, cone_from_halfspaces
+from chowfan.cones import _relint_sample_or_zero, all_faces, cone_from_halfspaces
 from chowfan.family import basic_monoid, lift_into_span
 from chowfan.intlinalg import dot, identity_matrix, mat_mul, mat_vec
 from chowfan.monoids import _hilbert_basis_full, restrict_to_face, saturated_monoid
@@ -267,14 +267,23 @@ def test_criterion_5_oracle_equivalences(corpus_families):
             checked += 1
         for k, data in enumerate(cq.cone_data):
             kappa = cq.quotient_fan.cones[k]
+            psi = cq.projection.lift(_relint_sample_or_zero(kappa))
+            types = [
+                oracles.affine_slice_type_by_homogenisation(c, psi, sub)
+                for c in fan.cones
+            ]
+            assert data.meeting_set == {i for i, t in enumerate(types) if t != "empty"}
+            assert point_fiber_cones(cq, k) == tuple(
+                i for i, t in enumerate(types) if t == "point"
+            )
             if kappa.is_zero():
                 continue
             for variant in range(10):
                 psi = cq.projection.lift(relative_interior_sample(kappa, variant))
                 assert meeting_cones(fan, sub, psi) == data.meeting_set
     assert checked >= 2
-    _announce("criterion 5: projected-ray wall oracle and tenfold "
-              "class-invariant resampling agree")
+    _announce("criterion 5: projected-ray wall oracle, homogenised slice "
+              "types and tenfold class-invariant resampling agree")
 
 
 def test_criterion_6_involutions_and_round_trips():
@@ -367,6 +376,15 @@ def test_fan_incidence_matches_oracles(corpus_families):
     _announce("fan incidence: validation, maximal cones, relative-interior "
               "lookup and morphism targets equal the all-pairs scans on the "
               "input, quotient and family fans")
+
+
+def test_refinement_matches_all_pairs(corpus_families):
+    for fan, sub, cq, fam in corpus_families:
+        pairs = oracles.refinement_all_pairs(cq)
+        assert {c.key() for c in fam.fan.cones} == set(pairs)
+        for c, prov in zip(fam.fan.cones, fam.provenance):
+            assert prov in pairs[c.key()]
+    _announce("refinement over maximal pairs equals the all-pairs refinement")
 
 
 def test_packed_sieve_matches_tuple_sieve_on_family_monoids(corpus_families):

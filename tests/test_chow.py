@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -131,17 +132,16 @@ class TestQuotientFan:
     ):
         import chowfan.chow
 
-        real = chowfan.chow.affine_slice_type
-        calls = []
+        real = chowfan.chow._meeting_set
 
-        def empty_over_third_cone(c, psi, sub):
-            calls.append(c)
-            # _cone_data scans every input cone once per quotient cone
-            if (len(calls) - 1) // len(p2.cones) == 2:
-                return "empty"
-            return real(c, psi, sub)
+        def empty_over_third_cone(images, v):
+            # only _cone_data names a quotient cone index
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "_cone_data" and caller.f_locals["index"] == 2:
+                return frozenset()
+            return real(images, v)
 
-        monkeypatch.setattr(chowfan.chow, "affine_slice_type", empty_over_third_cone)
+        monkeypatch.setattr(chowfan.chow, "_meeting_set", empty_over_third_cone)
         with pytest.raises(InternalConsistencyError, match="quotient cone 2: no cone"):
             chow_quotient(p2, l_horizontal)
 

@@ -229,6 +229,7 @@ class TestFeasibilityProperties:
         image = image_cone(p, c)
         meets = image.contains_in_relint(mat_vec(p.matrix, psi))
         t = affine_slice_type(c, psi, sub)
+        assert t == oracles.affine_slice_type_by_homogenisation(c, psi, sub)
         assert (t != "empty") == meets
         assert (t == "point") == (meets and image.dim == c.dim)
         if oracles.grid_slice_nonempty(c.halfspaces, c.equations, psi, sub.basis):
@@ -281,6 +282,13 @@ class TestFacesAndFans:
     def test_all_faces_count(self):
         q = cone_from_generators([(1, 0), (0, 1)])
         assert len(all_faces(q)) == 4  # cone, two rays, origin
+
+    @pytest.mark.parametrize("rays", [[], [(1, 0, 0)]], ids=["line", "half-plane"])
+    def test_all_faces_of_a_cone_with_lines(self, rays):
+        # the line through (0,0,1) is the minimal face; the zero cone is none
+        line = cone_from_generators([], [(0, 0, 1)], ambient_rank=3)
+        c = cone_from_generators(rays, line.lineality, ambient_rank=3)
+        assert all_faces(c) == ((line, c) if rays else (line,))
 
     def test_is_face_of(self):
         q = cone_from_generators([(1, 0), (0, 1)])

@@ -106,8 +106,12 @@ class TestRefinement:
             return real(a, b)
 
         monkeypatch.setattr(chowfan.family, "intersect_cones", counted)
-        universal_family(cq)
-        assert len(calls) == len(cq.quotient_fan.cones) * len(cq.fan.cones)
+        fam = universal_family(cq)
+        # one per maximal pair for the refinement, one per family cone for
+        # its provenance check
+        assert len(calls) == len(cq.quotient_fan.maximal_indices()) * len(
+            cq.fan.maximal_indices()
+        ) + len(fam.fan.cones)
 
 
 class TestHostCones:

@@ -160,10 +160,17 @@ class TestSaturatedMonoidProperties:
 
     @settings(deadline=None, max_examples=60)
     @given(rank3_cones, small_index_lattices)
+    # the line through (0,0,1), whose only face is itself
+    @example(cone_from_generators([], [(0, 0, 1)], ambient_rank=3), full_lattice(3))
+    # a half-plane with a line: itself and its line, no zero cone
+    @example(
+        cone_from_generators([(1, 0, 0)], [(0, 0, 1)]),
+        sublattice(3, [(2, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    )
     def test_faces_by_filtering_match_recomputation(self, c, lattice):
         m = saturated_monoid(c, lattice)
-        # all_faces lists the zero cone also when it is not a face (lineality)
-        for f in (f for f in all_faces(m.cone) if is_face_of(f, m.cone)):
+        for f in all_faces(m.cone):
+            assert is_face_of(f, m.cone)
             face = restrict_to_face(m, f)
             fresh = saturated_monoid(f, lattice)
             assert (face.hilbert_basis, face.units, face.group) == (
