@@ -40,7 +40,6 @@ from .intlinalg import (
     quotient_map,
     row_lattice_hnf,
     saturate,
-    sublattice,
     vadd,
     vec,
     vscale,
@@ -378,8 +377,17 @@ def _relint_sample_or_zero(c: Cone) -> Vec:
 
 
 def _span_lattice(c: Cone) -> Sublattice:
-    """The saturated lattice ``span_R(c) ∩ Z^r``."""
-    return saturate(sublattice(c.ambient_rank, c.generators + c.lineality))
+    """The saturated lattice ``span_R(c) ∩ Z^r``, computed once per cone.
+
+    ``c.equations`` is a saturated basis of ``span(c)^⊥``, so the span
+    lattice is its integer kernel, already in canonical HNF.  The result
+    is kept on the (frozen) cone.
+    """
+    span = getattr(c, "_span_cache", None)
+    if span is None:
+        span = Sublattice(c.ambient_rank, integer_kernel(c.equations, c.ambient_rank))
+        object.__setattr__(c, "_span_cache", span)
+    return span
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from .intlinalg import (
     lattice_intersection,
     preimage_lattice,
     row_lattice_hnf,
-    saturate,
     solve_rational,
     vadd,
     vscale,
@@ -102,6 +101,7 @@ def universal_family(cq: ChowQuotient) -> UniversalFamily:
 
     provenance = []
     monoids = []
+    lattices = {}  # base index -> preimage of its lift lattice
     for i, c in enumerate(ffan.cones):
         host = _host_index(fan, c, i)
         base = _base_index(cq, c, i)
@@ -111,9 +111,11 @@ def universal_family(cq: ChowQuotient) -> UniversalFamily:
                 f"(host {host}, base {base})"
             )
         provenance.append((host, base))
-        lift_lattice = cq.cone_data[base].lift_lattice
-        ambient_lattice = preimage_lattice(proj.matrix, rank, lift_lattice)
-        monoids.append(saturated_monoid(c, ambient_lattice))
+        lattice = lattices.get(base)
+        if lattice is None:
+            lift_lattice = cq.cone_data[base].lift_lattice
+            lattice = lattices[base] = preimage_lattice(proj.matrix, rank, lift_lattice)
+        monoids.append(saturated_monoid(c, lattice))
     datum = ToricStackDatum(rank, ffan, tuple(monoids))
 
     variety = variety_datum(fan)
@@ -160,15 +162,24 @@ def base_cone(fam: UniversalFamily, family_cone_index: int) -> int:
 
 
 def is_refinement_fixed_point(fam: UniversalFamily) -> bool:
-    """Re-running the refinement on the family fan must reproduce it."""
+    """Re-running the refinement on the family fan must reproduce it.
+
+    Maximal pairs suffice, by the face lemma of :func:`universal_family`:
+    the faces of the intersections of maximal quotient-cone preimages with
+    maximal family cones are all the pairwise intersections.
+    """
     proj = fam.chow.projection
     rank = fam.fan.ambient_rank
-    keys = set()
-    for kappa in fam.base.fan.cones:
-        pre = preimage_cone(proj, kappa, rank)
-        for c in fam.fan.cones:
-            keys.add(intersect_cones(pre, c).key())
-    return keys == {c.key() for c in fam.fan.cones}
+    gfan = fam.base.fan
+    refined = fan_from_cones(
+        (
+            intersect_cones(preimage_cone(proj, gfan.cones[b], rank), fam.fan.cones[i])
+            for b in gfan.maximal_indices()
+            for i in fam.fan.maximal_indices()
+        ),
+        ambient_rank=rank,
+    )
+    return {c.key() for c in refined.cones} == {c.key() for c in fam.fan.cones}
 
 
 def cones_over(fam: UniversalFamily, base_index: int, k: int) -> tuple[int, ...]:
@@ -543,6 +554,18 @@ class BasicMonoidPresentation:
 
 
 def basic_monoid(fam: UniversalFamily, base_index: int) -> BasicMonoidPresentation:
+    """The presentation over one base cone, built once and kept on the family."""
+    cache = getattr(fam, "_basic_cache", None)
+    if cache is None:
+        cache = {}
+        object.__setattr__(fam, "_basic_cache", cache)
+    pres = cache.get(base_index)
+    if pres is None:
+        pres = cache[base_index] = _basic_monoid(fam, base_index)
+    return pres
+
+
+def _basic_monoid(fam: UniversalFamily, base_index: int) -> BasicMonoidPresentation:
     comps = point_fiber_cones(fam.chow, base_index)
     rank = fam.fan.ambient_rank
     pos = {c: i for i, c in enumerate(comps)}
@@ -638,7 +661,7 @@ def tropical_moduli_cone(fam: UniversalFamily, base_index: int) -> Cone:
     coordinates canonically (independent of any basis orientation).
     """
     pres = basic_monoid(fam, base_index)
-    span = saturate(pres.monoid.group)
+    span = pres.monoid.group  # the span lattice of a saturated monoid
     if span.rank == 0:
         return cone_from_generators([], ambient_rank=0)
     coords = []

@@ -3,15 +3,16 @@
 The workhorse is :func:`saturated_monoid`: the monoid of lattice points of
 a cone, with its Hilbert basis computed by a pulling triangulation, an
 integer enumeration of each simplex's fundamental parallelepiped (one Smith
-form per simplex, no rational solve per point) and an irreducibility sieve
-that only tries reducers of at most half a candidate's grade, each try one
-big-int operation on halfspace values packed into guarded bit fields.  Its
-group is read off the lattice, not from the Hilbert basis.  The monoid on a
-face of its cone is filtered from its Hilbert basis, not recomputed
-(:func:`restrict_to_face`).  Monoids built from arbitrary generator sets
-(not necessarily saturated) are supported as long as they are pointed;
-their membership test is a bounded search driven by a strictly positive
-grading, so it always terminates.
+form per simplex, of its raw ray matrix: no saturation of its span, no
+change of coordinates and no rational solve per point) and an
+irreducibility sieve that only tries reducers of at most half a candidate's
+grade, each try one big-int operation on halfspace values packed into
+guarded bit fields.  Its group is read off the lattice, not from the
+Hilbert basis.  The monoid on a face of its cone is filtered from its
+Hilbert basis, not recomputed (:func:`restrict_to_face`).  Monoids built
+from arbitrary generator sets (not necessarily saturated) are supported as
+long as they are pointed; their membership test is a bounded search driven
+by a strictly positive grading, so it always terminates.
 
 Monoids with invertible elements (units) arise as duals of monoids that are
 not full-dimensional; they are represented by the unit lattice plus a
@@ -46,9 +47,7 @@ from .intlinalg import (
     mat_vec,
     quotient_map,
     row_lattice_hnf,
-    saturate,
     smith_normal_form,
-    sublattice,
     transpose,
     vadd,
     vec,
@@ -142,18 +141,19 @@ def _triangulate(c: Cone) -> list[tuple[Vec, ...]]:
     return out
 
 
-def _parallelepiped_points(simplex_rays: tuple[Vec, ...], rank: int) -> list[Vec]:
+def _parallelepiped_points(simplex_rays: tuple[Vec, ...]) -> list[Vec]:
     """Nonzero lattice points of the half-open parallelepiped of independent rays.
 
-    With ``C`` the rays in coordinates of their saturated span and Smith form
-    ``S = U @ C @ V``, the points are the classes ``z @ inv(V)`` of
-    ``Z^n / Z^n C`` for ``z`` in the box of the diagonal ``d``.  Their ray
-    coefficients are ``z @ inv(V) @ C^-1 = z @ (det/d) U / det``; taken
-    mod ``det`` they give the point ``sum(num_i r_i) / det`` in integers.
+    With ``R`` the ``n x r`` ray matrix and Smith form ``D = U @ R @ V``,
+    ``R = inv(U) @ diag(d) @ B`` for ``B`` the first ``n`` rows of
+    ``inv(V)``, a basis of the saturated span.  In that basis the rays have
+    coordinates ``C = inv(U) @ diag(d)``, whose Smith form is ``diag(d)``
+    with the same ``U``; so the points are the classes of ``z @ B`` modulo
+    the rays for ``z`` in the box of ``d``.  Their ray coefficients are
+    ``z @ inv(C) = z @ (det/d) U / det``; taken mod ``det`` they give the
+    point ``sum(num_i r_i) / det`` in integers.
     """
-    span = saturate(sublattice(rank, simplex_rays))
-    coords = tuple(coordinates_in(span.basis, r) for r in simplex_rays)
-    s, u, _ = smith_normal_form(coords)
+    s, u, _ = smith_normal_form(simplex_rays)
     diag = [s[i][i] for i in range(len(simplex_rays))]
     det = prod(diag)
     nums = [(0,) * len(diag)]
@@ -206,7 +206,7 @@ def _hilbert_basis_full(c: Cone) -> tuple[Vec, ...]:
         return ()
     candidates = set(c.generators)
     for simplex in _triangulate(c):
-        candidates.update(_parallelepiped_points(simplex, c.ambient_rank))
+        candidates.update(_parallelepiped_points(simplex))
     grading = _grading(c)
     halfspaces = c.halfspaces
     top = max(sum(dot(h, r) for r in c.generators) for h in halfspaces)

@@ -5,11 +5,14 @@ reduction, exhaustive search) and shares no code with the library paths it
 is used to check.  The fan oracles at the end are the all-pairs scans that
 fan incidence once used; they build on the library's cone primitives
 (containment, intersection, faces) but not on its fan-level incidence.
+The lattice oracles after them are the library's earlier span-lattice and
+parallelepiped routines, built on saturation and coordinates in a
+saturated span rather than on the cone's equations or one Smith form.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 
 def schoolbook_hnf(rows):
@@ -359,7 +362,7 @@ def hilbert_basis_by_tuple_sieve(c):
         return ()
     candidates = set(c.generators)
     for simplex in _triangulate(c):
-        candidates.update(_parallelepiped_points(simplex, c.ambient_rank))
+        candidates.update(_parallelepiped_points(simplex))
     grading = _grading(c)
 
     def value(h, x):
@@ -394,4 +397,52 @@ def refinement_all_pairs(cq):
         pre = preimage_cone(cq.projection, kappa, rank)
         for host, sigma in enumerate(cq.fan.cones):
             out.setdefault(intersect_cones(pre, sigma).key(), set()).add((host, base))
+    return out
+
+
+def refinement_fixed_point_all_pairs(fam):
+    """Refine the family fan by every (quotient-cone preimage, family cone)
+    pair and compare the resulting cone keys with the family fan's."""
+    from chowfan.cones import intersect_cones, preimage_cone
+
+    proj = fam.chow.projection
+    rank = fam.fan.ambient_rank
+    keys = set()
+    for kappa in fam.base.fan.cones:
+        pre = preimage_cone(proj, kappa, rank)
+        for c in fam.fan.cones:
+            keys.add(intersect_cones(pre, c).key())
+    return keys == {c.key() for c in fam.fan.cones}
+
+
+def span_lattice_by_saturation(c):
+    """``span_R(c) ∩ Z^r`` as the saturation of the HNF of the cone's
+    generators and lineality (an HNF and two integer kernels)."""
+    from chowfan.intlinalg import saturate, sublattice
+
+    return saturate(sublattice(c.ambient_rank, c.generators + c.lineality))
+
+
+def parallelepiped_points_by_span_coordinates(simplex_rays, rank):
+    """Nonzero lattice points of the half-open parallelepiped of independent
+    rays, from the Smith form of the rays' coordinates in an HNF basis of
+    their saturated span."""
+    from chowfan.intlinalg import coordinates_in, saturate, smith_normal_form, sublattice
+
+    span = saturate(sublattice(rank, simplex_rays))
+    coords = tuple(coordinates_in(span.basis, r) for r in simplex_rays)
+    s, u, _ = smith_normal_form(coords)
+    diag = [s[i][i] for i in range(len(simplex_rays))]
+    det = prod(diag)
+    nums = [(0,) * len(diag)]
+    for d, row in zip(diag, u):
+        step = det // d
+        nums = [tuple(x + a * step * y for x, y in zip(t, row)) for t in nums for a in range(d)]
+    out = []
+    for t in nums:
+        num = [x % det for x in t]
+        if any(num):
+            out.append(tuple(
+                sum(n * r[k] for n, r in zip(num, simplex_rays)) // det for k in range(rank)
+            ))
     return out

@@ -5,7 +5,9 @@ Each criterion prints one PASS line when it completes (run with ``-s`` to
 see them); any failure is a build-blocking defect.
 """
 
+import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -41,10 +43,22 @@ from chowfan import (
     wall_monoid_structure,
     wall_structure,
 )
-from chowfan.cones import _relint_sample_or_zero, all_faces, cone_from_halfspaces
+from chowfan.cli import parse_input
+from chowfan.cones import (
+    _relint_sample_or_zero,
+    _span_lattice,
+    all_faces,
+    cone_from_halfspaces,
+)
 from chowfan.family import basic_monoid, lift_into_span
-from chowfan.intlinalg import dot, identity_matrix, mat_mul, mat_vec
-from chowfan.monoids import _hilbert_basis_full, restrict_to_face, saturated_monoid
+from chowfan.intlinalg import dot, identity_matrix, mat_mul, mat_vec, saturate
+from chowfan.monoids import (
+    _hilbert_basis_full,
+    _parallelepiped_points,
+    _triangulate,
+    restrict_to_face,
+    saturated_monoid,
+)
 from chowfan.serialize import (
     decode_cone,
     decode_monoid,
@@ -57,6 +71,8 @@ from chowfan.verify import check_family_integral
 
 from conftest import check_fan_incidence, corpus, p2_fan, p1p1_fan
 import oracles
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def _announce(line):
@@ -387,17 +403,83 @@ def test_refinement_matches_all_pairs(corpus_families):
     _announce("refinement over maximal pairs equals the all-pairs refinement")
 
 
+def _lattice_coordinate_cone(m):
+    """The cone of a saturated monoid in coordinates of its lattice, as
+    saturated_monoid sieves it."""
+    basis = m.saturated_lattice.basis
+    return cone_from_halfspaces(
+        [tuple(dot(h, b) for b in basis) for h in m.cone.halfspaces],
+        [tuple(dot(e, b) for b in basis) for e in m.cone.equations],
+        len(basis),
+    )
+
+
+def _fixture_families():
+    out = []
+    for name in sorted(os.listdir(FIXTURES)):
+        with open(os.path.join(FIXTURES, name)) as f:
+            fan, sub, _ = parse_input(f.read())
+        out.append(universal_family(chow_quotient(fan, sub)))
+    return out
+
+
+def test_refinement_fixed_point_matches_all_pairs(corpus_families):
+    verdicts = []
+    for fam in [f for *_, f in corpus_families] + _fixture_families():
+        # the family itself, and the family with its fan replaced by the input fan
+        for candidate in (fam, replace(fam, datum=fam.variety)):
+            verdict = is_refinement_fixed_point(candidate)
+            assert verdict == oracles.refinement_fixed_point_all_pairs(candidate)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+    _announce("refinement fixed point over maximal pairs equals the all-pairs "
+              f"check on {len(verdicts) // 2} families and their unrefined input fans")
+
+
+def test_span_lattices_match_saturation_oracle(corpus_families):
+    count = 0
+    for fan, sub, cq, fam in corpus_families:
+        for f in (fan, cq.quotient_fan, fam.fan):
+            for c in f.cones:
+                assert _span_lattice(c) == oracles.span_lattice_by_saturation(c)
+                count += 1
+    _announce(f"span lattices from the cone equations equal the saturation "
+              f"oracle on all {count} input, quotient and family cones")
+
+
+def test_parallelepiped_points_match_span_coordinates_oracle(corpus_families):
+    count = 0
+    for fan, sub, cq, fam in corpus_families:
+        cones = [c for f in (fan, cq.quotient_fan, fam.fan) for c in f.cones]
+        # and the family cones as saturated_monoid triangulates them
+        cones += [_lattice_coordinate_cone(m) for m in fam.datum.monoids]
+        for c in cones:
+            if c.dim == 0:
+                continue
+            for simplex in _triangulate(c):
+                assert sorted(_parallelepiped_points(simplex)) == sorted(
+                    oracles.parallelepiped_points_by_span_coordinates(simplex, c.ambient_rank)
+                )
+                count += 1
+    _announce("parallelepiped points from one Smith form equal the "
+              f"span-coordinates oracle on all {count} simplices")
+
+
+def test_basic_monoid_groups_are_saturated(corpus_families):
+    count = 0
+    for fan, sub, cq, fam in corpus_families:
+        for k in range(len(fam.base.fan.cones)):
+            group = basic_monoid(fam, k).monoid.group
+            assert saturate(group) == group
+            count += 1
+    _announce(f"basic monoid groups are saturated on all {count} base cones")
+
+
 def test_packed_sieve_matches_tuple_sieve_on_family_monoids(corpus_families):
     count = 0
     for fan, sub, cq, fam in corpus_families:
         for m in fam.datum.monoids:
-            # the cone in coordinates of the monoid's lattice, as saturated_monoid sieves it
-            basis = m.saturated_lattice.basis
-            cy = cone_from_halfspaces(
-                [tuple(dot(h, b) for b in basis) for h in m.cone.halfspaces],
-                [tuple(dot(e, b) for b in basis) for e in m.cone.equations],
-                len(basis),
-            )
+            cy = _lattice_coordinate_cone(m)
             assert _hilbert_basis_full(cy) == oracles.hilbert_basis_by_tuple_sieve(cy)
             count += 1
     _announce(f"packed dominance sieve equals the tuple sieve on all {count} "

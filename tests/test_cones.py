@@ -219,6 +219,20 @@ saturated_sublattices = (
 )
 
 
+rank3_cones_with_lines = st.tuples(
+    st.lists(rank3_vectors.filter(any), max_size=4),
+    st.lists(rank3_vectors.filter(any), max_size=2),
+).map(lambda t: cone_from_generators(t[0], t[1], ambient_rank=3))
+
+
+class TestSpanLattice:
+    @settings(deadline=None, max_examples=150)
+    @given(rank3_cones_with_lines)
+    def test_matches_saturation_oracle(self, c):
+        for d in (c, dual_cone(c)):
+            assert cones._span_lattice(d) == oracles.span_lattice_by_saturation(d)
+
+
 class TestFeasibilityProperties:
     """Slice types and fiber dimensions against the projected cone."""
 
@@ -271,6 +285,21 @@ class TestInterning:
         assert facets(c) == faces
         assert all(is_face_of(f, c) for f in faces)
         assert calls == []
+
+    def test_span_lattice_runs_one_kernel_per_cone(self, monkeypatch):
+        a = dual_cone(cone_from_generators([(1, 0, 0), (1, 2, 0)]))
+        b = dual_cone(cone_from_generators([(1, 0, 0), (1, 2, 0)]))
+        calls = []
+        real = cones.integer_kernel
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cones, "integer_kernel", counted)
+        spans = [cones._span_lattice(c) for c in (a, a, b, a, b)]
+        assert len(calls) == 2
+        assert all(s == oracles.span_lattice_by_saturation(a) for s in spans)
 
     def test_cache_holds_one_entry_per_cone(self):
         cone_from_generators([(1, 0), (1, 2)])

@@ -113,6 +113,21 @@ class TestRefinement:
             cq.fan.maximal_indices()
         ) + len(fam.fan.cones)
 
+    def test_one_preimage_lattice_per_base_cone(self, monkeypatch):
+        import chowfan.family
+
+        cq = chow_quotient(p1p1_fan(), sublattice(2, [[1, 1]]))
+        real = chowfan.family.preimage_lattice
+        calls = []
+
+        def counted(matrix, rank, lattice):
+            calls.append(lattice)
+            return real(matrix, rank, lattice)
+
+        monkeypatch.setattr(chowfan.family, "preimage_lattice", counted)
+        fam = universal_family(cq)
+        assert len(calls) == len({base for _, base in fam.provenance}) < len(fam.fan.cones)
+
 
 class TestHostCones:
     def test_refined_cone_hosts(self):
@@ -323,6 +338,26 @@ class TestBasicMonoid:
         fam = _fam_p2()
         kzero = fam.base.fan.index_of(zero_cone(1))
         assert basic_monoid(fam, kzero).monoid.hilbert_basis == ()
+
+    def test_each_presentation_is_built_once(self, monkeypatch):
+        import chowfan.family as family
+        from chowfan.verify import check_basic_monoid
+
+        calls = []
+        real = family._basic_monoid
+
+        def counting(fam, base_index):
+            calls.append(base_index)
+            return real(fam, base_index)
+
+        monkeypatch.setattr(family, "_basic_monoid", counting)
+        fam = _fam_p1p1()
+        bases = range(len(fam.base.fan.cones))
+        for k in bases:
+            basic_monoid(fam, k)
+            tropical_moduli_cone(fam, k)
+            assert check_basic_monoid(fam, k).passed
+        assert sorted(calls) == list(bases)
 
 
 class TestTropicalCones:

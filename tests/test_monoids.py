@@ -12,12 +12,13 @@ from chowfan.cones import (
     is_face_of,
     zero_cone,
 )
-from chowfan.intlinalg import dot, full_lattice, sublattice
+from chowfan.intlinalg import dot, full_lattice, matrix_rank, sublattice
 from chowfan.monoids import (
     NotAFace,
     UnsupportedMonoid,
     _hilbert_basis_full,
     _packed_columns,
+    _parallelepiped_points,
     affine_monoid,
     dual_monoid,
     group_coordinates,
@@ -223,6 +224,25 @@ class TestPackedDominance:
     def test_packed_sieve_matches_tuple_sieve(self, c):
         assume(c.is_strictly_convex)
         assert _hilbert_basis_full(c) == oracles.hilbert_basis_by_tuple_sieve(c)
+
+
+# 1-3 linearly independent rank-3 vectors, entries in [-3, 3]
+rank3_simplices = st.lists(rank3_vectors, min_size=1, max_size=3).filter(
+    lambda rays: matrix_rank(rays) == len(rays)
+)
+
+
+class TestParallelepipeds:
+    @settings(deadline=None, max_examples=150)
+    @given(rank3_simplices)
+    @example([(1, 1, 0), (1, -1, 0)])
+    @example([(1, 2, 3), (2, -1, 3)])
+    @example([(2, 4, 6)])
+    def test_matches_span_coordinates_oracle(self, rays):
+        rays = tuple(rays)
+        assert sorted(_parallelepiped_points(rays)) == sorted(
+            oracles.parallelepiped_points_by_span_coordinates(rays, 3)
+        )
 
 
 class TestMembership:
