@@ -54,10 +54,7 @@ from .monoids import (
     MonoidHom,
     NotAFace,
     UnsupportedMonoid,
-    affine_monoid,
     dual_monoid,
-    image_monoid,
-    is_saturated,
     member,
     monoid_from_cone,
     monoid_hom,

@@ -56,7 +56,7 @@ from .intlinalg import (
     saturate,
 )
 from .monoids import AffineMonoid, saturated_monoid
-from .stacks import InternalConsistencyError, ToricStackDatum
+from .stacks import InternalConsistencyError, ToricStackDatum, validate_stack_datum
 
 
 class InfiniteIndex(ValueError):
@@ -364,8 +364,6 @@ def quotient_monoid(cq: ChowQuotient, kappa_index: int) -> AffineMonoid:
 
 def chow_stack_datum(cq: ChowQuotient) -> ToricStackDatum:
     """Assemble the quotient stack datum and assert its validity."""
-    from .stacks import validate_stack_datum
-
     datum = ToricStackDatum(
         cq.projection.target_rank,
         cq.quotient_fan,

@@ -216,8 +216,6 @@ def _cmd_fiber(fam: UniversalFamily, cone_index: int, graph_out: Optional[str]) 
     if graph_out:
         with open(graph_out, "w") as fh:
             fh.write(dot)
-    from .serialize import encode_fiber_document
-
     return encode_fiber_document(fam, fc, pres, tropical, dot)
 
 

@@ -1,22 +1,21 @@
-"""Finitely generated submonoids of lattices and their Hilbert bases.
+"""Saturated affine monoids ``c ∩ L`` and their Hilbert bases.
 
-The workhorse is :func:`saturated_monoid`: the monoid of lattice points of
-a cone, with its Hilbert basis computed by a pulling triangulation, an
-integer enumeration of each simplex's fundamental parallelepiped (one Smith
-form per simplex, of its raw ray matrix: no saturation of its span, no
-change of coordinates and no rational solve per point) and an
-irreducibility sieve that only tries reducers of at most half a candidate's
-grade, each try one big-int operation on halfspace values packed into
-guarded bit fields.  Its group is read off the lattice, not from the
-Hilbert basis.  The monoid on a face of its cone is filtered from its
-Hilbert basis, not recomputed (:func:`restrict_to_face`).  Monoids built
-from arbitrary generator sets (not necessarily saturated) are supported as
-long as they are pointed; their membership test is a bounded search driven
-by a strictly positive grading, so it always terminates.
+Every monoid is the set of points of a lattice ``L`` in a rational cone
+``c``; membership is the two containment tests ``v ∈ c`` and ``v ∈ L``.
+The workhorse is :func:`saturated_monoid`: the Hilbert basis of ``c ∩ L``
+is computed by a pulling triangulation, an integer enumeration of each
+simplex's fundamental parallelepiped (one Smith form per simplex, of its
+raw ray matrix: no saturation of its span, no change of coordinates and no
+rational solve per point) and an irreducibility sieve that only tries
+reducers of at most half a candidate's grade, each try one big-int
+operation on halfspace values packed into guarded bit fields.  Its group
+is read off the lattice, not from the Hilbert basis.  The monoid on a face
+of its cone is filtered from its Hilbert basis, not recomputed
+(:func:`restrict_to_face`).
 
 Monoids with invertible elements (units) arise as duals of monoids that are
 not full-dimensional; they are represented by the unit lattice plus a
-canonical pointed generating set and are only built in saturated form.
+canonical pointed generating set.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .intlinalg import (
     coordinates_in,
     dot,
     full_lattice,
-    is_zero,
     lattice_intersection,
     mat_vec,
     quotient_map,
@@ -51,7 +49,6 @@ from .intlinalg import (
     transpose,
     vadd,
     vec,
-    vsub,
     zero_sublattice,
 )
 
@@ -61,17 +58,17 @@ class NotAFace(ValueError):
 
 
 class UnsupportedMonoid(ValueError):
-    """Raised for generator-defined monoids with invertible elements."""
+    """Raised when an operation needs a pointed monoid and got units."""
 
 
 @dataclass(frozen=True)
 class AffineMonoid:
-    """A finitely generated submonoid of Z^r in canonical form.
+    """The saturated monoid ``cone ∩ saturated_lattice`` in canonical form.
 
     ``hilbert_basis`` is the sorted tuple of irreducible elements of the
     pointed part; ``units`` is the lattice of invertible elements (the zero
-    lattice for pointed monoids).  Two monoids constructed through the
-    library's canonical paths are equal iff these fields coincide.
+    lattice for pointed monoids); ``group`` is the lattice they generate.
+    Two monoids are equal iff these fields coincide.
     """
 
     ambient_rank: int
@@ -79,8 +76,7 @@ class AffineMonoid:
     units: Sublattice
     cone: Cone = field(compare=False)
     group: Sublattice = field(compare=False)
-    # set when the monoid is exactly cone ∩ lattice; enables O(1) membership
-    saturated_lattice: Optional[Sublattice] = field(compare=False, default=None)
+    saturated_lattice: Sublattice = field(compare=False)
 
     @property
     def is_pointed(self) -> bool:
@@ -236,12 +232,14 @@ def saturated_monoid(c: Cone, lattice: Sublattice) -> AffineMonoid:
     rank = c.ambient_rank
     if lattice.ambient_rank != rank:
         raise ValueError("lattice has wrong ambient rank")
-    c2 = intersect_cones(c, _subspace_cone(lattice))
     basis = lattice.basis  # rows: coordinates y -> point y @ basis
     k = len(basis)
-    pulled_h = [tuple(dot(h, b) for b in basis) for h in c2.halfspaces]
-    pulled_e = [tuple(dot(e, b) for b in basis) for e in c2.equations]
+    pulled_h = [tuple(dot(h, b) for b in basis) for h in c.halfspaces]
+    pulled_e = [tuple(dot(e, b) for b in basis) for e in c.equations]
+    # the points y @ basis span span(lattice), so cy is c ∩ span(lattice); it
+    # has the dimension of c iff span(c) ⊆ span(lattice), the usual case
     cy = cone_from_halfspaces(pulled_h, pulled_e, k)
+    c2 = c if cy.dim == c.dim else intersect_cones(c, _subspace_cone(lattice))
     basis_t = transpose(basis)  # y @ basis == mat_vec(basis_t, y)
     if cy.lineality:
         units_y = Sublattice(k, cy.lineality)
@@ -272,72 +270,12 @@ def monoid_from_cone(c: Cone, lattice: Optional[Sublattice] = None) -> AffineMon
     return m
 
 
-def affine_monoid(rank: int, generators: Sequence[Sequence[int]]) -> AffineMonoid:
-    """Monoid generated by arbitrary integer vectors (must be pointed)."""
-    gens = [vec(g) for g in generators if not is_zero(g)]
-    cone = cone_from_generators(gens, ambient_rank=rank)
-    if cone.lineality:
-        raise UnsupportedMonoid(
-            "generator-defined monoids with invertible elements are not supported"
-        )
-    group = Sublattice(rank, row_lattice_hnf(gens))
-    grading = _grading(cone)
-    uniq = sorted(set(gens), key=lambda x: (dot(grading, x), x))
-    basis = []
-    for x in uniq:
-        gx = dot(grading, x)
-        smaller = [g for g in uniq if 0 < dot(grading, g) < gx]
-        reducible = any(
-            _member_search(vsub(x, g), uniq, cone, grading) for g in smaller
-        )
-        if not reducible:
-            basis.append(x)
-    return AffineMonoid(rank, tuple(sorted(basis)), zero_sublattice(rank), cone, group, None)
-
-
-def _member_search(v: Vec, gens: Sequence[Vec], cone: Cone, grading: Vec) -> bool:
-    """Decide membership in the monoid generated by ``gens`` (pointed)."""
-    if is_zero(v):
-        return True
-    if not cone.contains(v):
-        return False
-    memo: dict[Vec, bool] = {}
-    usable = [g for g in gens if not is_zero(g)]
-
-    def reach(x: Vec) -> bool:
-        if is_zero(x):
-            return True
-        known = memo.get(x)
-        if known is not None:
-            return known
-        memo[x] = False  # cycle guard; grading strictly decreases anyway
-        gx = dot(grading, x)
-        for g in usable:
-            if dot(grading, g) <= gx and cone.contains(vsub(x, g)) and reach(vsub(x, g)):
-                memo[x] = True
-                return True
-        return memo[x]
-
-    return reach(v)
-
-
 def member(m: AffineMonoid, v: Sequence[int]) -> bool:
-    """Exact membership test."""
+    """Exact membership test: ``v`` lies in the cone and in the lattice."""
     v = vec(v)
     if len(v) != m.ambient_rank:
         raise ValueError("vector has wrong length")
-    if m.saturated_lattice is not None:
-        return m.cone.contains(v) and m.saturated_lattice.contains(v)
-    if not m.is_pointed:
-        raise UnsupportedMonoid("membership for non-saturated monoids with units")
-    return _member_search(v, m.hilbert_basis, m.cone, m.grading())
-
-
-def image_monoid(matrix: Mat, m: AffineMonoid) -> AffineMonoid:
-    """Monoid generated by the images of the generators."""
-    target_rank = len(matrix)
-    gens = [mat_vec(matrix, g) for g in m.generators()]
-    return affine_monoid(target_rank, gens)
+    return m.cone.contains(v) and m.saturated_lattice.contains(v)
 
 
 def dual_monoid(m: AffineMonoid) -> AffineMonoid:
@@ -351,30 +289,19 @@ def group_coordinates(m: AffineMonoid) -> tuple[AffineMonoid, Mat]:
     Returns ``(monoid', basis)`` where ``basis`` rows span the group and a
     point ``y`` of the new monoid corresponds to ``y @ basis``.  Useful for
     forming ``Hom(m, N)`` faithfully when the group is a proper sublattice.
-    A saturated monoid (``saturated_lattice`` set) is cone ∩ group, so its
-    Hilbert basis and units are mapped through :func:`coordinates_in`;
-    otherwise the saturation is recomputed in the new coordinates.
+    The monoid is cone ∩ group, so its Hilbert basis and units are mapped
+    through :func:`coordinates_in`.
     """
     basis = m.group.basis
     k = len(basis)
     halfs = [tuple(dot(h, b) for b in basis) for h in m.cone.halfspaces]
     eqs = [tuple(dot(e, b) for b in basis) for e in m.cone.equations]
     cone = cone_from_halfspaces(halfs, eqs, k)
-    if m.saturated_lattice is None:
-        return saturated_monoid(cone, full_lattice(k)), basis
     units = Sublattice(k, row_lattice_hnf([coordinates_in(basis, u) for u in m.units.basis]))
     hb = tuple(sorted(
         _reduce_mod_units(coordinates_in(basis, g), units) for g in m.hilbert_basis
     ))
     return AffineMonoid(k, hb, units, cone, full_lattice(k), full_lattice(k)), basis
-
-
-def is_saturated(m: AffineMonoid) -> bool:
-    """True iff the monoid equals cone(m) ∩ group(m)."""
-    if m.saturated_lattice is not None:
-        return True
-    sat = saturated_monoid(m.cone, m.group)
-    return all(member(m, g) for g in sat.generators())
 
 
 def restrict_to_face(m: AffineMonoid, face: Cone) -> AffineMonoid:
@@ -385,17 +312,14 @@ def restrict_to_face(m: AffineMonoid, face: Cone) -> AffineMonoid:
     every summand does.  So its Hilbert basis is ``HB(M) ∩ F``, its units
     are those of ``M`` (``F`` contains the lineality space), and it is the
     saturated monoid ``F ∩ L`` with group ``span(F) ∩ L``.  Nothing is
-    recomputed but that group.  A generator-defined monoid is generated on
-    ``F`` by its generators on ``F``, for the same reason.
+    recomputed but that group.
     """
     if not is_face_of(face, m.cone):
         raise NotAFace(f"{face} is not a face of {m.cone}")
     picked = tuple(g for g in m.hilbert_basis if face.contains(g))
     lat = m.saturated_lattice
-    if lat is not None:
-        group = lattice_intersection(_span_lattice(face), lat)
-        return AffineMonoid(m.ambient_rank, picked, m.units, face, group, lat)
-    return affine_monoid(m.ambient_rank, picked)
+    group = lattice_intersection(_span_lattice(face), lat)
+    return AffineMonoid(m.ambient_rank, picked, m.units, face, group, lat)
 
 
 @dataclass(frozen=True)

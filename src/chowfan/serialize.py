@@ -14,7 +14,8 @@ from typing import Any
 
 from .cones import Cone, Fan, cone_from_generators, fan_from_cones
 from .intlinalg import Sublattice, row_lattice_hnf
-from .monoids import AffineMonoid, affine_monoid, saturated_monoid
+from .family import segment_length
+from .monoids import AffineMonoid, saturated_monoid
 from .stacks import ToricStackDatum
 
 FORMAT_VERSION = 1
@@ -139,17 +140,24 @@ def encode_monoid(m: AffineMonoid) -> dict:
 
 
 def decode_monoid(doc: dict, prefix: str = "") -> AffineMonoid:
-    """Monoid document found at JSON path ``prefix`` (the top level when empty)."""
+    """Monoid document found at JSON path ``prefix`` (the top level when empty).
+
+    The document must hold the Hilbert basis and units of a saturated
+    monoid, which is the cone they span intersected with the group they
+    generate; any other is refused.
+    """
     rank = strict_ints(require(doc, "ambient_rank", prefix), _at(prefix, "ambient_rank"))
-    basis = list(
-        strict_ints(require(doc, "hilbert_basis", prefix), _at(prefix, "hilbert_basis"), 2)
-    )
+    at = _at(prefix, "hilbert_basis")
+    basis = list(strict_ints(require(doc, "hilbert_basis", prefix), at, 2))
     units = list(strict_ints(doc.get("units", []), _at(prefix, "units"), 2))
-    if not units:
-        return affine_monoid(rank, basis)
-    # a monoid with units is stored in saturated form: cone ∩ group
     cone = cone_from_generators(basis, units, ambient_rank=rank)
-    return saturated_monoid(cone, Sublattice(rank, row_lattice_hnf(basis + units)))
+    m = saturated_monoid(cone, Sublattice(rank, row_lattice_hnf(basis + units)))
+    if list(m.hilbert_basis) != sorted(basis):
+        raise DocumentError(
+            f"{at}: not the Hilbert basis of a saturated monoid, "
+            f"which would be {_vectors(m.hilbert_basis)}"
+        )
+    return m
 
 
 def encode_datum(d: ToricStackDatum) -> dict:
@@ -246,8 +254,6 @@ def encode_wall(w) -> dict:
 
 
 def encode_fiber_document(fam, fc, pres, tropical, dot: str) -> dict:
-    from .family import segment_length
-
     q_basis = fam.chow.cone_data[fc.base_index].monoid.hilbert_basis
     internal = []
     for w in fc.internal_walls:

@@ -45,9 +45,6 @@ class ToricStackDatum:
     fan: Fan
     monoids: tuple[AffineMonoid, ...]
 
-    def monoid_at(self, cone_index: int) -> AffineMonoid:
-        return self.monoids[cone_index]
-
     def __post_init__(self):
         if len(self.monoids) != len(self.fan.cones):
             raise ValueError("one monoid per fan cone required")

@@ -6,7 +6,7 @@ Four checks, each returning a :class:`CheckReport`:
   as a bounded search.  A pass is always "pass up to the recorded degree
   bound"; a failure carries the identity that admits no witness.
 * ``check_reduced``: the family monoid surjects onto the base monoid over
-  every cone (fibers carry no nilpotents).
+  every cone (fibers carry no nilpotents), a set test on Hilbert bases.
 * ``check_equidimensional``: every family cone maps onto a base cone.
 * ``check_basic_monoid``: the presentation by component tuples and wall
   steps is isomorphic to the quotient monoid, via the two explicit maps
@@ -25,8 +25,16 @@ from .family import (
     presentation_tuple,
     presentation_value,
 )
-from .intlinalg import Mat, Vec, dot, is_zero, mat_vec, vadd, vsub
-from .monoids import AffineMonoid, MonoidHom, UnsupportedMonoid, member
+from .intlinalg import Mat, Vec, coordinates_in, dot, is_zero, mat_vec, vadd, vsub
+from .monoids import (
+    AffineMonoid,
+    MonoidHom,
+    UnsupportedMonoid,
+    dual_monoid,
+    group_coordinates,
+    member,
+    monoid_hom,
+)
 from .stacks import ToricStackDatum
 
 
@@ -121,12 +129,10 @@ def check_integral(h: MonoidHom, degree_bound: int = 8) -> CheckReport:
     if degree_bound < 1:
         raise ValueError(f"degree bound must be at least 1, got {degree_bound}")
     source, target = h.source, h.target
-    grading_s = source.grading()
-    grading_t = target.grading()
-    s_elems = _enumerate_elements(source, grading_s, degree_bound)
-    t_elems = _enumerate_elements(target, grading_t, degree_bound)
-    t_set = set(t_elems)
+    s_elems = _enumerate_elements(source, source.grading(), degree_bound)
     tables = _witness_tables(h, degree_bound)
+    _, t_elems, _ = tables
+    t_set = set(t_elems)
     params = (("degree_bound", degree_bound),)
     for a in range(len(s_elems)):
         for b in range(a + 1, len(s_elems)):
@@ -162,18 +168,28 @@ def reduced_report(
     base_assignment: Sequence[int],
     projection: Mat,
 ) -> CheckReport:
-    """Surjectivity of every family monoid onto its base monoid."""
-    from .monoids import affine_monoid
+    """Surjectivity of every family monoid onto its base monoid.
 
+    For a pointed target ``T`` and ``p(S) ⊆ T``, ``p(S) = T`` iff every
+    Hilbert-basis element of ``T`` is ``p(g)`` for a generator ``g`` of
+    ``S``: a Hilbert-basis element is irreducible, and a sum of nonzero
+    elements of a pointed monoid is nonzero.  The unhit basis elements are
+    the witnesses.  A target with units, or a generator mapping outside its
+    target, raises ``ValueError``.
+    """
     failures = []
     for i, m in enumerate(family_datum.monoids):
-        target = base_datum.monoids[base_assignment[i]]
-        image = affine_monoid(
-            base_datum.lattice_rank, [mat_vec(projection, g) for g in m.generators()]
-        )
-        for hb in target.generators():
-            if not member(image, hb):
-                failures.append((i, hb))
+        j = base_assignment[i]
+        target = base_datum.monoids[j]
+        if not target.is_pointed:
+            raise ValueError(f"base monoid {j} has units")
+        images = set()
+        for g in m.generators():
+            v = mat_vec(projection, g)
+            if not member(target, v):
+                raise ValueError(f"family monoid {i} maps {g} to {v} outside base monoid {j}")
+            images.add(v)
+        failures.extend((i, hb) for hb in target.hilbert_basis if hb not in images)
     if failures:
         return CheckReport("reduced", "fail", tuple(failures))
     return CheckReport("reduced", "pass", ())
@@ -196,9 +212,6 @@ def dual_projection_hom(fam: UniversalFamily, family_cone_index: int) -> MonoidH
     get their full duals.  Requires a full-dimensional family cone, whose
     base cone is then maximal, so both duals are pointed.
     """
-    from .intlinalg import coordinates_in
-    from .monoids import dual_monoid, group_coordinates, monoid_hom
-
     i = family_cone_index
     if fam.fan.cones[i].dim != fam.fan.ambient_rank:
         raise ValueError("the dual pairing needs a full-dimensional family cone")
@@ -232,11 +245,10 @@ def check_family_integral(fam: UniversalFamily, degree_bound: int = 8) -> tuple[
 
 def equidimensional_report(matrix: Mat, src: Fan, dst: Fan) -> CheckReport:
     """Every source cone must map onto (not merely into) a target cone."""
-    index = {c.key(): i for i, c in enumerate(dst.cones)}
     failures = []
     for i, c in enumerate(src.cones):
         img = image_cone(matrix, c)
-        if img.key() not in index:
+        if img not in dst:
             failures.append((i, img.generators, img.lineality))
     if failures:
         return CheckReport("equidimensional", "fail", tuple(failures))

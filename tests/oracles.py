@@ -7,7 +7,11 @@ fan incidence once used; they build on the library's cone primitives
 (containment, intersection, faces) but not on its fan-level incidence.
 The lattice oracles after them are the library's earlier span-lattice and
 parallelepiped routines, built on saturation and coordinates in a
-saturated span rather than on the cone's equations or one Smith form.
+saturated span rather than on the cone's equations or one Smith form.  The
+membership search at the end decides membership in a monoid given by
+generators, which need not be saturated, and the surjectivity check built
+on it tests each base basis element for a representation by projected
+generators.
 """
 
 from fractions import Fraction
@@ -445,4 +449,57 @@ def parallelepiped_points_by_span_coordinates(simplex_rays, rank):
             out.append(tuple(
                 sum(n * r[k] for n, r in zip(num, simplex_rays)) // det for k in range(rank)
             ))
+    return out
+
+
+def member_by_search(v, gens, cone, grading):
+    """Is ``v`` a sum of ``gens``?  A recursive search inside ``cone``.
+
+    ``cone`` must contain the monoid generated by ``gens``, and ``grading``
+    must be strictly positive on the nonzero generators, so every step
+    lowers the grade and the search terminates.
+    """
+    v = tuple(v)
+    if not any(v):
+        return True
+    if not cone.contains(v):
+        return False
+    memo = {}
+    usable = [tuple(g) for g in gens if any(g)]
+
+    def grade(x):
+        return sum(a * b for a, b in zip(grading, x))
+
+    def reach(x):
+        if not any(x):
+            return True
+        known = memo.get(x)
+        if known is not None:
+            return known
+        memo[x] = False  # cycle guard; the grade strictly decreases anyway
+        for g in usable:
+            rest = tuple(a - b for a, b in zip(x, g))
+            if grade(g) <= grade(x) and cone.contains(rest) and reach(rest):
+                memo[x] = True
+                return True
+        return memo[x]
+
+    return reach(v)
+
+
+def reduced_witnesses_by_search(family_datum, base_datum, base_assignment, projection):
+    """``(i, hb)`` for every basis element ``hb`` of the base monoid of
+    family cone ``i`` that is no sum of projected generators of that
+    cone's monoid, found by :func:`member_by_search` (pointed bases)."""
+    out = []
+    for i, m in enumerate(family_datum.monoids):
+        target = base_datum.monoids[base_assignment[i]]
+        images = [
+            tuple(sum(a * b for a, b in zip(row, g)) for row in projection)
+            for g in m.generators()
+        ]
+        grading = target.grading()
+        for hb in target.hilbert_basis:
+            if not member_by_search(hb, images, target.cone, grading):
+                out.append((i, hb))
     return out

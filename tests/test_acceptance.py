@@ -67,7 +67,7 @@ from chowfan.serialize import (
     encode_monoid,
     encode_sublattice,
 )
-from chowfan.verify import check_family_integral
+from chowfan.verify import check_family_integral, reduced_report
 
 from conftest import check_fan_incidence, corpus, p2_fan, p1p1_fan
 import oracles
@@ -185,6 +185,14 @@ def test_criterion_4c_reduced_and_integral(corpus_families):
         assert reports and all(r.passed for r in reports)
     _announce("criterion 4c: reduced fibers and integrality (bound 8) on "
               "all corpus inputs")
+
+
+def test_reduced_report_matches_search_oracle(corpus_families):
+    for fan, sub, cq, fam in corpus_families:
+        args = (fam.datum, fam.base, [b for _, b in fam.provenance], cq.projection.matrix)
+        rep = reduced_report(*args)
+        expected = oracles.reduced_witnesses_by_search(*args)
+        assert (rep.passed, list(rep.witnesses)) == (not expected, expected)
 
 
 def test_criterion_4d_equidimensional(corpus_families):

@@ -27,7 +27,7 @@ from chowfan.serialize import (
 )
 from chowfan.intlinalg import NotSaturated, sublattice
 from chowfan.cones import cone_from_generators
-from chowfan.monoids import affine_monoid, dual_monoid, monoid_from_cone
+from chowfan.monoids import dual_monoid, monoid_from_cone
 from chowfan.stacks import variety_datum
 
 from conftest import corpus, p2_fan, p1p1_fan
@@ -502,8 +502,9 @@ class TestSerializeRoundTrips:
     def test_monoid_pointed(self):
         m = monoid_from_cone(cone_from_generators([(1, 0), (1, 2)]))
         assert decode_monoid(encode_monoid(m)) == m
-        g = affine_monoid(1, [(2,), (3,)])
-        assert decode_monoid(encode_monoid(g)) == g
+        # the semigroup <2, 3> is not saturated: its saturation adds 1
+        with pytest.raises(DocumentError, match=r"^hilbert_basis: .* \[\[1\]\]$"):
+            decode_monoid({"ambient_rank": 1, "hilbert_basis": [[2], [3]]})
 
     def test_monoid_with_units(self):
         d = dual_monoid(monoid_from_cone(cone_from_generators([(1, 0)], ambient_rank=2)))
@@ -513,3 +514,13 @@ class TestSerializeRoundTrips:
     def test_datum(self):
         d = variety_datum(p2_fan())
         assert decode_datum(encode_datum(d)) == d
+
+    def test_datum_names_the_refused_monoid(self):
+        # a ray's monoid <v> replaced by the semigroup <2v, 3v>
+        doc = encode_datum(variety_datum(p2_fan()))
+        i = next(k for k, m in enumerate(doc["monoids"]) if len(m["hilbert_basis"]) == 1)
+        (v,) = doc["monoids"][i]["hilbert_basis"]
+        doc["monoids"][i]["hilbert_basis"] = [[2 * x for x in v], [3 * x for x in v]]
+        with pytest.raises(DocumentError) as err:
+            decode_datum(doc)
+        assert str(err.value).startswith(f"monoids[{i}].hilbert_basis: ")

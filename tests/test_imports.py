@@ -1,7 +1,10 @@
-"""Every name a library module imports is used in that module.
+"""Every import of a library module is used, and every definition is named.
 
 A deletion that leaves its import behind fails here.  ``__init__.py`` is
-skipped: its imports are the package's re-exports.
+skipped: its imports are the package's re-exports.  A function, method or
+class of the library (dunders aside) that no code in ``src/``, ``tests/``
+or ``perfbench/`` names, by a name, an attribute or an import, is dead and
+fails too; a re-export in ``__init__.py`` counts, as public API.
 """
 
 import ast
@@ -9,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "chowfan"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "chowfan"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCANNED = [SRC / "*.py", ROOT / "tests" / "*.py", ROOT / "perfbench" / "*.py"]
 
 
 def _unused_imports(tree):
@@ -34,3 +39,53 @@ def test_every_import_is_used(path):
 def test_detects_an_unused_import():
     tree = ast.parse("from .cones import Cone, zero_cone\nimport os\nx: Cone = zero_cone(2)\n")
     assert _unused_imports(tree) == [(2, "os")]
+
+
+def _names(tree):
+    """Every identifier ``tree`` names, as a name, an attribute or an import."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def _unnamed_definitions(tree, names):
+    """``(line, name)`` of the definitions in ``tree`` missing from ``names``."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        (n.lineno, n.name)
+        for n in ast.walk(tree)
+        if isinstance(n, kinds)
+        and not (n.name.startswith("__") and n.name.endswith("__"))
+        and n.name not in names
+    )
+
+
+def test_every_definition_is_named():
+    named = set()
+    for pattern in SCANNED:
+        for path in pattern.parent.glob(pattern.name):
+            named |= _names(ast.parse(path.read_text()))
+    dead = {
+        path.name: _unnamed_definitions(ast.parse(path.read_text()), named)
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {k: v for k, v in dead.items() if v} == {}
+
+
+def test_detects_an_unnamed_definition():
+    lib = ast.parse(
+        "class A:\n"
+        "    def __repr__(self): return 'A'\n"
+        "    def used(self): pass\n"
+        "    def unused(self): pass\n"
+        "def helper(): pass\n"
+        "def orphan(): pass\n"
+    )
+    user = ast.parse("from lib import A, helper\nA().used()\nhelper()\n")
+    assert _unnamed_definitions(lib, _names(lib) | _names(user)) == [(4, "unused"), (6, "orphan")]

@@ -1,9 +1,13 @@
+import io
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import chowfan.monoids
+from chowfan.cli import run
 from chowfan.cones import (
     NotStrictlyConvex,
     all_faces,
@@ -15,15 +19,11 @@ from chowfan.cones import (
 from chowfan.intlinalg import dot, full_lattice, matrix_rank, sublattice
 from chowfan.monoids import (
     NotAFace,
-    UnsupportedMonoid,
     _hilbert_basis_full,
     _packed_columns,
     _parallelepiped_points,
-    affine_monoid,
     dual_monoid,
     group_coordinates,
-    image_monoid,
-    is_saturated,
     member,
     monoid_from_cone,
     monoid_hom,
@@ -74,7 +74,7 @@ class TestHilbertBases:
             m = monoid_from_cone(c)
             for b in m.hilbert_basis:
                 rest = [x for x in m.hilbert_basis if x != b]
-                assert not member(affine_monoid(2, rest), b)
+                assert not oracles.member_by_search(b, rest, m.cone, m.grading())
 
     def test_brute_force_agreement_small(self):
         # all monoid points of small grade are sums of basis elements
@@ -132,6 +132,10 @@ class TestSaturatedMonoidProperties:
 
     @settings(deadline=None, max_examples=60)
     @given(rank3_cones, small_index_lattices)
+    # a rank-2 lattice whose span meets the cone only in the ray (1,0,0)
+    @example(
+        cone_from_generators([(1, 0, 0), (0, 0, 1)]), sublattice(3, [(1, 0, 0), (0, 2, 0)])
+    )
     def test_group_and_cone_are_generated_by_basis_and_units(self, c, lattice):
         m = saturated_monoid(c, lattice)
         assert m.group == sublattice(3, list(m.hilbert_basis) + list(m.units.basis))
@@ -179,6 +183,24 @@ class TestSaturatedMonoidProperties:
             )
             assert face.cone.key() == fresh.cone.key()
             assert face.saturated_lattice == fresh.saturated_lattice
+
+
+@pytest.mark.parametrize(
+    "name", ["p1p1_diagonal.json", "p2_horizontal.json", "p2_weighted.json"]
+)
+def test_saturated_monoid_intersects_no_cones_on_fixtures(name, monkeypatch):
+    # every caller passes a cone inside the span of its lattice
+    calls = []
+    real = chowfan.monoids.intersect_cones
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(chowfan.monoids, "intersect_cones", counted)
+    path = Path(__file__).resolve().parent.parent / "fixtures" / name
+    assert run(["all", str(path)], stdout=io.StringIO()) == 0
+    assert calls == []
 
 
 def _fields(w):
@@ -261,24 +283,6 @@ class TestMembership:
                 m.hilbert_basis, v, bound=10
             )
 
-    def test_nonsaturated_monoid(self):
-        g = affine_monoid(1, [(2,), (3,)])
-        assert member(g, (5,)) and member(g, (2,)) and member(g, (0,))
-        assert not member(g, (1,))
-
-
-class TestSaturation:
-    def test_cone_monoids_saturated(self):
-        for fan in (p2_fan(), p1p1_fan()):
-            for c in fan.cones:
-                assert is_saturated(monoid_from_cone(c))
-
-    def test_gap_monoid_not_saturated(self):
-        assert not is_saturated(affine_monoid(1, [(2,), (3,)]))
-
-    def test_even_monoid_saturated_in_its_group(self):
-        assert is_saturated(affine_monoid(1, [(2,)]))
-
 
 class TestDuals:
     def test_self_dual(self):
@@ -323,12 +327,6 @@ class TestDuals:
 
 
 class TestImagesAndFaces:
-    def test_image_examples(self):
-        ray = monoid_from_cone(cone_from_generators([(0, 1)], ambient_rank=2))
-        assert image_monoid(((0, 1),), ray).hilbert_basis == ((1,),)
-        m = monoid_from_cone(cone_from_generators([(1, 0), (0, 1)]))
-        assert image_monoid(((0, 0),), m).hilbert_basis == ()
-
     def test_restrict_to_face_examples(self):
         m = monoid_from_cone(cone_from_generators([(1, 0), (0, 1)]))
         axis = cone_from_generators([(1, 0)], ambient_rank=2)
@@ -346,10 +344,6 @@ class TestImagesAndFaces:
                 m = monoid_from_cone(c)
                 for f in all_faces(c):
                     assert restrict_to_face(m, f) == monoid_from_cone(f)
-
-    def test_generated_with_units_rejected(self):
-        with pytest.raises(UnsupportedMonoid):
-            affine_monoid(1, [(1,), (-1,)])
 
 
 class TestHoms:

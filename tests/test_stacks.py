@@ -3,7 +3,7 @@ import pytest
 from chowfan.chow import chow_quotient, chow_stack_datum
 from chowfan.cones import cone_from_generators, fan_from_cones
 from chowfan.intlinalg import sublattice
-from chowfan.monoids import affine_monoid, monoid_from_cone
+from chowfan.monoids import monoid_from_cone, saturated_monoid
 from chowfan.stacks import (
     MonoidNotMapped,
     NotMaximalCone,
@@ -19,17 +19,14 @@ from conftest import p2_fan, p1p1_fan
 
 
 def _doubled(datum, only_max=True):
+    """Replace ``cone ∩ L`` by ``cone ∩ 2L``, whose Hilbert basis is doubled."""
     fan = datum.fan
     maximal = set(fan.maximal_indices())
     monoids = []
     for i, m in enumerate(datum.monoids):
         if (not only_max or i in maximal) and m.hilbert_basis:
-            monoids.append(
-                affine_monoid(
-                    datum.lattice_rank,
-                    [tuple(2 * x for x in g) for g in m.hilbert_basis],
-                )
-            )
+            twice = [tuple(2 * x for x in b) for b in m.saturated_lattice.basis]
+            monoids.append(saturated_monoid(m.cone, sublattice(datum.lattice_rank, twice)))
         else:
             monoids.append(m)
     return ToricStackDatum(datum.lattice_rank, fan, tuple(monoids))
@@ -55,7 +52,7 @@ class TestDatumValidation:
         monoids = list(variety_datum(fan).monoids)
         # replace the origin's monoid by something outside the zero cone
         zero_idx = next(i for i, c in enumerate(fan.cones) if c.dim == 0)
-        monoids[zero_idx] = affine_monoid(2, [(1, 0)])
+        monoids[zero_idx] = monoid_from_cone(cone_from_generators([(1, 0)], ambient_rank=2))
         rep = validate_stack_datum(ToricStackDatum(2, fan, tuple(monoids)))
         assert not rep.ok
         assert any("outside its cone" in v for v in rep.violations)
@@ -83,7 +80,7 @@ class TestStabilizers:
     def test_index_two_stabilizer(self):
         fan = fan_from_cones([cone_from_generators([(1,)])])
         monoids = tuple(
-            affine_monoid(1, [(2,)]) if c.dim == 1 else monoid_from_cone(c)
+            monoid_from_cone(c, sublattice(1, [(2,)])) if c.dim == 1 else monoid_from_cone(c)
             for c in fan.cones
         )
         d = ToricStackDatum(1, fan, monoids)

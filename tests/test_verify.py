@@ -1,10 +1,11 @@
 import pytest
 
+import chowfan.verify
 from chowfan.chow import chow_quotient
 from chowfan.cones import cone_from_generators
 from chowfan.family import universal_family
-from chowfan.intlinalg import sublattice, zero_sublattice
-from chowfan.monoids import affine_monoid, monoid_from_cone, monoid_hom
+from chowfan.intlinalg import sublattice, vadd, zero_sublattice
+from chowfan.monoids import dual_monoid, monoid_from_cone, monoid_hom, saturated_monoid
 from chowfan.stacks import ToricStackDatum
 from chowfan.verify import (
     check_basic_monoid,
@@ -19,6 +20,7 @@ from chowfan.verify import (
 )
 
 from conftest import p2_fan, p1p1_fan
+import oracles
 
 
 def _n(rank):
@@ -35,13 +37,12 @@ class TestIntegral:
         assert dict(rep.parameters)["degree_bound"] == 8
 
     def test_gap_inclusion_fails_with_witness(self):
-        h = monoid_hom(((1,),), affine_monoid(1, [(2,), (3,)]), _n(1))
+        # the addition map N^2 -> N, whose failure must replay
+        h = monoid_hom(((1, 1),), _n(2), _n(1))
         rep = check_integral(h, 8)
         assert rep.verdict == "fail"
         s1, s2, t1, t2 = rep.witnesses[0]
         # witness replay: the identity holds but admits no witness
-        from chowfan.intlinalg import vadd
-
         assert vadd(t1, h.apply(s1)) == vadd(t2, h.apply(s2))
         assert identity_has_witness(h, s1, s2, t1, t2, 16) is None
 
@@ -56,6 +57,19 @@ class TestIntegral:
         h = monoid_hom(((1,), (1,)), _n(1), _n(2))
         with pytest.raises(ValueError):
             check_integral(h, bound)
+
+    def test_target_enumerated_once(self, monkeypatch):
+        # the source up to the bound, and the witness tables' target and source
+        calls = []
+        real = chowfan.verify._enumerate_elements
+
+        def counted(m, grading, bound):
+            calls.append(bound)
+            return real(m, grading, bound)
+
+        monkeypatch.setattr(chowfan.verify, "_enumerate_elements", counted)
+        check_integral(monoid_hom(((1,), (1,)), _n(1), _n(2)), 4)
+        assert sorted(calls) == [4, 4, 8]
 
     def test_monotone_in_bound(self):
         h = monoid_hom(((1,), (1,)), _n(1), _n(2))
@@ -79,6 +93,13 @@ class TestIntegral:
             dual_projection_hom(fam, ray)
 
 
+def _doubled(m):
+    """The monoid ``cone ∩ 2L`` for ``m = cone ∩ L``: twice its Hilbert basis."""
+    lat = m.saturated_lattice
+    twice = [tuple(2 * x for x in b) for b in lat.basis]
+    return saturated_monoid(m.cone, sublattice(lat.ambient_rank, twice))
+
+
 class TestReduced:
     def test_fixture_families_pass(self):
         for fan, sub in [
@@ -89,19 +110,42 @@ class TestReduced:
             assert check_reduced(fam).passed
 
     def test_doubled_monoids_fail(self):
+        for fan, sub in [
+            (p2_fan(), sublattice(2, [[1, 0]])),
+            (p1p1_fan(), sublattice(2, [[1, 1]])),
+            (p2_fan(), sublattice(2, [[1, 2]])),
+        ]:
+            fam = universal_family(chow_quotient(fan, sub))
+            doubled = tuple(_doubled(m) for m in fam.datum.monoids)
+            assert all(
+                d.hilbert_basis == tuple(tuple(2 * x for x in g) for g in m.hilbert_basis)
+                for d, m in zip(doubled, fam.datum.monoids)
+            )
+            bad = ToricStackDatum(2, fam.fan, doubled)
+            args = (bad, fam.base, [b for _, b in fam.provenance], fam.chow.projection.matrix)
+            rep = reduced_report(*args)
+            assert rep.verdict == "fail"
+            assert rep.witnesses  # names the unhit basis element
+            assert list(rep.witnesses) == oracles.reduced_witnesses_by_search(*args)
+
+    def test_target_with_units_rejected(self):
+        line = monoid_from_cone(cone_from_generators([(1, 0)], ambient_rank=2))
+        units = dual_monoid(line)  # the half-plane x >= 0
+        assert not units.is_pointed
+        fan = p2_fan()
+        datum = ToricStackDatum(2, fan, tuple(units for _ in fan.cones))
+        with pytest.raises(ValueError, match="units"):
+            reduced_report(datum, datum, list(range(len(fan.cones))), ((1, 0), (0, 1)))
+
+    def test_escaping_generator_rejected(self):
         fam = universal_family(chow_quotient(p2_fan(), sublattice(2, [[1, 0]])))
-        doubled = tuple(
-            affine_monoid(2, [tuple(2 * x for x in g) for g in m.hilbert_basis])
-            if m.hilbert_basis
-            else m
-            for m in fam.datum.monoids
+        base = ToricStackDatum(
+            fam.base.lattice_rank, fam.base.fan, tuple(map(_doubled, fam.base.monoids))
         )
-        bad = ToricStackDatum(2, fam.fan, doubled)
-        rep = reduced_report(
-            bad, fam.base, [b for _, b in fam.provenance], fam.chow.projection.matrix
-        )
-        assert rep.verdict == "fail"
-        assert rep.witnesses  # names the unhit basis element
+        with pytest.raises(ValueError, match="outside base monoid"):
+            reduced_report(
+                fam.datum, base, [b for _, b in fam.provenance], fam.chow.projection.matrix
+            )
 
 
 class TestEquidimensional:
