@@ -9,26 +9,31 @@ A cone is stored with both descriptions in canonical form:
   literally a swap of the two description pairs.
 
 Double description, in exact integer arithmetic, is the only polyhedral
-algorithm.  It converts between the two descriptions, and it decides strict
-feasibility: :func:`_strict_sample` finds an integer point of
+algorithm.  One run converts either description into the other and reports
+which rays lie on which input constraints; the input side is made canonical
+from that incidence (:func:`_cone_by_incidence`), which each cone keeps, so
+faces, facets and pull-backs to a lattice need no run.  It also decides
+strict feasibility: :func:`_strict_sample` finds an integer point of
 ``{s.x > 0, e.x == 0}`` as the sum of the rays of its closure, or shows
 there is none.  Arrangement cells and (through a homogenised cone) fiber
 dimensions reduce to it; affine slice types are read off the projected
-cone (:func:`affine_slice_type`).  Every cone is interned
-in one cache keyed by its canonical V-description, which is looked up before
-any conversion runs.
+cone (:func:`affine_slice_type`).  Every cone is interned in one cache
+keyed by its canonical V-description, which is looked up before any
+canonicalisation runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .intlinalg import (
     Mat,
     Sublattice,
     Vec,
+    coordinates_in,
     dot,
     identity_matrix,
     integer_kernel,
@@ -83,18 +88,22 @@ def _reduce_mod_rows(v: Sequence[int], rows: Mat) -> Vec:
 
 def double_description(
     ineqs: Sequence[Sequence[int]], eqs: Sequence[Sequence[int]], rank: int
-) -> tuple[tuple[Vec, ...], Mat]:
-    """Extreme rays and lineality basis of ``{x : ineqs.x >= 0, eqs.x == 0}``.
+) -> tuple[tuple[Vec, ...], Mat, tuple[int, ...]]:
+    """Extreme rays, lineality basis and incidence of ``{x : ineqs.x >= 0, eqs.x == 0}``.
 
-    Returns ``(rays, lineality)`` where the rays are canonical primitive
-    representatives modulo the lineality space and the lineality basis is a
-    saturated HNF lattice basis.  Incremental insertion with the standard
-    combinatorial adjacency test keeps the ray set irredundant.
+    Returns ``(rays, lineality, tight)``: canonical primitive rays modulo
+    the lineality space, sorted; a saturated HNF lineality basis; and the
+    bitmask ``tight[k]`` of the inequalities vanishing on ``rays[k]`` (bit
+    ``i`` for ``ineqs[i]``).  Constraints are inserted one at a time, and
+    two rays combine only if adjacent, which their tight sets decide
+    (Fukuda & Prodon, "Double description method revisited", 1996): they
+    share at least ``d - 2`` of them, ``d`` the dimension of the current
+    cone modulo its lineality, and no third ray is tight on all shared ones.
     """
     lineality: list[Vec] = [tuple(r) for r in identity_matrix(rank)]
     rays: list[Vec] = []
-    zsets: list[frozenset[int]] = []  # per-ray indices of tight constraints
-    nproc = 0
+    tight: list[int] = []
+    pointed_dim = 0  # one per inequality that cut the lineality space
 
     def cut_lineality(h: Vec) -> Vec:
         """Slice the lineality space along h; returns the removed direction
@@ -122,63 +131,65 @@ def double_description(
         if not is_zero(e) and any(dot(e, l) != 0 for l in lineality):
             cut_lineality(e)
 
-    for h_raw in ineqs:
+    for i, h_raw in enumerate(ineqs):
         h = tuple(h_raw)
-        if is_zero(h):
-            continue
+        bit = 1 << i
         if any(dot(h, l) != 0 for l in lineality):
             l0 = cut_lineality(h)
-            # every old ray was projected into the hyperplane of h
-            zsets = [zs | {nproc} for zs in zsets]
+            # every old ray was projected into the hyperplane of h, and every
+            # prior constraint vanishes on l0
+            tight = [t | bit for t in tight]
             rays.append(l0)
-            zsets.append(frozenset(range(nproc)))
-            nproc += 1
+            tight.append(bit - 1)
+            pointed_dim += 1
             continue
         vals = [dot(h, r) for r in rays]
         if all(v >= 0 for v in vals):
-            zsets = [
-                zs | {nproc} if v == 0 else zs for zs, v in zip(zsets, vals)
-            ]
-            nproc += 1
+            tight = [t | bit if v == 0 else t for t, v in zip(tight, vals)]
             continue
-        plus = [i for i, v in enumerate(vals) if v > 0]
-        minus = [i for i, v in enumerate(vals) if v < 0]
-        new_rays = []
-        new_zsets = []
-        for i, v in enumerate(vals):
-            if v > 0:
-                new_rays.append(rays[i])
-                new_zsets.append(zsets[i])
-            elif v == 0:
-                new_rays.append(rays[i])
-                new_zsets.append(zsets[i] | {nproc})
-        for ip in plus:
+        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
+        new_tight = [t | bit if v == 0 else t for t, v in zip(tight, vals) if v >= 0]
+        minus = [k for k, v in enumerate(vals) if v < 0]
+        for ip, vp in enumerate(vals):
+            if vp <= 0:
+                continue
             for im in minus:
-                common = zsets[ip] & zsets[im]
-                if any(
-                    k != ip and k != im and common <= zsets[k]
-                    for k in range(len(rays))
-                ):
+                common = tight[ip] & tight[im]
+                if common.bit_count() < pointed_dim - 2:
+                    continue
+                # ip and im themselves are tight on common
+                if sum(t & common == common for t in tight) > 2:
                     continue
                 new_rays.append(
                     primitive(
-                        tuple(
-                            vals[ip] * x - vals[im] * y
-                            for x, y in zip(rays[im], rays[ip])
-                        )
+                        tuple(vp * x - vals[im] * y for x, y in zip(rays[im], rays[ip]))
                     )
                 )
-                new_zsets.append(common | {nproc})
+                new_tight.append(common | bit)
         rays = new_rays
-        zsets = new_zsets
-        nproc += 1
+        tight = new_tight
 
     lin_hnf = row_lattice_hnf(lineality)
     if lin_hnf:
         orth = integer_kernel(lin_hnf, rank)
         lin_hnf = integer_kernel(orth, rank) if orth else identity_matrix(rank)
-    canon = {primitive(_reduce_mod_rows(r, lin_hnf)) for r in rays}
-    return tuple(sorted(r for r in canon if not is_zero(r))), lin_hnf
+    canon: dict[Vec, int] = {}
+    for r, t in zip(rays, tight):
+        r = primitive(_reduce_mod_rows(r, lin_hnf))
+        if not is_zero(r):
+            canon[r] = t
+    out = tuple(sorted(canon))
+    return out, lin_hnf, tuple(canon[r] for r in out)
+
+
+def _transpose_masks(masks: Sequence[int], n: int) -> tuple[int, ...]:
+    """Incidence by columns: bit ``k`` of ``out[j]`` is bit ``j`` of ``masks[k]``."""
+    return tuple(sum(1 << k for k, m in enumerate(masks) if m >> j & 1) for j in range(n))
+
+
+def _select_bits(mask: int, picked: Sequence[int]) -> int:
+    """The bits of ``mask`` at positions ``picked``, renumbered ``0, 1, ...``."""
+    return sum(1 << n for n, k in enumerate(picked) if mask >> k & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +202,9 @@ class Cone:
 
     ``generators``/``lineality`` describe the cone itself, ``halfspaces``/
     ``equations`` are the extreme rays and lineality lattice of the dual
-    cone, i.e. a canonical irredundant H-description.
+    cone, i.e. a canonical irredundant H-description.  ``incidence[j]`` is
+    the bitmask of the generators on the hyperplane of ``halfspaces[j]``;
+    it is derived data, outside equality and :meth:`key`.
     """
 
     ambient_rank: int
@@ -199,6 +212,7 @@ class Cone:
     lineality: Mat
     halfspaces: tuple[Vec, ...]
     equations: Mat
+    incidence: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -244,16 +258,36 @@ class Cone:
 _cone_cache: dict = {}
 
 
-def _build_cone(rank: int, rays: tuple[Vec, ...], lines: Mat) -> Cone:
-    """Canonical cone from an already-reduced V-description."""
-    key = (rank, rays, lines)
-    cached = _cone_cache.get(key)
-    if cached is not None:
-        return cached
-    ineqs, eqs = double_description(rays, lines, rank)
-    cone = Cone(rank, rays, lines, ineqs, eqs)
-    _cone_cache[key] = cone
-    return cone
+def _intern(cone: Cone) -> Cone:
+    return _cone_cache.setdefault(cone.key(), cone)
+
+
+def _cone_by_incidence(
+    rank: int, rays: tuple[Vec, ...], lines: Mat, constraints: Sequence[Vec], tight: Sequence[int]
+) -> Cone:
+    """The cone with canonical rays and lines, its H-description read off
+    the incidence of some constraints.
+
+    The ``constraints`` are nonnegative on the cone, their zero sets
+    include every facet, and ``tight[i]`` is the bitmask of the rays on
+    which ``constraints[i]`` vanishes.  The facets are then the constraints
+    whose tight set is maximal among the proper ones, each reduced modulo
+    the equations ``integer_kernel(rays + lines)``.  On the dual cone this
+    turns an H-description into the canonical rays.
+    """
+    full = (1 << len(rays)) - 1
+    first: dict[int, int] = {}
+    for i, t in enumerate(tight):
+        if t != full:
+            first.setdefault(t, i)
+    equations = integer_kernel(rays + lines, rank)
+    facets = sorted(
+        (primitive(_reduce_mod_rows(constraints[i], equations)), t)
+        for t, i in first.items()
+        if not any(t != u and t & u == t for u in first)
+    )
+    halfspaces = tuple(h for h, _ in facets)
+    return Cone(rank, rays, lines, halfspaces, equations, tuple(t for _, t in facets))
 
 
 def cone_from_generators(
@@ -261,8 +295,11 @@ def cone_from_generators(
 ) -> Cone:
     """Cone generated by rays (and optional lines), canonicalized.
 
-    Input that already is the canonical data of an interned cone returns
-    that cone without running double description.
+    Input whose rays, made primitive, deduplicated and sorted, are with its
+    lines the canonical data of an interned cone returns that cone with no
+    double description.  Otherwise one double description gives the facet
+    normals, and the canonical rays are read off its incidence
+    (:func:`_cone_by_incidence` on the dual cone).
     """
     rays = tuple(vec(r) for r in rays)
     lines = tuple(vec(l) for l in lines)
@@ -276,25 +313,23 @@ def cone_from_generators(
     for v in rays + lines:
         if len(v) != ambient_rank:
             raise ValueError("generator of wrong length")
+    rays = tuple(sorted({primitive(r) for r in rays if not is_zero(r)}))
     cached = _cone_cache.get((ambient_rank, rays, lines))
     if cached is not None:
         return cached
     # dual H-description: functionals nonnegative on rays, zero on lines
-    dual_rays, dual_lin = double_description(rays, lines, ambient_rank)
-    # now rebuild the cone canonically from its own H-description
-    crays, clin = double_description(dual_rays, dual_lin, ambient_rank)
-    cone = Cone(ambient_rank, crays, clin, dual_rays, dual_lin)
-    cached = _cone_cache.get(cone.key())
-    if cached is not None:
-        return cached
-    _cone_cache[cone.key()] = cone
-    return cone
+    halfspaces, equations, on_facet = double_description(rays, lines, ambient_rank)
+    tight = _transpose_masks(on_facet, len(rays))
+    return _intern(dual_cone(_cone_by_incidence(ambient_rank, halfspaces, equations, rays, tight)))
 
 
 def cone_from_halfspaces(
     halfspaces: Sequence[Sequence[int]], equations: Sequence[Sequence[int]] = (), ambient_rank: Optional[int] = None
 ) -> Cone:
-    """Cone cut out by ``<h,x> >= 0`` and ``<e,x> == 0``, canonicalized."""
+    """Cone cut out by ``<h,x> >= 0`` and ``<e,x> == 0``, canonicalized: one
+    double description gives the canonical rays, and the facets are read
+    off its incidence (:func:`_cone_by_incidence`) unless already interned.
+    """
     halfspaces = [vec(h) for h in halfspaces]
     equations = [vec(e) for e in equations]
     if ambient_rank is None:
@@ -302,8 +337,12 @@ def cone_from_halfspaces(
         if not pool:
             raise ValueError("ambient_rank required for the full space")
         ambient_rank = len(pool[0])
-    rays, lin = double_description(halfspaces, equations, ambient_rank)
-    return _build_cone(ambient_rank, rays, lin)
+    rays, lin, on_ray = double_description(halfspaces, equations, ambient_rank)
+    cached = _cone_cache.get((ambient_rank, rays, lin))
+    if cached is not None:
+        return cached
+    tight = _transpose_masks(on_ray, len(halfspaces))
+    return _intern(_cone_by_incidence(ambient_rank, rays, lin, halfspaces, tight))
 
 
 def zero_cone(ambient_rank: int) -> Cone:
@@ -312,7 +351,8 @@ def zero_cone(ambient_rank: int) -> Cone:
 
 def dual_cone(c: Cone) -> Cone:
     """Polar dual ``{u : <u,x> >= 0 for all x in c}``; involutive."""
-    return Cone(c.ambient_rank, c.halfspaces, c.equations, c.generators, c.lineality)
+    incidence = _transpose_masks(c.incidence, len(c.generators))
+    return Cone(c.ambient_rank, c.halfspaces, c.equations, c.generators, c.lineality, incidence)
 
 
 def intersect_cones(a: Cone, b: Cone) -> Cone:
@@ -326,13 +366,11 @@ def intersect_cones(a: Cone, b: Cone) -> Cone:
 def image_cone(matrix_or_map, c: Cone) -> Cone:
     """Image of a cone under an integer matrix (rows act on column vectors)."""
     matrix = getattr(matrix_or_map, "matrix", matrix_or_map)
-    target_rank = len(matrix)
-    rays = [mat_vec(matrix, g) for g in c.generators]
     lines = [mat_vec(matrix, l) for l in c.lineality]
     return cone_from_generators(
-        [primitive(r) for r in rays if not is_zero(r)],
+        [mat_vec(matrix, g) for g in c.generators],
         [l for l in lines if not is_zero(l)],
-        ambient_rank=target_rank,
+        ambient_rank=len(matrix),
     )
 
 
@@ -350,6 +388,35 @@ def preimage_cone(matrix_or_map, c: Cone, source_rank: Optional[int] = None) -> 
     if not matrix:  # map to the rank-0 lattice: preimage is everything
         halfspaces, equations = [], []
     return cone_from_halfspaces(halfspaces, equations, source_rank)
+
+
+def _pull_back(c: Cone, basis: Mat) -> Cone:
+    """The cone ``{y : y @ basis in c}``, i.e. ``c ∩ span(basis)`` in the
+    coordinates of the HNF rows ``basis``.
+
+    When ``span(c) ⊆ span(basis)``, ``y -> y @ basis`` is an isomorphism
+    onto a space holding ``c``: the rays go to their coordinates (integral
+    after scaling by the product of the pivots), each halfspace ``h`` to
+    ``h ∘ basis``, with the incidence of ``c``, and no double description
+    runs.  Otherwise the pulled-back halfspaces are converted.
+    """
+    k = len(basis)
+    pulled_h = [tuple(dot(h, b) for b in basis) for h in c.halfspaces]
+    pulled_e = [tuple(dot(e, b) for b in basis) for e in c.equations]
+    scale = prod(next(x for x in row if x) for row in basis)
+    coords = [coordinates_in(basis, vscale(scale, g)) for g in c.generators + c.lineality]
+    if None in coords:
+        return cone_from_halfspaces(pulled_h, pulled_e, k)
+    lin = integer_kernel(pulled_h + pulled_e, k) if c.lineality else ()
+    n = len(c.generators)
+    moved = [primitive(_reduce_mod_rows(y, lin)) for y in coords[:n]]
+    order = sorted(range(n), key=moved.__getitem__)
+    rays = tuple(moved[j] for j in order)
+    cached = _cone_cache.get((k, rays, lin))
+    if cached is not None:
+        return cached
+    tight = [_select_bits(t, order) for t in c.incidence]
+    return _intern(_cone_by_incidence(k, rays, lin, pulled_h, tight))
 
 
 def relative_interior_sample(c: Cone, variant: int = 0) -> Vec:
@@ -404,7 +471,7 @@ def _strict_sample(
     in that relative interior; so it is nonempty exactly when every ``s`` is
     positive on the sum.
     """
-    rays, _ = double_description(strict, eqs, rank)
+    rays, _, _ = double_description(strict, eqs, rank)
     total = tuple(0 for _ in range(rank))
     for r in rays:
         total = vadd(total, r)
@@ -441,7 +508,7 @@ def fiber_dimension(c: Cone, matrix: Mat, value: Sequence) -> Optional[int]:
     ineqs.append(tuple(0 for _ in range(c.ambient_rank)) + (1,))
     eqs = [tuple(e) + (0,) for e in c.equations]
     eqs += [tuple(row) + (-v,) for row, v in zip(matrix, value)]
-    rays, lines = double_description(ineqs, eqs, c.ambient_rank + 1)
+    rays, lines, _ = double_description(ineqs, eqs, c.ambient_rank + 1)
     if all(r[-1] == 0 for r in rays):
         return None
     return matrix_rank(rays + lines) - 1
@@ -452,17 +519,22 @@ def fiber_dimension(c: Cone, matrix: Mat, value: Sequence) -> Optional[int]:
 
 
 def facets(c: Cone) -> tuple[Cone, ...]:
-    """The codimension-one faces of a strictly convex cone."""
+    """The codimension-one faces of ``c``, one per halfspace, in its order.
+
+    The generators on a halfspace, with the lineality, are already the
+    canonical V-description of its facet, and the halfspaces of ``c`` cut
+    out every facet of that facet; so the facet is read off the incidence
+    of ``c`` (:func:`_cone_by_incidence`) and no double description runs.
+    """
     out = []
-    seen = set()
-    for h in c.halfspaces:
-        # a subset of canonical generators with the same lineality is
-        # already the canonical description of the face
-        rays = tuple(g for g in c.generators if dot(h, g) == 0)
-        f = _build_cone(c.ambient_rank, rays, c.lineality)
-        if f.key() not in seen:
-            seen.add(f.key())
-            out.append(f)
+    for mask in c.incidence:
+        picked = [k for k in range(len(c.generators)) if mask >> k & 1]
+        rays = tuple(c.generators[k] for k in picked)
+        face = _cone_cache.get((c.ambient_rank, rays, c.lineality))
+        if face is None:
+            tight = [_select_bits(t, picked) for t in c.incidence]
+            face = _intern(_cone_by_incidence(c.ambient_rank, rays, c.lineality, c.halfspaces, tight))
+        out.append(face)
     return tuple(out)
 
 
@@ -486,13 +558,14 @@ def _smallest_face_key(c: Cone, vectors: Sequence[Sequence[int]]):
     """Key of the smallest face of ``c`` containing ``vectors`` (all in ``c``).
 
     That face is the zero locus of the halfspaces of ``c`` vanishing on every
-    vector; its canonical rays are the generators of ``c`` on that locus.
+    vector; its canonical rays are the generators of ``c`` on all of them,
+    the intersection of their incidence masks.
     """
-    w = tuple(0 for _ in range(c.ambient_rank))
-    for h in c.halfspaces:
+    mask = (1 << len(c.generators)) - 1
+    for h, t in zip(c.halfspaces, c.incidence):
         if all(dot(h, g) == 0 for g in vectors):
-            w = vadd(w, h)
-    rays = tuple(g for g in c.generators if dot(w, g) == 0)
+            mask &= t
+    rays = tuple(g for k, g in enumerate(c.generators) if mask >> k & 1)
     return (c.ambient_rank, rays, c.lineality)
 
 
@@ -542,8 +615,8 @@ class Fan:
 
         In a fan a cone inside another is a face of it, hence a facet of a
         cone in between; so on a fan these are the cones contained in no
-        other cone.  Facets are interned, so an interned fan runs no double
-        description here.  The result is computed once and kept on the fan.
+        other cone.  Facets are read off each cone's incidence, so no double
+        description runs here.  The result is computed once and kept on the fan.
         """
         out = getattr(self, "_maximal_cache", None)
         if out is None:

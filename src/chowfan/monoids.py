@@ -27,10 +27,11 @@ from typing import Optional, Sequence
 from .cones import (
     Cone,
     NotStrictlyConvex,
+    _pull_back,
     _span_lattice,
     cone_from_generators,
-    cone_from_halfspaces,
     dual_cone,
+    facets,
     intersect_cones,
     is_face_of,
 )
@@ -122,19 +123,18 @@ def _reduce_mod_units(v: Sequence[int], units: Sublattice) -> Vec:
 
 
 def _triangulate(c: Cone) -> list[tuple[Vec, ...]]:
-    """Pulling triangulation of a strictly convex cone into simplicial cones."""
+    """Pulling triangulation of a strictly convex cone into simplicial cones:
+    the first ray joined to a triangulation of each facet missing it."""
     rays = c.generators
     if len(rays) == c.dim:
         return [rays]
     v = rays[0]
-    out = []
-    for h in c.halfspaces:
-        if dot(h, v) > 0:
-            fr = tuple(r for r in rays if dot(h, r) == 0)
-            facet = cone_from_generators(fr, ambient_rank=c.ambient_rank)
-            for simplex in _triangulate(facet):
-                out.append(simplex + (v,))
-    return out
+    return [
+        simplex + (v,)
+        for facet in facets(c)
+        if v not in facet.generators
+        for simplex in _triangulate(facet)
+    ]
 
 
 def _parallelepiped_points(simplex_rays: tuple[Vec, ...]) -> list[Vec]:
@@ -223,10 +223,6 @@ def _hilbert_basis_full(c: Cone) -> tuple[Vec, ...]:
     return tuple(sorted(x for _, x, _px in basis))
 
 
-def _subspace_cone(s: Sublattice) -> Cone:
-    return cone_from_generators([], s.basis, ambient_rank=s.ambient_rank)
-
-
 def saturated_monoid(c: Cone, lattice: Sublattice) -> AffineMonoid:
     """The monoid ``c ∩ lattice`` (lineality allowed; units become explicit)."""
     rank = c.ambient_rank
@@ -234,12 +230,11 @@ def saturated_monoid(c: Cone, lattice: Sublattice) -> AffineMonoid:
         raise ValueError("lattice has wrong ambient rank")
     basis = lattice.basis  # rows: coordinates y -> point y @ basis
     k = len(basis)
-    pulled_h = [tuple(dot(h, b) for b in basis) for h in c.halfspaces]
-    pulled_e = [tuple(dot(e, b) for b in basis) for e in c.equations]
     # the points y @ basis span span(lattice), so cy is c ∩ span(lattice); it
-    # has the dimension of c iff span(c) ⊆ span(lattice), the usual case
-    cy = cone_from_halfspaces(pulled_h, pulled_e, k)
-    c2 = c if cy.dim == c.dim else intersect_cones(c, _subspace_cone(lattice))
+    # has the dimension of c iff span(c) ⊆ span(lattice), the usual case,
+    # and then it is c carried through the basis, with no double description
+    cy = _pull_back(c, basis)
+    c2 = c if cy.dim == c.dim else intersect_cones(c, cone_from_generators([], basis, rank))
     basis_t = transpose(basis)  # y @ basis == mat_vec(basis_t, y)
     if cy.lineality:
         units_y = Sublattice(k, cy.lineality)
@@ -290,13 +285,12 @@ def group_coordinates(m: AffineMonoid) -> tuple[AffineMonoid, Mat]:
     point ``y`` of the new monoid corresponds to ``y @ basis``.  Useful for
     forming ``Hom(m, N)`` faithfully when the group is a proper sublattice.
     The monoid is cone ∩ group, so its Hilbert basis and units are mapped
-    through :func:`coordinates_in`.
+    through :func:`coordinates_in`; the group spans the cone, which is
+    carried through the basis with no double description.
     """
     basis = m.group.basis
     k = len(basis)
-    halfs = [tuple(dot(h, b) for b in basis) for h in m.cone.halfspaces]
-    eqs = [tuple(dot(e, b) for b in basis) for e in m.cone.equations]
-    cone = cone_from_halfspaces(halfs, eqs, k)
+    cone = _pull_back(m.cone, basis)
     units = Sublattice(k, row_lattice_hnf([coordinates_in(basis, u) for u in m.units.basis]))
     hb = tuple(sorted(
         _reduce_mod_units(coordinates_in(basis, g), units) for g in m.hilbert_basis

@@ -147,9 +147,17 @@ def decode_monoid(doc: dict, prefix: str = "") -> AffineMonoid:
     generate; any other is refused.
     """
     rank = strict_ints(require(doc, "ambient_rank", prefix), _at(prefix, "ambient_rank"))
+    if rank < 0:
+        raise DocumentError(f"{_at(prefix, 'ambient_rank')}: expected a nonnegative integer, got {rank}")
     at = _at(prefix, "hilbert_basis")
     basis = list(strict_ints(require(doc, "hilbert_basis", prefix), at, 2))
     units = list(strict_ints(doc.get("units", []), _at(prefix, "units"), 2))
+    for field, rows in (("hilbert_basis", basis), ("units", units)):
+        for i, v in enumerate(rows):
+            if len(v) != rank:
+                raise DocumentError(
+                    f"{_at(prefix, field)}[{i}]: expected {rank} entries, got {len(v)}"
+                )
     cone = cone_from_generators(basis, units, ambient_rank=rank)
     m = saturated_monoid(cone, Sublattice(rank, row_lattice_hnf(basis + units)))
     if list(m.hilbert_basis) != sorted(basis):

@@ -76,18 +76,20 @@ def _enumerate_elements(m: AffineMonoid, grading: Vec, bound: int) -> list[Vec]:
 
 
 def _witness_tables(h: MonoidHom, bound: int):
-    """Precomputed element tables for repeated witness searches."""
+    """Precomputed element tables for repeated witness searches: the target
+    up to ``bound``, the source up to ``2 * bound`` (sorted by grade) and
+    the source elements by their image."""
     grading_t = h.target.grading()
     t_elems = _enumerate_elements(h.target, grading_t, bound)
     s_elems = _enumerate_elements(h.source, h.source.grading(), 2 * bound)
     by_value: dict[Vec, list[Vec]] = {}
     for s in s_elems:
         by_value.setdefault(h.apply(s), []).append(s)
-    return grading_t, t_elems, by_value
+    return grading_t, t_elems, by_value, s_elems
 
 
 def _witness_search(tables, s1, s2, t1, t2) -> Optional[tuple[Vec, Vec, Vec]]:
-    grading_t, t_elems, by_value = tables
+    grading_t, t_elems, by_value, _ = tables
     cap = min(dot(grading_t, t1), dot(grading_t, t2))
     for w in t_elems:
         if dot(grading_t, w) > cap:
@@ -125,13 +127,16 @@ def check_integral(h: MonoidHom, degree_bound: int = 8) -> CheckReport:
     a fresh search.  A pass is a pass up to the recorded bound; a failure
     reports the identity for which the witness search came up empty.  A
     bound below 1 would make the pass vacuous and raises ``ValueError``.
+    Each monoid is enumerated once: the source elements up to the bound
+    are filtered from the witness tables' source list.
     """
     if degree_bound < 1:
         raise ValueError(f"degree bound must be at least 1, got {degree_bound}")
     source, target = h.source, h.target
-    s_elems = _enumerate_elements(source, source.grading(), degree_bound)
     tables = _witness_tables(h, degree_bound)
-    _, t_elems, _ = tables
+    _, t_elems, _, s_witness = tables
+    grading_s = source.grading()
+    s_elems = [s for s in s_witness if dot(grading_s, s) <= degree_bound]
     t_set = set(t_elems)
     params = (("degree_bound", degree_bound),)
     for a in range(len(s_elems)):

@@ -11,7 +11,9 @@ saturated span rather than on the cone's equations or one Smith form.  The
 membership search at the end decides membership in a monoid given by
 generators, which need not be saturated, and the surjectivity check built
 on it tests each base basis element for a representation by projected
-generators.
+generators.  The cone oracles at the very end are the library's earlier
+canonicalisation, two double descriptions per cone, and incidence by dot
+products.
 """
 
 from fractions import Fraction
@@ -503,3 +505,32 @@ def reduced_witnesses_by_search(family_datum, base_datum, base_assignment, proje
             if not member_by_search(hb, images, target.cone, grading):
                 out.append((i, hb))
     return out
+
+
+def cone_by_two_conversions(vectors, subspace, rank, from_halfspaces=False):
+    """Canonical ``(generators, lineality, halfspaces, equations)`` of a cone
+    by two double descriptions, one to each side.
+
+    The cone is generated by the rays ``vectors`` and the lines
+    ``subspace``, or, with ``from_halfspaces``, cut out by the halfspaces
+    ``vectors`` and the equations ``subspace``.
+    """
+    from chowfan.cones import double_description
+
+    first, first_lin, _ = double_description(vectors, subspace, rank)
+    second, second_lin, _ = double_description(first, first_lin, rank)
+    if from_halfspaces:
+        return first, first_lin, second, second_lin
+    return second, second_lin, first, first_lin
+
+
+def incidence_by_dot_products(c):
+    """For each halfspace of ``c``, the bitmask of the generators it vanishes on."""
+    return tuple(
+        sum(
+            1 << k
+            for k, g in enumerate(c.generators)
+            if sum(a * b for a, b in zip(h, g)) == 0
+        )
+        for h in c.halfspaces
+    )

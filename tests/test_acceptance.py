@@ -45,6 +45,7 @@ from chowfan import (
 )
 from chowfan.cli import parse_input
 from chowfan.cones import (
+    _pull_back,
     _relint_sample_or_zero,
     _span_lattice,
     all_faces,
@@ -453,6 +454,41 @@ def test_span_lattices_match_saturation_oracle(corpus_families):
                 count += 1
     _announce(f"span lattices from the cone equations equal the saturation "
               f"oracle on all {count} input, quotient and family cones")
+
+
+def _cone_fields(c):
+    return c.generators, c.lineality, c.halfspaces, c.equations
+
+
+def test_cones_match_two_conversions_oracle(corpus_families):
+    count = 0
+    for fan, sub, cq, fam in corpus_families:
+        for f in (fan, cq.quotient_fan, fam.fan):
+            for c in f.cones:
+                faces = all_faces(c)
+                assert set(faces) <= set(f.cones)
+                rank = c.ambient_rank
+                fields = _cone_fields(c)
+                assert fields == oracles.cone_by_two_conversions(c.generators, c.lineality, rank)
+                assert fields == oracles.cone_by_two_conversions(
+                    c.halfspaces, c.equations, rank, from_halfspaces=True
+                )
+                assert c.incidence == oracles.incidence_by_dot_products(c)
+                count += 1
+        # the family cones carried into the coordinates of their lattices
+        for m in fam.datum.monoids:
+            basis = m.saturated_lattice.basis
+            pulled = _pull_back(m.cone, basis)
+            assert _cone_fields(pulled) == oracles.cone_by_two_conversions(
+                [tuple(dot(h, b) for b in basis) for h in m.cone.halfspaces],
+                [tuple(dot(e, b) for b in basis) for e in m.cone.equations],
+                len(basis),
+                from_halfspaces=True,
+            )
+            assert pulled.incidence == oracles.incidence_by_dot_products(pulled)
+            count += 1
+    _announce(f"one conversion plus incidence equals two conversions on all {count} "
+              "input, quotient and family cones and family lattice pull-backs")
 
 
 def test_parallelepiped_points_match_span_coordinates_oracle(corpus_families):

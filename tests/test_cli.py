@@ -139,6 +139,28 @@ class TestStrictIntegers:
                 {"fan": {"lattice_rank": 1, "cones": [{"rays": [[1.5]]}]}, "monoids": [], "lattice_rank": 1},
                 "fan.cones[0].rays[0][0]",
             ),
+            # shapes: a negative rank, vectors of the wrong length
+            (decode_monoid, {"ambient_rank": 2, "hilbert_basis": [[1]]}, "hilbert_basis[0]"),
+            (decode_monoid, {"ambient_rank": -1, "hilbert_basis": []}, "ambient_rank"),
+            (decode_monoid, {"ambient_rank": 1, "hilbert_basis": [[1]], "units": [[0, 1]]}, "units[0]"),
+            (
+                decode_datum,
+                {
+                    "fan": {"lattice_rank": 1, "cones": []},
+                    "monoids": [{"ambient_rank": 1, "hilbert_basis": [[1], [1, 0]]}],
+                    "lattice_rank": 1,
+                },
+                "monoids[0].hilbert_basis[1]",
+            ),
+            (
+                decode_datum,
+                {
+                    "fan": {"lattice_rank": 1, "cones": []},
+                    "monoids": [{"ambient_rank": -2, "hilbert_basis": []}],
+                    "lattice_rank": 1,
+                },
+                "monoids[0].ambient_rank",
+            ),
         ],
     )
     def test_decoders_reject_non_integers(self, decode, doc, location):

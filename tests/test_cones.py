@@ -41,6 +41,8 @@ from conftest import (
     random_complete_fan_rank2,
     random_complete_fan_rank3,
 )
+from chowfan.monoids import saturated_monoid
+
 import oracles
 
 
@@ -268,7 +270,134 @@ class TestFeasibilityProperties:
                 assert fiber_dimension(c, p.matrix, v) is None
 
 
+def _fields(c):
+    return c.generators, c.lineality, c.halfspaces, c.equations
+
+
+def _assert_matches_two_conversions(c):
+    """Both descriptions of ``c`` equal those of two double descriptions from
+    either side, and its incidence equals the dot-product incidence."""
+    rank = c.ambient_rank
+    assert _fields(c) == oracles.cone_by_two_conversions(c.generators, c.lineality, rank)
+    assert _fields(c) == oracles.cone_by_two_conversions(
+        c.halfspaces, c.equations, rank, from_halfspaces=True
+    )
+    assert c.incidence == oracles.incidence_by_dot_products(c)
+
+
+def _pulled(c, basis):
+    """The halfspaces and equations of ``c`` pulled back along ``y -> y @ basis``."""
+    return (
+        [tuple(dot(h, b) for b in basis) for h in c.halfspaces],
+        [tuple(dot(e, b) for b in basis) for e in c.equations],
+    )
+
+
+rank3_rays = st.lists(rank3_vectors, max_size=5)
+rank3_lines = st.lists(rank3_vectors, max_size=2)
+
+
+class TestOneConversion:
+    """Each cone from one double description and its incidence, against the
+    earlier two conversions."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(rank3_rays, rank3_lines)
+    # lower-dimensional, with a zero and a repeated ray
+    @example([(1, 0, 0), (0, 0, 0), (1, 1, 0), (1, 0, 0)], [])
+    # a ray in the lineality space, and a half-plane
+    @example([(0, 0, 2), (1, 0, 0)], [(0, 0, 1)])
+    def test_generators(self, rays, lines):
+        c = cone_from_generators(rays, lines, ambient_rank=3)
+        assert _fields(c) == oracles.cone_by_two_conversions(rays, lines, 3)
+        _assert_matches_two_conversions(c)
+
+    @settings(deadline=None, max_examples=150)
+    @given(rank3_rays, rank3_lines, rank3_lines)
+    # implicit equations: both h and -h among the halfspaces
+    @example([(1, 0, 0), (0, 1, 0), (-1, 1, 1)], [(1, -1, 0)], [])
+    @example([], [(0, 0, 1), (1, 1, 0)], [(1, 0, 0)])
+    def test_halfspaces(self, halfspaces, flats, equations):
+        # each vector of ``flats`` is given as h and as -h
+        halfspaces = halfspaces + [v for f in flats for v in (f, tuple(-x for x in f))]
+        c = cone_from_halfspaces(halfspaces, equations, ambient_rank=3)
+        expected = oracles.cone_by_two_conversions(halfspaces, equations, 3, from_halfspaces=True)
+        assert _fields(c) == expected
+        _assert_matches_two_conversions(c)
+
+    @settings(deadline=None, max_examples=100)
+    @given(rank3_cones_with_lines)
+    def test_faces_and_duals(self, c):
+        for f in all_faces(c) + all_faces(dual_cone(c)):
+            _assert_matches_two_conversions(f)
+        assert _fields(dual_cone(dual_cone(c))) == _fields(c)
+        assert dual_cone(dual_cone(c)).incidence == c.incidence
+
+    @settings(deadline=None, max_examples=150)
+    @given(rank3_cones_with_lines, st.lists(rank3_vectors, max_size=2), st.integers(1, 3))
+    # a lattice whose span misses the cone: the pull-back is c ∩ span
+    @example(cone_from_generators([(1, 0, 0), (0, 1, 1)]), [(1, 0, 0), (0, 1, 0)], 1)
+    def test_pull_back(self, c, extra, scale):
+        # a lattice of index scale^r in its span, which holds the cone unless
+        # the extra vectors span a plane and the cone leaves it
+        spanning = extra if len(extra) == 2 else list(c.generators + c.lineality) + extra
+        lattice = sublattice(3, [tuple(scale * x for x in v) for v in spanning])
+        basis = lattice.basis
+        expected = oracles.cone_by_two_conversions(
+            *_pulled(c, basis), len(basis), from_halfspaces=True
+        )
+        pulled = cones._pull_back(c, basis)
+        assert _fields(pulled) == expected
+        assert pulled.incidence == oracles.incidence_by_dot_products(pulled)
+
+
 class TestInterning:
+    @pytest.fixture
+    def dd_calls(self, monkeypatch):
+        """Double descriptions run from here on, with an empty cone cache."""
+        calls = []
+        real = cones.double_description
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cones, "double_description", counted)
+        monkeypatch.setattr(cones, "_cone_cache", {})
+        return calls
+
+    def test_new_cone_runs_one_double_description(self, dd_calls):
+        cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2), (0, 0, 1), (1, 1, 1)])
+        assert len(dd_calls) == 1
+        cone_from_generators([(1, 0, 0), (0, 1, 0)], [(1, 1, 1)])
+        assert len(dd_calls) == 2
+        cone_from_halfspaces([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 1), (1, 1, -1)])
+        assert len(dd_calls) == 3
+        cone_from_halfspaces([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 2, 3)])
+        assert len(dd_calls) == 4
+
+    def test_faces_run_no_double_description(self, dd_calls):
+        c = cone_from_generators([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 2, 0), (0, 0, 1, 1), (1, 0, 0, 1)])
+        line = cone_from_generators([(1, 1, 0, 0)], [(0, 0, 1, -1)])
+        del dd_calls[:]
+        assert len(cones._cone_cache) == 2  # no face is built yet
+        for cone in (c, line):
+            faces = all_faces(cone)
+            assert all(is_face_of(f, cone) for f in faces)
+            assert all(f in faces for f in facets(cone))
+        assert dd_calls == []
+        assert len(faces) == 2
+        for f in cones._cone_cache.values():
+            _assert_matches_two_conversions(f)
+
+    def test_pull_back_runs_no_double_description(self, dd_calls):
+        c = cone_from_generators([(1, 0, 0), (1, 2, 0), (0, 1, 0)])
+        plane = sublattice(3, [(1, 1, 0), (0, 2, 0)])  # spans z = 0, index 2
+        del dd_calls[:]
+        m = saturated_monoid(c, plane)
+        assert dd_calls == []
+        assert m.hilbert_basis == ((0, 2, 0), (1, 1, 0), (2, 0, 0))
+
     def test_interned_cone_runs_no_double_description(self, monkeypatch):
         c = cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2), (0, 0, 1)])
         faces = facets(c)
