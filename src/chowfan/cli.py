@@ -45,6 +45,7 @@ from .serialize import (
     FORMAT_VERSION,
     require,
     strict_ints,
+    strict_rank,
 )
 from .stacks import InternalConsistencyError, MonoidNotMapped, NotMaximalCone
 from .verify import (
@@ -125,9 +126,7 @@ def parse_input(text: str, allow_saturate: bool = False):
     version = strict_ints(doc.get("format_version", FORMAT_VERSION), "format_version")
     if version != FORMAT_VERSION:
         raise DocumentError(f"unsupported format_version {version}")
-    rank = strict_ints(require(doc, "lattice_rank"), "lattice_rank")
-    if rank < 0:
-        raise DocumentError(f"lattice_rank: expected a nonnegative integer, got {rank}")
+    rank = strict_rank(doc, "lattice_rank")
     cones = []
     for pos, gens in enumerate(strict_ints(require(doc, "maximal_cones"), "maximal_cones", 3)):
         try:

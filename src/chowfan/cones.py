@@ -43,6 +43,7 @@ from .intlinalg import (
     matrix_rank,
     primitive,
     quotient_map,
+    require_shape,
     row_lattice_hnf,
     saturate,
     vadd,
@@ -169,10 +170,7 @@ def double_description(
         rays = new_rays
         tight = new_tight
 
-    lin_hnf = row_lattice_hnf(lineality)
-    if lin_hnf:
-        orth = integer_kernel(lin_hnf, rank)
-        lin_hnf = integer_kernel(orth, rank) if orth else identity_matrix(rank)
+    lin_hnf = saturate(Sublattice(rank, row_lattice_hnf(lineality))).basis
     canon: dict[Vec, int] = {}
     for r, t in zip(rays, tight):
         r = primitive(_reduce_mod_rows(r, lin_hnf))
@@ -750,11 +748,13 @@ def check_fan_morphism(matrix_or_map, src: Fan, dst: Fan) -> FanMorphism:
     when it is a cone of ``dst``, else the cone whose relative interior holds
     a relative-interior point of the image (in a fan, any cone containing
     the image contains that one).  Raises :class:`NoTargetCone` naming the
-    first source cone whose image that cone does not contain.
+    first source cone whose image that cone does not contain, and
+    ``ValueError`` when the matrix is not target rank × source rank.
     """
     if not validate_fan(dst).ok:
         raise ValueError("the target of a fan morphism is not a valid fan")
-    matrix = getattr(matrix_or_map, "matrix", matrix_or_map)
+    matrix = mat(getattr(matrix_or_map, "matrix", matrix_or_map))
+    require_shape(matrix, dst.ambient_rank, src.ambient_rank)
     index = dst._index()
     assignment = []
     for i, c in enumerate(src.cones):
@@ -765,4 +765,4 @@ def check_fan_morphism(matrix_or_map, src: Fan, dst: Fan) -> FanMorphism:
         if j is None or not dst.cones[j].contains_cone(img):
             raise NoTargetCone(f"image of source cone {i} lies in no target cone")
         assignment.append(j)
-    return FanMorphism(mat(matrix), src, dst, tuple(assignment))
+    return FanMorphism(matrix, src, dst, tuple(assignment))

@@ -86,6 +86,13 @@ def mat(rows: Iterable[Iterable[int]]) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
+def require_shape(m: Mat, rows: int, cols: int) -> None:
+    """Raise ``ValueError`` unless ``m`` has ``rows`` rows of ``cols`` entries
+    (``zip`` would silently truncate a map of the wrong shape)."""
+    if len(m) != rows or any(len(r) != cols for r in m):
+        raise ValueError(f"expected a {rows} x {cols} matrix, got {m}")
+
+
 def identity_matrix(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

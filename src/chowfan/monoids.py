@@ -13,6 +13,13 @@ is read off the lattice, not from the Hilbert basis.  The monoid on a face
 of its cone is filtered from its Hilbert basis, not recomputed
 (:func:`restrict_to_face`).
 
+A map is tested by the same representation.  A saturated ``M = c ∩ L``
+spans ``c`` and generates the group ``span(c) ∩ L``, so a matrix ``A``
+sends ``M`` into ``M′ = c′ ∩ L′`` iff it sends the rays of ``c`` and both
+directions of its lineality into ``c′`` and a basis of ``M``'s group into
+``L′``: one cone test per ray or line direction and one lattice test per
+group basis vector, however large the Hilbert basis (:func:`monoid_hom`).
+
 Monoids with invertible elements (units) arise as duals of monoids that are
 not full-dimensional; they are represented by the unit lattice plus a
 canonical pointed generating set.
@@ -43,13 +50,16 @@ from .intlinalg import (
     dot,
     full_lattice,
     lattice_intersection,
+    mat,
     mat_vec,
     quotient_map,
+    require_shape,
     row_lattice_hnf,
     smith_normal_form,
     transpose,
     vadd,
     vec,
+    vscale,
     zero_sublattice,
 )
 
@@ -60,6 +70,16 @@ class NotAFace(ValueError):
 
 class UnsupportedMonoid(ValueError):
     """Raised when an operation needs a pointed monoid and got units."""
+
+
+class MonoidNotMapped(ValueError):
+    """A lattice map fails to carry a monoid into its target: it sends the
+    source generator ``generator`` to ``image``, outside the target."""
+
+    def __init__(self, message: str, generator: Vec, image: Vec):
+        super().__init__(message)
+        self.generator = generator
+        self.image = image
 
 
 @dataclass(frozen=True)
@@ -329,8 +349,27 @@ class MonoidHom:
 
 
 def monoid_hom(matrix: Sequence[Sequence[int]], source: AffineMonoid, target: AffineMonoid) -> MonoidHom:
-    mtx = tuple(vec(r) for r in matrix)
-    for g in source.generators():
-        if not member(target, mat_vec(mtx, g)):
-            raise ValueError(f"generator {g} does not map into the target monoid")
+    """The map ``matrix`` as a homomorphism from ``source`` into ``target``.
+
+    With ``source = c ∩ L`` and ``target = c′ ∩ L′``, ``A(c ∩ L) ⊆ c′ ∩ L′``
+    iff ``A`` sends the rays of ``c`` and both directions of its lineality
+    into ``c′``, and a basis of ``source.group`` into ``L′`` (if: the
+    monoid lies in ``c`` and in its group; only if: it spans ``c`` and
+    generates its group).  Only when this fails are the generators
+    scanned, for one whose image escapes (there is one, since they generate
+    the monoid), and :class:`MonoidNotMapped` names it.  A matrix that is
+    not target rank × source rank raises ``ValueError``.
+    """
+    mtx = mat(matrix)
+    require_shape(mtx, target.ambient_rank, source.ambient_rank)
+    c = source.cone
+    directions = c.generators + c.lineality + tuple(vscale(-1, l) for l in c.lineality)
+    if not (
+        all(target.cone.contains(mat_vec(mtx, r)) for r in directions)
+        and all(target.saturated_lattice.contains(mat_vec(mtx, b)) for b in source.group.basis)
+    ):
+        g = next(g for g in source.generators() if not member(target, mat_vec(mtx, g)))
+        raise MonoidNotMapped(
+            f"generator {g} does not map into the target monoid", g, mat_vec(mtx, g)
+        )
     return MonoidHom(mtx, source, target)

@@ -71,6 +71,26 @@ def strict_ints(value, path: str, depth: int = 0):
     return tuple(strict_ints(v, f"{path}[{i}]", depth - 1) for i, v in enumerate(value))
 
 
+def strict_rank(doc: dict, field: str, prefix: str = "") -> int:
+    """``doc[field]``, a nonnegative JSON integer; ``prefix`` locates ``doc``."""
+    at = _at(prefix, field)
+    rank = strict_ints(require(doc, field, prefix), at)
+    if rank < 0:
+        raise DocumentError(f"{at}: expected a nonnegative integer, got {rank}")
+    return rank
+
+
+def strict_vectors(value, path: str, rank: int) -> tuple:
+    """A list of integer vectors of ``rank`` entries each, found at the JSON
+    path ``path``; a vector of another length is refused at its path, e.g.
+    ``fan.cones[0].rays[0]``."""
+    rows = strict_ints(value, path, 2)
+    for i, v in enumerate(rows):
+        if len(v) != rank:
+            raise DocumentError(f"{path}[{i}]: expected {rank} entries, got {len(v)}")
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # core types
 
@@ -80,12 +100,8 @@ def encode_sublattice(s: Sublattice) -> dict:
 
 
 def decode_sublattice(doc: dict) -> Sublattice:
-    rank = strict_ints(require(doc, "ambient_rank"), "ambient_rank")
-    basis = strict_ints(require(doc, "basis"), "basis", 2)
-    for r in basis:
-        if len(r) != rank:
-            raise DocumentError("sublattice basis vector of wrong length")
-    return Sublattice(rank, row_lattice_hnf(basis))
+    rank = strict_rank(doc, "ambient_rank")
+    return Sublattice(rank, row_lattice_hnf(strict_vectors(require(doc, "basis"), "basis", rank)))
 
 
 def encode_cone(c: Cone) -> dict:
@@ -97,10 +113,11 @@ def encode_cone(c: Cone) -> dict:
 
 
 def decode_cone(doc: dict) -> Cone:
+    rank = strict_rank(doc, "ambient_rank")
     return cone_from_generators(
-        strict_ints(require(doc, "rays"), "rays", 2),
-        strict_ints(doc.get("lineality", []), "lineality", 2),
-        ambient_rank=strict_ints(require(doc, "ambient_rank"), "ambient_rank"),
+        strict_vectors(require(doc, "rays"), "rays", rank),
+        strict_vectors(doc.get("lineality", []), "lineality", rank),
+        ambient_rank=rank,
     )
 
 
@@ -117,14 +134,14 @@ def encode_fan(f: Fan) -> dict:
 
 def decode_fan(doc: dict, prefix: str = "") -> Fan:
     """Fan document found at JSON path ``prefix`` (the top level when empty)."""
-    rank = strict_ints(require(doc, "lattice_rank", prefix), _at(prefix, "lattice_rank"))
+    rank = strict_rank(doc, "lattice_rank", prefix)
     cones = []
     for i, cdoc in enumerate(require_list(doc, "cones", prefix)):
         at = _at(prefix, f"cones[{i}]")
         cones.append(
             cone_from_generators(
-                strict_ints(require(cdoc, "rays", at), f"{at}.rays", 2),
-                strict_ints(cdoc.get("lineality", []), f"{at}.lineality", 2),
+                strict_vectors(require(cdoc, "rays", at), f"{at}.rays", rank),
+                strict_vectors(cdoc.get("lineality", []), f"{at}.lineality", rank),
                 ambient_rank=rank,
             )
         )
@@ -146,18 +163,10 @@ def decode_monoid(doc: dict, prefix: str = "") -> AffineMonoid:
     monoid, which is the cone they span intersected with the group they
     generate; any other is refused.
     """
-    rank = strict_ints(require(doc, "ambient_rank", prefix), _at(prefix, "ambient_rank"))
-    if rank < 0:
-        raise DocumentError(f"{_at(prefix, 'ambient_rank')}: expected a nonnegative integer, got {rank}")
+    rank = strict_rank(doc, "ambient_rank", prefix)
     at = _at(prefix, "hilbert_basis")
-    basis = list(strict_ints(require(doc, "hilbert_basis", prefix), at, 2))
-    units = list(strict_ints(doc.get("units", []), _at(prefix, "units"), 2))
-    for field, rows in (("hilbert_basis", basis), ("units", units)):
-        for i, v in enumerate(rows):
-            if len(v) != rank:
-                raise DocumentError(
-                    f"{_at(prefix, field)}[{i}]: expected {rank} entries, got {len(v)}"
-                )
+    basis = list(strict_vectors(require(doc, "hilbert_basis", prefix), at, rank))
+    units = list(strict_vectors(doc.get("units", []), _at(prefix, "units"), rank))
     cone = cone_from_generators(basis, units, ambient_rank=rank)
     m = saturated_monoid(cone, Sublattice(rank, row_lattice_hnf(basis + units)))
     if list(m.hilbert_basis) != sorted(basis):
@@ -182,7 +191,7 @@ def decode_datum(doc: dict) -> ToricStackDatum:
         decode_monoid(m, f"monoids[{i}]")
         for i, m in enumerate(require_list(doc, "monoids"))
     )
-    return ToricStackDatum(strict_ints(require(doc, "lattice_rank"), "lattice_rank"), fan, monoids)
+    return ToricStackDatum(strict_rank(doc, "lattice_rank"), fan, monoids)
 
 
 # ---------------------------------------------------------------------------

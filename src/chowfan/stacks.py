@@ -19,15 +19,11 @@ from .intlinalg import (
     mat,
     mat_vec,
 )
-from .monoids import AffineMonoid, member, monoid_from_cone, restrict_to_face
+from .monoids import AffineMonoid, MonoidNotMapped, monoid_from_cone, monoid_hom, restrict_to_face
 
 
 class NotMaximalCone(ValueError):
     """Raised when an operation needs a maximal cone of the fan."""
-
-
-class MonoidNotMapped(ValueError):
-    """A lattice map fails to carry some cone's monoid into its target."""
 
 
 class InternalConsistencyError(RuntimeError):
@@ -121,19 +117,25 @@ def validate_stack_morphism(
     """Check a lattice map defines a morphism of stack data.
 
     Raises :class:`~chowfan.cones.NoTargetCone` when some cone has no image
-    cone and :class:`MonoidNotMapped` naming the failing generator when a
-    monoid escapes its target.
+    cone, and ``ValueError`` when the matrix is not target rank × source
+    rank.  Each monoid is tested against the monoid of its assigned cone
+    by :func:`~chowfan.monoids.monoid_hom`, on rays and group; when one
+    escapes, :class:`MonoidNotMapped` names the source cone, the target
+    cone and a generator that maps outside.
     """
     mtx = mat(matrix)
     fm = check_fan_morphism(mtx, src.fan, dst.fan)
     for i, m in enumerate(src.monoids):
-        target = dst.monoids[fm.cone_assignment[i]]
-        for g in m.generators():
-            if not member(target, mat_vec(mtx, g)):
-                raise MonoidNotMapped(
-                    f"generator {g} of the monoid at cone {i} does not map into "
-                    f"the monoid at target cone {fm.cone_assignment[i]}"
-                )
+        j = fm.cone_assignment[i]
+        try:
+            monoid_hom(mtx, m, dst.monoids[j])
+        except MonoidNotMapped as e:
+            raise MonoidNotMapped(
+                f"generator {e.generator} of the monoid at cone {i} does not map into "
+                f"the monoid at target cone {j}",
+                e.generator,
+                e.image,
+            ) from e
     return StackMorphism(mtx, src, dst, fm)
 
 

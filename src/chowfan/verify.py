@@ -29,6 +29,7 @@ from .intlinalg import Mat, Vec, coordinates_in, dot, is_zero, mat_vec, vadd, vs
 from .monoids import (
     AffineMonoid,
     MonoidHom,
+    MonoidNotMapped,
     UnsupportedMonoid,
     dual_monoid,
     group_coordinates,
@@ -142,7 +143,8 @@ def check_integral(h: MonoidHom, degree_bound: int = 8) -> CheckReport:
     for a in range(len(s_elems)):
         for b in range(a + 1, len(s_elems)):
             s1, s2 = s_elems[a], s_elems[b]
-            if member(source, vsub(s1, s2)) or member(source, vsub(s2, s1)):
+            # s1 - s2 lies in the source lattice, so only its cone can refuse it
+            if source.cone.contains(vsub(s1, s2)) or source.cone.contains(vsub(s2, s1)):
                 continue
             delta = vsub(h.apply(s1), h.apply(s2))
             witnessed: list[Vec] = []
@@ -150,7 +152,8 @@ def check_integral(h: MonoidHom, degree_bound: int = 8) -> CheckReport:
                 t2 = vadd(t1, delta)
                 if t2 not in t_set:
                     continue
-                if any(member(target, vsub(t1, t0)) for t0 in witnessed):
+                # t1 - t0 lies in the target lattice, so only its cone can refuse it
+                if any(target.cone.contains(vsub(t1, t0)) for t0 in witnessed):
                     continue
                 if _witness_search(tables, s1, s2, t1, t2) is None:
                     return CheckReport(
@@ -179,8 +182,10 @@ def reduced_report(
     Hilbert-basis element of ``T`` is ``p(g)`` for a generator ``g`` of
     ``S``: a Hilbert-basis element is irreducible, and a sum of nonzero
     elements of a pointed monoid is nonzero.  The unhit basis elements are
-    the witnesses.  A target with units, or a generator mapping outside its
-    target, raises ``ValueError``.
+    the witnesses.  ``p(S) ⊆ T`` is tested by
+    :func:`~chowfan.monoids.monoid_hom`, on rays and group; a target with
+    units, or a generator mapping outside its target, raises
+    ``ValueError``.
     """
     failures = []
     for i, m in enumerate(family_datum.monoids):
@@ -188,12 +193,13 @@ def reduced_report(
         target = base_datum.monoids[j]
         if not target.is_pointed:
             raise ValueError(f"base monoid {j} has units")
-        images = set()
-        for g in m.generators():
-            v = mat_vec(projection, g)
-            if not member(target, v):
-                raise ValueError(f"family monoid {i} maps {g} to {v} outside base monoid {j}")
-            images.add(v)
+        try:
+            monoid_hom(projection, m, target)
+        except MonoidNotMapped as e:
+            raise ValueError(
+                f"family monoid {i} maps {e.generator} to {e.image} outside base monoid {j}"
+            ) from e
+        images = {mat_vec(projection, g) for g in m.generators()}
         failures.extend((i, hb) for hb in target.hilbert_basis if hb not in images)
     if failures:
         return CheckReport("reduced", "fail", tuple(failures))
@@ -282,7 +288,8 @@ def check_basic_monoid(fam: UniversalFamily, base_index: int) -> CheckReport:
     witnesses = []
     for v in q_monoid.hilbert_basis:
         t = presentation_tuple(fam, pres, v)
-        if not member(pres.monoid, t):
+        # the presentation monoid's lattice is Z^total, so only its cone can refuse t
+        if not pres.monoid.cone.contains(t):
             witnesses.append(("lift_escapes_presentation", v, t))
             continue
         if presentation_value(fam, pres, t) != v:

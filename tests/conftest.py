@@ -14,7 +14,8 @@ from chowfan import (
     validate_fan,
     is_complete,
 )
-from chowfan.intlinalg import vadd
+from chowfan.intlinalg import mat_vec, vadd
+from chowfan.monoids import MonoidNotMapped, member, monoid_hom
 
 import oracles
 
@@ -191,4 +192,24 @@ def check_fan_incidence(fan: Fan) -> bool:
     probes += [vadd(a, b) for a, b in combinations(rays, 2)]
     for v in probes:
         assert fan.cone_containing_in_relint(v) == oracles.relint_cone_by_scan(fan, v)
+    return True
+
+
+def check_monoid_hom(matrix, source, target) -> bool:
+    """Assert that :func:`monoid_hom` agrees with the per-generator oracle.
+
+    Returns whether ``matrix`` maps ``source`` into ``target``.  On a
+    failure, the generator the error names must be one whose image really
+    escapes the target.
+    """
+    escape = oracles.monoid_map_escape_by_generators(matrix, source, target)
+    try:
+        monoid_hom(matrix, source, target)
+    except MonoidNotMapped as e:
+        assert escape is not None
+        assert e.generator in source.generators()
+        assert e.image == mat_vec(matrix, e.generator)
+        assert not member(target, e.image)
+        return False
+    assert escape is None
     return True

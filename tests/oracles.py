@@ -11,9 +11,11 @@ saturated span rather than on the cone's equations or one Smith form.  The
 membership search at the end decides membership in a monoid given by
 generators, which need not be saturated, and the surjectivity check built
 on it tests each base basis element for a representation by projected
-generators.  The cone oracles at the very end are the library's earlier
+generators.  The cone oracles after it are the library's earlier
 canonicalisation, two double descriptions per cone, and incidence by dot
-products.
+products.  The monoid-map oracle at the very end is the library's earlier
+test of a map of monoids, one membership test per generator, before the
+test by rays and group.
 """
 
 from fractions import Fraction
@@ -534,3 +536,14 @@ def incidence_by_dot_products(c):
         )
         for h in c.halfspaces
     )
+
+
+def monoid_map_escape_by_generators(matrix, source, target):
+    """The first generator of ``source`` that ``matrix`` sends outside
+    ``target``, by one membership test per generator, or None."""
+    from chowfan.monoids import member
+
+    for g in source.generators():
+        if not member(target, tuple(sum(a * b for a, b in zip(row, g)) for row in matrix)):
+            return g
+    return None

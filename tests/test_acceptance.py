@@ -68,9 +68,9 @@ from chowfan.serialize import (
     encode_monoid,
     encode_sublattice,
 )
-from chowfan.verify import check_family_integral, reduced_report
+from chowfan.verify import check_family_integral, dual_projection_hom, reduced_report
 
-from conftest import check_fan_incidence, corpus, p2_fan, p1p1_fan
+from conftest import check_fan_incidence, check_monoid_hom, corpus, p2_fan, p1p1_fan
 import oracles
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -194,6 +194,27 @@ def test_reduced_report_matches_search_oracle(corpus_families):
         rep = reduced_report(*args)
         expected = oracles.reduced_witnesses_by_search(*args)
         assert (rep.passed, list(rep.witnesses)) == (not expected, expected)
+
+
+def test_monoid_maps_match_per_generator_oracle(corpus_families):
+    verdicts = []
+    for fan, sub, cq, fam in corpus_families:
+        cases = [
+            (morphism.lattice_map, m, morphism.target.monoids[j])
+            for morphism in (fam.to_base, fam.to_target)
+            for m, j in zip(fam.datum.monoids, morphism.cone_assignment)
+        ]
+        for i, c in enumerate(fam.fan.cones):
+            if c.dim == fan.ambient_rank:
+                h = dual_projection_hom(fam, i)
+                cases.append((h.matrix, h.source, h.target))
+        for matrix, source, target in cases:
+            # the negated map sends every nonzero cone off its target
+            for mtx in (matrix, tuple(tuple(-x for x in row) for row in matrix)):
+                verdicts.append(check_monoid_hom(mtx, source, target))
+    assert True in verdicts and False in verdicts
+    _announce("monoid maps by rays and group agree with the per-generator test "
+              f"on {len(verdicts)} maps of the corpus families")
 
 
 def test_criterion_4d_equidimensional(corpus_families):

@@ -161,6 +161,23 @@ class TestStrictIntegers:
                 },
                 "monoids[0].ambient_rank",
             ),
+            (decode_sublattice, {"ambient_rank": 2, "basis": [[1]]}, "basis[0]"),
+            (decode_sublattice, {"ambient_rank": -1, "basis": []}, "ambient_rank"),
+            (decode_cone, {"ambient_rank": 2, "rays": [[1, 0, 0]]}, "rays[0]"),
+            (decode_cone, {"ambient_rank": 2, "rays": [], "lineality": [[1]]}, "lineality[0]"),
+            (decode_cone, {"ambient_rank": -1, "rays": []}, "ambient_rank"),
+            (decode_fan, {"lattice_rank": 2, "cones": [{"rays": [[1]]}]}, "cones[0].rays[0]"),
+            (decode_fan, {"lattice_rank": -1, "cones": []}, "lattice_rank"),
+            (
+                decode_datum,
+                {"fan": {"lattice_rank": 2, "cones": [{"rays": [[1]]}]}, "monoids": [], "lattice_rank": 2},
+                "fan.cones[0].rays[0]",
+            ),
+            (
+                decode_datum,
+                {"fan": {"lattice_rank": 1, "cones": [{"rays": [], "lineality": [[1, 1]]}]}, "monoids": [], "lattice_rank": 1},
+                "fan.cones[0].lineality[0]",
+            ),
         ],
     )
     def test_decoders_reject_non_integers(self, decode, doc, location):

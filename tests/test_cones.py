@@ -500,6 +500,11 @@ class TestFacesAndFans:
         with pytest.raises(NoTargetCone):
             check_fan_morphism(p, fan, target)
 
+    def test_fan_morphism_wrong_shape_refused(self):
+        fan = p2_fan()
+        with pytest.raises(ValueError, match="2 x 2 matrix"):
+            check_fan_morphism(((1, 0, 5), (0, 1, 7)), fan, fan)
+
     def test_fan_morphism_into_invalid_target_refused(self):
         src = fan_from_cones([cone_from_generators([(1, 0)], ambient_rank=2)])
         overlapping = fan_from_cones(

@@ -1,6 +1,7 @@
 import io
 import random
 from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import chowfan.monoids
 from chowfan.cli import run
 from chowfan.cones import (
+    Cone,
     NotStrictlyConvex,
     all_faces,
     cone_from_generators,
@@ -16,7 +18,7 @@ from chowfan.cones import (
     is_face_of,
     zero_cone,
 )
-from chowfan.intlinalg import dot, full_lattice, matrix_rank, sublattice
+from chowfan.intlinalg import Sublattice, dot, full_lattice, matrix_rank, sublattice
 from chowfan.monoids import (
     NotAFace,
     _hilbert_basis_full,
@@ -31,7 +33,7 @@ from chowfan.monoids import (
     saturated_monoid,
 )
 
-from conftest import p2_fan, p1p1_fan
+from conftest import check_monoid_hom, p2_fan, p1p1_fan
 import oracles
 
 
@@ -358,3 +360,80 @@ class TestHoms:
         dst = monoid_from_cone(cone_from_generators([(1, 0), (1, 2)]))
         with pytest.raises(ValueError):
             monoid_hom(((1, 0), (0, 1)), src, dst)
+
+    def test_wrong_shape_refused(self):
+        plane = monoid_from_cone(cone_from_generators([(1, 0), (0, 1)]))
+        line = monoid_from_cone(cone_from_generators([(1,)]))
+        with pytest.raises(ValueError, match="1 x 2 matrix"):
+            monoid_hom(((1,),), plane, line)
+
+    def test_matches_per_generator_oracle(self):
+        source = saturated_monoid(cone_from_generators([(1, 0), (1, 2)]), full_lattice(2))
+        target = saturated_monoid(source.cone, sublattice(2, [(1, 0), (0, 2)]))
+        # every ray maps into the target, but the group vector (0, 1) does not
+        assert all(member(target, r) for r in source.cone.generators)
+        assert not target.saturated_lattice.contains((0, 1))
+        verdicts = set()
+
+        @settings(deadline=None, max_examples=200)
+        @given(monoid_maps())
+        @example((((1, 0), (0, 1)), source, target))
+        def check(case):
+            verdicts.add(check_monoid_hom(*case))
+
+        check()
+        assert verdicts == {True, False}
+
+    def test_checks_rays_and_group_only(self, monkeypatch):
+        source = monoid_from_cone(cone_from_generators([(1, 0), (1, 7)]))
+        quadrant = monoid_from_cone(cone_from_generators([(1, 0), (0, 1)]))
+        assert len(source.hilbert_basis) == 8
+        calls = {"cone": 0, "lattice": 0}
+
+        def counted(kind, real):
+            def wrapped(self, v):
+                calls[kind] += 1
+                return real(self, v)
+
+            return wrapped
+
+        monkeypatch.setattr(Cone, "contains", counted("cone", Cone.contains))
+        monkeypatch.setattr(Sublattice, "contains", counted("lattice", Sublattice.contains))
+        monoid_hom(((1, 0), (0, 1)), source, quadrant)
+        assert calls["cone"] <= 2 and calls["lattice"] <= 2
+
+
+def _saturated_monoids(rank):
+    """``saturated_monoid`` of a cone of 1-4 rays and at most one line, with
+    entries in [-3, 3], and a lattice of index at most 6 or, in rank 3, a
+    rank-2 piece of one."""
+    vectors = st.tuples(*[st.integers(-3, 3)] * rank).filter(any)
+    cones = st.tuples(
+        st.lists(vectors, min_size=1, max_size=4), st.lists(vectors, max_size=1)
+    ).map(lambda t: cone_from_generators(t[0], t[1], ambient_rank=rank))
+
+    def triangular(t):
+        diagonal, above, piece = t
+        entries = iter(above)
+        rows = [
+            tuple(diagonal[i] if j == i else next(entries) if j > i else 0 for j in range(rank))
+            for i in range(rank)
+        ]
+        return sublattice(rank, rows[:2] if piece and rank == 3 else rows)
+
+    lattices = st.tuples(
+        st.sampled_from([d for d in product(range(1, 7), repeat=rank) if prod(d) <= 6]),
+        st.lists(st.integers(-3, 3), min_size=rank * (rank - 1) // 2, max_size=rank * (rank - 1) // 2),
+        st.booleans(),
+    ).map(triangular)
+    return st.builds(saturated_monoid, cones, lattices)
+
+
+@st.composite
+def monoid_maps(draw):
+    """``(matrix, source, target)``: a source of rank 2 or 3, a target of
+    rank 1-3, and a matrix of that shape with entries in [-2, 2]."""
+    n = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 3))
+    matrix = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=m, max_size=m))
+    return tuple(matrix), draw(_saturated_monoids(n)), draw(_saturated_monoids(m))

@@ -1,9 +1,16 @@
+import re
+from pathlib import Path
+
 import pytest
 
+import chowfan.monoids
+import chowfan.stacks
 from chowfan.chow import chow_quotient, chow_stack_datum
+from chowfan.cli import parse_input
+from chowfan.family import universal_family
 from chowfan.cones import cone_from_generators, fan_from_cones
-from chowfan.intlinalg import sublattice
-from chowfan.monoids import monoid_from_cone, saturated_monoid
+from chowfan.intlinalg import mat_vec, sublattice
+from chowfan.monoids import member, monoid_from_cone, saturated_monoid
 from chowfan.stacks import (
     MonoidNotMapped,
     NotMaximalCone,
@@ -69,6 +76,50 @@ class TestMorphisms:
         bad = _doubled(d, only_max=False)
         with pytest.raises(MonoidNotMapped):
             validate_stack_morphism(((1, 0), (0, 1)), d, bad)
+
+    def test_monoid_not_mapped_names_cones_and_generator(self):
+        d = variety_datum(p2_fan())
+        bad = _doubled(d, only_max=False)
+        with pytest.raises(MonoidNotMapped) as err:
+            validate_stack_morphism(((1, 0), (0, 1)), d, bad)
+        found = re.fullmatch(
+            r"generator (\(.*\)) of the monoid at cone (\d+) does not map into "
+            r"the monoid at target cone (\d+)",
+            str(err.value),
+        )
+        assert found
+        g = tuple(int(x) for x in found[1].strip("()").split(","))
+        i, j = int(found[2]), int(found[3])
+        assert j == i  # the identity assigns every cone to itself
+        assert g in d.monoids[i].generators()
+        assert not member(bad.monoids[j], mat_vec(((1, 0), (0, 1)), g))
+
+    def test_wrong_shape_refused(self):
+        d = variety_datum(p2_fan())
+        with pytest.raises(ValueError, match="2 x 2 matrix"):
+            validate_stack_morphism(((1, 0, 5), (0, 1, 7)), d, d)
+
+    def test_passing_morphisms_test_no_member(self, monkeypatch):
+        # rays and group decide; generators are scanned only on a failure
+        assert "member" not in vars(chowfan.stacks)
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        families = []
+        for path in sorted(fixtures.glob("*.json")):
+            fan, sub, _ = parse_input(path.read_text())
+            families.append(universal_family(chow_quotient(fan, sub)))
+        assert len(families) == 3
+        calls = []
+        real = chowfan.monoids.member
+
+        def counted(m, v):
+            calls.append(v)
+            return real(m, v)
+
+        monkeypatch.setattr(chowfan.monoids, "member", counted)
+        for fam in families:
+            for morphism in (fam.to_base, fam.to_target):
+                validate_stack_morphism(morphism.lattice_map, fam.datum, morphism.target)
+        assert calls == []
 
 
 class TestStabilizers:

@@ -4,7 +4,7 @@ import chowfan.verify
 from chowfan.chow import chow_quotient
 from chowfan.cones import cone_from_generators
 from chowfan.family import universal_family
-from chowfan.intlinalg import sublattice, vadd, zero_sublattice
+from chowfan.intlinalg import Sublattice, sublattice, vadd, zero_sublattice
 from chowfan.monoids import dual_monoid, monoid_from_cone, monoid_hom, saturated_monoid
 from chowfan.stacks import ToricStackDatum
 from chowfan.verify import (
@@ -70,6 +70,22 @@ class TestIntegral:
         monkeypatch.setattr(chowfan.verify, "_enumerate_elements", counted)
         check_integral(monoid_hom(((1,), (1,)), _n(1), _n(2)), 4)
         assert sorted(calls) == [4, 8]
+
+    def test_no_lattice_tests(self, monkeypatch):
+        # differences of monoid elements lie in the monoid's lattice
+        fam = universal_family(chow_quotient(p2_fan(), sublattice(2, [[1, 2]])))
+        rank = fam.fan.ambient_rank
+        homs = [dual_projection_hom(fam, i) for i, c in enumerate(fam.fan.cones) if c.dim == rank]
+        calls = []
+        real = Sublattice.contains
+
+        def counted(self, v):
+            calls.append(v)
+            return real(self, v)
+
+        monkeypatch.setattr(Sublattice, "contains", counted)
+        assert all(check_integral(h, 4).passed for h in homs)
+        assert calls == []
 
     def test_monotone_in_bound(self):
         h = monoid_hom(((1,), (1,)), _n(1), _n(2))
@@ -146,6 +162,11 @@ class TestReduced:
             reduced_report(
                 fam.datum, base, [b for _, b in fam.provenance], fam.chow.projection.matrix
             )
+
+    def test_wrong_shape_refused(self):
+        fam = universal_family(chow_quotient(p2_fan(), sublattice(2, [[1, 0]])))
+        with pytest.raises(ValueError, match="1 x 2 matrix"):
+            reduced_report(fam.datum, fam.base, [b for _, b in fam.provenance], ((1, 0, 0),))
 
 
 class TestEquidimensional:
