@@ -23,6 +23,7 @@ meeting cones whose dimension the projection keeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Optional, Sequence
 
 from .cones import (
@@ -46,9 +47,9 @@ from .intlinalg import (
     Sublattice,
     Vec,
     dot,
+    elementary_divisors,
     image_lattice,
     is_zero,
-    lattice_index,
     lattice_intersection,
     lattice_sum,
     primitive,
@@ -86,19 +87,17 @@ def meeting_cones(fan: Fan, sub: Sublattice, psi: Sequence) -> frozenset[int]:
 def multiplicity(fan: Fan, sub: Sublattice, cone_index: int) -> int:
     """Lattice index weight of an orbit closure in the quotient cycle.
 
-    The index of ``(L ∩ N) + (span(sigma) ∩ N)`` inside the lattice points
-    of the combined span.  Requires the spans to meet only at the origin.
+    The index ``[sat(T) : T]`` of ``T = (L ∩ N) + (span(sigma) ∩ N)``, the
+    product of its elementary divisors.  Requires the spans to meet only at
+    the origin, i.e. ``rank T == rank L + rank(span(sigma) ∩ N)``.
     """
-    c = fan.cones[cone_index]
-    span_sigma = _span_lattice(c)
-    if lattice_intersection(span_sigma, sub).rank != 0:
+    span_sigma = _span_lattice(fan.cones[cone_index])
+    total = lattice_sum(sub, span_sigma)
+    if total.rank != sub.rank + span_sigma.rank:
         raise InfiniteIndex(
             f"span of cone {cone_index} meets the sublattice span nontrivially"
         )
-    total = lattice_sum(sub, span_sigma)
-    idx = lattice_index(total, saturate(total))
-    assert idx is not None
-    return idx
+    return prod(elementary_divisors(total.basis))
 
 
 # ---------------------------------------------------------------------------

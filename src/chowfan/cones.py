@@ -261,7 +261,8 @@ def _intern(cone: Cone) -> Cone:
 
 
 def _cone_by_incidence(
-    rank: int, rays: tuple[Vec, ...], lines: Mat, constraints: Sequence[Vec], tight: Sequence[int]
+    rank: int, rays: tuple[Vec, ...], lines: Mat, constraints: Sequence[Vec], tight: Sequence[int],
+    input_equations: Sequence[Vec],
 ) -> Cone:
     """The cone with canonical rays and lines, its H-description read off
     the incidence of some constraints.
@@ -270,15 +271,18 @@ def _cone_by_incidence(
     include every facet, and ``tight[i]`` is the bitmask of the rays on
     which ``constraints[i]`` vanishes.  The facets are then the constraints
     whose tight set is maximal among the proper ones, each reduced modulo
-    the equations ``integer_kernel(rays + lines)``.  On the dual cone this
-    turns an H-description into the canonical rays.
+    the equations ``integer_kernel(rays + lines)``, which are empty when
+    the caller's ``input_equations`` are and no constraint vanishes on
+    every ray (the implicit equalities of ``{constraints.x >= 0}`` vanish
+    on the whole cone).  On the dual cone this turns an H-description into
+    the canonical rays.
     """
     full = (1 << len(rays)) - 1
     first: dict[int, int] = {}
     for i, t in enumerate(tight):
         if t != full:
             first.setdefault(t, i)
-    equations = integer_kernel(rays + lines, rank)
+    equations = integer_kernel(rays + lines, rank) if input_equations or full in tight else ()
     facets = sorted(
         (primitive(_reduce_mod_rows(constraints[i], equations)), t)
         for t, i in first.items()
@@ -318,7 +322,7 @@ def cone_from_generators(
     # dual H-description: functionals nonnegative on rays, zero on lines
     halfspaces, equations, on_facet = double_description(rays, lines, ambient_rank)
     tight = _transpose_masks(on_facet, len(rays))
-    return _intern(dual_cone(_cone_by_incidence(ambient_rank, halfspaces, equations, rays, tight)))
+    return _intern(dual_cone(_cone_by_incidence(ambient_rank, halfspaces, equations, rays, tight, lines)))
 
 
 def cone_from_halfspaces(
@@ -340,7 +344,7 @@ def cone_from_halfspaces(
     if cached is not None:
         return cached
     tight = _transpose_masks(on_ray, len(halfspaces))
-    return _intern(_cone_by_incidence(ambient_rank, rays, lin, halfspaces, tight))
+    return _intern(_cone_by_incidence(ambient_rank, rays, lin, halfspaces, tight, equations))
 
 
 def zero_cone(ambient_rank: int) -> Cone:
@@ -414,7 +418,7 @@ def _pull_back(c: Cone, basis: Mat) -> Cone:
     if cached is not None:
         return cached
     tight = [_select_bits(t, order) for t in c.incidence]
-    return _intern(_cone_by_incidence(k, rays, lin, pulled_h, tight))
+    return _intern(_cone_by_incidence(k, rays, lin, pulled_h, tight, pulled_e))
 
 
 def relative_interior_sample(c: Cone, variant: int = 0) -> Vec:
@@ -531,7 +535,7 @@ def facets(c: Cone) -> tuple[Cone, ...]:
         face = _cone_cache.get((c.ambient_rank, rays, c.lineality))
         if face is None:
             tight = [_select_bits(t, picked) for t in c.incidence]
-            face = _intern(_cone_by_incidence(c.ambient_rank, rays, c.lineality, c.halfspaces, tight))
+            face = _intern(_cone_by_incidence(c.ambient_rank, rays, c.lineality, c.halfspaces, tight, c.equations))
         out.append(face)
     return tuple(out)
 
@@ -635,11 +639,6 @@ class Fan:
             if c.contains(v):
                 return self._index().get(_smallest_face_key(c, (tuple(v),)))
         return None
-
-    def face_indices(self, i: int) -> tuple[int, ...]:
-        """Indices of all faces of cone ``i`` (including itself)."""
-        idx = self._index()
-        return tuple(idx[f.key()] for f in all_faces(self.cones[i]) if f.key() in idx)
 
     def __repr__(self) -> str:
         return f"Fan(rank {self.ambient_rank}, {len(self.cones)} cones)"

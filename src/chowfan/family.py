@@ -1,16 +1,17 @@
 """The universal family over a Chow quotient and its degenerate fibers.
 
 The family fan is the common refinement ``{p^{-1}(kappa) ∩ sigma}`` over all
-pairs of quotient and input cones, built from the maximal pairs alone; it
-is the terminal fan mapping to both the input fan and the quotient fan.
-Its monoids are cut from the input monoids by the quotient stack monoids.
-Over each quotient cone the family decomposes into a broken toric variety:
-components (cones mapping isomorphically), walls of relative dimension one
-(with one or two sections, a primitive direction in the acting sublattice,
-and a lattice-length gluing map), and higher-dimensional strata.  The
-components-and-walls graph is connected and the wall monoids carry
-product / fiber-product structure, all of which is verified element by
-element rather than assumed.
+pairs of quotient and input cones, built from the meeting pairs (see
+:func:`universal_family`) and asserted complete; it is the terminal fan
+mapping to both the input fan and the quotient fan, and each cone's host is
+read off its to-target morphism.  Its monoids are cut from the input monoids
+by the quotient stack monoids.  Over each quotient cone the family
+decomposes into a broken toric variety: components (cones mapping
+isomorphically), walls of relative dimension one (with one or two sections,
+a primitive direction in the acting sublattice, and a lattice-length gluing
+map), and higher-dimensional strata.  The components-and-walls graph is
+connected and the wall monoids carry product / fiber-product structure, all
+of which is verified element by element rather than assumed.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ from .cones import (
     cone_from_generators,
     cone_from_halfspaces,
     dual_cone,
+    facets,
     fan_from_cones,
     image_cone,
     intersect_cones,
+    is_complete,
     preimage_cone,
     relative_interior_sample,
 )
@@ -48,7 +51,7 @@ from .intlinalg import (
     vscale,
     vsub,
 )
-from .monoids import AffineMonoid, member, saturated_monoid
+from .monoids import AffineMonoid, MonoidNotMapped, member, monoid_hom, saturated_monoid
 from .stacks import (
     InternalConsistencyError,
     StackMorphism,
@@ -83,34 +86,39 @@ class UniversalFamily:
 def universal_family(cq: ChowQuotient) -> UniversalFamily:
     """Terminal refinement with its monoids and both verified morphisms.
 
-    Maximal pairs suffice: the faces of ``P ∩ Q`` are the ``F ∩ G`` with
-    ``F ≤ P`` and ``G ≤ Q``, and as ``p`` is surjective the faces of
-    ``p^{-1}(kappa)`` are the preimages of the faces of ``kappa``.
+    Maximal pairs would suffice: the faces of ``P ∩ Q`` are the ``F ∩ G``
+    with ``F ≤ P`` and ``G ≤ Q``, and as ``p`` is surjective the faces of
+    ``p^{-1}(kappa)`` are the preimages of the faces of ``kappa``.  Only
+    meeting pairs are intersected: for maximal ``kappa`` and ``sigma``,
+    ``p^{-1}(kappa) ∩ sigma`` is full-dimensional iff int ``kappa`` meets
+    relint ``p(sigma)``, i.e. iff ``sigma`` is in the meeting set, which
+    :func:`~chowfan.chow.chow_quotient` verified is constant on int
+    ``kappa``; any other pair gives a face of a full-dimensional cone of
+    the complete refinement.  Completeness is asserted (by incidence, with
+    no double description).  Hosts are the to-target cone assignment, and
+    ``p^{-1}(base) ∩ host`` must give each cone back.
     """
     fan, proj, gfan = cq.fan, cq.projection, cq.quotient_fan
     rank = fan.ambient_rank
     preimages = [preimage_cone(proj, kappa, rank) for kappa in gfan.cones]
+    maximal = set(fan.maximal_indices())
     ffan = fan_from_cones(
         (
             intersect_cones(preimages[b], fan.cones[h])
             for b in gfan.maximal_indices()
-            for h in fan.maximal_indices()
+            for h in sorted(cq.cone_data[b].meeting_set & maximal)
         ),
         ambient_rank=rank,
     )
+    if not is_complete(ffan):
+        raise InternalConsistencyError("the family cones of the meeting pairs do not cover the space")
 
-    provenance = []
+    bases = []
     monoids = []
     lattices = {}  # base index -> preimage of its lift lattice
     for i, c in enumerate(ffan.cones):
-        host = _host_index(fan, c, i)
         base = _base_index(cq, c, i)
-        if intersect_cones(preimages[base], fan.cones[host]).key() != c.key():
-            raise InternalConsistencyError(
-                f"family cone {i} does not match its provenance intersection "
-                f"(host {host}, base {base})"
-            )
-        provenance.append((host, base))
+        bases.append(base)
         lattice = lattices.get(base)
         if lattice is None:
             lift_lattice = cq.cone_data[base].lift_lattice
@@ -127,18 +135,14 @@ def universal_family(cq: ChowQuotient) -> UniversalFamily:
         raise InternalConsistencyError(
             f"universal family morphism failed to validate: {exc}"
         ) from exc
-    return UniversalFamily(
-        cq, datum, tuple(provenance), variety, base_datum, to_base, to_target
-    )
-
-
-def _host_index(fan: Fan, c: Cone, i: int) -> int:
-    """The unique input cone whose relative interior contains the interior of
-    family cone ``i``, which is ``c``."""
-    idx = fan.cone_containing_in_relint(_relint_sample_or_zero(c))
-    if idx is None:
-        raise InternalConsistencyError(f"family cone {i} escapes the input fan support")
-    return idx
+    provenance = tuple(zip(to_target.cone_assignment, bases))
+    for i, (host, base) in enumerate(provenance):
+        if intersect_cones(preimages[base], fan.cones[host]).key() != ffan.cones[i].key():
+            raise InternalConsistencyError(
+                f"family cone {i} does not match its provenance intersection "
+                f"(host {host}, base {base})"
+            )
+    return UniversalFamily(cq, datum, provenance, variety, base_datum, to_base, to_target)
 
 
 def _base_index(cq: ChowQuotient, c: Cone, i: int) -> int:
@@ -276,17 +280,13 @@ def wall_structure(fam: UniversalFamily, base_index: int, wall_index: int) -> Wa
 
 
 def _classify_wall(fam: UniversalFamily, base_index: int, wall_index: int) -> Wall:
-    if wall_index not in cones_over(fam, base_index, 1):
-        raise ValueError("cone is not a wall over this base cone")
     kappa = fam.base.fan.cones[base_index]
-    proj = fam.chow.projection
     wall = fam.fan.cones[wall_index]
-    iso = [
-        j
-        for j in fam.fan.face_indices(wall_index)
-        if fam.fan.cones[j].dim == kappa.dim and fam.provenance[j][1] == base_index
-    ]
-    iso = sorted(iso)
+    if fam.provenance[wall_index][1] != base_index or wall.dim != kappa.dim + 1:
+        raise ValueError("cone is not a wall over this base cone")
+    proj = fam.chow.projection
+    # the faces of dimension kappa.dim of the wall are its facets
+    iso = sorted(j for j in map(fam.fan.index_of, facets(wall)) if fam.provenance[j][1] == base_index)
     if len(iso) not in (1, 2):
         raise InternalConsistencyError(
             f"wall {wall_index} has {len(iso)} sections over its base cone"
@@ -359,6 +359,8 @@ class FiberComplex:
     internal_walls: tuple[Wall, ...]
     higher: tuple[tuple[int, tuple[int, ...]], ...]
     adjacency: tuple[tuple[int, int, int], ...]  # (component, component, wall)
+    # per internal wall: (v, segment length) over the quotient Hilbert basis
+    gluing: tuple[tuple[tuple[Vec, int], ...], ...]
 
 
 def fiber_complex(fam: UniversalFamily, base_index: int) -> FiberComplex:
@@ -379,8 +381,12 @@ def fiber_complex(fam: UniversalFamily, base_index: int) -> FiberComplex:
         k += 1
     edges = tuple((w.iso_faces[0], w.iso_faces[1], w.index) for w in internal)
     _assert_connected(comps, edges)
+    q_basis = fam.chow.cone_data[base_index].monoid.hilbert_basis
+    gluing = tuple(
+        tuple((v, segment_length(fam, base_index, w.index, v)) for v in q_basis) for w in internal
+    )
     return FiberComplex(
-        base_index, comps, hosts, boundary, internal, tuple(higher), edges
+        base_index, comps, hosts, boundary, internal, tuple(higher), edges, gluing
     )
 
 
@@ -409,11 +415,8 @@ def adjacency_dot(fam: UniversalFamily, fc: FiberComplex) -> str:
     for comp, host in zip(fc.components, fc.component_hosts):
         rays = list(fam.variety.fan.cones[host].generators)
         lines.append(f'  c{comp} [label="component {comp} over cone {host} rays {rays}"];')
-    q_basis = fam.chow.cone_data[fc.base_index].monoid.hilbert_basis
-    for w in fc.internal_walls:
-        cvals = [
-            (list(v), segment_length(fam, fc.base_index, w.index, v)) for v in q_basis
-        ]
+    for w, gluing in zip(fc.internal_walls, fc.gluing):
+        cvals = [(list(v), c) for v, c in gluing]
         lines.append(
             f'  c{w.iso_faces[0]} -- c{w.iso_faces[1]} '
             f'[label="wall {w.index} u={list(w.direction)} c={cvals}"];'
@@ -449,13 +452,18 @@ def wall_monoid_structure(
     Boundary walls: (v, n) maps to section(v) + n * direction, bijectively.
     Internal walls: triples (v, a, b) with a + b equal to the gluing length
     map to section1(v) + b * direction.  Both directions are checked on the
-    Hilbert bases; failure raises :class:`VerificationFailed` with the
-    offending element.
+    Hilbert bases, the projection into the base monoid by one
+    :func:`~chowfan.monoids.monoid_hom`; failure raises
+    :class:`VerificationFailed` with the offending element.
     """
     w = wall_structure(fam, base_index, wall_index)
     proj = fam.chow.projection
     wall_monoid = fam.datum.monoids[wall_index]
     q_monoid = fam.chow.cone_data[base_index].monoid
+    try:
+        monoid_hom(proj.matrix, wall_monoid, q_monoid)
+    except MonoidNotMapped as e:
+        raise VerificationFailed(f"projection of {e.generator} escapes the base monoid") from e
     if w.kind == "boundary":
         sec = fam.fan.cones[w.iso_faces[0]]
         for v in q_monoid.hilbert_basis:
@@ -466,8 +474,6 @@ def wall_monoid_structure(
             raise VerificationFailed("wall direction is not in the wall monoid")
         for x in wall_monoid.hilbert_basis:
             v = proj.apply(x)
-            if not member(q_monoid, v):
-                raise VerificationFailed(f"projection of {x} escapes the base monoid")
             n = _parallel_multiple(vsub(x, integral_lift(proj, sec, v)), w.direction)
             if n < 0:
                 raise VerificationFailed(f"element {x} decomposes with negative step")
@@ -489,8 +495,6 @@ def wall_monoid_structure(
             raise VerificationFailed(f"fiber product element {t} violates the gluing sum")
     for x in wall_monoid.hilbert_basis:
         v = proj.apply(x)
-        if not member(q_monoid, v):
-            raise VerificationFailed(f"projection of {x} escapes the base monoid")
         b = _parallel_multiple(vsub(x, integral_lift(proj, sec1, v)), w.direction)
         c = segment_length(fam, base_index, wall_index, v)
         if not (0 <= b <= c):

@@ -267,7 +267,9 @@ def unimodular_inverse(m: Mat) -> Mat:
 def integer_kernel(m: Sequence[Sequence[int]], ncols: Optional[int] = None) -> Mat:
     """Basis (HNF rows) of ``{x in Z^n : m @ x == 0}``.
 
-    The kernel of an integer matrix is automatically saturated.
+    The kernel of an integer matrix is automatically saturated.  Its basis
+    is the transform block of the zero rows of the Hermite form of ``m``
+    transposed, already in canonical HNF as the tail of one Hermite basis.
     """
     rows = mat(m)
     if ncols is None:
@@ -277,8 +279,7 @@ def integer_kernel(m: Sequence[Sequence[int]], ncols: Optional[int] = None) -> M
     if not rows:
         return identity_matrix(ncols)
     h, u = hermite_normal_form(transpose(rows))
-    kernel_rows = [u[i] for i in range(len(h)) if is_zero(h[i])]
-    return row_lattice_hnf(kernel_rows) if kernel_rows else ()
+    return tuple(u[i] for i in range(len(h)) if is_zero(h[i]))
 
 
 def solve_rational(

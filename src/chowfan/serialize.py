@@ -14,7 +14,6 @@ from typing import Any
 
 from .cones import Cone, Fan, cone_from_generators, fan_from_cones
 from .intlinalg import Sublattice, row_lattice_hnf
-from .family import segment_length
 from .monoids import AffineMonoid, saturated_monoid
 from .stacks import ToricStackDatum
 
@@ -271,13 +270,11 @@ def encode_wall(w) -> dict:
 
 
 def encode_fiber_document(fam, fc, pres, tropical, dot: str) -> dict:
-    q_basis = fam.chow.cone_data[fc.base_index].monoid.hilbert_basis
+    """The fiber document; the gluing lengths are read off ``fc.gluing``."""
     internal = []
-    for w in fc.internal_walls:
+    for w, gluing in zip(fc.internal_walls, fc.gluing):
         doc = encode_wall(w)
-        doc["gluing_on_basis"] = [
-            [list(v), segment_length(fam, fc.base_index, w.index, v)] for v in q_basis
-        ]
+        doc["gluing_on_basis"] = [[list(v), c] for v, c in gluing]
         internal.append(doc)
     return _with_header(
         "fiber",

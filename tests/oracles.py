@@ -13,9 +13,11 @@ generators, which need not be saturated, and the surjectivity check built
 on it tests each base basis element for a representation by projected
 generators.  The cone oracles after it are the library's earlier
 canonicalisation, two double descriptions per cone, and incidence by dot
-products.  The monoid-map oracle at the very end is the library's earlier
+products.  The monoid-map oracle after them is the library's earlier
 test of a map of monoids, one membership test per generator, before the
-test by rays and group.
+test by rays and group.  The last two are the library's earlier integer
+kernel, with a second Hermite pass over the kernel block, and its earlier
+multiplicity, by a lattice intersection, a saturation and an index.
 """
 
 from fractions import Fraction
@@ -547,3 +549,30 @@ def monoid_map_escape_by_generators(matrix, source, target):
         if not member(target, tuple(sum(a * b for a, b in zip(row, g)) for row in matrix)):
             return g
     return None
+
+
+def integer_kernel_by_two_hermite_passes(m, ncols):
+    """HNF basis of ``{x : m @ x == 0}``: the transform rows of the Hermite
+    form of ``m`` transposed whose Hermite part is zero, put into HNF again."""
+    from chowfan.intlinalg import hermite_normal_form, identity_matrix, row_lattice_hnf
+
+    rows = [tuple(r) for r in m]
+    if not rows:
+        return identity_matrix(ncols)
+    h, u = hermite_normal_form(tuple(zip(*rows)))
+    kernel_rows = [u[i] for i in range(len(h)) if not any(h[i])]
+    return row_lattice_hnf(kernel_rows) if kernel_rows else ()
+
+
+def multiplicity_by_saturation(cone, sub):
+    """``[sat(T) : T]`` for ``T = sub + span(cone) ∩ Z^r``, by saturating
+    ``T`` and taking the index; None when the spans meet beyond 0, which
+    a lattice intersection decides."""
+    from chowfan.cones import _span_lattice
+    from chowfan.intlinalg import lattice_index, lattice_intersection, lattice_sum, saturate
+
+    span = _span_lattice(cone)
+    if lattice_intersection(span, sub).rank != 0:
+        return None
+    total = lattice_sum(sub, span)
+    return lattice_index(total, saturate(total))

@@ -52,7 +52,8 @@ from chowfan.cones import (
     cone_from_halfspaces,
 )
 from chowfan.family import basic_monoid, lift_into_span
-from chowfan.intlinalg import dot, identity_matrix, mat_mul, mat_vec, saturate
+from chowfan.chow import InfiniteIndex
+from chowfan.intlinalg import dot, identity_matrix, integer_kernel, mat_mul, mat_vec, saturate
 from chowfan.monoids import (
     _hilbert_basis_full,
     _parallelepiped_points,
@@ -433,6 +434,22 @@ def test_refinement_matches_all_pairs(corpus_families):
     _announce("refinement over maximal pairs equals the all-pairs refinement")
 
 
+def test_meeting_pairs_are_the_maximal_family_cones(corpus_families):
+    count = 0
+    for fan, sub, cq, fam in corpus_families:
+        maximal = set(fan.maximal_indices())
+        pairs = {
+            (h, b)
+            for b in cq.quotient_fan.maximal_indices()
+            for h in cq.cone_data[b].meeting_set & maximal
+        }
+        top = [fam.provenance[i] for i in fam.fan.maximal_indices()]
+        assert all(fam.fan.cones[i].dim == fan.ambient_rank for i in fam.fan.maximal_indices())
+        assert sorted(pairs) == sorted(top)
+        count += len(top)
+    _announce(f"the meeting pairs are exactly the {count} maximal family cones")
+
+
 def _lattice_coordinate_cone(m):
     """The cone of a saturated monoid in coordinates of its lattice, as
     saturated_monoid sieves it."""
@@ -475,6 +492,32 @@ def test_span_lattices_match_saturation_oracle(corpus_families):
                 count += 1
     _announce(f"span lattices from the cone equations equal the saturation "
               f"oracle on all {count} input, quotient and family cones")
+
+
+def test_kernels_and_multiplicities_match_earlier_forms(corpus_families):
+    kernels = weights = 0
+    for fan, sub, cq, fam in corpus_families:
+        for f in (fan, cq.quotient_fan, fam.fan):
+            for c in f.cones:
+                rank = c.ambient_rank
+                for rows in (c.generators + c.lineality, c.equations, c.halfspaces):
+                    assert integer_kernel(rows, rank) == (
+                        oracles.integer_kernel_by_two_hermite_passes(rows, rank)
+                    )
+                    kernels += 1
+        finite = 0
+        for i, c in enumerate(fan.cones):
+            expected = oracles.multiplicity_by_saturation(c, sub)
+            if expected is None:
+                with pytest.raises(InfiniteIndex):
+                    multiplicity(fan, sub, i)
+            else:
+                assert multiplicity(fan, sub, i) == expected
+                finite += 1
+            weights += 1
+        assert 0 < finite < len(fan.cones)
+    _announce(f"one Hermite pass per kernel on {kernels} cone matrices and one Smith "
+              f"form per multiplicity on all {weights} input cones equal the earlier forms")
 
 
 def _cone_fields(c):

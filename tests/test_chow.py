@@ -2,6 +2,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chowfan.chow import (
     InfiniteIndex,
@@ -15,7 +16,9 @@ from chowfan.chow import (
     quotient_monoid,
 )
 from chowfan.cones import (
+    Fan,
     NotComplete,
+    all_faces,
     cone_from_generators,
     fan_from_cones,
     relative_interior_sample,
@@ -244,6 +247,26 @@ class TestMultiplicity:
                 combined = list(sub.basis) + list(c.generators)
                 assert m == oracles.coset_count(combined, ((1, 0), (0, 1)))
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=1, max_size=3),
+        st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), max_size=2),
+    )
+    # the spans share the line through (1, 1, 0): infinite index
+    @example([[1, 0, 0], [0, 1, 0]], [[2, 2, 0]])
+    # finite index 3 inside the combined span
+    @example([[1, 0, 0]], [[1, 3, 0]])
+    def test_matches_saturation_oracle(self, rays, sub_rows):
+        c = cone_from_generators(rays, ambient_rank=3)
+        sub = sublattice(3, sub_rows)
+        expected = oracles.multiplicity_by_saturation(c, sub)
+        fan = Fan(3, (c,))
+        if expected is None:
+            with pytest.raises(InfiniteIndex):
+                multiplicity(fan, sub, 0)
+        else:
+            assert multiplicity(fan, sub, 0) == expected
+
     def test_weighted_cycle(self, p2):
         sub = sublattice(2, [[1, 2]])
         cq = chow_quotient(p2, sub)
@@ -284,8 +307,8 @@ class TestQuotientMonoids:
             cq = chow_quotient(fan, sub)
             G = cq.quotient_fan
             for i, kappa in enumerate(G.cones):
-                for j in G.face_indices(i):
-                    lam = G.cones[j]
+                for lam in all_faces(kappa):
+                    j = G.index_of(lam)
                     assert restrict_to_face(
                         quotient_monoid(cq, i), lam
                     ) == quotient_monoid(cq, j)

@@ -398,6 +398,31 @@ class TestInterning:
         assert dd_calls == []
         assert m.hilbert_basis == ((0, 2, 0), (1, 1, 0), (2, 0, 0))
 
+    def test_kernel_only_when_a_cone_can_have_equations(self, monkeypatch):
+        calls = []
+        real = cones.integer_kernel
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cones, "integer_kernel", counted)
+        monkeypatch.setattr(cones, "_cone_cache", {})
+        # full-dimensional H-input, and a pointed V-input whose dual is
+        # full-dimensional: no constraint vanishes on every ray
+        h = cone_from_halfspaces([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 1), (1, 1, -1)])
+        v = cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2), (0, 0, 1)])
+        assert calls == []
+        assert h.equations == () and v.lineality == ()
+        for c in (h, v):
+            _assert_matches_two_conversions(c)
+        # the implicit equation x = 0, given as h and -h, is still found
+        flat = cone_from_halfspaces([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert len(calls) == 1
+        assert flat.equations == ((1, 0, 0),)
+        assert flat.generators == ((0, 0, 1), (0, 1, 0))
+        _assert_matches_two_conversions(flat)
+
     def test_interned_cone_runs_no_double_description(self, monkeypatch):
         c = cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2), (0, 0, 1)])
         faces = facets(c)

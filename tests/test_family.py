@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import pytest
 
 from chowfan.chow import chow_quotient, point_fiber_cones
@@ -82,16 +85,19 @@ class TestRefinement:
         assert fam.to_target.cone_assignment == tuple(h for h, _ in fam.provenance)
 
     def test_consistency_error_names_the_family_cone(self, monkeypatch):
-        cq = chow_quotient(p2_fan(), sublattice(2, [[1, 0]]))
+        # the first Hirzebruch surface projected along (0, 1): family cone 3
+        # is the new ray (0, -1), whose host the to-target validation finds
+        # by a relative-interior search
+        cq = chow_quotient(_fam_p2().fan, sublattice(2, [[0, 1]]))
+        assert universal_family(cq).fan.cones[3].generators == ((0, -1),)
+        ray = cone_from_generators([(0, -1)])
         real = Fan.cone_containing_in_relint
-        calls = []
 
-        def lost_on_fourth_call(fan, v):
-            calls.append(v)
-            return None if len(calls) == 4 else real(fan, v)
+        def lost_on_the_new_ray(fan, v):
+            return None if ray.contains_in_relint(v) else real(fan, v)
 
-        monkeypatch.setattr(Fan, "cone_containing_in_relint", lost_on_fourth_call)
-        with pytest.raises(InternalConsistencyError, match="family cone 3 escapes"):
+        monkeypatch.setattr(Fan, "cone_containing_in_relint", lost_on_the_new_ray)
+        with pytest.raises(InternalConsistencyError, match="source cone 3 lies in no target cone"):
             universal_family(cq)
 
     def test_one_intersection_per_pair(self, monkeypatch):
@@ -107,11 +113,25 @@ class TestRefinement:
 
         monkeypatch.setattr(chowfan.family, "intersect_cones", counted)
         fam = universal_family(cq)
-        # one per maximal pair for the refinement, one per family cone for
-        # its provenance check
-        assert len(calls) == len(cq.quotient_fan.maximal_indices()) * len(
-            cq.fan.maximal_indices()
-        ) + len(fam.fan.cones)
+        # one per meeting pair (maximal quotient cone, maximal input cone in
+        # its meeting set) for the refinement, one per family cone for its
+        # provenance check
+        maximal = set(cq.fan.maximal_indices())
+        pairs = sum(
+            len(cq.cone_data[b].meeting_set & maximal) for b in cq.quotient_fan.maximal_indices()
+        )
+        assert pairs < len(cq.quotient_fan.maximal_indices()) * len(maximal)
+        assert len(calls) == pairs + len(fam.fan.cones)
+
+    def test_doctored_meeting_set_is_caught(self):
+        cq = chow_quotient(p1p1_fan(), sublattice(2, [[1, 1]]))
+        b = cq.quotient_fan.maximal_indices()[0]
+        data = cq.cone_data[b]
+        dropped = min(data.meeting_set & set(cq.fan.maximal_indices()))
+        doctored = dataclasses.replace(data, meeting_set=data.meeting_set - {dropped})
+        cone_data = cq.cone_data[:b] + (doctored,) + cq.cone_data[b + 1 :]
+        with pytest.raises(InternalConsistencyError, match="meeting pairs do not cover"):
+            universal_family(dataclasses.replace(cq, cone_data=cone_data))
 
     def test_one_preimage_lattice_per_base_cone(self, monkeypatch):
         import chowfan.family
@@ -225,6 +245,27 @@ class TestWalls:
         assert fc.internal_walls
         assert sorted(calls) == sorted(cones_over(fam, k, 1))
 
+    def test_classify_wall_walks_no_faces(self, monkeypatch):
+        import chowfan.cones as cones
+        import chowfan.family as family
+
+        fam = _fam_p1p1()
+        calls = []
+        real = cones.all_faces
+
+        def counting(c):
+            calls.append(c)
+            return real(c)
+
+        monkeypatch.setattr(cones, "all_faces", counting)
+        walls = [
+            family._classify_wall(fam, k, i)
+            for k in range(len(fam.base.fan.cones))
+            for i in cones_over(fam, k, 1)
+        ]
+        assert {w.kind for w in walls} == {"boundary", "internal"}
+        assert calls == []
+
     def test_wall_structure_requires_wall(self):
         fam = _fam_p2()
         kpos = fam.base.fan.index_of(cone_from_generators([(1,)]))
@@ -286,6 +327,31 @@ class TestFiberComplexes:
             assert len(fc.components) == 1
             assert not fc.internal_walls and not fc.boundary_walls
 
+    def test_gluing_computed_once_per_wall_and_basis_element(self, monkeypatch):
+        import chowfan.family as family
+        from chowfan.serialize import encode_fiber_document
+
+        fam = _fam_p1p1()
+        calls = []
+        real = family.segment_length
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(family, "segment_length", counting)
+        expected = 0
+        for k in range(len(fam.base.fan.cones)):
+            fc = fiber_complex(fam, k)
+            encode_fiber_document(
+                fam, fc, basic_monoid(fam, k), tropical_moduli_cone(fam, k), adjacency_dot(fam, fc)
+            )
+            basis = fam.chow.cone_data[k].monoid.hilbert_basis
+            expected += len(fc.internal_walls) * len(basis)
+            assert [[v for v, _ in g] for g in fc.gluing] == [list(basis)] * len(fc.internal_walls)
+        assert expected > 0
+        assert len(calls) == expected
+
     def test_dot_export_mentions_walls(self):
         fam = _fam_p1p1()
         k = fam.base.fan.index_of(cone_from_generators([(1,)]))
@@ -310,6 +376,30 @@ class TestWallMonoidStructure:
         assert ws.kind == "fiber_product"
         (v, c_of_v), = ws.gluing_on_basis
         assert c_of_v == 1
+
+    def test_projection_escape_names_the_element(self):
+        from chowfan.family import VerificationFailed
+        from chowfan.intlinalg import Sublattice
+        from chowfan.monoids import saturated_monoid
+        import oracles
+
+        for fam, kind in ((_fam_p2(), "boundary"), (_fam_p1p1(), "internal")):
+            k = fam.base.fan.index_of(cone_from_generators([(1,)]))
+            w = next(wall_structure(fam, k, i) for i in cones_over(fam, k, 1)
+                     if wall_structure(fam, k, i).kind == kind)
+            # the quotient monoid shrunk to its even points
+            data = fam.chow.cone_data[k]
+            even = saturated_monoid(data.monoid.cone, Sublattice(1, ((2,),)))
+            doctored = dataclasses.replace(data, monoid=even)
+            chow = dataclasses.replace(
+                fam.chow, cone_data=fam.chow.cone_data[:k] + (doctored,) + fam.chow.cone_data[k + 1 :]
+            )
+            escaping = oracles.monoid_map_escape_by_generators(
+                fam.chow.projection.matrix, fam.datum.monoids[w.index], even
+            )
+            assert escaping is not None
+            with pytest.raises(VerificationFailed, match=re.escape(f"projection of {escaping} escapes")):
+                wall_monoid_structure(dataclasses.replace(fam, chow=chow), k, w.index)
 
 
 class TestBasicMonoid:

@@ -89,3 +89,11 @@ def test_detects_an_unnamed_definition():
     )
     user = ast.parse("from lib import A, helper\nA().used()\nhelper()\n")
     assert _unnamed_definitions(lib, _names(lib) | _names(user)) == [(4, "unused"), (6, "orphan")]
+
+
+def test_serialize_imports_nothing_from_family():
+    """Fibers carry their gluing, so encoding computes no family fact."""
+    tree = ast.parse((SRC / "serialize.py").read_text())
+    modules = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    modules |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    assert not {m for m in modules if m and m.split(".")[-1] == "family"}

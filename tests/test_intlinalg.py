@@ -266,6 +266,23 @@ class TestSublattices:
         assert k == ((2, -1),)
         assert saturate(Sublattice(2, k)).basis == k
 
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda cols: st.tuples(
+                st.just(cols),
+                st.lists(
+                    st.lists(st.integers(-4, 4), min_size=cols, max_size=cols), max_size=6
+                ),
+            )
+        )
+    )
+    def test_kernel_matches_two_hermite_passes(self, data):
+        ncols, rows = data
+        k = integer_kernel(rows, ncols)
+        assert k == oracles.integer_kernel_by_two_hermite_passes(rows, ncols)
+        assert all(is_zero(mat_vec(rows, x)) for x in k)
+
     def test_image_and_preimage(self):
         p = ((0, 1),)
         s = sublattice(2, [[0, 2]])
