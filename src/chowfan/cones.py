@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .intlinalg import (
@@ -34,7 +35,6 @@ from .intlinalg import (
     Sublattice,
     Vec,
     coordinates_in,
-    dot,
     identity_matrix,
     integer_kernel,
     is_zero,
@@ -46,8 +46,6 @@ from .intlinalg import (
     require_shape,
     row_lattice_hnf,
     saturate,
-    vadd,
-    vec,
     vscale,
 )
 
@@ -80,10 +78,10 @@ def _reduce_mod_rows(v: Sequence[int], rows: Mat) -> Vec:
     """
     out = tuple(v)
     for row in rows:
-        piv = next(j for j, x in enumerate(row) if x != 0)
-        if out[piv] != 0:
-            p = row[piv]
-            out = primitive(tuple(p * a - out[piv] * b for a, b in zip(out, row)))
+        p = next(filter(None, row))
+        c = out[row.index(p)]
+        if c:
+            out = primitive([p * a - c * b for a, b in zip(out, row)])
     return out
 
 
@@ -110,32 +108,32 @@ def double_description(
         """Slice the lineality space along h; returns the removed direction
         normalized so that <h, l0> > 0."""
         nonlocal lineality, rays
-        vals = [dot(h, l) for l in lineality]
+        vals = [sum(map(mul, h, l)) for l in lineality]
         i0 = next(i for i, v in enumerate(vals) if v != 0)
         l0, a = lineality[i0], vals[i0]
         if a < 0:
             l0, a = vscale(-1, l0), -a
         lineality = [
-            primitive(tuple(a * x - v * y for x, y in zip(l, l0)))
+            primitive([a * x - v * y for x, y in zip(l, l0)])
             for i, (l, v) in enumerate(zip(lineality, vals))
             if i != i0
         ]
         # prior constraints vanish on l0, so prior tight sets are unchanged
         rays = [
-            primitive(tuple(a * x - dot(h, r) * y for x, y in zip(r, l0)))
-            for r in rays
+            primitive([a * x - v * y for x, y in zip(r, l0)])
+            for r, v in zip(rays, [sum(map(mul, h, r)) for r in rays])
         ]
         return l0
 
     for e in eqs:  # rays are still empty here, equations only slice lineality
         e = tuple(e)
-        if not is_zero(e) and any(dot(e, l) != 0 for l in lineality):
+        if any(e) and any(sum(map(mul, e, l)) for l in lineality):
             cut_lineality(e)
 
     for i, h_raw in enumerate(ineqs):
         h = tuple(h_raw)
         bit = 1 << i
-        if any(dot(h, l) != 0 for l in lineality):
+        if any(sum(map(mul, h, l)) for l in lineality):
             l0 = cut_lineality(h)
             # every old ray was projected into the hyperplane of h, and every
             # prior constraint vanishes on l0
@@ -144,7 +142,7 @@ def double_description(
             tight.append(bit - 1)
             pointed_dim += 1
             continue
-        vals = [dot(h, r) for r in rays]
+        vals = [sum(map(mul, h, r)) for r in rays]
         if all(v >= 0 for v in vals):
             tight = [t | bit if v == 0 else t for t, v in zip(tight, vals)]
             continue
@@ -161,11 +159,8 @@ def double_description(
                 # ip and im themselves are tight on common
                 if sum(t & common == common for t in tight) > 2:
                     continue
-                new_rays.append(
-                    primitive(
-                        tuple(vp * x - vals[im] * y for x, y in zip(rays[im], rays[ip]))
-                    )
-                )
+                vm = vals[im]
+                new_rays.append(primitive([vp * x - vm * y for x, y in zip(rays[im], rays[ip])]))
                 new_tight.append(common | bit)
         rays = new_rays
         tight = new_tight
@@ -225,13 +220,13 @@ class Cone:
         return not self.lineality
 
     def contains(self, v: Sequence) -> bool:
-        return all(dot(h, v) >= 0 for h in self.halfspaces) and all(
-            dot(e, v) == 0 for e in self.equations
+        return all(sum(map(mul, h, v)) >= 0 for h in self.halfspaces) and not any(
+            sum(map(mul, e, v)) for e in self.equations
         )
 
     def contains_in_relint(self, v: Sequence) -> bool:
-        return all(dot(h, v) > 0 for h in self.halfspaces) and all(
-            dot(e, v) == 0 for e in self.equations
+        return all(sum(map(mul, h, v)) > 0 for h in self.halfspaces) and not any(
+            sum(map(mul, e, v)) for e in self.equations
         )
 
     def contains_cone(self, other: "Cone") -> bool:
@@ -303,8 +298,7 @@ def cone_from_generators(
     normals, and the canonical rays are read off its incidence
     (:func:`_cone_by_incidence` on the dual cone).
     """
-    rays = tuple(vec(r) for r in rays)
-    lines = tuple(vec(l) for l in lines)
+    rays, lines = mat(rays), mat(lines)
     if ambient_rank is None:
         if rays:
             ambient_rank = len(rays[0])
@@ -332,10 +326,9 @@ def cone_from_halfspaces(
     double description gives the canonical rays, and the facets are read
     off its incidence (:func:`_cone_by_incidence`) unless already interned.
     """
-    halfspaces = [vec(h) for h in halfspaces]
-    equations = [vec(e) for e in equations]
+    halfspaces, equations = mat(halfspaces), mat(equations)
     if ambient_rank is None:
-        pool = list(halfspaces) + list(equations)
+        pool = halfspaces + equations
         if not pool:
             raise ValueError("ambient_rank required for the full space")
         ambient_rank = len(pool[0])
@@ -385,8 +378,8 @@ def preimage_cone(matrix_or_map, c: Cone, source_rank: Optional[int] = None) -> 
             source_rank = len(matrix[0]) if matrix else 0
     # <h, Mx> = <hM, x>: pull every functional back along the matrix
     cols = list(zip(*matrix)) if matrix else []
-    halfspaces = [tuple(dot(h, col) for col in cols) for h in c.halfspaces]
-    equations = [tuple(dot(e, col) for col in cols) for e in c.equations]
+    halfspaces = [mat_vec(cols, h) for h in c.halfspaces]
+    equations = [mat_vec(cols, e) for e in c.equations]
     if not matrix:  # map to the rank-0 lattice: preimage is everything
         halfspaces, equations = [], []
     return cone_from_halfspaces(halfspaces, equations, source_rank)
@@ -403,8 +396,8 @@ def _pull_back(c: Cone, basis: Mat) -> Cone:
     runs.  Otherwise the pulled-back halfspaces are converted.
     """
     k = len(basis)
-    pulled_h = [tuple(dot(h, b) for b in basis) for h in c.halfspaces]
-    pulled_e = [tuple(dot(e, b) for b in basis) for e in c.equations]
+    pulled_h = [mat_vec(basis, h) for h in c.halfspaces]
+    pulled_e = [mat_vec(basis, e) for e in c.equations]
     scale = prod(next(x for x in row if x) for row in basis)
     coords = [coordinates_in(basis, vscale(scale, g)) for g in c.generators + c.lineality]
     if None in coords:
@@ -430,18 +423,15 @@ def relative_interior_sample(c: Cone, variant: int = 0) -> Vec:
     if c.is_zero():
         raise ZeroCone("the zero cone has no nonzero interior sample")
     if not c.generators:
-        return tuple(0 for _ in range(c.ambient_rank))
-    total = tuple(0 for _ in range(c.ambient_rank))
-    for i, g in enumerate(c.generators):
-        weight = 1 + variant * (i + 1)
-        total = vadd(total, vscale(weight, g))
-    return total
+        return (0,) * c.ambient_rank
+    weights = [1 + variant * i for i in range(1, len(c.generators) + 1)]
+    return mat_vec(tuple(zip(*c.generators)), weights)
 
 
 def _relint_sample_or_zero(c: Cone) -> Vec:
     """:func:`relative_interior_sample`, or the origin for the zero cone."""
     if c.is_zero():
-        return tuple(0 for _ in range(c.ambient_rank))
+        return (0,) * c.ambient_rank
     return relative_interior_sample(c)
 
 
@@ -474,10 +464,8 @@ def _strict_sample(
     positive on the sum.
     """
     rays, _, _ = double_description(strict, eqs, rank)
-    total = tuple(0 for _ in range(rank))
-    for r in rays:
-        total = vadd(total, r)
-    return total if all(dot(s, total) > 0 for s in strict) else None
+    total = tuple(map(sum, zip(*rays))) if rays else (0,) * rank
+    return total if all(sum(map(mul, s, total)) > 0 for s in strict) else None
 
 
 def affine_slice_type(c: Cone, psi: Sequence, sub: Sublattice) -> str:
@@ -507,7 +495,7 @@ def fiber_dimension(c: Cone, matrix: Mat, value: Sequence) -> Optional[int]:
     one dimension less than the cone.
     """
     ineqs = [tuple(h) + (0,) for h in c.halfspaces]
-    ineqs.append(tuple(0 for _ in range(c.ambient_rank)) + (1,))
+    ineqs.append((0,) * c.ambient_rank + (1,))
     eqs = [tuple(e) + (0,) for e in c.equations]
     eqs += [tuple(row) + (-v,) for row, v in zip(matrix, value)]
     rays, lines, _ = double_description(ineqs, eqs, c.ambient_rank + 1)
@@ -565,7 +553,7 @@ def _smallest_face_key(c: Cone, vectors: Sequence[Sequence[int]]):
     """
     mask = (1 << len(c.generators)) - 1
     for h, t in zip(c.halfspaces, c.incidence):
-        if all(dot(h, g) == 0 for g in vectors):
+        if not any(sum(map(mul, h, g)) for g in vectors):
             mask &= t
     rays = tuple(g for k, g in enumerate(c.generators) if mask >> k & 1)
     return (c.ambient_rank, rays, c.lineality)

@@ -17,14 +17,21 @@ arithmetic anywhere.  The central objects are
 * :class:`QuotientMap`, a surjection Z^r -> Z^q with a prescribed saturated
   kernel and a deterministic integral section.
 
-Vectors are tuples of ints, matrices are tuples of row tuples.
+Vectors are tuples of Python ints, matrices are tuples of row tuples.
+Inside the library that is an invariant, so each vector or matrix kernel
+is one builtin pass (``map`` over :mod:`operator`, ``sum``, ``gcd(*v)``)
+and converts nothing.  ``int()`` coercion happens only at the boundaries:
+the decoders, the public constructors (:func:`vec`, :func:`mat`,
+:func:`sublattice`, the cone constructors) and the inputs of the normal
+forms.  :func:`identity_matrix` is memoised; its tuples are shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
-from operator import mul
+from functools import cache
+from math import gcd, lcm, prod
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -44,19 +51,19 @@ class NotSaturated(ValueError):
 
 
 def vec(entries: Iterable[int]) -> Vec:
-    return tuple(int(e) for e in entries)
+    return tuple(map(int, entries))
 
 
 def vadd(a: Sequence[int], b: Sequence[int]) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vsub(a: Sequence[int], b: Sequence[int]) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vscale(c: int, a: Sequence[int]) -> Vec:
-    return tuple(c * x for x in a)
+    return tuple([c * x for x in a])
 
 
 def dot(a: Sequence, b: Sequence):
@@ -64,14 +71,11 @@ def dot(a: Sequence, b: Sequence):
 
 
 def is_zero(a: Sequence[int]) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def vec_gcd(a: Sequence[int]) -> int:
-    g = 0
-    for x in a:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*a)
 
 
 def primitive(a: Sequence[int]) -> Vec:
@@ -79,11 +83,11 @@ def primitive(a: Sequence[int]) -> Vec:
     g = vec_gcd(a)
     if g <= 1:
         return tuple(a)
-    return tuple(x // g for x in a)
+    return tuple([x // g for x in a])
 
 
 def mat(rows: Iterable[Iterable[int]]) -> Mat:
-    return tuple(vec(r) for r in rows)
+    return tuple([tuple(map(int, r)) for r in rows])
 
 
 def require_shape(m: Mat, rows: int, cols: int) -> None:
@@ -93,8 +97,9 @@ def require_shape(m: Mat, rows: int, cols: int) -> None:
         raise ValueError(f"expected a {rows} x {cols} matrix, got {m}")
 
 
+@cache
 def identity_matrix(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple(tuple([int(i == j) for j in range(n)]) for i in range(n))
 
 
 def transpose(m: Mat) -> Mat:
@@ -105,11 +110,11 @@ def transpose(m: Mat) -> Mat:
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def mat_vec(m: Mat, v: Sequence) -> tuple:
-    return tuple(dot(row, v) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def matrix_rank(m: Sequence[Sequence[int]]) -> int:
@@ -152,7 +157,7 @@ def row_lattice_hnf(rows: Sequence[Sequence[int]]) -> Mat:
             done.append(p)
         work = [r for r in work if any(r)]
         col += 1
-    return mat(done)
+    return tuple(map(tuple, done))
 
 
 def hermite_normal_form(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
@@ -167,7 +172,7 @@ def hermite_normal_form(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
         return (), ()
     ncols = len(m[0])
     aug = row_lattice_hnf([tuple(r) + e for r, e in zip(m, identity_matrix(n))])
-    return tuple(r[:ncols] for r in aug), tuple(r[ncols:] for r in aug)
+    return tuple([r[:ncols] for r in aug]), tuple([r[ncols:] for r in aug])
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat, Mat]:
@@ -248,7 +253,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat, Mat]:
                 rows[t] = [-x for x in rows[t]]
                 u[t] = [-x for x in u[t]]
             t += 1
-    return mat(rows), mat(u), mat(v)
+    return tuple(map(tuple, rows)), tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
 def elementary_divisors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -279,7 +284,7 @@ def integer_kernel(m: Sequence[Sequence[int]], ncols: Optional[int] = None) -> M
     if not rows:
         return identity_matrix(ncols)
     h, u = hermite_normal_form(transpose(rows))
-    return tuple(u[i] for i in range(len(h)) if is_zero(h[i]))
+    return tuple([ui for hi, ui in zip(h, u) if not any(hi)])
 
 
 def solve_rational(
@@ -331,18 +336,14 @@ def coordinates_in(basis_hnf: Mat, v: Sequence[int]) -> Optional[Vec]:
     residue = list(v)
     coeffs = []
     for row in basis_hnf:
-        piv = next((j for j, x in enumerate(row) if x != 0), None)
-        if piv is None:
-            coeffs.append(0)
-            continue
-        if residue[piv] % row[piv] != 0:
+        lead = next(filter(None, row), 0)  # the pivot entry; 0 on a zero row
+        q, r = divmod(residue[row.index(lead)], lead) if lead else (0, 0)
+        if r:
             return None
-        q = residue[piv] // row[piv]
         coeffs.append(q)
-        residue = [x - q * y for x, y in zip(residue, row)]
-    if not is_zero(residue):
-        return None
-    return tuple(coeffs)
+        if q:
+            residue = [x - q * y for x, y in zip(residue, row)]
+    return None if any(residue) else tuple(coeffs)
 
 
 def sublattice(ambient_rank: int, generators: Sequence[Sequence[int]]) -> Sublattice:
@@ -388,13 +389,8 @@ def lattice_intersection(a: Sublattice, b: Sublattice) -> Sublattice:
     # rows (u, v) with u @ A == v @ B give intersection elements u @ A
     stacked = transpose(a.basis + tuple(vscale(-1, r) for r in b.basis))
     pairs = integer_kernel(stacked, len(a.basis) + len(b.basis))
-    gens = []
-    for row in pairs:
-        u = row[: len(a.basis)]
-        x = [0] * a.ambient_rank
-        for c, brow in zip(u, a.basis):
-            x = [p + c * q for p, q in zip(x, brow)]
-        gens.append(tuple(x))
+    at = transpose(a.basis)
+    gens = [mat_vec(at, row[: len(a.basis)]) for row in pairs]
     return Sublattice(a.ambient_rank, row_lattice_hnf(gens))
 
 
@@ -413,10 +409,7 @@ def lattice_index(sub: Sublattice, sup: Sublattice) -> Optional[int]:
         coords.append(c)
     if sub.rank < sup.rank:
         return None
-    idx = 1
-    for d in elementary_divisors(mat(coords)):
-        idx *= d
-    return idx
+    return prod(elementary_divisors(coords))
 
 
 def image_lattice(matrix: Mat, s: Sublattice) -> Sublattice:
@@ -495,7 +488,7 @@ def quotient_map(ambient_rank: int, kernel: Sublattice) -> QuotientMap:
     q = ambient_rank - k
     w_inv = unimodular_inverse(w) if ambient_rank else ()
     # coordinates of x in the basis rows of w are x @ w_inv; keep the last q
-    proj = tuple(tuple(w_inv[i][k + j] for i in range(ambient_rank)) for j in range(q))
+    proj = transpose(w_inv)[k:]
     section = tuple(w[k + j] for j in range(q))
     qm = QuotientMap(ambient_rank, q, proj, kernel, section)
     for g in kernel.basis:

@@ -19,6 +19,8 @@ sends ``M`` into ``M′ = c′ ∩ L′`` iff it sends the rays of ``c`` and bot
 directions of its lineality into ``c′`` and a basis of ``M``'s group into
 ``L′``: one cone test per ray or line direction and one lattice test per
 group basis vector, however large the Hilbert basis (:func:`monoid_hom`).
+A free monoid's Hilbert basis lies on its rays and is a basis of its
+group, so there each Hilbert-basis element is mapped once for both tests.
 
 Monoids with invertible elements (units) arise as duals of monoids that are
 not full-dimensional; they are represented by the unit lattice plus a
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from operator import mul
 from typing import Optional, Sequence
 
 from .cones import (
@@ -175,13 +178,13 @@ def _parallelepiped_points(simplex_rays: tuple[Vec, ...]) -> list[Vec]:
     nums = [(0,) * len(diag)]
     for d, row in zip(diag, u):
         step = det // d
-        nums = [tuple(x + a * step * y for x, y in zip(t, row)) for t in nums for a in range(d)]
+        nums = [tuple([x + a * step * y for x, y in zip(t, row)]) for t in nums for a in range(d)]
     ray_cols = transpose(simplex_rays)
     out = []
     for t in nums:
         num = [x % det for x in t]
         if any(num):
-            out.append(tuple(dot(num, col) // det for col in ray_cols))
+            out.append(tuple([sum(map(mul, num, col)) // det for col in ray_cols]))
     return out
 
 
@@ -227,7 +230,7 @@ def _hilbert_basis_full(c: Cone) -> tuple[Vec, ...]:
     halfspaces = c.halfspaces
     top = max(sum(dot(h, r) for r in c.generators) for h in halfspaces)
     cols, guard = _packed_columns(halfspaces, c.ambient_rank, top)
-    valued = sorted((dot(grading, x), x, dot(cols, x)) for x in candidates)
+    valued = sorted([(sum(map(mul, grading, x)), x, sum(map(mul, cols, x))) for x in candidates])
     basis: list[tuple[int, Vec, int]] = []
     for gx, x, px in valued:
         xg = px | guard
@@ -355,7 +358,10 @@ def monoid_hom(matrix: Sequence[Sequence[int]], source: AffineMonoid, target: Af
     iff ``A`` sends the rays of ``c`` and both directions of its lineality
     into ``c′``, and a basis of ``source.group`` into ``L′`` (if: the
     monoid lies in ``c`` and in its group; only if: it spans ``c`` and
-    generates its group).  Only when this fails are the generators
+    generates its group).  Each vector is mapped once; when ``source`` is
+    free (pointed, with one Hilbert-basis element per ray and as many as
+    the rank of its group), its Hilbert basis serves as both the rays and
+    the group basis.  Only when this fails are the generators
     scanned, for one whose image escapes (there is one, since they generate
     the monoid), and :class:`MonoidNotMapped` names it.  A matrix that is
     not target rank × source rank raises ``ValueError``.
@@ -363,10 +369,15 @@ def monoid_hom(matrix: Sequence[Sequence[int]], source: AffineMonoid, target: Af
     mtx = mat(matrix)
     require_shape(mtx, target.ambient_rank, source.ambient_rank)
     c = source.cone
-    directions = c.generators + c.lineality + tuple(vscale(-1, l) for l in c.lineality)
+    if c.is_strictly_convex and len(source.hilbert_basis) == len(c.generators) == source.group.rank:
+        to_cone = to_lattice = source.hilbert_basis  # one element per ray, a basis of the group
+    else:
+        to_cone = c.generators + c.lineality + tuple(vscale(-1, l) for l in c.lineality)
+        to_lattice = source.group.basis
+    image = {v: mat_vec(mtx, v) for v in dict.fromkeys(to_cone + to_lattice)}
     if not (
-        all(target.cone.contains(mat_vec(mtx, r)) for r in directions)
-        and all(target.saturated_lattice.contains(mat_vec(mtx, b)) for b in source.group.basis)
+        all(target.cone.contains(image[r]) for r in to_cone)
+        and all(target.saturated_lattice.contains(image[b]) for b in to_lattice)
     ):
         g = next(g for g in source.generators() if not member(target, mat_vec(mtx, g)))
         raise MonoidNotMapped(

@@ -63,7 +63,7 @@ def _enumerate_elements(m: AffineMonoid, grading: Vec, bound: int) -> list[Vec]:
     if not m.is_pointed:
         raise UnsupportedMonoid("element enumeration needs a pointed monoid")
     gens = [g for g in m.hilbert_basis if not is_zero(g)]
-    zero = tuple(0 for _ in range(m.ambient_rank))
+    zero = (0,) * m.ambient_rank
     seen = {zero}
     frontier = [zero]
     while frontier:
@@ -78,15 +78,16 @@ def _enumerate_elements(m: AffineMonoid, grading: Vec, bound: int) -> list[Vec]:
 
 def _witness_tables(h: MonoidHom, bound: int):
     """Precomputed element tables for repeated witness searches: the target
-    up to ``bound``, the source up to ``2 * bound`` (sorted by grade) and
-    the source elements by their image."""
+    up to ``bound``, the source up to ``2 * bound`` with their images
+    (sorted by grade, each element mapped once) and the source elements by
+    their image."""
     grading_t = h.target.grading()
     t_elems = _enumerate_elements(h.target, grading_t, bound)
-    s_elems = _enumerate_elements(h.source, h.source.grading(), 2 * bound)
+    s_mapped = [(s, h.apply(s)) for s in _enumerate_elements(h.source, h.source.grading(), 2 * bound)]
     by_value: dict[Vec, list[Vec]] = {}
-    for s in s_elems:
-        by_value.setdefault(h.apply(s), []).append(s)
-    return grading_t, t_elems, by_value, s_elems
+    for s, image in s_mapped:
+        by_value.setdefault(image, []).append(s)
+    return grading_t, t_elems, by_value, s_mapped
 
 
 def _witness_search(tables, s1, s2, t1, t2) -> Optional[tuple[Vec, Vec, Vec]]:
@@ -128,25 +129,25 @@ def check_integral(h: MonoidHom, degree_bound: int = 8) -> CheckReport:
     a fresh search.  A pass is a pass up to the recorded bound; a failure
     reports the identity for which the witness search came up empty.  A
     bound below 1 would make the pass vacuous and raises ``ValueError``.
-    Each monoid is enumerated once: the source elements up to the bound
-    are filtered from the witness tables' source list.
+    Each monoid is enumerated once and each source element mapped once:
+    the source elements up to the bound, with their images, are filtered
+    from the witness tables' source list.
     """
     if degree_bound < 1:
         raise ValueError(f"degree bound must be at least 1, got {degree_bound}")
     source, target = h.source, h.target
     tables = _witness_tables(h, degree_bound)
-    _, t_elems, _, s_witness = tables
+    _, t_elems, _, s_mapped = tables
     grading_s = source.grading()
-    s_elems = [s for s in s_witness if dot(grading_s, s) <= degree_bound]
+    mapped = [(s, image) for s, image in s_mapped if dot(grading_s, s) <= degree_bound]
     t_set = set(t_elems)
     params = (("degree_bound", degree_bound),)
-    for a in range(len(s_elems)):
-        for b in range(a + 1, len(s_elems)):
-            s1, s2 = s_elems[a], s_elems[b]
+    for a, (s1, image1) in enumerate(mapped):
+        for s2, image2 in mapped[a + 1:]:
             # s1 - s2 lies in the source lattice, so only its cone can refuse it
             if source.cone.contains(vsub(s1, s2)) or source.cone.contains(vsub(s2, s1)):
                 continue
-            delta = vsub(h.apply(s1), h.apply(s2))
+            delta = vsub(image1, image2)
             witnessed: list[Vec] = []
             for t1 in t_elems:  # sorted by grade
                 t2 = vadd(t1, delta)

@@ -15,9 +15,12 @@ generators.  The cone oracles after it are the library's earlier
 canonicalisation, two double descriptions per cone, and incidence by dot
 products.  The monoid-map oracle after them is the library's earlier
 test of a map of monoids, one membership test per generator, before the
-test by rays and group.  The last two are the library's earlier integer
-kernel, with a second Hermite pass over the kernel block, and its earlier
-multiplicity, by a lattice intersection, a saturation and an index.
+test by rays and group.  The two after it are the library's earlier
+integer kernel, with a second Hermite pass over the kernel block, and its
+earlier multiplicity, by a lattice intersection, a saturation and an index.
+The kernel forms at the end are the library's earlier vector and matrix
+helpers and cone predicates, one generator frame per entry (or one ``dot``
+call per halfspace), before each became one builtin pass.
 """
 
 from fractions import Fraction
@@ -576,3 +579,97 @@ def multiplicity_by_saturation(cone, sub):
         return None
     total = lattice_sum(sub, span)
     return lattice_index(total, saturate(total))
+
+
+# ---------------------------------------------------------------------------
+# kernel forms: one generator frame per entry
+
+
+def vec_by_generator(entries):
+    return tuple(int(e) for e in entries)
+
+
+def vadd_by_generator(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vsub_by_generator(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def vscale_by_generator(c, a):
+    return tuple(c * x for x in a)
+
+
+def is_zero_by_generator(a):
+    return all(x == 0 for x in a)
+
+
+def vec_gcd_by_loop(a):
+    g = 0
+    for x in a:
+        g = gcd(g, abs(x))
+    return g
+
+
+def primitive_by_generator(a):
+    g = vec_gcd_by_loop(a)
+    if g <= 1:
+        return tuple(a)
+    return tuple(x // g for x in a)
+
+
+def mat_by_generator(rows):
+    return tuple(vec_by_generator(r) for r in rows)
+
+
+def identity_matrix_by_generator(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def mat_mul_by_generator(a, b):
+    bt = tuple(zip(*b)) if b else ()
+    return tuple(tuple(_dot(row, col) for col in bt) for row in a)
+
+
+def mat_vec_by_generator(m, v):
+    return tuple(_dot(row, v) for row in m)
+
+
+def coordinates_in_by_scan(basis_hnf, v):
+    """Integer coordinates of ``v`` in an HNF row basis, or None: pivots
+    found by enumerating each row."""
+    residue = list(v)
+    coeffs = []
+    for row in basis_hnf:
+        piv = next((j for j, x in enumerate(row) if x != 0), None)
+        if piv is None:
+            coeffs.append(0)
+            continue
+        if residue[piv] % row[piv] != 0:
+            return None
+        q = residue[piv] // row[piv]
+        coeffs.append(q)
+        residue = [x - q * y for x, y in zip(residue, row)]
+    if not is_zero_by_generator(residue):
+        return None
+    return tuple(coeffs)
+
+
+def cone_contains_by_dot(c, v, relint=False):
+    """``Cone.contains`` (or ``contains_in_relint``) by one dot product per
+    halfspace and equation."""
+    inside = all((_dot(h, v) > 0) if relint else (_dot(h, v) >= 0) for h in c.halfspaces)
+    return inside and all(_dot(e, v) == 0 for e in c.equations)
+
+
+def relative_interior_sample_by_sums(c, variant=0):
+    """``relative_interior_sample`` as a running sum of weighted rays."""
+    total = tuple(0 for _ in range(c.ambient_rank))
+    for i, g in enumerate(c.generators):
+        total = vadd_by_generator(total, vscale_by_generator(1 + variant * (i + 1), g))
+    return total

@@ -161,6 +161,34 @@ class TestOperations:
         with pytest.raises(ZeroCone):
             relative_interior_sample(zero_cone(2))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda r: st.tuples(
+                st.lists(st.tuples(*[st.integers(-3, 3)] * r), max_size=4),
+                st.lists(st.tuples(*[st.integers(-3, 3)] * r), max_size=1),
+                st.lists(
+                    st.tuples(*[st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))] * r),
+                    min_size=1,
+                    max_size=4,
+                ),
+                st.integers(0, 3),
+            )
+        )
+    )
+    @example(([], [], [(0, 0)], 0))
+    @example(([(1, 0), (0, 1)], [], [(2**64, 0), (2**65, -1), (0, 0)], 2))
+    def test_predicates_match_dot_products(self, case):
+        rays, lines, vectors, variant = case
+        c = cone_from_generators(rays, lines, ambient_rank=len(vectors[0]))
+        if not c.is_zero():
+            s = relative_interior_sample(c, variant)
+            assert s == oracles.relative_interior_sample_by_sums(c, variant)
+            vectors = vectors + [s]
+        for v in vectors + list(c.generators) + list(c.lineality):
+            assert c.contains(v) == oracles.cone_contains_by_dot(c, v)
+            assert c.contains_in_relint(v) == oracles.cone_contains_by_dot(c, v, relint=True)
+
     def test_relint_sample_variants_stay_inside(self):
         rng = random.Random(3)
         for _ in range(40):

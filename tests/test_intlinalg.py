@@ -3,12 +3,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chowfan.intlinalg import (
     NotASublattice,
     NotSaturated,
     Sublattice,
+    coordinates_in,
     full_lattice,
     hermite_normal_form,
     identity_matrix,
@@ -30,6 +31,12 @@ from chowfan.intlinalg import (
     solve_rational,
     sublattice,
     unimodular_inverse,
+    vadd,
+    vec,
+    vec_gcd,
+    primitive,
+    vscale,
+    vsub,
     zero_sublattice,
 )
 
@@ -329,3 +336,113 @@ class TestQuotientMap:
             # the section splits the projection
             for v in [(1,) + (0,) * (p.target_rank - 1)] if p.target_rank else []:
                 assert p.apply(p.lift(v)) == v
+
+
+# Entries: small ones, so that zero vectors, shared factors and lattice
+# members are common, and ones beyond 2**64.
+entries = st.one_of(
+    st.integers(-3, 3), st.integers(-(2**80), 2**80), st.sampled_from([2**64, -(2**64) - 1])
+)
+vectors = st.lists(entries, max_size=5)
+vector_pairs = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(*[st.lists(entries, min_size=n, max_size=n)] * 2)
+)
+matrices = st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda shape: st.lists(
+        st.lists(entries, min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    )
+)
+BIG = 2**64 + 3
+
+
+def _same(new, old):
+    """Equal values of equal types, entry by entry."""
+    assert new == old and type(new) is type(old)
+    if isinstance(new, tuple):
+        for x, y in zip(new, old):
+            _same(x, y)
+
+
+class TestKernels:
+    """Each vector and matrix helper against its earlier generator form."""
+
+    @settings(max_examples=300)
+    @given(vectors)
+    @example([])
+    @example([0, 0, 0])
+    @example([0, -BIG, 2 * BIG])
+    @example([-6, 4, -10])
+    def test_vector_helpers(self, v):
+        _same(vec(v), oracles.vec_by_generator(v))
+        _same(is_zero(v), oracles.is_zero_by_generator(v))
+        _same(vec_gcd(v), oracles.vec_gcd_by_loop(v))
+        _same(primitive(v), oracles.primitive_by_generator(v))
+        _same(vscale(-BIG, v), oracles.vscale_by_generator(-BIG, v))
+
+    @settings(max_examples=300)
+    @given(vector_pairs)
+    @example(([], []))
+    @example(([0, 0], [0, 0]))
+    @example(([BIG, -1], [-BIG, BIG]))
+    def test_vector_arithmetic(self, pair):
+        a, b = pair
+        _same(vadd(a, b), oracles.vadd_by_generator(a, b))
+        _same(vsub(a, b), oracles.vsub_by_generator(a, b))
+
+    @settings(max_examples=300)
+    @given(matrices, vectors)
+    @example([], [])
+    @example([[0, 0], [0, 0]], [0, 0])
+    @example([[BIG, -BIG], [-1, 2]], [BIG, 3])
+    def test_matrix_helpers(self, m, v):
+        v = (v + [0] * 4)[: len(m[0]) if m else 0]
+        _same(mat(m), oracles.mat_by_generator(m))
+        _same(mat_vec(m, v), oracles.mat_vec_by_generator(m, v))
+        t = [list(r) for r in zip(*m)]
+        _same(mat_mul(m, t), oracles.mat_mul_by_generator(m, t))
+
+    @settings(max_examples=300)
+    @given(matrices, vectors)
+    @example([], [])
+    @example([[0, 0, 0]], [0, 0, 0])
+    @example([[2, BIG], [0, 0], [0, 4]], [4, 2 * BIG + 8])
+    def test_coordinates_in(self, rows, v):
+        ncols = len(rows[0]) if rows else len(v)
+        v = (v + [0] * 4)[:ncols]
+        basis = row_lattice_hnf(rows) + tuple(tuple(0 for _ in r) for r in rows[:1])
+        _same(coordinates_in(basis, v), oracles.coordinates_in_by_scan(basis, v))
+        member = tuple(map(sum, zip(*basis))) if basis else ()
+        _same(coordinates_in(basis, member), oracles.coordinates_in_by_scan(basis, member))
+
+    @settings(max_examples=200)
+    @given(small_matrices)
+    @example([])
+    @example([[0, 0], [0, 0]])
+    @example([[BIG, 1], [-BIG, 2]])
+    @example([[2**64, 0, 3], [0, 0, 0]])
+    def test_normal_forms_return_tuples_of_ints(self, rows):
+        _same(row_lattice_hnf(rows), mat(row_lattice_hnf(rows)))
+        for part in smith_normal_form(rows):
+            _same(part, mat(part))
+
+    def test_identity_matrix_is_shared_and_immutable(self):
+        for n in range(8):
+            eye = identity_matrix(n)
+            _same(eye, oracles.identity_matrix_by_generator(n))
+            assert identity_matrix(n) is eye
+            assert all(type(row) is tuple for row in eye)
+        with pytest.raises(TypeError):
+            identity_matrix(3)[0][0] = 5
+
+    def test_no_caller_mutates_the_identity(self):
+        # the normal forms copy the identity into working rows and eliminate
+        rows = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+        smith_normal_form(rows)
+        hermite_normal_form(rows)
+        integer_kernel([[1, 2, 3]], 3)
+        unimodular_inverse(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+        quotient_map(3, sublattice(3, [[1, 1, 1]]))
+        for n in range(8):
+            _same(identity_matrix(n), oracles.identity_matrix_by_generator(n))

@@ -20,6 +20,7 @@ from chowfan.cones import (
 )
 from chowfan.intlinalg import Sublattice, dot, full_lattice, matrix_rank, sublattice
 from chowfan.monoids import (
+    MonoidNotMapped,
     NotAFace,
     _hilbert_basis_full,
     _packed_columns,
@@ -401,6 +402,34 @@ class TestHoms:
         monkeypatch.setattr(Sublattice, "contains", counted("lattice", Sublattice.contains))
         monoid_hom(((1, 0), (0, 1)), source, quadrant)
         assert calls["cone"] <= 2 and calls["lattice"] <= 2
+
+    def test_free_source_maps_each_generator_once(self, monkeypatch):
+        # the Hilbert basis lies on the rays and is a basis of the group; the
+        # rays and the group basis mapped separately would take 6 images
+        octant = cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        source = saturated_monoid(octant, sublattice(3, [(2, 0, 0), (0, 3, 0), (0, 0, 5)]))
+        assert source.hilbert_basis == ((0, 0, 5), (0, 3, 0), (2, 0, 0))
+        assert source.cone.generators != source.hilbert_basis
+        swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+        target = saturated_monoid(octant, full_lattice(3))
+        coarse = saturated_monoid(octant, sublattice(3, [(2, 0, 0), (0, 1, 0), (0, 0, 1)]))
+        mapped = []
+        real = chowfan.monoids.mat_vec
+
+        def counted(m, v):
+            mapped.append(v)
+            return real(m, v)
+
+        monkeypatch.setattr(chowfan.monoids, "mat_vec", counted)
+        monoid_hom(swap, source, target)
+        assert sorted(mapped) == sorted(source.hilbert_basis)
+        # the same images refuse a target lattice that misses one of them
+        mapped.clear()
+        with pytest.raises(MonoidNotMapped) as err:
+            monoid_hom(swap, source, coarse)
+        assert err.value.generator == (0, 3, 0) and err.value.image == (3, 0, 0)
+        assert sorted(mapped[:3]) == sorted(source.hilbert_basis)
+        assert err.value.generator == oracles.monoid_map_escape_by_generators(swap, source, coarse)
 
 
 def _saturated_monoids(rank):

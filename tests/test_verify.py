@@ -5,7 +5,7 @@ from chowfan.chow import chow_quotient
 from chowfan.cones import cone_from_generators
 from chowfan.family import universal_family
 from chowfan.intlinalg import Sublattice, sublattice, vadd, zero_sublattice
-from chowfan.monoids import dual_monoid, monoid_from_cone, monoid_hom, saturated_monoid
+from chowfan.monoids import MonoidHom, dual_monoid, monoid_from_cone, monoid_hom, saturated_monoid
 from chowfan.stacks import ToricStackDatum
 from chowfan.verify import (
     check_basic_monoid,
@@ -70,6 +70,28 @@ class TestIntegral:
         monkeypatch.setattr(chowfan.verify, "_enumerate_elements", counted)
         check_integral(monoid_hom(((1,), (1,)), _n(1), _n(2)), 4)
         assert sorted(calls) == [4, 8]
+
+    def test_each_source_element_mapped_once(self, monkeypatch):
+        # one image per source element of the witness tables, shared with the
+        # pair loop; mapping each pair anew took 145 and 155 images here
+        cases = [
+            (monoid_hom(((1, 0), (0, 1)), _n(2), _n(2)), 4, "pass", ()),
+            (monoid_hom(((1, 1),), _n(2), _n(1)), 8, "fail", (((0, 1), (1, 0), (0,), (0,)),)),
+        ]
+        for h, bound, verdict, witnesses in cases:
+            source = chowfan.verify._enumerate_elements(h.source, h.source.grading(), 2 * bound)
+            mapped = []
+            real = MonoidHom.apply
+
+            def counted(self, v):
+                mapped.append(v)
+                return real(self, v)
+
+            monkeypatch.setattr(MonoidHom, "apply", counted)
+            rep = check_integral(h, bound)
+            monkeypatch.setattr(MonoidHom, "apply", real)
+            assert (rep.verdict, rep.witnesses) == (verdict, witnesses)
+            assert mapped == source
 
     def test_no_lattice_tests(self, monkeypatch):
         # differences of monoid elements lie in the monoid's lattice
