@@ -213,9 +213,17 @@ def _cmd_fiber(fam: UniversalFamily, cone_index: int, graph_out: Optional[str]) 
     tropical = tropical_moduli_cone(fam, cone_index)
     dot = adjacency_dot(fam, fc)
     if graph_out:
-        with open(graph_out, "w") as fh:
-            fh.write(dot)
+        _write_file(graph_out, dot)
     return encode_fiber_document(fam, fc, pres, tropical, dot)
+
+
+def _write_file(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _checks(fam: UniversalFamily, args) -> list:
@@ -316,8 +324,7 @@ def run(argv: Optional[Sequence[str]] = None, stdout=None):
                     doc = _cmd_all(fan, sub, cq, fam, args)
         payload = dumps(doc)
         if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(payload)
+            _write_file(args.output, payload)
         else:
             out.write(payload)
         if doc.get("kind") in ("report", "full_report") and not doc.get("all_passed", True):

@@ -19,7 +19,9 @@ there is none.  Arrangement cells and (through a homogenised cone) fiber
 dimensions reduce to it; affine slice types are read off the projected
 cone (:func:`affine_slice_type`).  Every cone is interned in one cache
 keyed by its canonical V-description, which is looked up before any
-canonicalisation runs.
+canonicalisation runs; an interned cone keeps its intersections with
+other cones (:func:`intersect_cones`) and, through
+:func:`monoids.saturated_monoid`, its monoids, for the whole process.
 """
 
 from __future__ import annotations
@@ -255,6 +257,15 @@ def _intern(cone: Cone) -> Cone:
     return _cone_cache.setdefault(cone.key(), cone)
 
 
+def _memo(c: Cone, name: str) -> dict:
+    """The dict kept on the (frozen) cone ``c`` as ``name``, made on first use."""
+    memo = getattr(c, name, None)
+    if memo is None:
+        memo = {}
+        object.__setattr__(c, name, memo)
+    return memo
+
+
 def _cone_by_incidence(
     rank: int, rays: tuple[Vec, ...], lines: Mat, constraints: Sequence[Vec], tight: Sequence[int],
     input_equations: Sequence[Vec],
@@ -351,11 +362,22 @@ def dual_cone(c: Cone) -> Cone:
 
 
 def intersect_cones(a: Cone, b: Cone) -> Cone:
+    """The cone ``a ∩ b``, cut out by the constraints of both.
+
+    The result is kept on ``a``, keyed by ``b.key()``: it depends only on
+    the canonical data of the two cones, so a repeat call with the same
+    ``a`` (an interned cone is shared by the whole process) runs no double
+    description.
+    """
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient ranks differ")
-    return cone_from_halfspaces(
-        a.halfspaces + b.halfspaces, a.equations + b.equations, a.ambient_rank
-    )
+    memo, key = _memo(a, "_intersect_cache"), b.key()
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = cone_from_halfspaces(
+            a.halfspaces + b.halfspaces, a.equations + b.equations, a.ambient_rank
+        )
+    return out
 
 
 def image_cone(matrix_or_map, c: Cone) -> Cone:

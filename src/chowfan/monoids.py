@@ -37,6 +37,7 @@ from typing import Optional, Sequence
 from .cones import (
     Cone,
     NotStrictlyConvex,
+    _memo,
     _pull_back,
     _span_lattice,
     cone_from_generators,
@@ -247,11 +248,19 @@ def _hilbert_basis_full(c: Cone) -> tuple[Vec, ...]:
 
 
 def saturated_monoid(c: Cone, lattice: Sublattice) -> AffineMonoid:
-    """The monoid ``c ∩ lattice`` (lineality allowed; units become explicit)."""
+    """The monoid ``c ∩ lattice`` (lineality allowed; units become explicit).
+
+    The result is kept on ``c``, keyed by ``lattice.basis``, so a repeat
+    call on the same cone (an interned cone is shared by the whole
+    process) with an equal lattice computes nothing.
+    """
     rank = c.ambient_rank
     if lattice.ambient_rank != rank:
         raise ValueError("lattice has wrong ambient rank")
     basis = lattice.basis  # rows: coordinates y -> point y @ basis
+    memo = _memo(c, "_monoid_cache")
+    if basis in memo:
+        return memo[basis]
     k = len(basis)
     # the points y @ basis span span(lattice), so cy is c ∩ span(lattice); it
     # has the dimension of c iff span(c) ⊆ span(lattice), the usual case,
@@ -274,7 +283,8 @@ def saturated_monoid(c: Cone, lattice: Sublattice) -> AffineMonoid:
         hb = tuple(sorted(mat_vec(basis_t, y) for y in _hilbert_basis_full(cy)))
     # hb and units generate c2, and the group of cy ∩ Z^k is span(cy) ∩ Z^k
     group = [mat_vec(basis_t, y) for y in _span_lattice(cy).basis]
-    return AffineMonoid(rank, hb, units, c2, Sublattice(rank, row_lattice_hnf(group)), lattice)
+    m = memo[basis] = AffineMonoid(rank, hb, units, c2, Sublattice(rank, row_lattice_hnf(group)), lattice)
+    return m
 
 
 def monoid_from_cone(c: Cone, lattice: Optional[Sublattice] = None) -> AffineMonoid:

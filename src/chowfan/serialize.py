@@ -10,6 +10,7 @@ are unbounded, so no precision is ever lost).  Every document carries
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .cones import Cone, Fan, cone_from_generators, fan_from_cones
@@ -25,7 +26,53 @@ class DocumentError(ValueError):
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    """The canonical text of ``doc``, in one pass.
+
+    The bytes are exactly those of ``json.dumps(doc, sort_keys=True,
+    indent=2, separators=(",", ": ")) + "\n"``, for every document that
+    call accepts; a value it refuses (a ``set``, say) raises the same
+    ``TypeError``.  Any ``indent`` sends ``json`` to its pure-Python
+    generator encoder, so the text is written here directly: one ``join``
+    per container, one ``int.__repr__`` per integer, strings and keys
+    through ``encode_basestring_ascii``, every other leaf through
+    ``json.dumps``.
+    """
+    return _write(doc, "\n") + "\n"
+
+
+def _write(o, newline: str) -> str:
+    """``o`` as canonical JSON nested at ``newline``, a newline and the
+    indent of the line ``o`` starts on."""
+    if type(o) is int:
+        return int.__repr__(o)
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        if all(type(x) is int for x in o):
+            items = map(int.__repr__, o)
+        else:
+            items = [_write(x, inner) for x in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        items = [_key(k) + ": " + _write(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(o)
+
+
+def _key(k) -> str:
+    """An object key as ``json`` writes it: a string, or a bool, None, int
+    or float made a string."""
+    if not isinstance(k, str):
+        if not (k is None or isinstance(k, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+        k = json.dumps(k)
+    return encode_basestring_ascii(k)
 
 
 def _vectors(rows) -> list[list[int]]:

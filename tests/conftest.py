@@ -1,3 +1,5 @@
+import functools
+import json
 import random
 from itertools import combinations
 
@@ -173,6 +175,23 @@ def corpus(seed: int = 20240811, count: int = 10):
         if validate_fan(fan).ok and is_complete(fan):
             out.append((fan, sub))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_documents():
+    """The ten corpus inputs as CLI input documents (JSON text)."""
+    return tuple(
+        json.dumps(
+            {
+                "lattice_rank": fan.ambient_rank,
+                "maximal_cones": [
+                    [list(r) for r in fan.cones[i].generators] for i in fan.maximal_indices()
+                ],
+                "sublattice": [list(b) for b in sub.basis],
+            }
+        )
+        for fan, sub in corpus(count=10)
+    )
 
 
 def check_fan_incidence(fan: Fan) -> bool:

@@ -20,9 +20,11 @@ integer kernel, with a second Hermite pass over the kernel block, and its
 earlier multiplicity, by a lattice intersection, a saturation and an index.
 The kernel forms at the end are the library's earlier vector and matrix
 helpers and cone predicates, one generator frame per entry (or one ``dot``
-call per halfspace), before each became one builtin pass.
+call per halfspace), before each became one builtin pass.  The last is
+the library's earlier document writer, the standard ``json`` encoder.
 """
 
+import json
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
@@ -673,3 +675,8 @@ def relative_interior_sample_by_sums(c, variant=0):
     for i, g in enumerate(c.generators):
         total = vadd_by_generator(total, vscale_by_generator(1 + variant * (i + 1), g))
     return total
+
+
+def dumps_by_json(doc):
+    """``serialize.dumps`` as the ``json`` module's indented encoder."""
+    return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"

@@ -43,6 +43,7 @@ from chowfan import (
     wall_monoid_structure,
     wall_structure,
 )
+from chowfan import cones
 from chowfan.cli import parse_input
 from chowfan.cones import (
     _pull_back,
@@ -50,6 +51,7 @@ from chowfan.cones import (
     _span_lattice,
     all_faces,
     cone_from_halfspaces,
+    intersect_cones,
 )
 from chowfan.family import basic_monoid, lift_into_span
 from chowfan.chow import InfiniteIndex
@@ -71,7 +73,7 @@ from chowfan.serialize import (
 )
 from chowfan.verify import check_family_integral, dual_projection_hom, reduced_report
 
-from conftest import check_fan_incidence, check_monoid_hom, corpus, p2_fan, p1p1_fan
+from conftest import check_fan_incidence, check_monoid_hom, corpus, corpus_documents, p2_fan, p1p1_fan
 import oracles
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -644,3 +646,42 @@ def test_change_of_coordinates_by_gl_n(corpus_families):
     _announce("change of coordinates: quotient and family cone counts, cycle "
               "multiplicities, maximal cones and Hilbert-basis sizes are "
               "invariant under GL_n(Z) on the ten corpus inputs")
+
+
+def _memo_documents():
+    """The fixture documents, then the corpus input documents."""
+    docs = []
+    for name in sorted(os.listdir(FIXTURES)):
+        with open(os.path.join(FIXTURES, name)) as f:
+            docs.append(f.read())
+    return docs + list(corpus_documents())
+
+
+def test_memo_hits_equal_fresh_computations(monkeypatch):
+    monoids = intersections = 0
+    for text in _memo_documents():
+        # a cone cache of this input alone: every memo below was filled by it
+        monkeypatch.setattr(cones, "_cone_cache", {})
+        fan, sub, _ = parse_input(text)
+        fam = universal_family(chow_quotient(fan, sub))
+        for k in range(len(fam.base.fan.cones)):
+            basic_monoid(fam, k)
+            tropical_moduli_cone(fam, k)
+        check_reduced(fam)
+        for c in list(cones._cone_cache.values()):
+            # a copy of an interned cone carries no memo, so it computes
+            for basis, m in getattr(c, "_monoid_cache", {}).items():
+                fresh = saturated_monoid(replace(c), m.saturated_lattice)
+                assert m.saturated_lattice.basis == basis
+                assert (fresh.hilbert_basis, fresh.units, fresh.group, fresh.saturated_lattice, fresh.cone) == (
+                    m.hilbert_basis, m.units, m.group, m.saturated_lattice, m.cone
+                )
+                monoids += 1
+            for key, inter in getattr(c, "_intersect_cache", {}).items():
+                b = cones._cone_cache.get(key) or cone_from_generators(key[1], key[2], key[0])
+                fresh = intersect_cones(replace(c), b)
+                assert fresh == inter and fresh.incidence == inter.incidence
+                intersections += 1
+    assert monoids and intersections
+    _announce(f"{monoids} memoised monoids and {intersections} memoised intersections "
+              "equal fresh computations on the fixtures and the corpus")

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import io
 import json
@@ -30,7 +29,8 @@ from chowfan.cones import cone_from_generators
 from chowfan.monoids import dual_monoid, monoid_from_cone
 from chowfan.stacks import variety_datum
 
-from conftest import corpus, p2_fan, p1p1_fan
+from conftest import corpus_documents, p2_fan, p1p1_fan
+import oracles
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 P2 = os.path.join(FIXTURES, "p2_horizontal.json")
@@ -285,6 +285,18 @@ class TestExitCodes:
         code, _ = _run(["validate", "/nonexistent/input.json"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [(["validate", P2], "--output"), (["fiber", P1P1, "--cone", "1"], "--graph-out")],
+        ids=["output", "graph-out"],
+    )
+    def test_unwritable_output_is_usage(self, tmp_path, capsys, args, flag):
+        target = tmp_path / "missing" / "out"
+        code, out = _run(args + [flag, str(target)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not target.exists()
+
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"lattice_rank": 2')
@@ -400,29 +412,12 @@ def _reorderings(cones):
     return cones[::-1], shuffled
 
 
-@functools.lru_cache(maxsize=None)
-def _corpus_documents():
-    """The ten corpus inputs as CLI input documents (JSON text)."""
-    return tuple(
-        json.dumps(
-            {
-                "lattice_rank": fan.ambient_rank,
-                "maximal_cones": [
-                    [list(r) for r in fan.cones[i].generators] for i in fan.maximal_indices()
-                ],
-                "sublattice": [list(b) for b in sub.basis],
-            }
-        )
-        for fan, sub in corpus(count=10)
-    )
-
-
 class TestCorpusMetamorphic:
     """``chowfan family`` on the corpus does not depend on input order or hash seed."""
 
     @pytest.mark.parametrize("index", range(10))
     def test_family_document_is_invariant_under_reordering(self, tmp_path, index):
-        text = _corpus_documents()[index]
+        text = corpus_documents()[index]
         path = tmp_path / "input.json"
         path.write_text(text)
         doc = json.loads(text)
@@ -436,7 +431,7 @@ class TestCorpusMetamorphic:
     @pytest.mark.parametrize("index", [0, 8])
     def test_family_document_is_invariant_under_hash_seed(self, tmp_path, index):
         path = tmp_path / "input.json"
-        path.write_text(_corpus_documents()[index])
+        path.write_text(corpus_documents()[index])
         code, expected = _run(["family", str(path)])
         assert code == 0
         for seed in ("1", "2"):
@@ -523,6 +518,76 @@ class TestFuzzedInputs:
         err = capsys.readouterr().err
         assert code in (0, 1, 2, 3), err
         assert "Traceback" not in err
+
+
+_SPECIAL = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "€", "\u2028", "😀"])
+_TEXT = st.text(st.one_of(_SPECIAL, st.characters()), max_size=8)
+_LEAF = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    _TEXT,
+)
+_INT_LIST = st.lists(st.one_of(st.integers(min_value=-(2**80), max_value=2**80), st.booleans(), st.none()))
+_DOCUMENT = st.recursive(
+    st.one_of(_LEAF, _INT_LIST),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestWriter:
+    """``dumps`` writes the bytes of the indented ``json`` encoder."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCUMENT)
+    def test_matches_json(self, doc):
+        assert dumps(doc) == oracles.dumps_by_json(doc)
+
+    def test_matches_json_on_cli_documents(self, monkeypatch, tmp_path):
+        import chowfan.cli
+
+        kinds = []
+
+        def checked(doc):
+            text = dumps(doc)
+            assert text == oracles.dumps_by_json(doc)
+            kinds.append(doc["kind"])
+            return text
+
+        monkeypatch.setattr(chowfan.cli, "dumps", checked)
+        commands = [
+            ["validate"], ["multiplicities"], ["quotient"], ["cycle", "--cone", "0"], ["family"],
+            ["fiber", "--cone", "0"], ["check", "--bound", "2"], ["all", "--bound", "2"],
+        ]
+        paths = [os.path.join(FIXTURES, name) for name in sorted(os.listdir(FIXTURES))]
+        for i, text in enumerate(corpus_documents()):
+            paths.append(tmp_path / f"corpus{i}.json")
+            paths[-1].write_text(text)
+        for path in paths:
+            for command in commands:
+                assert _run([command[0], str(path)] + command[1:])[0] == 0
+        assert len(kinds) == len(paths) * len(commands)
+
+    def test_set_is_refused(self):
+        doc = {"a": [1, {2, 3}]}
+        with pytest.raises(TypeError) as expected:
+            oracles.dumps_by_json(doc)
+        with pytest.raises(TypeError) as raised:
+            dumps(doc)
+        assert str(raised.value) == str(expected.value)
+
+    def test_non_string_keys(self):
+        for doc in ({3: 1, 10: [2], -1: {}}, {None: 1}, {True: 1, False: 2}, {1.5: 1, 2.5: 2}):
+            assert dumps(doc) == oracles.dumps_by_json(doc)
+        with pytest.raises(TypeError):
+            dumps({(1,): 2})
 
 
 class TestSerializeRoundTrips:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chowfan import cones
+from chowfan import cones, monoids
 from chowfan.cones import (
     NoTargetCone,
     ZeroCone,
@@ -487,6 +487,51 @@ class TestInterning:
         cone_from_generators([(1, 0), (1, 2)])
         cone_from_halfspaces([(1, 0), (-1, 2)])
         assert all(key == c.key() for key, c in cones._cone_cache.items())
+
+
+class TestMemos:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Double descriptions and Hilbert bases run from here on, with an
+        empty cone cache, by name."""
+        calls = []
+        for module, name in ((cones, "double_description"), (monoids, "_hilbert_basis_full")):
+            real = getattr(module, name)
+
+            def wrapped(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapped)
+        monkeypatch.setattr(cones, "_cone_cache", {})
+        return calls
+
+    def test_repeat_saturated_monoid_computes_nothing(self, counted):
+        # the plane lattice does not span the cone: the first call pulls
+        # back by a double description and intersects with the plane
+        c = cone_from_generators([(1, 0, 0), (1, 2, 0), (0, 1, 1)])
+        first, second = (sublattice(3, [(1, 1, 0), (0, 2, 0)]) for _ in range(2))
+        assert first == second and first is not second
+        del counted[:]
+        m = saturated_monoid(c, first)
+        assert "double_description" in counted and "_hilbert_basis_full" in counted
+        del counted[:]
+        assert saturated_monoid(c, second) is m
+        assert counted == []
+        assert m.hilbert_basis == ((1, 1, 0), (2, 0, 0), (2, 4, 0))
+
+    def test_repeat_intersection_runs_no_double_description(self, counted):
+        a = cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2)])
+        b = cone_from_generators([(1, 0, 0), (0, 1, 1), (0, 0, 1)])
+        del counted[:]
+        inter = intersect_cones(a, b)
+        assert counted == ["double_description"]
+        del counted[:]
+        # an equal cone that is not the interned one hits the same entry
+        assert intersect_cones(a, b) is inter
+        assert intersect_cones(a, dual_cone(dual_cone(b))) is inter
+        assert counted == []
+        assert inter.generators == ((1, 0, 0), (1, 1, 2), (1, 2, 2))
 
 
 class TestFacesAndFans:
