@@ -257,12 +257,13 @@ def _intern(cone: Cone) -> Cone:
     return _cone_cache.setdefault(cone.key(), cone)
 
 
-def _memo(c: Cone, name: str) -> dict:
-    """The dict kept on the (frozen) cone ``c`` as ``name``, made on first use."""
-    memo = getattr(c, name, None)
+def _memo(obj, name: str) -> dict:
+    """The dict kept on the frozen ``obj`` (a cone, a family) as ``name``,
+    made on first use."""
+    memo = getattr(obj, name, None)
     if memo is None:
         memo = {}
-        object.__setattr__(c, name, memo)
+        object.__setattr__(obj, name, memo)
     return memo
 
 

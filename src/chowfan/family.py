@@ -23,6 +23,7 @@ from .chow import ChowQuotient, chow_stack_datum, point_fiber_cones
 from .cones import (
     Cone,
     Fan,
+    _memo,
     _relint_sample_or_zero,
     _span_lattice,
     cone_from_generators,
@@ -269,10 +270,7 @@ def wall_structure(fam: UniversalFamily, base_index: int, wall_index: int) -> Wa
     section minus first); any other count is an internal error.  Each wall
     is classified once per base cone and kept on the family.
     """
-    cache = getattr(fam, "_wall_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(fam, "_wall_cache", cache)
+    cache = _memo(fam, "_wall_cache")
     w = cache.get((base_index, wall_index))
     if w is None:
         w = cache[base_index, wall_index] = _classify_wall(fam, base_index, wall_index)
@@ -559,10 +557,7 @@ class BasicMonoidPresentation:
 
 def basic_monoid(fam: UniversalFamily, base_index: int) -> BasicMonoidPresentation:
     """The presentation over one base cone, built once and kept on the family."""
-    cache = getattr(fam, "_basic_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(fam, "_basic_cache", cache)
+    cache = _memo(fam, "_basic_cache")
     pres = cache.get(base_index)
     if pres is None:
         pres = cache[base_index] = _basic_monoid(fam, base_index)
