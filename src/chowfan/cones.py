@@ -328,7 +328,7 @@ def cone_from_generators(
     # dual H-description: functionals nonnegative on rays, zero on lines
     halfspaces, equations, on_facet = double_description(rays, lines, ambient_rank)
     tight = _transpose_masks(on_facet, len(rays))
-    return _intern(dual_cone(_cone_by_incidence(ambient_rank, halfspaces, equations, rays, tight, lines)))
+    return dual_cone(_cone_by_incidence(ambient_rank, halfspaces, equations, rays, tight, lines))
 
 
 def cone_from_halfspaces(
@@ -357,9 +357,13 @@ def zero_cone(ambient_rank: int) -> Cone:
 
 
 def dual_cone(c: Cone) -> Cone:
-    """Polar dual ``{u : <u,x> >= 0 for all x in c}``; involutive."""
+    """Polar dual ``{u : <u,x> >= 0 for all x in c}``, interned; involutive,
+    and ``dual_cone(dual_cone(c)) is c`` for an interned ``c``."""
+    cached = _cone_cache.get((c.ambient_rank, c.halfspaces, c.equations))
+    if cached is not None:
+        return cached
     incidence = _transpose_masks(c.incidence, len(c.generators))
-    return Cone(c.ambient_rank, c.halfspaces, c.equations, c.generators, c.lineality, incidence)
+    return _intern(Cone(c.ambient_rank, c.halfspaces, c.equations, c.generators, c.lineality, incidence))
 
 
 def intersect_cones(a: Cone, b: Cone) -> Cone:

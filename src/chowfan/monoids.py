@@ -3,13 +3,16 @@
 Every monoid is the set of points of a lattice ``L`` in a rational cone
 ``c``; membership is the two containment tests ``v ∈ c`` and ``v ∈ L``.
 The workhorse is :func:`saturated_monoid`: the Hilbert basis of ``c ∩ L``
-is computed by a pulling triangulation, an integer enumeration of each
-simplex's fundamental parallelepiped (one Smith form per simplex, of its
-raw ray matrix: no saturation of its span, no change of coordinates and no
-rational solve per point) and an irreducibility sieve that only tries
-reducers of at most half a candidate's grade, each try one big-int
-operation on halfspace values packed into guarded bit fields.  Its group
-is read off the lattice, not from the Hilbert basis.  The monoid on a face
+is the rays of ``c`` when each facet is 1 on the one ray off it (the cone
+is then unimodular), and otherwise is computed by a pulling triangulation,
+an integer enumeration of each simplex's fundamental parallelepiped (one
+Smith form per simplex, of its raw ray matrix: no saturation of its span,
+no change of coordinates and no rational solve per point) and an
+irreducibility sieve.  The sieve tries only reducers of at most half a
+candidate's grade, on halfspace values packed into guarded bit fields,
+and tests them in blocks of 1, 2, 4, ... elements, each block in a few
+big-int operations.  Its group is read off the lattice, not from the
+Hilbert basis.  The monoid on a face
 of its cone is filtered from its Hilbert basis, not recomputed
 (:func:`restrict_to_face`).
 
@@ -202,49 +205,93 @@ def _packed_columns(halfspaces: Sequence[Vec], rank: int, top: int) -> tuple[lis
     return cols, guard
 
 
+def _value_bound(c: Cone) -> int:
+    """``top = max_h sum_r h.r``, a bound on every halfspace value of a
+    Hilbert-basis candidate of the strictly convex ``c``."""
+    return max(sum(dot(h, r) for r in c.generators) for h in c.halfspaces)
+
+
+def _sieve(valued: Sequence[tuple[int, Vec, int]], guard: int) -> list[tuple[int, Vec, int]]:
+    """The irreducible ``(grade, x, packed)`` of candidates sorted by grade,
+    each tested against the doubling blocks of kept elements of at most
+    half its grade (see :func:`_hilbert_basis_full`)."""
+    bw = guard.bit_length() + 1
+    low = (1 << (bw - 1)) - 1
+    basis: list[tuple[int, Vec, int]] = []
+    blocks: list[list[int]] = []  # [P, R, G*, L, T] of each block
+    packed = room = 0  # elements of basis packed, free slots in the last block
+    for gx, x, px in valued:
+        while packed < len(basis) and 2 * basis[packed][0] <= gx:
+            if not room:
+                room = 1 << len(blocks)
+                blocks.append([0, 0, 0, 0, 0])
+            block = blocks[-1]
+            one = 1 << (((1 << (len(blocks) - 1)) - room) * bw)
+            block[0] += basis[packed][2] * one
+            block[1] += one
+            block[2] += guard * one
+            block[3] += low * one
+            block[4] += one << (bw - 1)
+            packed += 1
+            room -= 1
+        xg = px | guard
+        for p, r, gs, l, t in blocks:
+            if ((((xg * r - p) & gs) ^ gs) + l) & t != t:
+                break
+        else:
+            basis.append((gx, x, px))
+    return basis
+
+
 def _hilbert_basis_full(c: Cone) -> tuple[Vec, ...]:
     """Hilbert basis of ``c ∩ Z^rank`` for a strictly convex cone.
 
-    Candidates are the rays and the parallelepiped points of a pulling
-    triangulation, enumerated in integers.  They are sieved in grade order:
-    ``x`` is reducible iff ``x - b`` lies in the cone for an irreducible
-    ``b`` with ``2 * grade(b) <= grade(x)``, since a sum of two or more
-    irreducibles has a summand of at most half its grade.
-
-    ``x - b`` lies in the cone iff ``h.x >= h.b`` for every halfspace ``h``,
-    and that test is one big-int operation (Lamport, CACM 18(8), 1975).
     Every candidate is a ray or a sum of rays with coefficients below 1, so
     its halfspace values lie in ``[0, top]`` with ``top = max_h sum_r h.r``.
-    In fields of width ``w = bitlen(top) + 1`` the values pack into one
-    integer ``X = sum_i (h_i.x) << (i*w)``, which is ``dot(cols, x)`` for
-    the packed columns ``cols[k] = sum_i h_i[k] << (i*w)``.  With ``G`` the
-    top (guard) bit of every field, no field of ``(X | G) - B`` borrows
-    from the next, and its guard survives iff ``h_i.x >= h_i.b``; so
-    ``x - b`` is in the cone iff ``((X | G) - B) & G == G``.
+    If ``top == 1`` each facet is off exactly one ray, where it is 1: the
+    cone is simplicial and unimodular in its span lattice, and its rays are
+    its Hilbert basis.  Otherwise the candidates are the rays and the
+    parallelepiped points of a pulling triangulation, enumerated in
+    integers, sieved in grade order: ``x`` is reducible iff ``x - b`` lies
+    in the cone for an irreducible ``b`` with ``2 * grade(b) <= grade(x)``,
+    since a sum of two or more irreducibles has a summand of at most half
+    its grade.
+
+    ``x - b`` lies in the cone iff ``h.x >= h.b`` for every halfspace ``h``,
+    a test on guarded bit fields (Lamport, CACM 18(8), 1975).  In fields of
+    width ``w = bitlen(top) + 1`` the values pack into one integer
+    ``X = sum_i (h_i.x) << (i*w)``, which is ``dot(cols, x)`` for the packed
+    columns ``cols[k] = sum_i h_i[k] << (i*w)``.  With ``G`` the top
+    (guard) bit of every field, no field of ``(X | G) - B`` borrows from the
+    next, and its guard survives iff ``h_i.x >= h_i.b``.
+
+    One candidate is tested against a block of kept elements at once.  The
+    block holds their packed values ``B_j`` in slots of width
+    ``bw = len(halfspaces) * w + 1`` (the top bit of a slot stays 0), as
+    ``P = sum_j B_j << (j*bw)`` with ``R = sum_j 1 << (j*bw)``.  No slot of
+    ``(X | G) * R - P`` borrows from the next, since every field of ``B_j``
+    is at most ``top < 2^(w-1)``.  Slot ``j`` of
+    ``E = (((X | G) * R - P) & G*) ^ G*``, for ``G* = G * R``, holds the
+    guards that ``B_j`` cleared, and adding ``L = (2^(bw-1) - 1) * R`` sets
+    the top bit ``T`` of exactly the slots with a cleared guard; so some
+    ``x - b_j`` lies in the cone iff ``(E + L) & T != T``.  The elements of
+    at most half the grade of the candidate are packed in grade order into
+    blocks of 1, 2, 4, ... slots, tested in that order up to the first that
+    reduces ``x``: a candidate with an early reducer costs one or two small
+    tests, an irreducible one about ``log2`` of the basis size.
     """
     if c.dim == 0:
         return ()
+    top = _value_bound(c)
+    if top == 1:
+        return c.generators
     candidates = set(c.generators)
     for simplex in _triangulate(c):
         candidates.update(_parallelepiped_points(simplex))
     grading = _grading(c)
-    halfspaces = c.halfspaces
-    top = max(sum(dot(h, r) for r in c.generators) for h in halfspaces)
-    cols, guard = _packed_columns(halfspaces, c.ambient_rank, top)
+    cols, guard = _packed_columns(c.halfspaces, c.ambient_rank, top)
     valued = sorted([(sum(map(mul, grading, x)), x, sum(map(mul, cols, x))) for x in candidates])
-    basis: list[tuple[int, Vec, int]] = []
-    for gx, x, px in valued:
-        xg = px | guard
-        reducible = False
-        for gb, _b, pb in basis:
-            if 2 * gb > gx:
-                break
-            if (xg - pb) & guard == guard:
-                reducible = True
-                break
-        if not reducible:
-            basis.append((gx, x, px))
-    return tuple(sorted(x for _, x, _px in basis))
+    return tuple(sorted(x for _, x, _px in _sieve(valued, guard)))
 
 
 def saturated_monoid(c: Cone, lattice: Sublattice) -> AffineMonoid:

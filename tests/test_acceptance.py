@@ -5,6 +5,7 @@ Each criterion prints one PASS line when it completes (run with ``-s`` to
 see them); any failure is a build-blocking defect.
 """
 
+import io
 import os
 import random
 from dataclasses import replace
@@ -43,8 +44,8 @@ from chowfan import (
     wall_monoid_structure,
     wall_structure,
 )
-from chowfan import cones
-from chowfan.cli import parse_input
+from chowfan import cones, monoids
+from chowfan.cli import parse_input, run
 from chowfan.cones import (
     _pull_back,
     _relint_sample_or_zero,
@@ -594,6 +595,31 @@ def test_packed_sieve_matches_tuple_sieve_on_family_monoids(corpus_families):
             count += 1
     _announce(f"packed dominance sieve equals the tuple sieve on all {count} "
               "family-cone monoids")
+
+
+def test_block_sieve_matches_tuple_sieve_on_every_acceptance_basis(monkeypatch, tmp_path):
+    """Every Hilbert basis ``chowfan all`` computes on the two worked
+    examples and the ten corpus inputs, each with a cone cache of its own."""
+    bases = {}
+    real = monoids._hilbert_basis_full
+
+    def recorded(c):
+        bases[c] = real(c)
+        return bases[c]
+
+    monkeypatch.setattr(monoids, "_hilbert_basis_full", recorded)
+    paths = [os.path.join(FIXTURES, name) for name in ("p2_horizontal.json", "p1p1_diagonal.json")]
+    for k, text in enumerate(corpus_documents()):
+        paths.append(tmp_path / f"corpus{k}.json")
+        paths[-1].write_text(text)
+    for path in paths:
+        monkeypatch.setattr(cones, "_cone_cache", {})
+        assert run(["all", "--bound", "4", str(path)], stdout=io.StringIO()) == 0
+    for c, hb in bases.items():
+        assert hb == oracles.hilbert_basis_by_tuple_sieve(c)
+    assert max(len(hb) for hb in bases.values()) > 1000
+    _announce(f"block sieve equals the tuple sieve on all {len(bases)} Hilbert bases "
+              "of the twelve acceptance inputs")
 
 
 def test_faces_by_filtering_on_quotient_data(corpus_families):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from chowfan.cones import (
 )
 from chowfan.intlinalg import (
     dot,
+    full_lattice,
     mat_vec,
     quotient_map,
     saturate,
@@ -117,7 +119,7 @@ class TestDuality:
         rng = random.Random(2)
         for _ in range(120):
             c = rand_cone(rng, rank=rng.choice([2, 3]), nrays=rng.randrange(0, 5))
-            assert dual_cone(dual_cone(c)) == c
+            assert dual_cone(dual_cone(c)) is c
 
 
 class TestOperations:
@@ -360,6 +362,10 @@ class TestOneConversion:
             _assert_matches_two_conversions(f)
         assert _fields(dual_cone(dual_cone(c))) == _fields(c)
         assert dual_cone(dual_cone(c)).incidence == c.incidence
+        # the dual is interned, with the incidence a fresh dual would have
+        d = dual_cone(c)
+        assert cones._cone_cache[d.key()] is d and dual_cone(d) is c
+        assert d.incidence == cones._transpose_masks(c.incidence, len(c.generators))
 
     @settings(deadline=None, max_examples=150)
     @given(rank3_cones_with_lines, st.lists(rank3_vectors, max_size=2), st.integers(1, 3))
@@ -469,8 +475,11 @@ class TestInterning:
         assert calls == []
 
     def test_span_lattice_runs_one_kernel_per_cone(self, monkeypatch):
+        monkeypatch.setattr(cones, "_cone_cache", {})
         a = dual_cone(cone_from_generators([(1, 0, 0), (1, 2, 0)]))
-        b = dual_cone(cone_from_generators([(1, 0, 0), (1, 2, 0)]))
+        # the dual is interned; an equal copy that is not keeps its own span
+        b = dataclasses.replace(a)
+        assert dual_cone(cone_from_generators([(1, 0, 0), (1, 2, 0)])) is a and b is not a
         calls = []
         real = cones.integer_kernel
 
@@ -519,6 +528,16 @@ class TestMemos:
         assert saturated_monoid(c, second) is m
         assert counted == []
         assert m.hilbert_basis == ((1, 1, 0), (2, 0, 0), (2, 4, 0))
+
+    def test_repeat_dual_monoid_computes_nothing(self, counted):
+        c = cone_from_generators([(1, 0, 0), (1, 2, 0), (0, 1, 1)])
+        m = saturated_monoid(c, full_lattice(3))
+        del counted[:]
+        first = monoids.dual_monoid(m)
+        assert counted == ["_hilbert_basis_full"]
+        del counted[:]
+        assert monoids.dual_monoid(m) is first and dual_cone(dual_cone(c)) is c
+        assert counted == []
 
     def test_repeat_intersection_runs_no_double_description(self, counted):
         a = cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2)])

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import chowfan.monoids
 from chowfan.cli import run
+from chowfan import cones
 from chowfan.cones import (
     Cone,
     NotStrictlyConvex,
@@ -18,13 +19,16 @@ from chowfan.cones import (
     is_face_of,
     zero_cone,
 )
-from chowfan.intlinalg import Sublattice, dot, full_lattice, matrix_rank, sublattice
+from chowfan.intlinalg import Sublattice, dot, full_lattice, mat_vec, matrix_rank, sublattice
 from chowfan.monoids import (
     MonoidNotMapped,
     NotAFace,
     _hilbert_basis_full,
+    _grading,
     _packed_columns,
     _parallelepiped_points,
+    _sieve,
+    _value_bound,
     dual_monoid,
     group_coordinates,
     member,
@@ -224,6 +228,21 @@ def packed_pairs(draw):
     return w, xs, bs
 
 
+@st.composite
+def packed_blocks(draw):
+    """A value tuple and 1-9 slot tuples in fields of width ``w``, slot
+    fields often equal to the tuple's."""
+    w = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 6))
+    xs = draw(st.lists(_fields(w), min_size=n, max_size=n))
+    bs = []
+    for _ in range(draw(st.integers(1, 9))):
+        b = draw(st.lists(_fields(w), min_size=n, max_size=n))
+        equal = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        bs.append([x if e else v for x, v, e in zip(xs, b, equal)])
+    return w, xs, bs
+
+
 class TestPackedDominance:
     @settings(deadline=None, max_examples=300)
     @given(packed_pairs())
@@ -242,6 +261,23 @@ class TestPackedDominance:
         dominates = all(x >= b for x, b in zip(xs, bs))
         assert (((packed_x | guard) - packed_b) & guard == guard) == dominates
 
+    @settings(deadline=None, max_examples=300)
+    @given(packed_blocks())
+    @example((1, [0], [[1]]))
+    @example((3, [3, 0, 3], [[3, 1, 0], [0, 1, 3], [1, 1, 1], [2, 0, 3]]))
+    @example((12, [2047] * 6, [[2047] * 5 + [0]] * 8 + [[2047] * 6]))
+    def test_block_test_is_some_slot_dominated(self, case):
+        w, xs, bs = case
+        n = len(xs)
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        cols, guard = _packed_columns(units, n, 2 ** (w - 1) - 1)
+        # the slots are kept at grade 1, none of them tested against another;
+        # at grade 2 the candidate meets all of them, in blocks of 1, 2, 4, 8
+        valued = [(1, j, dot(cols, b)) for j, b in enumerate(bs)] + [(2, "x", dot(cols, xs))]
+        kept = [label for _, label, _ in _sieve(valued, guard)]
+        dominated = any(all(x >= b for x, b in zip(xs, b)) for b in bs)
+        assert kept == list(range(len(bs))) + ([] if dominated else ["x"])
+
     @settings(deadline=None, max_examples=60)
     @given(rank3_cones)
     # a candidate's value on (1, -3, 0) is 20, above every ray's (at most 12)
@@ -249,6 +285,128 @@ class TestPackedDominance:
     def test_packed_sieve_matches_tuple_sieve(self, c):
         assume(c.is_strictly_convex)
         assert _hilbert_basis_full(c) == oracles.hilbert_basis_by_tuple_sieve(c)
+
+
+@st.composite
+def simplicial_cones(draw):
+    """Simplicial cones of rank 2-4 and determinant 1-200: the rays
+    ``e_1, ..., e_{n-1}`` and ``(p, d)`` with ``0 <= p < d``, sheared by
+    a unimodular upper triangular matrix."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 200))
+    last = tuple(draw(st.integers(0, d - 1)) for _ in range(n - 1)) + (d,)
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n - 1)] + [last]
+    shear = [
+        [int(i == j) if j <= i else draw(st.integers(-2, 2)) for j in range(n)] for i in range(n)
+    ]
+    return cone_from_generators([mat_vec(shear, r) for r in rays])
+
+
+def _pointed_cones(rank, first, rest, size):
+    """Cones of ``rank + 1`` to ``size`` rays whose first entry is in
+    ``[1, first]``, so strictly convex, the others in ``[-rest, rest]``."""
+    vectors = st.tuples(st.integers(1, first), *[st.integers(-rest, rest)] * (rank - 1))
+    return st.lists(vectors, min_size=rank + 1, max_size=size).map(cone_from_generators)
+
+
+# two simplices whose bases have 8 or more elements of at most half the
+# largest grade: the last of them is tested against four blocks
+MANY_BLOCKS = (
+    cone_from_generators([(1, 0, 0), (0, 1, 0), (175, 28, 200)]),
+    cone_from_generators([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (57, 35, 110, 165)]),
+)
+
+
+class TestBlockSieve:
+    def test_examples_reach_the_fourth_block(self):
+        for c in MANY_BLOCKS:
+            grades = [dot(_grading(c), x) for x in _hilbert_basis_full(c)]
+            assert sum(2 * g <= max(grades) for g in grades) >= 8
+
+    @settings(deadline=None, max_examples=100)
+    @given(simplicial_cones())
+    @example(MANY_BLOCKS[0])
+    @example(MANY_BLOCKS[1])
+    @example(cone_from_generators([(1, 0), (1, 200)]))
+    def test_simplices_match_tuple_sieve(self, c):
+        assert _hilbert_basis_full(c) == oracles.hilbert_basis_by_tuple_sieve(c)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(_pointed_cones(3, 3, 3, 6), _pointed_cones(4, 2, 2, 6)))
+    @example(cone_from_generators([(1, 0, 0), (1, 3, 0), (1, 0, 3), (1, 3, 3)]))
+    @example(cone_from_generators([(1, 0, 0, 0), (1, 2, 0, 0), (1, 0, 2, 0), (1, 0, 0, 2), (2, 1, 1, 1)]))
+    def test_non_simplicial_cones_match_tuple_sieve(self, c):
+        assume(len(c.generators) > c.dim)
+        assert _hilbert_basis_full(c) == oracles.hilbert_basis_by_tuple_sieve(c)
+
+
+@st.composite
+def lattice_basis_cones(draw):
+    """The cone on 1-4 rows of a unimodular 4 x 4 matrix, a product of
+    row additions, a row permutation and sign changes."""
+    rows = [[int(i == j) for j in range(4)] for i in range(4)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.sampled_from([(i, j) for i in range(4) for j in range(4) if i != j]))
+        a = draw(st.integers(-2, 2))
+        rows[i] = [x + a * y for x, y in zip(rows[i], rows[j])]
+    order = draw(st.permutations(range(4)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=4, max_size=4))
+    k = draw(st.integers(1, 4))
+    return cone_from_generators([[signs[i] * x for x in rows[order[i]]] for i in range(k)], ambient_rank=4)
+
+
+class TestUnimodularExit:
+    # cones of dimension 1-4 in Z^4, each facet 1 on one ray and 0 on the others
+    CONES = (
+        [(1, 0, 0, 0)],
+        [(1, 0, 0, 0), (1, 1, 0, 0)],
+        [(1, 0, 0, 0), (1, 1, 0, 0), (0, 2, 1, 0)],
+        [(1, 0, 0, 0), (1, 1, 0, 0), (0, 2, 1, 0), (3, -1, 1, 1)],
+    )
+    # (rays, lattice rows, Hilbert basis): monoids whose cone, pulled back to
+    # lattice coordinates, has rays on a basis of the lattice
+    PULLED_BACK = (
+        ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)],
+         ((0, 0, 0, 2), (0, 0, 2, 0), (0, 2, 0, 0), (2, 0, 0, 0))),
+        ([(1, 1, 0, 0), (0, 0, 1, 0)], [(1, 1, 0, 0), (0, 0, 2, 0)], ((0, 0, 2, 0), (1, 1, 0, 0))),
+        ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], [(1, 1, 0, 0), (0, 0, 1, 1)],
+         ((0, 0, 1, 1), (1, 1, 0, 0))),
+        ([(1, 2, 3, 5)], [(1, 2, 3, 5)], ((1, 2, 3, 5),)),
+    )
+
+    @pytest.fixture
+    def no_parallelepipeds(self, monkeypatch):
+        """A cone cache of its own, and no Smith form or parallelepiped."""
+
+        def refused(*args):
+            raise AssertionError("a unimodular cone was triangulated")
+
+        monkeypatch.setattr(cones, "_cone_cache", {})
+        monkeypatch.setattr(chowfan.monoids, "smith_normal_form", refused)
+        monkeypatch.setattr(chowfan.monoids, "_parallelepiped_points", refused)
+
+    def test_cones_return_their_rays(self, no_parallelepipeds):
+        for rays in self.CONES:
+            c = cone_from_generators(rays)
+            assert c.dim == len(rays) and _value_bound(c) == 1
+            assert _hilbert_basis_full(c) == c.generators
+            assert saturated_monoid(c, full_lattice(4)).hilbert_basis == c.generators
+
+    def test_pulled_back_cones_return_their_rays(self, no_parallelepipeds):
+        for rays, rows, basis in self.PULLED_BACK:
+            m = saturated_monoid(cone_from_generators(rays), sublattice(4, rows))
+            assert m.hilbert_basis == basis
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.one_of(lattice_basis_cones(), _pointed_cones(4, 2, 2, 5), rank3_cones))
+    def test_top_one_means_a_lattice_basis(self, c):
+        assume(c.is_strictly_convex and c.dim)
+        if c.dim == c.ambient_rank == len(c.generators) and set(oracles.elementary_divisors_by_minors(c.generators)) == {1}:
+            assert _value_bound(c) == 1  # a full-dimensional cone on a basis always exits
+        if _value_bound(c) == 1:
+            assert len(c.generators) == c.dim
+            assert oracles.elementary_divisors_by_minors(c.generators) == (1,) * c.dim
+            assert _hilbert_basis_full(c) == oracles.hilbert_basis_by_tuple_sieve(c) == c.generators
 
 
 # 1-3 linearly independent rank-3 vectors, entries in [-3, 3]
