@@ -23,8 +23,8 @@ from chowfan.intlinalg import Sublattice, dot, full_lattice, mat_vec, matrix_ran
 from chowfan.monoids import (
     MonoidNotMapped,
     NotAFace,
-    _hilbert_basis_full,
     _grading,
+    _hilbert_basis_full,
     _packed_columns,
     _parallelepiped_points,
     _sieve,
@@ -275,7 +275,7 @@ class TestPackedDominance:
         # at grade 2 the candidate meets all of them, in blocks of 1, 2, 4, 8
         valued = [(1, j, dot(cols, b)) for j, b in enumerate(bs)] + [(2, "x", dot(cols, xs))]
         kept = [label for _, label, _ in _sieve(valued, guard)]
-        dominated = any(all(x >= b for x, b in zip(xs, b)) for b in bs)
+        dominated = any(all(x >= v for x, v in zip(xs, slot)) for slot in bs)
         assert kept == list(range(len(bs))) + ([] if dominated else ["x"])
 
     @settings(deadline=None, max_examples=60)
