@@ -1,11 +1,9 @@
 import functools
 import json
-import os
 import random
 from itertools import combinations
 
 import pytest
-from hypothesis import settings
 
 from chowfan import (
     Fan,
@@ -22,12 +20,6 @@ from chowfan.intlinalg import mat_vec, vadd
 from chowfan.monoids import MonoidNotMapped, member, monoid_hom
 
 import oracles
-
-# HYPOTHESIS_PROFILE=ci prints a failing example's @reproduce_failure blob,
-# so a property that fails only in CI can be replayed locally; loaded here,
-# before the test modules apply their own @settings
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def p2_fan() -> Fan:

@@ -243,6 +243,36 @@ def packed_blocks(draw):
     return w, xs, bs
 
 
+@st.composite
+def simplicial_cones(draw):
+    """Simplicial cones of rank 2-4 and determinant 1-200: the rays
+    ``e_1, ..., e_{n-1}`` and ``(p, d)`` with ``0 <= p < d``, sheared by
+    a unimodular upper triangular matrix."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 200))
+    last = tuple(draw(st.integers(0, d - 1)) for _ in range(n - 1)) + (d,)
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n - 1)] + [last]
+    shear = [
+        [int(i == j) if j <= i else draw(st.integers(-2, 2)) for j in range(n)] for i in range(n)
+    ]
+    return cone_from_generators([mat_vec(shear, r) for r in rays])
+
+
+def _pointed_cones(rank, first, rest, size):
+    """Cones of ``rank + 1`` to ``size`` rays whose first entry is in
+    ``[1, first]``, so strictly convex, the others in ``[-rest, rest]``."""
+    vectors = st.tuples(st.integers(1, first), *[st.integers(-rest, rest)] * (rank - 1))
+    return st.lists(vectors, min_size=rank + 1, max_size=size).map(cone_from_generators)
+
+
+# two simplices whose bases have 8 or more elements of at most half the
+# largest grade: the last of them is tested against four blocks
+MANY_BLOCKS = (
+    cone_from_generators([(1, 0, 0), (0, 1, 0), (175, 28, 200)]),
+    cone_from_generators([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (57, 35, 110, 165)]),
+)
+
+
 class TestPackedDominance:
     @settings(deadline=None, max_examples=300)
     @given(packed_pairs())
@@ -278,65 +308,22 @@ class TestPackedDominance:
         dominated = any(all(x >= v for x, v in zip(xs, slot)) for slot in bs)
         assert kept == list(range(len(bs))) + ([] if dominated else ["x"])
 
-    @settings(deadline=None, max_examples=60)
-    @given(rank3_cones)
-    # a candidate's value on (1, -3, 0) is 20, above every ray's (at most 12)
-    @example(cone_from_generators([(2, -3, 2), (3, -3, -2), (3, 1, -3), (3, 1, 0)]))
-    def test_packed_sieve_matches_tuple_sieve(self, c):
-        assume(c.is_strictly_convex)
-        assert _hilbert_basis_full(c) == oracles.hilbert_basis_by_tuple_sieve(c)
-
-
-@st.composite
-def simplicial_cones(draw):
-    """Simplicial cones of rank 2-4 and determinant 1-200: the rays
-    ``e_1, ..., e_{n-1}`` and ``(p, d)`` with ``0 <= p < d``, sheared by
-    a unimodular upper triangular matrix."""
-    n = draw(st.integers(2, 4))
-    d = draw(st.integers(1, 200))
-    last = tuple(draw(st.integers(0, d - 1)) for _ in range(n - 1)) + (d,)
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n - 1)] + [last]
-    shear = [
-        [int(i == j) if j <= i else draw(st.integers(-2, 2)) for j in range(n)] for i in range(n)
-    ]
-    return cone_from_generators([mat_vec(shear, r) for r in rays])
-
-
-def _pointed_cones(rank, first, rest, size):
-    """Cones of ``rank + 1`` to ``size`` rays whose first entry is in
-    ``[1, first]``, so strictly convex, the others in ``[-rest, rest]``."""
-    vectors = st.tuples(st.integers(1, first), *[st.integers(-rest, rest)] * (rank - 1))
-    return st.lists(vectors, min_size=rank + 1, max_size=size).map(cone_from_generators)
-
-
-# two simplices whose bases have 8 or more elements of at most half the
-# largest grade: the last of them is tested against four blocks
-MANY_BLOCKS = (
-    cone_from_generators([(1, 0, 0), (0, 1, 0), (175, 28, 200)]),
-    cone_from_generators([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (57, 35, 110, 165)]),
-)
-
-
-class TestBlockSieve:
-    def test_examples_reach_the_fourth_block(self):
+    def test_many_block_examples_reach_the_fourth_block(self):
         for c in MANY_BLOCKS:
             grades = [dot(_grading(c), x) for x in _hilbert_basis_full(c)]
             assert sum(2 * g <= max(grades) for g in grades) >= 8
 
-    @settings(deadline=None, max_examples=100)
-    @given(simplicial_cones())
+    @settings(deadline=None, max_examples=200)
+    @given(st.one_of(rank3_cones, simplicial_cones(), _pointed_cones(3, 3, 3, 6), _pointed_cones(4, 2, 2, 6)))
+    # a candidate's value on (1, -3, 0) is 20, above every ray's (at most 12)
+    @example(cone_from_generators([(2, -3, 2), (3, -3, -2), (3, 1, -3), (3, 1, 0)]))
     @example(MANY_BLOCKS[0])
     @example(MANY_BLOCKS[1])
     @example(cone_from_generators([(1, 0), (1, 200)]))
-    def test_simplices_match_tuple_sieve(self, c):
-        assert _hilbert_basis_full(c) == oracles.hilbert_basis_by_tuple_sieve(c)
-
-    @settings(deadline=None, max_examples=60)
-    @given(st.one_of(_pointed_cones(3, 3, 3, 6), _pointed_cones(4, 2, 2, 6)))
     @example(cone_from_generators([(1, 0, 0), (1, 3, 0), (1, 0, 3), (1, 3, 3)]))
     @example(cone_from_generators([(1, 0, 0, 0), (1, 2, 0, 0), (1, 0, 2, 0), (1, 0, 0, 2), (2, 1, 1, 1)]))
-    def test_non_simplicial_cones_match_tuple_sieve(self, c):
-        assume(len(c.generators) > c.dim)
+    def test_packed_sieve_matches_tuple_sieve(self, c):
+        assume(c.is_strictly_convex)
         assert _hilbert_basis_full(c) == oracles.hilbert_basis_by_tuple_sieve(c)
 
 
