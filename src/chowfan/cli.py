@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .chow import ChowQuotient, chow_quotient, multiplicity, InfiniteIndex
@@ -238,12 +239,7 @@ def _checks(fam: UniversalFamily, args) -> list:
         reports.extend(check_family_integral(fam, args.bound))
     if run_all or args.basic:
         for k in range(len(fam.base.fan.cones)):
-            rep = check_basic_monoid(fam, k)
-            reports.append(
-                rep.__class__(
-                    f"basic_monoid[cone {k}]", rep.verdict, rep.witnesses, rep.parameters
-                )
-            )
+            reports.append(replace(check_basic_monoid(fam, k), name=f"basic_monoid[cone {k}]"))
     return reports
 
 

@@ -53,7 +53,6 @@ from .intlinalg import (
     Mat,
     Sublattice,
     Vec,
-    coordinates_in,
     dot,
     full_lattice,
     lattice_intersection,
@@ -356,26 +355,6 @@ def member(m: AffineMonoid, v: Sequence[int]) -> bool:
 def dual_monoid(m: AffineMonoid) -> AffineMonoid:
     """All functionals of the ambient dual lattice nonnegative on ``m``."""
     return saturated_monoid(dual_cone(m.cone), full_lattice(m.ambient_rank))
-
-
-def group_coordinates(m: AffineMonoid) -> tuple[AffineMonoid, Mat]:
-    """The monoid rewritten in coordinates of its own group lattice.
-
-    Returns ``(monoid', basis)`` where ``basis`` rows span the group and a
-    point ``y`` of the new monoid corresponds to ``y @ basis``.  Useful for
-    forming ``Hom(m, N)`` faithfully when the group is a proper sublattice.
-    The monoid is cone ∩ group, so its Hilbert basis and units are mapped
-    through :func:`coordinates_in`; the group spans the cone, which is
-    carried through the basis with no double description.
-    """
-    basis = m.group.basis
-    k = len(basis)
-    cone = _pull_back(m.cone, basis)
-    units = Sublattice(k, row_lattice_hnf([coordinates_in(basis, u) for u in m.units.basis]))
-    hb = tuple(sorted(
-        _reduce_mod_units(coordinates_in(basis, g), units) for g in m.hilbert_basis
-    ))
-    return AffineMonoid(k, hb, units, cone, full_lattice(k), full_lattice(k)), basis
 
 
 def restrict_to_face(m: AffineMonoid, face: Cone) -> AffineMonoid:

@@ -22,6 +22,11 @@ The kernel forms at the end are the library's earlier vector and matrix
 helpers and cone predicates, one generator frame per entry (or one ``dot``
 call per halfspace), before each became one builtin pass.  The last is
 the library's earlier document writer, the standard ``json`` encoder.
+The two after it are the library's earlier forms of the integrality
+check: a monoid rewritten in its group's coordinates by mapping every
+Hilbert-basis element, and the pair walk that scans every target element
+for each pair of incomparable sources, with ``Cone.contains`` as its order
+test.
 """
 
 import json
@@ -680,3 +685,66 @@ def relative_interior_sample_by_sums(c, variant=0):
 def dumps_by_json(doc):
     """``serialize.dumps`` as the ``json`` module's indented encoder."""
     return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+def group_coordinates(m):
+    """``(monoid', basis)``: the monoid rewritten in the coordinates of the
+    rows ``basis`` of its group, a point ``y`` of the new monoid standing
+    for ``y @ basis``; its Hilbert basis and units are mapped through
+    ``coordinates_in``, and its cone is carried through the basis."""
+    from chowfan.cones import _pull_back
+    from chowfan.intlinalg import Sublattice, coordinates_in, full_lattice, row_lattice_hnf
+    from chowfan.monoids import AffineMonoid, _reduce_mod_units
+
+    basis = m.group.basis
+    k = len(basis)
+    cone = _pull_back(m.cone, basis)
+    units = Sublattice(k, row_lattice_hnf([coordinates_in(basis, u) for u in m.units.basis]))
+    hb = tuple(sorted(
+        _reduce_mod_units(coordinates_in(basis, g), units) for g in m.hilbert_basis
+    ))
+    return AffineMonoid(k, hb, units, cone, full_lattice(k), full_lattice(k)), basis
+
+
+def check_integral_by_pair_walk(h, degree_bound):
+    """``verify.check_integral`` as the walk over every target element for
+    each pair of incomparable sources, each order test a ``Cone.contains``.
+
+    Shares the library's witness tables and witness search (looked up on
+    the module at each call, so a wrapper on ``verify._witness_search``
+    sees this walk's searches too).
+    """
+    from chowfan import verify
+
+    if degree_bound < 1:
+        raise ValueError(f"degree bound must be at least 1, got {degree_bound}")
+    source, target = h.source, h.target
+    tables = verify._witness_tables(h, degree_bound)
+    t_elems = [t for _, t in tables[1]]
+    grading_s = source.grading()
+    mapped = [(s, image) for s, image in tables[3] if _dot(grading_s, s) <= degree_bound]
+    t_set = set(t_elems)
+    params = (("degree_bound", degree_bound),)
+    for a, (s1, image1) in enumerate(mapped):
+        for s2, image2 in mapped[a + 1:]:
+            if source.cone.contains(vsub_by_generator(s1, s2)) or source.cone.contains(
+                vsub_by_generator(s2, s1)
+            ):
+                continue
+            delta = vsub_by_generator(image1, image2)
+            witnessed = []
+            for t1 in t_elems:
+                t2 = vadd_by_generator(t1, delta)
+                if t2 not in t_set:
+                    continue
+                if any(target.cone.contains(vsub_by_generator(t1, t0)) for t0 in witnessed):
+                    continue
+                if verify._witness_search(tables, s1, s2, t1, t2) is None:
+                    return verify.CheckReport(
+                        "integral",
+                        "fail",
+                        ((s1, s2, t1, t2),),
+                        params + (("witness_bound", 2 * degree_bound),),
+                    )
+                witnessed.append(t1)
+    return verify.CheckReport("integral", "pass", (), params)

@@ -44,7 +44,7 @@ from chowfan import (
     wall_monoid_structure,
     wall_structure,
 )
-from chowfan import cones, monoids
+from chowfan import cones, monoids, verify
 from chowfan.cli import parse_input, run
 from chowfan.cones import (
     _pull_back,
@@ -72,7 +72,7 @@ from chowfan.serialize import (
     encode_monoid,
     encode_sublattice,
 )
-from chowfan.verify import check_family_integral, dual_projection_hom, reduced_report
+from chowfan.verify import check_family_integral, check_integral, dual_projection_hom, reduced_report
 
 from conftest import check_fan_incidence, check_monoid_hom, corpus, corpus_documents, p2_fan, p1p1_fan
 import oracles
@@ -198,6 +198,52 @@ def test_reduced_report_matches_search_oracle(corpus_families):
         rep = reduced_report(*args)
         expected = oracles.reduced_witnesses_by_search(*args)
         assert (rep.passed, list(rep.witnesses)) == (not expected, expected)
+
+
+def _dual_maps(corpus_families):
+    for fan, sub, cq, fam in corpus_families:
+        for i, c in enumerate(fam.fan.cones):
+            if c.dim == fan.ambient_rank:
+                yield fam, i, dual_projection_hom(fam, i)
+
+
+def test_dual_maps_match_the_group_coordinates_oracle(corpus_families):
+    # the duals of the cones pulled back to the groups are the duals of the
+    # monoids rewritten, Hilbert basis and all, in their groups' coordinates
+    maps = 0
+    for fam, i, h in _dual_maps(corpus_families):
+        base = fam.base.monoids[fam.provenance[i][1]]
+        for got, m in ((h.source, base), (h.target, fam.datum.monoids[i])):
+            want = dual_monoid(oracles.group_coordinates(m)[0])
+            assert (got, got.cone, got.group) == (want, want.cone, want.group)
+        maps += 1
+    assert maps
+    _announce(f"dual maps equal the duals in group coordinates on {maps} family cones")
+
+
+def test_integrality_searches_the_pair_walk_identities(corpus_families, monkeypatch):
+    # the frontier per image difference may find its targets differently,
+    # but it searches the pair walk's identities, in the pair walk's order
+    real = verify._witness_search
+    maps = searches = 0
+    for fam, i, h in _dual_maps(corpus_families):
+        runs = []
+        for check in (check_integral, oracles.check_integral_by_pair_walk):
+            calls = []
+
+            def recorded(tables, *identity, calls=calls):
+                calls.append(identity)
+                return real(tables, *identity)
+
+            monkeypatch.setattr(verify, "_witness_search", recorded)
+            rep = check(h, 4)
+            runs.append((rep.verdict, rep.witnesses, rep.parameters, calls))
+        assert runs[0] == runs[1]
+        maps += 1
+        searches += len(runs[0][3])
+    assert searches
+    _announce(f"integrality at bound 4 makes the pair walk's {searches} witness "
+              f"searches on {maps} dual maps")
 
 
 def test_monoid_maps_match_per_generator_oracle(corpus_families):

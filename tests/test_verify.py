@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import chowfan.verify
 from chowfan.chow import chow_quotient
 from chowfan.cones import cone_from_generators
-from chowfan.family import universal_family
-from chowfan.intlinalg import Sublattice, sublattice, vadd, zero_sublattice
+from chowfan.family import VerificationFailed, universal_family
+from chowfan.intlinalg import Sublattice, mat_vec, sublattice, vadd, zero_sublattice
 from chowfan.monoids import MonoidHom, dual_monoid, monoid_from_cone, monoid_hom, saturated_monoid
 from chowfan.stacks import ToricStackDatum
 from chowfan.verify import (
@@ -27,6 +28,30 @@ def _n(rank):
     if rank == 1:
         return monoid_from_cone(cone_from_generators([(1,)]))
     return monoid_from_cone(cone_from_generators([(1, 0), (0, 1)]))
+
+
+def _vectors(rank, **kw):
+    return st.lists(st.tuples(*[st.integers(-2, 2)] * rank), **kw)
+
+
+@st.composite
+def pointed_maps(draw):
+    """A map of pointed saturated monoids of ranks 1-3: the source cone on
+    1-4 random rays (often not full-dimensional) in a lattice of index 1 or
+    2, the target cone spanned by the rays' images and at most one more
+    vector.  Maps such as the addition map N^2 -> N are not integral."""
+    rs = draw(st.integers(1, 3))
+    rt = draw(st.integers(1, 3) | st.integers(1, rs))  # more maps that collapse
+    rays = draw(_vectors(rs, min_size=1, max_size=4))
+    source_cone = cone_from_generators(rays, ambient_rank=rs)
+    assume(source_cone.dim > 0 and source_cone.is_strictly_convex)
+    matrix = tuple(draw(_vectors(rs, min_size=rt, max_size=rt)))
+    extra = draw(_vectors(rt, max_size=1))
+    target_cone = cone_from_generators([mat_vec(matrix, r) for r in rays] + extra, ambient_rank=rt)
+    assume(target_cone.is_strictly_convex)
+    index = draw(st.integers(1, 2))
+    lattice = sublattice(rs, [[index if i == j == 0 else int(i == j) for j in range(rs)] for i in range(rs)])
+    return monoid_hom(matrix, saturated_monoid(source_cone, lattice), monoid_from_cone(target_cone))
 
 
 class TestIntegral:
@@ -108,6 +133,27 @@ class TestIntegral:
         monkeypatch.setattr(Sublattice, "contains", counted)
         assert all(check_integral(h, 4).passed for h in homs)
         assert calls == []
+
+    @settings(deadline=None, max_examples=150)
+    @given(pointed_maps(), st.integers(1, 6))
+    @example(monoid_hom(((1, 1),), _n(2), _n(1)), 4)  # the addition map, not integral
+    # the addition map on a source cone that is not full-dimensional
+    @example(
+        monoid_hom(
+            ((1, 1, 0),),
+            monoid_from_cone(cone_from_generators([(1, 0, 0), (0, 1, 0)], ambient_rank=3)),
+            _n(1),
+        ),
+        3,
+    )
+    def test_matches_the_pair_walk(self, h, bound):
+        # the frontier per image difference and the packed order tests give
+        # the pair walk's verdict, witnesses and parameters
+        rep = check_integral(h, bound)
+        want = oracles.check_integral_by_pair_walk(h, bound)
+        assert (rep.verdict, rep.witnesses, rep.parameters) == (
+            want.verdict, want.witnesses, want.parameters
+        )
 
     def test_monotone_in_bound(self):
         h = monoid_hom(((1,), (1,)), _n(1), _n(2))
@@ -221,6 +267,39 @@ class TestBasicMonoid:
             fam = universal_family(chow_quotient(fan, sub))
             for k in range(len(fam.base.fan.cones)):
                 assert check_basic_monoid(fam, k).passed
+
+    def _patched_value(self, monkeypatch, error):
+        # a maximal cone of P1xP1's quotient by the diagonal; the checker's
+        # first loop reads one value per quotient basis element, and every
+        # later call, one per presentation basis element, raises ``error``
+        fam = universal_family(chow_quotient(p1p1_fan(), sublattice(2, [[1, 1]])))
+        k = fam.base.fan.index_of(cone_from_generators([(1,)]))
+        real = chowfan.verify.presentation_value
+        passed = len(fam.chow.cone_data[k].monoid.hilbert_basis)
+        calls = []
+
+        def patched(fam, pres, t):
+            calls.append(t)
+            if len(calls) > passed:
+                raise error
+            return real(fam, pres, t)
+
+        monkeypatch.setattr(chowfan.verify, "presentation_value", patched)
+        return fam, k
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        # a bug raised while reading a value is not a blocks_disagree witness
+        fam, k = self._patched_value(monkeypatch, RuntimeError("a bug"))
+        with pytest.raises(RuntimeError, match="a bug") as err:
+            check_basic_monoid(fam, k)
+        assert type(err.value) is RuntimeError
+
+    def test_disagreeing_blocks_are_witnessed(self, monkeypatch):
+        fam, k = self._patched_value(monkeypatch, VerificationFailed("blocks disagree"))
+        rep = check_basic_monoid(fam, k)
+        pres = chowfan.verify.basic_monoid(fam, k)
+        assert pres.monoid.hilbert_basis and rep.verdict == "fail"
+        assert rep.witnesses == tuple(("blocks_disagree", t) for t in pres.monoid.hilbert_basis)
 
     def test_dropping_a_relation_fails(self):
         # rebuilding the presentation with a wall relation removed makes it
