@@ -215,6 +215,7 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
     cells = _cell_split(tuple(normals), q)
 
     groups: dict[frozenset[int], list[tuple[tuple[int, ...], Vec]]] = {}
+    meeting_sets = []  # aligned with cells
     for signs, sample in cells:
         inv = _meeting_set(images, sample)
         if not inv:
@@ -222,6 +223,7 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
                 f"quotient direction {sample} lies in no projected cone interior"
             )
         groups.setdefault(inv, []).append((signs, sample))
+        meeting_sets.append(inv)
 
     merged: dict[frozenset[int], Cone] = {}
     for inv, members in groups.items():
@@ -249,9 +251,9 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
                 f"quotient class with meeting set {sorted(inv)} closed up to "
                 "a non-pointed cone"
             )
-        for signs, sample in cells:
+        for (_signs, sample), cell_inv in zip(cells, meeting_sets):
             if cone.contains_in_relint(sample):
-                if _meeting_set(images, sample) != inv:
+                if cell_inv != inv:
                     raise InternalConsistencyError(
                         f"quotient class with meeting set {sorted(inv)} is not "
                         f"convex: it contains direction {sample}"

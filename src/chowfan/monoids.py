@@ -3,18 +3,28 @@
 Every monoid is the set of points of a lattice ``L`` in a rational cone
 ``c``; membership is the two containment tests ``v ∈ c`` and ``v ∈ L``.
 The workhorse is :func:`saturated_monoid`: the Hilbert basis of ``c ∩ L``
-is the rays of ``c`` when each facet is 1 on the one ray off it (the cone
-is then unimodular), and otherwise is computed by a pulling triangulation,
-an integer enumeration of each simplex's fundamental parallelepiped (one
-Smith form per simplex, of its raw ray matrix: no saturation of its span,
-no change of coordinates and no rational solve per point) and an
-irreducibility sieve.  The sieve tries only reducers of at most half a
-candidate's grade, on halfspace values packed into guarded bit fields,
-and tests them in blocks of 1, 2, 4, ... elements, each block in a few
-big-int operations.  Its group is read off the lattice, not from the
-Hilbert basis.  The monoid on a face
-of its cone is filtered from its Hilbert basis, not recomputed
-(:func:`restrict_to_face`).
+is the rays of ``c`` when each facet, as a primitive functional on the
+span lattice of ``c``, is 1 on the one ray off it (the cone is then
+unimodular in its span), and otherwise is computed by a pulling
+triangulation, an integer enumeration of each simplex's fundamental
+parallelepiped (one Smith form per simplex, of its raw ray matrix: no
+saturation of its span, no change of coordinates and no rational solve
+per point) and an irreducibility sieve.
+
+Every candidate is one integer key ``K(x) = grade(x) << S | packed(x)``:
+its grade above its halfspace values packed into guarded bit fields.
+``K`` is linear, so a parallelepiped point gets its key from its ray
+coefficients and the rays' keys, with no vector built; on a pointed cone
+the halfspace values fix the point, so equal keys are equal points.
+Sorting the keys sorts by grade, and elements of equal grade never reduce
+each other, so their order does not matter.  The sieve reads grade and
+fields off the key, tries only reducers of at most half a candidate's
+grade, and tests them in blocks of 1, 2, 4, ... elements, each block in a
+few big-int operations.  A vector is built only for each kept element,
+once, in the coordinates the caller asks for (:func:`_hilbert_basis_full`).
+The group is read off the lattice, not from the Hilbert basis.  The
+monoid on a face of its cone is filtered from its Hilbert basis, not
+recomputed (:func:`restrict_to_face`).
 
 A map is tested by the same representation.  A saturated ``M = c ∩ L``
 spans ``c`` and generates the group ``span(c) ∩ L``, so a matrix ``A``
@@ -32,10 +42,13 @@ canonical pointed generating set.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import prod
-from operator import mul
-from typing import Optional, Sequence
+from functools import partial, reduce
+from itertools import count, product, repeat, starmap
+from math import gcd, prod
+from operator import add, floordiv, mod, mul
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cones import (
     Cone,
@@ -163,8 +176,9 @@ def _triangulate(c: Cone) -> list[tuple[Vec, ...]]:
     ]
 
 
-def _parallelepiped_points(simplex_rays: tuple[Vec, ...]) -> list[Vec]:
-    """Nonzero lattice points of the half-open parallelepiped of independent rays.
+def _smith_box(simplex_rays: tuple[Vec, ...]) -> tuple[int, list[tuple[int, int, Vec]]]:
+    """``(det, factors)`` enumerating the half-open parallelepiped of
+    independent rays by their coefficients.
 
     With ``R`` the ``n x r`` ray matrix and Smith form ``D = U @ R @ V``,
     ``R = inv(U) @ diag(d) @ B`` for ``B`` the first ``n`` rows of
@@ -172,23 +186,54 @@ def _parallelepiped_points(simplex_rays: tuple[Vec, ...]) -> list[Vec]:
     coordinates ``C = inv(U) @ diag(d)``, whose Smith form is ``diag(d)``
     with the same ``U``; so the points are the classes of ``z @ B`` modulo
     the rays for ``z`` in the box of ``d``.  Their ray coefficients are
-    ``z @ inv(C) = z @ (det/d) U / det``; taken mod ``det`` they give the
-    point ``sum(num_i r_i) / det`` in integers.
+    ``z @ inv(C) = z @ (det/d) U / det``.  ``factors`` holds
+    ``(d, det // d, row of U)`` for each ``d > 1``; the point of the box
+    index ``(a_1, a_2, ...)`` (mixed radix, first factor most significant)
+    has the coefficients ``t = sum_j a_j * (det // d_j) * U_j`` mod ``det``,
+    so it is ``sum_i t_i r_i / det``, and box index 0 is the zero point.
     """
     s, u, _ = smith_normal_form(simplex_rays)
     diag = [s[i][i] for i in range(len(simplex_rays))]
     det = prod(diag)
-    nums = [(0,) * len(diag)]
-    for d, row in zip(diag, u):
-        step = det // d
-        nums = [tuple([x + a * step * y for x, y in zip(t, row)]) for t in nums for a in range(d)]
-    ray_cols = transpose(simplex_rays)
-    out = []
-    for t in nums:
-        num = [x % det for x in t]
-        if any(num):
-            out.append(tuple([sum(map(mul, num, col)) // det for col in ray_cols]))
-    return out
+    return det, [(d, det // d, row) for d, row in zip(diag, u) if d > 1]
+
+
+def _parallelepiped_keys(ray_keys: Sequence[int], det: int, factors, first: int) -> Iterator[int]:
+    """``K(x) + first + index`` for every point ``x`` of the box
+    :func:`_smith_box` describes, in box order, streamed.
+
+    ``ray_keys[i]`` is ``K(r_i)`` for a function ``K`` linear on the span
+    of the rays, so ``K(x) = sum_i t_i K(r_i) // det`` exactly.  Each
+    coefficient column ``t_i`` over the box is a product of arithmetic
+    progressions mod ``det``, made by ``itertools``; no point is built.
+    """
+    terms = []
+    for i, key in enumerate(ray_keys):
+        ws = [(d, step * row[i] % det) for d, step, row in factors]
+        if not any(w for _, w in ws):
+            continue
+        col = None
+        for d, w in ws:
+            steps = range(0, w * d, w) if w else repeat(0, d)
+            col = steps if col is None else starmap(add, product(col, steps))
+        terms.append(map(mul, map(mod, col, repeat(det)), repeat(key)))
+    total = reduce(partial(map, add), terms)
+    return map(add, map(floordiv, total, repeat(det)), count(first))
+
+
+def _parallelepiped_point(det: int, factors, index: int, columns: Sequence[Sequence[int]]) -> Vec:
+    """The point of box index ``index`` (see :func:`_smith_box`), as
+    ``sum_i t_i r_i // det`` from the coordinate columns of the rays
+    (``columns[k][i]`` is entry ``k`` of ray ``i``), in any coordinates
+    linear in the ray coefficients."""
+    t = [0] * len(columns[0])
+    for d, step, row in reversed(factors):
+        index, a = divmod(index, d)
+        if a:
+            a *= step
+            t = [x + a * y for x, y in zip(t, row)]
+    t = [x % det for x in t]
+    return tuple([sum(map(mul, t, col)) // det for col in columns])
 
 
 def _packed_columns(halfspaces: Sequence[Vec], rank: int, top: int) -> tuple[list[int], int]:
@@ -210,51 +255,100 @@ def _value_bound(c: Cone) -> int:
     return max(sum(dot(h, r) for r in c.generators) for h in c.halfspaces)
 
 
-def _sieve(valued: Sequence[tuple[int, Vec, int]], guard: int) -> list[tuple[int, Vec, int]]:
-    """The irreducible ``(grade, x, packed)`` of candidates sorted by grade,
-    each tested against the doubling blocks of kept elements of at most
-    half its grade (see :func:`_hilbert_basis_full`)."""
-    bw = guard.bit_length() + 1
-    low = (1 << (bw - 1)) - 1
-    basis: list[tuple[int, Vec, int]] = []
+def _unimodular(c: Cone) -> bool:
+    """Is the strictly convex ``c`` simplicial and unimodular in its span
+    lattice ``span(c) ∩ Z^rank``?
+
+    Divided by the gcd ``g`` of its values on a basis of the span lattice,
+    a facet normal is a primitive functional there, and it is at least 1 on
+    every ray off its facet.  So ``sum_r h.r == g`` for every facet ``h``
+    iff each facet is off exactly one ray, where it is 1: then the facet
+    functionals and the rays are dual bases, and the rays are a basis of
+    the span lattice.
+    """
+    basis = _span_lattice(c).basis
+    return all(
+        sum(dot(h, r) for r in c.generators) == gcd(*(dot(h, b) for b in basis))
+        for h in c.halfspaces
+    )
+
+
+def _sieve(candidates: Iterable[int], guard: int, low: int) -> list[int]:
+    """The irreducible candidates, from ``K << low | locator`` sorted, where
+    ``K = grade << S | packed`` with ``S = guard.bit_length()``: each
+    candidate is tested against the doubling blocks of kept elements of at
+    most half its grade (see :func:`_hilbert_basis_full`).  A candidate
+    whose ``K`` equals its predecessor's, or is 0, is skipped."""
+    shift = guard.bit_length()
+    fields = (1 << shift) - 1
+    bw = shift + 1
+    slot_low = (1 << (bw - 1)) - 1
+    kept: list[int] = []
+    grades: list[int] = []
+    values: list[int] = []
     blocks: list[list[int]] = []  # [P, R, G*, L, T] of each block
-    packed = room = 0  # elements of basis packed, free slots in the last block
-    for gx, x, px in valued:
-        while packed < len(basis) and 2 * basis[packed][0] <= gx:
+    packed = room = 0  # kept elements packed, free slots in the last block
+    prev = 0
+    for cand in candidates:
+        key = cand >> low
+        if key == prev:
+            continue
+        prev = key
+        gx = key >> shift
+        while packed < len(kept) and 2 * grades[packed] <= gx:
             if not room:
                 room = 1 << len(blocks)
                 blocks.append([0, 0, 0, 0, 0])
             block = blocks[-1]
             one = 1 << (((1 << (len(blocks) - 1)) - room) * bw)
-            block[0] += basis[packed][2] * one
+            block[0] += values[packed] * one
             block[1] += one
             block[2] += guard * one
-            block[3] += low * one
+            block[3] += slot_low * one
             block[4] += one << (bw - 1)
             packed += 1
             room -= 1
+        px = key & fields
         xg = px | guard
         for p, r, gs, l, t in blocks:
             if ((((xg * r - p) & gs) ^ gs) + l) & t != t:
                 break
         else:
-            basis.append((gx, x, px))
-    return basis
+            kept.append(cand)
+            grades.append(gx)
+            values.append(px)
+    return kept
 
 
-def _hilbert_basis_full(c: Cone) -> tuple[Vec, ...]:
-    """Hilbert basis of ``c ∩ Z^rank`` for a strictly convex cone.
+def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
+    """Hilbert basis of ``c ∩ Z^rank`` for a strictly convex cone, each
+    element ``x`` given as ``out @ x`` (``x`` itself if ``out`` is None),
+    sorted.
 
-    Every candidate is a ray or a sum of rays with coefficients below 1, so
-    its halfspace values lie in ``[0, top]`` with ``top = max_h sum_r h.r``.
-    If ``top == 1`` each facet is off exactly one ray, where it is 1: the
-    cone is simplicial and unimodular in its span lattice, and its rays are
-    its Hilbert basis.  Otherwise the candidates are the rays and the
-    parallelepiped points of a pulling triangulation, enumerated in
-    integers, sieved in grade order: ``x`` is reducible iff ``x - b`` lies
-    in the cone for an irreducible ``b`` with ``2 * grade(b) <= grade(x)``,
-    since a sum of two or more irreducibles has a summand of at most half
-    its grade.
+    If :func:`_unimodular` holds, the rays are the Hilbert basis.
+    Otherwise every candidate is a ray or a nonzero point of the
+    half-open parallelepiped of a simplex of a pulling triangulation, a
+    sum of rays with coefficients below 1; so its halfspace values lie in
+    ``[0, top]`` with ``top = max_h sum_r h.r``.  The candidates are sieved
+    in grade order: ``x`` is reducible iff ``x - b`` lies in the cone for
+    an irreducible ``b`` with ``2 * grade(b) <= grade(x)``, since a sum of
+    two or more irreducibles has a summand of at most half its grade.
+
+    Each candidate is one integer key ``K(x) = grade(x) << S | packed(x)``,
+    with ``packed`` the halfspace values in guarded fields (below) and
+    ``S = guard.bit_length()`` bits below the grade.  ``K`` is linear in
+    ``x`` (the fields never overflow on the cone), so ``K(r)`` is computed
+    once per ray and a parallelepiped point with coefficients ``t / det``
+    gets ``K = t . K(rays) // det`` (:func:`_parallelepiped_keys`): no
+    vector is built for it.  On a pointed cone the halfspace values fix a
+    point of its span, so ``K`` is injective: a point found in two
+    simplices is dropped the second time by equal keys, and key 0 is the
+    zero point.  Sorting keys sorts by grade; elements of equal grade never
+    reduce each other (``2g <= g`` fails for ``g > 0``), so their order is
+    irrelevant.  Below ``K`` each candidate carries its locator, its index
+    among the rays and the simplices' boxes, and a vector is built only for
+    each kept element, from its simplex's rays mapped by ``out`` once
+    (:func:`_parallelepiped_point`).
 
     ``x - b`` lies in the cone iff ``h.x >= h.b`` for every halfspace ``h``,
     a test on guarded bit fields (Lamport, CACM 18(8), 1975).  In fields of
@@ -281,16 +375,40 @@ def _hilbert_basis_full(c: Cone) -> tuple[Vec, ...]:
     """
     if c.dim == 0:
         return ()
-    top = _value_bound(c)
-    if top == 1:
-        return c.generators
-    candidates = set(c.generators)
+    rays = c.generators
+    images = rays if out is None else [mat_vec(out, r) for r in rays]
+    if _unimodular(c):
+        return tuple(sorted(images))
+    cols, guard = _packed_columns(c.halfspaces, c.ambient_rank, _value_bound(c))
+    shift = guard.bit_length()
+    key_cols = [(g << shift) + col for g, col in zip(_grading(c), cols)]
+    position = {r: i for i, r in enumerate(rays)}
+    boxes = []  # (first locator, det, factors, ray positions) per simplex
+    first = len(rays)
     for simplex in _triangulate(c):
-        candidates.update(_parallelepiped_points(simplex))
-    grading = _grading(c)
-    cols, guard = _packed_columns(c.halfspaces, c.ambient_rank, top)
-    valued = sorted([(sum(map(mul, grading, x)), x, sum(map(mul, cols, x))) for x in candidates])
-    return tuple(sorted(x for _, x, _px in _sieve(valued, guard)))
+        det, factors = _smith_box(simplex)
+        if det > 1:
+            boxes.append((first, det, factors, [position[r] for r in simplex]))
+            first += det
+    low = first.bit_length()
+    ray_keys = [dot(key_cols, r) << low for r in rays]
+    candidates = [k | i for i, k in enumerate(ray_keys)]
+    for start, det, factors, at in boxes:
+        candidates.extend(_parallelepiped_keys([ray_keys[i] for i in at], det, factors, start))
+    candidates.sort()
+    starts = [box[0] for box in boxes]
+    columns = [list(zip(*[images[i] for i in at])) for _, _, _, at in boxes]
+    mask = (1 << low) - 1
+    basis = []
+    for cand in _sieve(candidates, guard, low):
+        loc = cand & mask
+        if loc < len(rays):
+            basis.append(images[loc])
+        else:
+            b = bisect_right(starts, loc) - 1
+            start, det, factors, _ = boxes[b]
+            basis.append(_parallelepiped_point(det, factors, loc - start, columns[b]))
+    return tuple(sorted(basis))
 
 
 def saturated_monoid(c: Cone, lattice: Sublattice) -> AffineMonoid:
@@ -326,7 +444,7 @@ def saturated_monoid(c: Cone, lattice: Sublattice) -> AffineMonoid:
         hb = tuple(sorted(mat_vec(basis_t, y) for y in hb_y))
     else:
         units = zero_sublattice(rank)
-        hb = tuple(sorted(mat_vec(basis_t, y) for y in _hilbert_basis_full(cy)))
+        hb = _hilbert_basis_full(cy, basis_t)
     # hb and units generate c2, and the group of cy ∩ Z^k is span(cy) ∩ Z^k
     group = [mat_vec(basis_t, y) for y in _span_lattice(cy).basis]
     m = memo[basis] = AffineMonoid(rank, hb, units, c2, Sublattice(rank, row_lattice_hnf(group)), lattice)

@@ -208,8 +208,9 @@ def reduced_report(
     For a pointed target ``T`` and ``p(S) ⊆ T``, ``p(S) = T`` iff every
     Hilbert-basis element of ``T`` is ``p(g)`` for a generator ``g`` of
     ``S``: a Hilbert-basis element is irreducible, and a sum of nonzero
-    elements of a pointed monoid is nonzero.  The unhit basis elements are
-    the witnesses.  ``p(S) ⊆ T`` is tested by
+    elements of a pointed monoid is nonzero.  The generators are mapped
+    until every basis element is hit, so a failing monoid maps them all;
+    the unhit basis elements are the witnesses.  ``p(S) ⊆ T`` is tested by
     :func:`~chowfan.monoids.monoid_hom`, on rays and group; a target with
     units, or a generator mapping outside its target, raises
     ``ValueError``.
@@ -226,8 +227,12 @@ def reduced_report(
             raise ValueError(
                 f"family monoid {i} maps {e.generator} to {e.image} outside base monoid {j}"
             ) from e
-        images = {mat_vec(projection, g) for g in m.generators()}
-        failures.extend((i, hb) for hb in target.hilbert_basis if hb not in images)
+        unhit = set(target.hilbert_basis)
+        for g in m.generators():
+            if not unhit:
+                break
+            unhit.discard(mat_vec(projection, g))
+        failures.extend((i, hb) for hb in target.hilbert_basis if hb in unhit)
     if failures:
         return CheckReport("reduced", "fail", tuple(failures))
     return CheckReport("reduced", "pass", ())

@@ -5,13 +5,17 @@ reduction, exhaustive search) and shares no code with the library paths it
 is used to check.  The fan oracles at the end are the all-pairs scans that
 fan incidence once used; they build on the library's cone primitives
 (containment, intersection, faces) but not on its fan-level incidence.
-The lattice oracles after them are the library's earlier span-lattice and
-parallelepiped routines, built on saturation and coordinates in a
-saturated span rather than on the cone's equations or one Smith form.  The
+The Hilbert-basis oracle after them is the library's earlier candidate
+path, one vector per parallelepiped point from one Smith form per
+simplex, with a tuple-by-tuple sieve.  The lattice oracles after it are
+the library's earlier span-lattice and parallelepiped routines, built on
+saturation and coordinates in a saturated span rather than on the cone's
+equations or one Smith form.  The
 membership search at the end decides membership in a monoid given by
 generators, which need not be saturated, and the surjectivity check built
 on it tests each base basis element for a representation by projected
-generators.  The cone oracles after it are the library's earlier
+generators; the report after it is the library's earlier surjectivity
+check, which maps every generator.  The cone oracles after it are the library's earlier
 canonicalisation, two double descriptions per cone, and incidence by dot
 products.  The monoid-map oracle after them is the library's earlier
 test of a map of monoids, one membership test per generator, before the
@@ -368,21 +372,51 @@ def minimal_targets_by_scan(matrix, src, dst):
     return tuple(out)
 
 
+def parallelepiped_points(simplex_rays):
+    """Nonzero lattice points of the half-open parallelepiped of independent
+    rays, each built as a vector from its ray coefficients.
+
+    With ``R`` the ``n x r`` ray matrix and Smith form ``D = U @ R @ V``,
+    the points are the classes of the box of ``d`` modulo the rays, and
+    their ray coefficients are ``z @ (det/d) U / det``; taken mod ``det``
+    they give the point ``sum(num_i r_i) / det`` in integers.
+    """
+    from chowfan.intlinalg import smith_normal_form
+
+    s, u, _ = smith_normal_form(simplex_rays)
+    diag = [s[i][i] for i in range(len(simplex_rays))]
+    det = prod(diag)
+    nums = [(0,) * len(diag)]
+    for d, row in zip(diag, u):
+        step = det // d
+        nums = [tuple(x + a * step * y for x, y in zip(t, row)) for t in nums for a in range(d)]
+    out = []
+    for t in nums:
+        num = [x % det for x in t]
+        if any(num):
+            out.append(tuple(
+                sum(n * r[k] for n, r in zip(num, simplex_rays)) // det
+                for k in range(len(simplex_rays[0]))
+            ))
+    return out
+
+
 def hilbert_basis_by_tuple_sieve(c):
     """Hilbert basis of ``c ∩ Z^rank`` by the tuple-by-tuple dominance sieve.
 
-    Shares the library's candidates (pulling triangulation and
-    parallelepiped points) and its grade-order, half-grade cutoff; each
-    dominance test compares the two tuples of halfspace values entry by
-    entry, with no packing.
+    The library's earlier candidate path: the pulling triangulation's
+    parallelepiped points, each built as a vector, collected in a set with
+    the rays and valued one by one; then its grade-order, half-grade
+    cutoff, where each dominance test compares the two tuples of halfspace
+    values entry by entry, with no packing and no unimodular exit.
     """
-    from chowfan.monoids import _grading, _parallelepiped_points, _triangulate
+    from chowfan.monoids import _grading, _triangulate
 
     if c.dim == 0:
         return ()
     candidates = set(c.generators)
     for simplex in _triangulate(c):
-        candidates.update(_parallelepiped_points(simplex))
+        candidates.update(parallelepiped_points(simplex))
     grading = _grading(c)
 
     def value(h, x):
@@ -519,6 +553,33 @@ def reduced_witnesses_by_search(family_datum, base_datum, base_assignment, proje
             if not member_by_search(hb, images, target.cone, grading):
                 out.append((i, hb))
     return out
+
+
+def reduced_report_by_mapping_every_generator(family_datum, base_datum, base_assignment, projection):
+    """The library's earlier surjectivity report: every generator of every
+    family monoid is mapped, and the base basis elements missing from the
+    images are the witnesses."""
+    from chowfan.intlinalg import mat_vec
+    from chowfan.monoids import MonoidNotMapped, monoid_hom
+    from chowfan.verify import CheckReport
+
+    failures = []
+    for i, m in enumerate(family_datum.monoids):
+        j = base_assignment[i]
+        target = base_datum.monoids[j]
+        if not target.is_pointed:
+            raise ValueError(f"base monoid {j} has units")
+        try:
+            monoid_hom(projection, m, target)
+        except MonoidNotMapped as e:
+            raise ValueError(
+                f"family monoid {i} maps {e.generator} to {e.image} outside base monoid {j}"
+            ) from e
+        images = {mat_vec(projection, g) for g in m.generators()}
+        failures.extend((i, hb) for hb in target.hilbert_basis if hb not in images)
+    if failures:
+        return CheckReport("reduced", "fail", tuple(failures))
+    return CheckReport("reduced", "pass", ())
 
 
 def cone_by_two_conversions(vectors, subspace, rank, from_halfspaces=False):

@@ -59,7 +59,8 @@ from chowfan.chow import InfiniteIndex
 from chowfan.intlinalg import dot, identity_matrix, integer_kernel, mat_mul, mat_vec, saturate
 from chowfan.monoids import (
     _hilbert_basis_full,
-    _parallelepiped_points,
+    _parallelepiped_point,
+    _smith_box,
     _triangulate,
     restrict_to_face,
     saturated_monoid,
@@ -198,6 +199,37 @@ def test_reduced_report_matches_search_oracle(corpus_families):
         rep = reduced_report(*args)
         expected = oracles.reduced_witnesses_by_search(*args)
         assert (rep.passed, list(rep.witnesses)) == (not expected, expected)
+
+
+def test_reduced_report_maps_generators_lazily(corpus_families, monkeypatch):
+    for fan, sub, cq, fam in corpus_families:
+        args = (fam.datum, fam.base, [b for _, b in fam.provenance], cq.projection.matrix)
+        assert reduced_report(*args) == oracles.reduced_report_by_mapping_every_generator(*args)
+    # corpus[8]: each family monoid's generators are mapped until they hit
+    # every basis element of its base monoid, and no further
+    fan, sub, cq, fam = corpus_families[2 + 8]
+    args = (fam.datum, fam.base, [b for _, b in fam.provenance], cq.projection.matrix)
+    needed = 0
+    for i, m in enumerate(fam.datum.monoids):
+        unhit = set(fam.base.monoids[args[2][i]].hilbert_basis)
+        for g in m.generators():
+            if not unhit:
+                break
+            unhit.discard(mat_vec(args[3], g))
+            needed += 1
+    mapped = []
+    real = verify.mat_vec
+
+    def counted(m, v):
+        mapped.append(v)
+        return real(m, v)
+
+    monkeypatch.setattr(verify, "mat_vec", counted)
+    assert reduced_report(*args).passed
+    total = sum(len(m.generators()) for m in fam.datum.monoids)
+    assert len(mapped) == needed and 10 * needed < total
+    _announce(f"reduced reports equal the map-every-generator oracle on all corpus "
+              f"families; corpus[8] maps {needed} of {total} generators")
 
 
 def _dual_maps(corpus_families):
@@ -614,7 +646,9 @@ def test_parallelepiped_points_match_span_coordinates_oracle(corpus_families):
             if c.dim == 0:
                 continue
             for simplex in _triangulate(c):
-                assert sorted(_parallelepiped_points(simplex)) == sorted(
+                det, factors = _smith_box(simplex)
+                points = [_parallelepiped_point(det, factors, i, list(zip(*simplex))) for i in range(1, det)]
+                assert sorted(points) == sorted(
                     oracles.parallelepiped_points_by_span_coordinates(simplex, c.ambient_rank)
                 )
                 count += 1
@@ -639,9 +673,9 @@ def test_packed_sieve_matches_tuple_sieve_on_family_monoids(corpus_families, mon
     bases = {}
     real = monoids._hilbert_basis_full
 
-    def recorded(c):
-        bases[c] = real(c)
-        return bases[c]
+    def recorded(c, out=None):
+        bases[c, out] = real(c, out)
+        return bases[c, out]
 
     monkeypatch.setattr(monoids, "_hilbert_basis_full", recorded)
     paths = [os.path.join(FIXTURES, name) for name in ("p2_horizontal.json", "p1p1_diagonal.json")]
@@ -651,11 +685,14 @@ def test_packed_sieve_matches_tuple_sieve_on_family_monoids(corpus_families, mon
     for path in paths:
         monkeypatch.setattr(cones, "_cone_cache", {})
         assert run(["all", "--bound", "4", str(path)], stdout=io.StringIO()) == 0
-    for c, hb in bases.items():
-        assert hb == oracles.hilbert_basis_by_tuple_sieve(c)
+    for (c, out), hb in bases.items():
+        expected = oracles.hilbert_basis_by_tuple_sieve(c)
+        # out, the transposed lattice basis, is injective: equal images are equal bases
+        assert hb == (expected if out is None else tuple(sorted(mat_vec(out, x) for x in expected)))
     assert max(len(hb) for hb in bases.values()) > 1000
+    sieved = {c for c, _ in bases}
     for fan, sub, cq, fam in corpus_families:
-        assert all(_lattice_coordinate_cone(m) in bases for m in fam.datum.monoids)
+        assert all(_lattice_coordinate_cone(m) in sieved for m in fam.datum.monoids)
     _announce(f"packed dominance sieve equals the tuple sieve on all {len(bases)} "
               "Hilbert bases of the twelve acceptance inputs")
 

@@ -26,9 +26,11 @@ from chowfan.monoids import (
     _grading,
     _hilbert_basis_full,
     _packed_columns,
-    _parallelepiped_points,
+    _parallelepiped_keys,
+    _parallelepiped_point,
     _sieve,
-    _value_bound,
+    _smith_box,
+    _unimodular,
     dual_monoid,
     member,
     monoid_from_cone,
@@ -243,12 +245,12 @@ def packed_blocks(draw):
 
 
 @st.composite
-def simplicial_cones(draw):
-    """Simplicial cones of rank 2-4 and determinant 1-200: the rays
-    ``e_1, ..., e_{n-1}`` and ``(p, d)`` with ``0 <= p < d``, sheared by
-    a unimodular upper triangular matrix."""
+def simplicial_cones(draw, low=1, high=200):
+    """Simplicial cones of rank 2-4 and determinant ``low``-``high``: the
+    rays ``e_1, ..., e_{n-1}`` and ``(p, d)`` with ``0 <= p < d``, sheared
+    by a unimodular upper triangular matrix."""
     n = draw(st.integers(2, 4))
-    d = draw(st.integers(1, 200))
+    d = draw(st.integers(low, high))
     last = tuple(draw(st.integers(0, d - 1)) for _ in range(n - 1)) + (d,)
     rays = [tuple(int(i == j) for j in range(n)) for i in range(n - 1)] + [last]
     shear = [
@@ -262,6 +264,22 @@ def _pointed_cones(rank, first, rest, size):
     ``[1, first]``, so strictly convex, the others in ``[-rest, rest]``."""
     vectors = st.tuples(st.integers(1, first), *[st.integers(-rest, rest)] * (rank - 1))
     return st.lists(vectors, min_size=rank + 1, max_size=size).map(cone_from_generators)
+
+
+@st.composite
+def embedded_cones(draw):
+    """Cones that are not full-dimensional: 1-4 rays of a strictly convex
+    rank-3 cone, carried into ``Z^4`` by an injective integer matrix, so
+    that their span lattice is often not the span of their rays."""
+    rays = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=4))
+    cols = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=4, max_size=4).filter(lambda m: matrix_rank(m) == 3))
+    return cone_from_generators([mat_vec(cols, r) for r in rays], ambient_rank=4)
+
+
+# cones triangulated into two or more simplices, some of large determinant
+several_simplices = st.one_of(_pointed_cones(3, 6, 9, 6), _pointed_cones(4, 3, 4, 6)).filter(
+    lambda c: c.is_strictly_convex and len(c.generators) > c.dim
+)
 
 
 # two simplices whose bases have 8 or more elements of at most half the
@@ -300,12 +318,16 @@ class TestPackedDominance:
         n = len(xs)
         units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         cols, guard = _packed_columns(units, n, 2 ** (w - 1) - 1)
-        # the slots are kept at grade 1, none of them tested against another;
-        # at grade 2 the candidate meets all of them, in blocks of 1, 2, 4, 8
-        valued = [(1, j, dot(cols, b)) for j, b in enumerate(bs)] + [(2, "x", dot(cols, xs))]
-        kept = [label for _, label, _ in _sieve(valued, guard)]
+        shift = guard.bit_length()
+        # slot j is kept at grade 16 + j, none of them tested against another
+        # (all grades are in [16, 32)), and their keys differ even where their
+        # values agree; at grade 48 the candidate meets all of them, in
+        # blocks of 1, 2, 4, 8; the low 4 bits hold each candidate's label
+        keys = [((16 + j) << shift | dot(cols, b)) << 4 | j for j, b in enumerate(bs)]
+        keys.append((48 << shift | dot(cols, xs)) << 4 | 15)
+        kept = [k & 15 for k in _sieve(keys, guard, 4)]
         dominated = any(all(x >= v for x, v in zip(xs, slot)) for slot in bs)
-        assert kept == list(range(len(bs))) + ([] if dominated else ["x"])
+        assert kept == list(range(len(bs))) + ([] if dominated else [15])
 
     def test_many_block_examples_reach_the_fourth_block(self):
         for c in MANY_BLOCKS:
@@ -324,6 +346,38 @@ class TestPackedDominance:
     def test_packed_sieve_matches_tuple_sieve(self, c):
         assume(c.is_strictly_convex)
         assert _hilbert_basis_full(c) == oracles.hilbert_basis_by_tuple_sieve(c)
+
+
+class TestKeyedCandidates:
+    @settings(deadline=None, max_examples=150)
+    @given(st.one_of(simplicial_cones(500, 4000), embedded_cones(), several_simplices))
+    @example(MANY_BLOCKS[0])
+    @example(MANY_BLOCKS[1])
+    @example(cone_from_generators([(1, 0, 0, 0), (1, 2, 0, 0), (0, 1, 2, 0)]))
+    def test_matches_vector_candidates(self, c):
+        assume(c.is_strictly_convex)
+        expected = oracles.hilbert_basis_by_tuple_sieve(c)
+        assert _hilbert_basis_full(c) == expected
+        # built directly in other coordinates: x -> (x, sum(x))
+        out = [tuple(int(i == j) for j in range(c.ambient_rank)) for i in range(c.ambient_rank)]
+        out.append((1,) * c.ambient_rank)
+        assert _hilbert_basis_full(c, out) == tuple(sorted(mat_vec(out, x) for x in expected))
+
+    def test_vectors_are_built_for_kept_elements_only(self, monkeypatch):
+        built = []
+        real = chowfan.monoids._parallelepiped_point
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(chowfan.monoids, "_parallelepiped_point", counted)
+        for c in MANY_BLOCKS + (cone_from_generators([(1, 0, 0), (1, 3, 0), (1, 0, 3), (1, 3, 3)]),):
+            del built[:]
+            basis = _hilbert_basis_full(c)
+            assert len(built) == len(basis) - len(c.generators)
+            points = sum(_smith_box(s)[0] - 1 for s in chowfan.monoids._triangulate(c))
+            assert len(built) < points
 
 
 @st.composite
@@ -349,6 +403,9 @@ class TestUnimodularExit:
         [(1, 0, 0, 0), (1, 1, 0, 0), (0, 2, 1, 0)],
         [(1, 0, 0, 0), (1, 1, 0, 0), (0, 2, 1, 0), (3, -1, 1, 1)],
     )
+    # cones unimodular in their span lattice whose raw facet normals are not
+    # primitive there: the raw value bounds are 2 and 4
+    SPAN_UNIMODULAR = ([(1, 2)], [(1, 2, 0), (0, 1, 2)])
     # (rays, lattice rows, Hilbert basis): monoids whose cone, pulled back to
     # lattice coordinates, has rays on a basis of the lattice
     PULLED_BACK = (
@@ -362,21 +419,30 @@ class TestUnimodularExit:
 
     @pytest.fixture
     def no_parallelepipeds(self, monkeypatch):
-        """A cone cache of its own, and no Smith form or parallelepiped."""
+        """A cone cache of its own, and no Smith form or box enumeration."""
 
         def refused(*args):
             raise AssertionError("a unimodular cone was triangulated")
 
         monkeypatch.setattr(cones, "_cone_cache", {})
         monkeypatch.setattr(chowfan.monoids, "smith_normal_form", refused)
-        monkeypatch.setattr(chowfan.monoids, "_parallelepiped_points", refused)
+        monkeypatch.setattr(chowfan.monoids, "_parallelepiped_keys", refused)
 
     def test_cones_return_their_rays(self, no_parallelepipeds):
         for rays in self.CONES:
             c = cone_from_generators(rays)
-            assert c.dim == len(rays) and _value_bound(c) == 1
+            assert c.dim == len(rays) and _unimodular(c)
             assert _hilbert_basis_full(c) == c.generators
             assert saturated_monoid(c, full_lattice(4)).hilbert_basis == c.generators
+
+    def test_span_unimodular_cones_return_their_rays(self, no_parallelepipeds):
+        for rays in self.SPAN_UNIMODULAR:
+            c = cone_from_generators(rays)
+            assert c.dim == len(rays) < c.ambient_rank
+            assert max(sum(dot(h, r) for r in c.generators) for h in c.halfspaces) > 1
+            assert _unimodular(c)
+            assert _hilbert_basis_full(c) == c.generators
+            assert monoid_from_cone(c).hilbert_basis == c.generators
 
     def test_pulled_back_cones_return_their_rays(self, no_parallelepipeds):
         for rays, rows, basis in self.PULLED_BACK:
@@ -385,11 +451,14 @@ class TestUnimodularExit:
 
     @settings(deadline=None, max_examples=150)
     @given(st.one_of(lattice_basis_cones(), _pointed_cones(4, 2, 2, 5), rank3_cones))
+    @example(cone_from_generators([(1, 2)]))
+    @example(cone_from_generators([(1, 2, 0), (0, 1, 2)]))
+    @example(cone_from_generators([(2, 0, 0), (0, 2, 0)]))
     def test_top_one_means_a_lattice_basis(self, c):
         assume(c.is_strictly_convex and c.dim)
-        if c.dim == c.ambient_rank == len(c.generators) and set(oracles.elementary_divisors_by_minors(c.generators)) == {1}:
-            assert _value_bound(c) == 1  # a full-dimensional cone on a basis always exits
-        if _value_bound(c) == 1:
+        if len(c.generators) == c.dim and set(oracles.elementary_divisors_by_minors(c.generators)) == {1}:
+            assert _unimodular(c)  # a cone on a basis of its span lattice always exits
+        if _unimodular(c):
             assert len(c.generators) == c.dim
             assert oracles.elementary_divisors_by_minors(c.generators) == (1,) * c.dim
             assert _hilbert_basis_full(c) == oracles.hilbert_basis_by_tuple_sieve(c) == c.generators
@@ -409,9 +478,16 @@ class TestParallelepipeds:
     @example([(2, 4, 6)])
     def test_matches_span_coordinates_oracle(self, rays):
         rays = tuple(rays)
-        assert sorted(_parallelepiped_points(rays)) == sorted(
-            oracles.parallelepiped_points_by_span_coordinates(rays, 3)
-        )
+        det, factors = _smith_box(rays)
+        points = [_parallelepiped_point(det, factors, i, list(zip(*rays))) for i in range(det)]
+        assert not any(points[0])
+        assert sorted(points[1:]) == sorted(oracles.parallelepiped_points_by_span_coordinates(rays, 3))
+        assert sorted(points[1:]) == sorted(oracles.parallelepiped_points(rays))
+        # the streamed keys are a linear functional of the points, plus the locator
+        functional = (1, 1000, 1000000)
+        if det > 1:
+            keys = _parallelepiped_keys([dot(functional, r) for r in rays], det, factors, 7)
+            assert list(keys) == [dot(functional, x) + 7 + i for i, x in enumerate(points)]
 
 
 class TestMembership:

@@ -212,6 +212,37 @@ class TestReduced:
             assert rep.witnesses  # names the unhit basis element
             assert list(rep.witnesses) == oracles.reduced_witnesses_by_search(*args)
 
+    def test_failing_monoid_maps_every_generator(self, monkeypatch):
+        fam = universal_family(chow_quotient(p2_fan(), sublattice(2, [[1, 0]])))
+        doubled = tuple(_doubled(m) for m in fam.datum.monoids)
+        bad = ToricStackDatum(2, fam.fan, doubled)
+        args = (bad, fam.base, [b for _, b in fam.provenance], fam.chow.projection.matrix)
+        mapped = []
+
+        def counted(m, v):
+            mapped.append(v)
+            return mat_vec(m, v)
+
+        monkeypatch.setattr(chowfan.verify, "mat_vec", counted)
+        rep = reduced_report(*args)
+        assert rep == oracles.reduced_report_by_mapping_every_generator(*args)
+        # a failing monoid maps all its generators, a passing one until its
+        # base basis is hit
+        failing = {i for i, _ in rep.witnesses}
+        assert failing
+        expected = 0
+        for i, m in enumerate(doubled):
+            if i in failing:
+                expected += len(m.generators())
+                continue
+            unhit = set(fam.base.monoids[args[2][i]].hilbert_basis)
+            for g in m.generators():
+                if not unhit:
+                    break
+                unhit.discard(mat_vec(args[3], g))
+                expected += 1
+        assert len(mapped) == expected
+
     def test_target_with_units_rejected(self):
         line = monoid_from_cone(cone_from_generators([(1, 0)], ambient_rank=2))
         units = dual_monoid(line)  # the half-plane x >= 0
