@@ -179,7 +179,6 @@ class ChowQuotient:
     projection: QuotientMap
     quotient_fan: Fan
     cone_data: tuple[QuotientConeData, ...]
-    image_cones: tuple[Cone, ...]  # projected fan cones, aligned with fan.cones
 
     def __repr__(self) -> str:
         return (
@@ -275,7 +274,7 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
     data = []
     for k, kappa in enumerate(gfan.cones):
         data.append(_cone_data(fan, sub, proj, images, kappa, k))
-    return ChowQuotient(fan, sub, proj, gfan, tuple(data), images)
+    return ChowQuotient(fan, sub, proj, gfan, tuple(data))
 
 
 def _canonical_normal(h: Vec) -> Vec:

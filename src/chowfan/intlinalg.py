@@ -371,10 +371,6 @@ def saturate(s: Sublattice) -> Sublattice:
     return Sublattice(s.ambient_rank, integer_kernel(orth, s.ambient_rank))
 
 
-def is_saturated_lattice(s: Sublattice) -> bool:
-    return s == saturate(s)
-
-
 def lattice_sum(a: Sublattice, b: Sublattice) -> Sublattice:
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient ranks differ")
@@ -439,9 +435,9 @@ class QuotientMap:
     """A surjection p: Z^r -> Z^q with saturated kernel L.
 
     ``matrix`` has shape q x r, ``section`` is an r-column matrix whose rows
-    s_1..s_q satisfy p(s_i) = e_i, giving an integral section of p.  The
-    basis of the target is the deterministic HNF completion of the kernel
-    basis, so results are reproducible bit for bit.
+    s_1..s_q satisfy p(s_i) = e_i, giving an integral section of p.  Both
+    are read off the deterministic Smith transform of the kernel basis
+    (:func:`quotient_map`), so results are reproducible bit for bit.
     """
 
     source_rank: int
@@ -461,36 +457,25 @@ class QuotientMap:
         return tuple(x)
 
 
-def unimodular_completion(s: Sublattice) -> Mat:
-    """Unimodular r x r matrix whose first rows are the HNF basis of ``s``.
-
-    Requires ``s`` saturated.
-    """
-    if not is_saturated_lattice(s):
-        raise NotSaturated("sublattice must be saturated")
-    r = s.ambient_rank
-    k = s.rank
-    if k == 0:
-        return identity_matrix(r)
-    _, _, v = smith_normal_form(s.basis)
-    w0 = unimodular_inverse(v)
-    # The first k rows of w0 span the same lattice as s, so swapping them for
-    # the HNF basis is a unimodular change of the top block.
-    return s.basis + tuple(w0[k:])
-
-
 def quotient_map(ambient_rank: int, kernel: Sublattice) -> QuotientMap:
-    """Projection Z^r -> Z^r/L for a saturated sublattice L."""
+    """Projection Z^r -> Z^r/L for a saturated sublattice L.
+
+    With the Smith form ``S = U @ B @ V`` of the kernel basis ``B``, L is
+    saturated iff every diagonal entry is 1; then ``B = inv(U) @ inv(V)[:k]``,
+    so the rows ``inv(V)[k:]`` complete ``B`` to a basis of Z^r, and in the
+    coordinates of that basis a point ``x`` has last ``q`` coordinates
+    ``x @ V[:, k:]``.  The zero kernel gives the identity.
+    """
     if kernel.ambient_rank != ambient_rank:
         raise ValueError("kernel has wrong ambient rank")
-    w = unimodular_completion(kernel)  # raises NotSaturated if not saturated
     k = kernel.rank
-    q = ambient_rank - k
-    w_inv = unimodular_inverse(w) if ambient_rank else ()
-    # coordinates of x in the basis rows of w are x @ w_inv; keep the last q
-    proj = transpose(w_inv)[k:]
-    section = tuple(w[k + j] for j in range(q))
-    qm = QuotientMap(ambient_rank, q, proj, kernel, section)
+    v = identity_matrix(ambient_rank)
+    if k:
+        s, _, v = smith_normal_form(kernel.basis)
+        if any(s[i][i] != 1 for i in range(k)):
+            raise NotSaturated("sublattice must be saturated")
+    section = unimodular_inverse(v)[k:]
+    qm = QuotientMap(ambient_rank, ambient_rank - k, transpose(v)[k:], kernel, section)
     for g in kernel.basis:
         assert is_zero(qm.apply(g))
     return qm

@@ -20,8 +20,9 @@ Sorting the keys sorts by grade, and elements of equal grade never reduce
 each other, so their order does not matter.  The sieve reads grade and
 fields off the key, tries only reducers of at most half a candidate's
 grade, and tests them in blocks of 1, 2, 4, ... elements, each block in a
-few big-int operations.  A vector is built only for each kept element,
-once, in the coordinates the caller asks for (:func:`_hilbert_basis_full`).
+few big-int operations.  A vector is built only for each kept key, decoded
+from its halfspace values by one exact left inverse per cone, directly in
+the coordinates the caller asks for (:func:`_hilbert_basis_full`).
 The group is read off the lattice, not from the Hilbert basis.  The
 monoid on a face of its cone is filtered from its Hilbert basis, not
 recomputed (:func:`restrict_to_face`).
@@ -42,10 +43,9 @@ canonical pointed generating set.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import count, product, repeat, starmap
+from itertools import product, repeat, starmap
 from math import gcd, prod
 from operator import add, floordiv, mod, mul
 from typing import Iterable, Iterator, Optional, Sequence
@@ -68,8 +68,10 @@ from .intlinalg import (
     Vec,
     dot,
     full_lattice,
+    hermite_normal_form,
     lattice_intersection,
     mat,
+    mat_mul,
     mat_vec,
     quotient_map,
     require_shape,
@@ -198,9 +200,9 @@ def _smith_box(simplex_rays: tuple[Vec, ...]) -> tuple[int, list[tuple[int, int,
     return det, [(d, det // d, row) for d, row in zip(diag, u) if d > 1]
 
 
-def _parallelepiped_keys(ray_keys: Sequence[int], det: int, factors, first: int) -> Iterator[int]:
-    """``K(x) + first + index`` for every point ``x`` of the box
-    :func:`_smith_box` describes, in box order, streamed.
+def _parallelepiped_keys(ray_keys: Sequence[int], det: int, factors) -> Iterator[int]:
+    """``K(x)`` for every point ``x`` of the box :func:`_smith_box`
+    describes, in box order (the zero point first), streamed.
 
     ``ray_keys[i]`` is ``K(r_i)`` for a function ``K`` linear on the span
     of the rays, so ``K(x) = sum_i t_i K(r_i) // det`` exactly.  Each
@@ -217,23 +219,7 @@ def _parallelepiped_keys(ray_keys: Sequence[int], det: int, factors, first: int)
             steps = range(0, w * d, w) if w else repeat(0, d)
             col = steps if col is None else starmap(add, product(col, steps))
         terms.append(map(mul, map(mod, col, repeat(det)), repeat(key)))
-    total = reduce(partial(map, add), terms)
-    return map(add, map(floordiv, total, repeat(det)), count(first))
-
-
-def _parallelepiped_point(det: int, factors, index: int, columns: Sequence[Sequence[int]]) -> Vec:
-    """The point of box index ``index`` (see :func:`_smith_box`), as
-    ``sum_i t_i r_i // det`` from the coordinate columns of the rays
-    (``columns[k][i]`` is entry ``k`` of ray ``i``), in any coordinates
-    linear in the ray coefficients."""
-    t = [0] * len(columns[0])
-    for d, step, row in reversed(factors):
-        index, a = divmod(index, d)
-        if a:
-            a *= step
-            t = [x + a * y for x, y in zip(t, row)]
-    t = [x % det for x in t]
-    return tuple([sum(map(mul, t, col)) // det for col in columns])
+    return map(floordiv, reduce(partial(map, add), terms), repeat(det))
 
 
 def _packed_columns(halfspaces: Sequence[Vec], rank: int, top: int) -> tuple[list[int], int]:
@@ -255,6 +241,27 @@ def _value_bound(c: Cone) -> int:
     return max(sum(dot(h, r) for r in c.generators) for h in c.halfspaces)
 
 
+def _value_inverse(c: Cone) -> tuple[Mat, int]:
+    """``(L, den)`` with ``L @ [h.x for h in c.halfspaces] == den * x`` for
+    every ``x`` in the span of the strictly convex ``c``.
+
+    ``A = halfspaces + equations`` has full column rank ``n`` on a pointed
+    cone, so its Hermite form ``H = Y @ A`` has an upper triangular top
+    ``H[:n]``; ``den = det(H[:n])`` and ``L = adj(H[:n]) @ Y[:n]`` on the
+    halfspace columns, as the equations vanish on the span.  (The Smith loop
+    does not return on some of these ``A``; the Hermite loop does.)
+    """
+    m, n = len(c.halfspaces), c.ambient_rank
+    h, y = hermite_normal_form(c.halfspaces + c.equations)
+    den = prod(h[i][i] for i in range(n))
+    adj = [[0] * n for _ in range(n)]
+    for j in range(n):
+        adj[j][j] = den // h[j][j]
+        for i in reversed(range(j)):
+            adj[i][j] = -sum(h[i][k] * adj[k][j] for k in range(i + 1, j + 1)) // h[i][i]
+    return mat_mul(adj, [row[:m] for row in y[:n]]), den
+
+
 def _unimodular(c: Cone) -> bool:
     """Is the strictly convex ``c`` simplicial and unimodular in its span
     lattice ``span(c) ∩ Z^rank``?
@@ -273,12 +280,12 @@ def _unimodular(c: Cone) -> bool:
     )
 
 
-def _sieve(candidates: Iterable[int], guard: int, low: int) -> list[int]:
-    """The irreducible candidates, from ``K << low | locator`` sorted, where
-    ``K = grade << S | packed`` with ``S = guard.bit_length()``: each
-    candidate is tested against the doubling blocks of kept elements of at
-    most half its grade (see :func:`_hilbert_basis_full`).  A candidate
-    whose ``K`` equals its predecessor's, or is 0, is skipped."""
+def _sieve(candidates: Iterable[int], guard: int) -> list[int]:
+    """The irreducible candidates, from keys ``K = grade << S | packed``
+    sorted, with ``S = guard.bit_length()``: each candidate is tested
+    against the doubling blocks of kept elements of at most half its grade
+    (see :func:`_hilbert_basis_full`).  A key equal to its predecessor, or
+    0, is skipped."""
     shift = guard.bit_length()
     fields = (1 << shift) - 1
     bw = shift + 1
@@ -289,8 +296,7 @@ def _sieve(candidates: Iterable[int], guard: int, low: int) -> list[int]:
     blocks: list[list[int]] = []  # [P, R, G*, L, T] of each block
     packed = room = 0  # kept elements packed, free slots in the last block
     prev = 0
-    for cand in candidates:
-        key = cand >> low
+    for key in candidates:
         if key == prev:
             continue
         prev = key
@@ -314,7 +320,7 @@ def _sieve(candidates: Iterable[int], guard: int, low: int) -> list[int]:
             if ((((xg * r - p) & gs) ^ gs) + l) & t != t:
                 break
         else:
-            kept.append(cand)
+            kept.append(key)
             grades.append(gx)
             values.append(px)
     return kept
@@ -345,10 +351,11 @@ def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
     simplices is dropped the second time by equal keys, and key 0 is the
     zero point.  Sorting keys sorts by grade; elements of equal grade never
     reduce each other (``2g <= g`` fails for ``g > 0``), so their order is
-    irrelevant.  Below ``K`` each candidate carries its locator, its index
-    among the rays and the simplices' boxes, and a vector is built only for
-    each kept element, from its simplex's rays mapped by ``out`` once
-    (:func:`_parallelepiped_point`).
+    irrelevant.  A vector is built only for each kept key, by decoding it:
+    its fields are the exact values ``h_i.x`` and ``e.x = 0`` on every
+    equation, so ``x = L @ vals / den`` for the left inverse ``L / den`` of
+    :func:`_value_inverse`, one per cone, and ``out @ x`` is
+    ``(out @ L) @ vals // den``, an exact division since ``x`` is integral.
 
     ``x - b`` lies in the cone iff ``h.x >= h.b`` for every halfspace ``h``,
     a test on guarded bit fields (Lamport, CACM 18(8), 1975).  In fields of
@@ -375,39 +382,28 @@ def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
     """
     if c.dim == 0:
         return ()
-    rays = c.generators
-    images = rays if out is None else [mat_vec(out, r) for r in rays]
     if _unimodular(c):
-        return tuple(sorted(images))
+        return tuple(sorted(c.generators if out is None else [mat_vec(out, r) for r in c.generators]))
     cols, guard = _packed_columns(c.halfspaces, c.ambient_rank, _value_bound(c))
     shift = guard.bit_length()
     key_cols = [(g << shift) + col for g, col in zip(_grading(c), cols)]
-    position = {r: i for i, r in enumerate(rays)}
-    boxes = []  # (first locator, det, factors, ray positions) per simplex
-    first = len(rays)
+    ray_keys = {r: dot(key_cols, r) for r in c.generators}
+    candidates = list(ray_keys.values())
     for simplex in _triangulate(c):
         det, factors = _smith_box(simplex)
         if det > 1:
-            boxes.append((first, det, factors, [position[r] for r in simplex]))
-            first += det
-    low = first.bit_length()
-    ray_keys = [dot(key_cols, r) << low for r in rays]
-    candidates = [k | i for i, k in enumerate(ray_keys)]
-    for start, det, factors, at in boxes:
-        candidates.extend(_parallelepiped_keys([ray_keys[i] for i in at], det, factors, start))
+            candidates.extend(_parallelepiped_keys([ray_keys[r] for r in simplex], det, factors))
     candidates.sort()
-    starts = [box[0] for box in boxes]
-    columns = [list(zip(*[images[i] for i in at])) for _, _, _, at in boxes]
-    mask = (1 << low) - 1
-    basis = []
-    for cand in _sieve(candidates, guard, low):
-        loc = cand & mask
-        if loc < len(rays):
-            basis.append(images[loc])
-        else:
-            b = bisect_right(starts, loc) - 1
-            start, det, factors, _ = boxes[b]
-            basis.append(_parallelepiped_point(det, factors, loc - start, columns[b]))
+    inverse, den = _value_inverse(c)
+    if out is not None:
+        inverse = mat_mul(out, inverse)
+    w = shift // len(c.halfspaces)
+    fields = range(0, shift, w)
+    mask = (1 << w) - 1
+    basis = [
+        tuple([y // den for y in mat_vec(inverse, [key >> i & mask for i in fields])])
+        for key in _sieve(candidates, guard)
+    ]
     return tuple(sorted(basis))
 
 

@@ -30,7 +30,8 @@ The two after it are the library's earlier forms of the integrality
 check: a monoid rewritten in its group's coordinates by mapping every
 Hilbert-basis element, and the pair walk that scans every target element
 for each pair of incomparable sources, with ``Cone.contains`` as its order
-test.
+test.  The last is the library's earlier quotient map: the kernel basis
+completed to a unimodular matrix and that matrix inverted a second time.
 """
 
 import json
@@ -809,3 +810,26 @@ def check_integral_by_pair_walk(h, degree_bound):
                     )
                 witnessed.append(t1)
     return verify.CheckReport("integral", "pass", (), params)
+
+
+def quotient_map_by_completion(ambient_rank, kernel):
+    """``(matrix, section)`` of the projection ``Z^r -> Z^r / kernel``, or
+    None if the kernel is not saturated.
+
+    The kernel's HNF basis is completed by the last rows of ``inv(V)``, for
+    ``V`` the column transform of its Smith form, to a unimodular ``W``; the
+    projection is the last ``q`` coordinates in the basis of ``W``'s rows,
+    read off ``inv(W)``, and the section is those last rows of ``W``.
+    """
+    from chowfan.intlinalg import saturate, smith_normal_form, transpose, unimodular_inverse
+
+    if saturate(kernel) != kernel:
+        return None
+    k = kernel.rank
+    if k == 0:
+        w = tuple(tuple(int(i == j) for j in range(ambient_rank)) for i in range(ambient_rank))
+    else:
+        _, _, v = smith_normal_form(kernel.basis)
+        w = kernel.basis + unimodular_inverse(v)[k:]
+    w_inv = unimodular_inverse(w) if ambient_rank else ()
+    return transpose(w_inv)[k:], w[k:]

@@ -59,7 +59,7 @@ from chowfan.chow import InfiniteIndex
 from chowfan.intlinalg import dot, identity_matrix, integer_kernel, mat_mul, mat_vec, saturate
 from chowfan.monoids import (
     _hilbert_basis_full,
-    _parallelepiped_point,
+    _parallelepiped_keys,
     _smith_box,
     _triangulate,
     restrict_to_face,
@@ -647,13 +647,18 @@ def test_parallelepiped_points_match_span_coordinates_oracle(corpus_families):
                 continue
             for simplex in _triangulate(c):
                 det, factors = _smith_box(simplex)
-                points = [_parallelepiped_point(det, factors, i, list(zip(*simplex))) for i in range(1, det)]
-                assert sorted(points) == sorted(
-                    oracles.parallelepiped_points_by_span_coordinates(simplex, c.ambient_rank)
-                )
+                # every point has entries of at most the rays' total size, where
+                # K(x) = sum_k x_k base^k is injective
+                size = sum(abs(x) for r in simplex for x in r)
+                functional = [(2 * size + 1) ** k for k in range(c.ambient_rank)]
+                ray_keys = [dot(functional, r) for r in simplex]
+                keys = list(_parallelepiped_keys(ray_keys, det, factors)) if det > 1 else [0]
+                points = oracles.parallelepiped_points_by_span_coordinates(simplex, c.ambient_rank)
+                assert len(keys) == det and keys[0] == 0
+                assert sorted(keys[1:]) == sorted(dot(functional, x) for x in points)
                 count += 1
-    _announce("parallelepiped points from one Smith form equal the "
-              f"span-coordinates oracle on all {count} simplices")
+    _announce("parallelepiped keys from one Smith form equal the keys of the "
+              f"span-coordinates oracle's points on all {count} simplices")
 
 
 def test_basic_monoid_groups_are_saturated(corpus_families):

@@ -337,6 +337,31 @@ class TestQuotientMap:
             for v in [(1,) + (0,) * (p.target_rank - 1)] if p.target_rank else []:
                 assert p.apply(p.lift(v)) == v
 
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(0, 5).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r), max_size=r),
+            st.booleans(),
+        )
+    ))
+    @example((3, [[1, 2, 2], [0, 5, 6]], True))
+    @example((3, [[2, 0, 0]], False))
+    @example((0, [], False))
+    def test_matches_completion_oracle(self, case):
+        # small entries only: the Smith loop blows up on large ones
+        r, gens, saturated = case
+        s = sublattice(r, gens)
+        if saturated:
+            s = saturate(s)
+        expected = oracles.quotient_map_by_completion(r, s)
+        if expected is None:
+            with pytest.raises(NotSaturated):
+                quotient_map(r, s)
+        else:
+            p = quotient_map(r, s)
+            assert (p.matrix, p.section) == expected
+
 
 # Entries: small ones, so that zero vectors, shared factors and lattice
 # members are common, and ones beyond 2**64.

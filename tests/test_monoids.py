@@ -27,7 +27,6 @@ from chowfan.monoids import (
     _hilbert_basis_full,
     _packed_columns,
     _parallelepiped_keys,
-    _parallelepiped_point,
     _sieve,
     _smith_box,
     _unimodular,
@@ -322,10 +321,11 @@ class TestPackedDominance:
         # slot j is kept at grade 16 + j, none of them tested against another
         # (all grades are in [16, 32)), and their keys differ even where their
         # values agree; at grade 48 the candidate meets all of them, in
-        # blocks of 1, 2, 4, 8; the low 4 bits hold each candidate's label
-        keys = [((16 + j) << shift | dot(cols, b)) << 4 | j for j, b in enumerate(bs)]
-        keys.append((48 << shift | dot(cols, xs)) << 4 | 15)
-        kept = [k & 15 for k in _sieve(keys, guard, 4)]
+        # blocks of 1, 2, 4, 8; the candidate is labelled 15
+        keys = [(16 + j) << shift | dot(cols, b) for j, b in enumerate(bs)]
+        keys.append(48 << shift | dot(cols, xs))
+        label = {k: j for j, k in enumerate(keys[:-1])} | {keys[-1]: 15}
+        kept = [label[k] for k in _sieve(keys, guard)]
         dominated = any(all(x >= v for x, v in zip(xs, slot)) for slot in bs)
         assert kept == list(range(len(bs))) + ([] if dominated else [15])
 
@@ -354,6 +354,11 @@ class TestKeyedCandidates:
     @example(MANY_BLOCKS[0])
     @example(MANY_BLOCKS[1])
     @example(cone_from_generators([(1, 0, 0, 0), (1, 2, 0, 0), (0, 1, 2, 0)]))
+    # not full-dimensional and not unimodular, and [halfspaces; equations]
+    # has Smith diagonal (1, 1, 3): keys are decoded over den = 3
+    @example(cone_from_generators([(1, 0, 0), (1, 3, 0)]))
+    # six facets with entries up to 141, whose smith_normal_form does not return in 30 s
+    @example(cone_from_generators([(2, -4, -3, 4), (3, -4, -1, -3), (3, -1, 4, 2), (3, 0, -2, 3), (3, 2, -3, 0)]))
     def test_matches_vector_candidates(self, c):
         assume(c.is_strictly_convex)
         expected = oracles.hilbert_basis_by_tuple_sieve(c)
@@ -364,20 +369,21 @@ class TestKeyedCandidates:
         assert _hilbert_basis_full(c, out) == tuple(sorted(mat_vec(out, x) for x in expected))
 
     def test_vectors_are_built_for_kept_elements_only(self, monkeypatch):
+        # past the unimodular exit, mat_vec runs once per decoded key
         built = []
-        real = chowfan.monoids._parallelepiped_point
+        real = chowfan.monoids.mat_vec
 
         def counted(*args):
             built.append(args)
             return real(*args)
 
-        monkeypatch.setattr(chowfan.monoids, "_parallelepiped_point", counted)
+        monkeypatch.setattr(chowfan.monoids, "mat_vec", counted)
         for c in MANY_BLOCKS + (cone_from_generators([(1, 0, 0), (1, 3, 0), (1, 0, 3), (1, 3, 3)]),):
             del built[:]
             basis = _hilbert_basis_full(c)
-            assert len(built) == len(basis) - len(c.generators)
+            assert len(built) == len(basis)
             points = sum(_smith_box(s)[0] - 1 for s in chowfan.monoids._triangulate(c))
-            assert len(built) < points
+            assert len(built) < points + len(c.generators)
 
 
 @st.composite
@@ -479,15 +485,15 @@ class TestParallelepipeds:
     def test_matches_span_coordinates_oracle(self, rays):
         rays = tuple(rays)
         det, factors = _smith_box(rays)
-        points = [_parallelepiped_point(det, factors, i, list(zip(*rays))) for i in range(det)]
-        assert not any(points[0])
-        assert sorted(points[1:]) == sorted(oracles.parallelepiped_points_by_span_coordinates(rays, 3))
-        assert sorted(points[1:]) == sorted(oracles.parallelepiped_points(rays))
-        # the streamed keys are a linear functional of the points, plus the locator
+        # injective on points with entries in [-9, 9], the parallelepiped's box
         functional = (1, 1000, 1000000)
-        if det > 1:
-            keys = _parallelepiped_keys([dot(functional, r) for r in rays], det, factors, 7)
-            assert list(keys) == [dot(functional, x) + 7 + i for i, x in enumerate(points)]
+        keys = list(_parallelepiped_keys([dot(functional, r) for r in rays], det, factors)) if det > 1 else [0]
+        assert len(keys) == det and keys[0] == 0
+        for points in (
+            oracles.parallelepiped_points_by_span_coordinates(rays, 3),
+            oracles.parallelepiped_points(rays),
+        ):
+            assert sorted(keys[1:]) == sorted(dot(functional, x) for x in points)
 
 
 class TestMembership:
