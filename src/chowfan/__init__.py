@@ -21,7 +21,6 @@ from .intlinalg import (
     lattice_sum,
     quotient_map,
     saturate,
-    smith_normal_form,
     sublattice,
     zero_sublattice,
 )

@@ -441,18 +441,13 @@ def _pull_back(c: Cone, basis: Mat) -> Cone:
     return _intern(_cone_by_incidence(k, rays, lin, pulled_h, tight, pulled_e))
 
 
-def relative_interior_sample(c: Cone, variant: int = 0) -> Vec:
-    """A deterministic integer point in the relative interior of ``c``.
-
-    ``variant`` selects between different deterministic interior points.
-    Raises :class:`ZeroCone` for the zero cone.
+def relative_interior_sample(c: Cone) -> Vec:
+    """The sum of the rays of ``c``, an integer point in its relative
+    interior.  Raises :class:`ZeroCone` for the zero cone.
     """
     if c.is_zero():
         raise ZeroCone("the zero cone has no nonzero interior sample")
-    if not c.generators:
-        return (0,) * c.ambient_rank
-    weights = [1 + variant * i for i in range(1, len(c.generators) + 1)]
-    return mat_vec(tuple(zip(*c.generators)), weights)
+    return tuple(map(sum, zip(*c.generators))) if c.generators else (0,) * c.ambient_rank
 
 
 def _relint_sample_or_zero(c: Cone) -> Vec:

@@ -4,18 +4,19 @@ Everything in this module works with plain Python integers (arbitrary
 precision) and tuples; there is no floating point and no rational
 arithmetic anywhere.  The central objects are
 
-* :func:`row_lattice_hnf`, the one Hermite elimination loop; it builds no
+* :func:`row_lattice_hnf`, the one general elimination loop; it builds no
   transform.  :func:`hermite_normal_form` reads ``H`` and a unimodular
-  ``U`` off the Hermite basis of ``[m | I]``, and rank, kernels and
-  unimodular inverses come from these,
-* the Smith normal form with its unimodular transforms,
+  ``U`` off the Hermite basis of ``[m | I]``, and rank, kernels,
+  unimodular inverses and elementary divisors (row and column Hermite
+  forms in turn) come from these,
 * :func:`solve_rational`, which solves every rational linear system in
-  the package through the Smith form, as an integer numerator over a
-  least common denominator,
+  the package by forward substitution on one Hermite form, as an integer
+  numerator over a least common denominator,
 * :class:`Sublattice`, a canonicalized (row HNF) subgroup of Z^r, with
   saturation, sum, intersection and index computations,
 * :class:`QuotientMap`, a surjection Z^r -> Z^q with a prescribed saturated
-  kernel and a deterministic integral section.
+  kernel and a deterministic integral section, read off a unit-pivot
+  reduction of the kernel basis that only it uses.
 
 Vectors are tuples of Python ints, matrices are tuples of row tuples.
 Inside the library that is an invariant, so each vector or matrix kernel
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
@@ -175,91 +176,24 @@ def hermite_normal_form(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
     return tuple([r[:ncols] for r in aug]), tuple([r[ncols:] for r in aug])
 
 
-def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat, Mat]:
-    """Smith normal form ``S = U @ m @ V`` with divisibility d1 | d2 | ...
-
-    ``U`` and ``V`` are unimodular; the diagonal entries are nonnegative.
-    """
-    rows = [list(map(int, r)) for r in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    u = [list(r) for r in identity_matrix(nrows)]
-    v = [list(r) for r in identity_matrix(ncols)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in rows:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-
-    def swap_rows(i, j):
-        rows[i], rows[j] = rows[j], rows[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in rows:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    t = 0
-    while t < min(nrows, ncols):
-        # find a nonzero pivot in the remaining block
-        piv = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if rows[i][j] != 0:
-                    if piv is None or abs(rows[i][j]) < abs(rows[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, nrows):
-                if rows[i][t] != 0:
-                    q = rows[i][t] // rows[t][t]
-                    row_op(i, t, q)
-                    if rows[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if rows[t][j] != 0:
-                    q = rows[t][j] // rows[t][t]
-                    col_op(j, t, q)
-                    if rows[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # pivot must divide every remaining entry; if not, mix the row in
-        fixed = True
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if rows[i][j] % rows[t][t] != 0:
-                    row_op(t, i, -1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            if rows[t][t] < 0:
-                rows[t] = [-x for x in rows[t]]
-                u[t] = [-x for x in u[t]]
-            t += 1
-    return tuple(map(tuple, rows)), tuple(map(tuple, u)), tuple(map(tuple, v))
-
-
 def elementary_divisors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    s, _, _ = smith_normal_form(m)
-    diag = [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
-    return tuple(d for d in diag if d != 0)
+    """The nonzero diagonal ``d1 | d2 | ...`` of the Smith form of ``m``.
+
+    Row and column Hermite forms alternate until the matrix is diagonal
+    (Kannan & Bachem, SIAM J. Comput. 8(4), 1979): a pass that keeps the
+    leading pivot clears its row and column, and one that changes it makes
+    it smaller.  Each pair of diagonal entries is then replaced by its gcd
+    and lcm, which sorts the exponent of every prime.
+    """
+    h = row_lattice_hnf(m)
+    while any(x for i, row in enumerate(h) for j, x in enumerate(row) if i != j):
+        h = row_lattice_hnf(transpose(h))
+    diag = [row[i] for i, row in enumerate(h)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return tuple(diag)
 
 
 def unimodular_inverse(m: Mat) -> Mat:
@@ -293,20 +227,33 @@ def solve_rational(
     """A rational solution of ``m @ x == target`` as ``(d, x)``, or None.
 
     ``x`` is integral, ``d > 0`` is least and ``m @ x == d * target``; None
-    means the system is inconsistent.  With ``S = U @ m @ V`` the Smith form
-    and ``c = U @ target``, the system reads ``S @ y == d * c`` for
-    ``x = V @ y``: the rows past the rank need ``c_i == 0``, row ``i`` needs
-    ``s_i | d * c_i``, and the free coordinates of ``y`` are 0.  When ``m``
+    means the system is inconsistent.  With ``H = W @ transpose(m)`` the
+    Hermite form, the system reads ``transpose(H) @ y == d * target`` for
+    ``x = y @ W``.  The rows of ``H`` are in echelon form, so forward
+    substitution along their pivots fixes ``y`` on the nonzero rows, each
+    entry over the least denominator so far; the other entries of ``y`` are
+    0, and a residual left off the pivots means no solution.  When ``m``
     has full column rank, ``x / d`` is the unique solution.
     """
-    s, u, v = smith_normal_form(m)
-    c = mat_vec(u, target)
-    diag = [row[i] for i, row in enumerate(s) if i < len(row) and row[i]]
-    if any(c[len(diag):]):
+    h, w = hermite_normal_form(transpose(m))
+    d, y = 1, []
+    rest = list(target)  # d * target - sum_i y_i h_i
+    for row in h:
+        lead = next(filter(None, row), 0)
+        if not lead:
+            break
+        j = row.index(lead)
+        if rest[j] % lead:
+            f = lead // gcd(rest[j], lead)
+            d *= f
+            y = [f * x for x in y]
+            rest = [f * x for x in rest]
+        q = rest[j] // lead
+        y.append(q)
+        rest = [x - q * r for x, r in zip(rest, row)]
+    if any(rest):
         return None
-    d = lcm(*(si // gcd(si, ci) for si, ci in zip(diag, c)))
-    y = [d * ci // si for si, ci in zip(diag, c)] + [0] * (len(v) - len(diag))
-    return d, mat_vec(v, y)
+    return d, mat_vec(transpose(w), y + [0] * (len(w) - len(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +383,9 @@ class QuotientMap:
 
     ``matrix`` has shape q x r, ``section`` is an r-column matrix whose rows
     s_1..s_q satisfy p(s_i) = e_i, giving an integral section of p.  Both
-    are read off the deterministic Smith transform of the kernel basis
-    (:func:`quotient_map`), so results are reproducible bit for bit.
+    are read off the column transform of the unit-pivot reduction of the
+    kernel basis (:func:`quotient_map`), a fixed rule, so results are
+    reproducible bit for bit.
     """
 
     source_rank: int
@@ -457,23 +405,71 @@ class QuotientMap:
         return tuple(x)
 
 
+def _unit_pivot_transform(basis: Mat, ncols: int) -> list[list[int]]:
+    """The column transform ``V`` that reduces the saturated ``basis`` to
+    ``(±I | 0)`` by row and column operations.
+
+    Step ``t`` moves the entry of least absolute value in rows and columns
+    ``>= t`` (the first in row order on a tie) to ``(t, t)``, then clears
+    column ``t`` below it and row ``t`` right of it by Euclid, each
+    nonzero remainder swapped in as the new pivot, until both are clear.
+    The gcd of the maximal minors of ``basis``, 1 as it is saturated, is
+    the product of the pivots (up to sign), so every pivot is a unit.
+    """
+    rows = [list(r) for r in basis]
+    v = [list(r) for r in identity_matrix(ncols)]
+
+    def swap_cols(i, j):
+        for r in rows + v:
+            r[i], r[j] = r[j], r[i]
+
+    for t in range(len(rows)):
+        _, i, j = min(
+            (abs(x), i, j) for i in range(t, len(rows)) for j, x in enumerate(rows[i][t:], t) if x
+        )
+        rows[t], rows[i] = rows[i], rows[t]
+        swap_cols(t, j)
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, len(rows)):
+                if rows[i][t]:
+                    q = rows[i][t] // rows[t][t]
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[t])]
+                    if rows[i][t]:
+                        rows[t], rows[i] = rows[i], rows[t]
+                        dirty = True
+            for j in range(t + 1, ncols):
+                if rows[t][j]:
+                    q = rows[t][j] // rows[t][t]
+                    for r in rows + v:
+                        r[j] -= q * r[t]
+                    if rows[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+        assert abs(rows[t][t]) == 1
+    return v
+
+
 def quotient_map(ambient_rank: int, kernel: Sublattice) -> QuotientMap:
     """Projection Z^r -> Z^r/L for a saturated sublattice L.
 
-    With the Smith form ``S = U @ B @ V`` of the kernel basis ``B``, L is
-    saturated iff every diagonal entry is 1; then ``B = inv(U) @ inv(V)[:k]``,
-    so the rows ``inv(V)[k:]`` complete ``B`` to a basis of Z^r, and in the
-    coordinates of that basis a point ``x`` has last ``q`` coordinates
-    ``x @ V[:, k:]``.  The zero kernel gives the identity.
+    With ``D = U @ B @ V`` the reduction of the kernel basis ``B`` by
+    :func:`_unit_pivot_transform`, ``D = (±I | 0)``, so
+    ``B = inv(U) @ D @ inv(V)`` and the rows ``inv(V)[k:]`` complete ``B``
+    to a basis of Z^r; in the coordinates of that basis a point ``x`` has
+    last ``q`` coordinates ``x @ V[:, k:]``.  The zero kernel gives the
+    identity.  Saturation is tested first, by the elementary divisors of
+    ``B``: on an unsaturated basis with large entries the Euclid steps of
+    the reduction can run for seconds before they reach a pivot that is
+    not a unit.
     """
     if kernel.ambient_rank != ambient_rank:
         raise ValueError("kernel has wrong ambient rank")
     k = kernel.rank
-    v = identity_matrix(ambient_rank)
-    if k:
-        s, _, v = smith_normal_form(kernel.basis)
-        if any(s[i][i] != 1 for i in range(k)):
-            raise NotSaturated("sublattice must be saturated")
+    if elementary_divisors(kernel.basis) != (1,) * k:
+        raise NotSaturated("sublattice must be saturated")
+    v = mat(_unit_pivot_transform(kernel.basis, ambient_rank))
     section = unimodular_inverse(v)[k:]
     qm = QuotientMap(ambient_rank, ambient_rank - k, transpose(v)[k:], kernel, section)
     for g in kernel.basis:

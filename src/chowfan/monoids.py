@@ -7,8 +7,8 @@ is the rays of ``c`` when each facet, as a primitive functional on the
 span lattice of ``c``, is 1 on the one ray off it (the cone is then
 unimodular in its span), and otherwise is computed by a pulling
 triangulation, an integer enumeration of each simplex's fundamental
-parallelepiped (one Smith form per simplex, of its raw ray matrix: no
-saturation of its span, no change of coordinates and no rational solve
+parallelepiped (one Hermite form per simplex, of its rays' coordinates in
+the cone's span lattice: the box of its diagonal, with no rational solve
 per point) and an irreducibility sieve.
 
 Every candidate is one integer key ``K(x) = grade(x) << S | packed(x)``:
@@ -66,6 +66,7 @@ from .intlinalg import (
     Mat,
     Sublattice,
     Vec,
+    coordinates_in,
     dot,
     full_lattice,
     hermite_normal_form,
@@ -76,7 +77,6 @@ from .intlinalg import (
     quotient_map,
     require_shape,
     row_lattice_hnf,
-    smith_normal_form,
     transpose,
     vadd,
     vec,
@@ -178,30 +178,43 @@ def _triangulate(c: Cone) -> list[tuple[Vec, ...]]:
     ]
 
 
-def _smith_box(simplex_rays: tuple[Vec, ...]) -> tuple[int, list[tuple[int, int, Vec]]]:
+def _triangular_adjugate(h: Mat, n: int) -> tuple[list[list[int]], int]:
+    """``(adj, det)`` of the upper triangular ``h[:n]`` with a positive
+    diagonal: ``det`` is the product of the diagonal and
+    ``h[:n] @ adj == det * I``, column by column by exact back substitution.
+    """
+    det = prod(h[i][i] for i in range(n))
+    adj = [[0] * n for _ in range(n)]
+    for j in range(n):
+        adj[j][j] = det // h[j][j]
+        for i in reversed(range(j)):
+            adj[i][j] = -sum(h[i][k] * adj[k][j] for k in range(i + 1, j + 1)) // h[i][i]
+    return adj, det
+
+
+def _hermite_box(simplex_rays: tuple[Vec, ...], basis: Mat) -> tuple[int, list[tuple[int, list[int]]]]:
     """``(det, factors)`` enumerating the half-open parallelepiped of
     independent rays by their coefficients.
 
-    With ``R`` the ``n x r`` ray matrix and Smith form ``D = U @ R @ V``,
-    ``R = inv(U) @ diag(d) @ B`` for ``B`` the first ``n`` rows of
-    ``inv(V)``, a basis of the saturated span.  In that basis the rays have
-    coordinates ``C = inv(U) @ diag(d)``, whose Smith form is ``diag(d)``
-    with the same ``U``; so the points are the classes of ``z @ B`` modulo
-    the rays for ``z`` in the box of ``d``.  Their ray coefficients are
-    ``z @ inv(C) = z @ (det/d) U / det``.  ``factors`` holds
-    ``(d, det // d, row of U)`` for each ``d > 1``; the point of the box
-    index ``(a_1, a_2, ...)`` (mixed radix, first factor most significant)
-    has the coefficients ``t = sum_j a_j * (det // d_j) * U_j`` mod ``det``,
-    so it is ``sum_i t_i r_i / det``, and box index 0 is the zero point.
+    ``basis`` is a basis of the saturated span of the rays, ``C`` the rays'
+    coordinates in it and ``H = W @ C`` its Hermite form, upper triangular.
+    The points are the classes of ``z @ basis`` modulo the rays for ``z``
+    in the box ``0 <= z_i < H_ii``, and their ray coefficients are
+    ``z @ inv(C) = z @ adj(H) @ W / det`` with ``det = prod H_ii``.
+    ``factors`` holds ``(H_ii, row i of adj(H) @ W mod det)`` for each
+    ``H_ii > 1``; the point of the box index ``(z_1, z_2, ...)`` (mixed
+    radix, first factor most significant) has the coefficients
+    ``t = sum_i z_i * row_i`` mod ``det``, so it is ``sum_i t_i r_i / det``,
+    and box index 0 is the zero point.
     """
-    s, u, _ = smith_normal_form(simplex_rays)
-    diag = [s[i][i] for i in range(len(simplex_rays))]
-    det = prod(diag)
-    return det, [(d, det // d, row) for d, row in zip(diag, u) if d > 1]
+    h, w = hermite_normal_form([coordinates_in(basis, r) for r in simplex_rays])
+    adj, det = _triangular_adjugate(h, len(h))
+    coefficients = mat_mul(adj, w)
+    return det, [(h[i][i], [x % det for x in coefficients[i]]) for i in range(len(h)) if h[i][i] > 1]
 
 
 def _parallelepiped_keys(ray_keys: Sequence[int], det: int, factors) -> Iterator[int]:
-    """``K(x)`` for every point ``x`` of the box :func:`_smith_box`
+    """``K(x)`` for every point ``x`` of the box :func:`_hermite_box`
     describes, in box order (the zero point first), streamed.
 
     ``ray_keys[i]`` is ``K(r_i)`` for a function ``K`` linear on the span
@@ -211,7 +224,7 @@ def _parallelepiped_keys(ray_keys: Sequence[int], det: int, factors) -> Iterator
     """
     terms = []
     for i, key in enumerate(ray_keys):
-        ws = [(d, step * row[i] % det) for d, step, row in factors]
+        ws = [(d, row[i]) for d, row in factors]
         if not any(w for _, w in ws):
             continue
         col = None
@@ -248,17 +261,11 @@ def _value_inverse(c: Cone) -> tuple[Mat, int]:
     ``A = halfspaces + equations`` has full column rank ``n`` on a pointed
     cone, so its Hermite form ``H = Y @ A`` has an upper triangular top
     ``H[:n]``; ``den = det(H[:n])`` and ``L = adj(H[:n]) @ Y[:n]`` on the
-    halfspace columns, as the equations vanish on the span.  (The Smith loop
-    does not return on some of these ``A``; the Hermite loop does.)
+    halfspace columns, as the equations vanish on the span.
     """
     m, n = len(c.halfspaces), c.ambient_rank
     h, y = hermite_normal_form(c.halfspaces + c.equations)
-    den = prod(h[i][i] for i in range(n))
-    adj = [[0] * n for _ in range(n)]
-    for j in range(n):
-        adj[j][j] = den // h[j][j]
-        for i in reversed(range(j)):
-            adj[i][j] = -sum(h[i][k] * adj[k][j] for k in range(i + 1, j + 1)) // h[i][i]
+    adj, den = _triangular_adjugate(h, n)
     return mat_mul(adj, [row[:m] for row in y[:n]]), den
 
 
@@ -389,8 +396,9 @@ def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
     key_cols = [(g << shift) + col for g, col in zip(_grading(c), cols)]
     ray_keys = {r: dot(key_cols, r) for r in c.generators}
     candidates = list(ray_keys.values())
+    span = _span_lattice(c).basis
     for simplex in _triangulate(c):
-        det, factors = _smith_box(simplex)
+        det, factors = _hermite_box(simplex, span)
         if det > 1:
             candidates.extend(_parallelepiped_keys([ray_keys[r] for r in simplex], det, factors))
     candidates.sort()

@@ -5,12 +5,15 @@ reduction, exhaustive search) and shares no code with the library paths it
 is used to check.  The fan oracles at the end are the all-pairs scans that
 fan incidence once used; they build on the library's cone primitives
 (containment, intersection, faces) but not on its fan-level incidence.
+The Smith normal form after the minor gcds is the library's earlier
+elimination loop with both unimodular transforms; the parallelepiped and
+quotient-map oracles below read their boxes and completions off it.
 The Hilbert-basis oracle after them is the library's earlier candidate
 path, one vector per parallelepiped point from one Smith form per
 simplex, with a tuple-by-tuple sieve.  The lattice oracles after it are
 the library's earlier span-lattice and parallelepiped routines, built on
 saturation and coordinates in a saturated span rather than on the cone's
-equations or one Smith form.  The
+equations or one Hermite box.  The
 membership search at the end decides membership in a monoid given by
 generators, which need not be saturated, and the surjectivity check built
 on it tests each base basis element for a representation by projected
@@ -31,7 +34,8 @@ check: a monoid rewritten in its group's coordinates by mapping every
 Hilbert-basis element, and the pair walk that scans every target element
 for each pair of incomparable sources, with ``Cone.contains`` as its order
 test.  The last is the library's earlier quotient map: the kernel basis
-completed to a unimodular matrix and that matrix inverted a second time.
+completed by the Smith transform to a unimodular matrix and that matrix
+inverted a second time.
 """
 
 import json
@@ -117,6 +121,92 @@ def elementary_divisors_by_minors(mat):
         out.append(g // prev)
         prev = g
     return tuple(out)
+
+
+def smith_normal_form(m):
+    """Smith normal form ``S = U @ m @ V`` with divisibility d1 | d2 | ...
+
+    ``U`` and ``V`` are unimodular; the diagonal entries are nonnegative.
+    The library's earlier elimination loop.  It stalls on some tall
+    matrices and on some with large entries, so the tests feed it small
+    matrices and saturated kernel bases of 80-bit generators only.
+    """
+    from chowfan.intlinalg import identity_matrix
+
+    rows = [list(map(int, r)) for r in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    u = [list(r) for r in identity_matrix(nrows)]
+    v = [list(r) for r in identity_matrix(ncols)]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for r in rows:
+            r[i] -= q * r[j]
+        for r in v:
+            r[i] -= q * r[j]
+
+    def swap_rows(i, j):
+        rows[i], rows[j] = rows[j], rows[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in rows:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    t = 0
+    while t < min(nrows, ncols):
+        # find a nonzero pivot in the remaining block
+        piv = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if rows[i][j] != 0:
+                    if piv is None or abs(rows[i][j]) < abs(rows[piv[0]][piv[1]]):
+                        piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            # clear column t
+            dirty = False
+            for i in range(t + 1, nrows):
+                if rows[i][t] != 0:
+                    q = rows[i][t] // rows[t][t]
+                    row_op(i, t, q)
+                    if rows[i][t] != 0:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, ncols):
+                if rows[t][j] != 0:
+                    q = rows[t][j] // rows[t][t]
+                    col_op(j, t, q)
+                    if rows[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+            if not dirty:
+                break
+        # pivot must divide every remaining entry; if not, mix the row in
+        fixed = True
+        for i in range(t + 1, nrows):
+            for j in range(t + 1, ncols):
+                if rows[i][j] % rows[t][t] != 0:
+                    row_op(t, i, -1)
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if fixed:
+            if rows[t][t] < 0:
+                rows[t] = [-x for x in rows[t]]
+                u[t] = [-x for x in u[t]]
+            t += 1
+    return tuple(map(tuple, rows)), tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
 def lattice_points_in_box(basis, box):
@@ -382,8 +472,6 @@ def parallelepiped_points(simplex_rays):
     their ray coefficients are ``z @ (det/d) U / det``; taken mod ``det``
     they give the point ``sum(num_i r_i) / det`` in integers.
     """
-    from chowfan.intlinalg import smith_normal_form
-
     s, u, _ = smith_normal_form(simplex_rays)
     diag = [s[i][i] for i in range(len(simplex_rays))]
     det = prod(diag)
@@ -482,7 +570,7 @@ def parallelepiped_points_by_span_coordinates(simplex_rays, rank):
     """Nonzero lattice points of the half-open parallelepiped of independent
     rays, from the Smith form of the rays' coordinates in an HNF basis of
     their saturated span."""
-    from chowfan.intlinalg import coordinates_in, saturate, smith_normal_form, sublattice
+    from chowfan.intlinalg import coordinates_in, saturate, sublattice
 
     span = saturate(sublattice(rank, simplex_rays))
     coords = tuple(coordinates_in(span.basis, r) for r in simplex_rays)
@@ -737,7 +825,10 @@ def cone_contains_by_dot(c, v, relint=False):
 
 
 def relative_interior_sample_by_sums(c, variant=0):
-    """``relative_interior_sample`` as a running sum of weighted rays."""
+    """``relative_interior_sample`` as a running sum of weighted rays; a
+    ``variant > 0`` weights the ``i``-th ray, counted from 1, by
+    ``1 + variant * i``: another point of the relative interior, for
+    resampling tests."""
     total = tuple(0 for _ in range(c.ambient_rank))
     for i, g in enumerate(c.generators):
         total = vadd_by_generator(total, vscale_by_generator(1 + variant * (i + 1), g))
@@ -821,7 +912,7 @@ def quotient_map_by_completion(ambient_rank, kernel):
     projection is the last ``q`` coordinates in the basis of ``W``'s rows,
     read off ``inv(W)``, and the section is those last rows of ``W``.
     """
-    from chowfan.intlinalg import saturate, smith_normal_form, transpose, unimodular_inverse
+    from chowfan.intlinalg import saturate, transpose, unimodular_inverse
 
     if saturate(kernel) != kernel:
         return None

@@ -58,9 +58,9 @@ from chowfan.family import basic_monoid, lift_into_span
 from chowfan.chow import InfiniteIndex
 from chowfan.intlinalg import dot, identity_matrix, integer_kernel, mat_mul, mat_vec, saturate
 from chowfan.monoids import (
+    _hermite_box,
     _hilbert_basis_full,
     _parallelepiped_keys,
-    _smith_box,
     _triangulate,
     restrict_to_face,
     saturated_monoid,
@@ -407,7 +407,9 @@ def test_criterion_5_oracle_equivalences(corpus_families):
             if kappa.is_zero():
                 continue
             for variant in range(10):
-                psi = cq.projection.lift(relative_interior_sample(kappa, variant))
+                sample = oracles.relative_interior_sample_by_sums(kappa, variant)
+                assert kappa.contains_in_relint(sample)
+                psi = cq.projection.lift(sample)
                 assert meeting_cones(fan, sub, psi) == data.meeting_set
     assert checked >= 2
     _announce("criterion 5: projected-ray wall oracle, homogenised slice "
@@ -597,8 +599,8 @@ def test_kernels_and_multiplicities_match_earlier_forms(corpus_families):
                 finite += 1
             weights += 1
         assert 0 < finite < len(fan.cones)
-    _announce(f"one Hermite pass per kernel on {kernels} cone matrices and one Smith "
-              f"form per multiplicity on all {weights} input cones equal the earlier forms")
+    _announce(f"one Hermite pass per kernel on {kernels} cone matrices and elementary "
+              f"divisors per multiplicity on all {weights} input cones equal the earlier forms")
 
 
 def _cone_fields(c):
@@ -646,7 +648,7 @@ def test_parallelepiped_points_match_span_coordinates_oracle(corpus_families):
             if c.dim == 0:
                 continue
             for simplex in _triangulate(c):
-                det, factors = _smith_box(simplex)
+                det, factors = _hermite_box(simplex, _span_lattice(c).basis)
                 # every point has entries of at most the rays' total size, where
                 # K(x) = sum_k x_k base^k is injective
                 size = sum(abs(x) for r in simplex for x in r)
@@ -657,7 +659,7 @@ def test_parallelepiped_points_match_span_coordinates_oracle(corpus_families):
                 assert len(keys) == det and keys[0] == 0
                 assert sorted(keys[1:]) == sorted(dot(functional, x) for x in points)
                 count += 1
-    _announce("parallelepiped keys from one Smith form equal the keys of the "
+    _announce("parallelepiped keys from one Hermite box equal the keys of the "
               f"span-coordinates oracle's points on all {count} simplices")
 
 

@@ -21,7 +21,6 @@ from chowfan.cones import (
     all_faces,
     cone_from_generators,
     fan_from_cones,
-    relative_interior_sample,
     zero_cone,
 )
 from chowfan.intlinalg import sublattice, zero_sublattice
@@ -125,9 +124,9 @@ class TestQuotientFan:
                 if kappa.is_zero():
                     continue
                 for variant in range(10):
-                    psi = cq.projection.lift(
-                        relative_interior_sample(kappa, variant)
-                    )
+                    sample = oracles.relative_interior_sample_by_sums(kappa, variant)
+                    assert kappa.contains_in_relint(sample)
+                    psi = cq.projection.lift(sample)
                     assert meeting_cones(fan, sub, psi) == data.meeting_set
 
     def test_consistency_error_names_the_quotient_cone(

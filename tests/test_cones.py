@@ -184,9 +184,9 @@ class TestOperations:
         rays, lines, vectors, variant = case
         c = cone_from_generators(rays, lines, ambient_rank=len(vectors[0]))
         if not c.is_zero():
-            s = relative_interior_sample(c, variant)
-            assert s == oracles.relative_interior_sample_by_sums(c, variant)
-            vectors = vectors + [s]
+            s = relative_interior_sample(c)
+            assert s == oracles.relative_interior_sample_by_sums(c)
+            vectors = vectors + [s, oracles.relative_interior_sample_by_sums(c, variant)]
         for v in vectors + list(c.generators) + list(c.lineality):
             assert c.contains(v) == oracles.cone_contains_by_dot(c, v)
             assert c.contains_in_relint(v) == oracles.cone_contains_by_dot(c, v, relint=True)
@@ -198,7 +198,7 @@ class TestOperations:
             if c.is_zero():
                 continue
             for variant in range(4):
-                s = relative_interior_sample(c, variant)
+                s = oracles.relative_interior_sample_by_sums(c, variant)
                 assert c.contains_in_relint(s)
 
 

@@ -13,6 +13,7 @@ from chowfan import cones
 from chowfan.cones import (
     Cone,
     NotStrictlyConvex,
+    _span_lattice,
     all_faces,
     cone_from_generators,
     cone_from_halfspaces,
@@ -27,8 +28,8 @@ from chowfan.monoids import (
     _hilbert_basis_full,
     _packed_columns,
     _parallelepiped_keys,
+    _hermite_box,
     _sieve,
-    _smith_box,
     _unimodular,
     dual_monoid,
     member,
@@ -355,9 +356,9 @@ class TestKeyedCandidates:
     @example(MANY_BLOCKS[1])
     @example(cone_from_generators([(1, 0, 0, 0), (1, 2, 0, 0), (0, 1, 2, 0)]))
     # not full-dimensional and not unimodular, and [halfspaces; equations]
-    # has Smith diagonal (1, 1, 3): keys are decoded over den = 3
+    # has elementary divisors (1, 1, 3): keys are decoded over den = 3
     @example(cone_from_generators([(1, 0, 0), (1, 3, 0)]))
-    # six facets with entries up to 141, whose smith_normal_form does not return in 30 s
+    # six facets with entries up to 141, on which the earlier Smith loop did not return in 30 s
     @example(cone_from_generators([(2, -4, -3, 4), (3, -4, -1, -3), (3, -1, 4, 2), (3, 0, -2, 3), (3, 2, -3, 0)]))
     def test_matches_vector_candidates(self, c):
         assume(c.is_strictly_convex)
@@ -382,7 +383,8 @@ class TestKeyedCandidates:
             del built[:]
             basis = _hilbert_basis_full(c)
             assert len(built) == len(basis)
-            points = sum(_smith_box(s)[0] - 1 for s in chowfan.monoids._triangulate(c))
+            span = _span_lattice(c).basis
+            points = sum(_hermite_box(s, span)[0] - 1 for s in chowfan.monoids._triangulate(c))
             assert len(built) < points + len(c.generators)
 
 
@@ -425,13 +427,13 @@ class TestUnimodularExit:
 
     @pytest.fixture
     def no_parallelepipeds(self, monkeypatch):
-        """A cone cache of its own, and no Smith form or box enumeration."""
+        """A cone cache of its own, and no Hermite box or box enumeration."""
 
         def refused(*args):
             raise AssertionError("a unimodular cone was triangulated")
 
         monkeypatch.setattr(cones, "_cone_cache", {})
-        monkeypatch.setattr(chowfan.monoids, "smith_normal_form", refused)
+        monkeypatch.setattr(chowfan.monoids, "_hermite_box", refused)
         monkeypatch.setattr(chowfan.monoids, "_parallelepiped_keys", refused)
 
     def test_cones_return_their_rays(self, no_parallelepipeds):
@@ -484,7 +486,7 @@ class TestParallelepipeds:
     @example([(2, 4, 6)])
     def test_matches_span_coordinates_oracle(self, rays):
         rays = tuple(rays)
-        det, factors = _smith_box(rays)
+        det, factors = _hermite_box(rays, _span_lattice(cone_from_generators(rays)).basis)
         # injective on points with entries in [-9, 9], the parallelepiped's box
         functional = (1, 1000, 1000000)
         keys = list(_parallelepiped_keys([dot(functional, r) for r in rays], det, factors)) if det > 1 else [0]
