@@ -31,7 +31,6 @@ from .cones import (
     NoTargetCone,
     NotComplete,
     NotStrictlyConvex,
-    ZeroCone,
     affine_slice_type,
     all_faces,
     check_fan_morphism,
@@ -39,7 +38,6 @@ from .cones import (
     cone_from_halfspaces,
     dual_cone,
     fan_from_cones,
-    fiber_dimension,
     image_cone,
     intersect_cones,
     is_complete,
@@ -66,7 +64,6 @@ from .stacks import (
     NotMaximalCone,
     StackMorphism,
     ToricStackDatum,
-    data_equal_after_canonicalization,
     stabilizer_invariants,
     validate_stack_datum,
     validate_stack_morphism,
@@ -77,12 +74,9 @@ from .chow import (
     InfiniteIndex,
     chow_quotient,
     chow_stack_datum,
-    cycle,
     fiber_dim_cones,
     meeting_cones,
     multiplicity,
-    point_fiber_cones,
-    quotient_monoid,
 )
 from .family import (
     BasicMonoidPresentation,
@@ -91,12 +85,10 @@ from .family import (
     VerificationFailed,
     Wall,
     adjacency_dot,
-    base_cone,
     basic_monoid,
     component_bijection,
     cones_over,
     fiber_complex,
-    host_cone,
     is_refinement_fixed_point,
     presentation_tuple,
     presentation_value,
@@ -113,8 +105,14 @@ from .verify import (
     check_integral,
     check_reduced,
     equidimensional_report,
-    identity_has_witness,
     reduced_report,
+)
+from .serialize import (
+    decode_cone,
+    decode_datum,
+    decode_fan,
+    decode_monoid,
+    decode_sublattice,
 )
 
 __version__ = "0.1.0"

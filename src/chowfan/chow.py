@@ -17,7 +17,8 @@ Each quotient cone carries provenance: the meeting set, the cones whose
 generic translate slice is a single point, the associated cycle with its
 lattice-index multiplicities, and the stack monoid obtained by
 intersecting the projected cone lattices.  The single-point cones are the
-meeting cones whose dimension the projection keeps.
+meeting cones whose dimension the projection keeps; every fiber dimension
+is read off the meeting set too (:func:`fiber_dim_cones`).
 """
 
 from __future__ import annotations
@@ -30,16 +31,15 @@ from .cones import (
     Cone,
     Fan,
     NotComplete,
-    _relint_sample_or_zero,
     _span_lattice,
     _strict_sample,
     cone_from_generators,
     cone_from_halfspaces,
     fan_from_cones,
-    fiber_dimension,
     image_cone,
     intersect_cones,
     is_complete,
+    relative_interior_sample,
     validate_fan,
 )
 from .intlinalg import (
@@ -76,7 +76,7 @@ def _meeting_set(images: Sequence[Cone], v: Sequence[int]) -> frozenset[int]:
 def meeting_cones(fan: Fan, sub: Sublattice, psi: Sequence) -> frozenset[int]:
     """Indices of fan cones whose relative interior meets ``psi + span(sub)``."""
     proj = quotient_map(fan.ambient_rank, saturate(sub))
-    images = [image_cone(proj, c) for c in fan.cones]
+    images = [image_cone(proj.matrix, c) for c in fan.cones]
     return _meeting_set(images, proj.apply(psi))
 
 
@@ -201,7 +201,7 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
         raise NotComplete("the fan does not cover the whole space")
     proj = quotient_map(fan.ambient_rank, sub)  # checks saturation
     q = proj.target_rank
-    images = tuple(image_cone(proj, c) for c in fan.cones)
+    images = tuple(image_cone(proj.matrix, c) for c in fan.cones)
 
     normals = set()
     for img in images:
@@ -294,7 +294,7 @@ def _cone_data(
     index: int,
 ) -> QuotientConeData:
     """The data of quotient cone ``index``, which is ``kappa``."""
-    meeting = _meeting_set(images, _relint_sample_or_zero(kappa))
+    meeting = _meeting_set(images, relative_interior_sample(kappa))
     point_cones = [i for i in sorted(meeting) if images[i].dim == fan.cones[i].dim]
     if not point_cones:
         raise InternalConsistencyError(
@@ -332,34 +332,27 @@ def _cone_data(
 
 
 # ---------------------------------------------------------------------------
-# per-cone accessors
-
-
-def point_fiber_cones(cq: ChowQuotient, kappa_index: int) -> tuple[int, ...]:
-    """Fan cones whose generic translate slice over this cone is one point."""
-    return cq.cone_data[kappa_index].point_fiber_cones
+# fibers
 
 
 def fiber_dim_cones(cq: ChowQuotient, kappa_index: int, k: int) -> tuple[int, ...]:
-    """Fan cones whose closed fiber polyhedron has dimension exactly k."""
-    kappa = cq.quotient_fan.cones[kappa_index]
-    v = _relint_sample_or_zero(kappa)
-    out = []
-    for i, c in enumerate(cq.fan.cones):
-        d = fiber_dimension(c, cq.projection.matrix, v)
-        if d == k:
-            out.append(i)
-    return tuple(out)
+    """Fan cones whose closed fiber over the relative interior of the
+    quotient cone has dimension k.
 
-
-def cycle(cq: ChowQuotient, kappa_index: int) -> tuple[tuple[int, int], ...]:
-    """The weighted cycle of orbit closures over a quotient cone."""
-    return cq.cone_data[kappa_index].cycle
-
-
-def quotient_monoid(cq: ChowQuotient, kappa_index: int) -> AffineMonoid:
-    """The stack monoid attached to a quotient cone."""
-    return cq.cone_data[kappa_index].monoid
+    The fiber of ``c`` lies in the relative interior of its smallest face,
+    which is thus in the meeting set, and holds the slice of every face of
+    ``c`` in the meeting set: it is nonempty iff one is, and its dimension
+    is the largest ``dim F - dim p(F)`` over them.  The images are interned,
+    so no double description runs.
+    """
+    cones = cq.fan.cones
+    meeting = cq.cone_data[kappa_index].meeting_set
+    dims = {j: cones[j].dim - image_cone(cq.projection.matrix, cones[j]).dim for j in meeting}
+    # in a fan, a cone inside c is a face of c
+    return tuple(
+        i for i, c in enumerate(cones)
+        if max((d for j, d in dims.items() if c.contains_cone(cones[j])), default=None) == k
+    )
 
 
 def chow_stack_datum(cq: ChowQuotient) -> ToricStackDatum:

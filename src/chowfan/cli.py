@@ -44,9 +44,12 @@ from .serialize import (
     encode_fiber_document,
     encode_sublattice,
     FORMAT_VERSION,
+    int_literal,
     require,
+    shown,
     strict_ints,
     strict_rank,
+    unique_keys,
 )
 from .stacks import InternalConsistencyError, MonoidNotMapped, NotMaximalCone
 from .verify import (
@@ -114,10 +117,12 @@ def parse_input(text: str, allow_saturate: bool = False):
     """Parse an input document into (fan, sublattice, options).
 
     The fan is completed with faces and validated; the sublattice is
-    canonicalized and must be saturated unless ``allow_saturate``.
+    canonicalized and must be saturated unless ``allow_saturate``.  A key
+    given twice in one object, or an integer literal too long to convert,
+    raises :class:`DocumentError`, the latter at its JSON path.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=int_literal, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -148,7 +153,7 @@ def parse_input(text: str, allow_saturate: bool = False):
         raise DocumentError("'options' must be an object")
     flag = options.get("saturate", False)
     if type(flag) is not bool:
-        raise DocumentError(f"options.saturate: expected true or false, got {json.dumps(flag)}")
+        raise DocumentError(f"options.saturate: expected true or false, got {shown(flag)}")
     saturate_flag = allow_saturate or flag
     saturated = saturate(sub)
     if saturated != sub:

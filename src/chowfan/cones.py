@@ -15,9 +15,10 @@ from that incidence (:func:`_cone_by_incidence`), which each cone keeps, so
 faces, facets and pull-backs to a lattice need no run.  It also decides
 strict feasibility: :func:`_strict_sample` finds an integer point of
 ``{s.x > 0, e.x == 0}`` as the sum of the rays of its closure, or shows
-there is none.  Arrangement cells and (through a homogenised cone) fiber
-dimensions reduce to it; affine slice types are read off the projected
-cone (:func:`affine_slice_type`).  Every cone is interned in one cache
+there is none.  Arrangement cells reduce to it; affine slice types are
+read off the projected cone (:func:`affine_slice_type`), and fiber
+dimensions off the meeting sets of the quotient
+(:func:`chow.fiber_dim_cones`).  Every cone is interned in one cache
 keyed by its canonical V-description, which is looked up before any
 canonicalisation runs; an interned cone keeps its intersections with
 other cones (:func:`intersect_cones`) and, through
@@ -42,7 +43,6 @@ from .intlinalg import (
     is_zero,
     mat,
     mat_vec,
-    matrix_rank,
     primitive,
     quotient_map,
     require_shape,
@@ -50,10 +50,6 @@ from .intlinalg import (
     saturate,
     vscale,
 )
-
-
-class ZeroCone(ValueError):
-    """Raised when an operation needs a nonzero cone."""
 
 
 class NotStrictlyConvex(ValueError):
@@ -385,9 +381,8 @@ def intersect_cones(a: Cone, b: Cone) -> Cone:
     return out
 
 
-def image_cone(matrix_or_map, c: Cone) -> Cone:
+def image_cone(matrix: Mat, c: Cone) -> Cone:
     """Image of a cone under an integer matrix (rows act on column vectors)."""
-    matrix = getattr(matrix_or_map, "matrix", matrix_or_map)
     lines = [mat_vec(matrix, l) for l in c.lineality]
     return cone_from_generators(
         [mat_vec(matrix, g) for g in c.generators],
@@ -396,19 +391,12 @@ def image_cone(matrix_or_map, c: Cone) -> Cone:
     )
 
 
-def preimage_cone(matrix_or_map, c: Cone, source_rank: Optional[int] = None) -> Cone:
-    """Preimage ``{x : Mx in c}``; includes ker(M) in its lineality."""
-    matrix = getattr(matrix_or_map, "matrix", matrix_or_map)
-    if source_rank is None:
-        source_rank = getattr(matrix_or_map, "source_rank", None)
-        if source_rank is None:
-            source_rank = len(matrix[0]) if matrix else 0
+def preimage_cone(matrix: Mat, c: Cone, source_rank: int) -> Cone:
+    """Preimage ``{x in Q^source_rank : Mx in c}``; includes ker(M) in its lineality."""
     # <h, Mx> = <hM, x>: pull every functional back along the matrix
-    cols = list(zip(*matrix)) if matrix else []
+    cols = tuple(zip(*matrix))
     halfspaces = [mat_vec(cols, h) for h in c.halfspaces]
     equations = [mat_vec(cols, e) for e in c.equations]
-    if not matrix:  # map to the rank-0 lattice: preimage is everything
-        halfspaces, equations = [], []
     return cone_from_halfspaces(halfspaces, equations, source_rank)
 
 
@@ -443,18 +431,8 @@ def _pull_back(c: Cone, basis: Mat) -> Cone:
 
 def relative_interior_sample(c: Cone) -> Vec:
     """The sum of the rays of ``c``, an integer point in its relative
-    interior.  Raises :class:`ZeroCone` for the zero cone.
-    """
-    if c.is_zero():
-        raise ZeroCone("the zero cone has no nonzero interior sample")
+    interior (the origin when ``c`` is a linear space or zero)."""
     return tuple(map(sum, zip(*c.generators))) if c.generators else (0,) * c.ambient_rank
-
-
-def _relint_sample_or_zero(c: Cone) -> Vec:
-    """:func:`relative_interior_sample`, or the origin for the zero cone."""
-    if c.is_zero():
-        return (0,) * c.ambient_rank
-    return relative_interior_sample(c)
 
 
 def _span_lattice(c: Cone) -> Sublattice:
@@ -502,28 +480,10 @@ def affine_slice_type(c: Cone, psi: Sequence, sub: Sublattice) -> str:
     if len(psi) != c.ambient_rank or sub.ambient_rank != c.ambient_rank:
         raise ValueError("dimension mismatch")
     proj = quotient_map(c.ambient_rank, saturate(sub))
-    image = image_cone(proj, c)
+    image = image_cone(proj.matrix, c)
     if not image.contains_in_relint(proj.apply(psi)):
         return "empty"
     return "point" if image.dim == c.dim else "positive_dim"
-
-
-def fiber_dimension(c: Cone, matrix: Mat, value: Sequence) -> Optional[int]:
-    """Dimension of the closed fiber ``c ∩ {x : matrix @ x == value}``.
-
-    Returns None when the fiber is empty.  The fiber is the slice ``s = 1``
-    of the homogenised cone ``(c × {s >= 0}) ∩ {matrix @ x == s * value}``:
-    it is nonempty when some ray of that cone has ``s > 0``, and then has
-    one dimension less than the cone.
-    """
-    ineqs = [tuple(h) + (0,) for h in c.halfspaces]
-    ineqs.append((0,) * c.ambient_rank + (1,))
-    eqs = [tuple(e) + (0,) for e in c.equations]
-    eqs += [tuple(row) + (-v,) for row, v in zip(matrix, value)]
-    rays, lines, _ = double_description(ineqs, eqs, c.ambient_rank + 1)
-    if all(r[-1] == 0 for r in rays):
-        return None
-    return matrix_rank(rays + lines) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +708,7 @@ class FanMorphism:
     cone_assignment: tuple[int, ...]
 
 
-def check_fan_morphism(matrix_or_map, src: Fan, dst: Fan) -> FanMorphism:
+def check_fan_morphism(matrix: Mat, src: Fan, dst: Fan) -> FanMorphism:
     """Verify a lattice map sends every source cone into a target cone.
 
     ``dst`` must be a valid fan; its cached :func:`validate_fan` report is
@@ -762,7 +722,7 @@ def check_fan_morphism(matrix_or_map, src: Fan, dst: Fan) -> FanMorphism:
     """
     if not validate_fan(dst).ok:
         raise ValueError("the target of a fan morphism is not a valid fan")
-    matrix = mat(getattr(matrix_or_map, "matrix", matrix_or_map))
+    matrix = mat(matrix)
     require_shape(matrix, dst.ambient_rank, src.ambient_rank)
     index = dst._index()
     assignment = []
@@ -770,7 +730,7 @@ def check_fan_morphism(matrix_or_map, src: Fan, dst: Fan) -> FanMorphism:
         img = image_cone(matrix, c)
         j = index.get(img.key())
         if j is None:
-            j = dst.cone_containing_in_relint(_relint_sample_or_zero(img))
+            j = dst.cone_containing_in_relint(relative_interior_sample(img))
         if j is None or not dst.cones[j].contains_cone(img):
             raise NoTargetCone(f"image of source cone {i} lies in no target cone")
         assignment.append(j)

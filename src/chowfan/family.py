@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .chow import ChowQuotient, chow_stack_datum, point_fiber_cones
+from .chow import ChowQuotient, chow_stack_datum
 from .cones import (
     Cone,
     Fan,
     _memo,
-    _relint_sample_or_zero,
     _span_lattice,
     cone_from_generators,
     cone_from_halfspaces,
@@ -101,7 +100,7 @@ def universal_family(cq: ChowQuotient) -> UniversalFamily:
     """
     fan, proj, gfan = cq.fan, cq.projection, cq.quotient_fan
     rank = fan.ambient_rank
-    preimages = [preimage_cone(proj, kappa, rank) for kappa in gfan.cones]
+    preimages = [preimage_cone(proj.matrix, kappa, rank) for kappa in gfan.cones]
     maximal = set(fan.maximal_indices())
     ffan = fan_from_cones(
         (
@@ -147,23 +146,13 @@ def universal_family(cq: ChowQuotient) -> UniversalFamily:
 
 
 def _base_index(cq: ChowQuotient, c: Cone, i: int) -> int:
-    img = image_cone(cq.projection, c)
+    img = image_cone(cq.projection.matrix, c)
     idx = cq.quotient_fan._index().get(img.key())
     if idx is None:
         raise InternalConsistencyError(
             f"family cone {i} does not project onto a quotient cone"
         )
     return idx
-
-
-def host_cone(fam: UniversalFamily, family_cone_index: int) -> int:
-    """Input-fan cone whose interior contains the family cone's interior."""
-    return fam.provenance[family_cone_index][0]
-
-
-def base_cone(fam: UniversalFamily, family_cone_index: int) -> int:
-    """Quotient cone the family cone projects onto."""
-    return fam.provenance[family_cone_index][1]
 
 
 def is_refinement_fixed_point(fam: UniversalFamily) -> bool:
@@ -178,7 +167,7 @@ def is_refinement_fixed_point(fam: UniversalFamily) -> bool:
     gfan = fam.base.fan
     refined = fan_from_cones(
         (
-            intersect_cones(preimage_cone(proj, gfan.cones[b], rank), fam.fan.cones[i])
+            intersect_cones(preimage_cone(proj.matrix, gfan.cones[b], rank), fam.fan.cones[i])
             for b in gfan.maximal_indices()
             for i in fam.fan.maximal_indices()
         ),
@@ -201,7 +190,7 @@ def component_bijection(fam: UniversalFamily, base_index: int) -> dict[int, int]
     """Host map from fiber components onto single-point-slice input cones."""
     comps = cones_over(fam, base_index, 0)
     mapping = {i: fam.provenance[i][0] for i in comps}
-    targets = point_fiber_cones(fam.chow, base_index)
+    targets = fam.chow.cone_data[base_index].point_fiber_cones
     if len(set(mapping.values())) != len(mapping) or set(mapping.values()) != set(targets):
         raise InternalConsistencyError(
             "components do not biject onto single-point-slice cones"
@@ -298,7 +287,7 @@ def _classify_wall(fam: UniversalFamily, base_index: int, wall_index: int) -> Wa
         diff = vsub(vscale(d, x), lifted)
     else:
         kind = "internal"
-        v = _relint_sample_or_zero(kappa)
+        v = relative_interior_sample(kappa)
         d1, l1 = lift_into_span(proj, fam.fan.cones[iso[0]], v)
         d2, l2 = lift_into_span(proj, fam.fan.cones[iso[1]], v)
         diff = vsub(vscale(d1, l2), vscale(d2, l1))
@@ -565,7 +554,7 @@ def basic_monoid(fam: UniversalFamily, base_index: int) -> BasicMonoidPresentati
 
 
 def _basic_monoid(fam: UniversalFamily, base_index: int) -> BasicMonoidPresentation:
-    comps = point_fiber_cones(fam.chow, base_index)
+    comps = fam.chow.cone_data[base_index].point_fiber_cones
     rank = fam.fan.ambient_rank
     pos = {c: i for i, c in enumerate(comps)}
     walls = []

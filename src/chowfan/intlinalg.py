@@ -118,11 +118,6 @@ def mat_vec(m: Mat, v: Sequence) -> tuple:
     return tuple([sum(map(mul, row, v)) for row in m])
 
 
-def matrix_rank(m: Sequence[Sequence[int]]) -> int:
-    """Rank over Q: the rank of the row lattice."""
-    return len(row_lattice_hnf(m))
-
-
 # ---------------------------------------------------------------------------
 # normal forms
 

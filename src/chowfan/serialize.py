@@ -10,6 +10,7 @@ are unbounded, so no precision is ever lost).  Every document carries
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -84,11 +85,52 @@ def _at(prefix: str, field: str) -> str:
     return f"{prefix}.{field}" if prefix else field
 
 
+class LongInteger:
+    """An integer literal longer than the interpreter converts to ``int``.
+
+    :func:`int_literal` returns it in place of the number, and
+    :func:`strict_ints` refuses it at its JSON path.
+    """
+
+    def __init__(self, digits: int):
+        self.digits = digits
+
+    def __str__(self) -> str:
+        limit = sys.get_int_max_str_digits()
+        return f"integer literal of {self.digits} digits exceeds the limit of {limit} digits"
+
+
+def int_literal(literal: str):
+    """``json.loads``'s ``parse_int``: the literal as an ``int``, or a
+    :class:`LongInteger` when it is too long to convert."""
+    try:
+        return int(literal)
+    except ValueError:
+        return LongInteger(len(literal.lstrip("-")))
+
+
+def unique_keys(pairs) -> dict:
+    """``json.loads``'s ``object_pairs_hook``: the object, refusing a key
+    given twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise DocumentError(f"repeated key {json.dumps(key)}")
+        doc[key] = value
+    return doc
+
+
+def shown(value) -> str:
+    """``value`` as JSON in an error message; a :class:`LongInteger` shows
+    as its description."""
+    return json.dumps(value, default=str)
+
+
 def require(doc: dict, field: str, prefix: str = ""):
     """``doc[field]``, where ``doc`` must be a JSON object found at the JSON
     path ``prefix`` (the whole document when empty)."""
     if not isinstance(doc, dict):
-        raise DocumentError(f"{prefix or 'document'}: expected an object, got {json.dumps(doc)}")
+        raise DocumentError(f"{prefix or 'document'}: expected an object, got {shown(doc)}")
     if field not in doc:
         raise DocumentError(f"missing field {_at(prefix, field)!r}")
     return doc[field]
@@ -98,22 +140,25 @@ def require_list(doc: dict, field: str, prefix: str = "") -> list:
     """``doc[field]``, which must be a JSON list; ``prefix`` locates ``doc``."""
     value = require(doc, field, prefix)
     if not isinstance(value, list):
-        raise DocumentError(f"{_at(prefix, field)}: expected a list, got {json.dumps(value)}")
+        raise DocumentError(f"{_at(prefix, field)}: expected a list, got {shown(value)}")
     return value
 
 
 def strict_ints(value, path: str, depth: int = 0):
     """A JSON integer, or ``depth`` nested lists of them as tuples.
 
-    Anything else (floats, booleans, strings, other shapes) raises
-    :class:`DocumentError` at its JSON path, e.g. ``maximal_cones[0][0][0]``.
+    Anything else (floats, booleans, strings, integer literals too long to
+    convert, other shapes) raises :class:`DocumentError` at its JSON path,
+    e.g. ``maximal_cones[0][0][0]``.
     """
+    if isinstance(value, LongInteger):
+        raise DocumentError(f"{path}: {value}")
     if depth == 0:
         if type(value) is not int:
-            raise DocumentError(f"{path}: expected an integer, got {json.dumps(value)}")
+            raise DocumentError(f"{path}: expected an integer, got {shown(value)}")
         return value
     if not isinstance(value, list):
-        raise DocumentError(f"{path}: expected a list, got {json.dumps(value)}")
+        raise DocumentError(f"{path}: expected a list, got {shown(value)}")
     return tuple(strict_ints(v, f"{path}[{i}]", depth - 1) for i, v in enumerate(value))
 
 

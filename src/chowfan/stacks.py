@@ -35,7 +35,8 @@ class InternalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class ToricStackDatum:
-    """A fan together with one affine monoid per cone (aligned by index)."""
+    """A fan together with one affine monoid per cone (aligned by index);
+    ``==`` compares the rank, the canonical fan and the monoids."""
 
     lattice_rank: int
     fan: Fan
@@ -153,14 +154,3 @@ def stabilizer_invariants(d: ToricStackDatum, cone_index: int) -> tuple[int, ...
         )
     return elementary_divisors(basis)
 
-
-def data_equal_after_canonicalization(a: ToricStackDatum, b: ToricStackDatum) -> bool:
-    """Structural equality of canonicalized data.
-
-    Two data over the same lattice admitting morphisms in both directions
-    are necessarily equal, so this equality test is the executable form of
-    that rigidity statement.
-    """
-    if a.lattice_rank != b.lattice_rank:
-        raise ValueError("data live over different lattice ranks")
-    return a.fan == b.fan and a.monoids == b.monoids

@@ -108,22 +108,6 @@ def _witness_search(tables, s1, s2, t1, t2) -> Optional[tuple[Vec, Vec, Vec]]:
     return None
 
 
-def identity_has_witness(
-    h: MonoidHom,
-    s1: Vec,
-    s2: Vec,
-    t1: Vec,
-    t2: Vec,
-    bound: int,
-) -> Optional[tuple[Vec, Vec, Vec]]:
-    """Search a witness (w, r1, r2) for one identity, up to grade ``bound``.
-
-    The identity is ``t1 + h(s1) == t2 + h(s2)``; a witness satisfies
-    ``t1 == w + h(r1)``, ``t2 == w + h(r2)`` and ``s1 + r1 == s2 + r2``.
-    """
-    return _witness_search(_witness_tables(h, bound), s1, s2, t1, t2)
-
-
 def _frontier(t_packed, t_set, guard: int, limit: int, delta: Vec) -> list[tuple[Vec, Vec]]:
     """The ``(t1, t1 + delta)`` searched for one image difference (see
     :func:`check_integral`); ``t1`` has grade at most ``limit``."""

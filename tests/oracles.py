@@ -35,7 +35,9 @@ Hilbert-basis element, and the pair walk that scans every target element
 for each pair of incomparable sources, with ``Cone.contains`` as its order
 test.  The last is the library's earlier quotient map: the kernel basis
 completed by the Smith transform to a unimodular matrix and that matrix
-inverted a second time.
+inverted a second time.  The two after it are the library's earlier
+matrix rank, the rank of the row lattice, and its earlier fiber
+dimension, one double description of a homogenised cone per fiber.
 """
 
 import json
@@ -367,7 +369,6 @@ def affine_slice_type_by_homogenisation(c, psi, sub):
     have full rank.
     """
     from chowfan.cones import _strict_sample
-    from chowfan.intlinalg import matrix_rank
 
     basis = sub.basis
 
@@ -537,7 +538,7 @@ def refinement_all_pairs(cq):
     rank = cq.fan.ambient_rank
     out = {}
     for base, kappa in enumerate(cq.quotient_fan.cones):
-        pre = preimage_cone(cq.projection, kappa, rank)
+        pre = preimage_cone(cq.projection.matrix, kappa, rank)
         for host, sigma in enumerate(cq.fan.cones):
             out.setdefault(intersect_cones(pre, sigma).key(), set()).add((host, base))
     return out
@@ -552,7 +553,7 @@ def refinement_fixed_point_all_pairs(fam):
     rank = fam.fan.ambient_rank
     keys = set()
     for kappa in fam.base.fan.cones:
-        pre = preimage_cone(proj, kappa, rank)
+        pre = preimage_cone(proj.matrix, kappa, rank)
         for c in fam.fan.cones:
             keys.add(intersect_cones(pre, c).key())
     return keys == {c.key() for c in fam.fan.cones}
@@ -924,3 +925,30 @@ def quotient_map_by_completion(ambient_rank, kernel):
         w = kernel.basis + unimodular_inverse(v)[k:]
     w_inv = unimodular_inverse(w) if ambient_rank else ()
     return transpose(w_inv)[k:], w[k:]
+
+
+def matrix_rank(m):
+    """Rank over Q: the rank of the row lattice."""
+    from chowfan.intlinalg import row_lattice_hnf
+
+    return len(row_lattice_hnf(m))
+
+
+def fiber_dimension(c, matrix, value):
+    """Dimension of the closed fiber ``c ∩ {x : matrix @ x == value}``.
+
+    Returns None when the fiber is empty.  The fiber is the slice ``s = 1``
+    of the homogenised cone ``(c × {s >= 0}) ∩ {matrix @ x == s * value}``:
+    it is nonempty when some ray of that cone has ``s > 0``, and then has
+    one dimension less than the cone.
+    """
+    from chowfan.cones import double_description
+
+    ineqs = [tuple(h) + (0,) for h in c.halfspaces]
+    ineqs.append((0,) * c.ambient_rank + (1,))
+    eqs = [tuple(e) + (0,) for e in c.equations]
+    eqs += [tuple(row) + (-v,) for row, v in zip(matrix, value)]
+    rays, lines, _ = double_description(ineqs, eqs, c.ambient_rank + 1)
+    if all(r[-1] == 0 for r in rays):
+        return None
+    return matrix_rank(rays + lines) - 1

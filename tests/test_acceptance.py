@@ -32,8 +32,6 @@ from chowfan import (
     meeting_cones,
     monoid_from_cone,
     multiplicity,
-    point_fiber_cones,
-    quotient_monoid,
     relative_interior_sample,
     segment_length,
     sublattice,
@@ -48,7 +46,6 @@ from chowfan import cones, monoids, verify
 from chowfan.cli import parse_input, run
 from chowfan.cones import (
     _pull_back,
-    _relint_sample_or_zero,
     _span_lattice,
     all_faces,
     cone_from_halfspaces,
@@ -115,7 +112,7 @@ def test_criterion_1_p2_worked_example():
     assert len(maximal) == 4
     # all stack monoids are the full lattice monoids of their cones
     for i, c in enumerate(cq.quotient_fan.cones):
-        assert quotient_monoid(cq, i) == monoid_from_cone(c)
+        assert cq.cone_data[i].monoid == monoid_from_cone(c)
     for i, c in enumerate(fam.fan.cones):
         assert fam.datum.monoids[i] == monoid_from_cone(c)
     _announce("criterion 1: quotient of the plane by a horizontal line "
@@ -136,7 +133,7 @@ def test_criterion_2_p1p1_worked_example():
         assert len(fc.internal_walls) == 1
         wall = fc.internal_walls[0]
         assert wall.direction in [(1, 1), (-1, -1)]
-        basis = quotient_monoid(cq, i).hilbert_basis
+        basis = cq.cone_data[i].monoid.hilbert_basis
         assert len(basis) == 1
         # the gluing length is the identity on the monoid: c(v) = v
         for k in range(3):
@@ -373,7 +370,7 @@ def test_criterion_4g_component_bijection(corpus_families):
     for fan, sub, cq, fam in corpus_families:
         for k in range(len(fam.base.fan.cones)):
             mapping = component_bijection(fam, k)
-            assert sorted(mapping.values()) == sorted(point_fiber_cones(cq, k))
+            assert sorted(mapping.values()) == sorted(cq.cone_data[k].point_fiber_cones)
     _announce("criterion 4g: components biject onto single-point-slice cones")
 
 
@@ -395,13 +392,13 @@ def test_criterion_5_oracle_equivalences(corpus_families):
             checked += 1
         for k, data in enumerate(cq.cone_data):
             kappa = cq.quotient_fan.cones[k]
-            psi = cq.projection.lift(_relint_sample_or_zero(kappa))
+            psi = cq.projection.lift(relative_interior_sample(kappa))
             types = [
                 oracles.affine_slice_type_by_homogenisation(c, psi, sub)
                 for c in fan.cones
             ]
             assert data.meeting_set == {i for i, t in enumerate(types) if t != "empty"}
-            assert point_fiber_cones(cq, k) == tuple(
+            assert data.point_fiber_cones == tuple(
                 i for i, t in enumerate(types) if t == "point"
             )
             if kappa.is_zero():

@@ -8,12 +8,9 @@ from chowfan.chow import (
     InfiniteIndex,
     chow_quotient,
     chow_stack_datum,
-    cycle,
     fiber_dim_cones,
     meeting_cones,
     multiplicity,
-    point_fiber_cones,
-    quotient_monoid,
 )
 from chowfan.cones import (
     Fan,
@@ -21,6 +18,7 @@ from chowfan.cones import (
     all_faces,
     cone_from_generators,
     fan_from_cones,
+    relative_interior_sample,
     zero_cone,
 )
 from chowfan.intlinalg import sublattice, zero_sublattice
@@ -83,7 +81,7 @@ class TestQuotientFan:
         cq = chow_quotient(p2, zero_sublattice(2))
         assert cq.quotient_fan == p2
         for i in range(len(p2.cones)):
-            assert point_fiber_cones(cq, i) == (i,)
+            assert cq.cone_data[i].point_fiber_cones == (i,)
 
     def test_incomplete_fan_rejected(self, l_horizontal):
         partial = fan_from_cones([cone_from_generators([(1, 0), (0, 1)])])
@@ -96,7 +94,7 @@ class TestQuotientFan:
         cq = chow_quotient(p2, full_lattice(2))
         assert cq.projection.target_rank == 0
         assert len(cq.quotient_fan.cones) == 1
-        assert quotient_monoid(cq, 0).hilbert_basis == ()
+        assert cq.cone_data[0].monoid.hilbert_basis == ()
 
     def test_rank2_wall_oracle(self):
         # for rank-2 input and rank-1 sublattice the quotient walls are the
@@ -154,14 +152,14 @@ class TestPointFibersAndCycles:
         G = cq.quotient_fan
         kpos = G.index_of(cone_from_generators([(1,)]))
         kzero = G.index_of(zero_cone(1))
-        assert point_fiber_cones(cq, kpos) == (_idx(p2, [(0, 1)]),)
-        assert point_fiber_cones(cq, kzero) == (_idx(p2, []),)
+        assert cq.cone_data[kpos].point_fiber_cones == (_idx(p2, [(0, 1)]),)
+        assert cq.cone_data[kzero].point_fiber_cones == (_idx(p2, []),)
 
     def test_p1p1_point_fibers(self, p1p1, l_diagonal):
         cq = chow_quotient(p1p1, l_diagonal)
         G = cq.quotient_fan
         sets = {
-            frozenset(point_fiber_cones(cq, G.index_of(cone_from_generators([(s,)]))))
+            frozenset(cq.cone_data[G.index_of(cone_from_generators([(s,)]))].point_fiber_cones)
             for s in (1, -1)
         }
         assert sets == {
@@ -177,7 +175,7 @@ class TestPointFibersAndCycles:
             _idx(p2, [(1, 0), (0, 1)]),
             _idx(p2, [(0, 1), (-1, -1)]),
         }
-        assert fiber_dim_cones(cq, kpos, 0) == point_fiber_cones(cq, kpos)
+        assert fiber_dim_cones(cq, kpos, 0) == cq.cone_data[kpos].point_fiber_cones
         cq2 = chow_quotient(p1p1, l_diagonal)
         G2 = cq2.quotient_fan
         for s in (1, -1):
@@ -189,10 +187,22 @@ class TestPointFibersAndCycles:
             assert len(quads) == 3
             # the segment quadrant is the one spanned by the two
             # single-point-slice rays
-            pf = point_fiber_cones(cq2, k)
+            pf = cq2.cone_data[k].point_fiber_cones
             span_rays = [p1p1.cones[i].generators[0] for i in pf]
             segment_quad = p1p1.index_of(cone_from_generators(span_rays))
             assert segment_quad in quads
+
+    def test_fiber_dims_match_homogenised_oracle(self):
+        # the meeting-set rule against one double description per fiber
+        for fan, sub in [(p2_fan(), sublattice(2, [[1, 0]]))] + corpus(count=10):
+            cq = chow_quotient(fan, sub)
+            for k, kappa in enumerate(cq.quotient_fan.cones):
+                v = relative_interior_sample(kappa)
+                dims = [oracles.fiber_dimension(c, cq.projection.matrix, v) for c in fan.cones]
+                for d in range(-1, fan.ambient_rank + 1):
+                    assert fiber_dim_cones(cq, k, d) == tuple(
+                        i for i, e in enumerate(dims) if e == d
+                    )
 
     def test_full_fiber_over_span(self, p2):
         # cones containing the sublattice span have fibers of full rank
@@ -205,11 +215,11 @@ class TestPointFibersAndCycles:
     def test_cycles(self, p2, p1p1, l_horizontal, l_diagonal):
         cq = chow_quotient(p2, l_horizontal)
         kpos = cq.quotient_fan.index_of(cone_from_generators([(1,)]))
-        assert cycle(cq, kpos) == ((_idx(p2, [(0, 1)]), 1),)
+        assert cq.cone_data[kpos].cycle == ((_idx(p2, [(0, 1)]), 1),)
         cq2 = chow_quotient(p1p1, l_diagonal)
         for s in (1, -1):
             k = cq2.quotient_fan.index_of(cone_from_generators([(s,)]))
-            assert [m for _, m in cycle(cq2, k)] == [1, 1]
+            assert [m for _, m in cq2.cone_data[k].cycle] == [1, 1]
 
 
 class TestMultiplicity:
@@ -271,9 +281,9 @@ class TestMultiplicity:
         cq = chow_quotient(p2, sub)
         ray10 = _idx(p2, [(1, 0)])
         matched = [
-            dict(cycle(cq, k))[ray10]
+            dict(cq.cone_data[k].cycle)[ray10]
             for k in range(len(cq.quotient_fan.cones))
-            if ray10 in point_fiber_cones(cq, k)
+            if ray10 in cq.cone_data[k].point_fiber_cones
         ]
         assert matched == [2]
 
@@ -282,7 +292,7 @@ class TestQuotientMonoids:
     def test_p2_monoids_trivial(self, p2, l_horizontal):
         cq = chow_quotient(p2, l_horizontal)
         for i, c in enumerate(cq.quotient_fan.cones):
-            m = quotient_monoid(cq, i)
+            m = cq.cone_data[i].monoid
             if c.dim == 1:
                 assert m.hilbert_basis == (c.generators[0],)
             else:
@@ -293,8 +303,8 @@ class TestQuotientMonoids:
         cq = chow_quotient(p2, sublattice(2, [[1, 2]]))
         ray10 = _idx(p2, [(1, 0)])
         for k in range(len(cq.quotient_fan.cones)):
-            if ray10 in point_fiber_cones(cq, k):
-                m = quotient_monoid(cq, k)
+            if ray10 in cq.cone_data[k].point_fiber_cones:
+                m = cq.cone_data[k].monoid
                 assert m.group.basis == ((2,),)
 
     def test_face_compatibility(self):
@@ -309,8 +319,8 @@ class TestQuotientMonoids:
                 for lam in all_faces(kappa):
                     j = G.index_of(lam)
                     assert restrict_to_face(
-                        quotient_monoid(cq, i), lam
-                    ) == quotient_monoid(cq, j)
+                        cq.cone_data[i].monoid, lam
+                    ) == cq.cone_data[j].monoid
 
     def test_datum_validates(self):
         for fan, sub in [

@@ -303,6 +303,38 @@ class TestExitCodes:
         code, _ = _run(["validate", str(bad)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("sublattice", "[[1, {long}]]", "sublattice[0][1]: {limit_message}"),
+            ("lattice_rank", "-{long}", "lattice_rank: {limit_message}"),
+            ("lattice_rank", "[{long}]", 'lattice_rank: expected an integer, got ["{limit_message}"]'),
+        ],
+        ids=["entry", "rank", "inside-a-list"],
+    )
+    def test_integer_literal_beyond_the_limit_is_parse_error(self, tmp_path, capsys, field, value, message):
+        long = "7" * 5001
+        limit_message = (
+            f"integer literal of 5001 digits exceeds the limit of {sys.get_int_max_str_digits()} digits"
+        )
+        doc = {"lattice_rank": 2, "maximal_cones": P2_CONES, "sublattice": [[1, 0]]}
+        doc[field] = "@"
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc).replace('"@"', value.format(long=long)))
+        capsys.readouterr()
+        code, out = _run(["quotient", str(path)])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "parse error: " + message.format(limit_message=limit_message) + "\n"
+
+    def test_repeated_key_is_parse_error(self, tmp_path, capsys):
+        text = json.dumps({"lattice_rank": 2, "maximal_cones": P2_CONES, "sublattice": [[1, 0]]})
+        path = tmp_path / "twice.json"
+        path.write_text(text[:-1] + ', "sublattice": [[0, 1]]}')
+        capsys.readouterr()
+        code, out = _run(["quotient", str(path)])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == 'parse error: repeated key "sublattice"\n'
+
     def test_validation_error(self, tmp_path):
         doc = {
             "lattice_rank": 2,

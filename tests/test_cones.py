@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from chowfan import cones, monoids
 from chowfan.cones import (
     NoTargetCone,
-    ZeroCone,
     affine_slice_type,
     all_faces,
     check_fan_morphism,
@@ -16,7 +15,6 @@ from chowfan.cones import (
     dual_cone,
     facets,
     fan_from_cones,
-    fiber_dimension,
     image_cone,
     intersect_cones,
     is_complete,
@@ -138,20 +136,20 @@ class TestOperations:
     def test_image_examples(self):
         p = quotient_map(2, sublattice(2, [[1, 0]]))
         q = cone_from_generators([(1, 0), (0, 1)])
-        assert image_cone(p, q).generators == ((1,),)
+        assert image_cone(p.matrix, q).generators == ((1,),)
         s2 = cone_from_generators([(0, 1), (-1, -1)])
-        img = image_cone(p, s2)
+        img = image_cone(p.matrix, s2)
         assert img.lineality_dim == 1
-        assert image_cone(p, zero_cone(2)).is_zero()
+        assert image_cone(p.matrix, zero_cone(2)).is_zero()
 
     def test_preimage_examples(self):
         p = quotient_map(2, sublattice(2, [[1, 0]]))
-        up = preimage_cone(p, cone_from_generators([(1,)]))
+        up = preimage_cone(p.matrix, cone_from_generators([(1,)]), 2)
         assert up.contains((3, 5)) and up.contains((-3, 5)) and not up.contains((0, -1))
-        ker = preimage_cone(p, zero_cone(1))
+        ker = preimage_cone(p.matrix, zero_cone(1), 2)
         assert ker.lineality == ((1, 0),) and ker.generators == ()
-        assert preimage_cone(p, cone_from_generators([(1,)], ambient_rank=1)).lineality == ((1, 0),)
-        full = preimage_cone(p, cone_from_halfspaces([], ambient_rank=1))
+        assert preimage_cone(p.matrix, cone_from_generators([(1,)], ambient_rank=1), 2).lineality == ((1, 0),)
+        full = preimage_cone(p.matrix, cone_from_halfspaces([], ambient_rank=1), 2)
         assert full.lineality_dim == 2
 
     def test_relative_interior_samples(self):
@@ -160,8 +158,7 @@ class TestOperations:
         assert relative_interior_sample(cone_from_generators([(1, 2)])) == (1, 2)
         half = cone_from_halfspaces([(1, 0)], ambient_rank=2)
         assert half.contains_in_relint(relative_interior_sample(half))
-        with pytest.raises(ZeroCone):
-            relative_interior_sample(zero_cone(2))
+        assert relative_interior_sample(zero_cone(2)) == (0, 0)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -234,10 +231,10 @@ class TestSliceTypes:
         quad = cone_from_generators([(1, 0), (0, 1)])
         ray = cone_from_generators([(0, 1)], ambient_rank=2)
         s3 = cone_from_generators([(-1, -1), (1, 0)])
-        assert fiber_dimension(quad, p.matrix, (1,)) == 1
-        assert fiber_dimension(ray, p.matrix, (1,)) == 0
-        assert fiber_dimension(s3, p.matrix, (1,)) is None
-        assert fiber_dimension(s3, p.matrix, (0,)) == 1
+        assert oracles.fiber_dimension(quad, p.matrix, (1,)) == 1
+        assert oracles.fiber_dimension(ray, p.matrix, (1,)) == 0
+        assert oracles.fiber_dimension(s3, p.matrix, (1,)) is None
+        assert oracles.fiber_dimension(s3, p.matrix, (0,)) == 1
 
 
 rank3_vectors = st.tuples(*[st.integers(-3, 3)] * 3)
@@ -272,7 +269,7 @@ class TestFeasibilityProperties:
     @given(rank3_cones, saturated_sublattices, rank3_vectors)
     def test_slice_type_matches_image_cone(self, c, sub, psi):
         p = quotient_map(3, sub)
-        image = image_cone(p, c)
+        image = image_cone(p.matrix, c)
         meets = image.contains_in_relint(mat_vec(p.matrix, psi))
         t = affine_slice_type(c, psi, sub)
         assert t == oracles.affine_slice_type_by_homogenisation(c, psi, sub)
@@ -291,13 +288,13 @@ class TestFeasibilityProperties:
     )
     def test_fiber_dimension_matches_image_cone(self, c, sub, psi):
         p = quotient_map(3, sub)
-        image = image_cone(p, c)
-        for x in (psi, cones._relint_sample_or_zero(c)):
+        image = image_cone(p.matrix, c)
+        for x in (psi, relative_interior_sample(c)):
             v = mat_vec(p.matrix, x)
             if image.contains_in_relint(v):
-                assert fiber_dimension(c, p.matrix, v) == c.dim - image.dim
+                assert oracles.fiber_dimension(c, p.matrix, v) == c.dim - image.dim
             elif not image.contains(v):
-                assert fiber_dimension(c, p.matrix, v) is None
+                assert oracles.fiber_dimension(c, p.matrix, v) is None
 
 
 def _fields(c):
@@ -615,7 +612,7 @@ class TestFacesAndFans:
             [cone_from_generators([(1,)]), cone_from_generators([(-1,)])]
         )
         with pytest.raises(NoTargetCone):
-            check_fan_morphism(p, fan, target)
+            check_fan_morphism(p.matrix, fan, target)
 
     def test_fan_morphism_wrong_shape_refused(self):
         fan = p2_fan()

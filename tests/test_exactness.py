@@ -1,0 +1,82 @@
+"""The library source keeps its exactness promise: integers only.
+
+An AST scan of every module of ``src/chowfan`` finds no true division
+(``/`` or ``/=``), no float literal, no ``float(...)`` or ``Fraction(...)``
+call, no import of ``fractions`` and no other mention of ``float``.  The
+one exception is the JSON key check in ``serialize._key``, which accepts
+the float keys ``json`` itself writes; it computes nothing with them.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "chowfan"
+
+# (module, function) pairs allowed to name ``float``
+FLOAT_NAME_ALLOWED = {("serialize.py", "_key")}
+
+
+def _inexact(tree, module):
+    """``(line, what)`` of every inexact construct in ``tree``."""
+    allowed_lines = {
+        line
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and (module, fn.name) in FLOAT_NAME_ALLOWED
+        for line in range(fn.lineno, fn.end_lineno + 1)
+    }
+    called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div):
+            out.append((n.lineno, "true division"))
+        elif isinstance(n, ast.Constant) and isinstance(n.value, (float, complex)):
+            out.append((n.lineno, f"literal {n.value!r}"))
+        elif isinstance(n, ast.Call):
+            func = n.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("float", "Fraction"):
+                out.append((n.lineno, f"{name}() call"))
+        elif (
+            isinstance(n, ast.Name)
+            and n.id == "float"
+            and id(n) not in called
+            and n.lineno not in allowed_lines
+        ):
+            out.append((n.lineno, "name float"))
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in n.names] + [getattr(n, "module", None) or ""]
+            if any(x.split(".")[0] == "fractions" or x == "Fraction" for x in names):
+                out.append((n.lineno, "fractions import"))
+    return sorted(set(out))
+
+
+def test_library_source_is_exact():
+    found = {
+        path.name: _inexact(ast.parse(path.read_text()), path.name)
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_detects_inexact_constructs():
+    tree = ast.parse(
+        "from fractions import Fraction\n"
+        "def f(a, b):\n"
+        "    a /= b\n"
+        "    return a / b + 0.5 + float(a) + Fraction(1, 2)\n"
+        "def _key(k):\n"
+        "    return isinstance(k, float)\n"
+        "def g(k):\n"
+        "    return isinstance(k, float)\n"
+        "x = 7 // 2\n"
+    )
+    assert _inexact(tree, "serialize.py") == [
+        (1, "fractions import"),
+        (3, "true division"),
+        (4, "Fraction() call"),
+        (4, "float() call"),
+        (4, "literal 0.5"),
+        (4, "true division"),
+        (8, "name float"),
+    ]

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from chowfan.chow import chow_quotient, point_fiber_cones
+from chowfan.chow import chow_quotient
 from chowfan.cones import Fan, cone_from_generators, zero_cone
 from chowfan.intlinalg import sublattice, zero_sublattice
 from chowfan.monoids import member, monoid_from_cone
@@ -14,7 +14,6 @@ from chowfan.family import (
     component_bijection,
     cones_over,
     fiber_complex,
-    host_cone,
     is_refinement_fixed_point,
     presentation_tuple,
     presentation_value,
@@ -76,7 +75,7 @@ class TestRefinement:
             proj = fam.chow.projection
             for i, c in enumerate(fam.fan.cones):
                 host, base = fam.provenance[i]
-                pre = preimage_cone(proj, fam.base.fan.cones[base], 2)
+                pre = preimage_cone(proj.matrix, fam.base.fan.cones[base], 2)
                 assert intersect_cones(pre, fam.variety.fan.cones[host]) == c
 
     def test_both_morphisms_validated(self):
@@ -153,17 +152,17 @@ class TestHostCones:
     def test_refined_cone_hosts(self):
         fam = _fam_p2()
         i = fam.fan.index_of(cone_from_generators([(0, 1), (-1, 0)]))
-        assert host_cone(fam, i) == _idx(fam.variety.fan, [(0, 1), (-1, -1)])
+        assert fam.provenance[i][0] == _idx(fam.variety.fan, [(0, 1), (-1, -1)])
 
     def test_unrefined_cone_hosts_itself(self):
         fam = _fam_p2()
         i = fam.fan.index_of(cone_from_generators([(1, 0), (0, 1)]))
-        assert host_cone(fam, i) == _idx(fam.variety.fan, [(1, 0), (0, 1)])
+        assert fam.provenance[i][0] == _idx(fam.variety.fan, [(1, 0), (0, 1)])
 
     def test_diagonal_ray_hosted_by_quadrant(self):
         fam = _fam_p1p1()
         i = fam.fan.index_of(cone_from_generators([(1, 1)], ambient_rank=2))
-        assert host_cone(fam, i) == _idx(fam.variety.fan, [(1, 0), (0, 1)])
+        assert fam.provenance[i][0] == _idx(fam.variety.fan, [(1, 0), (0, 1)])
 
 
 class TestRelativeStrata:
@@ -193,7 +192,7 @@ class TestRelativeStrata:
             for k in range(len(fam.base.fan.cones)):
                 mapping = component_bijection(fam, k)
                 assert sorted(mapping.values()) == sorted(
-                    point_fiber_cones(fam.chow, k)
+                    fam.chow.cone_data[k].point_fiber_cones
                 )
 
 

@@ -23,7 +23,6 @@ from chowfan.intlinalg import (
     mat,
     mat_mul,
     mat_vec,
-    matrix_rank,
     preimage_lattice,
     quotient_map,
     row_lattice_hnf,
@@ -175,9 +174,9 @@ class TestRationalKernel:
         rows, free_target, x, planted = system
         m = mat(rows)
         target = mat_vec(m, x) if planted else tuple(free_target)
-        rank = matrix_rank(m)
+        rank = oracles.matrix_rank(m)
         solved = solve_rational(m, target)
-        augmented_rank = matrix_rank([r + (t,) for r, t in zip(m, target)])
+        augmented_rank = oracles.matrix_rank([r + (t,) for r, t in zip(m, target)])
         if solved is None:
             assert augmented_rank == rank + 1
             return

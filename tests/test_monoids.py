@@ -20,7 +20,7 @@ from chowfan.cones import (
     is_face_of,
     zero_cone,
 )
-from chowfan.intlinalg import Sublattice, dot, full_lattice, mat_vec, matrix_rank, sublattice
+from chowfan.intlinalg import Sublattice, dot, full_lattice, mat_vec, sublattice
 from chowfan.monoids import (
     MonoidNotMapped,
     NotAFace,
@@ -272,7 +272,7 @@ def embedded_cones(draw):
     rank-3 cone, carried into ``Z^4`` by an injective integer matrix, so
     that their span lattice is often not the span of their rays."""
     rays = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=4))
-    cols = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=4, max_size=4).filter(lambda m: matrix_rank(m) == 3))
+    cols = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=4, max_size=4).filter(lambda m: oracles.matrix_rank(m) == 3))
     return cone_from_generators([mat_vec(cols, r) for r in rays], ambient_rank=4)
 
 
@@ -474,7 +474,7 @@ class TestUnimodularExit:
 
 # 1-3 linearly independent rank-3 vectors, entries in [-3, 3]
 rank3_simplices = st.lists(rank3_vectors, min_size=1, max_size=3).filter(
-    lambda rays: matrix_rank(rays) == len(rays)
+    lambda rays: oracles.matrix_rank(rays) == len(rays)
 )
 
 

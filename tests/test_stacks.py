@@ -15,7 +15,6 @@ from chowfan.stacks import (
     MonoidNotMapped,
     NotMaximalCone,
     ToricStackDatum,
-    data_equal_after_canonicalization,
     stabilizer_invariants,
     validate_stack_datum,
     validate_stack_morphism,
@@ -168,7 +167,7 @@ class TestStabilizers:
 class TestEquality:
     def test_self_equality(self):
         d = variety_datum(p2_fan())
-        assert data_equal_after_canonicalization(d, d)
+        assert d == d
 
     def test_permuted_input_gives_equal_datum(self):
         a = variety_datum(p2_fan())
@@ -179,10 +178,10 @@ class TestEquality:
             ]
         )
         b = variety_datum(permuted)
-        assert data_equal_after_canonicalization(a, b)
+        assert a == b
 
     def test_truncated_copy_differs(self):
         d = variety_datum(p2_fan())
         partial = fan_from_cones([cone_from_generators([(1, 0), (0, 1)])])
         e = variety_datum(partial)
-        assert not data_equal_after_canonicalization(d, e)
+        assert d != e
