@@ -9,6 +9,7 @@ cones, and runs executable checks of the structural properties the
 construction is supposed to satisfy.  All arithmetic is exact.
 """
 
+from ._record import replace
 from .intlinalg import (
     NotASublattice,
     NotSaturated,

@@ -23,10 +23,10 @@ is read off the meeting set too (:func:`fiber_dim_cones`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import Optional, Sequence
 
+from ._record import Record
 from .cones import (
     Cone,
     Fan,
@@ -160,8 +160,7 @@ def _cell_split(normals, rank: int):
 # the quotient
 
 
-@dataclass(frozen=True)
-class QuotientConeData:
+class QuotientConeData(Record):
     """Provenance attached to one cone of the quotient fan."""
 
     meeting_set: frozenset[int]
@@ -172,8 +171,7 @@ class QuotientConeData:
     raw_monoid_inside_cone: bool
 
 
-@dataclass(frozen=True)
-class ChowQuotient:
+class ChowQuotient(Record):
     fan: Fan
     sub: Sublattice
     projection: QuotientMap

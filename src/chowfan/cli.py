@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import Optional, Sequence
 
+from ._record import replace
 from .chow import ChowQuotient, chow_quotient, multiplicity, InfiniteIndex
 from .cones import (
     Fan,

@@ -27,12 +27,12 @@ other cones (:func:`intersect_cones`) and, through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
+from ._record import Record
 from .intlinalg import (
     Mat,
     Sublattice,
@@ -187,8 +187,7 @@ def _select_bits(mask: int, picked: Sequence[int]) -> int:
 # cones
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record):
     """A rational polyhedral cone with canonical dual descriptions.
 
     ``generators``/``lineality`` describe the cone itself, ``halfspaces``/
@@ -203,7 +202,8 @@ class Cone:
     lineality: Mat
     halfspaces: tuple[Vec, ...]
     equations: Mat
-    incidence: tuple[int, ...] = field(compare=False, repr=False)
+    incidence: tuple[int, ...]
+    _uncompared = ("incidence",)
 
     @property
     def dim(self) -> int:
@@ -556,8 +556,7 @@ def _cone_sort_key(c: Cone):
     return (c.dim, c.generators, c.lineality)
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     """A finite collection of strictly convex cones, closed under faces.
 
     Cones are stored sorted by a canonical key, so equal fans compare equal
@@ -634,8 +633,7 @@ def fan_from_cones(cones: Iterable[Cone], ambient_rank: Optional[int] = None) ->
     return Fan(ambient_rank, ordered)
 
 
-@dataclass(frozen=True)
-class FanValidationReport:
+class FanValidationReport(Record):
     ok: bool
     violations: tuple[str, ...]
 
@@ -700,8 +698,7 @@ def is_complete(f: Fan) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FanMorphism:
+class FanMorphism(Record):
     lattice_map: Mat
     source: Fan
     target: Fan

@@ -16,9 +16,9 @@ of which is verified element by element rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record
 from .chow import ChowQuotient, chow_stack_datum
 from .cones import (
     Cone,
@@ -65,8 +65,7 @@ class VerificationFailed(RuntimeError):
     """An explicit isomorphism failed to verify; carries a witness."""
 
 
-@dataclass(frozen=True)
-class UniversalFamily:
+class UniversalFamily(Record):
     chow: ChowQuotient
     datum: ToricStackDatum  # the family fan with its monoids
     provenance: tuple[tuple[int, int], ...]  # per family cone: (host in F, base in G)
@@ -202,8 +201,7 @@ def component_bijection(fam: UniversalFamily, base_index: int) -> dict[int, int]
 # walls
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(Record):
     """A family cone of relative dimension one over its base cone."""
 
     index: int
@@ -335,8 +333,7 @@ def _parallel_multiple(diff: Vec, u: Vec) -> int:
 # fiber complexes
 
 
-@dataclass(frozen=True)
-class FiberComplex:
+class FiberComplex(Record):
     """The broken fiber over a quotient cone as a labelled cone complex."""
 
     base_index: int
@@ -424,8 +421,7 @@ def adjacency_dot(fam: UniversalFamily, fc: FiberComplex) -> str:
 # wall monoid structure
 
 
-@dataclass(frozen=True)
-class WallMonoidStructure:
+class WallMonoidStructure(Record):
     wall: Wall
     kind: str  # "product" or "fiber_product"
     gluing_on_basis: tuple[tuple[Vec, int], ...]  # internal walls: (v, length)
@@ -527,8 +523,7 @@ def _fiber_product_monoid(fam: UniversalFamily, base_index: int, w: Wall) -> Aff
 # the basic monoid and its tropical dual
 
 
-@dataclass(frozen=True)
-class BasicMonoidPresentation:
+class BasicMonoidPresentation(Record):
     """The quotient monoid presented by component tuples and wall steps.
 
     Tuples ``(v_0, ..., v_n, m_w)`` of lattice points of the single-point

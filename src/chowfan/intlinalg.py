@@ -29,11 +29,12 @@ forms.  :func:`identity_matrix` is memoised; its tuples are shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import gcd, prod
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
+
+from ._record import Record
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -255,8 +256,7 @@ def solve_rational(
 # sublattices
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(Record):
     """A subgroup of Z^r in canonical row-HNF form."""
 
     ambient_rank: int
@@ -372,8 +372,7 @@ def preimage_lattice(matrix: Mat, source_rank: int, s: Sublattice) -> Sublattice
 # quotient maps
 
 
-@dataclass(frozen=True)
-class QuotientMap:
+class QuotientMap(Record):
     """A surjection p: Z^r -> Z^q with saturated kernel L.
 
     ``matrix`` has shape q x r, ``section`` is an r-column matrix whose rows

@@ -43,13 +43,13 @@ canonical pointed generating set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import product, repeat, starmap
 from math import gcd, prod
 from operator import add, floordiv, mod, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
+from ._record import Record
 from .cones import (
     Cone,
     NotStrictlyConvex,
@@ -103,8 +103,7 @@ class MonoidNotMapped(ValueError):
         self.image = image
 
 
-@dataclass(frozen=True)
-class AffineMonoid:
+class AffineMonoid(Record):
     """The saturated monoid ``cone ∩ saturated_lattice`` in canonical form.
 
     ``hilbert_basis`` is the sorted tuple of irreducible elements of the
@@ -116,9 +115,10 @@ class AffineMonoid:
     ambient_rank: int
     hilbert_basis: tuple[Vec, ...]
     units: Sublattice
-    cone: Cone = field(compare=False)
-    group: Sublattice = field(compare=False)
-    saturated_lattice: Sublattice = field(compare=False)
+    cone: Cone
+    group: Sublattice
+    saturated_lattice: Sublattice
+    _uncompared = ("cone", "group", "saturated_lattice")
 
     @property
     def is_pointed(self) -> bool:
@@ -497,8 +497,7 @@ def restrict_to_face(m: AffineMonoid, face: Cone) -> AffineMonoid:
     return AffineMonoid(m.ambient_rank, picked, m.units, face, group, lat)
 
 
-@dataclass(frozen=True)
-class MonoidHom:
+class MonoidHom(Record):
     """An integer-linear map sending one affine monoid into another."""
 
     matrix: Mat

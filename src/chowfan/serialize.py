@@ -36,16 +36,36 @@ def dumps(doc: dict) -> str:
     generator encoder, so the text is written here directly: one ``join``
     per container, one ``int.__repr__`` per integer, strings and keys
     through ``encode_basestring_ascii``, every other leaf through
-    ``json.dumps``.
+    ``json.dumps``.  An integer longer than the interpreter converts to
+    text, which ``json`` refuses, is written exactly by :func:`_decimal`.
     """
     return _write(doc, "\n") + "\n"
+
+
+_CHUNK_DIGITS = 600  # below 640, the least digit limit the interpreter accepts
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """``n`` in decimal, exact at any length: its base-10**600 digits from
+    repeated ``divmod``, each short enough for ``int.__repr__`` under any
+    ``sys.get_int_max_str_digits()``.  Called where ``int.__repr__`` refused."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(int.__repr__(r).zfill(_CHUNK_DIGITS))
+    return sign + int.__repr__(n) + "".join(reversed(chunks))
 
 
 def _write(o, newline: str) -> str:
     """``o`` as canonical JSON nested at ``newline``, a newline and the
     indent of the line ``o`` starts on."""
     if type(o) is int:
-        return int.__repr__(o)
+        try:
+            return int.__repr__(o)
+        except ValueError:  # more digits than the interpreter converts
+            return _decimal(o)
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if isinstance(o, (list, tuple)):
@@ -53,7 +73,10 @@ def _write(o, newline: str) -> str:
             return "[]"
         inner = newline + "  "
         if all(type(x) is int for x in o):
-            items = map(int.__repr__, o)
+            try:
+                items = list(map(int.__repr__, o))
+            except ValueError:
+                items = map(_decimal, o)
         else:
             items = [_write(x, inner) for x in o]
         return "[" + inner + ("," + inner).join(items) + newline + "]"

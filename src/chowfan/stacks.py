@@ -9,9 +9,9 @@ reports list every violation instead of stopping at the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record
 from .cones import Fan, FanMorphism, all_faces, check_fan_morphism
 from .intlinalg import (
     Mat,
@@ -33,8 +33,7 @@ class InternalConsistencyError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class ToricStackDatum:
+class ToricStackDatum(Record):
     """A fan together with one affine monoid per cone (aligned by index);
     ``==`` compares the rank, the canonical fan and the monoids."""
 
@@ -42,7 +41,8 @@ class ToricStackDatum:
     fan: Fan
     monoids: tuple[AffineMonoid, ...]
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if len(self.monoids) != len(self.fan.cones):
             raise ValueError("one monoid per fan cone required")
 
@@ -56,8 +56,7 @@ def variety_datum(fan: Fan) -> ToricStackDatum:
     return ToricStackDatum(fan.ambient_rank, fan, monoids)
 
 
-@dataclass(frozen=True)
-class StackValidationReport:
+class StackValidationReport(Record):
     ok: bool
     violations: tuple[str, ...]
 
@@ -95,8 +94,7 @@ def validate_stack_datum(d: ToricStackDatum) -> StackValidationReport:
     return StackValidationReport(not problems, tuple(problems))
 
 
-@dataclass(frozen=True)
-class StackMorphism:
+class StackMorphism(Record):
     """A lattice map with verified fan- and monoid-level compatibility."""
 
     lattice_map: Mat

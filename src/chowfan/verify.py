@@ -17,9 +17,9 @@ Four checks, each returning a :class:`CheckReport`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+from ._record import Record, replace
 from .cones import Fan, _pull_back, dual_cone, image_cone
 from .family import (
     UniversalFamily,
@@ -42,8 +42,7 @@ from .monoids import (
 from .stacks import ToricStackDatum
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     name: str
     verdict: str  # "pass" or "fail"
     witnesses: tuple

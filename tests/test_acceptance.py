@@ -8,7 +8,6 @@ see them); any failure is a build-blocking defect.
 import io
 import os
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -33,6 +32,7 @@ from chowfan import (
     monoid_from_cone,
     multiplicity,
     relative_interior_sample,
+    replace,
     segment_length,
     sublattice,
     tropical_moduli_cone,

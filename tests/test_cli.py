@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from chowfan.cli import parse_input, run
 from chowfan.serialize import (
     DocumentError,
+    _decimal,
     decode_cone,
     decode_datum,
     decode_fan,
@@ -614,6 +615,19 @@ class TestWriter:
         with pytest.raises(TypeError) as raised:
             dumps(doc)
         assert str(raised.value) == str(expected.value)
+
+    def test_integers_past_the_digit_limit_are_written_exactly(self):
+        # json refuses an int longer than sys.get_int_max_str_digits() (4300
+        # by default); the digits here are built without converting one
+        rng = random.Random(5)
+        digits = "7" + "".join(rng.choice("0123456789") for _ in range(8999))
+        n = int(digits[:3000]) * 10**6000 + int(digits[3000:6000]) * 10**3000 + int(digits[6000:])
+        assert dumps({"a": 10**5000}) == '{\n  "a": 1' + "0" * 5000 + "\n}\n"
+        assert dumps({"s": -n, "v": [n, -n, 1]}) == (
+            '{\n  "s": -' + digits + ',\n  "v": [\n    ' + digits + ",\n    -" + digits + ",\n    1\n  ]\n}\n"
+        )
+        for m in (0, -1, 10**600 - 1, 10**600, -(10**600), 10**1800 + 7, 3**3000):
+            assert _decimal(m) == int.__repr__(m)
 
     def test_non_string_keys(self):
         for doc in ({3: 1, 10: [2], -1: {}}, {None: 1}, {True: 1, False: 2}, {1.5: 1, 2.5: 2}):

@@ -1,10 +1,9 @@
-import dataclasses
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chowfan import cones, monoids
+from chowfan import cones, monoids, replace
 from chowfan.cones import (
     NoTargetCone,
     affine_slice_type,
@@ -475,7 +474,7 @@ class TestInterning:
         monkeypatch.setattr(cones, "_cone_cache", {})
         a = dual_cone(cone_from_generators([(1, 0, 0), (1, 2, 0)]))
         # the dual is interned; an equal copy that is not keeps its own span
-        b = dataclasses.replace(a)
+        b = replace(a)
         assert dual_cone(cone_from_generators([(1, 0, 0), (1, 2, 0)])) is a and b is not a
         calls = []
         real = cones.integer_kernel

@@ -5,6 +5,10 @@ An AST scan of every module of ``src/chowfan`` finds no true division
 call, no import of ``fractions`` and no other mention of ``float``.  The
 one exception is the JSON key check in ``serialize._key``, which accepts
 the float keys ``json`` itself writes; it computes nothing with them.
+
+The same source generates no code: no ``exec``, ``eval`` or ``compile``
+call and no import of ``dataclasses``, whose classes are built by ``exec``
+(the value types are :class:`chowfan._record.Record` subclasses).
 """
 
 import ast
@@ -79,4 +83,39 @@ def test_detects_inexact_constructs():
         (4, "literal 0.5"),
         (4, "true division"),
         (8, "name float"),
+    ]
+
+
+def _generated_code(tree):
+    """``(line, what)`` of every call or import in ``tree`` that runs
+    generated source."""
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in ("exec", "eval", "compile"):
+            out.append((n.lineno, f"{n.func.id}() call"))
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in n.names] if isinstance(n, ast.Import) else [n.module or ""]
+            if any(x.split(".")[0] == "dataclasses" for x in names):
+                out.append((n.lineno, "dataclasses import"))
+    return out
+
+
+def test_library_source_generates_no_code():
+    found = {path.name: _generated_code(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_detects_generated_code():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "exec('x = 1'); eval('2'); compile('3', 'f', 'eval')\n"
+        "import re; re.compile('x')\n"
+    )
+    assert _generated_code(tree) == [
+        (1, "dataclasses import"),
+        (2, "dataclasses import"),
+        (3, "exec() call"),
+        (3, "eval() call"),
+        (3, "compile() call"),
     ]

@@ -1,8 +1,8 @@
-import dataclasses
 import re
 
 import pytest
 
+from chowfan import replace
 from chowfan.chow import chow_quotient
 from chowfan.cones import Fan, cone_from_generators, zero_cone
 from chowfan.intlinalg import sublattice, zero_sublattice
@@ -127,10 +127,10 @@ class TestRefinement:
         b = cq.quotient_fan.maximal_indices()[0]
         data = cq.cone_data[b]
         dropped = min(data.meeting_set & set(cq.fan.maximal_indices()))
-        doctored = dataclasses.replace(data, meeting_set=data.meeting_set - {dropped})
+        doctored = replace(data, meeting_set=data.meeting_set - {dropped})
         cone_data = cq.cone_data[:b] + (doctored,) + cq.cone_data[b + 1 :]
         with pytest.raises(InternalConsistencyError, match="meeting pairs do not cover"):
-            universal_family(dataclasses.replace(cq, cone_data=cone_data))
+            universal_family(replace(cq, cone_data=cone_data))
 
     def test_one_preimage_lattice_per_base_cone(self, monkeypatch):
         import chowfan.family
@@ -389,8 +389,8 @@ class TestWallMonoidStructure:
             # the quotient monoid shrunk to its even points
             data = fam.chow.cone_data[k]
             even = saturated_monoid(data.monoid.cone, Sublattice(1, ((2,),)))
-            doctored = dataclasses.replace(data, monoid=even)
-            chow = dataclasses.replace(
+            doctored = replace(data, monoid=even)
+            chow = replace(
                 fam.chow, cone_data=fam.chow.cone_data[:k] + (doctored,) + fam.chow.cone_data[k + 1 :]
             )
             escaping = oracles.monoid_map_escape_by_generators(
@@ -398,7 +398,7 @@ class TestWallMonoidStructure:
             )
             assert escaping is not None
             with pytest.raises(VerificationFailed, match=re.escape(f"projection of {escaping} escapes")):
-                wall_monoid_structure(dataclasses.replace(fam, chow=chow), k, w.index)
+                wall_monoid_structure(replace(fam, chow=chow), k, w.index)
 
 
 class TestBasicMonoid:
