@@ -163,7 +163,7 @@ def double_description(
         rays = new_rays
         tight = new_tight
 
-    lin_hnf = saturate(Sublattice(rank, row_lattice_hnf(lineality))).basis
+    lin_hnf = saturate(Sublattice(rank, row_lattice_hnf(lineality))).basis if lineality else ()
     canon: dict[Vec, int] = {}
     for r, t in zip(rays, tight):
         r = primitive(_reduce_mod_rows(r, lin_hnf))

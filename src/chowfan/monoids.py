@@ -2,20 +2,36 @@
 
 Every monoid is the set of points of a lattice ``L`` in a rational cone
 ``c``; membership is the two containment tests ``v ∈ c`` and ``v ∈ L``.
-The workhorse is :func:`saturated_monoid`: the Hilbert basis of ``c ∩ L``
-is the rays of ``c`` when each facet, as a primitive functional on the
-span lattice of ``c``, is 1 on the one ray off it (the cone is then
-unimodular in its span), and otherwise is computed by a pulling
-triangulation, an integer enumeration of each simplex's fundamental
-parallelepiped (one Hermite form per simplex, of its rays' coordinates in
-the cone's span lattice: the box of its diagonal, with no rational solve
-per point) and an irreducibility sieve.
+The workhorse is :func:`saturated_monoid`.  The Hilbert basis of
+``c ∩ L`` comes from the first of four rules that applies
+(:func:`_hilbert_basis_full`):
+
+1. the rays of ``c``, when each facet, as a primitive functional on the
+   span lattice of ``c``, is 1 on the one ray off it (the cone is then
+   unimodular in its span);
+2. for a 2-dimensional cone, its Hirzebruch–Jung chain, the rays of its
+   minimal resolution (Oda, *Convex Bodies and Algebraic Geometry*, 1988,
+   §1.6; Cox–Little–Schenck, *Toric Varieties*, 2011, §10.2), in time
+   linear in the basis;
+3. for a 3-dimensional cone whose rays an integral functional ``g`` puts
+   at height 1, the lattice points at height 1: the cone is the cone over
+   a lattice polygon, and every lattice polygon is normal
+   (Cox–Little–Schenck 2011, §2.2), so a point of height 2 or more is a
+   sum of points of height 1;
+4. otherwise, an irreducibility sieve.
+
+Rules 3 and 4 enumerate candidates by a pulling triangulation and an
+integer enumeration of each simplex's fundamental parallelepiped (one
+Hermite form per simplex, of its rays' coordinates in the cone's span
+lattice: the box of its diagonal, with no rational solve per point).
 
 Every candidate is one integer key ``K(x) = grade(x) << S | packed(x)``:
 its grade above its halfspace values packed into guarded bit fields.
 ``K`` is linear, so a parallelepiped point gets its key from its ray
 coefficients and the rays' keys, with no vector built; on a pointed cone
 the halfspace values fix the point, so equal keys are equal points.
+Under rule 3 the grade is ``g`` and the basis is the distinct keys of
+grade 1.  Under rule 4 the grade is the sum of the facet normals.
 Sorting the keys sorts by grade, and elements of equal grade never reduce
 each other, so their order does not matter.  The sieve reads grade and
 fields off the key, tries only reducers of at most half a candidate's
@@ -77,6 +93,7 @@ from .intlinalg import (
     quotient_map,
     require_shape,
     row_lattice_hnf,
+    solve_rational,
     transpose,
     vadd,
     vec,
@@ -333,18 +350,73 @@ def _sieve(candidates: Iterable[int], guard: int) -> list[int]:
     return kept
 
 
+def _plane_chain(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
+    """Hilbert basis of the strictly convex 2-dimensional ``c`` as its
+    Hirzebruch–Jung chain (Oda, *Convex Bodies and Algebraic Geometry*,
+    1988, §1.6; Cox–Little–Schenck, *Toric Varieties*, 2011, §10.2), each
+    element given as ``out @ x``, sorted.
+
+    In the coordinates of the span lattice's basis the rays are ``u``,
+    ``v`` with ``det(u, v) > 0``.  ``b_0 = u``; ``b_1`` is the point of the
+    line ``det(u, x) = 1`` in the cone nearest ``v``, ``w + k u`` for
+    ``det(u, w) = 1`` and ``k = ceil(-det(w, v) / det(u, v))``; then
+    ``b_{i+1} = a_i b_i - b_{i-1}`` with
+    ``a_i = ceil(det(b_{i-1}, v) / det(b_i, v))``, until ``b_i = v``.  The
+    values ``det(b_i, v)`` fall strictly to 0, and the work is linear in
+    the basis: no box, key or sieve.
+    """
+    span = _span_lattice(c).basis
+    u, v = (coordinates_in(span, r) for r in c.generators)
+    if u[0] * v[1] < u[1] * v[0]:
+        u, v = v, u
+    if u[1]:  # s u_0 + t u_1 = 1, as u is primitive
+        s = pow(u[0], -1, abs(u[1]))
+        t = (1 - s * u[0]) // u[1]
+    else:
+        s, t = u[0], 0
+
+    def det_v(x):  # det(x, v)
+        return x[0] * v[1] - x[1] * v[0]
+
+    w = (-t, s)
+    k = -(det_v(w) // det_v(u))
+    prev, b = u, (w[0] + k * u[0], w[1] + k * u[1])
+    chain = [u, b]
+    while b != v:
+        a = -(det_v(prev) // -det_v(b))
+        prev, b = b, (a * b[0] - prev[0], a * b[1] - prev[1])
+        chain.append(b)
+    p, q = span if out is None else [mat_vec(out, row) for row in span]
+    return tuple(sorted(tuple([x * i + y * j for i, j in zip(p, q)]) for x, y in chain))
+
+
 def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
     """Hilbert basis of ``c ∩ Z^rank`` for a strictly convex cone, each
     element ``x`` given as ``out @ x`` (``x`` itself if ``out`` is None),
     sorted.
 
-    If :func:`_unimodular` holds, the rays are the Hilbert basis.
-    Otherwise every candidate is a ray or a nonzero point of the
-    half-open parallelepiped of a simplex of a pulling triangulation, a
-    sum of rays with coefficients below 1; so its halfspace values lie in
-    ``[0, top]`` with ``top = max_h sum_r h.r``.  The candidates are sieved
-    in grade order: ``x`` is reducible iff ``x - b`` lies in the cone for
-    an irreducible ``b`` with ``2 * grade(b) <= grade(x)``, since a sum of
+    Four rules, in this order:
+
+    1. if :func:`_unimodular` holds, the rays are the Hilbert basis;
+    2. a 2-dimensional cone's basis is its Hirzebruch–Jung chain
+       (:func:`_plane_chain`);
+    3. a 3-dimensional cone with an integral functional ``g`` that is 1 on
+       every ray (found by :func:`solve_rational`) is the cone over a
+       lattice polygon, and every lattice polygon is normal
+       (Cox–Little–Schenck, *Toric Varieties*, 2011, §2.2): each point of
+       height ``g(x) >= 2`` is a sum of points of height 1, so the basis is
+       exactly the lattice points of height 1, the candidate keys (below)
+       of grade 1 when ``g`` is the grading, with no sieve;
+    4. otherwise the keyed candidates are sieved.
+
+    Every candidate is a ray or a nonzero point of the half-open
+    parallelepiped of a simplex of a pulling triangulation, a sum of rays
+    with coefficients below 1; so its halfspace values lie in ``[0, top]``
+    with ``top = max_h sum_r h.r``.  Under rule 3 each point of height 1
+    lies in such a simplex with coefficients summing to 1, so it is a ray
+    or a parallelepiped point.  Under rule 4 the candidates are sieved in
+    grade order: ``x`` is reducible iff ``x - b`` lies in the cone for an
+    irreducible ``b`` with ``2 * grade(b) <= grade(x)``, since a sum of
     two or more irreducibles has a summand of at most half its grade.
 
     Each candidate is one integer key ``K(x) = grade(x) << S | packed(x)``,
@@ -391,9 +463,14 @@ def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
         return ()
     if _unimodular(c):
         return tuple(sorted(c.generators if out is None else [mat_vec(out, r) for r in c.generators]))
+    if c.dim == 2:
+        return _plane_chain(c, out)
+    height = solve_rational(c.generators, [1] * len(c.generators)) if c.dim == 3 else None
+    polygon = height is not None and height[0] == 1
+    grading = height[1] if polygon else _grading(c)
     cols, guard = _packed_columns(c.halfspaces, c.ambient_rank, _value_bound(c))
     shift = guard.bit_length()
-    key_cols = [(g << shift) + col for g, col in zip(_grading(c), cols)]
+    key_cols = [(g << shift) + col for g, col in zip(grading, cols)]
     ray_keys = {r: dot(key_cols, r) for r in c.generators}
     candidates = list(ray_keys.values())
     span = _span_lattice(c).basis
@@ -401,7 +478,11 @@ def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
         det, factors = _hermite_box(simplex, span)
         if det > 1:
             candidates.extend(_parallelepiped_keys([ray_keys[r] for r in simplex], det, factors))
-    candidates.sort()
+    if polygon:
+        kept = {key for key in candidates if key >> shift == 1}
+    else:
+        candidates.sort()
+        kept = _sieve(candidates, guard)
     inverse, den = _value_inverse(c)
     if out is not None:
         inverse = mat_mul(out, inverse)
@@ -410,7 +491,7 @@ def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
     mask = (1 << w) - 1
     basis = [
         tuple([y // den for y in mat_vec(inverse, [key >> i & mask for i in fields])])
-        for key in _sieve(candidates, guard)
+        for key in kept
     ]
     return tuple(sorted(basis))
 

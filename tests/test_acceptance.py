@@ -53,7 +53,7 @@ from chowfan.cones import (
 )
 from chowfan.family import basic_monoid, lift_into_span
 from chowfan.chow import InfiniteIndex
-from chowfan.intlinalg import dot, identity_matrix, integer_kernel, mat_mul, mat_vec, saturate
+from chowfan.intlinalg import dot, identity_matrix, integer_kernel, mat_mul, mat_vec, saturate, solve_rational
 from chowfan.monoids import (
     _hermite_box,
     _hilbert_basis_full,
@@ -668,6 +668,54 @@ def test_basic_monoid_groups_are_saturated(corpus_families):
             assert saturate(group) == group
             count += 1
     _announce(f"basic monoid groups are saturated on all {count} base cones")
+
+
+def test_geometric_rules_match_tuple_sieve_on_acceptance_monoids(monkeypatch, tmp_path):
+    """Every 2- and 3-dimensional cone whose Hilbert basis ``chowfan all``
+    computes on the three fixtures and the ten corpus inputs, past the
+    unimodular exit: the plane chain (dimension 2) and the height-one
+    points (cones over lattice polygons) equal the tuple sieve, with the
+    caller's ``out`` and without, and neither reaches the keyed sieve."""
+    calls = []
+    real = monoids._hilbert_basis_full
+
+    def recorded(c, out=None):
+        calls.append((c, out))
+        return real(c, out)
+
+    monkeypatch.setattr(monoids, "_hilbert_basis_full", recorded)
+    paths = [os.path.join(FIXTURES, name) for name in ("p2_horizontal.json", "p1p1_diagonal.json", "p2_weighted.json")]
+    for k, text in enumerate(corpus_documents()):
+        paths.append(tmp_path / f"corpus{k}.json")
+        paths[-1].write_text(text)
+    for path in paths:
+        monkeypatch.setattr(cones, "_cone_cache", {})
+        assert run(["all", "--bound", "4", str(path)], stdout=io.StringIO()) == 0
+    sieved = []
+    real_sieve = monoids._sieve
+
+    def counted(*args):
+        sieved.append(args)
+        return real_sieve(*args)
+
+    monkeypatch.setattr(monoids, "_sieve", counted)
+    rules = {2: 0, 3: 0}
+    for c, out in dict.fromkeys(calls):
+        if c.dim not in rules or monoids._unimodular(c):
+            continue
+        height = solve_rational(c.generators, [1] * len(c.generators))
+        if c.dim == 3 and (height is None or height[0] > 1):
+            continue
+        del sieved[:]
+        expected = oracles.hilbert_basis_by_tuple_sieve(c)
+        assert real(c) == expected
+        if out is not None:
+            assert real(c, out) == tuple(sorted(mat_vec(out, x) for x in expected))
+        assert sieved == []
+        rules[c.dim] += 1
+    assert rules[2] > 10 and rules[3] > 10
+    _announce(f"plane chains on {rules[2]} and height-one points on {rules[3]} cones "
+              "equal the tuple sieve on the thirteen acceptance inputs")
 
 
 def test_packed_sieve_matches_tuple_sieve_on_family_monoids(corpus_families, monkeypatch, tmp_path):

@@ -1,8 +1,10 @@
 import io
 import random
+from fractions import Fraction
 from itertools import product
 from math import prod
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -20,7 +22,7 @@ from chowfan.cones import (
     is_face_of,
     zero_cone,
 )
-from chowfan.intlinalg import Sublattice, dot, full_lattice, mat_vec, sublattice
+from chowfan.intlinalg import Sublattice, dot, full_lattice, mat_vec, solve_rational, sublattice, vadd, vscale
 from chowfan.monoids import (
     MonoidNotMapped,
     NotAFace,
@@ -28,6 +30,7 @@ from chowfan.monoids import (
     _hilbert_basis_full,
     _packed_columns,
     _parallelepiped_keys,
+    _plane_chain,
     _hermite_box,
     _sieve,
     _unimodular,
@@ -290,6 +293,80 @@ MANY_BLOCKS = (
 )
 
 
+# the explicit examples of test_packed_sieve_matches_tuple_sieve
+PACKED_EXAMPLES = (
+    # a candidate's value on (1, -3, 0) is 20, above every ray's (at most 12)
+    cone_from_generators([(2, -3, 2), (3, -3, -2), (3, 1, -3), (3, 1, 0)]),
+    MANY_BLOCKS[0],
+    MANY_BLOCKS[1],
+    cone_from_generators([(1, 0), (1, 200)]),
+    cone_from_generators([(1, 0, 0), (1, 3, 0), (1, 0, 3), (1, 3, 3)]),
+    cone_from_generators([(1, 0, 0, 0), (1, 2, 0, 0), (1, 0, 2, 0), (1, 0, 0, 2), (2, 1, 1, 1)]),
+)
+
+# the explicit examples of test_matches_vector_candidates
+KEYED_EXAMPLES = (
+    MANY_BLOCKS[0],
+    MANY_BLOCKS[1],
+    cone_from_generators([(1, 0, 0, 0), (1, 2, 0, 0), (0, 1, 2, 0)]),
+    # not full-dimensional and not unimodular, and [halfspaces; equations]
+    # has elementary divisors (1, 1, 3): keys are decoded over den = 3
+    cone_from_generators([(1, 0, 0), (1, 3, 0)]),
+    # the same in dimension 3, off height one, so sieved: elementary
+    # divisors (1, 1, 1, 3) and den = 3
+    cone_from_generators([(0, 0, 0, 1), (0, 0, 3, 2), (0, 1, 0, 0)]),
+    # six facets with entries up to 141, on which the earlier Smith loop did not return in 30 s
+    cone_from_generators([(2, -4, -3, 4), (3, -4, -1, -3), (3, -1, 4, 2), (3, 0, -2, 3), (3, 2, -3, 0)]),
+)
+
+
+def examples(cases):
+    """``hypothesis.example`` for each of ``cases``, in order."""
+
+    def apply(test):
+        for c in reversed(cases):
+            test = example(c)(test)
+        return test
+
+    return apply
+
+
+def counted_calls(monkeypatch, name):
+    """Replace ``chowfan.monoids.<name>`` by a wrapper that records the
+    arguments of each call in the returned list."""
+    calls = []
+    real = getattr(chowfan.monoids, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(chowfan.monoids, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("cases", [PACKED_EXAMPLES, KEYED_EXAMPLES], ids=["packed", "keyed"])
+def test_explicit_examples_reach_the_keyed_sieve(cases, monkeypatch):
+    # the plane and polygon rules take some examples; others still sieve
+    sieved = counted_calls(monkeypatch, "_sieve")
+    reached = []
+    for c in cases:
+        before = len(sieved)
+        _hilbert_basis_full(c)
+        reached.append(len(sieved) > before)
+    assert sum(reached) >= 3
+    assert not all(reached)
+
+
+def _matches_oracle_with_and_without_out(c):
+    expected = oracles.hilbert_basis_by_tuple_sieve(c)
+    assert _hilbert_basis_full(c) == expected
+    # built directly in other coordinates: x -> (x, sum(x))
+    out = [tuple(int(i == j) for j in range(c.ambient_rank)) for i in range(c.ambient_rank)]
+    out.append((1,) * c.ambient_rank)
+    assert _hilbert_basis_full(c, out) == tuple(sorted(mat_vec(out, x) for x in expected))
+
+
 class TestPackedDominance:
     @settings(deadline=None, max_examples=300)
     @given(packed_pairs())
@@ -337,13 +414,7 @@ class TestPackedDominance:
 
     @settings(deadline=None, max_examples=200)
     @given(st.one_of(rank3_cones, simplicial_cones(), _pointed_cones(3, 3, 3, 6), _pointed_cones(4, 2, 2, 6)))
-    # a candidate's value on (1, -3, 0) is 20, above every ray's (at most 12)
-    @example(cone_from_generators([(2, -3, 2), (3, -3, -2), (3, 1, -3), (3, 1, 0)]))
-    @example(MANY_BLOCKS[0])
-    @example(MANY_BLOCKS[1])
-    @example(cone_from_generators([(1, 0), (1, 200)]))
-    @example(cone_from_generators([(1, 0, 0), (1, 3, 0), (1, 0, 3), (1, 3, 3)]))
-    @example(cone_from_generators([(1, 0, 0, 0), (1, 2, 0, 0), (1, 0, 2, 0), (1, 0, 0, 2), (2, 1, 1, 1)]))
+    @examples(PACKED_EXAMPLES)
     def test_packed_sieve_matches_tuple_sieve(self, c):
         assume(c.is_strictly_convex)
         assert _hilbert_basis_full(c) == oracles.hilbert_basis_by_tuple_sieve(c)
@@ -352,33 +423,16 @@ class TestPackedDominance:
 class TestKeyedCandidates:
     @settings(deadline=None, max_examples=150)
     @given(st.one_of(simplicial_cones(500, 4000), embedded_cones(), several_simplices))
-    @example(MANY_BLOCKS[0])
-    @example(MANY_BLOCKS[1])
-    @example(cone_from_generators([(1, 0, 0, 0), (1, 2, 0, 0), (0, 1, 2, 0)]))
-    # not full-dimensional and not unimodular, and [halfspaces; equations]
-    # has elementary divisors (1, 1, 3): keys are decoded over den = 3
-    @example(cone_from_generators([(1, 0, 0), (1, 3, 0)]))
-    # six facets with entries up to 141, on which the earlier Smith loop did not return in 30 s
-    @example(cone_from_generators([(2, -4, -3, 4), (3, -4, -1, -3), (3, -1, 4, 2), (3, 0, -2, 3), (3, 2, -3, 0)]))
+    @examples(KEYED_EXAMPLES)
     def test_matches_vector_candidates(self, c):
         assume(c.is_strictly_convex)
-        expected = oracles.hilbert_basis_by_tuple_sieve(c)
-        assert _hilbert_basis_full(c) == expected
-        # built directly in other coordinates: x -> (x, sum(x))
-        out = [tuple(int(i == j) for j in range(c.ambient_rank)) for i in range(c.ambient_rank)]
-        out.append((1,) * c.ambient_rank)
-        assert _hilbert_basis_full(c, out) == tuple(sorted(mat_vec(out, x) for x in expected))
+        _matches_oracle_with_and_without_out(c)
 
     def test_vectors_are_built_for_kept_elements_only(self, monkeypatch):
-        # past the unimodular exit, mat_vec runs once per decoded key
-        built = []
-        real = chowfan.monoids.mat_vec
-
-        def counted(*args):
-            built.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(chowfan.monoids, "mat_vec", counted)
+        # past the unimodular exit, mat_vec runs once per decoded key,
+        # sieved (MANY_BLOCKS) or of height one (the square)
+        built = counted_calls(monkeypatch, "mat_vec")
+        sieved = counted_calls(monkeypatch, "_sieve")
         for c in MANY_BLOCKS + (cone_from_generators([(1, 0, 0), (1, 3, 0), (1, 0, 3), (1, 3, 3)]),):
             del built[:]
             basis = _hilbert_basis_full(c)
@@ -386,6 +440,107 @@ class TestKeyedCandidates:
             span = _span_lattice(c).basis
             points = sum(_hermite_box(s, span)[0] - 1 for s in chowfan.monoids._triangulate(c))
             assert len(built) < points + len(c.generators)
+        assert len(sieved) == len(MANY_BLOCKS)
+
+
+def _refused(*args):
+    raise AssertionError("a geometric rule reached the keyed sieve")
+
+
+def _shears(draw, n, bound):
+    """A product of ``n`` unimodular shears of Z^2 with factors in
+    ``[-bound, bound]``, alternately above and below the diagonal."""
+    u = [[1, 0], [0, 1]]
+    for i in range(n):
+        k = draw(st.integers(-bound, bound))
+        e = [[1, k], [0, 1]] if i % 2 else [[1, 0], [k, 1]]
+        u = [[sum(a * b for a, b in zip(row, col)) for col in zip(*e)] for row in u]
+    return u
+
+
+@st.composite
+def large_plane_cones(draw):
+    """Plane cones with entries up to 2^40 and determinant at most 300: the
+    rays ``(1, 0)`` and ``(p, d)`` carried by a product of shears, in Z^2
+    or through ``x -> (x, m.x)`` into Z^3."""
+    d = draw(st.integers(2, 300))
+    p = draw(st.integers(0, d - 1))
+    u = _shears(draw, draw(st.integers(0, 6)), 2**7)
+    rays = [mat_vec(u, (1, 0)), mat_vec(u, (p, d))]
+    if draw(st.booleans()):
+        m = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+        rays = [r + (dot(m, r),) for r in rays]
+    assume(max(abs(x) for r in rays for x in r) <= 2**40)
+    return cone_from_generators(rays)
+
+
+@st.composite
+def height_one_cones(draw):
+    """Cones over lattice polygons: 3-6 points ``(1, a, b)``, sheared by a
+    unimodular upper triangular matrix ``U``, and in Z^3 or carried into Z^4
+    by ``y -> (y, m.y)``, whose image is saturated."""
+    points = draw(st.lists(st.tuples(st.just(1), st.integers(-5, 5), st.integers(-5, 5)), min_size=3, max_size=6))
+    cols = [[int(i == j) if j <= i else draw(st.integers(-3, 3)) for j in range(3)] for i in range(3)]
+    if draw(st.booleans()):
+        cols.append(draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3)))
+    return cone_from_generators([mat_vec(cols, x) for x in points], ambient_rank=len(cols))
+
+
+# the 4 x 4 square at height one; the pulling triangulation cuts it along
+# the diagonal from (1, 0, 0), whose three inner points lie in both halves
+SQUARE = cone_from_generators([(1, 0, 0), (1, 4, 0), (1, 0, 4), (1, 4, 4)])
+
+
+class TestGeometricRules:
+    @settings(deadline=None, max_examples=150)
+    @given(large_plane_cones())
+    @example(cone_from_generators([(1, 0), (1, 200)]))
+    @example(cone_from_generators([(1, 0, 0), (1, 3, 0)]))
+    # entries of 2^40, determinant 100
+    @example(cone_from_generators([(2**40, 2**40 - 1), (2**40 - 100, 2**40 - 101)]))
+    def test_plane_chain_matches_tuple_sieve(self, c):
+        assume(c.dim == 2 and not _unimodular(c))
+        with mock.patch.object(chowfan.monoids, "_hermite_box", _refused):
+            _matches_oracle_with_and_without_out(c)
+
+    def test_plane_chain_is_the_minimal_resolution(self):
+        # in slope order, neighbours are lattice bases and b_{i-1} + b_{i+1}
+        # is a_i b_i with a_i = det(b_{i-1}, b_{i+1}) >= 2
+        def det(a, b):
+            return a[0] * b[1] - a[1] * b[0]
+
+        chain = sorted(_plane_chain(cone_from_generators([(1, 0), (23, 97)])), key=lambda x: Fraction(x[1], x[0]))
+        assert chain[0] == (1, 0) and chain[-1] == (23, 97) and len(chain) > 3
+        assert all(det(a, b) == 1 for a, b in zip(chain, chain[1:]))
+        for a, b, c in zip(chain, chain[1:], chain[2:]):
+            k = det(a, c)
+            assert k >= 2 and vadd(a, c) == vscale(k, b)
+
+    @settings(deadline=None, max_examples=150)
+    @given(height_one_cones())
+    @example(SQUARE)
+    @example(cone_from_generators([(1, 0, 0), (1, 3, 0), (1, 0, 3), (1, 3, 3)]))
+    def test_height_one_points_match_tuple_sieve(self, c):
+        assume(c.dim == 3 and not _unimodular(c))
+        with mock.patch.object(chowfan.monoids, "_sieve", _refused):
+            _matches_oracle_with_and_without_out(c)
+
+    def test_points_of_two_simplices_appear_once(self):
+        boxes = [oracles.parallelepiped_points(s) for s in chowfan.monoids._triangulate(SQUARE)]
+        found = [x for box in boxes for x in box if x[0] == 1]
+        assert len(boxes) == 2 and len(found) == 21 + 3
+        assert len(set(found)) == 21
+        basis = _hilbert_basis_full(SQUARE)
+        assert basis == tuple(sorted(product([1], range(5), range(5))))
+
+    def test_cones_off_height_one_reach_the_sieve(self, monkeypatch):
+        sieved = counted_calls(monkeypatch, "_sieve")
+        for c in (MANY_BLOCKS[0], cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2)])):
+            assert c.dim == 3 and not _unimodular(c)
+            assert solve_rational(c.generators, [1] * len(c.generators))[0] > 1
+            del sieved[:]
+            assert _hilbert_basis_full(c) == oracles.hilbert_basis_by_tuple_sieve(c)
+            assert len(sieved) == 1
 
 
 @st.composite
