@@ -12,7 +12,9 @@ Double description, in exact integer arithmetic, is the only polyhedral
 algorithm.  One run converts either description into the other and reports
 which rays lie on which input constraints; the input side is made canonical
 from that incidence (:func:`_cone_by_incidence`), which each cone keeps, so
-faces, facets and pull-backs to a lattice need no run.  It also decides
+faces, facets and pull-backs to a lattice need no run.  An intersection
+continues the run of one operand from its rays, lines and incidence, and
+inserts only the other operand's constraints.  It also decides
 strict feasibility: :func:`_strict_sample` finds an integer point of
 ``{s.x > 0, e.x == 0}`` as the sum of the rays of its closure, or shows
 there is none.  Arrangement cells reduce to it; affine slice types are
@@ -84,7 +86,7 @@ def _reduce_mod_rows(v: Sequence[int], rows: Mat) -> Vec:
 
 
 def double_description(
-    ineqs: Sequence[Sequence[int]], eqs: Sequence[Sequence[int]], rank: int
+    ineqs: Sequence[Sequence[int]], eqs: Sequence[Sequence[int]], rank: int, start: Optional[Cone] = None
 ) -> tuple[tuple[Vec, ...], Mat, tuple[int, ...]]:
     """Extreme rays, lineality basis and incidence of ``{x : ineqs.x >= 0, eqs.x == 0}``.
 
@@ -96,11 +98,29 @@ def double_description(
     (Fukuda & Prodon, "Double description method revisited", 1996): they
     share at least ``d - 2`` of them, ``d`` the dimension of the current
     cone modulo its lineality, and no third ray is tight on all shared ones.
+
+    With a ``start`` cone the run continues from its double-description
+    pair and converts ``start ∩ {ineqs.x >= 0, eqs.x == 0}``: the rays,
+    lines and incidence of ``start`` are already the state the insertions
+    need (its halfspaces vanish on its lines and, with their tight sets,
+    describe it completely inside its span).  Bits ``0 .. m-1`` are then
+    ``start.halfspaces``, the next ones ``ineqs``, and each equation
+    follows as two inequalities, ``e`` and ``-e``.
     """
-    lineality: list[Vec] = [tuple(r) for r in identity_matrix(rank)]
-    rays: list[Vec] = []
-    tight: list[int] = []
-    pointed_dim = 0  # one per inequality that cut the lineality space
+    if start is None:
+        lineality: list[Vec] = [tuple(r) for r in identity_matrix(rank)]
+        rays: list[Vec] = []
+        tight: list[int] = []
+        pointed_dim = 0  # one per inequality that cut the lineality space
+        first_bit = 0
+    else:
+        lineality = list(start.lineality)
+        rays = list(start.generators)
+        tight = list(_transpose_masks(start.incidence, len(rays)))
+        pointed_dim = start.dim - start.lineality_dim
+        first_bit = len(start.halfspaces)
+        ineqs = list(ineqs) + [v for e in eqs for v in (tuple(e), vscale(-1, e))]
+        eqs = ()
 
     def cut_lineality(h: Vec) -> Vec:
         """Slice the lineality space along h; returns the removed direction
@@ -128,7 +148,7 @@ def double_description(
         if any(e) and any(sum(map(mul, e, l)) for l in lineality):
             cut_lineality(e)
 
-    for i, h_raw in enumerate(ineqs):
+    for i, h_raw in enumerate(ineqs, first_bit):
         h = tuple(h_raw)
         bit = 1 << i
         if any(sum(map(mul, h, l)) for l in lineality):
@@ -340,12 +360,24 @@ def cone_from_halfspaces(
         if not pool:
             raise ValueError("ambient_rank required for the full space")
         ambient_rank = len(pool[0])
-    rays, lin, on_ray = double_description(halfspaces, equations, ambient_rank)
-    cached = _cone_cache.get((ambient_rank, rays, lin))
+    run = double_description(halfspaces, equations, ambient_rank)
+    return _cone_from_run(ambient_rank, run, halfspaces, equations)
+
+
+def _cone_from_run(
+    rank: int, run: tuple[tuple[Vec, ...], Mat, tuple[int, ...]], constraints: Sequence[Vec],
+    equations: Sequence[Vec],
+) -> Cone:
+    """The interned cone of ``run``, a double description of the cone cut
+    out by ``constraints`` and ``equations`` whose tight bits number the
+    ``constraints`` first: looked up by its canonical rays and lines, or
+    its facets read off that incidence (:func:`_cone_by_incidence`)."""
+    rays, lin, on_ray = run
+    cached = _cone_cache.get((rank, rays, lin))
     if cached is not None:
         return cached
-    tight = _transpose_masks(on_ray, len(halfspaces))
-    return _intern(_cone_by_incidence(ambient_rank, rays, lin, halfspaces, tight, equations))
+    tight = _transpose_masks(on_ray, len(constraints))
+    return _intern(_cone_by_incidence(rank, rays, lin, constraints, tight, equations))
 
 
 def zero_cone(ambient_rank: int) -> Cone:
@@ -365,20 +397,31 @@ def dual_cone(c: Cone) -> Cone:
 def intersect_cones(a: Cone, b: Cone) -> Cone:
     """The cone ``a ∩ b``, cut out by the constraints of both.
 
-    The result is kept on ``a``, keyed by ``b.key()``: it depends only on
-    the canonical data of the two cones, so a repeat call with the same
-    ``a`` (an interned cone is shared by the whole process) runs no double
-    description.
+    The double description continues from the operand with more
+    constraints (each equation counted twice; ``a`` on a tie) and inserts
+    only the other's, and the facets are read off the incidence of both
+    operands' halfspaces (:func:`_cone_by_incidence`); the result is
+    canonical whichever operand starts.  It is kept on ``a``, keyed by
+    ``b.key()``: it depends only on the canonical data of the two cones,
+    so a repeat call with the same ``a`` (an interned cone is shared by
+    the whole process) runs no double description.
     """
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient ranks differ")
     memo, key = _memo(a, "_intersect_cache"), b.key()
     out = memo.get(key)
     if out is None:
-        out = memo[key] = cone_from_halfspaces(
-            a.halfspaces + b.halfspaces, a.equations + b.equations, a.ambient_rank
+        start, other = (a, b) if _constraint_count(a) >= _constraint_count(b) else (b, a)
+        run = double_description(other.halfspaces, other.equations, a.ambient_rank, start)
+        out = memo[key] = _cone_from_run(
+            a.ambient_rank, run, start.halfspaces + other.halfspaces, start.equations + other.equations
         )
     return out
+
+
+def _constraint_count(c: Cone) -> int:
+    """The inequalities a double description inserts for ``c``'s H-description."""
+    return len(c.halfspaces) + 2 * len(c.equations)
 
 
 def image_cone(matrix: Mat, c: Cone) -> Cone:

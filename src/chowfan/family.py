@@ -192,7 +192,7 @@ def component_bijection(fam: UniversalFamily, base_index: int) -> dict[int, int]
     targets = fam.chow.cone_data[base_index].point_fiber_cones
     if len(set(mapping.values())) != len(mapping) or set(mapping.values()) != set(targets):
         raise InternalConsistencyError(
-            "components do not biject onto single-point-slice cones"
+            f"quotient cone {base_index}: components do not biject onto single-point-slice cones"
         )
     return mapping
 
@@ -244,7 +244,7 @@ def _wall_direction_lattice(fam: UniversalFamily, wall_index: int) -> Vec:
     k = lattice_intersection(_span_lattice(c), fam.chow.sub)
     if k.rank != 1:
         raise InternalConsistencyError(
-            "wall span must meet the acting sublattice in a line"
+            f"wall {wall_index}: span must meet the acting sublattice in a line"
         )
     return k.basis[0]
 
@@ -291,7 +291,9 @@ def _classify_wall(fam: UniversalFamily, base_index: int, wall_index: int) -> Wa
         diff = vsub(vscale(d1, l2), vscale(d2, l1))
     n = _parallel_multiple(diff, u0)
     if n == 0:
-        raise InternalConsistencyError("wall direction degenerated to zero")
+        raise InternalConsistencyError(
+            f"wall {wall_index} over quotient cone {base_index}: direction degenerated to zero"
+        )
     direction = u0 if n > 0 else vscale(-1, u0)
     return Wall(wall_index, base_index, kind, tuple(iso), direction)
 
@@ -314,7 +316,10 @@ def segment_length(
     v2 = integral_lift(proj, fam.fan.cones[w.iso_faces[1]], value)
     m = _parallel_multiple(vsub(v2, v1), w.direction)
     if m < 0:
-        raise InternalConsistencyError("gluing length came out negative")
+        raise InternalConsistencyError(
+            f"wall {wall_index} over quotient cone {base_index}: gluing length {m} "
+            f"at {tuple(value)} came out negative"
+        )
     return m
 
 
@@ -364,7 +369,7 @@ def fiber_complex(fam: UniversalFamily, base_index: int) -> FiberComplex:
             higher.append((k, level))
         k += 1
     edges = tuple((w.iso_faces[0], w.iso_faces[1], w.index) for w in internal)
-    _assert_connected(comps, edges)
+    _assert_connected(comps, edges, base_index)
     q_basis = fam.chow.cone_data[base_index].monoid.hilbert_basis
     gluing = tuple(
         tuple((v, segment_length(fam, base_index, w.index, v)) for v in q_basis) for w in internal
@@ -374,9 +379,9 @@ def fiber_complex(fam: UniversalFamily, base_index: int) -> FiberComplex:
     )
 
 
-def _assert_connected(vertices: tuple[int, ...], edges) -> None:
+def _assert_connected(vertices: tuple[int, ...], edges, base_index: int) -> None:
     if not vertices:
-        raise InternalConsistencyError("fiber has no components")
+        raise InternalConsistencyError(f"quotient cone {base_index}: fiber has no components")
     reached = {vertices[0]}
     frontier = [vertices[0]]
     adj: dict[int, list[int]] = {v: [] for v in vertices}
@@ -390,7 +395,9 @@ def _assert_connected(vertices: tuple[int, ...], edges) -> None:
                 reached.add(w)
                 frontier.append(w)
     if reached != set(vertices):
-        raise InternalConsistencyError("fiber adjacency graph is disconnected")
+        raise InternalConsistencyError(
+            f"quotient cone {base_index}: fiber adjacency graph is disconnected"
+        )
 
 
 def adjacency_dot(fam: UniversalFamily, fc: FiberComplex) -> str:
@@ -597,7 +604,9 @@ def _basic_monoid(fam: UniversalFamily, base_index: int) -> BasicMonoidPresentat
     cone = cone_from_halfspaces(halfspaces, equations, total)
     monoid = saturated_monoid(cone, full_lattice(total))
     if not monoid.is_pointed:
-        raise InternalConsistencyError("basic monoid presentation has units")
+        raise InternalConsistencyError(
+            f"quotient cone {base_index}: basic monoid presentation has units"
+        )
     return BasicMonoidPresentation(
         base_index, comps, tuple(relations), monoid, rank, tuple(collisions)
     )

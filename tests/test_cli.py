@@ -83,6 +83,34 @@ class TestParseInput:
             parse_input('{"lattice_rank": 2}')
         assert "maximal_cones" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "rank, maximal_cones, violations",
+        [
+            (
+                2,
+                [[[1, 0], [-1, 0]], [[0, 1], [0, -1]]],
+                "cone 0 contains a line; cone 1 contains a line; "
+                "intersection of cones 0 and 1 is not a common face",
+            ),
+            (
+                3,
+                [[[1, 0, 0], [0, 1, 0], [0, -1, 0]], [[0, 1, 0], [1, 0, 0], [-1, 0, 0]], [[1, 1, 1]]],
+                "cone 1 contains a line; cone 2 contains a line; cone 4 contains a line; "
+                "cone 5 contains a line; intersection of cones 3 and 4 is not a common face; "
+                "intersection of cones 3 and 5 is not a common face; "
+                "intersection of cones 4 and 5 is not a common face",
+            ),
+        ],
+        ids=["two-lines", "two-half-planes-and-a-ray"],
+    )
+    def test_fans_of_lines_report_their_violations(self, tmp_path, capsys, rank, maximal_cones, violations):
+        # validate_fan intersects maximal cones that contain lines
+        path = tmp_path / "lines.json"
+        sub = [[1] + [0] * (rank - 1)]
+        path.write_text(json.dumps({"lattice_rank": rank, "maximal_cones": maximal_cones, "sublattice": sub}))
+        assert _run(["validate", str(path)]) == (3, "")
+        assert capsys.readouterr().err == f"validation error: invalid fan: {violations}\n"
+
 
 P2_CONES = [[[1, 0], [0, 1]], [[0, 1], [-1, -1]], [[-1, -1], [1, 0]]]
 

@@ -381,6 +381,71 @@ class TestOneConversion:
         assert pulled.incidence == oracles.incidence_by_dot_products(pulled)
 
 
+def _vectors(rank):
+    return st.tuples(*[st.integers(-3, 3)] * rank)
+
+
+def _cones_in(rank):
+    return st.tuples(st.lists(_vectors(rank), max_size=rank + 1), st.lists(_vectors(rank), max_size=1)).map(
+        lambda t: cone_from_generators(t[0], t[1], ambient_rank=rank)
+    )
+
+
+cone_pairs = st.integers(2, 4).flatmap(lambda rank: st.tuples(_cones_in(rank), _cones_in(rank)))
+# a start cone, inequalities and equations
+started_runs = st.integers(2, 4).flatmap(
+    lambda rank: st.tuples(
+        _cones_in(rank), st.lists(_vectors(rank), max_size=3), st.lists(_vectors(rank), max_size=1)
+    )
+)
+
+
+class TestContinuedConversion:
+    """An intersection continues the double description of one operand."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(cone_pairs)
+    # both operands with lines
+    @example((cone_from_generators([(1, 0, 0)], [(0, 1, 0)]), cone_from_generators([(0, 1, 0)], [(1, 0, 0)])))
+    @example((cone_from_generators([], [(1, 0)]), cone_from_generators([], [(0, 1)])))
+    # lower-dimensional operands
+    @example((cone_from_generators([(1, 0, 0), (0, 1, 0)]), cone_from_generators([(1, 1, 0), (1, -1, 0)])))
+    @example((cone_from_generators([(1, 0, 0, 1)]), cone_from_generators([(1, 0, 0, 0), (0, 0, 0, 1)])))
+    # one operand containing the other
+    @example((cone_from_generators([(1, 0), (0, 1)]), cone_from_generators([(1, 1), (1, 2)])))
+    @example((cone_from_generators([(1, 1, 0)]), cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])))
+    # the intersection is {0}
+    @example((cone_from_generators([(1, 0), (0, 1)]), cone_from_generators([(-1, 0), (0, -1)])))
+    @example((cone_from_generators([(1, 2, 3)]), cone_from_generators([(-1, 0, 0)], [(0, 1, 1)])))
+    def test_intersection_matches_two_conversions(self, pair):
+        a, b = pair
+        rank = a.ambient_rank
+        expected = oracles.cone_by_two_conversions(
+            a.halfspaces + b.halfspaces, a.equations + b.equations, rank, from_halfspaces=True
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            for x, y in ((a, b), (b, a)):
+                # no interned result and no memo: the facets are read off this run
+                mp.setattr(cones, "_cone_cache", {})
+                inter = intersect_cones(replace(x), y)
+                assert _fields(inter) == expected
+                assert inter.incidence == oracles.incidence_by_dot_products(inter)
+
+    @settings(deadline=None, max_examples=150)
+    @given(started_runs)
+    @example((cone_from_generators([(1, 0, 0)], [(0, 1, 0)]), [(0, 1, 1), (-1, 0, 1)], [(0, 1, 0)]))
+    @example((zero_cone(2), [(1, 0)], [(0, 1)]))
+    def test_started_run_matches_run_from_scratch(self, case):
+        start, ineqs, eqs = case
+        rank = start.ambient_rank
+        rays, lin, tight = cones.double_description(ineqs, eqs, rank, start)
+        expected = cones.double_description(list(start.halfspaces) + ineqs, list(start.equations) + eqs, rank)
+        assert (rays, lin) == expected[:2]
+        # the bits of start.halfspaces and ineqs are the same incidence
+        low = (1 << len(start.halfspaces) + len(ineqs)) - 1
+        assert [t & low for t in tight] == list(expected[2])
+
+
 class TestInterning:
     @pytest.fixture
     def dd_calls(self, monkeypatch):

@@ -5,8 +5,8 @@ import pytest
 from chowfan import replace
 from chowfan.chow import chow_quotient
 from chowfan.cones import Fan, cone_from_generators, zero_cone
-from chowfan.intlinalg import sublattice, zero_sublattice
-from chowfan.monoids import member, monoid_from_cone
+from chowfan.intlinalg import full_lattice, sublattice, zero_sublattice
+from chowfan.monoids import member, monoid_from_cone, saturated_monoid
 from chowfan.stacks import InternalConsistencyError
 from chowfan.family import (
     adjacency_dot,
@@ -463,3 +463,73 @@ class TestTropicalCones:
         kzero = fam.base.fan.index_of(zero_cone(1))
         t = tropical_moduli_cone(fam, kzero)
         assert t.ambient_rank == 0
+
+
+class TestConsistencyErrorsNameCones:
+    """Each internal-consistency failure over a quotient cone names the
+    cones involved; none is reachable from valid input, so each is forced."""
+
+    @pytest.fixture
+    def setup(self):
+        fam = _fam_p1p1()
+        k = fam.base.fan.index_of(cone_from_generators([(1,)]))
+        return fam, k, fiber_complex(fam, k).internal_walls[0]
+
+    def test_component_bijection_names_the_base_cone(self, setup, monkeypatch):
+        import chowfan.family as family
+
+        fam, k, _ = setup
+        monkeypatch.setattr(family, "cones_over", lambda fam, base_index, rel: ())
+        with pytest.raises(InternalConsistencyError, match=f"^quotient cone {k}: components do not biject"):
+            component_bijection(fam, k)
+
+    def test_wall_direction_names_the_wall(self, setup, monkeypatch):
+        import chowfan.family as family
+
+        fam, _, w = setup
+        monkeypatch.setattr(family, "lattice_intersection", lambda a, b: zero_sublattice(2))
+        with pytest.raises(InternalConsistencyError, match=f"^wall {w.index}: span must meet"):
+            family._wall_direction_lattice(fam, w.index)
+
+    def test_degenerate_direction_names_the_wall_and_base_cone(self, setup, monkeypatch):
+        import chowfan.family as family
+
+        fam, k, w = setup
+        monkeypatch.setattr(family, "_parallel_multiple", lambda diff, u: 0)
+        with pytest.raises(
+            InternalConsistencyError, match=f"^wall {w.index} over quotient cone {k}: direction degenerated"
+        ):
+            family._classify_wall(fam, k, w.index)
+
+    def test_negative_gluing_length_names_the_wall_base_cone_and_value(self, setup, monkeypatch):
+        import chowfan.family as family
+
+        fam, k, w = setup
+        v = fam.chow.cone_data[k].monoid.hilbert_basis[0]
+        monkeypatch.setattr(family, "_parallel_multiple", lambda diff, u: -3)
+        expected = f"wall {w.index} over quotient cone {k}: gluing length -3 at {v} came out negative"
+        with pytest.raises(InternalConsistencyError, match=f"^{re.escape(expected)}$"):
+            segment_length(fam, k, w.index, v)
+
+    def test_disconnected_fiber_names_the_base_cone(self, setup, monkeypatch):
+        import chowfan.family as family
+
+        fam, k, _ = setup
+        real = family.wall_structure
+        monkeypatch.setattr(
+            family, "wall_structure", lambda fam, b, i: replace(real(fam, b, i), kind="boundary")
+        )
+        with pytest.raises(InternalConsistencyError, match=f"^quotient cone {k}: fiber adjacency graph"):
+            fiber_complex(fam, k)
+        with pytest.raises(InternalConsistencyError, match="^quotient cone 5: fiber has no components"):
+            family._assert_connected((), (), 5)
+
+    def test_basic_monoid_with_units_names_the_base_cone(self, setup, monkeypatch):
+        import chowfan.family as family
+
+        fam, k, _ = setup
+        line = saturated_monoid(cone_from_generators([], [(1,)], ambient_rank=1), full_lattice(1))
+        assert not line.is_pointed
+        monkeypatch.setattr(family, "saturated_monoid", lambda cone, lattice: line)
+        with pytest.raises(InternalConsistencyError, match=f"^quotient cone {k}: basic monoid presentation has units"):
+            family._basic_monoid(fam, k)
