@@ -33,6 +33,7 @@ from .cones import (
     NotComplete,
     _span_lattice,
     _strict_sample,
+    all_faces,
     cone_from_generators,
     cone_from_halfspaces,
     fan_from_cones,
@@ -258,8 +259,19 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
 
     gfan = fan_from_cones(merged.values(), ambient_rank=q)
     if len(gfan.cones) != len(merged):
+        # no two classes close up to one cone, as each contains a sample of
+        # the other in its relative interior; so some face is no class
+        classes = {cone.key() for cone in merged.values()}
+        inv, face = next(
+            (inv, face)
+            for inv, cone in merged.items()
+            for face in all_faces(cone)
+            if face.key() not in classes
+        )
         raise InternalConsistencyError(
-            "quotient classes are not closed under taking faces"
+            f"quotient classes are not closed under taking faces: the class with "
+            f"meeting set {sorted(inv)} and rays {list(merged[inv].generators)} "
+            f"has the face with rays {list(face.generators)}, which is no class"
         )
     grep = validate_fan(gfan)
     if not grep.ok:

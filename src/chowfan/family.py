@@ -234,7 +234,7 @@ def integral_lift(proj, c: Cone, value: Sequence[int]) -> Vec:
     d, lifted = lift_into_span(proj, c, value)
     if d != 1:
         raise InternalConsistencyError(
-            f"lift of {tuple(value)} into a section is not integral"
+            f"section cone with rays {list(c.generators)}: lift of {tuple(value)} is not integral"
         )
     return lifted
 

@@ -14,24 +14,25 @@ The workhorse is :func:`saturated_monoid`.  The Hilbert basis of
    §1.6; Cox–Little–Schenck, *Toric Varieties*, 2011, §10.2), in time
    linear in the basis;
 3. for a 3-dimensional cone whose rays an integral functional ``g`` puts
-   at height 1, the lattice points at height 1: the cone is the cone over
-   a lattice polygon, and every lattice polygon is normal
-   (Cox–Little–Schenck 2011, §2.2), so a point of height 2 or more is a
-   sum of points of height 1;
+   at height 1 (one 3 × 3 adjugate), the lattice points at height 1: the
+   cone is the cone over a lattice polygon, and every lattice polygon is
+   normal (Cox–Little–Schenck 2011, §2.2), so a point of height 2 or more
+   is a sum of points of height 1.  They are scanned row by row parallel
+   to an edge, at most ``2 * #points + 1`` rows by Pick's theorem, in time
+   linear in the basis (:func:`_polygon_points`);
 4. otherwise, an irreducibility sieve.
 
-Rules 3 and 4 enumerate candidates by a pulling triangulation and an
+Only rule 4 enumerates candidates, by a pulling triangulation and an
 integer enumeration of each simplex's fundamental parallelepiped (one
 Hermite form per simplex, of its rays' coordinates in the cone's span
 lattice: the box of its diagonal, with no rational solve per point).
 
 Every candidate is one integer key ``K(x) = grade(x) << S | packed(x)``:
-its grade above its halfspace values packed into guarded bit fields.
+its grade, the sum of the facet normals, above its halfspace values
+packed into guarded bit fields.
 ``K`` is linear, so a parallelepiped point gets its key from its ray
 coefficients and the rays' keys, with no vector built; on a pointed cone
 the halfspace values fix the point, so equal keys are equal points.
-Under rule 3 the grade is ``g`` and the basis is the distinct keys of
-grade 1.  Under rule 4 the grade is the sum of the facet normals.
 Sorting the keys sorts by grade, and elements of equal grade never reduce
 each other, so their order does not matter.  The sieve reads grade and
 fields off the key, tries only reducers of at most half a candidate's
@@ -90,14 +91,15 @@ from .intlinalg import (
     mat,
     mat_mul,
     mat_vec,
+    primitive,
     quotient_map,
     require_shape,
     row_lattice_hnf,
-    solve_rational,
     transpose,
     vadd,
     vec,
     vscale,
+    vsub,
     zero_sublattice,
 )
 
@@ -390,6 +392,85 @@ def _plane_chain(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
     return tuple(sorted(tuple([x * i + y * j for i, j in zip(p, q)]) for x, y in chain))
 
 
+def _cross(a: Sequence[int], b: Sequence[int]) -> Vec:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _polygon_points(c: Cone, out: Optional[Mat] = None) -> Optional[tuple[Vec, ...]]:
+    """Hilbert basis of the strictly convex 3-dimensional ``c``, each
+    element given as ``out @ x``, sorted, if an integral functional ``g``
+    is 1 on every ray; None otherwise.
+
+    Let ``u_k`` be the rays in the coordinates of the span lattice's basis.
+    The first three are independent (three vertices of a convex polygon are
+    never collinear), and with ``U`` their matrix ``g = adj(U) @ (1, 1, 1)
+    / det U``: the sum of the columns ``u_1 × u_2``, ``u_2 × u_0`` and
+    ``u_0 × u_1`` of ``adj(U)``, over ``det U = u_0 . (u_1 × u_2)``.  The
+    cone is at height one iff ``det U`` divides that sum and ``u_k . g ==
+    1`` for every further ray.  It is then the cone over a lattice polygon,
+    and every lattice polygon is normal (Cox–Little–Schenck, *Toric
+    Varieties*, 2011, §2.2): a point of height 2 or more is a sum of points
+    of height 1, so the basis is the lattice points of height 1.
+
+    They are read row by row, parallel to an edge.  A facet normal divided
+    by its content on the span lattice is a primitive functional there;
+    ``h`` is the one whose largest value ``top = max_k h . u_k`` is least,
+    so the rows are fewest.  The rays ``u_i``, ``u_j`` of its facet span
+    the edge of direction ``e = primitive(u_j - u_i)``, and ``u_i``, ``e``
+    are a basis of the facet's plane lattice (``g`` is 1 on ``u_i`` and 0
+    on ``e``).  So with ``h . q == 1`` (one Hermite form of the column
+    ``h``) and ``f = q - (g . q) u_i``, the points of height 1 are
+    ``u_i + t f + s e`` for integers ``s``, ``t`` with ``t = h . x`` in
+    ``[0, top]``.  On row ``t`` every facet not parallel to the edge
+    bounds ``s`` by one floor or ceiling division; a facet with
+    ``h' . e == 0`` is ``h`` or the edge opposite it, at ``t == top``.
+    The triangle on the edge and a ray at ``t == top`` has area at least
+    ``top / 2`` and, by Pick's theorem, less than the number of points
+    (Beck & Robins, *Computing the Continuous Discretely*, 2007, ch. 2),
+    so there are at most ``2 * #points + 1`` rows and the work is linear
+    in the basis.  The size ``sum(hi - lo + 1)`` is known before any
+    vector is built; each point is the previous one plus ``out @ e``, made
+    by ``zip`` over ranges, with no ``mat_vec`` per point.
+    """
+    span = _span_lattice(c).basis
+    u = [coordinates_in(span, r) for r in c.generators]
+    u0, u1, u2 = u[:3]
+    columns = (_cross(u1, u2), _cross(u2, u0), _cross(u0, u1))
+    det = dot(u0, columns[0])
+    g = [x + y + z for x, y, z in zip(*columns)]
+    if any(x % det for x in g):
+        return None
+    g = [x // det for x in g]
+    if any(dot(g, x) != 1 for x in u[3:]):
+        return None
+    on_span = [primitive(x) for x in mat_mul(c.halfspaces, transpose(span))]  # primitive on the span
+    heights = [max(dot(h, x) for x in u) for h in on_span]
+    top = min(heights)
+    h = on_span[heights.index(top)]
+    i, j = (k for k, x in enumerate(u) if not dot(h, x))
+    e = primitive(vsub(u[j], u[i]))
+    q = hermite_normal_form([(x,) for x in h])[1][0]  # the form is (1, 0, 0), as h is primitive
+    f = vsub(q, vscale(dot(g, q), u[i]))
+    lower, upper = [], []  # (|h'.e|, h'.u_i, h'.f) of the facets bounding s below, above
+    for other in on_span:
+        slope = dot(other, e)
+        if slope:
+            (lower if slope > 0 else upper).append((abs(slope), dot(other, u[i]), dot(other, f)))
+    rows = []
+    for t in range(top + 1):
+        lo = max(-((v + t * w) // s) for s, v, w in lower)
+        hi = min((v + t * w) // s for s, v, w in upper)
+        if lo <= hi:
+            rows.append((t, lo, hi - lo + 1))
+    lift = transpose(span) if out is None else mat_mul(out, transpose(span))
+    origin, rise, step = (mat_vec(lift, x) for x in (u[i], f, e))
+    points = []
+    for t, lo, n in rows:
+        start = [x + t * y + lo * z for x, y, z in zip(origin, rise, step)]
+        points.extend(zip(*[range(x, x + n * z, z) if z else repeat(x, n) for x, z in zip(start, step)]))
+    return tuple(sorted(points))
+
+
 def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
     """Hilbert basis of ``c ∩ Z^rank`` for a strictly convex cone, each
     element ``x`` given as ``out @ x`` (``x`` itself if ``out`` is None),
@@ -401,23 +482,24 @@ def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
     2. a 2-dimensional cone's basis is its Hirzebruch–Jung chain
        (:func:`_plane_chain`);
     3. a 3-dimensional cone with an integral functional ``g`` that is 1 on
-       every ray (found by :func:`solve_rational`) is the cone over a
-       lattice polygon, and every lattice polygon is normal
-       (Cox–Little–Schenck, *Toric Varieties*, 2011, §2.2): each point of
-       height ``g(x) >= 2`` is a sum of points of height 1, so the basis is
-       exactly the lattice points of height 1, the candidate keys (below)
-       of grade 1 when ``g`` is the grading, with no sieve;
-    4. otherwise the keyed candidates are sieved.
+       every ray is the cone over a lattice polygon, and every lattice
+       polygon is normal (Cox–Little–Schenck, *Toric Varieties*, 2011,
+       §2.2): each point of height ``g(x) >= 2`` is a sum of points of
+       height 1, so the basis is exactly the lattice points of height 1,
+       scanned in rows parallel to an edge (:func:`_polygon_points`, which
+       also tests the height by one 3 × 3 adjugate): at most
+       ``2 * #points + 1`` rows, no candidate, key or sieve;
+    4. otherwise the keyed candidates below are sieved.
 
-    Every candidate is a ray or a nonzero point of the half-open
-    parallelepiped of a simplex of a pulling triangulation, a sum of rays
-    with coefficients below 1; so its halfspace values lie in ``[0, top]``
-    with ``top = max_h sum_r h.r``.  Under rule 3 each point of height 1
-    lies in such a simplex with coefficients summing to 1, so it is a ray
-    or a parallelepiped point.  Under rule 4 the candidates are sieved in
-    grade order: ``x`` is reducible iff ``x - b`` lies in the cone for an
-    irreducible ``b`` with ``2 * grade(b) <= grade(x)``, since a sum of
-    two or more irreducibles has a summand of at most half its grade.
+    Only rule 4 enumerates candidates.  Every candidate is a ray or a
+    nonzero point of the half-open parallelepiped of a simplex of a pulling
+    triangulation, a sum of rays with coefficients below 1; so its
+    halfspace values lie in ``[0, top]`` with ``top = max_h sum_r h.r``.
+    The candidates are sieved in grade order, the grade being the sum of
+    the facet normals: ``x`` is reducible iff ``x - b`` lies in the cone
+    for an irreducible ``b`` with ``2 * grade(b) <= grade(x)``, since a
+    sum of two or more irreducibles has a summand of at most half its
+    grade.
 
     Each candidate is one integer key ``K(x) = grade(x) << S | packed(x)``,
     with ``packed`` the halfspace values in guarded fields (below) and
@@ -465,9 +547,11 @@ def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
         return tuple(sorted(c.generators if out is None else [mat_vec(out, r) for r in c.generators]))
     if c.dim == 2:
         return _plane_chain(c, out)
-    height = solve_rational(c.generators, [1] * len(c.generators)) if c.dim == 3 else None
-    polygon = height is not None and height[0] == 1
-    grading = height[1] if polygon else _grading(c)
+    if c.dim == 3:
+        points = _polygon_points(c, out)
+        if points is not None:
+            return points
+    grading = _grading(c)
     cols, guard = _packed_columns(c.halfspaces, c.ambient_rank, _value_bound(c))
     shift = guard.bit_length()
     key_cols = [(g << shift) + col for g, col in zip(grading, cols)]
@@ -478,11 +562,8 @@ def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
         det, factors = _hermite_box(simplex, span)
         if det > 1:
             candidates.extend(_parallelepiped_keys([ray_keys[r] for r in simplex], det, factors))
-    if polygon:
-        kept = {key for key in candidates if key >> shift == 1}
-    else:
-        candidates.sort()
-        kept = _sieve(candidates, guard)
+    candidates.sort()
+    kept = _sieve(candidates, guard)
     inverse, den = _value_inverse(c)
     if out is not None:
         inverse = mat_mul(out, inverse)

@@ -675,7 +675,8 @@ def test_geometric_rules_match_tuple_sieve_on_acceptance_monoids(monkeypatch, tm
     computes on the three fixtures and the ten corpus inputs, past the
     unimodular exit: the plane chain (dimension 2) and the height-one
     points (cones over lattice polygons) equal the tuple sieve, with the
-    caller's ``out`` and without, and neither reaches the keyed sieve."""
+    caller's ``out`` and without, and neither reaches the keyed path: no
+    parallelepiped box, no key and no sieve."""
     calls = []
     real = monoids._hilbert_basis_full
 
@@ -691,14 +692,14 @@ def test_geometric_rules_match_tuple_sieve_on_acceptance_monoids(monkeypatch, tm
     for path in paths:
         monkeypatch.setattr(cones, "_cone_cache", {})
         assert run(["all", "--bound", "4", str(path)], stdout=io.StringIO()) == 0
-    sieved = []
-    real_sieve = monoids._sieve
+    keyed = []
+    for name in ("_hermite_box", "_parallelepiped_keys", "_sieve"):
 
-    def counted(*args):
-        sieved.append(args)
-        return real_sieve(*args)
+        def counted(*args, real_step=getattr(monoids, name), name=name):
+            keyed.append(name)
+            return real_step(*args)
 
-    monkeypatch.setattr(monoids, "_sieve", counted)
+        monkeypatch.setattr(monoids, name, counted)
     rules = {2: 0, 3: 0}
     for c, out in dict.fromkeys(calls):
         if c.dim not in rules or monoids._unimodular(c):
@@ -706,12 +707,12 @@ def test_geometric_rules_match_tuple_sieve_on_acceptance_monoids(monkeypatch, tm
         height = solve_rational(c.generators, [1] * len(c.generators))
         if c.dim == 3 and (height is None or height[0] > 1):
             continue
-        del sieved[:]
+        del keyed[:]
         expected = oracles.hilbert_basis_by_tuple_sieve(c)
         assert real(c) == expected
         if out is not None:
             assert real(c, out) == tuple(sorted(mat_vec(out, x) for x in expected))
-        assert sieved == []
+        assert keyed == []
         rules[c.dim] += 1
     assert rules[2] > 10 and rules[3] > 10
     _announce(f"plane chains on {rules[2]} and height-one points on {rules[3]} cones "

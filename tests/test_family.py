@@ -533,3 +533,26 @@ class TestConsistencyErrorsNameCones:
         monkeypatch.setattr(family, "saturated_monoid", lambda cone, lattice: line)
         with pytest.raises(InternalConsistencyError, match=f"^quotient cone {k}: basic monoid presentation has units"):
             family._basic_monoid(fam, k)
+
+    def test_non_integral_lift_names_the_section_cone_and_value(self, setup, monkeypatch):
+        import chowfan.family as family
+
+        fam, _, w = setup
+        sec = fam.fan.cones[w.iso_faces[0]]
+        monkeypatch.setattr(family, "lift_into_span", lambda proj, c, value: (2, (0,) * c.ambient_rank))
+        expected = f"section cone with rays {list(sec.generators)}: lift of (3,) is not integral"
+        with pytest.raises(InternalConsistencyError, match=f"^{re.escape(expected)}$"):
+            family.integral_lift(fam.chow.projection, sec, [3])
+
+    def test_classes_not_closed_under_faces_names_the_class_and_face(self, monkeypatch):
+        import chowfan.chow as chow
+
+        # without the cell of the origin, the zero cone is no class
+        real = chow._cell_split
+        monkeypatch.setattr(chow, "_cell_split", lambda normals, rank: [x for x in real(normals, rank) if any(x[1])])
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"^quotient classes are not closed under taking faces: the class with meeting set \[[0-9, ]+\] "
+            r"and rays \[\(-?1,\)\] has the face with rays \[\], which is no class$",
+        ):
+            chow_quotient(p1p1_fan(), sublattice(2, [[1, 1]]))

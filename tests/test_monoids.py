@@ -1,8 +1,9 @@
 import io
 import random
 from fractions import Fraction
+from contextlib import ExitStack
 from itertools import product
-from math import prod
+from math import atan2, gcd, prod
 from pathlib import Path
 from unittest import mock
 
@@ -429,22 +430,31 @@ class TestKeyedCandidates:
         _matches_oracle_with_and_without_out(c)
 
     def test_vectors_are_built_for_kept_elements_only(self, monkeypatch):
-        # past the unimodular exit, mat_vec runs once per decoded key,
-        # sieved (MANY_BLOCKS) or of height one (the square)
+        # past the unimodular exit, mat_vec runs once per decoded key of the
+        # sieve: on MANY_BLOCKS and on a 3-dimensional cone off height one
         built = counted_calls(monkeypatch, "mat_vec")
         sieved = counted_calls(monkeypatch, "_sieve")
-        for c in MANY_BLOCKS + (cone_from_generators([(1, 0, 0), (1, 3, 0), (1, 0, 3), (1, 3, 3)]),):
+        off_height_one = cone_from_generators([(0, 0, 0, 1), (0, 0, 3, 2), (0, 1, 0, 0)])
+        for c in MANY_BLOCKS + (off_height_one,):
             del built[:]
             basis = _hilbert_basis_full(c)
             assert len(built) == len(basis)
             span = _span_lattice(c).basis
             points = sum(_hermite_box(s, span)[0] - 1 for s in chowfan.monoids._triangulate(c))
             assert len(built) < points + len(c.generators)
-        assert len(sieved) == len(MANY_BLOCKS)
+        assert len(sieved) == len(MANY_BLOCKS) + 1
 
 
 def _refused(*args):
-    raise AssertionError("a geometric rule reached the keyed sieve")
+    raise AssertionError("a geometric rule reached the keyed path")
+
+
+def _keyed_path_refused():
+    """Patches refusing the parallelepiped boxes, their keys and the sieve."""
+    stack = ExitStack()
+    for name in ("_hermite_box", "_parallelepiped_keys", "_sieve"):
+        stack.enter_context(mock.patch.object(chowfan.monoids, name, _refused))
+    return stack
 
 
 def _shears(draw, n, bound):
@@ -486,9 +496,36 @@ def height_one_cones(draw):
     return cone_from_generators([mat_vec(cols, x) for x in points], ambient_rank=len(cols))
 
 
+@st.composite
+def large_polygon_cones(draw):
+    """``(c, polygon, g)``: the cone over a lattice polygon with about 10^4
+    to 10^5 points, given by its vertices ``polygon`` in the plane, carried
+    by ``(1, y, z) -> T2 @ (1, a + U @ (y, z))`` into Z^3 with ``U`` a
+    product of three shears with factors up to 2^13 (entries up to about
+    2^40), ``a`` a translation and ``T2`` a shear of the first coordinate;
+    ``g`` is 1 exactly on the image of the plane."""
+    r = draw(st.integers(170, 300))
+    corners = [(0, 0), (r, draw(st.integers(0, r // 2))), (draw(st.integers(0, r // 2)), r)]
+    extra = draw(st.lists(st.tuples(st.integers(0, r), st.integers(0, r)), max_size=5))
+    u = _shears(draw, 3, 2**13)
+    a = draw(st.tuples(st.integers(-(2**40), 2**40), st.integers(-(2**40), 2**40)))
+    k = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+
+    def carry(p):
+        y = vadd(a, mat_vec(u, p))
+        return (1 + k[0] * y[0] + k[1] * y[1],) + y
+
+    points = corners + extra
+    polygon = [(r[1], r[2]) for r in cone_from_generators([(1,) + p for p in points]).generators]
+    return cone_from_generators([carry(p) for p in points]), polygon, (1, -k[0], -k[1])
+
+
 # the 4 x 4 square at height one; the pulling triangulation cuts it along
 # the diagonal from (1, 0, 0), whose three inner points lie in both halves
 SQUARE = cone_from_generators([(1, 0, 0), (1, 4, 0), (1, 0, 4), (1, 4, 4)])
+
+# a triangle of area 1 whose two long edges have lattice length 1 or 2
+THIN = cone_from_generators([(1, 0, 0), (1, 2**40, 2), (1, 2**40 + 1, 2)])
 
 
 class TestGeometricRules:
@@ -520,10 +557,44 @@ class TestGeometricRules:
     @given(height_one_cones())
     @example(SQUARE)
     @example(cone_from_generators([(1, 0, 0), (1, 3, 0), (1, 0, 3), (1, 3, 3)]))
+    @example(THIN)
     def test_height_one_points_match_tuple_sieve(self, c):
         assume(c.dim == 3 and not _unimodular(c))
-        with mock.patch.object(chowfan.monoids, "_sieve", _refused):
+        with _keyed_path_refused():
             _matches_oracle_with_and_without_out(c)
+
+    def test_thin_triangle_takes_few_rows(self):
+        # a scan over any lattice basis of the plane may cross 2^40 rows here
+        n = 2**40
+        with _keyed_path_refused():
+            assert _hilbert_basis_full(THIN) == ((1, 0, 0), (1, n // 2, 1), (1, n, 2), (1, n + 1, 2))
+
+    def test_height_one_points_build_no_key(self, monkeypatch):
+        # the square's 25 points come from three mat_vec calls in all
+        built = counted_calls(monkeypatch, "mat_vec")
+        out = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+        with _keyed_path_refused():
+            assert _hilbert_basis_full(SQUARE, out) == tuple(
+                sorted((1, y, z, 1 + y + z) for y in range(5) for z in range(5))
+            )
+        assert len(built) <= 3
+
+    @settings(deadline=None, max_examples=6)
+    @given(large_polygon_cones())
+    def test_large_polygons_satisfy_picks_theorem(self, case):
+        c, polygon, g = case
+        # Pick: #points = A + B/2 + 1, with A the area and B the boundary points
+        centre = [sum(x) / len(polygon) for x in zip(*polygon)]
+        ring = sorted(polygon, key=lambda p: atan2(p[1] - centre[1], p[0] - centre[0]))
+        edges = list(zip(ring, ring[1:] + ring[:1]))
+        twice_area = sum(p[0] * q[1] - p[1] * q[0] for p, q in edges)
+        boundary = sum(gcd(q[0] - p[0], q[1] - p[1]) for p, q in edges)
+        with _keyed_path_refused():
+            basis = _hilbert_basis_full(c)
+        assert 10**4 <= len(basis) == (twice_area + boundary) // 2 + 1 <= 10**5
+        assert len(set(basis)) == len(basis)
+        assert all(dot(g, x) == 1 for x in basis)
+        assert all(map(c.contains, basis))
 
     def test_points_of_two_simplices_appear_once(self):
         boxes = [oracles.parallelepiped_points(s) for s in chowfan.monoids._triangulate(SQUARE)]
