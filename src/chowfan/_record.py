@@ -1,15 +1,23 @@
-"""Frozen value records, without generated code.
+"""Frozen value records, without generated code, and memos kept on them.
 
 A :class:`Record` subclass lists its fields as class annotations; a class
 attribute is a default, and the names in ``_uncompared`` are left out of
 ``==`` and ``hash``.  A record compares and hashes as the tuple of its
-compared fields, refuses assignment and deletion (memos go on with
-``object.__setattr__``) and prints as a dataclass does.
+compared fields, refuses assignment and deletion and prints as a
+dataclass does.
+
+A function decorated with :func:`kept` computes its value once per record
+and set of arguments.  Every value of every kept function on one record
+sits in one dict on that record, outside its fields, so memos change
+neither ``==``, ``hash``, ``repr`` nor :func:`replace`, whose copy starts
+with no memo.  This module is the only writer of that dict.
 """
 
+from functools import update_wrapper
 from operator import attrgetter
 
 _set = object.__setattr__
+_missing = object()
 
 
 class FrozenInstanceError(AttributeError):
@@ -18,6 +26,7 @@ class FrozenInstanceError(AttributeError):
 
 class Record:
     _uncompared = ()
+    _kept = None  # the dict of kept values, (function, *args) -> value, made on first use
 
     def __init_subclass__(cls) -> None:
         names = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
@@ -58,3 +67,35 @@ class Record:
 def replace(record: Record, **changes) -> Record:
     """A new record of ``record``'s class, with ``changes`` for some fields."""
     return record.__class__(**{n: getattr(record, n) for n in record._fields} | changes)
+
+
+def kept(fn):
+    """``fn(record, *args)``, computed once per record and set of arguments.
+
+    The value is kept in the record's one memo dict under ``(fn, *args)``,
+    so the arguments must be hashable and equal arguments must give equal
+    values.  A call that raises keeps nothing.  Arguments after the record
+    may be given by keyword; they are keyed by position.
+    """
+    code = fn.__code__
+    names = code.co_varnames[1 : code.co_argcount]
+
+    def call(record, /, *args, **kwargs):
+        if kwargs:
+            for name in names[len(args) :]:
+                if name not in kwargs:
+                    break
+                args += (kwargs.pop(name),)
+            if kwargs:  # an unknown keyword: fn raises the TypeError
+                return fn(record, *args, **kwargs)
+        memo = record._kept
+        if memo is None:
+            memo = {}
+            _set(record, "_kept", memo)
+        key = (fn, *args)
+        value = memo.get(key, _missing)
+        if value is _missing:
+            value = memo[key] = fn(record, *args)
+        return value
+
+    return update_wrapper(call, fn)

@@ -44,6 +44,7 @@ from .serialize import (
     encode_fiber_document,
     encode_sublattice,
     FORMAT_VERSION,
+    _with_header,
     int_literal,
     require,
     shown,
@@ -118,8 +119,9 @@ def parse_input(text: str, allow_saturate: bool = False):
 
     The fan is completed with faces and validated; the sublattice is
     canonicalized and must be saturated unless ``allow_saturate``.  A key
-    given twice in one object, or an integer literal too long to convert,
-    raises :class:`DocumentError`, the latter at its JSON path.
+    given twice in one object, an integer literal too long to convert, or
+    an ``options`` key other than ``saturate`` raises
+    :class:`DocumentError`, the last two at their JSON path.
     """
     try:
         doc = json.loads(text, parse_int=int_literal, object_pairs_hook=unique_keys)
@@ -150,7 +152,10 @@ def parse_input(text: str, allow_saturate: bool = False):
         raise DocumentError(f"sublattice: {exc}") from exc
     options = doc.get("options", {})
     if not isinstance(options, dict):
-        raise DocumentError("'options' must be an object")
+        raise DocumentError(f"options: expected an object, got {shown(options)}")
+    unknown = sorted(options.keys() - {"saturate"})
+    if unknown:
+        raise DocumentError(f'options.{unknown[0]}: unknown option; the only option is "saturate"')
     flag = options.get("saturate", False)
     if type(flag) is not bool:
         raise DocumentError(f"options.saturate: expected true or false, got {shown(flag)}")
@@ -172,16 +177,14 @@ def parse_input(text: str, allow_saturate: bool = False):
 
 def _cmd_validate(fan: Fan, sub: Sublattice) -> dict:
     rep = validate_fan(fan)
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "validation",
+    return _with_header("validation", {
         "fan_ok": rep.ok,
         "violations": list(rep.violations),
         "complete": is_complete(fan),
         "sublattice": encode_sublattice(sub),
         "cones": len(fan.cones),
         "maximal_cones": len(fan.maximal_indices()),
-    }
+    })
 
 
 def _cmd_multiplicities(fan: Fan, sub: Sublattice) -> dict:
@@ -192,23 +195,16 @@ def _cmd_multiplicities(fan: Fan, sub: Sublattice) -> dict:
             finite.append([i, multiplicity(fan, sub, i)])
         except InfiniteIndex:
             infinite.append(i)
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "multiplicities",
-        "finite": finite,
-        "infinite": infinite,
-    }
+    return _with_header("multiplicities", {"finite": finite, "infinite": infinite})
 
 
 def _cmd_cycle(cq: ChowQuotient, cone_index: int) -> dict:
     if not 0 <= cone_index < len(cq.quotient_fan.cones):
         raise ValidationError(f"unknown quotient cone index {cone_index}")
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "cycle",
+    return _with_header("cycle", {
         "cone": cone_index,
         "terms": [[s, m] for s, m in cq.cone_data[cone_index].cycle],
-    }
+    })
 
 
 def _cmd_fiber(fam: UniversalFamily, cone_index: int, graph_out: Optional[str]) -> dict:
@@ -250,25 +246,16 @@ def _checks(fam: UniversalFamily, args) -> list:
 
 def _cmd_check(fam: UniversalFamily, args) -> dict:
     reports = _checks(fam, args)
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "report",
+    return _with_header("report", {
         "checks": [encode_check_report(r) for r in reports],
         "all_passed": all(r.passed for r in reports),
-    }
+    })
 
 
 def _cmd_all(fan: Fan, sub: Sublattice, cq: ChowQuotient, fam: UniversalFamily, args) -> dict:
-    fibers = []
-    for k in range(len(fam.base.fan.cones)):
-        fc = fiber_complex(fam, k)
-        pres = basic_monoid(fam, k)
-        tropical = tropical_moduli_cone(fam, k)
-        fibers.append(encode_fiber_document(fam, fc, pres, tropical, adjacency_dot(fam, fc)))
+    fibers = [_cmd_fiber(fam, k, None) for k in range(len(fam.base.fan.cones))]
     reports = _checks(fam, args)
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "full_report",
+    return _with_header("full_report", {
         "validation": _cmd_validate(fan, sub),
         "chow_quotient": encode_chow_document(cq),
         "multiplicities": _cmd_multiplicities(fan, sub),
@@ -276,7 +263,7 @@ def _cmd_all(fan: Fan, sub: Sublattice, cq: ChowQuotient, fam: UniversalFamily, 
         "fibers": fibers,
         "checks": [encode_check_report(r) for r in reports],
         "all_passed": all(r.passed for r in reports),
-    }
+    })
 
 
 def run(argv: Optional[Sequence[str]] = None, stdout=None):

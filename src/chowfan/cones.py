@@ -34,7 +34,7 @@ from math import prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from ._record import Record
+from ._record import Record, kept
 from .intlinalg import (
     Mat,
     Sublattice,
@@ -273,16 +273,6 @@ def _intern(cone: Cone) -> Cone:
     return _cone_cache.setdefault(cone.key(), cone)
 
 
-def _memo(obj, name: str) -> dict:
-    """The dict kept on the frozen ``obj`` (a cone, a family) as ``name``,
-    made on first use."""
-    memo = getattr(obj, name, None)
-    if memo is None:
-        memo = {}
-        object.__setattr__(obj, name, memo)
-    return memo
-
-
 def _cone_by_incidence(
     rank: int, rays: tuple[Vec, ...], lines: Mat, constraints: Sequence[Vec], tight: Sequence[int],
     input_equations: Sequence[Vec],
@@ -394,6 +384,7 @@ def dual_cone(c: Cone) -> Cone:
     return _intern(Cone(c.ambient_rank, c.halfspaces, c.equations, c.generators, c.lineality, incidence))
 
 
+@kept
 def intersect_cones(a: Cone, b: Cone) -> Cone:
     """The cone ``a ∩ b``, cut out by the constraints of both.
 
@@ -402,21 +393,18 @@ def intersect_cones(a: Cone, b: Cone) -> Cone:
     only the other's, and the facets are read off the incidence of both
     operands' halfspaces (:func:`_cone_by_incidence`); the result is
     canonical whichever operand starts.  It is kept on ``a``, keyed by
-    ``b.key()``: it depends only on the canonical data of the two cones,
-    so a repeat call with the same ``a`` (an interned cone is shared by
-    the whole process) runs no double description.
+    ``b`` (a canonical cone is equal to another exactly when their
+    :meth:`~Cone.key` are): it depends only on the canonical data of the
+    two cones, so a repeat call with the same ``a`` (an interned cone is
+    shared by the whole process) runs no double description.
     """
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient ranks differ")
-    memo, key = _memo(a, "_intersect_cache"), b.key()
-    out = memo.get(key)
-    if out is None:
-        start, other = (a, b) if _constraint_count(a) >= _constraint_count(b) else (b, a)
-        run = double_description(other.halfspaces, other.equations, a.ambient_rank, start)
-        out = memo[key] = _cone_from_run(
-            a.ambient_rank, run, start.halfspaces + other.halfspaces, start.equations + other.equations
-        )
-    return out
+    start, other = (a, b) if _constraint_count(a) >= _constraint_count(b) else (b, a)
+    run = double_description(other.halfspaces, other.equations, a.ambient_rank, start)
+    return _cone_from_run(
+        a.ambient_rank, run, start.halfspaces + other.halfspaces, start.equations + other.equations
+    )
 
 
 def _constraint_count(c: Cone) -> int:
@@ -478,18 +466,14 @@ def relative_interior_sample(c: Cone) -> Vec:
     return tuple(map(sum, zip(*c.generators))) if c.generators else (0,) * c.ambient_rank
 
 
+@kept
 def _span_lattice(c: Cone) -> Sublattice:
-    """The saturated lattice ``span_R(c) ∩ Z^r``, computed once per cone.
+    """The saturated lattice ``span_R(c) ∩ Z^r``, kept on the cone.
 
     ``c.equations`` is a saturated basis of ``span(c)^⊥``, so the span
-    lattice is its integer kernel, already in canonical HNF.  The result
-    is kept on the (frozen) cone.
+    lattice is its integer kernel, already in canonical HNF.
     """
-    span = getattr(c, "_span_cache", None)
-    if span is None:
-        span = Sublattice(c.ambient_rank, integer_kernel(c.equations, c.ambient_rank))
-        object.__setattr__(c, "_span_cache", span)
-    return span
+    return Sublattice(c.ambient_rank, integer_kernel(c.equations, c.ambient_rank))
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +589,7 @@ class Fan(Record):
     Cones are stored sorted by a canonical key, so equal fans compare equal
     and cone indices are stable across runs.  The key index, the maximal
     cones and the :func:`validate_fan` report are computed on first use and
-    kept on the (frozen) fan.
+    kept on the fan (:func:`~chowfan._record.kept`).
     """
 
     ambient_rank: int
@@ -614,30 +598,24 @@ class Fan(Record):
     def index_of(self, c: Cone) -> int:
         return self._index()[c.key()]
 
+    @kept
     def _index(self):
-        d = getattr(self, "_index_cache", None)
-        if d is None:
-            d = {c.key(): i for i, c in enumerate(self.cones)}
-            object.__setattr__(self, "_index_cache", d)
-        return d
+        return {c.key(): i for i, c in enumerate(self.cones)}
 
     def __contains__(self, c: Cone) -> bool:
         return c.key() in self._index()
 
+    @kept
     def maximal_indices(self) -> tuple[int, ...]:
         """Indices of the cones that are a facet of no cone of the fan.
 
         In a fan a cone inside another is a face of it, hence a facet of a
         cone in between; so on a fan these are the cones contained in no
         other cone.  Facets are read off each cone's incidence, so no double
-        description runs here.  The result is computed once and kept on the fan.
+        description runs here.
         """
-        out = getattr(self, "_maximal_cache", None)
-        if out is None:
-            covered = {f.key() for c in self.cones for f in facets(c)}
-            out = tuple(i for i, c in enumerate(self.cones) if c.key() not in covered)
-            object.__setattr__(self, "_maximal_cache", out)
-        return out
+        covered = {f.key() for c in self.cones for f in facets(c)}
+        return tuple(i for i, c in enumerate(self.cones) if c.key() not in covered)
 
     def cone_containing_in_relint(self, v: Sequence) -> Optional[int]:
         """Index of the cone whose relative interior contains ``v``, or None.
@@ -681,6 +659,7 @@ class FanValidationReport(Record):
     violations: tuple[str, ...]
 
 
+@kept
 def validate_fan(f: Fan) -> FanValidationReport:
     """Check strict convexity, face closure and pairwise face intersections.
 
@@ -690,12 +669,9 @@ def validate_fan(f: Fan) -> FanValidationReport:
     for faces σ' ≤ σ and τ' ≤ τ the intersection σ'∩τ' = (σ'∩ρ) ∩ (τ'∩ρ)
     is an intersection of two faces of ρ, so a face of σ' and of τ'.  The
     verdict is that of the all-pairs check; an invalid collection may have
-    fewer violating pairs named.  The report is computed once per fan and
-    kept on it, so every caller holding the same fan shares one pass.
+    fewer violating pairs named.  The report is kept on the fan, so every
+    caller holding the same fan shares one pass.
     """
-    rep = getattr(f, "_validation_cache", None)
-    if rep is not None:
-        return rep
     problems = []
     index = f._index()
     for i, c in enumerate(f.cones):
@@ -710,9 +686,7 @@ def validate_fan(f: Fan) -> FanValidationReport:
         inter = intersect_cones(a, b)
         if not (is_face_of(inter, a) and is_face_of(inter, b)):
             problems.append(f"intersection of cones {i} and {j} is not a common face")
-    rep = FanValidationReport(not problems, tuple(problems))
-    object.__setattr__(f, "_validation_cache", rep)
-    return rep
+    return FanValidationReport(not problems, tuple(problems))
 
 
 def is_complete(f: Fan) -> bool:
@@ -751,7 +725,7 @@ class FanMorphism(Record):
 def check_fan_morphism(matrix: Mat, src: Fan, dst: Fan) -> FanMorphism:
     """Verify a lattice map sends every source cone into a target cone.
 
-    ``dst`` must be a valid fan; its cached :func:`validate_fan` report is
+    ``dst`` must be a valid fan; its kept :func:`validate_fan` report is
     consulted and :class:`ValueError` raised otherwise.  Each source cone is
     assigned the minimal target cone containing its image: the image itself
     when it is a cone of ``dst``, else the cone whose relative interior holds

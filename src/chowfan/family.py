@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._record import Record
+from ._record import Record, kept
 from .chow import ChowQuotient, chow_stack_datum
 from .cones import (
     Cone,
     Fan,
-    _memo,
     _span_lattice,
     cone_from_generators,
     cone_from_halfspaces,
@@ -112,17 +111,14 @@ def universal_family(cq: ChowQuotient) -> UniversalFamily:
     if not is_complete(ffan):
         raise InternalConsistencyError("the family cones of the meeting pairs do not cover the space")
 
+    # per base cone, the preimage of its lift lattice
+    lattices = [preimage_lattice(proj.matrix, rank, d.lift_lattice) for d in cq.cone_data]
     bases = []
     monoids = []
-    lattices = {}  # base index -> preimage of its lift lattice
     for i, c in enumerate(ffan.cones):
         base = _base_index(cq, c, i)
         bases.append(base)
-        lattice = lattices.get(base)
-        if lattice is None:
-            lift_lattice = cq.cone_data[base].lift_lattice
-            lattice = lattices[base] = preimage_lattice(proj.matrix, rank, lift_lattice)
-        monoids.append(saturated_monoid(c, lattice))
+        monoids.append(saturated_monoid(c, lattices[base]))
     datum = ToricStackDatum(rank, ffan, tuple(monoids))
 
     variety = variety_datum(fan)
@@ -249,22 +245,15 @@ def _wall_direction_lattice(fam: UniversalFamily, wall_index: int) -> Vec:
     return k.basis[0]
 
 
+@kept
 def wall_structure(fam: UniversalFamily, base_index: int, wall_index: int) -> Wall:
     """Classify a relative-dimension-one cone and orient its direction.
 
     Walls admit exactly one iso section (boundary, direction from interior
     point minus its section image) or two (internal, direction from second
-    section minus first); any other count is an internal error.  Each wall
-    is classified once per base cone and kept on the family.
+    section minus first); any other count is an internal error.  The wall
+    is kept on the family, keyed by ``(base_index, wall_index)``.
     """
-    cache = _memo(fam, "_wall_cache")
-    w = cache.get((base_index, wall_index))
-    if w is None:
-        w = cache[base_index, wall_index] = _classify_wall(fam, base_index, wall_index)
-    return w
-
-
-def _classify_wall(fam: UniversalFamily, base_index: int, wall_index: int) -> Wall:
     kappa = fam.base.fan.cones[base_index]
     wall = fam.fan.cones[wall_index]
     if fam.provenance[wall_index][1] != base_index or wall.dim != kappa.dim + 1:
@@ -546,16 +535,9 @@ class BasicMonoidPresentation(Record):
     host_collisions: tuple[tuple[int, int], ...]
 
 
+@kept
 def basic_monoid(fam: UniversalFamily, base_index: int) -> BasicMonoidPresentation:
-    """The presentation over one base cone, built once and kept on the family."""
-    cache = _memo(fam, "_basic_cache")
-    pres = cache.get(base_index)
-    if pres is None:
-        pres = cache[base_index] = _basic_monoid(fam, base_index)
-    return pres
-
-
-def _basic_monoid(fam: UniversalFamily, base_index: int) -> BasicMonoidPresentation:
+    """The presentation over one base cone, kept on the family."""
     comps = fam.chow.cone_data[base_index].point_fiber_cones
     rank = fam.fan.ambient_rank
     pos = {c: i for i, c in enumerate(comps)}

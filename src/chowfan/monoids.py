@@ -66,11 +66,10 @@ from math import gcd, prod
 from operator import add, floordiv, mod, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ._record import Record
+from ._record import Record, kept
 from .cones import (
     Cone,
     NotStrictlyConvex,
-    _memo,
     _pull_back,
     _span_lattice,
     cone_from_generators,
@@ -577,20 +576,19 @@ def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
     return tuple(sorted(basis))
 
 
+@kept
 def saturated_monoid(c: Cone, lattice: Sublattice) -> AffineMonoid:
     """The monoid ``c ∩ lattice`` (lineality allowed; units become explicit).
 
-    The result is kept on ``c``, keyed by ``lattice.basis``, so a repeat
-    call on the same cone (an interned cone is shared by the whole
+    The result is kept on ``c``, keyed by ``lattice`` (which, at the rank
+    of ``c``, is equal to another exactly when their bases are), so a
+    repeat call on the same cone (an interned cone is shared by the whole
     process) with an equal lattice computes nothing.
     """
     rank = c.ambient_rank
     if lattice.ambient_rank != rank:
         raise ValueError("lattice has wrong ambient rank")
     basis = lattice.basis  # rows: coordinates y -> point y @ basis
-    memo = _memo(c, "_monoid_cache")
-    if basis in memo:
-        return memo[basis]
     k = len(basis)
     # the points y @ basis span span(lattice), so cy is c ∩ span(lattice); it
     # has the dimension of c iff span(c) ⊆ span(lattice), the usual case,
@@ -613,8 +611,7 @@ def saturated_monoid(c: Cone, lattice: Sublattice) -> AffineMonoid:
         hb = _hilbert_basis_full(cy, basis_t)
     # hb and units generate c2, and the group of cy ∩ Z^k is span(cy) ∩ Z^k
     group = [mat_vec(basis_t, y) for y in _span_lattice(cy).basis]
-    m = memo[basis] = AffineMonoid(rank, hb, units, c2, Sublattice(rank, row_lattice_hnf(group)), lattice)
-    return m
+    return AffineMonoid(rank, hb, units, c2, Sublattice(rank, row_lattice_hnf(group)), lattice)
 
 
 def monoid_from_cone(c: Cone, lattice: Optional[Sublattice] = None) -> AffineMonoid:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any
 
 from .cones import Cone, Fan, cone_from_generators, fan_from_cones
 from .intlinalg import Sublattice, row_lattice_hnf
@@ -418,17 +417,10 @@ def encode_fiber_document(fam, fc, pres, tropical, dot: str) -> dict:
 
 
 def encode_check_report(rep) -> dict:
+    """The report's fields as they are: :func:`dumps` writes tuples as arrays."""
     return {
         "name": rep.name,
         "verdict": rep.verdict,
-        "witnesses": [_jsonable(w) for w in rep.witnesses],
-        "parameters": {k: _jsonable(v) for k, v in rep.parameters},
+        "witnesses": rep.witnesses,
+        "parameters": dict(rep.parameters),
     }
-
-
-def _jsonable(x: Any):
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(y) for y in x]
-    if isinstance(x, (dict,)):
-        return {k: _jsonable(v) for k, v in x.items()}
-    return x

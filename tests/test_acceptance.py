@@ -824,18 +824,20 @@ def test_memo_hits_equal_fresh_computations(monkeypatch):
         check_reduced(fam)
         for c in list(cones._cone_cache.values()):
             # a copy of an interned cone carries no memo, so it computes
-            for basis, m in getattr(c, "_monoid_cache", {}).items():
-                fresh = saturated_monoid(replace(c), m.saturated_lattice)
-                assert m.saturated_lattice.basis == basis
-                assert (fresh.hilbert_basis, fresh.units, fresh.group, fresh.saturated_lattice, fresh.cone) == (
-                    m.hilbert_basis, m.units, m.group, m.saturated_lattice, m.cone
-                )
-                monoids += 1
-            for key, inter in getattr(c, "_intersect_cache", {}).items():
-                b = cones._cone_cache.get(key) or cone_from_generators(key[1], key[2], key[0])
-                fresh = intersect_cones(replace(c), b)
-                assert fresh == inter and fresh.incidence == inter.incidence
-                intersections += 1
+            for (fn, *args), value in (c._kept or {}).items():
+                if fn is saturated_monoid.__wrapped__:
+                    (lattice,), m = args, value
+                    fresh = saturated_monoid(replace(c), m.saturated_lattice)
+                    assert m.saturated_lattice.basis == lattice.basis
+                    assert (fresh.hilbert_basis, fresh.units, fresh.group, fresh.saturated_lattice, fresh.cone) == (
+                        m.hilbert_basis, m.units, m.group, m.saturated_lattice, m.cone
+                    )
+                    monoids += 1
+                elif fn is intersect_cones.__wrapped__:
+                    (b,), inter = args, value
+                    fresh = intersect_cones(replace(c), b)
+                    assert fresh == inter and fresh.incidence == inter.incidence
+                    intersections += 1
     assert monoids and intersections
     _announce(f"{monoids} memoised monoids and {intersections} memoised intersections "
               "equal fresh computations on the fixtures and the corpus")

@@ -133,6 +133,8 @@ class TestStrictIntegers:
             ({"sublattice": {"basis": [[1, 0]]}}, "sublattice"),
             ({"options": {"saturate": "no"}}, "options.saturate"),
             ({"format_version": True}, "format_version"),
+            ({"options": {"saturte": True}}, "options.saturte"),
+            ({"options": 5}, "options"),
         ],
     )
     def test_rejected_with_location(self, tmp_path, change, location):

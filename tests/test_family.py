@@ -258,7 +258,7 @@ class TestWalls:
 
         monkeypatch.setattr(cones, "all_faces", counting)
         walls = [
-            family._classify_wall(fam, k, i)
+            family.wall_structure.__wrapped__(fam, k, i)
             for k in range(len(fam.base.fan.cones))
             for i in cones_over(fam, k, 1)
         ]
@@ -428,19 +428,21 @@ class TestBasicMonoid:
         kzero = fam.base.fan.index_of(zero_cone(1))
         assert basic_monoid(fam, kzero).monoid.hilbert_basis == ()
 
-    def test_each_presentation_is_built_once(self, monkeypatch):
-        import chowfan.family as family
+    def test_each_presentation_is_built_once(self):
         from chowfan.verify import check_basic_monoid
 
         calls = []
-        real = family._basic_monoid
 
-        def counting(fam, base_index):
-            calls.append(base_index)
-            return real(fam, base_index)
+        class Counting(dict):
+            """A memo dict that records each presentation stored in it."""
 
-        monkeypatch.setattr(family, "_basic_monoid", counting)
+            def __setitem__(self, key, value):
+                if key[0] is basic_monoid.__wrapped__:
+                    calls.append(key[1])
+                super().__setitem__(key, value)
+
         fam = _fam_p1p1()
+        object.__setattr__(fam, "_kept", Counting())
         bases = range(len(fam.base.fan.cones))
         for k in bases:
             basic_monoid(fam, k)
@@ -499,7 +501,7 @@ class TestConsistencyErrorsNameCones:
         with pytest.raises(
             InternalConsistencyError, match=f"^wall {w.index} over quotient cone {k}: direction degenerated"
         ):
-            family._classify_wall(fam, k, w.index)
+            family.wall_structure.__wrapped__(fam, k, w.index)
 
     def test_negative_gluing_length_names_the_wall_base_cone_and_value(self, setup, monkeypatch):
         import chowfan.family as family
@@ -532,7 +534,7 @@ class TestConsistencyErrorsNameCones:
         assert not line.is_pointed
         monkeypatch.setattr(family, "saturated_monoid", lambda cone, lattice: line)
         with pytest.raises(InternalConsistencyError, match=f"^quotient cone {k}: basic monoid presentation has units"):
-            family._basic_monoid(fam, k)
+            family.basic_monoid.__wrapped__(fam, k)
 
     def test_non_integral_lift_names_the_section_cone_and_value(self, setup, monkeypatch):
         import chowfan.family as family

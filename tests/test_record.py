@@ -4,10 +4,14 @@ Assignment and deletion raise, fields left out of comparison do not count
 for ``==`` or ``hash``, defaults and the datum's own check run, ``replace``
 builds a changed copy, and the default ``repr`` is the dataclass text.
 A cold ``import chowfan.cli`` loads neither ``dataclasses`` nor
-``inspect``.
+``inspect``.  A ``kept`` function computes once per record and set of
+arguments, outside the record's fields; README's "Caches" table names
+every kept function, and no other module writes onto a record.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +30,7 @@ from chowfan import (
     sublattice,
     variety_datum,
 )
-from chowfan._record import FrozenInstanceError
+from chowfan._record import FrozenInstanceError, Record, kept
 from chowfan.cones import Cone, FanValidationReport
 from chowfan.family import WallMonoidStructure
 from chowfan.monoids import AffineMonoid
@@ -35,6 +39,7 @@ from chowfan.stacks import StackValidationReport
 from conftest import p2_fan
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 
 def test_assignment_and_deletion_raise():
@@ -132,3 +137,114 @@ def test_cold_cli_import_loads_no_dataclasses_or_inspect():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+class Pair(Record):
+    a: int
+    b: int
+
+
+def _counted():
+    """Two kept functions on :class:`Pair` and the list of their calls."""
+    calls = []
+
+    @kept
+    def scaled(p, k):
+        calls.append(("scaled", k))
+        if k < 0:
+            raise ValueError("negative scale")
+        return (p.a * k, p.b * k)
+
+    @kept
+    def total(p, k=0):
+        calls.append(("total", k))
+        return p.a + p.b + k
+
+    return scaled, total, calls
+
+
+def test_kept_computes_once_per_record_and_arguments():
+    scaled, _, calls = _counted()
+    p, q = Pair(1, 2), Pair(1, 2)
+    assert scaled(p, 3) == (3, 6) and scaled(p, 3) is scaled(p, 3)
+    assert scaled(p, 4) == (4, 8)
+    assert scaled(q, 3) == (3, 6)  # an equal record keeps its own memo
+    assert calls == [("scaled", 3), ("scaled", 4), ("scaled", 3)]
+    assert scaled.__name__ == "scaled" and scaled.__wrapped__(p, 3) == (3, 6)
+
+
+def test_two_kept_functions_on_one_record_do_not_collide():
+    scaled, total, calls = _counted()
+    p = Pair(1, 2)
+    assert (scaled(p, 1), total(p, 1), scaled(p, 1), total(p, 1)) == ((1, 2), 4, (1, 2), 4)
+    assert calls == [("scaled", 1), ("total", 1)]
+    assert len(p._kept) == 2
+
+
+def test_a_call_that_raises_keeps_nothing():
+    scaled, _, calls = _counted()
+    p = Pair(1, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="negative scale"):
+            scaled(p, -1)
+    assert calls == [("scaled", -1)] * 2 and not p._kept
+
+
+def test_kept_values_are_outside_equality_hash_repr_and_replace():
+    scaled, _, _ = _counted()
+    p, fresh = Pair(1, 2), Pair(1, 2)
+    scaled(p, 5)
+    assert p._kept and fresh._kept is None
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh) == "Pair(a=1, b=2)"
+    assert replace(p)._kept is None and replace(p, b=3) == Pair(1, 3)
+
+
+def test_a_record_with_kept_values_still_refuses_assignment():
+    scaled, _, _ = _counted()
+    p = Pair(1, 2)
+    scaled(p, 2)
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'a'"):
+        p.a = 5
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field '_kept'"):
+        p._kept = {}
+    assert p.a == 1 and scaled(p, 2) == (2, 4)
+
+
+def test_keyword_calls_share_the_positional_memo():
+    scaled, total, calls = _counted()
+    p = Pair(1, 2)
+    assert scaled(p, k=3) is scaled(p, 3)
+    assert total(p) == 3 and total(p, k=0) == 3  # a default is its own key
+    assert calls == [("scaled", 3), ("total", 0), ("total", 0)]
+    with pytest.raises(TypeError):
+        scaled(p, j=3)
+    c = cone_from_generators([(1, 0), (1, 2)])
+    lattice = full_lattice(2)
+    assert saturated_monoid(c, lattice=lattice) is saturated_monoid(c, lattice)
+
+
+def _kept_functions():
+    """``module.function`` or ``Class.method`` of every ``@kept`` definition in ``src/``."""
+    out = set()
+    for path in (SRC / "chowfan").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        scopes = [(path.stem, tree)] + [(n.name, n) for n in tree.body if isinstance(n, ast.ClassDef)]
+        for owner, scope in scopes:
+            for n in scope.body:
+                if isinstance(n, ast.FunctionDef) and any(
+                    isinstance(d, ast.Name) and d.id == "kept" for d in n.decorator_list
+                ):
+                    out.add(f"{owner}.{n.name}")
+    return out
+
+
+def test_readme_caches_table_names_every_kept_function():
+    section = README.read_text().split("### Caches", 1)[1].split("\n## ", 1)[0]
+    table = section.split("| kept function |", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"^\| `([\w.]+)` \|", table, re.M))
+    assert named and named == _kept_functions()
+
+
+def test_only_the_record_module_writes_onto_a_record():
+    writers = sorted(p.name for p in (SRC / "chowfan").glob("*.py") if "object.__setattr__" in p.read_text())
+    assert writers == ["_record.py"]
