@@ -7,10 +7,11 @@ compared fields, refuses assignment and deletion and prints as a
 dataclass does.
 
 A function decorated with :func:`kept` computes its value once per record
-and set of arguments.  Every value of every kept function on one record
-sits in one dict on that record, outside its fields, so memos change
-neither ``==``, ``hash``, ``repr`` nor :func:`replace`, whose copy starts
-with no memo.  This module is the only writer of that dict.
+and set of arguments.  The values of the kept functions with arguments sit
+in one dict on the record, and that of a function of the record alone in
+an attribute of its own, all outside its fields, so memos change neither
+``==``, ``hash``, ``repr`` nor :func:`replace`, whose copy starts with no
+memo.  This module is the only writer of both.
 """
 
 from functools import update_wrapper
@@ -75,10 +76,23 @@ def kept(fn):
     The value is kept in the record's one memo dict under ``(fn, *args)``,
     so the arguments must be hashable and equal arguments must give equal
     values.  A call that raises keeps nothing.  Arguments after the record
-    may be given by keyword; they are keyed by position.
+    may be given by keyword; they are keyed by position.  A function of the
+    record alone keeps its value in an attribute named after it instead, so
+    a record holding only such values carries no dict.
     """
     code = fn.__code__
     names = code.co_varnames[1 : code.co_argcount]
+    if not names:
+        slot = f"_kept {fn.__module__}.{fn.__qualname__}"  # no field or identifier has a space
+
+        def call(record, /):
+            value = getattr(record, slot, _missing)
+            if value is _missing:
+                value = fn(record)
+                _set(record, slot, value)
+            return value
+
+        return update_wrapper(call, fn)
 
     def call(record, /, *args, **kwargs):
         if kwargs:

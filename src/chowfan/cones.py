@@ -431,6 +431,7 @@ def preimage_cone(matrix: Mat, c: Cone, source_rank: int) -> Cone:
     return cone_from_halfspaces(halfspaces, equations, source_rank)
 
 
+@kept
 def _pull_back(c: Cone, basis: Mat) -> Cone:
     """The cone ``{y : y @ basis in c}``, i.e. ``c ∩ span(basis)`` in the
     coordinates of the HNF rows ``basis``.

@@ -40,18 +40,15 @@ grade, and tests them in blocks of 1, 2, 4, ... elements, each block in a
 few big-int operations.  A vector is built only for each kept key, decoded
 from its halfspace values by one exact left inverse per cone, directly in
 the coordinates the caller asks for (:func:`_hilbert_basis_full`).
-The group is read off the lattice, not from the Hilbert basis.  The
-monoid on a face of its cone is filtered from its Hilbert basis, not
-recomputed (:func:`restrict_to_face`).
+A monoid is its cone and its group; its Hilbert basis is computed on first
+read and kept, so maps, faces and bounded enumerations never build one.
 
 A map is tested by the same representation.  A saturated ``M = c ∩ L``
 spans ``c`` and generates the group ``span(c) ∩ L``, so a matrix ``A``
 sends ``M`` into ``M′ = c′ ∩ L′`` iff it sends the rays of ``c`` and both
 directions of its lineality into ``c′`` and a basis of ``M``'s group into
 ``L′``: one cone test per ray or line direction and one lattice test per
-group basis vector, however large the Hilbert basis (:func:`monoid_hom`).
-A free monoid's Hilbert basis lies on its rays and is a basis of its
-group, so there each Hilbert-basis element is mapped once for both tests.
+group basis vector, with no Hilbert basis (:func:`monoid_hom`).
 
 Monoids with invertible elements (units) arise as duals of monoids that are
 not full-dimensional; they are represented by the unit lattice plus a
@@ -124,23 +121,37 @@ class MonoidNotMapped(ValueError):
 class AffineMonoid(Record):
     """The saturated monoid ``cone ∩ saturated_lattice`` in canonical form.
 
-    ``hilbert_basis`` is the sorted tuple of irreducible elements of the
-    pointed part; ``units`` is the lattice of invertible elements (the zero
-    lattice for pointed monoids); ``group`` is the lattice they generate.
-    Two monoids are equal iff these fields coincide.
+    ``units`` are its invertible elements and ``group = span(cone) ∩
+    saturated_lattice`` the lattice it generates; it is ``cone ∩ group``, so
+    two monoids are equal iff rank, units, cone and group are.  Its sorted
+    ``hilbert_basis`` is computed on first read and kept on the record.
     """
 
     ambient_rank: int
-    hilbert_basis: tuple[Vec, ...]
     units: Sublattice
     cone: Cone
     group: Sublattice
     saturated_lattice: Sublattice
-    _uncompared = ("cone", "group", "saturated_lattice")
+    _uncompared = ("saturated_lattice",)
 
     @property
     def is_pointed(self) -> bool:
         return self.units.rank == 0
+
+    @property
+    @kept
+    def hilbert_basis(self) -> tuple[Vec, ...]:
+        """Computed in ``saturated_lattice`` coordinates; with units, one canonical element per coset."""
+        basis = self.saturated_lattice.basis
+        k, basis_t = len(basis), transpose(basis)  # y @ basis == mat_vec(basis_t, y)
+        cy = _pull_back(self.cone, basis)
+        if not cy.lineality:
+            return _hilbert_basis_full(cy, basis_t)
+        units_y = Sublattice(k, cy.lineality)
+        qu = quotient_map(k, units_y)
+        pointed = cone_from_generators([qu.apply(g) for g in cy.generators], ambient_rank=qu.target_rank)
+        hb_y = [_reduce_mod_units(qu.lift(v), units_y) for v in _hilbert_basis_full(pointed)]
+        return tuple(sorted(mat_vec(basis_t, y) for y in hb_y))
 
     def generators(self) -> tuple[Vec, ...]:
         gens = list(self.hilbert_basis)
@@ -155,7 +166,7 @@ class AffineMonoid(Record):
 
     def __repr__(self) -> str:
         units = f", units rank {self.units.rank}" if self.units.rank else ""
-        return f"AffineMonoid(rank {self.ambient_rank}, basis {list(self.hilbert_basis)}{units})"
+        return f"AffineMonoid(rank {self.ambient_rank}, {self.cone}, group {list(self.group.basis)}{units})"
 
 
 def _grading(c: Cone) -> Vec:
@@ -395,6 +406,15 @@ def _cross(a: Sequence[int], b: Sequence[int]) -> Vec:
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """``(g, s, t)`` with ``s * a + t * b == g``, ``g`` the gcd up to sign."""
+    s, t, u, v = 1, 0, 0, 1
+    while b:
+        k = a // b
+        a, b, s, t, u, v = b, a - k * b, u, v, s - k * u, t - k * v
+    return a, s, t
+
+
 def _polygon_points(c: Cone, out: Optional[Mat] = None) -> Optional[tuple[Vec, ...]]:
     """Hilbert basis of the strictly convex 3-dimensional ``c``, each
     element given as ``out @ x``, sorted, if an integral functional ``g``
@@ -417,8 +437,8 @@ def _polygon_points(c: Cone, out: Optional[Mat] = None) -> Optional[tuple[Vec, .
     so the rows are fewest.  The rays ``u_i``, ``u_j`` of its facet span
     the edge of direction ``e = primitive(u_j - u_i)``, and ``u_i``, ``e``
     are a basis of the facet's plane lattice (``g`` is 1 on ``u_i`` and 0
-    on ``e``).  So with ``h . q == 1`` (one Hermite form of the column
-    ``h``) and ``f = q - (g . q) u_i``, the points of height 1 are
+    on ``e``).  So with ``h . q == 1`` (two extended gcds on the entries
+    of ``h``) and ``f = q - (g . q) u_i``, the points of height 1 are
     ``u_i + t f + s e`` for integers ``s``, ``t`` with ``t = h . x`` in
     ``[0, top]``.  On row ``t`` every facet not parallel to the edge
     bounds ``s`` by one floor or ceiling division; a facet with
@@ -448,7 +468,9 @@ def _polygon_points(c: Cone, out: Optional[Mat] = None) -> Optional[tuple[Vec, .
     h = on_span[heights.index(top)]
     i, j = (k for k, x in enumerate(u) if not dot(h, x))
     e = primitive(vsub(u[j], u[i]))
-    q = hermite_normal_form([(x,) for x in h])[1][0]  # the form is (1, 0, 0), as h is primitive
+    g01, s, t = _bezout(h[0], h[1])
+    one, a, b = _bezout(g01, h[2])  # one is 1 or -1, as h is primitive
+    q = (one * a * s, one * a * t, one * b)
     f = vsub(q, vscale(dot(g, q), u[i]))
     lower, upper = [], []  # (|h'.e|, h'.u_i, h'.f) of the facets bounding s below, above
     for other in on_span:
@@ -580,38 +602,28 @@ def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
 def saturated_monoid(c: Cone, lattice: Sublattice) -> AffineMonoid:
     """The monoid ``c ∩ lattice`` (lineality allowed; units become explicit).
 
-    The result is kept on ``c``, keyed by ``lattice`` (which, at the rank
-    of ``c``, is equal to another exactly when their bases are), so a
-    repeat call on the same cone (an interned cone is shared by the whole
-    process) with an equal lattice computes nothing.
+    Its Hilbert basis waits for its first read.  The result is kept on
+    ``c``, keyed by ``lattice`` (which, at the rank of ``c``, is equal to
+    another exactly when their bases are), so a repeat call on the same
+    cone (an interned cone is shared by the whole process) with an equal
+    lattice computes nothing.
     """
     rank = c.ambient_rank
     if lattice.ambient_rank != rank:
         raise ValueError("lattice has wrong ambient rank")
     basis = lattice.basis  # rows: coordinates y -> point y @ basis
-    k = len(basis)
     # the points y @ basis span span(lattice), so cy is c ∩ span(lattice); it
     # has the dimension of c iff span(c) ⊆ span(lattice), the usual case,
     # and then it is c carried through the basis, with no double description
     cy = _pull_back(c, basis)
     c2 = c if cy.dim == c.dim else intersect_cones(c, cone_from_generators([], basis, rank))
     basis_t = transpose(basis)  # y @ basis == mat_vec(basis_t, y)
+    units = zero_sublattice(rank)
     if cy.lineality:
-        units_y = Sublattice(k, cy.lineality)
-        qu = quotient_map(k, units_y)
-        pointed = cone_from_generators(
-            [qu.apply(g) for g in cy.generators], ambient_rank=qu.target_rank
-        )
-        hb_down = _hilbert_basis_full(pointed)
-        hb_y = [_reduce_mod_units(qu.lift(v), units_y) for v in hb_down]
-        units = Sublattice(rank, row_lattice_hnf([mat_vec(basis_t, u) for u in units_y.basis]))
-        hb = tuple(sorted(mat_vec(basis_t, y) for y in hb_y))
-    else:
-        units = zero_sublattice(rank)
-        hb = _hilbert_basis_full(cy, basis_t)
-    # hb and units generate c2, and the group of cy ∩ Z^k is span(cy) ∩ Z^k
+        units = Sublattice(rank, row_lattice_hnf([mat_vec(basis_t, u) for u in cy.lineality]))
+    # the group of cy ∩ Z^k is span(cy) ∩ Z^k
     group = [mat_vec(basis_t, y) for y in _span_lattice(cy).basis]
-    return AffineMonoid(rank, hb, units, c2, Sublattice(rank, row_lattice_hnf(group)), lattice)
+    return AffineMonoid(rank, units, c2, Sublattice(rank, row_lattice_hnf(group)), lattice)
 
 
 def monoid_from_cone(c: Cone, lattice: Optional[Sublattice] = None) -> AffineMonoid:
@@ -639,21 +651,14 @@ def dual_monoid(m: AffineMonoid) -> AffineMonoid:
 
 
 def restrict_to_face(m: AffineMonoid, face: Cone) -> AffineMonoid:
-    """The submonoid of elements lying on a face of the monoid's cone.
-
-    For a saturated ``M = c ∩ L`` and a face ``F`` of its cone, ``M ∩ F``
-    is a face of ``M``: a sum of elements of ``M`` lies on ``F`` only if
-    every summand does.  So its Hilbert basis is ``HB(M) ∩ F``, its units
-    are those of ``M`` (``F`` contains the lineality space), and it is the
-    saturated monoid ``F ∩ L`` with group ``span(F) ∩ L``.  Nothing is
-    recomputed but that group.
-    """
+    """The submonoid ``M ∩ F`` of ``M = c ∩ L`` on a face ``F`` of ``c``: the
+    saturated ``F ∩ L``, with the units of ``M`` (``F`` holds the lineality
+    space) and the group ``span(F) ∩ L``, the one thing computed here."""
     if not is_face_of(face, m.cone):
         raise NotAFace(f"{face} is not a face of {m.cone}")
-    picked = tuple(g for g in m.hilbert_basis if face.contains(g))
     lat = m.saturated_lattice
     group = lattice_intersection(_span_lattice(face), lat)
-    return AffineMonoid(m.ambient_rank, picked, m.units, face, group, lat)
+    return AffineMonoid(m.ambient_rank, m.units, face, group, lat)
 
 
 class MonoidHom(Record):
@@ -674,22 +679,17 @@ def monoid_hom(matrix: Sequence[Sequence[int]], source: AffineMonoid, target: Af
     iff ``A`` sends the rays of ``c`` and both directions of its lineality
     into ``c′``, and a basis of ``source.group`` into ``L′`` (if: the
     monoid lies in ``c`` and in its group; only if: it spans ``c`` and
-    generates its group).  Each vector is mapped once; when ``source`` is
-    free (pointed, with one Hilbert-basis element per ray and as many as
-    the rank of its group), its Hilbert basis serves as both the rays and
-    the group basis.  Only when this fails are the generators
-    scanned, for one whose image escapes (there is one, since they generate
-    the monoid), and :class:`MonoidNotMapped` names it.  A matrix that is
-    not target rank × source rank raises ``ValueError``.
+    generates its group).  Each vector is mapped once.  Only when this
+    fails are the generators scanned, for one whose image escapes (there
+    is one, since they generate the monoid), and :class:`MonoidNotMapped`
+    names it.  A matrix that is not target rank × source rank raises
+    ``ValueError``.
     """
     mtx = mat(matrix)
     require_shape(mtx, target.ambient_rank, source.ambient_rank)
     c = source.cone
-    if c.is_strictly_convex and len(source.hilbert_basis) == len(c.generators) == source.group.rank:
-        to_cone = to_lattice = source.hilbert_basis  # one element per ray, a basis of the group
-    else:
-        to_cone = c.generators + c.lineality + tuple(vscale(-1, l) for l in c.lineality)
-        to_lattice = source.group.basis
+    to_cone = c.generators + c.lineality + tuple(vscale(-1, l) for l in c.lineality)
+    to_lattice = source.group.basis
     image = {v: mat_vec(mtx, v) for v in dict.fromkeys(to_cone + to_lattice)}
     if not (
         all(target.cone.contains(image[r]) for r in to_cone)

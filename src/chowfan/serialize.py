@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import suppress
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .cones import Cone, Fan, cone_from_generators, fan_from_cones
@@ -35,8 +37,10 @@ def dumps(doc: dict) -> str:
     generator encoder, so the text is written here directly: one ``join``
     per container, one ``int.__repr__`` per integer, strings and keys
     through ``encode_basestring_ascii``, every other leaf through
-    ``json.dumps``.  An integer longer than the interpreter converts to
-    text, which ``json`` refuses, is written exactly by :func:`_decimal`.
+    ``json.dumps``, and a list of equal-length rows of exact ``int`` entries
+    (no ``bool``, no subclass) by one ``%d`` template per row.  An integer
+    longer than the interpreter converts to text, which ``json`` refuses,
+    is written exactly by :func:`_decimal`.
     """
     return _write(doc, "\n") + "\n"
 
@@ -71,12 +75,18 @@ def _write(o, newline: str) -> str:
         if not o:
             return "[]"
         inner = newline + "  "
+        items = None
         if all(type(x) is int for x in o):
             try:
                 items = list(map(int.__repr__, o))
             except ValueError:
                 items = map(_decimal, o)
-        else:
+        elif set(map(type, o)) <= {list, tuple} and len(set(map(len, o))) == 1:
+            row = "[" + inner + "  " + ("," + inner + "  ").join(["%d"] * len(o[0])) + inner + "]"
+            if set(map(type, chain.from_iterable(o))) == {int}:  # a matrix: a %d template per row
+                with suppress(ValueError):  # more digits than the interpreter converts
+                    items = [row % tuple(r) for r in o]
+        if items is None:
             items = [_write(x, inner) for x in o]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(o, dict):
@@ -96,10 +106,6 @@ def _key(k) -> str:
             raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
         k = json.dumps(k)
     return encode_basestring_ascii(k)
-
-
-def _vectors(rows) -> list[list[int]]:
-    return [list(map(int, r)) for r in rows]
 
 
 def _at(prefix: str, field: str) -> str:
@@ -209,7 +215,7 @@ def strict_vectors(value, path: str, rank: int) -> tuple:
 
 
 def encode_sublattice(s: Sublattice) -> dict:
-    return {"ambient_rank": s.ambient_rank, "basis": _vectors(s.basis)}
+    return {"ambient_rank": s.ambient_rank, "basis": s.basis}
 
 
 def decode_sublattice(doc: dict) -> Sublattice:
@@ -220,8 +226,8 @@ def decode_sublattice(doc: dict) -> Sublattice:
 def encode_cone(c: Cone) -> dict:
     return {
         "ambient_rank": c.ambient_rank,
-        "rays": _vectors(c.generators),
-        "lineality": _vectors(c.lineality),
+        "rays": c.generators,
+        "lineality": c.lineality,
     }
 
 
@@ -238,7 +244,7 @@ def encode_fan(f: Fan) -> dict:
     return {
         "lattice_rank": f.ambient_rank,
         "cones": [
-            {"rays": _vectors(c.generators), "lineality": _vectors(c.lineality)}
+            {"rays": c.generators, "lineality": c.lineality}
             for c in f.cones
         ],
         "maximal": list(f.maximal_indices()),
@@ -264,8 +270,8 @@ def decode_fan(doc: dict, prefix: str = "") -> Fan:
 def encode_monoid(m: AffineMonoid) -> dict:
     return {
         "ambient_rank": m.ambient_rank,
-        "hilbert_basis": _vectors(m.hilbert_basis),
-        "units": _vectors(m.units.basis),
+        "hilbert_basis": m.hilbert_basis,
+        "units": m.units.basis,
     }
 
 
@@ -285,7 +291,7 @@ def decode_monoid(doc: dict, prefix: str = "") -> AffineMonoid:
     if list(m.hilbert_basis) != sorted(basis):
         raise DocumentError(
             f"{at}: not the Hilbert basis of a saturated monoid, "
-            f"which would be {_vectors(m.hilbert_basis)}"
+            f"which would be {shown(m.hilbert_basis)}"
         )
     return m
 
@@ -321,9 +327,9 @@ def encode_quotient_map(p) -> dict:
     return {
         "source_rank": p.source_rank,
         "target_rank": p.target_rank,
-        "matrix": _vectors(p.matrix),
+        "matrix": p.matrix,
         "kernel": encode_sublattice(p.kernel),
-        "section": _vectors(p.section),
+        "section": p.section,
     }
 
 
@@ -355,7 +361,7 @@ def encode_chow_document(cq) -> dict:
 
 def encode_morphism(m) -> dict:
     return {
-        "lattice_map": _vectors(m.lattice_map),
+        "lattice_map": m.lattice_map,
         "cone_assignment": list(m.cone_assignment),
     }
 

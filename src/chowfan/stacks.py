@@ -69,10 +69,8 @@ def validate_stack_datum(d: ToricStackDatum) -> StackValidationReport:
         if m.ambient_rank != d.lattice_rank:
             problems.append(f"monoid {i} lives in the wrong lattice")
             continue
-        for g in m.generators():
-            if not c.contains(g):
-                problems.append(f"monoid {i} has generator {g} outside its cone")
-                break
+        if not c.contains_cone(m.cone):
+            problems.append(f"monoid {i} spans {m.cone}, outside its cone")
         for face in all_faces(c):
             j = fan._index().get(face.key())
             if j is None:

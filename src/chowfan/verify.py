@@ -3,10 +3,11 @@
 Four checks, each returning a :class:`CheckReport`:
 
 * ``check_integral``: the equational criterion for integral monoid maps
-  (Kato 1989, §4), as a bounded search, with one target frontier per
-  difference of source images and order tests on packed halfspace values.
-  A pass is always "pass up to the recorded degree bound"; a failure
-  carries the identity that admits no witness.
+  (Kato 1989, §4), as a bounded search over the lattice points of grade at
+  most the bound (no Hilbert basis), one target frontier per difference of
+  source images and order tests on packed halfspace values.  A pass is
+  always "pass up to the recorded degree bound"; a failure carries the
+  identity that admits no witness.
 * ``check_reduced``: the family monoid surjects onto the base monoid over
   every cone (fibers carry no nilpotents), a set test on Hilbert bases.
 * ``check_equidimensional``: every family cone maps onto a base cone.
@@ -17,9 +18,10 @@ Four checks, each returning a :class:`CheckReport`:
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Optional, Sequence
 
-from ._record import Record, replace
+from ._record import Record, kept, replace
 from .cones import Fan, _pull_back, dual_cone, image_cone
 from .family import (
     UniversalFamily,
@@ -28,7 +30,7 @@ from .family import (
     presentation_tuple,
     presentation_value,
 )
-from .intlinalg import Mat, Vec, coordinates_in, dot, full_lattice, is_zero, mat_vec, vadd, vsub
+from .intlinalg import Mat, Vec, coordinates_in, dot, full_lattice, mat_vec, vadd, vscale, vsub
 from .monoids import (
     AffineMonoid,
     MonoidHom,
@@ -60,25 +62,54 @@ class CheckReport(Record):
 # integrality via the equational criterion
 
 
+@kept
 def _enumerate_elements(m: AffineMonoid, grading: Vec, bound: int) -> list[Vec]:
-    """All monoid elements of grade at most ``bound`` (pointed monoids), by grade."""
+    """Elements of the pointed ``m`` of grade at most ``bound`` (``grading``
+    positive on its cone minus 0) by ``(grade, element)``, in a list kept on
+    ``m`` that callers must not change: the ``y @ G``, ``y`` in ``Z^d``, with
+    ``(G h) . y >= 0`` for each facet normal ``h`` and ``(G grading) . y <=
+    bound``.  ``G`` is a basis of ``m.group`` reduced in the norm of its facet
+    values, so that skewed given coordinates do not leave long stretches of
+    prefixes with no point.  After a Fourier–Motzkin elimination, with
+    Chernikov's rule, each ``y_j`` runs between exact bounds given the
+    earlier ones."""
     if not m.is_pointed:
         raise UnsupportedMonoid("element enumeration needs a pointed monoid")
-    gens = sorted((dot(grading, g), g) for g in m.hilbert_basis if not is_zero(g))
-    zero = (0,) * m.ambient_rank
-    grade = {zero: 0}
-    frontier = [(0, zero)]
-    while frontier:
-        gx, x = frontier.pop()
-        for gg, g in gens:
-            gy = gx + gg
-            if gy > bound:
-                break  # gens is sorted by grade
-            y = vadd(x, g)
-            if y not in grade:
-                grade[y] = gy
-                frontier.append((gy, y))
-    return sorted(grade, key=lambda v: (grade[v], v))
+    basis, d = list(m.group.basis), len(m.group.basis)
+    vals = [mat_vec(m.cone.halfspaces, b) for b in basis]  # facet values, none all zero as m is pointed
+    reduced = False
+    while not reduced:  # pairwise (Lagrange) reduction in the norm |facet values|
+        reduced = True
+        for i, j in permutations(range(d), 2):
+            ij, jj = dot(vals[i], vals[j]), dot(vals[j], vals[j])
+            if 2 * abs(ij) > jj:  # q is then nonzero, and |vals[i]| falls
+                q = (2 * ij + jj) // (2 * jj)
+                vals[i], basis[i], reduced = vsub(vals[i], vscale(q, vals[j])), vsub(basis[i], vscale(q, basis[j])), False
+    basis = [b for _, b in sorted(zip([-dot(v, v) for v in vals], basis))]  # the shortest, with the longest runs, last
+    g_y = mat_vec(basis, grading)
+    # rows r[:d] . y <= r[d], each with the bit mask of the given rows it combines
+    rows = [(tuple([-x for x in mat_vec(basis, h)]) + (0,), 1 << i) for i, h in enumerate(m.cone.halfspaces)]
+    rows.append((g_y + (bound,), 1 << len(rows)))
+    levels = []  # per y_j, rows as (a > 0, head, b): a y_j <= b - head . y_<j, then >=
+    for j in reversed(range(d)):
+        up, down = [p for p in rows if p[0][j] > 0], [q for q in rows if q[0][j] < 0]
+        levels.insert(0, ([(r[j], r[:j], r[d]) for r, _ in up], [(-r[j], r[:j], r[d]) for r, _ in down]))
+        if j:  # the rows in y_<j, less those combining more than d - j + 1 given rows (redundant)
+            rows = [p for p in rows if not p[0][j]] + [
+                (tuple([x * -q[j] + y * p[j] for x, y in zip(p, q)]), s | t)
+                for p, s in up for q, t in down if (s | t).bit_count() <= d - j + 1
+            ]
+    states = [((), (0,) * m.ambient_rank, 0)]  # (y_0..y_(j-1), y @ G, its grade)
+    for (upper, lower), step, rise in zip(levels, basis, g_y):
+        states = [
+            (y + (t,), tuple([u + t * v for u, v in zip(x, step)]), g + t * rise)
+            for y, x, g in states
+            for t in range(
+                max([-((b - dot(head, y)) // a) for a, head, b in lower]),
+                min([(b - dot(head, y)) // a for a, head, b in upper]) + 1,
+            )
+        ]
+    return [x for _, x in sorted([(g, x) for _, x, g in states])]
 
 
 def _witness_tables(h: MonoidHom, bound: int):
@@ -281,6 +312,8 @@ def equidimensional_report(matrix: Mat, src: Fan, dst: Fan) -> CheckReport:
 
 
 def check_equidimensional(fam: UniversalFamily) -> CheckReport:
+    """On a family from :func:`~chowfan.family.universal_family` this
+    re-checks what ``family._base_index`` enforced while building it."""
     return equidimensional_report(
         fam.chow.projection.matrix, fam.fan, fam.base.fan
     )

@@ -842,10 +842,11 @@ def dumps_by_json(doc):
 
 
 def group_coordinates(m):
-    """``(monoid', basis)``: the monoid rewritten in the coordinates of the
-    rows ``basis`` of its group, a point ``y`` of the new monoid standing
-    for ``y @ basis``; its Hilbert basis and units are mapped through
-    ``coordinates_in``, and its cone is carried through the basis."""
+    """``(monoid', basis, hilbert_basis')``: the monoid rewritten in the
+    coordinates of the rows ``basis`` of its group, a point ``y`` of the new
+    monoid standing for ``y @ basis``; its cone is carried through the
+    basis, and its Hilbert basis and units are mapped through
+    ``coordinates_in``."""
     from chowfan.cones import _pull_back
     from chowfan.intlinalg import Sublattice, coordinates_in, full_lattice, row_lattice_hnf
     from chowfan.monoids import AffineMonoid, _reduce_mod_units
@@ -857,7 +858,7 @@ def group_coordinates(m):
     hb = tuple(sorted(
         _reduce_mod_units(coordinates_in(basis, g), units) for g in m.hilbert_basis
     ))
-    return AffineMonoid(k, hb, units, cone, full_lattice(k), full_lattice(k)), basis
+    return AffineMonoid(k, units, cone, full_lattice(k), full_lattice(k)), basis, hb
 
 
 def check_integral_by_pair_walk(h, degree_bound):
@@ -952,3 +953,24 @@ def fiber_dimension(c, matrix, value):
     if all(r[-1] == 0 for r in rays):
         return None
     return matrix_rank(rays + lines) - 1
+
+
+def enumerate_elements_by_search(m, grading, bound):
+    """The library's earlier element enumeration: a search from zero over
+    sums of Hilbert-basis elements, keeping each element of grade at most
+    ``bound`` once; sorted by ``(grade, element)`` (pointed monoids)."""
+    gens = sorted((sum(a * b for a, b in zip(grading, g)), g) for g in m.hilbert_basis if any(g))
+    zero = (0,) * m.ambient_rank
+    grade = {zero: 0}
+    frontier = [(0, zero)]
+    while frontier:
+        gx, x = frontier.pop()
+        for gg, g in gens:
+            gy = gx + gg
+            if gy > bound:
+                break  # gens is sorted by grade
+            y = tuple(a + b for a, b in zip(x, g))
+            if y not in grade:
+                grade[y] = gy
+                frontier.append((gy, y))
+    return sorted(grade, key=lambda v: (grade[v], v))

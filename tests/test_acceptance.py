@@ -6,6 +6,7 @@ see them); any failure is a build-blocking defect.
 """
 
 import io
+import json
 import os
 import random
 from fractions import Fraction
@@ -42,7 +43,7 @@ from chowfan import (
     wall_monoid_structure,
     wall_structure,
 )
-from chowfan import cones, monoids, verify
+from chowfan import cli, cones, monoids, verify
 from chowfan.cli import parse_input, run
 from chowfan.cones import (
     _pull_back,
@@ -66,6 +67,7 @@ from chowfan.serialize import (
     decode_cone,
     decode_monoid,
     decode_sublattice,
+    dumps,
     encode_cone,
     encode_monoid,
     encode_sublattice,
@@ -248,6 +250,61 @@ def test_dual_maps_match_the_group_coordinates_oracle(corpus_families):
         maps += 1
     assert maps
     _announce(f"dual maps equal the duals in group coordinates on {maps} family cones")
+
+
+def test_element_enumeration_matches_the_search_oracle(corpus_families):
+    # the grade-bounded scan of cone and group lists what the search over
+    # sums of Hilbert-basis elements lists, on every family, base and dual monoid
+    found = {id(m): m for _, _, _, fam in corpus_families for d in (fam.datum, fam.base) for m in d.monoids}
+    found.update((id(m), m) for _, _, h in _dual_maps(corpus_families) for m in (h.source, h.target))
+    elements = 0
+    for m in found.values():
+        for bound in (2, 8):
+            got = verify._enumerate_elements(m, m.grading(), bound)
+            assert got == oracles.enumerate_elements_by_search(m, m.grading(), bound)
+            elements += len(got)
+    _announce(f"element enumerations equal the search oracle on {len(found)} monoids ({elements} elements)")
+
+
+def test_monoid_equality_is_equality_of_bases_and_units(corpus_families):
+    # a monoid compares as its cone and group; on the corpus this groups the
+    # monoids exactly as their Hilbert bases and units do
+    found = [m for _, _, _, fam in corpus_families for d in (fam.datum, fam.base, fam.variety) for m in d.monoids]
+    found += [m for _, _, h in _dual_maps(corpus_families) for m in (h.source, h.target)]
+    by_basis, by_equality = {}, {}
+    for k, m in enumerate(found):
+        by_basis.setdefault((m.ambient_rank, m.hilbert_basis, m.units), []).append(k)
+        by_equality.setdefault(m, []).append(k)
+    assert sorted(by_basis.values()) == sorted(by_equality.values())
+    assert len(by_equality) < len(found)  # some pairs are equal
+    _announce(f"monoid equality equals basis-and-units equality on {len(found)} monoids")
+
+
+def test_integrality_check_builds_no_family_or_dual_basis(monkeypatch, tmp_path):
+    # check --integral reads the duals only up to a grade bound, by their
+    # cones and groups: no Hilbert basis of a dual, nor of a family monoid
+    monkeypatch.setattr(cones, "_cone_cache", {})
+    calls, in_dual = [], []  # calls: (cone, whether inside _dual_in_group)
+    real_basis, real_dual = monoids._hilbert_basis_full, verify._dual_in_group
+
+    def counted_basis(c, out=None):
+        calls.append((c, bool(in_dual)))
+        return real_basis(c, out)
+
+    def marked_dual(m):
+        in_dual.append(m)
+        try:
+            return real_dual(m)
+        finally:
+            in_dual.pop()
+
+    monkeypatch.setattr(monoids, "_hilbert_basis_full", counted_basis)
+    monkeypatch.setattr(verify, "_dual_in_group", marked_dual)
+    path = tmp_path / "corpus8.json"
+    path.write_text(corpus_documents()[8])
+    assert run(["check", str(path), "--integral", "--bound", "4"], stdout=io.StringIO()) == 0
+    assert [c for c, inside in calls if inside] == []
+    assert calls == []  # nor outside it: no dual read by the enumeration, no family monoid
 
 
 def test_integrality_searches_the_pair_walk_identities(corpus_families, monkeypatch):
@@ -463,7 +520,7 @@ def test_criterion_6_involutions_and_round_trips():
                     for _ in range(rng.randrange(0, 3))
                 ],
             )
-            if decode_sublattice(encode_sublattice(s)) != s:
+            if decode_sublattice(json.loads(dumps(encode_sublattice(s)))) != s:
                 failures += 1
         elif kind == 1:
             rays = [
@@ -471,7 +528,7 @@ def test_criterion_6_involutions_and_round_trips():
                 for _ in range(rng.randrange(0, 4))
             ]
             c = cone_from_generators([r for r in rays if any(r)], ambient_rank=2)
-            if decode_cone(encode_cone(c)) != c:
+            if decode_cone(json.loads(dumps(encode_cone(c)))) != c:
                 failures += 1
         else:
             rays = [
@@ -482,7 +539,7 @@ def test_criterion_6_involutions_and_round_trips():
             if c.lineality_dim:
                 continue
             m = monoid_from_cone(c)
-            if decode_monoid(encode_monoid(m)) != m:
+            if decode_monoid(json.loads(dumps(encode_monoid(m)))) != m:
                 failures += 1
     assert failures == 0
     _announce("criterion 6: 1000-case involution, idempotence and "

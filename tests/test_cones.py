@@ -584,20 +584,27 @@ class TestMemos:
         assert first == second and first is not second
         del counted[:]
         m = saturated_monoid(c, first)
-        assert "double_description" in counted and "_hilbert_basis_full" in counted
+        assert "double_description" in counted and "_hilbert_basis_full" not in counted
         del counted[:]
         assert saturated_monoid(c, second) is m
         assert counted == []
+        # the Hilbert basis is built on its first read, and only then
         assert m.hilbert_basis == ((1, 1, 0), (2, 0, 0), (2, 4, 0))
+        assert counted == ["_hilbert_basis_full"]
+        assert saturated_monoid(c, second).hilbert_basis is m.hilbert_basis
+        assert counted == ["_hilbert_basis_full"]
 
     def test_repeat_dual_monoid_computes_nothing(self, counted):
         c = cone_from_generators([(1, 0, 0), (1, 2, 0), (0, 1, 1)])
         m = saturated_monoid(c, full_lattice(3))
         del counted[:]
         first = monoids.dual_monoid(m)
+        assert counted == []
+        assert first.hilbert_basis
         assert counted == ["_hilbert_basis_full"]
         del counted[:]
         assert monoids.dual_monoid(m) is first and dual_cone(dual_cone(c)) is c
+        assert monoids.dual_monoid(m).hilbert_basis is first.hilbert_basis
         assert counted == []
 
     def test_repeat_intersection_runs_no_double_description(self, counted):

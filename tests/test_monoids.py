@@ -162,7 +162,7 @@ class TestSaturatedMonoidProperties:
     )
     def test_group_coordinates_match_recomputation(self, c, lattice):
         m = saturated_monoid(c, lattice)
-        coords, basis = oracles.group_coordinates(m)
+        coords, basis, hb = oracles.group_coordinates(m)
         k = len(basis)
         cone = cone_from_halfspaces(
             [tuple(dot(h, b) for b in basis) for h in m.cone.halfspaces],
@@ -170,7 +170,7 @@ class TestSaturatedMonoidProperties:
             k,
         )
         fresh = saturated_monoid(cone, full_lattice(k))
-        assert coords == fresh
+        assert coords == fresh and hb == fresh.hilbert_basis
         assert (coords.cone, coords.group, coords.saturated_lattice) == (
             fresh.cone, fresh.group, fresh.saturated_lattice
         )
@@ -778,8 +778,8 @@ class TestDuals:
         m = monoid_from_cone(
             cone_from_generators([(1, 0), (0, 1)]), sublattice(2, [(2, 0), (0, 1)])
         )
-        coords, basis = oracles.group_coordinates(m)
-        assert coords.hilbert_basis == ((0, 1), (1, 0))
+        coords, basis, hb = oracles.group_coordinates(m)
+        assert hb == coords.hilbert_basis == ((0, 1), (1, 0))
         assert basis == ((2, 0), (0, 1))
 
 
@@ -857,13 +857,12 @@ class TestHoms:
         monoid_hom(((1, 0), (0, 1)), source, quadrant)
         assert calls["cone"] <= 2 and calls["lattice"] <= 2
 
-    def test_free_source_maps_each_generator_once(self, monkeypatch):
-        # the Hilbert basis lies on the rays and is a basis of the group; the
-        # rays and the group basis mapped separately would take 6 images
+    def test_rays_and_group_basis_are_each_mapped_once(self, monkeypatch):
+        # the monoid is free on (2,0,0), (0,3,0), (0,0,5), but that takes its
+        # Hilbert basis to know: its rays and its group basis are mapped
+        # instead, each vector once, and no basis is built
         octant = cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         source = saturated_monoid(octant, sublattice(3, [(2, 0, 0), (0, 3, 0), (0, 0, 5)]))
-        assert source.hilbert_basis == ((0, 0, 5), (0, 3, 0), (2, 0, 0))
-        assert source.cone.generators != source.hilbert_basis
         swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
         target = saturated_monoid(octant, full_lattice(3))
         coarse = saturated_monoid(octant, sublattice(3, [(2, 0, 0), (0, 1, 0), (0, 0, 1)]))
@@ -874,15 +873,21 @@ class TestHoms:
             mapped.append(v)
             return real(m, v)
 
+        real_basis, built = chowfan.monoids._hilbert_basis_full, []
+        monkeypatch.setattr(chowfan.monoids, "_hilbert_basis_full", lambda *a: built.append(a) or real_basis(*a))
         monkeypatch.setattr(chowfan.monoids, "mat_vec", counted)
         monoid_hom(swap, source, target)
-        assert sorted(mapped) == sorted(source.hilbert_basis)
+        assert sorted(mapped) == sorted(octant.generators + source.group.basis)
+        assert built == []
+        # on the full lattice the group basis is the rays: three images
+        mapped.clear()
+        monoid_hom(swap, target, target)
+        assert sorted(mapped) == sorted(octant.generators)
         # the same images refuse a target lattice that misses one of them
         mapped.clear()
         with pytest.raises(MonoidNotMapped) as err:
             monoid_hom(swap, source, coarse)
         assert err.value.generator == (0, 3, 0) and err.value.image == (3, 0, 0)
-        assert sorted(mapped[:3]) == sorted(source.hilbert_basis)
         assert err.value.generator == oracles.monoid_map_escape_by_generators(swap, source, coarse)
 
 

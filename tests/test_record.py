@@ -69,10 +69,18 @@ def test_cone_incidence_is_outside_equality_and_hash():
 
 
 def test_monoid_uncompared_fields_are_outside_equality_and_hash():
+    # a monoid is its cone and group: the lattice it was cut from and its
+    # kept Hilbert basis are outside equality and hash
     m = saturated_monoid(cone_from_generators([(1, 0), (1, 2)]), full_lattice(2))
-    other = AffineMonoid(m.ambient_rank, m.hilbert_basis, m.units, None, None, None)
+    assert m.hilbert_basis == ((1, 0), (1, 1), (1, 2))
+    other = AffineMonoid(m.ambient_rank, m.units, m.cone, m.group, None)
+    assert other._kept is None
     assert other == m and hash(other) == hash(m)
-    assert other != replace(m, hilbert_basis=m.hilbert_basis[:1])
+    assert other != replace(m, group=sublattice(2, [(1, 0), (0, 2)]))
+    ray = cone_from_generators([(1, 0)], ambient_rank=2)
+    a, b = saturated_monoid(ray, full_lattice(2)), saturated_monoid(ray, sublattice(2, [(1, 0), (0, 2)]))
+    assert a.saturated_lattice != b.saturated_lattice
+    assert a == b and hash(a) == hash(b) and a.hilbert_basis == b.hilbert_basis == ((1, 0),)
 
 
 def test_hash_and_equality_are_those_of_the_compared_fields():
@@ -197,6 +205,21 @@ def test_kept_values_are_outside_equality_hash_repr_and_replace():
     assert p._kept and fresh._kept is None
     assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh) == "Pair(a=1, b=2)"
     assert replace(p)._kept is None and replace(p, b=3) == Pair(1, 3)
+
+
+def test_a_kept_function_of_the_record_alone_makes_no_dict():
+    calls = []
+
+    @kept
+    def swapped(p):
+        calls.append(p)
+        return Pair(p.b, p.a)
+
+    p, fresh = Pair(1, 2), Pair(1, 2)
+    assert swapped(p) is swapped(p) == Pair(2, 1) and calls == [p]
+    assert p._kept is None and swapped.__wrapped__(p) == Pair(2, 1)
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh) == "Pair(a=1, b=2)"
+    assert swapped(replace(p)) is not swapped(p) and len(calls) == 3
 
 
 def test_a_record_with_kept_values_still_refuses_assignment():

@@ -1,11 +1,13 @@
+from itertools import product
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import chowfan.verify
 from chowfan.chow import chow_quotient
-from chowfan.cones import cone_from_generators
+from chowfan.cones import cone_from_generators, fan_from_cones
 from chowfan.family import VerificationFailed, universal_family
-from chowfan.intlinalg import Sublattice, mat_vec, sublattice, vadd, zero_sublattice
+from chowfan.intlinalg import Sublattice, dot, mat_vec, sublattice, transpose, vadd, zero_sublattice
 from chowfan.monoids import MonoidHom, dual_monoid, monoid_from_cone, monoid_hom, saturated_monoid
 from chowfan.stacks import ToricStackDatum
 from chowfan.verify import (
@@ -95,6 +97,55 @@ class TestIntegral:
         monkeypatch.setattr(chowfan.verify, "_enumerate_elements", counted)
         check_integral(monoid_hom(((1,), (1,)), _n(1), _n(2)), 4)
         assert sorted(calls) == [4, 8]
+
+    @settings(deadline=None, max_examples=80)
+    @given(pointed_maps(), st.integers(0, 6))
+    def test_enumeration_matches_the_search_oracle(self, h, bound):
+        # the scan lists what the search over Hilbert-basis sums lists, for
+        # the facet-sum grading and for one tilted by a facet normal
+        for m in (h.source, h.target):
+            g = m.grading()
+            for grading in {g, *(vadd(g, t) for t in m.cone.halfspaces[:1])}:
+                got = chowfan.verify._enumerate_elements(m, grading, bound)
+                assert got == oracles.enumerate_elements_by_search(m, grading, bound)
+
+    def test_enumeration_on_many_facets(self):
+        # cones of dimension 3 and 4 with 20 to 36 facets, and their duals:
+        # combining every pair of rows in each elimination built up to about
+        # 10**8 rows for these
+        polygon = [(2, 6), (-1, 5), (-3, 4), (-4, 3), (-5, 1), (-6, -2), (-6, -3), (-5, -5), (-4, -6)]
+        polygon += [(-2, -7), (-1, -7), (2, -6), (4, -5), (5, -4), (6, -2), (7, 1), (7, 2), (6, 4)]
+        plane = monoid_from_cone(cone_from_generators([(1, i, i * i) for i in range(20)]))
+        prism = monoid_from_cone(cone_from_generators([(*p, h, 1) for p in polygon for h in (0, 1)]))
+        for m in (plane, dual_monoid(plane), prism, dual_monoid(prism)):
+            assert len(m.cone.halfspaces) >= 20
+            g = m.grading()
+            bound = 2 * min(dot(g, r) for r in m.cone.generators)
+            got = chowfan.verify._enumerate_elements(m, g, bound)
+            assert got == oracles.enumerate_elements_by_search(m, g, bound)
+        # dimension 5, 20 facets with dense normals: without Chernikov's rule
+        # the third elimination pairs millions of rows; its Hilbert basis
+        # alone takes 27 s, so the elements are compared with those of its
+        # image under a shear
+        rays = [(1, i, i * i, i**3, i**4) for i in range(8)]
+        shear = tuple(tuple(int(j in (i, i + 1)) for j in range(5)) for i in range(5))
+        found = []
+        for gens in (rays, [mat_vec(shear, r) for r in rays]):
+            m = monoid_from_cone(cone_from_generators(gens))
+            g = m.grading()
+            found.append(chowfan.verify._enumerate_elements(m, g, min(dot(g, r) for r in gens)))
+        assert len(m.cone.halfspaces) == 20 and len(found[0]) == 3
+        assert sorted(mat_vec(shear, x) for x in found[0]) == sorted(found[1])
+
+    def test_enumeration_in_skewed_coordinates(self):
+        # N^3 written through the unimodular u, whose first two columns are
+        # nearly parallel: a scan in the standard basis would meet about
+        # 6 * 10**6 values of its first coordinate for these 84 elements
+        k = 10**6
+        u = ((k + 1, k, 0), (k, k - 1, 0), (0, 0, 1))
+        m = monoid_from_cone(cone_from_generators(transpose(u)))
+        expected = sorted((sum(a), mat_vec(u, a)) for a in product(range(7), repeat=3) if sum(a) <= 6)
+        assert chowfan.verify._enumerate_elements(m, m.grading(), 6) == [x for _, x in expected]
 
     def test_each_source_element_mapped_once(self, monkeypatch):
         # one image per source element of the witness tables, shared with the
@@ -282,6 +333,18 @@ class TestEquidimensional:
         cq = chow_quotient(fan, sublattice(2, [[1, 0]]))
         rep = equidimensional_report(cq.projection.matrix, fan, cq.quotient_fan)
         assert rep.verdict == "fail"
+
+    def test_cone_into_but_not_onto_a_target_cone_fails(self):
+        # the identity maps the half quadrant <(1,0),(1,1)> into the first
+        # quadrant of the target fan, and onto none of its cones
+        quadrants = [[(1, 0), (0, 1)], [(0, 1), (-1, 0)], [(-1, 0), (0, -1)], [(0, -1), (1, 0)]]
+        dst = fan_from_cones(cone_from_generators(c) for c in quadrants)
+        src = fan_from_cones(cone_from_generators(c) for c in [[(1, 0), (1, 1)], [(1, 1), (0, 1)]] + quadrants[1:])
+        rep = equidimensional_report(((1, 0), (0, 1)), src, dst)
+        half = src.index_of(cone_from_generators([(1, 0), (1, 1)]))
+        assert rep.verdict == "fail"
+        assert (half, ((1, 0), (1, 1)), ()) in rep.witnesses
+        assert all(src.cones[i].dim and src.cones[i] not in dst for i, _, _ in rep.witnesses)
 
     def test_zero_sublattice_trivially_passes(self):
         fam = universal_family(chow_quotient(p2_fan(), zero_sublattice(2)))
