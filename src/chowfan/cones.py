@@ -48,7 +48,6 @@ from .intlinalg import (
     primitive,
     quotient_map,
     require_shape,
-    row_lattice_hnf,
     saturate,
     vscale,
 )
@@ -91,7 +90,8 @@ def double_description(
     """Extreme rays, lineality basis and incidence of ``{x : ineqs.x >= 0, eqs.x == 0}``.
 
     Returns ``(rays, lineality, tight)``: canonical primitive rays modulo
-    the lineality space, sorted; a saturated HNF lineality basis; and the
+    the lineality space, sorted; a saturated HNF lineality basis, the integer
+    kernel of all constraints (lineality = ker ineqs ∩ ker eqs); and the
     bitmask ``tight[k]`` of the inequalities vanishing on ``rays[k]`` (bit
     ``i`` for ``ineqs[i]``).  Constraints are inserted one at a time, and
     two rays combine only if adjacent, which their tight sets decide
@@ -105,8 +105,10 @@ def double_description(
     need (its halfspaces vanish on its lines and, with their tight sets,
     describe it completely inside its span).  Bits ``0 .. m-1`` are then
     ``start.halfspaces``, the next ones ``ineqs``, and each equation
-    follows as two inequalities, ``e`` and ``-e``.
+    follows as two inequalities, ``e`` and ``-e``; the constraints of
+    ``start`` join the lineality's kernel.
     """
+    constraints = list(ineqs) + list(eqs)
     if start is None:
         lineality: list[Vec] = [tuple(r) for r in identity_matrix(rank)]
         rays: list[Vec] = []
@@ -119,6 +121,7 @@ def double_description(
         tight = list(_transpose_masks(start.incidence, len(rays)))
         pointed_dim = start.dim - start.lineality_dim
         first_bit = len(start.halfspaces)
+        constraints += start.halfspaces + start.equations
         ineqs = list(ineqs) + [v for e in eqs for v in (tuple(e), vscale(-1, e))]
         eqs = ()
 
@@ -183,7 +186,7 @@ def double_description(
         rays = new_rays
         tight = new_tight
 
-    lin_hnf = saturate(Sublattice(rank, row_lattice_hnf(lineality))).basis if lineality else ()
+    lin_hnf = integer_kernel(constraints, rank) if lineality else ()
     canon: dict[Vec, int] = {}
     for r, t in zip(rays, tight):
         r = primitive(_reduce_mod_rows(r, lin_hnf))
@@ -275,7 +278,7 @@ def _intern(cone: Cone) -> Cone:
 
 def _cone_by_incidence(
     rank: int, rays: tuple[Vec, ...], lines: Mat, constraints: Sequence[Vec], tight: Sequence[int],
-    input_equations: Sequence[Vec],
+    input_equations: Sequence[Vec], equations: Optional[Mat] = None,
 ) -> Cone:
     """The cone with canonical rays and lines, its H-description read off
     the incidence of some constraints.
@@ -287,15 +290,17 @@ def _cone_by_incidence(
     the equations ``integer_kernel(rays + lines)``, which are empty when
     the caller's ``input_equations`` are and no constraint vanishes on
     every ray (the implicit equalities of ``{constraints.x >= 0}`` vanish
-    on the whole cone).  On the dual cone this turns an H-description into
-    the canonical rays.
+    on the whole cone), unless the caller passes the canonical
+    ``equations``.  On the dual cone this turns an H-description into the
+    canonical rays.
     """
     full = (1 << len(rays)) - 1
     first: dict[int, int] = {}
     for i, t in enumerate(tight):
         if t != full:
             first.setdefault(t, i)
-    equations = integer_kernel(rays + lines, rank) if input_equations or full in tight else ()
+    if equations is None:
+        equations = integer_kernel(rays + lines, rank) if input_equations or full in tight else ()
     facets = sorted(
         (primitive(_reduce_mod_rows(constraints[i], equations)), t)
         for t, i in first.items()
@@ -444,7 +449,7 @@ def _pull_back(c: Cone, basis: Mat) -> Cone:
     """
     k = len(basis)
     pulled_h = [mat_vec(basis, h) for h in c.halfspaces]
-    pulled_e = [mat_vec(basis, e) for e in c.equations]
+    pulled_e = [e for e in (mat_vec(basis, e) for e in c.equations) if any(e)]
     scale = prod(next(x for x in row if x) for row in basis)
     coords = [coordinates_in(basis, vscale(scale, g)) for g in c.generators + c.lineality]
     if None in coords:
@@ -525,15 +530,19 @@ def facets(c: Cone) -> tuple[Cone, ...]:
     canonical V-description of its facet, and the halfspaces of ``c`` cut
     out every facet of that facet; so the facet is read off the incidence
     of ``c`` (:func:`_cone_by_incidence`) and no double description runs.
+    A facet of a full-dimensional ``c`` has its primitive normal, sign
+    fixed, as its equation; other facets take the kernel of their rays, as
+    ``c``'s equations and the normal may span an unsaturated lattice.
     """
     out = []
-    for mask in c.incidence:
-        picked = [k for k in range(len(c.generators)) if mask >> k & 1]
-        rays = tuple(c.generators[k] for k in picked)
+    for h, mask in zip(c.halfspaces, c.incidence):
+        rays = tuple([g for k, g in enumerate(c.generators) if mask >> k & 1])
         face = _cone_cache.get((c.ambient_rank, rays, c.lineality))
         if face is None:
+            picked = [k for k in range(len(c.generators)) if mask >> k & 1]
             tight = [_select_bits(t, picked) for t in c.incidence]
-            face = _intern(_cone_by_incidence(c.ambient_rank, rays, c.lineality, c.halfspaces, tight, c.equations))
+            eqs = None if c.equations else (h if next(filter(None, h)) > 0 else vscale(-1, h),)
+            face = _intern(_cone_by_incidence(c.ambient_rank, rays, c.lineality, c.halfspaces, tight, c.equations, eqs))
         out.append(face)
     return tuple(out)
 

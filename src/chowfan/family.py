@@ -38,11 +38,11 @@ from .cones import (
 from .intlinalg import (
     Sublattice,
     Vec,
+    _span_cut,
     coordinates_in,
     dot,
     full_lattice,
     identity_matrix,
-    lattice_intersection,
     preimage_lattice,
     row_lattice_hnf,
     solve_rational,
@@ -237,7 +237,7 @@ def integral_lift(proj, c: Cone, value: Sequence[int]) -> Vec:
 
 def _wall_direction_lattice(fam: UniversalFamily, wall_index: int) -> Vec:
     c = fam.fan.cones[wall_index]
-    k = lattice_intersection(_span_lattice(c), fam.chow.sub)
+    k = _span_cut(fam.chow.sub, c.equations)
     if k.rank != 1:
         raise InternalConsistencyError(
             f"wall {wall_index}: span must meet the acting sublattice in a line"

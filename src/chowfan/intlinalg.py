@@ -25,6 +25,9 @@ and converts nothing.  ``int()`` coercion happens only at the boundaries:
 the decoders, the public constructors (:func:`vec`, :func:`mat`,
 :func:`sublattice`, the cone constructors) and the inputs of the normal
 forms.  :func:`identity_matrix` is memoised; its tuples are shared.
+Most Hermite forms are kernels: the cone code takes none for a facet of a
+full-dimensional cone, one for a lineality (not a saturation of the lines)
+and one for the group of a face, in lattice coordinates (:func:`_span_cut`).
 """
 
 from __future__ import annotations
@@ -134,8 +137,10 @@ def row_lattice_hnf(rows: Sequence[Sequence[int]]) -> Mat:
     done: list[list[int]] = []
     col = 0
     while work:
-        nz = [r for r in work if r[col]]
-        work = [r for r in work if not r[col]]
+        nz, rest = [], []
+        for r in work:
+            (nz if r[col] else rest).append(r)
+        work = rest
         while len(nz) > 1:  # Euclid on column col: reduce all by the smallest
             p = min(nz, key=lambda r: abs(r[col]))
             rest = [p]
@@ -143,7 +148,8 @@ def row_lattice_hnf(rows: Sequence[Sequence[int]]) -> Mat:
                 if r is not p:
                     q = r[col] // p[col]
                     r = [x - q * y for x, y in zip(r, p)]
-                    (rest if r[col] else work).append(r)
+                    if r[col] or any(r):  # work never holds a zero row
+                        (rest if r[col] else work).append(r)
             nz = rest
         if nz:
             p = nz[0] if nz[0][col] > 0 else [-x for x in nz[0]]
@@ -152,7 +158,6 @@ def row_lattice_hnf(rows: Sequence[Sequence[int]]) -> Mat:
                 if q:
                     done[i] = [x - q * y for x, y in zip(d, p)]
             done.append(p)
-        work = [r for r in work if any(r)]
         col += 1
     return tuple(map(tuple, done))
 
@@ -168,6 +173,8 @@ def hermite_normal_form(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
     if n == 0:
         return (), ()
     ncols = len(m[0])
+    for bad in (r for r in m if len(r) != ncols):
+        raise ValueError(f"row {tuple(bad)} does not have length {ncols}")
     aug = row_lattice_hnf([tuple(r) + e for r, e in zip(m, identity_matrix(n))])
     return tuple([r[:ncols] for r in aug]), tuple([r[ncols:] for r in aug])
 
@@ -206,14 +213,13 @@ def integer_kernel(m: Sequence[Sequence[int]], ncols: Optional[int] = None) -> M
     is the transform block of the zero rows of the Hermite form of ``m``
     transposed, already in canonical HNF as the tail of one Hermite basis.
     """
-    rows = mat(m)
     if ncols is None:
-        if not rows:
+        if not m:
             raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
-    if not rows:
+        ncols = len(m[0])
+    if not m:
         return identity_matrix(ncols)
-    h, u = hermite_normal_form(transpose(rows))
+    h, u = hermite_normal_form(transpose(m))
     return tuple([ui for hi, ui in zip(h, u) if not any(hi)])
 
 
@@ -330,6 +336,17 @@ def lattice_intersection(a: Sublattice, b: Sublattice) -> Sublattice:
     at = transpose(a.basis)
     gens = [mat_vec(at, row[: len(a.basis)]) for row in pairs]
     return Sublattice(a.ambient_rank, row_lattice_hnf(gens))
+
+
+def _span_cut(lat: Sublattice, equations: Mat) -> Sublattice:
+    """``{x in lat : equations @ x == 0}`` as ``y @ B``, ``B`` the basis of
+    ``lat`` and ``y`` in the kernel of ``equations @ transpose(B)``: one kernel
+    where an intersection with the span lattice of ``equations`` takes two."""
+    if not equations or not lat.basis:
+        return lat
+    coords = integer_kernel([mat_vec(lat.basis, e) for e in equations], lat.rank)
+    bt = transpose(lat.basis)
+    return Sublattice(lat.ambient_rank, row_lattice_hnf([mat_vec(bt, y) for y in coords]))
 
 
 def lattice_index(sub: Sublattice, sup: Sublattice) -> Optional[int]:

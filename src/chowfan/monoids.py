@@ -79,11 +79,11 @@ from .intlinalg import (
     Mat,
     Sublattice,
     Vec,
+    _span_cut,
     coordinates_in,
     dot,
     full_lattice,
     hermite_normal_form,
-    lattice_intersection,
     mat,
     mat_mul,
     mat_vec,
@@ -657,8 +657,7 @@ def restrict_to_face(m: AffineMonoid, face: Cone) -> AffineMonoid:
     if not is_face_of(face, m.cone):
         raise NotAFace(f"{face} is not a face of {m.cone}")
     lat = m.saturated_lattice
-    group = lattice_intersection(_span_lattice(face), lat)
-    return AffineMonoid(m.ambient_rank, m.units, face, group, lat)
+    return AffineMonoid(m.ambient_rank, m.units, face, _span_cut(lat, face.equations), lat)
 
 
 class MonoidHom(Record):

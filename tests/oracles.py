@@ -38,6 +38,11 @@ completed by the Smith transform to a unimodular matrix and that matrix
 inverted a second time.  The two after it are the library's earlier
 matrix rank, the rank of the row lattice, and its earlier fiber
 dimension, one double description of a homogenised cone per fiber.
+The three at the end are the library's earlier lineality basis of a
+double description, the saturation of the Hermite form of its lines (here
+lines of a rational null space by Gaussian elimination), the group of a
+face, a lattice intersection with the face's span lattice, and facet
+equations, the integer kernel of the facet's rays and lines.
 """
 
 import json
@@ -974,3 +979,55 @@ def enumerate_elements_by_search(m, grading, bound):
                 grade[y] = gy
                 frontier.append((gy, y))
     return sorted(grade, key=lambda v: (grade[v], v))
+
+
+def lineality_by_saturation(ineqs, eqs, rank):
+    """HNF basis of the saturated lineality lattice of ``{ineqs.x >= 0,
+    eqs.x == 0}``: integer lines spanning the rational null space of all
+    constraints, by Gauss-Jordan elimination over Fractions, then
+    ``saturate(Sublattice(rank, row_lattice_hnf(lines)))``."""
+    from chowfan.intlinalg import Sublattice, row_lattice_hnf, saturate
+
+    rows = [[Fraction(x) for x in r] for r in list(ineqs) + list(eqs)]
+    pivots = []
+    for col in range(rank):
+        piv = next((i for i in range(len(pivots), len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        k = len(pivots)
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rows[k] = [x / rows[k][col] for x in rows[k]]
+        for i in range(len(rows)):
+            if i != k and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+        pivots.append(col)
+    lines = []
+    for free in (j for j in range(rank) if j not in pivots):
+        x = [Fraction(0)] * rank
+        x[free] = Fraction(1)
+        for k, col in enumerate(pivots):
+            x[col] = -rows[k][free]
+        den = 1
+        for v in x:
+            den = den * v.denominator // gcd(den, v.denominator)
+        lines.append([int(v * den) for v in x])
+    if not lines:
+        return ()
+    return saturate(Sublattice(rank, row_lattice_hnf(lines))).basis
+
+
+def face_group_by_intersection(face, lattice):
+    """``span(face) ∩ lattice`` as the intersection of the face's span
+    lattice with ``lattice``."""
+    from chowfan.cones import _span_lattice
+    from chowfan.intlinalg import lattice_intersection
+
+    return lattice_intersection(_span_lattice(face), lattice)
+
+
+def facet_equations_by_kernel(facet):
+    """The equations of a cone as the integer kernel of its rays and lines."""
+    from chowfan.intlinalg import integer_kernel
+
+    return integer_kernel(facet.generators + facet.lineality, facet.ambient_rank)

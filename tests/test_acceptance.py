@@ -50,11 +50,12 @@ from chowfan.cones import (
     _span_lattice,
     all_faces,
     cone_from_halfspaces,
+    facets,
     intersect_cones,
 )
 from chowfan.family import basic_monoid, lift_into_span
 from chowfan.chow import InfiniteIndex
-from chowfan.intlinalg import dot, identity_matrix, integer_kernel, mat_mul, mat_vec, saturate, solve_rational
+from chowfan.intlinalg import _span_cut, dot, identity_matrix, integer_kernel, mat_mul, mat_vec, saturate, solve_rational
 from chowfan.monoids import (
     _hermite_box,
     _hilbert_basis_full,
@@ -655,6 +656,28 @@ def test_kernels_and_multiplicities_match_earlier_forms(corpus_families):
         assert 0 < finite < len(fan.cones)
     _announce(f"one Hermite pass per kernel on {kernels} cone matrices and elementary "
               f"divisors per multiplicity on all {weights} input cones equal the earlier forms")
+
+
+def test_facet_equations_and_face_groups_match_their_kernels(corpus_families):
+    facet_count = groups = 0
+    for fan, sub, cq, fam in corpus_families:
+        for f in (fan, cq.quotient_fan, fam.fan):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cones, "_cone_cache", {})  # every facet is built here
+                for c in f.cones:
+                    for g in facets(c):
+                        assert g.equations == oracles.facet_equations_by_kernel(g)
+                        assert g in f
+                        facet_count += 1
+        for m in [d.monoid for d in cq.cone_data] + list(fam.datum.monoids):
+            lat = m.saturated_lattice
+            for face in all_faces(m.cone):
+                expected = oracles.face_group_by_intersection(face, lat)
+                assert _span_cut(lat, face.equations) == expected
+                assert restrict_to_face(m, face).group == expected
+                groups += 1
+    _announce(f"facet equations equal the kernel of their rays on {facet_count} facets of "
+              f"corpus cones, and face groups the span-lattice intersection on {groups} monoid faces")
 
 
 def _cone_fields(c):

@@ -24,8 +24,10 @@ from chowfan.cones import (
     zero_cone,
 )
 from chowfan.intlinalg import (
+    _span_cut,
     dot,
     full_lattice,
+    lattice_index,
     mat_vec,
     quotient_map,
     saturate,
@@ -444,6 +446,99 @@ class TestContinuedConversion:
         # the bits of start.halfspaces and ineqs are the same incidence
         low = (1 << len(start.halfspaces) + len(ineqs)) - 1
         assert [t & low for t in tight] == list(expected[2])
+
+
+# a lattice given by at most ``rank`` generators, not necessarily saturated
+def _lattices_in(rank):
+    return st.lists(_vectors(rank), max_size=rank).map(lambda gens: sublattice(rank, gens))
+
+
+# inequalities and equations, few enough that lines are common
+constraint_runs = st.integers(1, 4).flatmap(
+    lambda rank: st.tuples(
+        st.just(rank), st.lists(_vectors(rank), max_size=3), st.lists(_vectors(rank), max_size=2)
+    )
+)
+
+
+class TestKernelsReadOffTheCone:
+    """Facet equations, lineality and face groups equal the kernels they
+    were once computed by."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 4).flatmap(_cones_in))
+    @example(cone_from_generators([(1, -2)]))
+    @example(cone_from_generators([(1, 0, 0)], [(0, 1, 0)]))
+    @example(cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2), (0, 0, 1)]))
+    def test_facet_equations_are_the_kernel_of_rays_and_lines(self, c):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cones, "_cone_cache", {})  # every facet is built here
+            for f in facets(c):
+                assert f.equations == oracles.facet_equations_by_kernel(f)
+
+    def test_facets_of_a_full_dimensional_cone_take_no_kernel(self, monkeypatch):
+        c = cone_from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+        calls = []
+        real = cones.integer_kernel
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cones, "integer_kernel", counted)
+        monkeypatch.setattr(cones, "_cone_cache", {})
+        faces = facets(c)
+        assert calls == []
+        assert len(faces) == 4
+        for f, h in zip(faces, c.halfspaces):
+            assert f.equations == oracles.facet_equations_by_kernel(f)
+            assert f.equations in ((h,), (tuple(-x for x in h),))
+
+    def test_the_facet_of_a_ray_keeps_its_kernel(self):
+        # the ray's equation (2,1) and its facet normal (0,-1) span a sublattice
+        # of index 2, so a facet of a lower-dimensional cone is not cut out by
+        # its parent's equations plus the normal
+        ray = cone_from_generators([(1, -2)])
+        assert ray.equations == ((2, 1),) and ray.halfspaces == ((0, -1),)
+        assert lattice_index(sublattice(2, ray.equations + ray.halfspaces), full_lattice(2)) == 2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cones, "_cone_cache", {})
+            (f,) = facets(ray)
+        assert f == zero_cone(2)
+        assert f.equations == ((1, 0), (0, 1))
+
+    @settings(deadline=None, max_examples=200)
+    @given(constraint_runs)
+    @example((3, [(1, 0, 0)], [(0, 1, 1)]))
+    @example((3, [(1, 0, 0), (-1, 0, 0)], [(0, 2, 2)]))
+    @example((2, [], []))
+    def test_lineality_is_the_kernel_of_the_constraints(self, case):
+        rank, ineqs, eqs = case
+        _, lin, _ = cones.double_description(ineqs, eqs, rank)
+        assert lin == oracles.lineality_by_saturation(ineqs, eqs, rank)
+
+    @settings(deadline=None, max_examples=150)
+    @given(started_runs)
+    @example((cone_from_generators([(1, 0, 0)], [(0, 1, 0)]), [(0, 1, 1), (-1, 0, 1)], [(0, 1, 0)]))
+    @example((cone_from_generators([], [(1, 0, 0)]), [], [(0, 1, 0)]))
+    @example((cone_from_generators([(1, 0, 0, 0)], [(0, 1, 1, 0)]), [(0, 0, 0, 1)], []))
+    def test_started_lineality_is_the_kernel_of_all_constraints(self, case):
+        start, ineqs, eqs = case
+        rank = start.ambient_rank
+        _, lin, _ = cones.double_description(ineqs, eqs, rank, start)
+        expected = oracles.lineality_by_saturation(
+            list(start.halfspaces) + ineqs, list(start.equations) + eqs, rank
+        )
+        assert lin == expected
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 4).flatmap(lambda rank: st.tuples(_cones_in(rank), _lattices_in(rank))))
+    @example((cone_from_generators([(1, -2)]), sublattice(2, [(1, 1), (0, 2)])))
+    @example((cone_from_generators([(1, 0, 0)], [(0, 1, 1)]), sublattice(3, [(2, 0, 0), (0, 1, -1)])))
+    def test_span_cut_is_the_intersection_with_the_span_lattice(self, case):
+        c, lat = case
+        for f in all_faces(c):
+            assert _span_cut(lat, f.equations) == oracles.face_group_by_intersection(f, lat)
 
 
 class TestInterning:

@@ -489,7 +489,7 @@ class TestConsistencyErrorsNameCones:
         import chowfan.family as family
 
         fam, _, w = setup
-        monkeypatch.setattr(family, "lattice_intersection", lambda a, b: zero_sublattice(2))
+        monkeypatch.setattr(family, "_span_cut", lambda lat, equations: zero_sublattice(2))
         with pytest.raises(InternalConsistencyError, match=f"^wall {w.index}: span must meet"):
             family._wall_direction_lattice(fam, w.index)
 

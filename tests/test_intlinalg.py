@@ -77,6 +77,19 @@ large_matrices = st.tuples(st.integers(0, 6), st.integers(0, 4)).flatmap(
 )
 
 
+def _with_zero_and_repeated_rows(shape):
+    rows, cols = shape
+    row = st.lists(st.integers(-9, 9), min_size=cols, max_size=cols)
+    base = st.lists(st.one_of(row, st.just([0] * cols)), min_size=rows, max_size=rows)
+    return base.flatmap(
+        lambda b: st.lists(st.sampled_from(b), max_size=3).map(lambda extra: b + extra) if b else st.just(b)
+    )
+
+
+# up to 8 rows (tall) or 6 columns (wide), with zero rows and repeated rows
+degenerate_matrices = st.tuples(st.integers(0, 8), st.integers(1, 6)).flatmap(_with_zero_and_repeated_rows)
+
+
 class TestHermite:
     def test_identity(self):
         h, u = hermite_normal_form([[1, 0], [0, 1]])
@@ -108,6 +121,20 @@ class TestHermite:
         ours = row_lattice_hnf(rows)
         theirs = oracles.schoolbook_hnf(rows)
         assert ours == theirs
+
+    @settings(deadline=None, max_examples=200)
+    @given(degenerate_matrices)
+    @example([[0, 0, 0], [1, 2, 3], [0, 0, 0], [1, 2, 3]])
+    @example([[2], [4], [0], [-6], [2], [3], [0], [5]])
+    @example([[0, 2, 4, 6, 8, 10], [0, 3, 5, 7, 9, 11], [0, 2, 4, 6, 8, 10]])
+    def test_matches_schoolbook_with_zero_and_repeated_rows(self, rows):
+        assert row_lattice_hnf(rows) == oracles.schoolbook_hnf(rows)
+
+    def test_ragged_rows_raise_naming_the_row(self):
+        with pytest.raises(ValueError, match=r"^row \(3, 4, 5\) does not have length 2$"):
+            hermite_normal_form([[1, 2], [3, 4, 5]])
+        with pytest.raises(ValueError, match=r"^row \(3,\) does not have length 2$"):
+            hermite_normal_form([[1, 2], [3]])
 
     @settings(deadline=None, max_examples=80)
     @given(small_matrices)
