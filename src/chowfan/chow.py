@@ -10,8 +10,12 @@ classes of the invariant
 which only depends on p(psi), and equals the set of cones whose projected
 image contains p(psi) in its relative interior.  The construction
 enumerates the cells of the central hyperplane arrangement spanned by the
-facet and span functionals of all projected cones, merges cells with equal
-meeting sets, and verifies exactly that each merged class is convex.
+facet and span functionals of all projected cones, takes one sample per
+cell, and closes the class with meeting set M up to the fiber-fan cone
+∩_{j in M} p(sigma_j) (Billera & Sturmfels, "Fiber polytopes", 1992).  Its
+relative interior ∩ relint p(sigma_j) holds the class (Rockafellar, Convex
+Analysis, Thm 6.5) and is a union of cells, so it is the class exactly when
+every cell sample in it has meeting set M, which is verified for each class.
 
 Each quotient cone carries provenance: the meeting set, the cones whose
 generic translate slice is a single point, the associated cycle with its
@@ -40,7 +44,6 @@ from .cones import (
     image_cone,
     intersect_cones,
     is_complete,
-    relative_interior_sample,
     validate_fan,
 )
 from .intlinalg import (
@@ -56,6 +59,7 @@ from .intlinalg import (
     primitive,
     quotient_map,
     saturate,
+    vscale,
 )
 from .monoids import AffineMonoid, saturated_monoid
 from .stacks import InternalConsistencyError, ToricStackDatum, validate_stack_datum
@@ -105,54 +109,51 @@ def multiplicity(fan: Fan, sub: Sublattice, cone_index: int) -> int:
 # arrangement cells
 
 
-def _cell_split(normals, rank: int):
-    """Enumerate nonempty relatively open cells of a central arrangement.
+def _cell_split(normals, rank: int) -> list[Vec]:
+    """One integer sample per nonempty relatively open cell of a central
+    arrangement.  The arrangement holds every facet and equation of every
+    image, so meeting sets are constant on cells, and a class cone
+    ``∩ p(σ_j)`` is the closure of its class when the samples in its
+    relative interior all have the class's meeting set.
 
-    Returns a list of ``(signs, integer sample)`` pairs.  Feasibility calls
-    (:func:`~chowfan.cones._strict_sample`, one double description each) are
-    kept to one per split by reusing cell samples: a cell splits along a
-    hyperplane iff the opposite open side is nonempty, and the middle sample
-    is then a positive combination of the two sides.
+    A sample lies in its cell, so the signs of the normals on it are the
+    cell's.  Feasibility calls (:func:`~chowfan.cones._strict_sample`, one
+    double description each) are kept to one per split by reusing cell
+    samples: a cell splits along a hyperplane iff the opposite open side is
+    nonempty, and the middle sample is then a positive combination of the
+    two sides.
     """
-    cells: list[tuple[tuple[int, ...], Vec]] = [((), tuple(0 for _ in range(rank)))]
+    cells: list[Vec] = [(0,) * rank]
     for idx, h in enumerate(normals):
         prior = normals[:idx]
         new_cells = []
-        for signs, sample in cells:
-            eqs = [n for n, s in zip(prior, signs) if s == 0]
-            strict = [tuple(s * x for x in n) for n, s in zip(prior, signs) if s != 0]
+        for sample in cells:
+            vals = [dot(n, sample) for n in prior]
+            eqs = [n for n, v in zip(prior, vals) if v == 0]
+            strict = [n if v > 0 else vscale(-1, n) for n, v in zip(prior, vals) if v != 0]
 
             def side(sign: int) -> Optional[Vec]:
                 """Sample of the part of the cell where ``sign * h > 0``."""
-                return _strict_sample(strict + [tuple(sign * x for x in h)], eqs, rank)
+                return _strict_sample(strict + [vscale(sign, h)], eqs, rank)
 
             val = dot(h, sample)
             if val != 0:
-                base_sign = 1 if val > 0 else -1
-                opp_sample = side(-base_sign)
-                new_cells.append((signs + (base_sign,), sample))
+                new_cells.append(sample)
+                opp_sample = side(-1 if val > 0 else 1)
                 if opp_sample is not None:
-                    new_cells.append((signs + (-base_sign,), opp_sample))
-                    a = dot(h, sample)
                     b = dot(h, opp_sample)
-                    middle = primitive(
-                        tuple(a * y - b * x for x, y in zip(sample, opp_sample))
-                    )
-                    if base_sign < 0:
-                        middle = tuple(-x for x in middle)
-                    new_cells.append((signs + (0,), middle))
+                    middle = primitive(tuple(abs(val) * y + abs(b) * x for x, y in zip(sample, opp_sample)))
+                    new_cells += [opp_sample, middle]
             else:
                 # sample lies on the hyperplane: either the cell is inside it
                 # or the hyperplane cuts through the relatively open cell
                 plus = side(1)
                 if plus is None:
-                    new_cells.append((signs + (0,), sample))
+                    new_cells.append(sample)
                 else:
                     minus = side(-1)
                     assert minus is not None, "open cell must cross the hyperplane"
-                    new_cells.append((signs + (1,), plus))
-                    new_cells.append((signs + (-1,), minus))
-                    new_cells.append((signs + (0,), sample))
+                    new_cells += [plus, minus, sample]
         cells = new_cells
     return cells
 
@@ -202,66 +203,45 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
     q = proj.target_rank
     images = tuple(image_cone(proj.matrix, c) for c in fan.cones)
 
-    normals = set()
-    for img in images:
-        for h in img.halfspaces:
-            normals.add(_canonical_normal(h))
-        for e in img.equations:
-            normals.add(_canonical_normal(e))
+    normals = {_canonical_normal(h) for img in images for h in img.halfspaces + img.equations}
     normals = sorted(n for n in normals if not is_zero(n))
 
-    cells = _cell_split(tuple(normals), q)
-
-    groups: dict[frozenset[int], list[tuple[tuple[int, ...], Vec]]] = {}
-    meeting_sets = []  # aligned with cells
-    for signs, sample in cells:
-        inv = _meeting_set(images, sample)
+    samples = _cell_split(tuple(normals), q)
+    meeting_sets = [_meeting_set(images, sample) for sample in samples]
+    merged: dict[frozenset[int], Cone] = {}
+    for sample, inv in zip(samples, meeting_sets):
         if not inv:
             raise InternalConsistencyError(
                 f"quotient direction {sample} lies in no projected cone interior"
             )
-        groups.setdefault(inv, []).append((signs, sample))
-        meeting_sets.append(inv)
-
-    merged: dict[frozenset[int], Cone] = {}
-    for inv, members in groups.items():
-        gens: list[Vec] = []
-        lines: list[Vec] = []
-        for signs, _sample in members:
-            closure = cone_from_halfspaces(
-                [
-                    tuple(s * x for x in h)
-                    for h, s in zip(normals, signs)
-                    if s != 0
-                ],
-                [h for h, s in zip(normals, signs) if s == 0],
+        if inv not in merged:
+            members = [images[j] for j in sorted(inv)]
+            merged[inv] = cone_from_halfspaces(
+                dict.fromkeys(h for img in members for h in img.halfspaces),
+                dict.fromkeys(e for img in members for e in img.equations),
                 q,
             )
-            gens.extend(closure.generators)
-            lines.extend(closure.lineality)
-        merged[inv] = cone_from_generators(gens, lines, q)
 
     # exact convexity/partition verification: the relative interior of each
-    # merged cone may only contain cells of its own class
+    # class cone may only contain cells of its own class
     for inv, cone in merged.items():
         if cone.lineality:
             raise InternalConsistencyError(
                 f"quotient class with meeting set {sorted(inv)} closed up to "
                 "a non-pointed cone"
             )
-        for (_signs, sample), cell_inv in zip(cells, meeting_sets):
-            if cone.contains_in_relint(sample):
-                if cell_inv != inv:
-                    raise InternalConsistencyError(
-                        f"quotient class with meeting set {sorted(inv)} is not "
-                        f"convex: it contains direction {sample}"
-                    )
+        for sample, cell_inv in zip(samples, meeting_sets):
+            if cell_inv != inv and cone.contains_in_relint(sample):
+                raise InternalConsistencyError(
+                    f"quotient class with meeting set {sorted(inv)} is not "
+                    f"convex: it contains direction {sample}"
+                )
 
     gfan = fan_from_cones(merged.values(), ambient_rank=q)
+    classes = {cone.key(): inv for inv, cone in merged.items()}
     if len(gfan.cones) != len(merged):
         # no two classes close up to one cone, as each contains a sample of
         # the other in its relative interior; so some face is no class
-        classes = {cone.key() for cone in merged.values()}
         inv, face = next(
             (inv, face)
             for inv, cone in merged.items()
@@ -281,10 +261,11 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
     if not is_complete(gfan):
         raise InternalConsistencyError("quotient fan is not complete")
 
-    data = []
-    for k, kappa in enumerate(gfan.cones):
-        data.append(_cone_data(fan, sub, proj, images, kappa, k))
-    return ChowQuotient(fan, sub, proj, gfan, tuple(data))
+    data = tuple(
+        _cone_data(fan, sub, proj, images, kappa, classes[kappa.key()], k)
+        for k, kappa in enumerate(gfan.cones)
+    )
+    return ChowQuotient(fan, sub, proj, gfan, data)
 
 
 def _canonical_normal(h: Vec) -> Vec:
@@ -301,10 +282,11 @@ def _cone_data(
     proj: QuotientMap,
     images: tuple[Cone, ...],
     kappa: Cone,
+    meeting: frozenset[int],
     index: int,
 ) -> QuotientConeData:
-    """The data of quotient cone ``index``, which is ``kappa``."""
-    meeting = _meeting_set(images, relative_interior_sample(kappa))
+    """The data of quotient cone ``index``, which is ``kappa``, the closure
+    of the class with meeting set ``meeting``."""
     point_cones = [i for i in sorted(meeting) if images[i].dim == fan.cones[i].dim]
     if not point_cones:
         raise InternalConsistencyError(

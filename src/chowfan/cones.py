@@ -547,20 +547,25 @@ def facets(c: Cone) -> tuple[Cone, ...]:
     return tuple(out)
 
 
-def all_faces(c: Cone) -> tuple[Cone, ...]:
-    """Every face of ``c``, from ``c`` down through facets to its minimal
-    face: the zero cone, or the lineality space when ``c`` has lines."""
-    seen = {c.key(): c}
-    frontier = [c]
+def _closure(cones: Iterable[Cone]) -> list[Cone]:
+    """Every face of the ``cones``, sorted: a walk down through facets that
+    expands each face once, however many of the cones share it."""
+    seen = {}
+    frontier = list(cones)
     while frontier:
         nxt = []
         for f in frontier:
-            for g in facets(f):
-                if g.key() not in seen:
-                    seen[g.key()] = g
-                    nxt.append(g)
+            if f.key() not in seen:
+                seen[f.key()] = f
+                nxt.extend(facets(f))
         frontier = nxt
-    return tuple(sorted(seen.values(), key=_cone_sort_key))
+    return sorted(seen.values(), key=_cone_sort_key)
+
+
+def all_faces(c: Cone) -> tuple[Cone, ...]:
+    """Every face of ``c``, from ``c`` down through facets to its minimal
+    face: the zero cone, or the lineality space when ``c`` has lines."""
+    return tuple(_closure((c,)))
 
 
 def _smallest_face_key(c: Cone, vectors: Sequence[Sequence[int]]):
@@ -645,23 +650,16 @@ class Fan(Record):
 
 
 def fan_from_cones(cones: Iterable[Cone], ambient_rank: Optional[int] = None) -> Fan:
-    """Build a fan from (typically maximal) cones, completing all faces."""
+    """Build a fan from (typically maximal) cones, completing all faces in
+    one facet walk (:func:`_closure`)."""
     cones = list(cones)
     if ambient_rank is None:
         if not cones:
             raise ValueError("ambient_rank required for the empty fan")
         ambient_rank = cones[0].ambient_rank
-    seen: dict = {}
-    for c in cones:
-        if c.ambient_rank != ambient_rank:
-            raise ValueError("mixed ambient ranks")
-        for f in all_faces(c):
-            seen[f.key()] = f
-    if not seen:
-        z = zero_cone(ambient_rank)
-        seen[z.key()] = z
-    ordered = tuple(sorted(seen.values(), key=_cone_sort_key))
-    return Fan(ambient_rank, ordered)
+    if any(c.ambient_rank != ambient_rank for c in cones):
+        raise ValueError("mixed ambient ranks")
+    return Fan(ambient_rank, tuple(_closure(cones or [zero_cone(ambient_rank)])))
 
 
 class FanValidationReport(Record):
@@ -673,6 +671,9 @@ class FanValidationReport(Record):
 def validate_fan(f: Fan) -> FanValidationReport:
     """Check strict convexity, face closure and pairwise face intersections.
 
+    Face closure is tested one level down, on the facets of every cone:
+    every proper face of a cone is a face of one of its facets, whose own
+    facets are tested in turn, so by induction every face is in the fan.
     Only pairs of maximal cones (:meth:`Fan.maximal_indices`) are
     intersected.  In a face-closed collection every cone is a face of a
     maximal one, and if maximal cones σ, τ meet in a common face ρ, then
@@ -687,10 +688,8 @@ def validate_fan(f: Fan) -> FanValidationReport:
     for i, c in enumerate(f.cones):
         if not c.is_strictly_convex:
             problems.append(f"cone {i} contains a line")
-        for face in all_faces(c):
-            if face.key() not in index:
-                problems.append(f"cone {i} has a face missing from the fan")
-                break
+        if any(face.key() not in index for face in facets(c)):
+            problems.append(f"cone {i} has a face missing from the fan")
     for i, j in combinations(f.maximal_indices(), 2):
         a, b = f.cones[i], f.cones[j]
         inter = intersect_cones(a, b)

@@ -162,6 +162,12 @@ def row_lattice_hnf(rows: Sequence[Sequence[int]]) -> Mat:
     return tuple(map(tuple, done))
 
 
+def _require_row_length(m: Sequence[Sequence[int]], ncols: int) -> None:
+    """Name the first row not of length ``ncols``, which a ``zip`` transpose would drop."""
+    for bad in (r for r in m if len(r) != ncols):
+        raise ValueError(f"row {tuple(bad)} does not have length {ncols}")
+
+
 def hermite_normal_form(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
     """Row Hermite normal form with a unimodular transform.
 
@@ -173,8 +179,7 @@ def hermite_normal_form(m: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
     if n == 0:
         return (), ()
     ncols = len(m[0])
-    for bad in (r for r in m if len(r) != ncols):
-        raise ValueError(f"row {tuple(bad)} does not have length {ncols}")
+    _require_row_length(m, ncols)
     aug = row_lattice_hnf([tuple(r) + e for r, e in zip(m, identity_matrix(n))])
     return tuple([r[:ncols] for r in aug]), tuple([r[ncols:] for r in aug])
 
@@ -202,7 +207,8 @@ def elementary_divisors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
 def unimodular_inverse(m: Mat) -> Mat:
     """Inverse of a unimodular integer matrix (exact, integer output)."""
     h, u = hermite_normal_form(m)
-    assert h == identity_matrix(len(m)), "matrix was not unimodular"
+    if h != identity_matrix(len(m)):
+        raise ValueError(f"matrix {tuple(map(tuple, m))} is not unimodular")
     return u
 
 
@@ -219,6 +225,7 @@ def integer_kernel(m: Sequence[Sequence[int]], ncols: Optional[int] = None) -> M
         ncols = len(m[0])
     if not m:
         return identity_matrix(ncols)
+    _require_row_length(m, ncols)
     h, u = hermite_normal_form(transpose(m))
     return tuple([ui for hi, ui in zip(h, u) if not any(hi)])
 
@@ -235,8 +242,13 @@ def solve_rational(
     substitution along their pivots fixes ``y`` on the nonzero rows, each
     entry over the least denominator so far; the other entries of ``y`` are
     0, and a residual left off the pivots means no solution.  When ``m``
-    has full column rank, ``x / d`` is the unique solution.
+    has full column rank, ``x / d`` is the unique solution.  A ragged ``m``
+    or a ``target`` of the wrong length raises ``ValueError``.
     """
+    if len(target) != len(m):
+        raise ValueError(f"target {tuple(target)} does not have length {len(m)}")
+    if m:
+        _require_row_length(m, len(m[0]))
     h, w = hermite_normal_form(transpose(m))
     d, y = 1, []
     rest = list(target)  # d * target - sum_i y_i h_i

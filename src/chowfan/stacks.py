@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ._record import Record
-from .cones import Fan, FanMorphism, all_faces, check_fan_morphism
+from .cones import Fan, FanMorphism, check_fan_morphism, facets
 from .intlinalg import (
     Mat,
     elementary_divisors,
@@ -62,7 +62,13 @@ class StackValidationReport(Record):
 
 
 def validate_stack_datum(d: ToricStackDatum) -> StackValidationReport:
-    """Check containment, face compatibility and finite index on maximal cones."""
+    """Check containment, face compatibility and finite index on maximal cones.
+
+    Faces are tested one level down, on each cone and its facets: in a fan
+    every proper face of a cone is a face of one of its facets, tested in
+    turn, and restriction is transitive (to ``F`` it has the group
+    ``span(F) ∩ saturated_lattice``).
+    """
     problems = []
     fan = d.fan
     for i, (c, m) in enumerate(zip(fan.cones, d.monoids)):
@@ -71,7 +77,7 @@ def validate_stack_datum(d: ToricStackDatum) -> StackValidationReport:
             continue
         if not c.contains_cone(m.cone):
             problems.append(f"monoid {i} spans {m.cone}, outside its cone")
-        for face in all_faces(c):
+        for face in (c, *facets(c)):
             j = fan._index().get(face.key())
             if j is None:
                 continue  # reported by fan validation

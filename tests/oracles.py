@@ -38,11 +38,14 @@ completed by the Smith transform to a unimodular matrix and that matrix
 inverted a second time.  The two after it are the library's earlier
 matrix rank, the rank of the row lattice, and its earlier fiber
 dimension, one double description of a homogenised cone per fiber.
-The three at the end are the library's earlier lineality basis of a
+The three after it are the library's earlier lineality basis of a
 double description, the saturation of the Hermite form of its lines (here
 lines of a rational null space by Gaussian elimination), the group of a
 face, a lattice intersection with the face's span lattice, and facet
-equations, the integer kernel of the facet's rays and lines.
+equations, the integer kernel of the facet's rays and lines.  The three
+at the end are the library's earlier face walk, from one cone at a time,
+its earlier quotient, each class the hull of its cells' closures, and its
+earlier stack-datum verdict, which restricts each monoid to every face.
 """
 
 import json
@@ -419,11 +422,11 @@ def projected_ray_walls(fan, projection_matrix, sub_basis):
 def fan_ok_all_pairs(fan):
     """Fan test over every pair of cones: strictly convex, closed under faces,
     and every two cones meet in a common face of both."""
-    from chowfan.cones import all_faces, intersect_cones, is_face_of
+    from chowfan.cones import intersect_cones, is_face_of
 
     keys = {c.key() for c in fan.cones}
     for c in fan.cones:
-        if c.lineality or any(f.key() not in keys for f in all_faces(c)):
+        if c.lineality or any(f.key() not in keys for f in faces_by_facet_walk(c)):
             return False
     for i, a in enumerate(fan.cones):
         for b in fan.cones[i + 1 :]:
@@ -1031,3 +1034,86 @@ def facet_equations_by_kernel(facet):
     from chowfan.intlinalg import integer_kernel
 
     return integer_kernel(facet.generators + facet.lineality, facet.ambient_rank)
+
+
+def faces_by_facet_walk(c):
+    """Every face of ``c``, walked down through facets from ``c`` alone."""
+    from chowfan.cones import facets
+
+    seen = {c.key(): c}
+    frontier = [c]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for g in facets(f):
+                if g.key() not in seen:
+                    seen[g.key()] = g
+                    nxt.append(g)
+        frontier = nxt
+    return list(seen.values())
+
+
+def chow_quotient_by_cell_hulls(fan, sub):
+    """The library's earlier quotient: each class closed up as the hull of
+    the closures of its arrangement cells, one double description per
+    cell; the fan completed by walking the faces of each class cone on its
+    own; and each quotient cone's meeting set found again by scanning every
+    image at a sample of its relative interior.  A cell's signs are read
+    off its sample, which lies in its relative interior."""
+    from chowfan.chow import ChowQuotient, _canonical_normal, _cell_split, _cone_data, _meeting_set
+    from chowfan.cones import (
+        Fan,
+        _cone_sort_key,
+        cone_from_generators,
+        cone_from_halfspaces,
+        image_cone,
+        relative_interior_sample,
+    )
+    from chowfan.intlinalg import quotient_map
+
+    proj = quotient_map(fan.ambient_rank, sub)
+    q = proj.target_rank
+    images = tuple(image_cone(proj.matrix, c) for c in fan.cones)
+    normals = sorted({_canonical_normal(h) for img in images for h in img.halfspaces + img.equations if any(h)})
+    groups = {}
+    for sample in _cell_split(tuple(normals), q):
+        signs = [(d > 0) - (d < 0) for d in (_dot(n, sample) for n in normals)]
+        groups.setdefault(_meeting_set(images, sample), []).append(signs)
+    merged = []
+    for members in groups.values():
+        gens, lines = [], []
+        for signs in members:
+            closure = cone_from_halfspaces(
+                [tuple(s * x for x in n) for n, s in zip(normals, signs) if s],
+                [n for n, s in zip(normals, signs) if not s],
+                q,
+            )
+            gens += closure.generators
+            lines += closure.lineality
+        merged.append(cone_from_generators(gens, lines, q))
+    faces = {f.key(): f for c in merged for f in faces_by_facet_walk(c)}
+    gfan = Fan(q, tuple(sorted(faces.values(), key=_cone_sort_key)))
+    data = tuple(
+        _cone_data(fan, sub, proj, images, kappa, _meeting_set(images, relative_interior_sample(kappa)), k)
+        for k, kappa in enumerate(gfan.cones)
+    )
+    return ChowQuotient(fan, sub, proj, gfan, data)
+
+
+def stack_datum_ok_by_all_faces(d):
+    """The library's earlier stack-datum verdict: each monoid restricted to
+    every face of its cone that is in the fan, not just to its facets."""
+    from chowfan.monoids import restrict_to_face
+
+    fan, index = d.fan, d.fan._index()
+    for c, m in zip(fan.cones, d.monoids):
+        if m.ambient_rank != d.lattice_rank or not c.contains_cone(m.cone):
+            return False
+        for face in faces_by_facet_walk(c):
+            j = index.get(face.key())
+            if j is not None and restrict_to_face(m, face) != d.monoids[j]:
+                return False
+    return all(
+        fan.cones[i].dim == d.lattice_rank and d.monoids[i].group.rank == d.lattice_rank
+        for i in fan.maximal_indices()
+    )

@@ -1,9 +1,11 @@
 import random
-import sys
+from itertools import product
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from chowfan.cli import parse_input
 from chowfan.chow import (
     InfiniteIndex,
     chow_quotient,
@@ -18,15 +20,26 @@ from chowfan.cones import (
     all_faces,
     cone_from_generators,
     fan_from_cones,
+    is_complete,
     relative_interior_sample,
+    validate_fan,
     zero_cone,
 )
 from chowfan.intlinalg import sublattice, zero_sublattice
 from chowfan.monoids import restrict_to_face
 from chowfan.stacks import InternalConsistencyError, validate_stack_datum
 
-from conftest import corpus, p2_fan, p1p1_fan
+from conftest import (
+    corpus,
+    p2_fan,
+    p1p1_fan,
+    random_complete_fan_rank2,
+    random_complete_fan_rank3,
+    random_saturated_sublattice,
+)
 import oracles
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _idx(fan, gens, rank=2):
@@ -132,16 +145,13 @@ class TestQuotientFan:
     ):
         import chowfan.chow
 
-        real = chowfan.chow._meeting_set
+        real = chowfan.chow._cone_data
 
-        def empty_over_third_cone(images, v):
-            # only _cone_data names a quotient cone index
-            caller = sys._getframe(1)
-            if caller.f_code.co_name == "_cone_data" and caller.f_locals["index"] == 2:
-                return frozenset()
-            return real(images, v)
+        def empty_over_third_cone(fan, sub, proj, images, kappa, meeting, index):
+            # _cone_data takes its meeting set from the class it closes up
+            return real(fan, sub, proj, images, kappa, frozenset() if index == 2 else meeting, index)
 
-        monkeypatch.setattr(chowfan.chow, "_meeting_set", empty_over_third_cone)
+        monkeypatch.setattr(chowfan.chow, "_cone_data", empty_over_third_cone)
         with pytest.raises(InternalConsistencyError, match="quotient cone 2: no cone"):
             chow_quotient(p2, l_horizontal)
 
@@ -330,3 +340,34 @@ class TestQuotientMonoids:
         ]:
             cq = chow_quotient(fan, sub)
             assert validate_stack_datum(chow_stack_datum(cq)).ok
+
+
+class TestClassConesMatchCellHulls:
+    """Each class cut out as ``∩ p(σ_j)`` over the images that meet it,
+    with its meeting set carried to its cone's data, against the hull of
+    its cells' closures and a second scan of the images: whole quotients
+    compared, fan, provenance and monoids."""
+
+    def test_fixtures_and_corpus(self):
+        inputs = [parse_input(path.read_text())[:2] for path in sorted(FIXTURES.glob("*.json"))]
+        for fan, sub in inputs + corpus(count=10):
+            assert chow_quotient(fan, sub) == oracles.chow_quotient_by_cell_hulls(fan, sub)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 10**6), st.sampled_from([(2, 1), (3, 1), (3, 2)]))
+    def test_random_rank_2_and_3_fans(self, seed, shape):
+        rank, dim = shape
+        rng = random.Random(seed)
+        fan = (random_complete_fan_rank2 if rank == 2 else random_complete_fan_rank3)(rng)
+        sub = random_saturated_sublattice(rng, rank, dim)
+        assume(validate_fan(fan).ok and is_complete(fan))
+        assert chow_quotient(fan, sub) == oracles.chow_quotient_by_cell_hulls(fan, sub)
+
+    @pytest.mark.parametrize("rows", [[[1, 2, 3, 5]], [[1, 1, 1, 1], [0, 1, -1, 1]]])
+    def test_rank_4_orthant_fan(self, rows):
+        fan = fan_from_cones(
+            cone_from_generators([[s[i] * (j == i) for j in range(4)] for i in range(4)])
+            for s in product((1, -1), repeat=4)
+        )
+        sub = sublattice(4, rows)
+        assert chow_quotient(fan, sub) == oracles.chow_quotient_by_cell_hulls(fan, sub)

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from chowfan import cones, monoids, replace
 from chowfan.cones import (
+    Fan,
     NoTargetCone,
     affine_slice_type,
     all_faces,
@@ -846,3 +847,20 @@ class TestFanIncidence:
         src = fan_from_cones([cone_from_generators([r]) for r in rays])
         identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
         _assert_assignment_matches(identity, src, fan)
+
+
+class TestFaceClosureOneFacetLevelDown:
+    """validate_fan tests only the facets of each cone for face closure,
+    which reaches every face by induction on dimension; its verdict
+    against the all-faces scan on fans missing a face of codimension 2
+    or 3, whose maximal cones keep all their facets."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_missing_deep_face_is_caught(self, seed):
+        fan = random_complete_fan_rank3(random.Random(seed))
+        assert validate_fan(fan).ok and oracles.fan_ok_all_pairs(fan)
+        deep = [k for k, c in enumerate(fan.cones) if c.dim <= 1]
+        assert deep
+        for k in deep:
+            doctored = Fan(3, fan.cones[:k] + fan.cones[k + 1 :])
+            assert validate_fan(doctored).ok is oracles.fan_ok_all_pairs(doctored) is False

@@ -551,7 +551,7 @@ class TestConsistencyErrorsNameCones:
 
         # without the cell of the origin, the zero cone is no class
         real = chow._cell_split
-        monkeypatch.setattr(chow, "_cell_split", lambda normals, rank: [x for x in real(normals, rank) if any(x[1])])
+        monkeypatch.setattr(chow, "_cell_split", lambda normals, rank: [x for x in real(normals, rank) if any(x)])
         with pytest.raises(
             InternalConsistencyError,
             match=r"^quotient classes are not closed under taking faces: the class with meeting set \[[0-9, ]+\] "

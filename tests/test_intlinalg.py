@@ -236,6 +236,30 @@ class TestRationalKernel:
         u = mat(u)
         assert mat_mul(unimodular_inverse(u), u) == identity_matrix(n)
 
+    # malformed input raises before a zip transpose can truncate it
+    def test_integer_kernel_of_ragged_rows_raises_naming_the_row(self):
+        with pytest.raises(ValueError, match=r"^row \(4, 5\) does not have length 3$"):
+            integer_kernel([[1, 2, 3], [4, 5]])
+        with pytest.raises(ValueError, match=r"^row \(1, 2\) does not have length 3$"):
+            integer_kernel([[1, 2]], 3)
+
+    def test_solve_rational_with_a_long_target_raises_naming_it(self):
+        with pytest.raises(ValueError, match=r"^target \(1, 1, 1\) does not have length 2$"):
+            solve_rational([[1, 2], [3, 4]], [1, 1, 1])
+
+    def test_solve_rational_with_a_short_target_raises_naming_it(self):
+        with pytest.raises(ValueError, match=r"^target \(1,\) does not have length 2$"):
+            solve_rational([[1, 2], [3, 4]], [1])
+
+    def test_solve_rational_of_ragged_rows_raises_naming_the_row(self):
+        with pytest.raises(ValueError, match=r"^row \(3,\) does not have length 2$"):
+            solve_rational([[1, 2], [3]], [1, 1])
+
+    def test_unimodular_inverse_of_a_non_unimodular_matrix_raises(self):
+        # a ValueError, not an assert, so it holds under python -O too
+        with pytest.raises(ValueError, match=r"^matrix \(\(2, 0\), \(0, 1\)\) is not unimodular$"):
+            unimodular_inverse([[2, 0], [0, 1]])
+
 
 class TestSmith:
     """The Smith diagonal as ``elementary_divisors`` reads it off alternating

@@ -1,3 +1,4 @@
+import random
 import re
 from pathlib import Path
 
@@ -21,16 +22,18 @@ from chowfan.stacks import (
     variety_datum,
 )
 
-from conftest import p2_fan, p1p1_fan
+from conftest import p2_fan, p1p1_fan, random_complete_fan_rank3
+import oracles
 
 
-def _doubled(datum, only_max=True):
-    """Replace ``cone ∩ L`` by ``cone ∩ 2L``, whose Hilbert basis is doubled."""
+def _doubled(datum, cones=None):
+    """Replace ``cone ∩ L`` by ``cone ∩ 2L``, whose Hilbert basis is doubled,
+    on the ``cones`` given by index (by default the maximal ones)."""
     fan = datum.fan
-    maximal = set(fan.maximal_indices())
+    which = set(fan.maximal_indices() if cones is None else cones)
     monoids = []
     for i, m in enumerate(datum.monoids):
-        if (not only_max or i in maximal) and m.hilbert_basis:
+        if i in which and m.hilbert_basis:
             twice = [tuple(2 * x for x in b) for b in m.saturated_lattice.basis]
             monoids.append(saturated_monoid(m.cone, sublattice(datum.lattice_rank, twice)))
         else:
@@ -64,6 +67,31 @@ class TestDatumValidation:
         assert any("outside its cone" in v for v in rep.violations)
 
 
+class TestFaceCompatibilityOneFacetLevelDown:
+    """validate_stack_datum restricts each monoid to its own cone and its
+    facets only; restriction is transitive, so that reaches every face.
+    Verdicts against the all-faces version on doctored data."""
+
+    @pytest.fixture(scope="class")
+    def datum(self):
+        return variety_datum(random_complete_fan_rank3(random.Random(2)))
+
+    def test_valid_datum(self, datum):
+        assert validate_stack_datum(datum).ok is oracles.stack_datum_ok_by_all_faces(datum) is True
+
+    def test_doctored_codimension_2_face_monoid(self, datum):
+        rays = [k for k, c in enumerate(datum.fan.cones) if c.dim == 1]
+        assert rays
+        for k in rays:
+            bad = _doubled(datum, [k])
+            assert validate_stack_datum(bad).ok is oracles.stack_datum_ok_by_all_faces(bad) is False
+
+    def test_doctored_maximal_monoid(self, datum):
+        for k in datum.fan.maximal_indices():
+            bad = _doubled(datum, [k])
+            assert validate_stack_datum(bad).ok is oracles.stack_datum_ok_by_all_faces(bad) is False
+
+
 class TestMorphisms:
     def test_identity_morphism(self):
         d = variety_datum(p2_fan())
@@ -72,13 +100,13 @@ class TestMorphisms:
 
     def test_coarser_target_monoids_fail_monoid_check(self):
         d = variety_datum(p2_fan())
-        bad = _doubled(d, only_max=False)
+        bad = _doubled(d, range(len(d.fan.cones)))
         with pytest.raises(MonoidNotMapped):
             validate_stack_morphism(((1, 0), (0, 1)), d, bad)
 
     def test_monoid_not_mapped_names_cones_and_generator(self):
         d = variety_datum(p2_fan())
-        bad = _doubled(d, only_max=False)
+        bad = _doubled(d, range(len(d.fan.cones)))
         with pytest.raises(MonoidNotMapped) as err:
             validate_stack_morphism(((1, 0), (0, 1)), d, bad)
         found = re.fullmatch(
