@@ -38,7 +38,6 @@ from .cones import (
     _span_lattice,
     _strict_sample,
     all_faces,
-    cone_from_generators,
     cone_from_halfspaces,
     fan_from_cones,
     image_cone,
@@ -152,7 +151,11 @@ def _cell_split(normals, rank: int) -> list[Vec]:
                     new_cells.append(sample)
                 else:
                     minus = side(-1)
-                    assert minus is not None, "open cell must cross the hyperplane"
+                    if minus is None:
+                        raise InternalConsistencyError(
+                            f"the open cell of sample {sample} meets {h} > 0 but not {h} < 0, "
+                            "though it lies on the hyperplane"
+                        )
                     new_cells += [plus, minus, sample]
         cells = new_cells
     return cells
@@ -302,17 +305,16 @@ def _cone_data(
         m_sigma = image_lattice(proj.matrix, span_sigma)
         lattice = m_sigma if lattice is None else lattice_intersection(lattice, m_sigma)
         raw_cone = images[i] if raw_cone is None else intersect_cones(raw_cone, images[i])
-    assert lattice is not None and raw_cone is not None
     monoid = saturated_monoid(kappa, lattice)
     if not monoid.is_pointed:
         raise InternalConsistencyError(
             f"quotient cone {index}: quotient stack monoid has units"
         )
     # diagnostic: does the raw intersection of projected monoids stay in the
-    # quotient cone?  (equivalently: raw cone ∩ span(lattice) inside kappa)
-    span_cone = cone_from_generators([], lattice.basis, proj.target_rank)
-    raw_restricted = intersect_cones(raw_cone, span_cone)
-    raw_inside = kappa.contains_cone(raw_restricted)
+    # quotient cone?  The raw cone lies in span(lattice), so it need not be
+    # cut by it: each p(span σ_i ∩ N) has full rank in p(span σ_i), so the
+    # span of their intersection is ∩ span p(σ_i), which holds ∩ p(σ_i).
+    raw_inside = kappa.contains_cone(raw_cone)
     return QuotientConeData(
         meeting,
         tuple(point_cones),

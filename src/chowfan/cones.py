@@ -438,14 +438,14 @@ def preimage_cone(matrix: Mat, c: Cone, source_rank: int) -> Cone:
 
 @kept
 def _pull_back(c: Cone, basis: Mat) -> Cone:
-    """The cone ``{y : y @ basis in c}``, i.e. ``c ∩ span(basis)`` in the
-    coordinates of the HNF rows ``basis``.
+    """The cone ``{y : y @ basis in c}`` in the coordinates of the HNF rows
+    ``basis``, whose span must hold ``c``.
 
-    When ``span(c) ⊆ span(basis)``, ``y -> y @ basis`` is an isomorphism
-    onto a space holding ``c``: the rays go to their coordinates (integral
-    after scaling by the product of the pivots), each halfspace ``h`` to
-    ``h ∘ basis``, with the incidence of ``c``, and no double description
-    runs.  Otherwise the pulled-back halfspaces are converted.
+    ``y -> y @ basis`` is then an isomorphism onto a space holding ``c``:
+    the rays go to their coordinates (integral after scaling by the product
+    of the pivots), each halfspace ``h`` to ``h ∘ basis``, with the
+    incidence of ``c``, and no double description runs.  A generator
+    outside ``span(basis)`` raises ``ValueError``.
     """
     k = len(basis)
     pulled_h = [mat_vec(basis, h) for h in c.halfspaces]
@@ -453,7 +453,8 @@ def _pull_back(c: Cone, basis: Mat) -> Cone:
     scale = prod(next(x for x in row if x) for row in basis)
     coords = [coordinates_in(basis, vscale(scale, g)) for g in c.generators + c.lineality]
     if None in coords:
-        return cone_from_halfspaces(pulled_h, pulled_e, k)
+        g = (c.generators + c.lineality)[coords.index(None)]
+        raise ValueError(f"generator {g} of {c} is outside the span of {list(basis)}")
     lin = integer_kernel(pulled_h + pulled_e, k) if c.lineality else ()
     n = len(c.generators)
     moved = [primitive(_reduce_mod_rows(y, lin)) for y in coords[:n]]

@@ -641,7 +641,10 @@ def tropical_moduli_cone(fam: UniversalFamily, base_index: int) -> Cone:
     coords = []
     for g in pres.monoid.hilbert_basis:
         c = coordinates_in(span.basis, g)
-        assert c is not None
+        if c is None:
+            raise InternalConsistencyError(
+                f"quotient cone {base_index}: basic monoid element {g} lies outside its group"
+            )
         coords.append(c)
     dual = dual_cone(cone_from_generators(coords, ambient_rank=span.rank))
     embed = [tuple(dot(g, c) for c in coords) for g in dual.generators]

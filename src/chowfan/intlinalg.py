@@ -26,8 +26,10 @@ the decoders, the public constructors (:func:`vec`, :func:`mat`,
 :func:`sublattice`, the cone constructors) and the inputs of the normal
 forms.  :func:`identity_matrix` is memoised; its tuples are shared.
 Most Hermite forms are kernels: the cone code takes none for a facet of a
-full-dimensional cone, one for a lineality (not a saturation of the lines)
-and one for the group of a face, in lattice coordinates (:func:`_span_cut`).
+full-dimensional cone and one for a lineality (not a saturation of the
+lines); a monoid's group ``span(c) ∩ L``, and the group of each of its
+faces, is one kernel in the coordinates of ``L`` (:func:`_span_cut`, kept
+per lattice and span), none for a full-dimensional ``c``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from math import gcd, prod
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
-from ._record import Record
+from ._record import Record, kept
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -350,10 +352,12 @@ def lattice_intersection(a: Sublattice, b: Sublattice) -> Sublattice:
     return Sublattice(a.ambient_rank, row_lattice_hnf(gens))
 
 
+@kept
 def _span_cut(lat: Sublattice, equations: Mat) -> Sublattice:
     """``{x in lat : equations @ x == 0}`` as ``y @ B``, ``B`` the basis of
     ``lat`` and ``y`` in the kernel of ``equations @ transpose(B)``: one kernel
-    where an intersection with the span lattice of ``equations`` takes two."""
+    where an intersection with the span lattice of ``equations`` takes two.
+    Kept on ``lat``, keyed by ``equations``: the cones of one span share it."""
     if not equations or not lat.basis:
         return lat
     coords = integer_kernel([mat_vec(lat.basis, e) for e in equations], lat.rank)

@@ -1,14 +1,15 @@
 """Saturated affine monoids ``c ∩ L`` and their Hilbert bases.
 
-Every monoid is the set of points of a lattice ``L`` in a rational cone
-``c``; membership is the two containment tests ``v ∈ c`` and ``v ∈ L``.
-The workhorse is :func:`saturated_monoid`.  The Hilbert basis of
-``c ∩ L`` comes from the first of four rules that applies
+A monoid is its cone ``c`` and its group ``G = span(c) ∩ L``, the
+lattice it generates; membership is the two containment tests ``v ∈ c``
+and ``v ∈ G``.  The workhorse is :func:`saturated_monoid`.  The Hilbert
+basis is computed in the coordinates of the basis of ``G``, where ``c``
+is full-dimensional, so every rule below sees a full-dimensional cone in
+``Z^k``; it comes from the first of four rules that applies
 (:func:`_hilbert_basis_full`):
 
-1. the rays of ``c``, when each facet, as a primitive functional on the
-   span lattice of ``c``, is 1 on the one ray off it (the cone is then
-   unimodular in its span);
+1. the rays of ``c``, when each facet, a primitive functional, is 1 on
+   the one ray off it (the cone is then unimodular);
 2. for a 2-dimensional cone, its Hirzebruch–Jung chain, the rays of its
    minimal resolution (Oda, *Convex Bodies and Algebraic Geometry*, 1988,
    §1.6; Cox–Little–Schenck, *Toric Varieties*, 2011, §10.2), in time
@@ -24,8 +25,8 @@ The workhorse is :func:`saturated_monoid`.  The Hilbert basis of
 
 Only rule 4 enumerates candidates, by a pulling triangulation and an
 integer enumeration of each simplex's fundamental parallelepiped (one
-Hermite form per simplex, of its rays' coordinates in the cone's span
-lattice: the box of its diagonal, with no rational solve per point).
+Hermite form per simplex, of its rays: the box of its diagonal, with no
+rational solve per point).
 
 Every candidate is one integer key ``K(x) = grade(x) << S | packed(x)``:
 its grade, the sum of the facet normals, above its halfspace values
@@ -40,26 +41,26 @@ grade, and tests them in blocks of 1, 2, 4, ... elements, each block in a
 few big-int operations.  A vector is built only for each kept key, decoded
 from its halfspace values by one exact left inverse per cone, directly in
 the coordinates the caller asks for (:func:`_hilbert_basis_full`).
-A monoid is its cone and its group; its Hilbert basis is computed on first
-read and kept, so maps, faces and bounded enumerations never build one.
+The Hilbert basis is computed on first read and kept, so maps, faces and
+bounded enumerations never build one.
 
-A map is tested by the same representation.  A saturated ``M = c ∩ L``
-spans ``c`` and generates the group ``span(c) ∩ L``, so a matrix ``A``
-sends ``M`` into ``M′ = c′ ∩ L′`` iff it sends the rays of ``c`` and both
-directions of its lineality into ``c′`` and a basis of ``M``'s group into
-``L′``: one cone test per ray or line direction and one lattice test per
-group basis vector, with no Hilbert basis (:func:`monoid_hom`).
+A map is tested by the same representation.  A saturated ``M = c ∩ G``
+spans ``c`` and generates ``G``, so a matrix ``A`` sends ``M`` into
+``M′ = c′ ∩ G′`` iff it sends the rays of ``c`` and both directions of
+its lineality into ``c′`` and the basis of ``G`` into ``G′``: one cone
+test per ray or line direction and one lattice test per group basis
+vector, with no Hilbert basis (:func:`monoid_hom`).
 
 Monoids with invertible elements (units) arise as duals of monoids that are
-not full-dimensional; they are represented by the unit lattice plus a
-canonical pointed generating set.
+not full-dimensional; they are represented by the unit lattice plus one
+pointed element per coset, fixed by the cone and the group alone.
 """
 
 from __future__ import annotations
 
 from functools import partial, reduce
 from itertools import product, repeat, starmap
-from math import gcd, prod
+from math import prod
 from operator import add, floordiv, mod, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -68,7 +69,6 @@ from .cones import (
     Cone,
     NotStrictlyConvex,
     _pull_back,
-    _span_lattice,
     cone_from_generators,
     dual_cone,
     facets,
@@ -80,17 +80,16 @@ from .intlinalg import (
     Sublattice,
     Vec,
     _span_cut,
-    coordinates_in,
     dot,
     full_lattice,
     hermite_normal_form,
+    integer_kernel,
     mat,
     mat_mul,
     mat_vec,
     primitive,
     quotient_map,
     require_shape,
-    row_lattice_hnf,
     transpose,
     vadd,
     vec,
@@ -119,11 +118,11 @@ class MonoidNotMapped(ValueError):
 
 
 class AffineMonoid(Record):
-    """The saturated monoid ``cone ∩ saturated_lattice`` in canonical form.
+    """The saturated monoid ``cone ∩ group`` in canonical form.
 
-    ``units`` are its invertible elements and ``group = span(cone) ∩
-    saturated_lattice`` the lattice it generates; it is ``cone ∩ group``, so
-    two monoids are equal iff rank, units, cone and group are.  Its sorted
+    ``group`` is the lattice it generates, whose span holds ``cone``, and
+    ``units`` are its invertible elements, ``group ∩ lineality``.  Two
+    monoids are equal iff rank, units, cone and group are.  Its sorted
     ``hilbert_basis`` is computed on first read and kept on the record.
     """
 
@@ -131,8 +130,6 @@ class AffineMonoid(Record):
     units: Sublattice
     cone: Cone
     group: Sublattice
-    saturated_lattice: Sublattice
-    _uncompared = ("saturated_lattice",)
 
     @property
     def is_pointed(self) -> bool:
@@ -141,8 +138,10 @@ class AffineMonoid(Record):
     @property
     @kept
     def hilbert_basis(self) -> tuple[Vec, ...]:
-        """Computed in ``saturated_lattice`` coordinates; with units, one canonical element per coset."""
-        basis = self.saturated_lattice.basis
+        """Computed in the coordinates of ``group.basis``, where the cone is
+        full-dimensional; with units, one element per coset, fixed by the
+        cone and the group alone."""
+        basis = self.group.basis
         k, basis_t = len(basis), transpose(basis)  # y @ basis == mat_vec(basis_t, y)
         cy = _pull_back(self.cone, basis)
         if not cy.lineality:
@@ -221,14 +220,14 @@ def _triangular_adjugate(h: Mat, n: int) -> tuple[list[list[int]], int]:
     return adj, det
 
 
-def _hermite_box(simplex_rays: tuple[Vec, ...], basis: Mat) -> tuple[int, list[tuple[int, list[int]]]]:
-    """``(det, factors)`` enumerating the half-open parallelepiped of
-    independent rays by their coefficients.
+def _hermite_box(simplex_rays: tuple[Vec, ...]) -> tuple[int, list[tuple[int, list[int]]]]:
+    """``(det, factors)`` enumerating the half-open parallelepiped of ``n``
+    independent rays in ``Z^n`` by their coefficients.
 
-    ``basis`` is a basis of the saturated span of the rays, ``C`` the rays'
-    coordinates in it and ``H = W @ C`` its Hermite form, upper triangular.
-    The points are the classes of ``z @ basis`` modulo the rays for ``z``
-    in the box ``0 <= z_i < H_ii``, and their ray coefficients are
+    ``C`` is the matrix of the rays and ``H = W @ C`` its Hermite form,
+    upper triangular.  The points are the classes of the integer ``z``
+    modulo the rays for ``z`` in the box ``0 <= z_i < H_ii``, and their ray
+    coefficients are
     ``z @ inv(C) = z @ adj(H) @ W / det`` with ``det = prod H_ii``.
     ``factors`` holds ``(H_ii, row i of adj(H) @ W mod det)`` for each
     ``H_ii > 1``; the point of the box index ``(z_1, z_2, ...)`` (mixed
@@ -236,7 +235,7 @@ def _hermite_box(simplex_rays: tuple[Vec, ...], basis: Mat) -> tuple[int, list[t
     ``t = sum_i z_i * row_i`` mod ``det``, so it is ``sum_i t_i r_i / det``,
     and box index 0 is the zero point.
     """
-    h, w = hermite_normal_form([coordinates_in(basis, r) for r in simplex_rays])
+    h, w = hermite_normal_form(simplex_rays)
     adj, det = _triangular_adjugate(h, len(h))
     coefficients = mat_mul(adj, w)
     return det, [(h[i][i], [x % det for x in coefficients[i]]) for i in range(len(h)) if h[i][i] > 1]
@@ -285,35 +284,27 @@ def _value_bound(c: Cone) -> int:
 
 def _value_inverse(c: Cone) -> tuple[Mat, int]:
     """``(L, den)`` with ``L @ [h.x for h in c.halfspaces] == den * x`` for
-    every ``x`` in the span of the strictly convex ``c``.
+    every ``x``, on the full-dimensional strictly convex ``c``.
 
-    ``A = halfspaces + equations`` has full column rank ``n`` on a pointed
-    cone, so its Hermite form ``H = Y @ A`` has an upper triangular top
-    ``H[:n]``; ``den = det(H[:n])`` and ``L = adj(H[:n]) @ Y[:n]`` on the
-    halfspace columns, as the equations vanish on the span.
+    The halfspaces have full column rank ``n`` on a pointed full-dimensional
+    cone, so their Hermite form ``H = Y @ A`` has an upper triangular top
+    ``H[:n]``; ``den = det(H[:n])`` and ``L = adj(H[:n]) @ Y[:n]``.
     """
-    m, n = len(c.halfspaces), c.ambient_rank
-    h, y = hermite_normal_form(c.halfspaces + c.equations)
-    adj, den = _triangular_adjugate(h, n)
-    return mat_mul(adj, [row[:m] for row in y[:n]]), den
+    h, y = hermite_normal_form(c.halfspaces)
+    adj, den = _triangular_adjugate(h, c.ambient_rank)
+    return mat_mul(adj, y[:c.ambient_rank]), den
 
 
 def _unimodular(c: Cone) -> bool:
-    """Is the strictly convex ``c`` simplicial and unimodular in its span
-    lattice ``span(c) ∩ Z^rank``?
+    """Is the full-dimensional strictly convex ``c`` simplicial and
+    unimodular?
 
-    Divided by the gcd ``g`` of its values on a basis of the span lattice,
-    a facet normal is a primitive functional there, and it is at least 1 on
-    every ray off its facet.  So ``sum_r h.r == g`` for every facet ``h``
-    iff each facet is off exactly one ray, where it is 1: then the facet
-    functionals and the rays are dual bases, and the rays are a basis of
-    the span lattice.
+    A facet normal is a primitive functional, at least 1 on every ray off
+    its facet.  So ``sum_r h.r == 1`` for every facet ``h`` iff each facet
+    is off exactly one ray, where it is 1: then the facet functionals and
+    the rays are dual bases, and the rays are a basis of ``Z^rank``.
     """
-    basis = _span_lattice(c).basis
-    return all(
-        sum(dot(h, r) for r in c.generators) == gcd(*(dot(h, b) for b in basis))
-        for h in c.halfspaces
-    )
+    return all(sum(dot(h, r) for r in c.generators) == 1 for h in c.halfspaces)
 
 
 def _sieve(candidates: Iterable[int], guard: int) -> list[int]:
@@ -363,22 +354,21 @@ def _sieve(candidates: Iterable[int], guard: int) -> list[int]:
 
 
 def _plane_chain(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
-    """Hilbert basis of the strictly convex 2-dimensional ``c`` as its
+    """Hilbert basis of the strictly convex cone ``c`` in ``Q^2`` as its
     Hirzebruch–Jung chain (Oda, *Convex Bodies and Algebraic Geometry*,
     1988, §1.6; Cox–Little–Schenck, *Toric Varieties*, 2011, §10.2), each
     element given as ``out @ x``, sorted.
 
-    In the coordinates of the span lattice's basis the rays are ``u``,
-    ``v`` with ``det(u, v) > 0``.  ``b_0 = u``; ``b_1`` is the point of the
-    line ``det(u, x) = 1`` in the cone nearest ``v``, ``w + k u`` for
+    The rays are ``u``, ``v`` with ``det(u, v) > 0``.  ``b_0 = u``;
+    ``b_1`` is the point of the line ``det(u, x) = 1`` in the cone nearest
+    ``v``, ``w + k u`` for
     ``det(u, w) = 1`` and ``k = ceil(-det(w, v) / det(u, v))``; then
     ``b_{i+1} = a_i b_i - b_{i-1}`` with
     ``a_i = ceil(det(b_{i-1}, v) / det(b_i, v))``, until ``b_i = v``.  The
     values ``det(b_i, v)`` fall strictly to 0, and the work is linear in
     the basis: no box, key or sieve.
     """
-    span = _span_lattice(c).basis
-    u, v = (coordinates_in(span, r) for r in c.generators)
+    u, v = c.generators
     if u[0] * v[1] < u[1] * v[0]:
         u, v = v, u
     if u[1]:  # s u_0 + t u_1 = 1, as u is primitive
@@ -398,7 +388,9 @@ def _plane_chain(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
         a = -(det_v(prev) // -det_v(b))
         prev, b = b, (a * b[0] - prev[0], a * b[1] - prev[1])
         chain.append(b)
-    p, q = span if out is None else [mat_vec(out, row) for row in span]
+    if out is None:
+        return tuple(sorted(chain))
+    p, q = transpose(out)
     return tuple(sorted(tuple([x * i + y * j for i, j in zip(p, q)]) for x, y in chain))
 
 
@@ -416,13 +408,12 @@ def _bezout(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _polygon_points(c: Cone, out: Optional[Mat] = None) -> Optional[tuple[Vec, ...]]:
-    """Hilbert basis of the strictly convex 3-dimensional ``c``, each
+    """Hilbert basis of the strictly convex cone ``c`` in ``Q^3``, each
     element given as ``out @ x``, sorted, if an integral functional ``g``
     is 1 on every ray; None otherwise.
 
-    Let ``u_k`` be the rays in the coordinates of the span lattice's basis.
-    The first three are independent (three vertices of a convex polygon are
-    never collinear), and with ``U`` their matrix ``g = adj(U) @ (1, 1, 1)
+    Let ``u_k`` be the rays.  The first three are independent (three
+    vertices of a convex polygon are never collinear), and with ``U`` their matrix ``g = adj(U) @ (1, 1, 1)
     / det U``: the sum of the columns ``u_1 × u_2``, ``u_2 × u_0`` and
     ``u_0 × u_1`` of ``adj(U)``, over ``det U = u_0 . (u_1 × u_2)``.  The
     cone is at height one iff ``det U`` divides that sum and ``u_k . g ==
@@ -431,11 +422,10 @@ def _polygon_points(c: Cone, out: Optional[Mat] = None) -> Optional[tuple[Vec, .
     Varieties*, 2011, §2.2): a point of height 2 or more is a sum of points
     of height 1, so the basis is the lattice points of height 1.
 
-    They are read row by row, parallel to an edge.  A facet normal divided
-    by its content on the span lattice is a primitive functional there;
-    ``h`` is the one whose largest value ``top = max_k h . u_k`` is least,
-    so the rows are fewest.  The rays ``u_i``, ``u_j`` of its facet span
-    the edge of direction ``e = primitive(u_j - u_i)``, and ``u_i``, ``e``
+    They are read row by row, parallel to an edge.  Of the facet normals,
+    primitive functionals, ``h`` is the one whose largest value ``top =
+    max_k h . u_k`` is least, so the rows are fewest.  The rays ``u_i``,
+    ``u_j`` of its facet span the edge of direction ``e = primitive(u_j - u_i)``, and ``u_i``, ``e``
     are a basis of the facet's plane lattice (``g`` is 1 on ``u_i`` and 0
     on ``e``).  So with ``h . q == 1`` (two extended gcds on the entries
     of ``h``) and ``f = q - (g . q) u_i``, the points of height 1 are
@@ -451,8 +441,7 @@ def _polygon_points(c: Cone, out: Optional[Mat] = None) -> Optional[tuple[Vec, .
     vector is built; each point is the previous one plus ``out @ e``, made
     by ``zip`` over ranges, with no ``mat_vec`` per point.
     """
-    span = _span_lattice(c).basis
-    u = [coordinates_in(span, r) for r in c.generators]
+    u = c.generators
     u0, u1, u2 = u[:3]
     columns = (_cross(u1, u2), _cross(u2, u0), _cross(u0, u1))
     det = dot(u0, columns[0])
@@ -462,10 +451,9 @@ def _polygon_points(c: Cone, out: Optional[Mat] = None) -> Optional[tuple[Vec, .
     g = [x // det for x in g]
     if any(dot(g, x) != 1 for x in u[3:]):
         return None
-    on_span = [primitive(x) for x in mat_mul(c.halfspaces, transpose(span))]  # primitive on the span
-    heights = [max(dot(h, x) for x in u) for h in on_span]
+    heights = [max(dot(h, x) for x in u) for h in c.halfspaces]
     top = min(heights)
-    h = on_span[heights.index(top)]
+    h = c.halfspaces[heights.index(top)]
     i, j = (k for k, x in enumerate(u) if not dot(h, x))
     e = primitive(vsub(u[j], u[i]))
     g01, s, t = _bezout(h[0], h[1])
@@ -473,7 +461,7 @@ def _polygon_points(c: Cone, out: Optional[Mat] = None) -> Optional[tuple[Vec, .
     q = (one * a * s, one * a * t, one * b)
     f = vsub(q, vscale(dot(g, q), u[i]))
     lower, upper = [], []  # (|h'.e|, h'.u_i, h'.f) of the facets bounding s below, above
-    for other in on_span:
+    for other in c.halfspaces:
         slope = dot(other, e)
         if slope:
             (lower if slope > 0 else upper).append((abs(slope), dot(other, u[i]), dot(other, f)))
@@ -483,8 +471,7 @@ def _polygon_points(c: Cone, out: Optional[Mat] = None) -> Optional[tuple[Vec, .
         hi = min((v + t * w) // s for s, v, w in upper)
         if lo <= hi:
             rows.append((t, lo, hi - lo + 1))
-    lift = transpose(span) if out is None else mat_mul(out, transpose(span))
-    origin, rise, step = (mat_vec(lift, x) for x in (u[i], f, e))
+    origin, rise, step = (x if out is None else mat_vec(out, x) for x in (u[i], f, e))
     points = []
     for t, lo, n in rows:
         start = [x + t * y + lo * z for x, y, z in zip(origin, rise, step)]
@@ -493,9 +480,9 @@ def _polygon_points(c: Cone, out: Optional[Mat] = None) -> Optional[tuple[Vec, .
 
 
 def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
-    """Hilbert basis of ``c ∩ Z^rank`` for a strictly convex cone, each
-    element ``x`` given as ``out @ x`` (``x`` itself if ``out`` is None),
-    sorted.
+    """Hilbert basis of ``c ∩ Z^rank`` for a full-dimensional strictly
+    convex cone, each element ``x`` given as ``out @ x`` (``x`` itself if
+    ``out`` is None), sorted.
 
     Four rules, in this order:
 
@@ -529,15 +516,15 @@ def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
     once per ray and a parallelepiped point with coefficients ``t / det``
     gets ``K = t . K(rays) // det`` (:func:`_parallelepiped_keys`): no
     vector is built for it.  On a pointed cone the halfspace values fix a
-    point of its span, so ``K`` is injective: a point found in two
-    simplices is dropped the second time by equal keys, and key 0 is the
-    zero point.  Sorting keys sorts by grade; elements of equal grade never
-    reduce each other (``2g <= g`` fails for ``g > 0``), so their order is
-    irrelevant.  A vector is built only for each kept key, by decoding it:
-    its fields are the exact values ``h_i.x`` and ``e.x = 0`` on every
-    equation, so ``x = L @ vals / den`` for the left inverse ``L / den`` of
-    :func:`_value_inverse`, one per cone, and ``out @ x`` is
-    ``(out @ L) @ vals // den``, an exact division since ``x`` is integral.
+    point, so ``K`` is injective: a point found in two simplices is dropped
+    the second time by equal keys, and key 0 is the zero point.  Sorting
+    keys sorts by grade; elements of equal grade never reduce each other
+    (``2g <= g`` fails for ``g > 0``), so their order is irrelevant.  A
+    vector is built only for each kept key, by decoding it: its fields are
+    the exact values ``h_i.x``, so ``x = L @ vals / den`` for the left
+    inverse ``L / den`` of :func:`_value_inverse`, one per cone, and
+    ``out @ x`` is ``(out @ L) @ vals // den``, an exact division since
+    ``x`` is integral.
 
     ``x - b`` lies in the cone iff ``h.x >= h.b`` for every halfspace ``h``,
     a test on guarded bit fields (Lamport, CACM 18(8), 1975).  In fields of
@@ -578,9 +565,8 @@ def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
     key_cols = [(g << shift) + col for g, col in zip(grading, cols)]
     ray_keys = {r: dot(key_cols, r) for r in c.generators}
     candidates = list(ray_keys.values())
-    span = _span_lattice(c).basis
     for simplex in _triangulate(c):
-        det, factors = _hermite_box(simplex, span)
+        det, factors = _hermite_box(simplex)
         if det > 1:
             candidates.extend(_parallelepiped_keys([ray_keys[r] for r in simplex], det, factors))
     candidates.sort()
@@ -602,39 +588,31 @@ def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
 def saturated_monoid(c: Cone, lattice: Sublattice) -> AffineMonoid:
     """The monoid ``c ∩ lattice`` (lineality allowed; units become explicit).
 
-    Its Hilbert basis waits for its first read.  The result is kept on
-    ``c``, keyed by ``lattice`` (which, at the rank of ``c``, is equal to
-    another exactly when their bases are), so a repeat call on the same
-    cone (an interned cone is shared by the whole process) with an equal
-    lattice computes nothing.
+    Its group is ``span(c) ∩ lattice``, one kernel in lattice coordinates
+    (none for a full-dimensional ``c``).  When that has rank below
+    ``c.dim``, ``c`` leaves ``span(lattice)``, and the monoid's cone is
+    ``c ∩ span(lattice)``, cut again.  Its Hilbert basis waits for its
+    first read.  The result is kept on ``c``, keyed by ``lattice`` (which,
+    at the rank of ``c``, is equal to another exactly when their bases
+    are), so a repeat call on the same cone (an interned cone is shared by
+    the whole process) with an equal lattice computes nothing.
     """
     rank = c.ambient_rank
     if lattice.ambient_rank != rank:
         raise ValueError("lattice has wrong ambient rank")
-    basis = lattice.basis  # rows: coordinates y -> point y @ basis
-    # the points y @ basis span span(lattice), so cy is c ∩ span(lattice); it
-    # has the dimension of c iff span(c) ⊆ span(lattice), the usual case,
-    # and then it is c carried through the basis, with no double description
-    cy = _pull_back(c, basis)
-    c2 = c if cy.dim == c.dim else intersect_cones(c, cone_from_generators([], basis, rank))
-    basis_t = transpose(basis)  # y @ basis == mat_vec(basis_t, y)
-    units = zero_sublattice(rank)
-    if cy.lineality:
-        units = Sublattice(rank, row_lattice_hnf([mat_vec(basis_t, u) for u in cy.lineality]))
-    # the group of cy ∩ Z^k is span(cy) ∩ Z^k
-    group = [mat_vec(basis_t, y) for y in _span_lattice(cy).basis]
-    return AffineMonoid(rank, units, c2, Sublattice(rank, row_lattice_hnf(group)), lattice)
+    group = _span_cut(lattice, c.equations)
+    if group.rank < c.dim:
+        c = intersect_cones(c, cone_from_generators([], lattice.basis, rank))
+        group = _span_cut(lattice, c.equations)
+    units = _span_cut(group, integer_kernel(c.lineality, rank)) if c.lineality else zero_sublattice(rank)
+    return AffineMonoid(rank, units, c, group)
 
 
 def monoid_from_cone(c: Cone, lattice: Optional[Sublattice] = None) -> AffineMonoid:
     """Hilbert-basis presentation of ``c ∩ lattice`` for strictly convex c."""
     if not c.is_strictly_convex:
         raise NotStrictlyConvex("monoid_from_cone needs a strictly convex cone")
-    if lattice is None:
-        lattice = full_lattice(c.ambient_rank)
-    m = saturated_monoid(c, lattice)
-    assert m.is_pointed
-    return m
+    return saturated_monoid(c, full_lattice(c.ambient_rank) if lattice is None else lattice)
 
 
 def member(m: AffineMonoid, v: Sequence[int]) -> bool:
@@ -642,7 +620,7 @@ def member(m: AffineMonoid, v: Sequence[int]) -> bool:
     v = vec(v)
     if len(v) != m.ambient_rank:
         raise ValueError("vector has wrong length")
-    return m.cone.contains(v) and m.saturated_lattice.contains(v)
+    return m.cone.contains(v) and m.group.contains(v)
 
 
 def dual_monoid(m: AffineMonoid) -> AffineMonoid:
@@ -651,13 +629,12 @@ def dual_monoid(m: AffineMonoid) -> AffineMonoid:
 
 
 def restrict_to_face(m: AffineMonoid, face: Cone) -> AffineMonoid:
-    """The submonoid ``M ∩ F`` of ``M = c ∩ L`` on a face ``F`` of ``c``: the
-    saturated ``F ∩ L``, with the units of ``M`` (``F`` holds the lineality
-    space) and the group ``span(F) ∩ L``, the one thing computed here."""
+    """The submonoid ``M ∩ F`` of ``M = c ∩ G`` on a face ``F`` of ``c``: the
+    saturated ``F ∩ G``, with the units of ``M`` (``F`` holds the lineality
+    space) and the group ``span(F) ∩ G``, the one thing computed here."""
     if not is_face_of(face, m.cone):
         raise NotAFace(f"{face} is not a face of {m.cone}")
-    lat = m.saturated_lattice
-    return AffineMonoid(m.ambient_rank, m.units, face, _span_cut(lat, face.equations), lat)
+    return AffineMonoid(m.ambient_rank, m.units, face, _span_cut(m.group, face.equations))
 
 
 class MonoidHom(Record):
@@ -674,15 +651,15 @@ class MonoidHom(Record):
 def monoid_hom(matrix: Sequence[Sequence[int]], source: AffineMonoid, target: AffineMonoid) -> MonoidHom:
     """The map ``matrix`` as a homomorphism from ``source`` into ``target``.
 
-    With ``source = c ∩ L`` and ``target = c′ ∩ L′``, ``A(c ∩ L) ⊆ c′ ∩ L′``
+    With ``source = c ∩ G`` and ``target = c′ ∩ G′``, ``A(c ∩ G) ⊆ c′ ∩ G′``
     iff ``A`` sends the rays of ``c`` and both directions of its lineality
-    into ``c′``, and a basis of ``source.group`` into ``L′`` (if: the
-    monoid lies in ``c`` and in its group; only if: it spans ``c`` and
-    generates its group).  Each vector is mapped once.  Only when this
-    fails are the generators scanned, for one whose image escapes (there
-    is one, since they generate the monoid), and :class:`MonoidNotMapped`
-    names it.  A matrix that is not target rank × source rank raises
-    ``ValueError``.
+    into ``c′``, and the basis of ``G`` into ``G′`` (if: the monoid lies in
+    ``c`` and in ``G``; only if: it spans ``c`` and generates ``G``, and
+    the target generates ``G′``).  Each vector is mapped once.  Only when
+    this fails are the generators scanned, for one whose image escapes
+    (there is one, since they generate the monoid), and
+    :class:`MonoidNotMapped` names it.  A matrix that is not target rank ×
+    source rank raises ``ValueError``.
     """
     mtx = mat(matrix)
     require_shape(mtx, target.ambient_rank, source.ambient_rank)
@@ -692,7 +669,7 @@ def monoid_hom(matrix: Sequence[Sequence[int]], source: AffineMonoid, target: Af
     image = {v: mat_vec(mtx, v) for v in dict.fromkeys(to_cone + to_lattice)}
     if not (
         all(target.cone.contains(image[r]) for r in to_cone)
-        and all(target.saturated_lattice.contains(image[b]) for b in to_lattice)
+        and all(target.group.contains(image[b]) for b in to_lattice)
     ):
         g = next(g for g in source.generators() if not member(target, mat_vec(mtx, g)))
         raise MonoidNotMapped(

@@ -67,7 +67,7 @@ def validate_stack_datum(d: ToricStackDatum) -> StackValidationReport:
     Faces are tested one level down, on each cone and its facets: in a fan
     every proper face of a cone is a face of one of its facets, tested in
     turn, and restriction is transitive (to ``F`` it has the group
-    ``span(F) ∩ saturated_lattice``).
+    ``span(F) ∩ group``).
     """
     problems = []
     fan = d.fan

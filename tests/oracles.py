@@ -866,7 +866,7 @@ def group_coordinates(m):
     hb = tuple(sorted(
         _reduce_mod_units(coordinates_in(basis, g), units) for g in m.hilbert_basis
     ))
-    return AffineMonoid(k, units, cone, full_lattice(k), full_lattice(k)), basis, hb
+    return AffineMonoid(k, units, cone, full_lattice(k)), basis, hb
 
 
 def check_integral_by_pair_walk(h, degree_bound):
@@ -1117,3 +1117,22 @@ def stack_datum_ok_by_all_faces(d):
         fan.cones[i].dim == d.lattice_rank and d.monoids[i].group.rank == d.lattice_rank
         for i in fan.maximal_indices()
     )
+
+
+def raw_cone_and_its_span_cut(cq, data):
+    """``(raw, cut)`` for the quotient cone data ``data`` of ``cq``: ``raw``
+    the intersection of the images of its point-fiber cones, and ``cut``
+    that intersection also cut by ``span(lift_lattice)``, the two-step cone
+    the raw-monoid diagnostic once tested.  Each is one conversion of the
+    images' halfspaces and equations, plus the lattice span's equations for
+    ``cut``."""
+    from chowfan.cones import cone_from_halfspaces, image_cone
+    from chowfan.intlinalg import integer_kernel
+
+    q = cq.projection.target_rank
+    images = [image_cone(cq.projection.matrix, cq.fan.cones[i]) for i in data.point_fiber_cones]
+    halfspaces = [h for c in images for h in c.halfspaces]
+    equations = [e for c in images for e in c.equations]
+    raw = cone_from_halfspaces(halfspaces, equations, q)
+    span_equations = list(integer_kernel(data.lift_lattice.basis, q))
+    return raw, cone_from_halfspaces(halfspaces, equations + span_equations, q)

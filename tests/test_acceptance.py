@@ -589,9 +589,9 @@ def test_meeting_pairs_are_the_maximal_family_cones(corpus_families):
 
 
 def _lattice_coordinate_cone(m):
-    """The cone of a saturated monoid in coordinates of its lattice, as
-    saturated_monoid sieves it."""
-    basis = m.saturated_lattice.basis
+    """The cone of a saturated monoid in coordinates of its group, as
+    its Hilbert basis is sieved."""
+    basis = m.group.basis
     return cone_from_halfspaces(
         [tuple(dot(h, b) for b in basis) for h in m.cone.halfspaces],
         [tuple(dot(e, b) for b in basis) for e in m.cone.equations],
@@ -670,7 +670,7 @@ def test_facet_equations_and_face_groups_match_their_kernels(corpus_families):
                         assert g in f
                         facet_count += 1
         for m in [d.monoid for d in cq.cone_data] + list(fam.datum.monoids):
-            lat = m.saturated_lattice
+            lat = m.group
             for face in all_faces(m.cone):
                 expected = oracles.face_group_by_intersection(face, lat)
                 assert _span_cut(lat, face.equations) == expected
@@ -699,9 +699,9 @@ def test_cones_match_two_conversions_oracle(corpus_families):
                 )
                 assert c.incidence == oracles.incidence_by_dot_products(c)
                 count += 1
-        # the family cones carried into the coordinates of their lattices
+        # the family cones carried into the coordinates of their groups
         for m in fam.datum.monoids:
-            basis = m.saturated_lattice.basis
+            basis = m.group.basis
             pulled = _pull_back(m.cone, basis)
             assert _cone_fields(pulled) == oracles.cone_by_two_conversions(
                 [tuple(dot(h, b) for b in basis) for h in m.cone.halfspaces],
@@ -724,8 +724,10 @@ def test_parallelepiped_points_match_span_coordinates_oracle(corpus_families):
         for c in cones:
             if c.dim == 0:
                 continue
+            # full-dimensional, in the coordinates of its span lattice
+            c = _pull_back(c, _span_lattice(c).basis)
             for simplex in _triangulate(c):
-                det, factors = _hermite_box(simplex, _span_lattice(c).basis)
+                det, factors = _hermite_box(simplex)
                 # every point has entries of at most the rays' total size, where
                 # K(x) = sum_k x_k base^k is injective
                 size = sum(abs(x) for r in simplex for x in r)
@@ -837,7 +839,7 @@ def test_faces_by_filtering_on_quotient_data(corpus_families):
             m = data.monoid
             for f in all_faces(m.cone):
                 face = restrict_to_face(m, f)
-                fresh = saturated_monoid(f, m.saturated_lattice)
+                fresh = saturated_monoid(f, m.group)
                 assert (face.hilbert_basis, face.units, face.group) == (
                     fresh.hilbert_basis, fresh.units, fresh.group
                 )
@@ -904,13 +906,12 @@ def test_memo_hits_equal_fresh_computations(monkeypatch):
         check_reduced(fam)
         for c in list(cones._cone_cache.values()):
             # a copy of an interned cone carries no memo, so it computes
-            for (fn, *args), value in (c._kept or {}).items():
+            for (fn, *args), value in list((c._kept or {}).items()):
                 if fn is saturated_monoid.__wrapped__:
                     (lattice,), m = args, value
-                    fresh = saturated_monoid(replace(c), m.saturated_lattice)
-                    assert m.saturated_lattice.basis == lattice.basis
-                    assert (fresh.hilbert_basis, fresh.units, fresh.group, fresh.saturated_lattice, fresh.cone) == (
-                        m.hilbert_basis, m.units, m.group, m.saturated_lattice, m.cone
+                    fresh = saturated_monoid(replace(c), lattice)
+                    assert (fresh.hilbert_basis, fresh.units, fresh.group, fresh.cone) == (
+                        m.hilbert_basis, m.units, m.group, m.cone
                     )
                     monoids += 1
                 elif fn is intersect_cones.__wrapped__:

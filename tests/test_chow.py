@@ -155,6 +155,22 @@ class TestQuotientFan:
         with pytest.raises(InternalConsistencyError, match="quotient cone 2: no cone"):
             chow_quotient(p2, l_horizontal)
 
+    def test_cell_off_one_side_of_its_hyperplane_names_its_sample(self, p2, l_horizontal, monkeypatch):
+        import chowfan.chow
+
+        calls = []
+        real = chowfan.chow._strict_sample
+
+        def one_sided(strict, eqs, rank):
+            # the origin lies on the first hyperplane: its first two samples
+            # are of the sides h > 0 and h < 0, and the second finds none
+            calls.append(strict)
+            return None if len(calls) == 2 else real(strict, eqs, rank)
+
+        monkeypatch.setattr(chowfan.chow, "_strict_sample", one_sided)
+        with pytest.raises(InternalConsistencyError, match=r"^the open cell of sample \(0,\) meets"):
+            chow_quotient(p2, l_horizontal)
+
 
 class TestPointFibersAndCycles:
     def test_p2_point_fibers(self, p2, l_horizontal):
@@ -371,3 +387,41 @@ class TestClassConesMatchCellHulls:
         )
         sub = sublattice(4, rows)
         assert chow_quotient(fan, sub) == oracles.chow_quotient_by_cell_hulls(fan, sub)
+
+
+class TestRawConesLieInTheLiftLatticeSpan:
+    """Each raw cone ``∩ p(σ_i)`` over the point-fiber cones lies in the
+    span of the lift lattice ``∩ p(span σ_i ∩ N)``, so cutting it by that
+    span changes nothing, and the raw-monoid diagnostic is the same with
+    the cut and without."""
+
+    @staticmethod
+    def _check(fan, sub):
+        cq = chow_quotient(fan, sub)
+        for data, kappa in zip(cq.cone_data, cq.quotient_fan.cones):
+            raw, cut = oracles.raw_cone_and_its_span_cut(cq, data)
+            assert cut == raw
+            assert data.raw_monoid_inside_cone == kappa.contains_cone(cut)
+        return len(cq.cone_data)
+
+    def test_fixtures_and_corpus(self):
+        inputs = [parse_input(path.read_text())[:2] for path in sorted(FIXTURES.glob("*.json"))]
+        assert sum(self._check(fan, sub) for fan, sub in inputs + corpus(count=10)) >= 50
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 10**6), st.sampled_from([(2, 1), (3, 1), (3, 2)]))
+    def test_random_rank_2_and_3_fans(self, seed, shape):
+        rank, dim = shape
+        rng = random.Random(seed)
+        fan = (random_complete_fan_rank2 if rank == 2 else random_complete_fan_rank3)(rng)
+        sub = random_saturated_sublattice(rng, rank, dim)
+        assume(validate_fan(fan).ok and is_complete(fan))
+        self._check(fan, sub)
+
+    @pytest.mark.parametrize("rows", [[[1, 2, 3, 5]], [[1, 1, 1, 1], [0, 1, -1, 1]]])
+    def test_rank_4_orthant_fan(self, rows):
+        fan = fan_from_cones(
+            cone_from_generators([[s[i] * (j == i) for j in range(4)] for i in range(4)])
+            for s in product((1, -1), repeat=4)
+        )
+        self._check(fan, sublattice(4, rows))

@@ -27,7 +27,7 @@ from chowfan.serialize import (
 )
 from chowfan.intlinalg import NotSaturated, sublattice
 from chowfan.cones import cone_from_generators
-from chowfan.monoids import dual_monoid, monoid_from_cone
+from chowfan.monoids import dual_monoid, monoid_from_cone, saturated_monoid
 from chowfan.stacks import variety_datum
 
 from conftest import corpus_documents, p2_fan, p1p1_fan
@@ -723,6 +723,14 @@ class TestSerializeRoundTrips:
         d = dual_monoid(monoid_from_cone(cone_from_generators([(1, 0)], ambient_rank=2)))
         assert d.units.rank == 1
         assert decode_monoid(_as_read(encode_monoid(d))) == d
+
+    def test_monoid_with_units_cut_from_a_skew_lattice(self):
+        # the element of the coset of (2, 0, 0) is fixed by the cone and the
+        # group, not by the basis of the lattice the monoid was cut from
+        c = cone_from_generators([(1, 0, 0)], [(0, 1, 1)])
+        m = saturated_monoid(c, sublattice(3, [(1, 1, 2), (0, 2, 4), (0, 0, 8)]))
+        assert m.hilbert_basis == ((2, 0, 0),)
+        assert decode_monoid(_as_read(encode_monoid(m))) == m
 
     def test_datum(self):
         d = variety_datum(p2_fan())

@@ -368,7 +368,7 @@ class TestOneConversion:
 
     @settings(deadline=None, max_examples=150)
     @given(rank3_cones_with_lines, st.lists(rank3_vectors, max_size=2), st.integers(1, 3))
-    # a lattice whose span misses the cone: the pull-back is c ∩ span
+    # a lattice whose span misses the cone: the pull-back is refused
     @example(cone_from_generators([(1, 0, 0), (0, 1, 1)]), [(1, 0, 0), (0, 1, 0)], 1)
     def test_pull_back(self, c, extra, scale):
         # a lattice of index scale^r in its span, which holds the cone unless
@@ -376,6 +376,10 @@ class TestOneConversion:
         spanning = extra if len(extra) == 2 else list(c.generators + c.lineality) + extra
         lattice = sublattice(3, [tuple(scale * x for x in v) for v in spanning])
         basis = lattice.basis
+        if any(oracles.matrix_rank(list(basis) + [g]) > len(basis) for g in c.generators + c.lineality):
+            with pytest.raises(ValueError, match="outside the span"):
+                cones._pull_back(c, basis)
+            return
         expected = oracles.cone_by_two_conversions(
             *_pulled(c, basis), len(basis), from_halfspaces=True
         )
@@ -673,8 +677,8 @@ class TestMemos:
         return calls
 
     def test_repeat_saturated_monoid_computes_nothing(self, counted):
-        # the plane lattice does not span the cone: the first call pulls
-        # back by a double description and intersects with the plane
+        # the plane lattice does not span the cone: the first call
+        # intersects it with the plane by a double description
         c = cone_from_generators([(1, 0, 0), (1, 2, 0), (0, 1, 1)])
         first, second = (sublattice(3, [(1, 1, 0), (0, 2, 0)]) for _ in range(2))
         assert first == second and first is not second

@@ -485,6 +485,14 @@ class TestConsistencyErrorsNameCones:
         with pytest.raises(InternalConsistencyError, match=f"^quotient cone {k}: components do not biject"):
             component_bijection(fam, k)
 
+    def test_basic_monoid_element_off_its_group_names_the_base_cone(self, setup, monkeypatch):
+        import chowfan.family as family
+
+        fam, k, _ = setup
+        monkeypatch.setattr(family, "coordinates_in", lambda basis, v: None)
+        with pytest.raises(InternalConsistencyError, match=f"^quotient cone {k}: basic monoid element"):
+            tropical_moduli_cone(fam, k)
+
     def test_wall_direction_names_the_wall(self, setup, monkeypatch):
         import chowfan.family as family
 

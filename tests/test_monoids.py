@@ -16,6 +16,7 @@ from chowfan import cones
 from chowfan.cones import (
     Cone,
     NotStrictlyConvex,
+    _pull_back,
     _span_lattice,
     all_faces,
     cone_from_generators,
@@ -23,7 +24,19 @@ from chowfan.cones import (
     is_face_of,
     zero_cone,
 )
-from chowfan.intlinalg import Sublattice, dot, full_lattice, mat_vec, solve_rational, sublattice, vadd, vscale
+from chowfan.intlinalg import (
+    Sublattice,
+    coordinates_in,
+    dot,
+    full_lattice,
+    mat_mul,
+    mat_vec,
+    solve_rational,
+    sublattice,
+    transpose,
+    vadd,
+    vscale,
+)
 from chowfan.monoids import (
     MonoidNotMapped,
     NotAFace,
@@ -116,8 +129,27 @@ small_index_lattices = st.tuples(
     )
 )
 
+# rank-3 cones with a line, and lattices of finite index in Z^3 with skew
+# HNF bases
+cones_with_a_line = st.tuples(st.lists(rank3_vectors, max_size=2), rank3_vectors).map(
+    lambda t: cone_from_generators(t[0], [t[1]], ambient_rank=3)
+)
+skew_lattices = st.tuples(st.tuples(*[st.integers(1, 8)] * 3), st.tuples(*[st.integers(-8, 8)] * 3)).map(
+    lambda t: sublattice(3, [(t[0][0], t[1][0], t[1][1]), (0, t[0][1], t[1][2]), (0, 0, t[0][2])])
+)
+
 
 class TestSaturatedMonoidProperties:
+    @settings(deadline=None, max_examples=150)
+    @given(cones_with_a_line, skew_lattices)
+    # equal to the monoid cut from <(2,0,0),(0,2,6),(0,0,16)>, whose basis is ((2, 0, 0),)
+    @example(cone_from_generators([(1, 0, 0)], [(0, 1, 1)]), sublattice(3, [(1, 1, 2), (0, 2, 4), (0, 0, 8)]))
+    def test_basis_with_units_is_fixed_by_the_group(self, c, lattice):
+        m = saturated_monoid(c, lattice)
+        again = saturated_monoid(c, m.group)
+        assert again == m
+        assert again.hilbert_basis == m.hilbert_basis
+
     @settings(deadline=None, max_examples=80)
     @given(rank3_cones, small_index_lattices)
     def test_basis_irreducible_and_generating(self, c, lattice):
@@ -171,9 +203,7 @@ class TestSaturatedMonoidProperties:
         )
         fresh = saturated_monoid(cone, full_lattice(k))
         assert coords == fresh and hb == fresh.hilbert_basis
-        assert (coords.cone, coords.group, coords.saturated_lattice) == (
-            fresh.cone, fresh.group, fresh.saturated_lattice
-        )
+        assert (coords.cone, coords.group) == (fresh.cone, fresh.group)
 
     @settings(deadline=None, max_examples=60)
     @given(rank3_cones, small_index_lattices)
@@ -194,7 +224,6 @@ class TestSaturatedMonoidProperties:
                 fresh.hilbert_basis, fresh.units, fresh.group
             )
             assert face.cone.key() == fresh.cone.key()
-            assert face.saturated_lattice == fresh.saturated_lattice
 
 
 @pytest.mark.parametrize(
@@ -310,11 +339,11 @@ KEYED_EXAMPLES = (
     MANY_BLOCKS[0],
     MANY_BLOCKS[1],
     cone_from_generators([(1, 0, 0, 0), (1, 2, 0, 0), (0, 1, 2, 0)]),
-    # not full-dimensional and not unimodular, and [halfspaces; equations]
-    # has elementary divisors (1, 1, 3): keys are decoded over den = 3
+    # not full-dimensional and not unimodular; in its span lattice the
+    # halfspaces have elementary divisors (1, 3): keys are decoded over den = 3
     cone_from_generators([(1, 0, 0), (1, 3, 0)]),
     # the same in dimension 3, off height one, so sieved: elementary
-    # divisors (1, 1, 1, 3) and den = 3
+    # divisors (1, 1, 3) and den = 3
     cone_from_generators([(0, 0, 0, 1), (0, 0, 3, 2), (0, 1, 0, 0)]),
     # six facets with entries up to 141, on which the earlier Smith loop did not return in 30 s
     cone_from_generators([(2, -4, -3, 4), (3, -4, -1, -3), (3, -1, 4, 2), (3, 0, -2, 3), (3, 2, -3, 0)]),
@@ -346,6 +375,21 @@ def counted_calls(monkeypatch, name):
     return calls
 
 
+def _in_span(c):
+    """``(cy, lift)``: ``c`` in the coordinates of its span lattice, where
+    it is full-dimensional as the Hilbert-basis rules need, and the matrix
+    with ``lift @ y`` the point of coordinates ``y``."""
+    span = _span_lattice(c).basis
+    return _pull_back(c, span), transpose(span)
+
+
+def _basis_of(c, out=None):
+    """The Hilbert basis of ``c ∩ Z^rank`` by the rules on ``c`` in span
+    coordinates, each element ``x`` given as ``out @ x``."""
+    cy, lift = _in_span(c)
+    return _hilbert_basis_full(cy, lift if out is None else mat_mul(out, lift))
+
+
 @pytest.mark.parametrize("cases", [PACKED_EXAMPLES, KEYED_EXAMPLES], ids=["packed", "keyed"])
 def test_explicit_examples_reach_the_keyed_sieve(cases, monkeypatch):
     # the plane and polygon rules take some examples; others still sieve
@@ -353,7 +397,7 @@ def test_explicit_examples_reach_the_keyed_sieve(cases, monkeypatch):
     reached = []
     for c in cases:
         before = len(sieved)
-        _hilbert_basis_full(c)
+        _basis_of(c)
         reached.append(len(sieved) > before)
     assert sum(reached) >= 3
     assert not all(reached)
@@ -361,11 +405,11 @@ def test_explicit_examples_reach_the_keyed_sieve(cases, monkeypatch):
 
 def _matches_oracle_with_and_without_out(c):
     expected = oracles.hilbert_basis_by_tuple_sieve(c)
-    assert _hilbert_basis_full(c) == expected
+    assert _basis_of(c) == expected
     # built directly in other coordinates: x -> (x, sum(x))
     out = [tuple(int(i == j) for j in range(c.ambient_rank)) for i in range(c.ambient_rank)]
     out.append((1,) * c.ambient_rank)
-    assert _hilbert_basis_full(c, out) == tuple(sorted(mat_vec(out, x) for x in expected))
+    assert _basis_of(c, out) == tuple(sorted(mat_vec(out, x) for x in expected))
 
 
 class TestPackedDominance:
@@ -418,7 +462,7 @@ class TestPackedDominance:
     @examples(PACKED_EXAMPLES)
     def test_packed_sieve_matches_tuple_sieve(self, c):
         assume(c.is_strictly_convex)
-        assert _hilbert_basis_full(c) == oracles.hilbert_basis_by_tuple_sieve(c)
+        assert _basis_of(c) == oracles.hilbert_basis_by_tuple_sieve(c)
 
 
 class TestKeyedCandidates:
@@ -436,11 +480,11 @@ class TestKeyedCandidates:
         sieved = counted_calls(monkeypatch, "_sieve")
         off_height_one = cone_from_generators([(0, 0, 0, 1), (0, 0, 3, 2), (0, 1, 0, 0)])
         for c in MANY_BLOCKS + (off_height_one,):
+            cy, _ = _in_span(c)
             del built[:]
-            basis = _hilbert_basis_full(c)
+            basis = _hilbert_basis_full(cy)
             assert len(built) == len(basis)
-            span = _span_lattice(c).basis
-            points = sum(_hermite_box(s, span)[0] - 1 for s in chowfan.monoids._triangulate(c))
+            points = sum(_hermite_box(s)[0] - 1 for s in chowfan.monoids._triangulate(cy))
             assert len(built) < points + len(c.generators)
         assert len(sieved) == len(MANY_BLOCKS) + 1
 
@@ -536,7 +580,7 @@ class TestGeometricRules:
     # entries of 2^40, determinant 100
     @example(cone_from_generators([(2**40, 2**40 - 1), (2**40 - 100, 2**40 - 101)]))
     def test_plane_chain_matches_tuple_sieve(self, c):
-        assume(c.dim == 2 and not _unimodular(c))
+        assume(c.dim == 2 and not _unimodular(_in_span(c)[0]))
         with mock.patch.object(chowfan.monoids, "_hermite_box", _refused):
             _matches_oracle_with_and_without_out(c)
 
@@ -559,7 +603,7 @@ class TestGeometricRules:
     @example(cone_from_generators([(1, 0, 0), (1, 3, 0), (1, 0, 3), (1, 3, 3)]))
     @example(THIN)
     def test_height_one_points_match_tuple_sieve(self, c):
-        assume(c.dim == 3 and not _unimodular(c))
+        assume(c.dim == 3 and not _unimodular(_in_span(c)[0]))
         with _keyed_path_refused():
             _matches_oracle_with_and_without_out(c)
 
@@ -665,8 +709,8 @@ class TestUnimodularExit:
     def test_cones_return_their_rays(self, no_parallelepipeds):
         for rays in self.CONES:
             c = cone_from_generators(rays)
-            assert c.dim == len(rays) and _unimodular(c)
-            assert _hilbert_basis_full(c) == c.generators
+            assert c.dim == len(rays) and _unimodular(_in_span(c)[0])
+            assert _basis_of(c) == c.generators
             assert saturated_monoid(c, full_lattice(4)).hilbert_basis == c.generators
 
     def test_span_unimodular_cones_return_their_rays(self, no_parallelepipeds):
@@ -674,8 +718,8 @@ class TestUnimodularExit:
             c = cone_from_generators(rays)
             assert c.dim == len(rays) < c.ambient_rank
             assert max(sum(dot(h, r) for r in c.generators) for h in c.halfspaces) > 1
-            assert _unimodular(c)
-            assert _hilbert_basis_full(c) == c.generators
+            assert _unimodular(_in_span(c)[0])
+            assert _basis_of(c) == c.generators
             assert monoid_from_cone(c).hilbert_basis == c.generators
 
     def test_pulled_back_cones_return_their_rays(self, no_parallelepipeds):
@@ -690,12 +734,13 @@ class TestUnimodularExit:
     @example(cone_from_generators([(2, 0, 0), (0, 2, 0)]))
     def test_top_one_means_a_lattice_basis(self, c):
         assume(c.is_strictly_convex and c.dim)
+        cy, _ = _in_span(c)
         if len(c.generators) == c.dim and set(oracles.elementary_divisors_by_minors(c.generators)) == {1}:
-            assert _unimodular(c)  # a cone on a basis of its span lattice always exits
-        if _unimodular(c):
+            assert _unimodular(cy)  # a cone on a basis of its span lattice always exits
+        if _unimodular(cy):
             assert len(c.generators) == c.dim
             assert oracles.elementary_divisors_by_minors(c.generators) == (1,) * c.dim
-            assert _hilbert_basis_full(c) == oracles.hilbert_basis_by_tuple_sieve(c) == c.generators
+            assert _basis_of(c) == oracles.hilbert_basis_by_tuple_sieve(c) == c.generators
 
 
 # 1-3 linearly independent rank-3 vectors, entries in [-3, 3]
@@ -712,7 +757,10 @@ class TestParallelepipeds:
     @example([(2, 4, 6)])
     def test_matches_span_coordinates_oracle(self, rays):
         rays = tuple(rays)
-        det, factors = _hermite_box(rays, _span_lattice(cone_from_generators(rays)).basis)
+        # the box of the rays' coordinates in their span lattice, where they
+        # span the whole space
+        span = _span_lattice(cone_from_generators(rays)).basis
+        det, factors = _hermite_box(tuple(coordinates_in(span, r) for r in rays))
         # injective on points with entries in [-9, 9], the parallelepiped's box
         functional = (1, 1000, 1000000)
         keys = list(_parallelepiped_keys([dot(functional, r) for r in rays], det, factors)) if det > 1 else [0]
@@ -827,7 +875,7 @@ class TestHoms:
         target = saturated_monoid(source.cone, sublattice(2, [(1, 0), (0, 2)]))
         # every ray maps into the target, but the group vector (0, 1) does not
         assert all(member(target, r) for r in source.cone.generators)
-        assert not target.saturated_lattice.contains((0, 1))
+        assert not target.group.contains((0, 1))
         verdicts = set()
 
         @settings(deadline=None, max_examples=200)

@@ -69,18 +69,24 @@ def test_cone_incidence_is_outside_equality_and_hash():
 
 
 def test_monoid_uncompared_fields_are_outside_equality_and_hash():
-    # a monoid is its cone and group: the lattice it was cut from and its
-    # kept Hilbert basis are outside equality and hash
+    # a monoid is its cone and group: the lattice it was cut from is not
+    # kept, and its kept Hilbert basis is outside equality and hash
     m = saturated_monoid(cone_from_generators([(1, 0), (1, 2)]), full_lattice(2))
     assert m.hilbert_basis == ((1, 0), (1, 1), (1, 2))
-    other = AffineMonoid(m.ambient_rank, m.units, m.cone, m.group, None)
+    other = AffineMonoid(m.ambient_rank, m.units, m.cone, m.group)
     assert other._kept is None
     assert other == m and hash(other) == hash(m)
     assert other != replace(m, group=sublattice(2, [(1, 0), (0, 2)]))
     ray = cone_from_generators([(1, 0)], ambient_rank=2)
     a, b = saturated_monoid(ray, full_lattice(2)), saturated_monoid(ray, sublattice(2, [(1, 0), (0, 2)]))
-    assert a.saturated_lattice != b.saturated_lattice
     assert a == b and hash(a) == hash(b) and a.hilbert_basis == b.hilbert_basis == ((1, 0),)
+    # with units: the one element per coset is fixed by the cone and the
+    # group, not by the lattice the monoid was cut from
+    half_plane = cone_from_generators([(1, 0, 0)], [(0, 1, 1)])
+    a = saturated_monoid(half_plane, sublattice(3, [(1, 1, 2), (0, 2, 4), (0, 0, 8)]))
+    b = saturated_monoid(half_plane, sublattice(3, [(2, 0, 0), (0, 2, 6), (0, 0, 16)]))
+    assert a == b and hash(a) == hash(b)
+    assert a.hilbert_basis == b.hilbert_basis == ((2, 0, 0),)
 
 
 def test_hash_and_equality_are_those_of_the_compared_fields():

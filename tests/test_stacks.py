@@ -27,14 +27,14 @@ import oracles
 
 
 def _doubled(datum, cones=None):
-    """Replace ``cone ∩ L`` by ``cone ∩ 2L``, whose Hilbert basis is doubled,
+    """Replace ``cone ∩ G`` by ``cone ∩ 2G``, whose Hilbert basis is doubled,
     on the ``cones`` given by index (by default the maximal ones)."""
     fan = datum.fan
     which = set(fan.maximal_indices() if cones is None else cones)
     monoids = []
     for i, m in enumerate(datum.monoids):
         if i in which and m.hilbert_basis:
-            twice = [tuple(2 * x for x in b) for b in m.saturated_lattice.basis]
+            twice = [tuple(2 * x for x in b) for b in m.group.basis]
             monoids.append(saturated_monoid(m.cone, sublattice(datum.lattice_rank, twice)))
         else:
             monoids.append(m)

@@ -229,8 +229,8 @@ class TestIntegral:
 
 
 def _doubled(m):
-    """The monoid ``cone ∩ 2L`` for ``m = cone ∩ L``: twice its Hilbert basis."""
-    lat = m.saturated_lattice
+    """The monoid ``cone ∩ 2G`` for ``m = cone ∩ G``: twice its Hilbert basis."""
+    lat = m.group
     twice = [tuple(2 * x for x in b) for b in lat.basis]
     return saturated_monoid(m.cone, sublattice(lat.ambient_rank, twice))
 
