@@ -418,7 +418,18 @@ def _constraint_count(c: Cone) -> int:
 
 
 def image_cone(matrix: Mat, c: Cone) -> Cone:
-    """Image of a cone under an integer matrix (rows act on column vectors)."""
+    """Image of a cone under an integer matrix (rows act on column vectors),
+    kept on ``c`` per matrix as a tuple of tuples (a library matrix is its
+    own key, not copied per cone), so each cone is projected once per map;
+    rows without ``c``'s rank entries raise ``ValueError``."""
+    if not (type(matrix) is tuple and all(type(r) is tuple for r in matrix)):
+        matrix = mat(matrix)
+    return _image_cone(c, matrix)
+
+
+@kept
+def _image_cone(c: Cone, matrix: Mat) -> Cone:
+    require_shape(matrix, len(matrix), c.ambient_rank)
     lines = [mat_vec(matrix, l) for l in c.lineality]
     return cone_from_generators(
         [mat_vec(matrix, g) for g in c.generators],
@@ -429,6 +440,7 @@ def image_cone(matrix: Mat, c: Cone) -> Cone:
 
 def preimage_cone(matrix: Mat, c: Cone, source_rank: int) -> Cone:
     """Preimage ``{x in Q^source_rank : Mx in c}``; includes ker(M) in its lineality."""
+    require_shape(matrix, c.ambient_rank, source_rank)
     # <h, Mx> = <hM, x>: pull every functional back along the matrix
     cols = tuple(zip(*matrix))
     halfspaces = [mat_vec(cols, h) for h in c.halfspaces]
@@ -737,12 +749,13 @@ def check_fan_morphism(matrix: Mat, src: Fan, dst: Fan) -> FanMorphism:
 
     ``dst`` must be a valid fan; its kept :func:`validate_fan` report is
     consulted and :class:`ValueError` raised otherwise.  Each source cone is
-    assigned the minimal target cone containing its image: the image itself
-    when it is a cone of ``dst``, else the cone whose relative interior holds
-    a relative-interior point of the image (in a fan, any cone containing
-    the image contains that one).  Raises :class:`NoTargetCone` naming the
-    first source cone whose image that cone does not contain, and
-    ``ValueError`` when the matrix is not target rank × source rank.
+    assigned the minimal target cone containing its (kept) image: the image
+    itself when it is a cone of ``dst``, needing no containment test, else
+    the cone whose relative interior holds a relative-interior point of the
+    image (in a fan, any cone containing the image contains that one),
+    tested to contain it.  Raises :class:`NoTargetCone` naming the first
+    source cone whose image that cone does not contain, and ``ValueError``
+    when the matrix is not target rank × source rank.
     """
     if not validate_fan(dst).ok:
         raise ValueError("the target of a fan morphism is not a valid fan")
@@ -755,7 +768,7 @@ def check_fan_morphism(matrix: Mat, src: Fan, dst: Fan) -> FanMorphism:
         j = index.get(img.key())
         if j is None:
             j = dst.cone_containing_in_relint(relative_interior_sample(img))
-        if j is None or not dst.cones[j].contains_cone(img):
-            raise NoTargetCone(f"image of source cone {i} lies in no target cone")
+            if j is None or not dst.cones[j].contains_cone(img):
+                raise NoTargetCone(f"image of source cone {i} lies in no target cone")
         assignment.append(j)
     return FanMorphism(matrix, src, dst, tuple(assignment))

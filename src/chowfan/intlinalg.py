@@ -53,6 +53,10 @@ class NotSaturated(ValueError):
     """Raised when an operation requires a saturated sublattice."""
 
 
+class InternalConsistencyError(RuntimeError):
+    """A property the theory guarantees failed: on valid input, a bug, not a user error."""
+
+
 # ---------------------------------------------------------------------------
 # vector helpers
 
@@ -474,7 +478,8 @@ def _unit_pivot_transform(basis: Mat, ncols: int) -> list[list[int]]:
                     if rows[t][j]:
                         swap_cols(t, j)
                         dirty = True
-        assert abs(rows[t][t]) == 1
+        if abs(rows[t][t]) != 1:
+            raise InternalConsistencyError(f"pivot {rows[t][t]} of the reduction of {list(basis)} is not a unit")
     return v
 
 
@@ -500,5 +505,6 @@ def quotient_map(ambient_rank: int, kernel: Sublattice) -> QuotientMap:
     section = unimodular_inverse(v)[k:]
     qm = QuotientMap(ambient_rank, ambient_rank - k, transpose(v)[k:], kernel, section)
     for g in kernel.basis:
-        assert is_zero(qm.apply(g))
+        if not is_zero(qm.apply(g)):
+            raise InternalConsistencyError(f"kernel vector {g} maps to {qm.apply(g)}, not to zero")
     return qm

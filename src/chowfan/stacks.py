@@ -13,24 +13,12 @@ from typing import Sequence
 
 from ._record import Record
 from .cones import Fan, FanMorphism, check_fan_morphism, facets
-from .intlinalg import (
-    Mat,
-    elementary_divisors,
-    mat,
-    mat_vec,
-)
+from .intlinalg import InternalConsistencyError, Mat, elementary_divisors, mat, mat_vec, vscale
 from .monoids import AffineMonoid, MonoidNotMapped, monoid_from_cone, monoid_hom, restrict_to_face
 
 
 class NotMaximalCone(ValueError):
     """Raised when an operation needs a maximal cone of the fan."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """A structural property the theory guarantees failed to hold.
-
-    Reaching this error on valid input is a bug signal, not a user error.
-    """
 
 
 class ToricStackDatum(Record):
@@ -121,13 +109,17 @@ def validate_stack_morphism(
 
     Raises :class:`~chowfan.cones.NoTargetCone` when some cone has no image
     cone, and ``ValueError`` when the matrix is not target rank × source
-    rank.  Each monoid is tested against the monoid of its assigned cone
-    by :func:`~chowfan.monoids.monoid_hom`, on rays and group; when one
-    escapes, :class:`MonoidNotMapped` names the source cone, the target
-    cone and a generator that maps outside.
+    rank.  Each monoid must map into the monoid of its assigned cone, by
+    :func:`~chowfan.monoids.monoid_hom`'s test on rays and group, run once
+    per distinct pair (:func:`_maps_every_monoid`).  Only when that fails
+    does ``monoid_hom`` run per monoid in source order, so the first to fail
+    raises: ``ValueError`` for a wrong rank, or :class:`MonoidNotMapped`
+    naming the source cone, the target cone and a generator mapped outside.
     """
     mtx = mat(matrix)
     fm = check_fan_morphism(mtx, src.fan, dst.fan)
+    if _maps_every_monoid(mtx, src, dst, fm.cone_assignment):
+        return StackMorphism(mtx, src, dst, fm)
     for i, m in enumerate(src.monoids):
         j = fm.cone_assignment[i]
         try:
@@ -140,6 +132,24 @@ def validate_stack_morphism(
                 e.image,
             ) from e
     return StackMorphism(mtx, src, dst, fm)
+
+
+def _maps_every_monoid(mtx: Mat, src: ToricStackDatum, dst: ToricStackDatum, assignment: Sequence[int]) -> bool:
+    """``monoid_hom``'s test on the union of the monoids assigned to each target
+    cone (``A(c_i ∩ G_i) ⊆ c′ ∩ G′`` for all ``i`` iff the union maps in): each
+    distinct (vector, target cone) pair tested once.  False on a misfit rank."""
+    to_cone, to_group = set(), set()
+    for m, j in zip(src.monoids, assignment):
+        if m.ambient_rank != src.fan.ambient_rank or dst.monoids[j].ambient_rank != dst.fan.ambient_rank:
+            return False
+        c = m.cone
+        to_cone.update((v, j) for v in c.generators + c.lineality + tuple(vscale(-1, l) for l in c.lineality))
+        to_group.update((b, j) for b in m.group.basis)
+    image = {v: mat_vec(mtx, v) for v in {v for v, _ in to_cone | to_group}}
+    target = dst.monoids
+    return all(target[j].cone.contains(image[v]) for v, j in to_cone) and all(
+        target[j].group.contains(image[b]) for b, j in to_group
+    )
 
 
 def stabilizer_invariants(d: ToricStackDatum, cone_index: int) -> tuple[int, ...]:

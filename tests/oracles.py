@@ -46,6 +46,9 @@ equations, the integer kernel of the facet's rays and lines.  The three
 at the end are the library's earlier face walk, from one cone at a time,
 its earlier quotient, each class the hull of its cells' closures, and its
 earlier stack-datum verdict, which restricts each monoid to every face.
+The last is the library's earlier stack-morphism check, one monoid map
+test per source cone in source order, against which the test run once
+per distinct vector and target cone is compared, verdicts and errors.
 """
 
 import json
@@ -1136,3 +1139,28 @@ def raw_cone_and_its_span_cut(cq, data):
     raw = cone_from_halfspaces(halfspaces, equations, q)
     span_equations = list(integer_kernel(data.lift_lattice.basis, q))
     return raw, cone_from_halfspaces(halfspaces, equations + span_equations, q)
+
+
+def stack_morphism_by_cone(matrix, src, dst):
+    """The library's earlier :func:`~chowfan.stacks.validate_stack_morphism`:
+    the fan morphism, then :func:`~chowfan.monoids.monoid_hom` from each
+    source monoid into the monoid of its assigned cone, in source order."""
+    from chowfan.cones import check_fan_morphism
+    from chowfan.intlinalg import mat
+    from chowfan.monoids import MonoidNotMapped, monoid_hom
+    from chowfan.stacks import StackMorphism
+
+    mtx = mat(matrix)
+    fm = check_fan_morphism(mtx, src.fan, dst.fan)
+    for i, m in enumerate(src.monoids):
+        j = fm.cone_assignment[i]
+        try:
+            monoid_hom(mtx, m, dst.monoids[j])
+        except MonoidNotMapped as e:
+            raise MonoidNotMapped(
+                f"generator {e.generator} of the monoid at cone {i} does not map into "
+                f"the monoid at target cone {j}",
+                e.generator,
+                e.image,
+            ) from e
+    return StackMorphism(mtx, src, dst, fm)

@@ -790,6 +790,35 @@ class TestFacesAndFans:
         with pytest.raises(ValueError, match="2 x 2 matrix"):
             check_fan_morphism(((1, 0, 5), (0, 1, 7)), fan, fan)
 
+    def test_image_and_preimage_wrong_shape_refused(self):
+        # zip would truncate: a wrong image or a preimage of the wrong rank
+        c = cone_from_generators([(1, 0), (1, 1)])
+        with pytest.raises(ValueError, match="expected a 2 x 2 matrix"):
+            image_cone(((1,), (0,)), c)
+        with pytest.raises(ValueError, match="expected a 2 x 2 matrix"):
+            image_cone(((1, 0, 5), (0, 1, 7)), c)
+        with pytest.raises(ValueError, match="expected a 2 x 3 matrix"):
+            preimage_cone(((1, 0, 5),), c, 3)
+
+    def test_image_is_kept_per_matrix(self):
+        c = cone_from_generators([(1, 0, 0), (1, 1, 0)])
+        img = image_cone([[1, 0, 0], [0, 0, 1]], c)
+        assert img.generators == ((1, 0),) and img.lineality == ()
+        assert image_cone(((1, 0, 0), (0, 0, 1)), c) is img
+        assert image_cone(((0, 1, 0),), c).generators == ((1,),)
+
+    def test_fan_morphism_tests_containment_only_off_the_target_cones(self, monkeypatch):
+        # an image that is a target cone contains itself; others are tested
+        fan, diagonal = p2_fan(), fan_from_cones([cone_from_generators([(1, 1)])])
+        assert validate_fan(fan).ok  # kept, so not rerun below
+        calls = []
+        real = cones.Cone.contains_cone
+        monkeypatch.setattr(cones.Cone, "contains_cone", lambda a, b: calls.append(b) or real(a, b))
+        assert check_fan_morphism(((1, 0), (0, 1)), fan, fan).cone_assignment == tuple(range(len(fan.cones)))
+        assert calls == []
+        check_fan_morphism(((1, 0), (0, 1)), diagonal, fan)
+        assert calls == [diagonal.cones[1]]
+
     def test_fan_morphism_into_invalid_target_refused(self):
         src = fan_from_cones([cone_from_generators([(1, 0)], ambient_rank=2)])
         overlapping = fan_from_cones(

@@ -9,6 +9,9 @@ the float keys ``json`` itself writes; it computes nothing with them.
 The same source generates no code: no ``exec``, ``eval`` or ``compile``
 call and no import of ``dataclasses``, whose classes are built by ``exec``
 (the value types are :class:`chowfan._record.Record` subclasses).
+
+Nor does it hold an ``assert`` statement, which ``python -O`` removes: a
+check the library relies on raises.
 """
 
 import ast
@@ -119,3 +122,11 @@ def test_detects_generated_code():
         (3, "eval() call"),
         (3, "compile() call"),
     ]
+
+
+def test_library_source_has_no_assert():
+    found = {
+        path.name: [n.lineno for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Assert)]
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {k: v for k, v in found.items() if v} == {}

@@ -5,6 +5,8 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import chowfan.stacks
+from chowfan import intlinalg
 from chowfan.intlinalg import (
     NotASublattice,
     NotSaturated,
@@ -407,6 +409,15 @@ class TestQuotientMap:
     def test_requires_saturated(self):
         with pytest.raises(NotSaturated):
             quotient_map(2, sublattice(2, [[2, 0]]))
+
+    def test_internal_checks_raise_under_optimisation(self, monkeypatch):
+        # raised, not asserted, so ``python -O`` keeps them; stacks re-exports the class
+        assert chowfan.stacks.InternalConsistencyError is intlinalg.InternalConsistencyError
+        with pytest.raises(intlinalg.InternalConsistencyError, match=r"^pivot 2 of the reduction of \[\(2, 0\)\] is not a unit$"):
+            intlinalg._unit_pivot_transform(((2, 0),), 2)
+        monkeypatch.setattr(intlinalg, "_unit_pivot_transform", lambda basis, n: identity_matrix(n))
+        with pytest.raises(intlinalg.InternalConsistencyError, match=r"^kernel vector \(1, 1\) maps to \(1,\), not to zero$"):
+            quotient_map(2, sublattice(2, [[1, 1]]))
 
     def test_surjectivity_and_kernel_on_random_input(self):
         rng = random.Random(3)

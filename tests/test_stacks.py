@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import chowfan.stacks
 from chowfan.chow import chow_quotient, chow_stack_datum
 from chowfan.cli import parse_input
 from chowfan.family import universal_family
-from chowfan.cones import cone_from_generators, fan_from_cones
+from chowfan.cones import NoTargetCone, cone_from_generators, fan_from_cones
 from chowfan.intlinalg import mat_vec, sublattice
 from chowfan.monoids import member, monoid_from_cone, saturated_monoid
 from chowfan.stacks import (
@@ -22,8 +23,10 @@ from chowfan.stacks import (
     variety_datum,
 )
 
-from conftest import p2_fan, p1p1_fan, random_complete_fan_rank3
+from conftest import corpus, p2_fan, p1p1_fan, random_complete_fan_rank3
 import oracles
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _doubled(datum, cones=None):
@@ -129,9 +132,8 @@ class TestMorphisms:
     def test_passing_morphisms_test_no_member(self, monkeypatch):
         # rays and group decide; generators are scanned only on a failure
         assert "member" not in vars(chowfan.stacks)
-        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
         families = []
-        for path in sorted(fixtures.glob("*.json")):
+        for path in sorted(FIXTURES.glob("*.json")):
             fan, sub, _ = parse_input(path.read_text())
             families.append(universal_family(chow_quotient(fan, sub)))
         assert len(families) == 3
@@ -147,6 +149,91 @@ class TestMorphisms:
             for morphism in (fam.to_base, fam.to_target):
                 validate_stack_morphism(morphism.lattice_map, fam.datum, morphism.target)
         assert calls == []
+
+
+def _outcome(check, matrix, src, dst):
+    """The morphism ``check`` returns, or the type, text, generator and
+    image of the error it raises."""
+    try:
+        return check(matrix, src, dst)
+    except (ValueError, MonoidNotMapped) as e:
+        return type(e), str(e), getattr(e, "generator", None), getattr(e, "image", None)
+
+
+def _agree(matrix, src, dst):
+    """Assert the check by distinct pairs agrees with the per-cone oracle,
+    and return the outcome."""
+    got = _outcome(validate_stack_morphism, matrix, src, dst)
+    assert got == _outcome(oracles.stack_morphism_by_cone, matrix, src, dst)
+    return got
+
+
+class TestMorphismByDistinctPairs:
+    """validate_stack_morphism tests each distinct (vector, target cone)
+    pair once and falls back to the per-cone loop only on a failure: the
+    same morphism on the families, the same error on every mutant."""
+
+    @pytest.fixture(scope="class")
+    def families(self):
+        inputs = [parse_input(path.read_text())[:2] for path in sorted(FIXTURES.glob("*.json"))]
+        orthant = fan_from_cones(
+            cone_from_generators([[s[i] * (j == i) for j in range(4)] for i in range(4)])
+            for s in product((1, -1), repeat=4)
+        )
+        inputs += corpus(count=10)
+        inputs += [(orthant, sublattice(4, rows)) for rows in ([[1, 2, 3, 5]], [[1, 1, 1, 1], [0, 1, -1, 1]])]
+        return [universal_family(chow_quotient(fan, sub)) for fan, sub in inputs]
+
+    def test_family_morphisms_match_the_per_cone_check(self, families):
+        assert len(families) == 15
+        for fam in families:
+            for morphism in (fam.to_base, fam.to_target):
+                assert _agree(morphism.lattice_map, fam.datum, morphism.target) == morphism
+
+    def test_one_doubled_target_group_names_the_first_failing_cone(self, families):
+        # the first source assigned to the doubled cone is doubled too, so
+        # it maps in and the error must name a later source
+        later = 0
+        for fam in families[:3]:
+            for morphism in (fam.to_base, fam.to_target):
+                for j in sorted(set(morphism.cone_assignment)):
+                    first = morphism.cone_assignment.index(j)
+                    src, dst = _doubled(fam.datum, [first]), _doubled(morphism.target, [j])
+                    got = _agree(morphism.lattice_map, src, dst)
+                    if isinstance(got, tuple):
+                        assert got[0] is MonoidNotMapped
+                        i = int(re.search(r"monoid at cone (\d+) ", got[1])[1])
+                        assert morphism.cone_assignment[i] == j and i > first
+                        later += 1
+        assert later >= 3
+
+    def test_source_monoid_of_the_wrong_rank(self, families):
+        for fam in families[:3]:
+            rank = fam.datum.lattice_rank
+            wrong = monoid_from_cone(cone_from_generators([(1,) * (rank + 1)]))
+            for i in (len(fam.datum.monoids) // 2, len(fam.datum.monoids) - 1):
+                monoids = list(fam.datum.monoids)
+                monoids[i] = wrong
+                src = ToricStackDatum(rank, fam.datum.fan, tuple(monoids))
+                for morphism in (fam.to_base, fam.to_target):
+                    got = _agree(morphism.lattice_map, src, morphism.target)
+                    assert got[0] is ValueError and "matrix" in got[1]
+
+    def test_a_ray_sent_out_of_its_target(self):
+        d = variety_datum(p2_fan())
+        # the matrix folds the fan: the image of some cone lies in no cone
+        got = _agree(((1, 0), (0, 2)), d, d)
+        assert got[0] is NoTargetCone
+        # a monoid on another ray than its cone's: the fan maps, that ray escapes
+        ray = next(i for i, c in enumerate(d.fan.cones) if c.generators == ((1, 0),))
+        monoids = list(d.monoids)
+        monoids[ray] = monoid_from_cone(cone_from_generators([(1, 1)]))
+        got = _agree(((1, 0), (0, 1)), ToricStackDatum(2, d.fan, tuple(monoids)), d)
+        assert got[:3] == (
+            MonoidNotMapped,
+            f"generator (1, 1) of the monoid at cone {ray} does not map into the monoid at target cone {ray}",
+            (1, 1),
+        )
 
 
 class TestStabilizers:
