@@ -12,10 +12,17 @@ image contains p(psi) in its relative interior.  The construction
 enumerates the cells of the central hyperplane arrangement spanned by the
 facet and span functionals of all projected cones, takes one sample per
 cell, and closes the class with meeting set M up to the fiber-fan cone
-∩_{j in M} p(sigma_j) (Billera & Sturmfels, "Fiber polytopes", 1992).  Its
+K_M = ∩_{j in M} p(sigma_j) (Billera & Sturmfels, "Fiber polytopes", 1992).  Its
 relative interior ∩ relint p(sigma_j) holds the class (Rockafellar, Convex
 Analysis, Thm 6.5) and is a union of cells, so it is the class exactly when
-every cell sample in it has meeting set M, which is verified for each class.
+it holds no sample of another class, which needs no scan once the class
+cones pass the checks of :func:`chow_quotient`.  A sample of class M' is
+positive on every halfspace and zero on every equation of the images in
+M', whose reductions modulo the equations of K_M' are its facets, so it lies
+in relint K_M'; were it in relint K_M too, with K_M != K_M', two cones of one
+fan would have meeting relative interiors, and their intersection, a face
+of each holding a relative-interior point of each, would be both, which the
+all-pairs verdict of :func:`~chowfan.cones.validate_fan` refuses.
 
 Each quotient cone carries provenance: the meeting set, the cones whose
 generic translate slice is a single point, the associated cycle with its
@@ -27,6 +34,7 @@ is read off the meeting set too (:func:`fiber_dim_cones`).
 
 from __future__ import annotations
 
+from functools import reduce
 from math import prod
 from typing import Optional, Sequence
 
@@ -111,9 +119,7 @@ def multiplicity(fan: Fan, sub: Sublattice, cone_index: int) -> int:
 def _cell_split(normals, rank: int) -> list[Vec]:
     """One integer sample per nonempty relatively open cell of a central
     arrangement.  The arrangement holds every facet and equation of every
-    image, so meeting sets are constant on cells, and a class cone
-    ``∩ p(σ_j)`` is the closure of its class when the samples in its
-    relative interior all have the class's meeting set.
+    image, so meeting sets are constant on cells.
 
     A sample lies in its cell, so the signs of the normals on it are the
     cell's.  Feasibility calls (:func:`~chowfan.cones._strict_sample`, one
@@ -195,7 +201,9 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
 
     Requires a complete fan (the input variety is projective) and a
     saturated sublattice; raises :class:`~chowfan.cones.NotComplete` or
-    :class:`~chowfan.intlinalg.NotSaturated` otherwise.
+    :class:`~chowfan.intlinalg.NotSaturated` otherwise.  Each class is the
+    relative interior of its cone once the class cones are pointed, pairwise
+    distinct and closed under faces, and form a complete fan (module docstring).
     """
     rep = validate_fan(fan)
     if not rep.ok:
@@ -209,10 +217,9 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
     normals = {_canonical_normal(h) for img in images for h in img.halfspaces + img.equations}
     normals = sorted(n for n in normals if not is_zero(n))
 
-    samples = _cell_split(tuple(normals), q)
-    meeting_sets = [_meeting_set(images, sample) for sample in samples]
     merged: dict[frozenset[int], Cone] = {}
-    for sample, inv in zip(samples, meeting_sets):
+    for sample in _cell_split(tuple(normals), q):
+        inv = _meeting_set(images, sample)
         if not inv:
             raise InternalConsistencyError(
                 f"quotient direction {sample} lies in no projected cone interior"
@@ -225,26 +232,25 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
                 q,
             )
 
-    # exact convexity/partition verification: the relative interior of each
-    # class cone may only contain cells of its own class
+    # no cell is scanned: pointed, distinct class cones that pass the checks below
+    # hold no other class's sample in their relative interiors
+    classes: dict = {}
     for inv, cone in merged.items():
         if cone.lineality:
             raise InternalConsistencyError(
                 f"quotient class with meeting set {sorted(inv)} closed up to "
                 "a non-pointed cone"
             )
-        for sample, cell_inv in zip(samples, meeting_sets):
-            if cell_inv != inv and cone.contains_in_relint(sample):
-                raise InternalConsistencyError(
-                    f"quotient class with meeting set {sorted(inv)} is not "
-                    f"convex: it contains direction {sample}"
-                )
+        other = classes.setdefault(cone.key(), inv)
+        if other != inv:
+            raise InternalConsistencyError(
+                f"quotient classes with meeting sets {sorted(other)} and {sorted(inv)} "
+                f"close up to one cone, with rays {list(cone.generators)}"
+            )
 
     gfan = fan_from_cones(merged.values(), ambient_rank=q)
-    classes = {cone.key(): inv for inv, cone in merged.items()}
     if len(gfan.cones) != len(merged):
-        # no two classes close up to one cone, as each contains a sample of
-        # the other in its relative interior; so some face is no class
+        # the classes close up to distinct cones, so some face is no class
         inv, face = next(
             (inv, face)
             for inv, cone in merged.items()
@@ -264,8 +270,12 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
     if not is_complete(gfan):
         raise InternalConsistencyError("quotient fan is not complete")
 
+    point_facts = {
+        i: (multiplicity(fan, sub, i), image_lattice(proj.matrix, _span_lattice(c)))
+        for i, (c, img) in enumerate(zip(fan.cones, images)) if img.dim == c.dim
+    }
     data = tuple(
-        _cone_data(fan, sub, proj, images, kappa, classes[kappa.key()], k)
+        _cone_data(images, point_facts, kappa, classes[kappa.key()], k)
         for k, kappa in enumerate(gfan.cones)
     )
     return ChowQuotient(fan, sub, proj, gfan, data)
@@ -279,32 +289,19 @@ def _canonical_normal(h: Vec) -> Vec:
     return p
 
 
-def _cone_data(
-    fan: Fan,
-    sub: Sublattice,
-    proj: QuotientMap,
-    images: tuple[Cone, ...],
-    kappa: Cone,
-    meeting: frozenset[int],
-    index: int,
-) -> QuotientConeData:
+def _cone_data(images, point_facts, kappa: Cone, meeting: frozenset[int], index: int) -> QuotientConeData:
     """The data of quotient cone ``index``, which is ``kappa``, the closure
-    of the class with meeting set ``meeting``."""
-    point_cones = [i for i in sorted(meeting) if images[i].dim == fan.cones[i].dim]
+    of the class with meeting set ``meeting``; ``point_facts`` maps each
+    cone whose dimension the projection keeps to its weight and p(span σ ∩ N)."""
+    point_cones = [i for i in sorted(meeting) if i in point_facts]
     if not point_cones:
         raise InternalConsistencyError(
             f"quotient cone {index}: no cone meets the generic translate "
             "in a single point"
         )
-    cycle = tuple((i, multiplicity(fan, sub, i)) for i in point_cones)
-
-    lattice: Optional[Sublattice] = None
-    raw_cone: Optional[Cone] = None
-    for i in point_cones:
-        span_sigma = _span_lattice(fan.cones[i])
-        m_sigma = image_lattice(proj.matrix, span_sigma)
-        lattice = m_sigma if lattice is None else lattice_intersection(lattice, m_sigma)
-        raw_cone = images[i] if raw_cone is None else intersect_cones(raw_cone, images[i])
+    cycle = tuple((i, point_facts[i][0]) for i in point_cones)
+    lattice = reduce(lattice_intersection, dict.fromkeys(point_facts[i][1] for i in point_cones))
+    raw_cone = reduce(intersect_cones, (images[i] for i in point_cones))
     monoid = saturated_monoid(kappa, lattice)
     if not monoid.is_pointed:
         raise InternalConsistencyError(

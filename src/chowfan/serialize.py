@@ -253,6 +253,11 @@ def encode_fan(f: Fan) -> dict:
 
 def decode_fan(doc: dict, prefix: str = "") -> Fan:
     """Fan document found at JSON path ``prefix`` (the top level when empty)."""
+    return fan_from_cones(*_fan_cones(doc, prefix))
+
+
+def _fan_cones(doc: dict, prefix: str) -> tuple[list[Cone], int]:
+    """The cones, in document order, and the rank of the fan document at ``prefix``."""
     rank = strict_rank(doc, "lattice_rank", prefix)
     cones = []
     for i, cdoc in enumerate(require_list(doc, "cones", prefix)):
@@ -264,7 +269,7 @@ def decode_fan(doc: dict, prefix: str = "") -> Fan:
                 ambient_rank=rank,
             )
         )
-    return fan_from_cones(cones, ambient_rank=rank)
+    return cones, rank
 
 
 def encode_monoid(m: AffineMonoid) -> dict:
@@ -305,12 +310,23 @@ def encode_datum(d: ToricStackDatum) -> dict:
 
 
 def decode_datum(doc: dict) -> ToricStackDatum:
-    fan = decode_fan(require(doc, "fan"), "fan")
+    """Stack datum document; parts that disagree are refused at their paths."""
+    cones, rank = _fan_cones(require(doc, "fan"), "fan")
+    fan = fan_from_cones(cones, rank)
     monoids = tuple(
         decode_monoid(m, f"monoids[{i}]")
         for i, m in enumerate(require_list(doc, "monoids"))
     )
-    return ToricStackDatum(strict_rank(doc, "lattice_rank"), fan, monoids)
+    if (given := strict_rank(doc, "lattice_rank")) != rank:
+        raise DocumentError(f"lattice_rank: expected the fan's lattice rank {rank}, got {given}")
+    for i, m in enumerate(monoids):
+        if m.ambient_rank != rank:
+            raise DocumentError(f"monoids[{i}].ambient_rank: expected {rank}, got {m.ambient_rank}")
+    if cones != list(fan.cones):
+        raise DocumentError(f"fan.cones: not the {len(fan.cones)} cones of the fan in canonical order")
+    if len(monoids) != len(cones):
+        raise DocumentError(f"monoids: expected one per fan cone, {len(cones)}, got {len(monoids)}")
+    return ToricStackDatum(rank, fan, monoids)
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,10 @@ def validate_stack_datum(d: ToricStackDatum) -> StackValidationReport:
         if m.ambient_rank != d.lattice_rank:
             problems.append(f"monoid {i} lives in the wrong lattice")
             continue
-        if not c.contains_cone(m.cone):
-            problems.append(f"monoid {i} spans {m.cone}, outside its cone")
+        if m.cone != c:  # restricting to the faces of c needs them to be faces of m.cone
+            part = "not all of" if c.contains_cone(m.cone) else "outside"
+            problems.append(f"monoid {i} spans {m.cone}, {part} its cone")
+            continue
         for face in (c, *facets(c)):
             j = fan._index().get(face.key())
             if j is None:

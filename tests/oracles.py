@@ -1063,16 +1063,17 @@ def chow_quotient_by_cell_hulls(fan, sub):
     own; and each quotient cone's meeting set found again by scanning every
     image at a sample of its relative interior.  A cell's signs are read
     off its sample, which lies in its relative interior."""
-    from chowfan.chow import ChowQuotient, _canonical_normal, _cell_split, _cone_data, _meeting_set
+    from chowfan.chow import ChowQuotient, _canonical_normal, _cell_split, _cone_data, _meeting_set, multiplicity
     from chowfan.cones import (
         Fan,
         _cone_sort_key,
+        _span_lattice,
         cone_from_generators,
         cone_from_halfspaces,
         image_cone,
         relative_interior_sample,
     )
-    from chowfan.intlinalg import quotient_map
+    from chowfan.intlinalg import image_lattice, quotient_map
 
     proj = quotient_map(fan.ambient_rank, sub)
     q = proj.target_rank
@@ -1096,8 +1097,13 @@ def chow_quotient_by_cell_hulls(fan, sub):
         merged.append(cone_from_generators(gens, lines, q))
     faces = {f.key(): f for c in merged for f in faces_by_facet_walk(c)}
     gfan = Fan(q, tuple(sorted(faces.values(), key=_cone_sort_key)))
+    point_facts = {
+        i: (multiplicity(fan, sub, i), image_lattice(proj.matrix, _span_lattice(c)))
+        for i, c in enumerate(fan.cones)
+        if images[i].dim == c.dim
+    }
     data = tuple(
-        _cone_data(fan, sub, proj, images, kappa, _meeting_set(images, relative_interior_sample(kappa)), k)
+        _cone_data(images, point_facts, kappa, _meeting_set(images, relative_interior_sample(kappa)), k)
         for k, kappa in enumerate(gfan.cones)
     )
     return ChowQuotient(fan, sub, proj, gfan, data)

@@ -147,9 +147,10 @@ class TestQuotientFan:
 
         real = chowfan.chow._cone_data
 
-        def empty_over_third_cone(fan, sub, proj, images, kappa, meeting, index):
+        def empty_over_third_cone(*args):
             # _cone_data takes its meeting set from the class it closes up
-            return real(fan, sub, proj, images, kappa, frozenset() if index == 2 else meeting, index)
+            *head, meeting, index = args
+            return real(*head, frozenset() if index == 2 else meeting, index)
 
         monkeypatch.setattr(chowfan.chow, "_cone_data", empty_over_third_cone)
         with pytest.raises(InternalConsistencyError, match="quotient cone 2: no cone"):
@@ -170,6 +171,107 @@ class TestQuotientFan:
         monkeypatch.setattr(chowfan.chow, "_strict_sample", one_sided)
         with pytest.raises(InternalConsistencyError, match=r"^the open cell of sample \(0,\) meets"):
             chow_quotient(p2, l_horizontal)
+
+
+def _orthant_fan(rank):
+    return fan_from_cones(
+        cone_from_generators([[s[i] * (j == i) for j in range(rank)] for i in range(rank)])
+        for s in product((1, -1), repeat=rank)
+    )
+
+
+def _doctored_inputs():
+    """The inputs on which a doctored class cone or meeting set is refused."""
+    cs = corpus(count=8)
+    return [cs[1], cs[4], cs[7], (_orthant_fan(4), sublattice(4, [[1, 2, 3, 5]]))]
+
+
+class TestConvexityFromTheFanChecks:
+    """No class cone is tested against the cell samples: once the class
+    cones are pointed and pairwise distinct, add no cone by face closure and
+    pass ``validate_fan`` and ``is_complete``, none holds a sample of another
+    class in its relative interior.  Doctored classes are still refused."""
+
+    def test_relint_tests_are_the_meeting_set_scans_only(self, monkeypatch):
+        import chowfan.chow
+        from chowfan.cones import Cone
+
+        real_split, real_relint = chowfan.chow._cell_split, Cone.contains_in_relint
+        for fan, sub in [(p1p1_fan(), sublattice(2, [[1, 1]])), corpus(count=2)[1]]:
+            samples, calls = [], []
+
+            def split(normals, rank):
+                samples.extend(real_split(normals, rank))
+                return list(samples)
+
+            def relint(cone, v):
+                calls.append(v)
+                return real_relint(cone, v)
+
+            monkeypatch.setattr(chowfan.chow, "_cell_split", split)
+            monkeypatch.setattr(Cone, "contains_in_relint", relint)
+            chow_quotient(fan, sub)
+            monkeypatch.undo()
+            assert samples and len(calls) == len(samples) * len(fan.cones)
+
+    @pytest.mark.parametrize("which", range(4))
+    def test_enlarged_class_cone_refused(self, which, monkeypatch):
+        import chowfan.chow
+
+        fan, sub = _doctored_inputs()[which]
+        real, done = chowfan.chow.cone_from_halfspaces, []
+
+        def enlarged(halfspaces, equations, rank):
+            # the first class with two halfspaces and no equation loses one
+            halfspaces = list(halfspaces)
+            if not done and len(halfspaces) >= 2 and not equations:
+                done.append(halfspaces.pop(0))
+            return real(halfspaces, equations, rank)
+
+        monkeypatch.setattr(chowfan.chow, "cone_from_halfspaces", enlarged)
+        with pytest.raises(InternalConsistencyError):
+            chow_quotient(fan, sub)
+        assert done
+
+    @pytest.mark.parametrize("which", range(4))
+    def test_two_classes_with_one_closure_named(self, which, monkeypatch):
+        import chowfan.chow
+
+        fan, sub = _doctored_inputs()[which]
+        origin = meeting_cones(fan, sub, (0,) * fan.ambient_rank)
+        real, calls = chowfan.chow._meeting_set, []
+
+        def with_zero_cone(images, v):
+            # the zero cone (index 0) added to the third sample's meeting set
+            # closes its class up to the origin, the cone of the origin's class
+            inv = real(images, v)
+            calls.append(inv)
+            return inv | {0} if len(calls) == 3 else inv
+
+        monkeypatch.setattr(chowfan.chow, "_meeting_set", with_zero_cone)
+        with pytest.raises(InternalConsistencyError, match="^quotient classes with meeting sets ") as err:
+            chow_quotient(fan, sub)
+        assert 0 not in calls[2]
+        assert str(sorted(calls[2] | {0})) in str(err.value)
+        assert str(sorted(origin)) in str(err.value)
+        assert str(err.value).endswith("close up to one cone, with rays []")
+
+    def test_weights_and_lattices_once_per_input_cone(self, monkeypatch):
+        import chowfan.chow
+
+        counts = {"multiplicity": 0, "image_lattice": 0}
+        for name in counts:
+            real = getattr(chowfan.chow, name)
+
+            def counted(*args, _name=name, _real=real):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(chowfan.chow, name, counted)
+        cq = chow_quotient(_orthant_fan(4), sublattice(4, [[1, 2, 3, 5]]))
+        point_cones = {i for d in cq.cone_data for i in d.point_fiber_cones}
+        assert sum(len(d.point_fiber_cones) for d in cq.cone_data) == 233
+        assert counts == {"multiplicity": 65, "image_lattice": 65} and len(point_cones) == 65
 
 
 class TestPointFibersAndCycles:
@@ -381,11 +483,7 @@ class TestClassConesMatchCellHulls:
 
     @pytest.mark.parametrize("rows", [[[1, 2, 3, 5]], [[1, 1, 1, 1], [0, 1, -1, 1]]])
     def test_rank_4_orthant_fan(self, rows):
-        fan = fan_from_cones(
-            cone_from_generators([[s[i] * (j == i) for j in range(4)] for i in range(4)])
-            for s in product((1, -1), repeat=4)
-        )
-        sub = sublattice(4, rows)
+        fan, sub = _orthant_fan(4), sublattice(4, rows)
         assert chow_quotient(fan, sub) == oracles.chow_quotient_by_cell_hulls(fan, sub)
 
 
@@ -420,8 +518,4 @@ class TestRawConesLieInTheLiftLatticeSpan:
 
     @pytest.mark.parametrize("rows", [[[1, 2, 3, 5]], [[1, 1, 1, 1], [0, 1, -1, 1]]])
     def test_rank_4_orthant_fan(self, rows):
-        fan = fan_from_cones(
-            cone_from_generators([[s[i] * (j == i) for j in range(4)] for i in range(4)])
-            for s in product((1, -1), repeat=4)
-        )
-        self._check(fan, sublattice(4, rows))
+        self._check(_orthant_fan(4), sublattice(4, rows))

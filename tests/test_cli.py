@@ -209,6 +209,28 @@ class TestStrictIntegers:
                 {"fan": {"lattice_rank": 1, "cones": [{"rays": [], "lineality": [[1, 1]]}]}, "monoids": [], "lattice_rank": 1},
                 "fan.cones[0].lineality[0]",
             ),
+            # a datum whose parts disagree: ranks, cone order, monoid count
+            (
+                decode_datum,
+                {"fan": {"lattice_rank": 1, "cones": [{"rays": []}]}, "monoids": [{"ambient_rank": 1, "hilbert_basis": []}], "lattice_rank": 2},
+                "lattice_rank",
+            ),
+            (
+                decode_datum,
+                {"fan": {"lattice_rank": 1, "cones": [{"rays": []}]}, "monoids": [{"ambient_rank": 2, "hilbert_basis": []}], "lattice_rank": 1},
+                "monoids[0].ambient_rank",
+            ),
+            (
+                decode_datum,
+                {
+                    "fan": {"lattice_rank": 1, "cones": [{"rays": [[1]]}, {"rays": []}]},
+                    "monoids": [{"ambient_rank": 1, "hilbert_basis": [[1]]}, {"ambient_rank": 1, "hilbert_basis": []}],
+                    "lattice_rank": 1,
+                },
+                "fan.cones",
+            ),
+            (decode_datum, {"fan": {"lattice_rank": 1, "cones": []}, "monoids": [], "lattice_rank": 1}, "fan.cones"),
+            (decode_datum, {"fan": {"lattice_rank": 1, "cones": [{"rays": []}]}, "monoids": [], "lattice_rank": 1}, "monoids"),
         ],
     )
     def test_decoders_reject_non_integers(self, decode, doc, location):
@@ -735,6 +757,16 @@ class TestSerializeRoundTrips:
     def test_datum(self):
         d = variety_datum(p2_fan())
         assert decode_datum(_as_read(encode_datum(d))) == d
+
+    def test_datum_with_two_rays_and_their_monoids_swapped_refused(self):
+        # monoids are aligned with the fan's canonical order, not the
+        # document's: read in another order, they would sit on other cones
+        doc = _as_read(encode_datum(variety_datum(p1p1_fan())))
+        i, j = [k for k, c in enumerate(doc["fan"]["cones"]) if len(c["rays"]) == 1][:2]
+        for part in (doc["fan"]["cones"], doc["monoids"]):
+            part[i], part[j] = part[j], part[i]
+        with pytest.raises(DocumentError, match=r"^fan\.cones: "):
+            decode_datum(doc)
 
     def test_datum_names_the_refused_monoid(self):
         # a ray's monoid <v> replaced by the semigroup <2v, 3v>

@@ -7,6 +7,7 @@ import pytest
 
 import chowfan.monoids
 import chowfan.stacks
+from chowfan._record import replace
 from chowfan.chow import chow_quotient, chow_stack_datum
 from chowfan.cli import parse_input
 from chowfan.family import universal_family
@@ -14,6 +15,7 @@ from chowfan.cones import NoTargetCone, cone_from_generators, fan_from_cones
 from chowfan.intlinalg import mat_vec, sublattice
 from chowfan.monoids import member, monoid_from_cone, saturated_monoid
 from chowfan.stacks import (
+    InternalConsistencyError,
     MonoidNotMapped,
     NotMaximalCone,
     ToricStackDatum,
@@ -68,6 +70,40 @@ class TestDatumValidation:
         rep = validate_stack_datum(ToricStackDatum(2, fan, tuple(monoids)))
         assert not rep.ok
         assert any("outside its cone" in v for v in rep.violations)
+
+    @staticmethod
+    def _ray_monoid_moved(fan, source, target):
+        """The variety datum of ``fan`` with the monoid of the ray ``source``
+        put on the cone spanned by ``target``."""
+        monoids = list(variety_datum(fan).monoids)
+        ray = fan.index_of(cone_from_generators([source], ambient_rank=2))
+        monoids[fan.index_of(cone_from_generators(target, ambient_rank=2))] = monoids[ray]
+        return ToricStackDatum(2, fan, tuple(monoids))
+
+    def test_monoid_escaping_a_ray_reported_not_raised(self):
+        # the ray (0,1) is no face of the ray (1,0), so face compatibility
+        # at the ray (1,0) cannot be tested with that monoid
+        bad = self._ray_monoid_moved(p1p1_fan(), (0, 1), [(1, 0)])
+        rep = validate_stack_datum(bad)
+        assert not rep.ok
+        assert any(v.endswith("outside its cone") for v in rep.violations)
+        assert rep.ok is oracles.stack_datum_ok_by_all_faces(bad)
+
+    def test_monoid_short_of_its_cone_reported_not_raised(self):
+        bad = self._ray_monoid_moved(p1p1_fan(), (1, 0), [(1, 0), (0, 1)])
+        rep = validate_stack_datum(bad)
+        assert not rep.ok
+        assert any(v.endswith("not all of its cone") for v in rep.violations)
+
+    def test_quotient_monoid_escaping_its_cone_is_internal(self):
+        # through chow_stack_datum a misplaced quotient monoid is an
+        # internal-consistency failure, which the CLI exits 4 on
+        cq = chow_quotient(p1p1_fan(), sublattice(2, [[1, 1]]))
+        rays = [k for k, c in enumerate(cq.quotient_fan.cones) if c.dim == 1]
+        data = list(cq.cone_data)
+        data[rays[0]] = replace(data[rays[0]], monoid=data[rays[1]].monoid)
+        with pytest.raises(InternalConsistencyError, match="outside its cone"):
+            chow_stack_datum(replace(cq, cone_data=tuple(data)))
 
 
 class TestFaceCompatibilityOneFacetLevelDown:
