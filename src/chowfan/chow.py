@@ -38,7 +38,7 @@ from functools import reduce
 from math import prod
 from typing import Optional, Sequence
 
-from ._record import Record
+from ._record import Record, kept
 from .cones import (
     Cone,
     Fan,
@@ -96,12 +96,14 @@ def meeting_cones(fan: Fan, sub: Sublattice, psi: Sequence) -> frozenset[int]:
 # multiplicities
 
 
+@kept
 def multiplicity(fan: Fan, sub: Sublattice, cone_index: int) -> int:
     """Lattice index weight of an orbit closure in the quotient cycle.
 
     The index ``[sat(T) : T]`` of ``T = (L ∩ N) + (span(sigma) ∩ N)``, the
     product of its elementary divisors.  Requires the spans to meet only at
-    the origin, i.e. ``rank T == rank L + rank(span(sigma) ∩ N)``.
+    the origin, i.e. ``rank T == rank L + rank(span(sigma) ∩ N)``.  Kept on
+    the fan, keyed by ``(sub, cone_index)``.
     """
     span_sigma = _span_lattice(fan.cones[cone_index])
     total = lattice_sum(sub, span_sigma)

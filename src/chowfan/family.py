@@ -3,10 +3,10 @@
 The family fan is the common refinement ``{p^{-1}(kappa) ∩ sigma}`` over all
 pairs of quotient and input cones, built from the meeting pairs (see
 :func:`universal_family`) and asserted complete; it is the terminal fan
-mapping to both the input fan and the quotient fan, and each cone's host is
-read off its to-target morphism.  Its monoids are cut from the input monoids
-by the quotient stack monoids.  Over each quotient cone the family
-decomposes into a broken toric variety: components (cones mapping
+mapping to both the input fan and the quotient fan, and each cone's host
+and base are read off those two morphisms.  Its monoids are cut from the
+input monoids by the quotient stack monoids.  Over each quotient cone the
+family decomposes into a broken toric variety: components (cones mapping
 isomorphically), walls of relative dimension one (with one or two sections,
 a primitive direction in the acting sublattice, and a lattice-length gluing
 map), and higher-dimensional strata.  The components-and-walls graph is
@@ -24,12 +24,12 @@ from .cones import (
     Cone,
     Fan,
     _span_lattice,
+    check_fan_morphism,
     cone_from_generators,
     cone_from_halfspaces,
     dual_cone,
     facets,
     fan_from_cones,
-    image_cone,
     intersect_cones,
     is_complete,
     preimage_cone,
@@ -93,17 +93,24 @@ def universal_family(cq: ChowQuotient) -> UniversalFamily:
     :func:`~chowfan.chow.chow_quotient` verified is constant on int
     ``kappa``; any other pair gives a face of a full-dimensional cone of
     the complete refinement.  Completeness is asserted (by incidence, with
-    no double description).  Hosts are the to-target cone assignment, and
-    ``p^{-1}(base) ∩ host`` must give each cone back.
+    no double description).  Host and base are the to-target and to-base
+    cone assignments, and ``c = p^{-1}(base) ∩ host`` for each family cone
+    ``c``: (1) by the face lemma, ``c = p^{-1}(kappa') ∩ sigma'`` for faces
+    ``kappa'``, ``sigma'`` of its meeting pair; (2) the host is the least
+    input cone holding ``c`` and the base the least quotient cone holding
+    ``p(c)``, so ``host ≤ sigma'`` and ``base ≤ kappa'``, and the morphism
+    checks confirm both hold ``c``; (3) hence ``c ⊆ p^{-1}(base) ∩ host ⊆
+    c``.  That ``p(c)`` is all of its base is left to
+    :func:`~chowfan.verify.check_equidimensional`.
     """
     fan, proj, gfan = cq.fan, cq.projection, cq.quotient_fan
     rank = fan.ambient_rank
-    preimages = [preimage_cone(proj.matrix, kappa, rank) for kappa in gfan.cones]
     maximal = set(fan.maximal_indices())
+    preimages = {b: preimage_cone(proj.matrix, gfan.cones[b], rank) for b in gfan.maximal_indices()}
     ffan = fan_from_cones(
         (
-            intersect_cones(preimages[b], fan.cones[h])
-            for b in gfan.maximal_indices()
+            intersect_cones(pre, fan.cones[h])
+            for b, pre in preimages.items()
             for h in sorted(cq.cone_data[b].meeting_set & maximal)
         ),
         ambient_rank=rank,
@@ -111,43 +118,24 @@ def universal_family(cq: ChowQuotient) -> UniversalFamily:
     if not is_complete(ffan):
         raise InternalConsistencyError("the family cones of the meeting pairs do not cover the space")
 
+    bases = _guaranteed(check_fan_morphism, proj.matrix, ffan, gfan).cone_assignment
     # per base cone, the preimage of its lift lattice
     lattices = [preimage_lattice(proj.matrix, rank, d.lift_lattice) for d in cq.cone_data]
-    bases = []
-    monoids = []
-    for i, c in enumerate(ffan.cones):
-        base = _base_index(cq, c, i)
-        bases.append(base)
-        monoids.append(saturated_monoid(c, lattices[base]))
-    datum = ToricStackDatum(rank, ffan, tuple(monoids))
-
-    variety = variety_datum(fan)
-    base_datum = chow_stack_datum(cq)
-    try:
-        to_base = validate_stack_morphism(proj.matrix, datum, base_datum)
-        to_target = validate_stack_morphism(identity_matrix(rank), datum, variety)
-    except Exception as exc:  # theory guarantees both morphisms
-        raise InternalConsistencyError(
-            f"universal family morphism failed to validate: {exc}"
-        ) from exc
-    provenance = tuple(zip(to_target.cone_assignment, bases))
-    for i, (host, base) in enumerate(provenance):
-        if intersect_cones(preimages[base], fan.cones[host]).key() != ffan.cones[i].key():
-            raise InternalConsistencyError(
-                f"family cone {i} does not match its provenance intersection "
-                f"(host {host}, base {base})"
-            )
+    monoids = tuple(saturated_monoid(c, lattices[b]) for c, b in zip(ffan.cones, bases))
+    datum = ToricStackDatum(rank, ffan, monoids)
+    variety, base_datum = variety_datum(fan), chow_stack_datum(cq)
+    to_base = _guaranteed(validate_stack_morphism, proj.matrix, datum, base_datum)
+    to_target = _guaranteed(validate_stack_morphism, identity_matrix(rank), datum, variety)
+    provenance = tuple(zip(to_target.cone_assignment, to_base.cone_assignment))
     return UniversalFamily(cq, datum, provenance, variety, base_datum, to_base, to_target)
 
 
-def _base_index(cq: ChowQuotient, c: Cone, i: int) -> int:
-    img = image_cone(cq.projection.matrix, c)
-    idx = cq.quotient_fan._index().get(img.key())
-    if idx is None:
-        raise InternalConsistencyError(
-            f"family cone {i} does not project onto a quotient cone"
-        )
-    return idx
+def _guaranteed(check, matrix, src, dst):
+    """``check(matrix, src, dst)`` on a morphism the theory guarantees."""
+    try:
+        return check(matrix, src, dst)
+    except Exception as exc:
+        raise InternalConsistencyError(f"universal family morphism failed to validate: {exc}") from exc
 
 
 def is_refinement_fixed_point(fam: UniversalFamily) -> bool:
@@ -349,14 +337,8 @@ def fiber_complex(fam: UniversalFamily, base_index: int) -> FiberComplex:
     walls = [wall_structure(fam, base_index, i) for i in cones_over(fam, base_index, 1)]
     boundary = tuple(w for w in walls if w.kind == "boundary")
     internal = tuple(w for w in walls if w.kind == "internal")
-    higher = []
-    k = 2
-    max_k = fam.chow.sub.rank
-    while k <= max_k:
-        level = cones_over(fam, base_index, k)
-        if level:
-            higher.append((k, level))
-        k += 1
+    levels = ((k, cones_over(fam, base_index, k)) for k in range(2, fam.chow.sub.rank + 1))
+    higher = tuple((k, level) for k, level in levels if level)
     edges = tuple((w.iso_faces[0], w.iso_faces[1], w.index) for w in internal)
     _assert_connected(comps, edges, base_index)
     q_basis = fam.chow.cone_data[base_index].monoid.hilbert_basis
@@ -364,7 +346,7 @@ def fiber_complex(fam: UniversalFamily, base_index: int) -> FiberComplex:
         tuple((v, segment_length(fam, base_index, w.index, v)) for v in q_basis) for w in internal
     )
     return FiberComplex(
-        base_index, comps, hosts, boundary, internal, tuple(higher), edges, gluing
+        base_index, comps, hosts, boundary, internal, higher, edges, gluing
     )
 
 
@@ -599,7 +581,6 @@ def presentation_tuple(
 ) -> Vec:
     """Map a quotient monoid element to its presentation tuple."""
     proj = fam.chow.projection
-    rank = pres.block_rank
     lifts = [
         integral_lift(proj, fam.variety.fan.cones[ci], value)
         for ci in pres.component_cones

@@ -312,8 +312,9 @@ def equidimensional_report(matrix: Mat, src: Fan, dst: Fan) -> CheckReport:
 
 
 def check_equidimensional(fam: UniversalFamily) -> CheckReport:
-    """On a family from :func:`~chowfan.family.universal_family` this
-    re-checks what ``family._base_index`` enforced while building it."""
+    """Every family cone maps onto its base cone: the build in
+    :func:`~chowfan.family.universal_family` takes the least quotient cone
+    holding each image as its base, so this is the only test of it."""
     return equidimensional_report(
         fam.chow.projection.matrix, fam.fan, fam.base.fan
     )

@@ -1,7 +1,7 @@
 import functools
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -42,6 +42,14 @@ def p1p1_fan() -> Fan:
                 [(0, -1), (1, 0)],
             ]
         ]
+    )
+
+
+def orthant_fan(rank: int) -> Fan:
+    """The fan of the coordinate orthants of ``Z^rank``."""
+    return fan_from_cones(
+        cone_from_generators([[s[i] * (j == i) for j in range(rank)] for i in range(rank)])
+        for s in product((1, -1), repeat=rank)
     )
 
 

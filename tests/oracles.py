@@ -49,6 +49,8 @@ earlier stack-datum verdict, which restricts each monoid to every face.
 The last is the library's earlier stack-morphism check, one monoid map
 test per source cone in source order, against which the test run once
 per distinct vector and target cone is compared, verdicts and errors.
+After it comes the library's earlier provenance check of a universal
+family, which cut every family cone out again as ``p^{-1}(base) ∩ host``.
 """
 
 import json
@@ -229,11 +231,21 @@ def lattice_points_in_box(basis, box):
     n = len(basis[0])
     # coefficient bound: crude but safe for small examples
     coeff = box * max(1, max(abs(x) for row in basis for x in row)) * len(basis)
+    *head, last = basis
     pts = set()
-    for coeffs in product(range(-coeff, coeff + 1), repeat=len(basis)):
-        v = tuple(sum(c * row[i] for c, row in zip(coeffs, basis)) for i in range(n))
-        if all(abs(x) <= box for x in v):
-            pts.add(v)
+    for coeffs in product(range(-coeff, coeff + 1), repeat=len(head)):
+        p = [sum(c * row[i] for c, row in zip(coeffs, head)) for i in range(n)]
+        # the last coefficients t within the bound with |p + t*last| <= box
+        # in every coordinate: an interval, cut coordinate by coordinate
+        lo, hi = -coeff, coeff
+        for x, b in zip(p, last):
+            if b < 0:
+                x, b = -x, -b
+            if b:
+                lo, hi = max(lo, -((box + x) // b)), min(hi, (box - x) // b)
+            elif abs(x) > box:
+                lo, hi = 1, 0
+        pts.update(tuple(x + t * b for x, b in zip(p, last)) for t in range(lo, hi + 1))
     return pts
 
 
@@ -1170,3 +1182,14 @@ def stack_morphism_by_cone(matrix, src, dst):
                 e.image,
             ) from e
     return StackMorphism(mtx, src, dst, fm)
+
+
+def provenance_by_intersection(fam):
+    """Each family cone's ``p^{-1}(base) ∩ host``, for ``(host, base)`` its
+    provenance: one preimage per quotient cone and one intersection per
+    family cone, aligned with the family fan's cones."""
+    from chowfan.cones import intersect_cones, preimage_cone
+
+    rank = fam.fan.ambient_rank
+    preimages = [preimage_cone(fam.chow.projection.matrix, kappa, rank) for kappa in fam.base.fan.cones]
+    return tuple(intersect_cones(preimages[base], fam.variety.fan.cones[host]) for host, base in fam.provenance)

@@ -1,5 +1,4 @@
 import random
-from itertools import product
 from pathlib import Path
 
 import pytest
@@ -31,6 +30,7 @@ from chowfan.stacks import InternalConsistencyError, validate_stack_datum
 
 from conftest import (
     corpus,
+    orthant_fan,
     p2_fan,
     p1p1_fan,
     random_complete_fan_rank2,
@@ -173,17 +173,10 @@ class TestQuotientFan:
             chow_quotient(p2, l_horizontal)
 
 
-def _orthant_fan(rank):
-    return fan_from_cones(
-        cone_from_generators([[s[i] * (j == i) for j in range(rank)] for i in range(rank)])
-        for s in product((1, -1), repeat=rank)
-    )
-
-
 def _doctored_inputs():
     """The inputs on which a doctored class cone or meeting set is refused."""
     cs = corpus(count=8)
-    return [cs[1], cs[4], cs[7], (_orthant_fan(4), sublattice(4, [[1, 2, 3, 5]]))]
+    return [cs[1], cs[4], cs[7], (orthant_fan(4), sublattice(4, [[1, 2, 3, 5]]))]
 
 
 class TestConvexityFromTheFanChecks:
@@ -268,7 +261,7 @@ class TestConvexityFromTheFanChecks:
                 return _real(*args)
 
             monkeypatch.setattr(chowfan.chow, name, counted)
-        cq = chow_quotient(_orthant_fan(4), sublattice(4, [[1, 2, 3, 5]]))
+        cq = chow_quotient(orthant_fan(4), sublattice(4, [[1, 2, 3, 5]]))
         point_cones = {i for d in cq.cone_data for i in d.point_fiber_cones}
         assert sum(len(d.point_fiber_cones) for d in cq.cone_data) == 233
         assert counts == {"multiplicity": 65, "image_lattice": 65} and len(point_cones) == 65
@@ -483,7 +476,7 @@ class TestClassConesMatchCellHulls:
 
     @pytest.mark.parametrize("rows", [[[1, 2, 3, 5]], [[1, 1, 1, 1], [0, 1, -1, 1]]])
     def test_rank_4_orthant_fan(self, rows):
-        fan, sub = _orthant_fan(4), sublattice(4, rows)
+        fan, sub = orthant_fan(4), sublattice(4, rows)
         assert chow_quotient(fan, sub) == oracles.chow_quotient_by_cell_hulls(fan, sub)
 
 
@@ -518,4 +511,4 @@ class TestRawConesLieInTheLiftLatticeSpan:
 
     @pytest.mark.parametrize("rows", [[[1, 2, 3, 5]], [[1, 1, 1, 1], [0, 1, -1, 1]]])
     def test_rank_4_orthant_fan(self, rows):
-        self._check(_orthant_fan(4), sublattice(4, rows))
+        self._check(orthant_fan(4), sublattice(4, rows))

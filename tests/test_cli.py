@@ -444,6 +444,24 @@ class TestValidateOnce:
         assert code == 0
         assert len(built) == 2
 
+    def test_all_computes_each_multiplicity_once(self, monkeypatch):
+        """The quotient's point cones and the multiplicities section share
+        the multiplicities kept on the input fan: one Smith form per finite
+        multiplicity, where computing them again for the section took 8."""
+        import chowfan.chow as chow
+
+        forms = []
+        real = chow.elementary_divisors
+
+        def counting(basis):
+            forms.append(basis)
+            return real(basis)
+
+        monkeypatch.setattr(chow, "elementary_divisors", counting)
+        code, out = _run(["all", WEIGHTED, "--bound", "2"])
+        assert code == 0
+        assert len(forms) == len(json.loads(out)["multiplicities"]["finite"]) == 4
+
 
 class TestGoldenDigests:
     """sha256 of ``chowfan all --bound 4`` on each fixture.

@@ -1,8 +1,10 @@
 import re
+from pathlib import Path
 
 import pytest
 
 from chowfan import replace
+from chowfan.cli import parse_input
 from chowfan.chow import chow_quotient
 from chowfan.cones import Fan, cone_from_generators, zero_cone
 from chowfan.intlinalg import full_lattice, sublattice, zero_sublattice
@@ -24,7 +26,10 @@ from chowfan.family import (
     wall_structure,
 )
 
-from conftest import p2_fan, p1p1_fan
+from conftest import corpus, orthant_fan, p2_fan, p1p1_fan
+import oracles
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _fam_p2():
@@ -69,14 +74,14 @@ class TestRefinement:
             assert fam.datum.monoids[i] == monoid_from_cone(c)
 
     def test_provenance_defining_property(self):
-        from chowfan.cones import intersect_cones, preimage_cone
-
-        for fam in (_fam_p2(), _fam_p1p1()):
-            proj = fam.chow.projection
-            for i, c in enumerate(fam.fan.cones):
-                host, base = fam.provenance[i]
-                pre = preimage_cone(proj.matrix, fam.base.fan.cones[base], 2)
-                assert intersect_cones(pre, fam.variety.fan.cones[host]) == c
+        # host and base are read off the two morphisms; each family cone is
+        # the preimage of its base cut by its host
+        fixtures = [parse_input(path.read_text())[:2] for path in sorted(FIXTURES.glob("*.json"))]
+        rank4 = [(orthant_fan(4), sublattice(4, rows)) for rows in ([[1, 2, 3, 5]], [[1, 1, 1, 1], [0, 1, -1, 1]])]
+        inputs = [(p2_fan(), sublattice(2, [[1, 0]])), (p1p1_fan(), sublattice(2, [[1, 1]]))]
+        for fan, sub in inputs + fixtures + corpus(count=10) + rank4:
+            fam = universal_family(chow_quotient(fan, sub))
+            assert oracles.provenance_by_intersection(fam) == fam.fan.cones
 
     def test_both_morphisms_validated(self):
         fam = _fam_p1p1()
@@ -110,17 +115,26 @@ class TestRefinement:
             calls.append((a, b))
             return real(a, b)
 
+        real_preimage = chowfan.family.preimage_cone
+        preimages = []
+
+        def counted_preimage(matrix, c, rank):
+            preimages.append(c)
+            return real_preimage(matrix, c, rank)
+
         monkeypatch.setattr(chowfan.family, "intersect_cones", counted)
-        fam = universal_family(cq)
+        monkeypatch.setattr(chowfan.family, "preimage_cone", counted_preimage)
+        universal_family(cq)
         # one per meeting pair (maximal quotient cone, maximal input cone in
-        # its meeting set) for the refinement, one per family cone for its
-        # provenance check
+        # its meeting set) and none for the provenance, which is read off
+        # the morphisms; one preimage per maximal quotient cone
         maximal = set(cq.fan.maximal_indices())
         pairs = sum(
             len(cq.cone_data[b].meeting_set & maximal) for b in cq.quotient_fan.maximal_indices()
         )
         assert pairs < len(cq.quotient_fan.maximal_indices()) * len(maximal)
-        assert len(calls) == pairs + len(fam.fan.cones)
+        assert len(calls) == pairs
+        assert preimages == [cq.quotient_fan.cones[b] for b in cq.quotient_fan.maximal_indices()]
 
     def test_doctored_meeting_set_is_caught(self):
         cq = chow_quotient(p1p1_fan(), sublattice(2, [[1, 1]]))

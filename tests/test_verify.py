@@ -5,7 +5,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import chowfan.verify
 from chowfan.chow import chow_quotient
-from chowfan.cones import cone_from_generators, fan_from_cones
+from chowfan.cones import cone_from_generators, facets, fan_from_cones
 from chowfan.family import VerificationFailed, universal_family
 from chowfan.intlinalg import Sublattice, dot, mat_vec, sublattice, transpose, vadd, zero_sublattice
 from chowfan.monoids import MonoidHom, dual_monoid, monoid_from_cone, monoid_hom, saturated_monoid
@@ -21,7 +21,7 @@ from chowfan.verify import (
     reduced_report,
 )
 
-from conftest import p2_fan, p1p1_fan
+from conftest import corpus, p2_fan, p1p1_fan
 import oracles
 
 
@@ -349,6 +349,34 @@ class TestEquidimensional:
     def test_zero_sublattice_trivially_passes(self):
         fam = universal_family(chow_quotient(p2_fan(), zero_sublattice(2)))
         assert check_equidimensional(fam).passed
+
+    def test_subdivided_family_cone_fails(self, monkeypatch):
+        # corpus[1] with its first full-dimensional family cone stellarly
+        # subdivided at the sum of its rays: the family still builds, as host
+        # and base are the least cones holding each cone and its image, and
+        # the new ray's image lies inside a quotient cone, onto none
+        import chowfan.family
+
+        real = chowfan.family.fan_from_cones
+        new_rays = []
+
+        def subdivided(cones, ambient_rank=None):
+            fan = real(cones, ambient_rank)
+            c = next(c for c in fan.cones if c.dim == fan.ambient_rank)
+            v = tuple(map(sum, zip(*c.generators)))
+            new_rays.append(v)
+            kept = [fan.cones[i] for i in fan.maximal_indices() if fan.cones[i] != c]
+            star = [cone_from_generators(f.generators + (v,)) for f in facets(c)]
+            return real(kept + star, ambient_rank)
+
+        fan, sub = corpus(count=2)[1]
+        monkeypatch.setattr(chowfan.family, "fan_from_cones", subdivided)
+        fam = universal_family(chow_quotient(fan, sub))
+        (v,) = new_rays
+        ray = fam.fan.index_of(cone_from_generators([v]))
+        rep = check_equidimensional(fam)
+        assert rep.verdict == "fail"
+        assert (ray, ((-1, 2),), ()) in rep.witnesses
 
 
 class TestBasicMonoid:
