@@ -12,7 +12,11 @@ image contains p(psi) in its relative interior.  The construction
 enumerates the cells of the central hyperplane arrangement spanned by the
 facet and span functionals of all projected cones, takes one sample per
 cell, and closes the class with meeting set M up to the fiber-fan cone
-K_M = ∩_{j in M} p(sigma_j) (Billera & Sturmfels, "Fiber polytopes", 1992).  Its
+K_M = ∩_{j in M} p(sigma_j) (Billera & Sturmfels, "Fiber polytopes", 1992).
+A sample's meeting set is read off its covector, the signs of the normals
+on it (Björner et al., Oriented Matroids, 1999, ch. 2 and 4): every image
+has a sign pattern on its relative interior.  An image of M contained in
+every other is K_M, and takes no conversion.  Its
 relative interior ∩ relint p(sigma_j) holds the class (Rockafellar, Convex
 Analysis, Thm 6.5) and is a union of cells, so it is the class exactly when
 it holds no sample of another class, which needs no scan once the class
@@ -219,20 +223,18 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
     normals = {_canonical_normal(h) for img in images for h in img.halfspaces + img.equations}
     normals = sorted(n for n in normals if not is_zero(n))
 
+    position = {n: k for k, n in enumerate(normals)}
+    patterns = [_relint_pattern(img, position) for img in images]
+
     merged: dict[frozenset[int], Cone] = {}
     for sample in _cell_split(tuple(normals), q):
-        inv = _meeting_set(images, sample)
+        inv = _meeting_set_of_signs(patterns, *_sign_masks(normals, sample))
         if not inv:
             raise InternalConsistencyError(
                 f"quotient direction {sample} lies in no projected cone interior"
             )
         if inv not in merged:
-            members = [images[j] for j in sorted(inv)]
-            merged[inv] = cone_from_halfspaces(
-                dict.fromkeys(h for img in members for h in img.halfspaces),
-                dict.fromkeys(e for img in members for e in img.equations),
-                q,
-            )
+            merged[inv] = _class_cone([images[j] for j in sorted(inv)], q)
 
     # no cell is scanned: pointed, distinct class cones that pass the checks below
     # hold no other class's sample in their relative interiors
@@ -289,6 +291,52 @@ def _canonical_normal(h: Vec) -> Vec:
         if x != 0:
             return p if x > 0 else tuple(-y for y in p)
     return p
+
+
+def _sign_masks(normals: Sequence[Vec], v: Sequence[int]) -> tuple[int, int]:
+    """The covector of ``v``: bitmasks of the normals positive and negative on it."""
+    pos = neg = 0
+    for k, n in enumerate(normals):
+        x = dot(n, v)
+        if x > 0:
+            pos |= 1 << k
+        elif x < 0:
+            neg |= 1 << k
+    return pos, neg
+
+
+def _relint_pattern(img: Cone, position: dict) -> tuple[int, int, int]:
+    """Bitmasks of the normals positive, negative and zero on relint ``img``."""
+    pos = neg = zero = 0
+    for h in img.halfspaces:
+        bit = 1 << position[_canonical_normal(h)]
+        if next(filter(None, h)) > 0:
+            pos |= bit
+        else:
+            neg |= bit
+    for e in img.equations:
+        zero |= 1 << position[_canonical_normal(e)]
+    return pos, neg, zero
+
+
+def _meeting_set_of_signs(patterns, pos: int, neg: int) -> frozenset[int]:
+    """The meeting set of a point with covector ``(pos, neg)``."""
+    signed = pos | neg
+    return frozenset(i for i, (p, m, z) in enumerate(patterns) if p & pos == p and m & neg == m and not z & signed)
+
+
+def _class_cone(members: Sequence[Cone], q: int) -> Cone:
+    """``∩ members``: a member that all contain (of least dimension), else a
+    conversion."""
+    low = min(c.dim for c in members)
+    for c in members:
+        if c.dim == low and all(m.contains_cone(c) for m in members):
+            return c
+    return cone_from_halfspaces(
+        dict.fromkeys(h for img in members for h in img.halfspaces),
+        dict.fromkeys(e for img in members for e in img.equations),
+        q,
+    )
 
 
 def _cone_data(images, point_facts, kappa: Cone, meeting: frozenset[int], index: int) -> QuotientConeData:

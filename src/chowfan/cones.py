@@ -688,13 +688,19 @@ def validate_fan(f: Fan) -> FanValidationReport:
     every proper face of a cone is a face of one of its facets, whose own
     facets are tested in turn, so by induction every face is in the fan.
     Only pairs of maximal cones (:meth:`Fan.maximal_indices`) are
-    intersected.  In a face-closed collection every cone is a face of a
+    checked.  In a face-closed collection every cone is a face of a
     maximal one, and if maximal cones σ, τ meet in a common face ρ, then
     for faces σ' ≤ σ and τ' ≤ τ the intersection σ'∩τ' = (σ'∩ρ) ∩ (τ'∩ρ)
-    is an intersection of two faces of ρ, so a face of σ' and of τ'.  The
-    verdict is that of the all-pairs check; an invalid collection may have
-    fewer violating pairs named.  The report is kept on the fan, so every
-    caller holding the same fan shares one pass.
+    is an intersection of two faces of ρ, so a face of σ' and of τ'.
+
+    Each pair is first reduced along separating halfspaces: if a halfspace
+    ``h`` of σ is ``<= 0`` on τ, then ``σ ∩ τ = (σ ∩ h⊥) ∩ (τ ∩ h⊥)``, and a
+    face of σ inside a face σ' is a face of σ', and a face of σ' one of σ;
+    so the pair's verdict is that of the exposed faces, and only a pair left
+    unequal is intersected (:func:`_separated_faces`).  The verdict is that
+    of the all-pairs check; an invalid collection may have fewer violating
+    pairs named.  The report is kept on the fan, so every caller holding
+    the same fan shares one pass.
     """
     problems = []
     index = f._index()
@@ -704,11 +710,35 @@ def validate_fan(f: Fan) -> FanValidationReport:
         if any(face.key() not in index for face in facets(c)):
             problems.append(f"cone {i} has a face missing from the fan")
     for i, j in combinations(f.maximal_indices(), 2):
-        a, b = f.cones[i], f.cones[j]
+        a, b = _separated_faces(f.cones[i], f.cones[j])
+        if a.key() == b.key():
+            continue
         inter = intersect_cones(a, b)
         if not (is_face_of(inter, a) and is_face_of(inter, b)):
             problems.append(f"intersection of cones {i} and {j} is not a common face")
     return FanValidationReport(not problems, tuple(problems))
+
+
+def _separated_faces(a: Cone, b: Cone) -> tuple[Cone, Cone]:
+    """Faces ``a' ≤ a``, ``b' ≤ b`` with ``a ∩ b = a' ∩ b'``: while they differ,
+    a halfspace ``h`` of one, ``<= 0`` on the other, takes both to the faces
+    ``h⊥`` exposes, looked up by their rays among the interned cones, until
+    none is left or a face is not interned.  No double description runs."""
+    while a.key() != b.key():
+        h = next((
+            h for x, y in ((a, b), (b, a)) for h in x.halfspaces
+            if all(sum(map(mul, h, g)) <= 0 for g in y.generators) and not any(sum(map(mul, h, l)) for l in y.lineality)
+        ), None)
+        if h is None:
+            break
+        faces = [
+            _cone_cache.get((c.ambient_rank, tuple([g for g in c.generators if not sum(map(mul, h, g))]), c.lineality))
+            for c in (a, b)
+        ]
+        if None in faces:
+            break
+        a, b = faces
+    return a, b
 
 
 def is_complete(f: Fan) -> bool:
@@ -755,11 +785,17 @@ def check_fan_morphism(matrix: Mat, src: Fan, dst: Fan) -> FanMorphism:
     image (in a fan, any cone containing the image contains that one),
     tested to contain it.  Raises :class:`NoTargetCone` naming the first
     source cone whose image that cone does not contain, and ``ValueError``
-    when the matrix is not target rank × source rank.
+    when the matrix is not target rank × source rank.  The morphism is
+    kept on ``src`` per matrix and target; a call that raises keeps
+    nothing.
     """
+    return _fan_morphism(src, mat(matrix), dst)
+
+
+@kept
+def _fan_morphism(src: Fan, matrix: Mat, dst: Fan) -> FanMorphism:
     if not validate_fan(dst).ok:
         raise ValueError("the target of a fan morphism is not a valid fan")
-    matrix = mat(matrix)
     require_shape(matrix, dst.ambient_rank, src.ambient_rank)
     index = dst._index()
     assignment = []

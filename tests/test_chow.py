@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from chowfan.cli import parse_input
 from chowfan.chow import (
     InfiniteIndex,
+    _meeting_set,
     chow_quotient,
     chow_stack_datum,
     fiber_dim_cones,
@@ -18,7 +19,9 @@ from chowfan.cones import (
     NotComplete,
     all_faces,
     cone_from_generators,
+    cone_from_halfspaces,
     fan_from_cones,
+    image_cone,
     is_complete,
     relative_interior_sample,
     validate_fan,
@@ -186,42 +189,47 @@ class TestConvexityFromTheFanChecks:
     class in its relative interior.  Doctored classes are still refused."""
 
     def test_relint_tests_are_the_meeting_set_scans_only(self, monkeypatch):
+        # meeting sets are read off one covector per cell sample, so the
+        # quotient makes no relative-interior test at all
         import chowfan.chow
         from chowfan.cones import Cone
 
-        real_split, real_relint = chowfan.chow._cell_split, Cone.contains_in_relint
+        real_split, real_signs = chowfan.chow._cell_split, chowfan.chow._sign_masks
         for fan, sub in [(p1p1_fan(), sublattice(2, [[1, 1]])), corpus(count=2)[1]]:
-            samples, calls = [], []
+            samples, signed, calls = [], [], []
 
             def split(normals, rank):
                 samples.extend(real_split(normals, rank))
                 return list(samples)
 
-            def relint(cone, v):
-                calls.append(v)
-                return real_relint(cone, v)
+            def signs(normals, v):
+                signed.append(v)
+                return real_signs(normals, v)
 
             monkeypatch.setattr(chowfan.chow, "_cell_split", split)
-            monkeypatch.setattr(Cone, "contains_in_relint", relint)
+            monkeypatch.setattr(chowfan.chow, "_sign_masks", signs)
+            monkeypatch.setattr(Cone, "contains_in_relint", lambda cone, v: calls.append(v))
             chow_quotient(fan, sub)
             monkeypatch.undo()
-            assert samples and len(calls) == len(samples) * len(fan.cones)
+            assert samples and signed == samples and calls == []
 
     @pytest.mark.parametrize("which", range(4))
     def test_enlarged_class_cone_refused(self, which, monkeypatch):
         import chowfan.chow
 
         fan, sub = _doctored_inputs()[which]
-        real, done = chowfan.chow.cone_from_halfspaces, []
+        real, done = chowfan.chow._class_cone, []
 
-        def enlarged(halfspaces, equations, rank):
-            # the first class with two halfspaces and no equation loses one
-            halfspaces = list(halfspaces)
-            if not done and len(halfspaces) >= 2 and not equations:
-                done.append(halfspaces.pop(0))
-            return real(halfspaces, equations, rank)
+        def enlarged(members, rank):
+            # the first class cone with two facets and no equation loses a
+            # facet, whether it is a member image or a conversion
+            cone = real(members, rank)
+            if not done and len(cone.halfspaces) >= 2 and not cone.equations:
+                done.append(cone.halfspaces[0])
+                return cone_from_halfspaces(cone.halfspaces[1:], (), rank)
+            return cone
 
-        monkeypatch.setattr(chowfan.chow, "cone_from_halfspaces", enlarged)
+        monkeypatch.setattr(chowfan.chow, "_class_cone", enlarged)
         with pytest.raises(InternalConsistencyError):
             chow_quotient(fan, sub)
         assert done
@@ -232,16 +240,16 @@ class TestConvexityFromTheFanChecks:
 
         fan, sub = _doctored_inputs()[which]
         origin = meeting_cones(fan, sub, (0,) * fan.ambient_rank)
-        real, calls = chowfan.chow._meeting_set, []
+        real, calls = chowfan.chow._meeting_set_of_signs, []
 
-        def with_zero_cone(images, v):
+        def with_zero_cone(patterns, pos, neg):
             # the zero cone (index 0) added to the third sample's meeting set
             # closes its class up to the origin, the cone of the origin's class
-            inv = real(images, v)
+            inv = real(patterns, pos, neg)
             calls.append(inv)
             return inv | {0} if len(calls) == 3 else inv
 
-        monkeypatch.setattr(chowfan.chow, "_meeting_set", with_zero_cone)
+        monkeypatch.setattr(chowfan.chow, "_meeting_set_of_signs", with_zero_cone)
         with pytest.raises(InternalConsistencyError, match="^quotient classes with meeting sets ") as err:
             chow_quotient(fan, sub)
         assert 0 not in calls[2]
@@ -478,6 +486,47 @@ class TestClassConesMatchCellHulls:
     def test_rank_4_orthant_fan(self, rows):
         fan, sub = orthant_fan(4), sublattice(4, rows)
         assert chow_quotient(fan, sub) == oracles.chow_quotient_by_cell_hulls(fan, sub)
+
+
+class TestMeetingSetsMatchTheScan:
+    """Each quotient cone's meeting set, read off the sign vector of a cell
+    sample, against the dot-product scan of every image at a sample of the
+    cone's relative interior."""
+
+    @staticmethod
+    def _mismatched(cq):
+        images = [image_cone(cq.projection.matrix, c) for c in cq.fan.cones]
+        return [
+            k
+            for k, (kappa, data) in enumerate(zip(cq.quotient_fan.cones, cq.cone_data))
+            if data.meeting_set != _meeting_set(images, relative_interior_sample(kappa))
+        ]
+
+    def test_fixtures_corpus_and_rank_4(self):
+        inputs = [parse_input(path.read_text())[:2] for path in sorted(FIXTURES.glob("*.json"))]
+        rank4 = [(orthant_fan(4), sublattice(4, rows)) for rows in ([[1, 2, 3, 5]], [[1, 2, 3, 5], [0, 1, -2, 3]])]
+        for fan, sub in inputs + corpus(count=10) + rank4:
+            assert self._mismatched(chow_quotient(fan, sub)) == []
+
+    def test_dropped_cone_caught(self, monkeypatch):
+        # the origin's class loses cone 4 and closes up to the same cone, so
+        # the quotient builds; only the comparison with the scan sees it
+        import chowfan.chow
+
+        real = chowfan.chow._meeting_set_of_signs
+
+        def without_4_at_the_origin(patterns, pos, neg):
+            inv = real(patterns, pos, neg)
+            return inv - {4} if pos == neg == 0 else inv
+
+        fan, sub = p2_fan(), sublattice(2, [[1, 0]])
+        cq = chow_quotient(fan, sub)
+        origin = cq.quotient_fan.index_of(zero_cone(1))
+        assert self._mismatched(cq) == [] and cq.cone_data[origin].meeting_set == {0, 3, 4}
+        monkeypatch.setattr(chowfan.chow, "_meeting_set_of_signs", without_4_at_the_origin)
+        doctored = chow_quotient(fan, sub)
+        assert doctored.cone_data[origin].meeting_set == {0, 3}
+        assert self._mismatched(doctored) == [origin]
 
 
 class TestRawConesLieInTheLiftLatticeSpan:

@@ -38,6 +38,7 @@ from chowfan.intlinalg import (
 
 from conftest import (
     check_fan_incidence,
+    orthant_fan,
     p1p1_fan,
     p2_fan,
     random_complete_fan_rank2,
@@ -829,6 +830,55 @@ class TestFacesAndFans:
         )
         with pytest.raises(ValueError, match="not a valid fan"):
             check_fan_morphism(((1, 0), (0, 1)), src, overlapping)
+
+    def test_fan_morphism_is_kept_on_its_source(self, monkeypatch):
+        # a second check of the same (matrix, target) walks no source cone;
+        # a refused morphism is not kept, so it is refused again
+        line = fan_from_cones([cone_from_generators([(1,)]), cone_from_generators([(-1,)])])
+        walked = []
+        real = cones.image_cone
+        monkeypatch.setattr(cones, "image_cone", lambda m, c: walked.append(c) or real(m, c))
+        quadrants = p1p1_fan()
+        first = check_fan_morphism(((1, 0),), quadrants, line)
+        assert len(walked) == len(quadrants.cones)
+        assert check_fan_morphism([[1, 0]], quadrants, line) is first and len(walked) == len(quadrants.cones)
+        walked.clear()
+        for _ in range(2):
+            with pytest.raises(NoTargetCone):
+                check_fan_morphism(((1, 0),), p2_fan(), line)
+            assert walked
+            walked.clear()
+
+
+class TestPairsReducedAlongSeparatingHalfspaces:
+    """validate_fan replaces each pair of maximal cones by the faces that a
+    separating facet hyperplane exposes, and intersects only a pair that no
+    facet hyperplane separates further."""
+
+    def test_crossed_facets_refused(self, monkeypatch):
+        # the two cones lie on opposite sides of x = 0, where their facets
+        # cross: the pair is reduced to those facets, and still refused
+        a = cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        b = cone_from_generators([(-1, 0, 0), (0, 1, 1), (0, 1, -1)])
+        fan = fan_from_cones([a, b])
+        pairs = []
+        real = cones.intersect_cones
+        monkeypatch.setattr(cones, "intersect_cones", lambda x, y: pairs.append((x, y)) or real(x, y))
+        rep = validate_fan(fan)
+        assert rep.violations == ("intersection of cones 13 and 14 is not a common face",)
+        assert fan.maximal_indices() == (13, 14) and not rep.ok
+        assert [set(p) for p in pairs] == [
+            {cone_from_generators([(0, 1, 0), (0, 0, 1)]), cone_from_generators([(0, 1, 1), (0, 1, -1)])}
+        ]
+        assert not oracles.fan_ok_all_pairs(fan)
+
+    def test_orthant_fan_needs_no_intersection(self, monkeypatch):
+        calls = []
+        real = cones.intersect_cones
+        monkeypatch.setattr(cones, "intersect_cones", lambda x, y: calls.append((x, y)) or real(x, y))
+        fan = orthant_fan(4)
+        assert validate_fan(fan).ok and len(fan.maximal_indices()) == 16
+        assert calls == []
 
 
 @st.composite

@@ -7,7 +7,7 @@ from chowfan import replace
 from chowfan.cli import parse_input
 from chowfan.chow import chow_quotient
 from chowfan.cones import Fan, cone_from_generators, zero_cone
-from chowfan.intlinalg import full_lattice, sublattice, zero_sublattice
+from chowfan.intlinalg import full_lattice, identity_matrix, sublattice, zero_sublattice
 from chowfan.monoids import member, monoid_from_cone, saturated_monoid
 from chowfan.stacks import InternalConsistencyError
 from chowfan.family import (
@@ -84,9 +84,14 @@ class TestRefinement:
             assert oracles.provenance_by_intersection(fam) == fam.fan.cones
 
     def test_both_morphisms_validated(self):
-        fam = _fam_p1p1()
-        assert fam.to_base.cone_assignment == tuple(b for _, b in fam.provenance)
-        assert fam.to_target.cone_assignment == tuple(h for h, _ in fam.provenance)
+        # each cone assignment is the least target cone holding the image,
+        # found by scanning every target cone
+        for fan, sub in [(p1p1_fan(), sublattice(2, [[1, 1]])), corpus(count=2)[1]]:
+            fam = universal_family(chow_quotient(fan, sub))
+            matrix, identity = fam.chow.projection.matrix, identity_matrix(fan.ambient_rank)
+            assert fam.to_base.cone_assignment == oracles.minimal_targets_by_scan(matrix, fam.fan, fam.base.fan)
+            assert fam.to_target.cone_assignment == oracles.minimal_targets_by_scan(identity, fam.fan, fan)
+            assert fam.provenance == tuple(zip(fam.to_target.cone_assignment, fam.to_base.cone_assignment))
 
     def test_consistency_error_names_the_family_cone(self, monkeypatch):
         # the first Hirzebruch surface projected along (0, 1): family cone 3
