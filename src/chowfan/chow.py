@@ -13,10 +13,15 @@ enumerates the cells of the central hyperplane arrangement spanned by the
 facet and span functionals of all projected cones, takes one sample per
 cell, and closes the class with meeting set M up to the fiber-fan cone
 K_M = ∩_{j in M} p(sigma_j) (Billera & Sturmfels, "Fiber polytopes", 1992).
+The cells are read off the chambers (Björner et al., Oriented Matroids,
+1999, ch. 2 and 4): a chamber straddles a normal exactly when the normal
+takes both signs on its rays or is nonzero on a line, so only such a
+chamber is halved; the faces of the chamber closures are exactly the cell
+closures, found by a facet walk over incidence; and the sum of a face's
+rays lies in its relative interior, so it samples the face's cell.
 A sample's meeting set is read off its covector, the signs of the normals
-on it (Björner et al., Oriented Matroids, 1999, ch. 2 and 4): every image
-has a sign pattern on its relative interior.  An image of M contained in
-every other is K_M, and takes no conversion.  Its
+on it: every image has a sign pattern on its relative interior.  An image
+of M contained in every other is K_M, and takes no conversion.  Its
 relative interior ∩ relint p(sigma_j) holds the class (Rockafellar, Convex
 Analysis, Thm 6.5) and is a union of cells, so it is the class exactly when
 it holds no sample of another class, which needs no scan once the class
@@ -40,21 +45,22 @@ from __future__ import annotations
 
 from functools import reduce
 from math import prod
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ._record import Record, kept
 from .cones import (
     Cone,
     Fan,
     NotComplete,
+    _closure,
     _span_lattice,
-    _strict_sample,
     all_faces,
     cone_from_halfspaces,
     fan_from_cones,
     image_cone,
     intersect_cones,
     is_complete,
+    relative_interior_sample,
     validate_fan,
 )
 from .intlinalg import (
@@ -127,50 +133,31 @@ def _cell_split(normals, rank: int) -> list[Vec]:
     arrangement.  The arrangement holds every facet and equation of every
     image, so meeting sets are constant on cells.
 
-    A sample lies in its cell, so the signs of the normals on it are the
-    cell's.  Feasibility calls (:func:`~chowfan.cones._strict_sample`, one
-    double description each) are kept to one per split by reusing cell
-    samples: a cell splits along a hyperplane iff the opposite open side is
-    nonempty, and the middle sample is then a positive combination of the
-    two sides.
+    The chambers come first, halved from the whole space along one normal
+    at a time.  A chamber ``c`` straddles ``h`` exactly when ``h`` takes
+    both signs on its rays or is nonzero on a line (``c`` is the rays'
+    cone plus the lines' span), and only then is it replaced by its halves
+    ``c ∩ {±h >= 0}``, one double description each: ``2 × chambers − 1``
+    in all.  Every normal is then ``>= 0`` or ``<= 0`` on each chamber, so
+    on a face of one it vanishes or has one strict sign on the relative
+    interior; the relative interiors of the faces of the chamber closures
+    partition the space, so those faces are exactly the cell closures
+    (Björner et al., Oriented Matroids, 1999, ch. 2 and 4).  They are read
+    off incidence by a facet walk (:func:`~chowfan.cones._closure`), which
+    runs no double description, and the sum of a face's rays lies in its
+    relative interior, so it samples the face's cell.
     """
-    cells: list[Vec] = [(0,) * rank]
-    for idx, h in enumerate(normals):
-        prior = normals[:idx]
-        new_cells = []
-        for sample in cells:
-            vals = [dot(n, sample) for n in prior]
-            eqs = [n for n, v in zip(prior, vals) if v == 0]
-            strict = [n if v > 0 else vscale(-1, n) for n, v in zip(prior, vals) if v != 0]
-
-            def side(sign: int) -> Optional[Vec]:
-                """Sample of the part of the cell where ``sign * h > 0``."""
-                return _strict_sample(strict + [vscale(sign, h)], eqs, rank)
-
-            val = dot(h, sample)
-            if val != 0:
-                new_cells.append(sample)
-                opp_sample = side(-1 if val > 0 else 1)
-                if opp_sample is not None:
-                    b = dot(h, opp_sample)
-                    middle = primitive(tuple(abs(val) * y + abs(b) * x for x, y in zip(sample, opp_sample)))
-                    new_cells += [opp_sample, middle]
+    chambers = [cone_from_halfspaces((), (), rank)]
+    for h in normals:
+        halved = []
+        for c in chambers:
+            vals = [dot(h, g) for g in c.generators]
+            if (max(vals, default=0) > 0 > min(vals, default=0)) or any(dot(h, l) for l in c.lineality):
+                halved += [cone_from_halfspaces(c.halfspaces + (s,), c.equations, rank) for s in (h, vscale(-1, h))]
             else:
-                # sample lies on the hyperplane: either the cell is inside it
-                # or the hyperplane cuts through the relatively open cell
-                plus = side(1)
-                if plus is None:
-                    new_cells.append(sample)
-                else:
-                    minus = side(-1)
-                    if minus is None:
-                        raise InternalConsistencyError(
-                            f"the open cell of sample {sample} meets {h} > 0 but not {h} < 0, "
-                            "though it lies on the hyperplane"
-                        )
-                    new_cells += [plus, minus, sample]
-        cells = new_cells
-    return cells
+                halved.append(c)
+        chambers = halved
+    return [relative_interior_sample(f) for f in _closure(chambers)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,7 @@ which rays lie on which input constraints; the input side is made canonical
 from that incidence (:func:`_cone_by_incidence`), which each cone keeps, so
 faces, facets and pull-backs to a lattice need no run.  An intersection
 continues the run of one operand from its rays, lines and incidence, and
-inserts only the other operand's constraints.  It also decides
-strict feasibility: :func:`_strict_sample` finds an integer point of
-``{s.x > 0, e.x == 0}`` as the sum of the rays of its closure, or shows
-there is none.  Arrangement cells reduce to it; affine slice types are
+inserts only the other operand's constraints.  Affine slice types are
 read off the projected cone (:func:`affine_slice_type`), and fiber
 dimensions off the meeting sets of the quotient
 (:func:`chow.fiber_dim_cones`).  Every cone is interned in one cache
@@ -421,7 +418,8 @@ def image_cone(matrix: Mat, c: Cone) -> Cone:
     """Image of a cone under an integer matrix (rows act on column vectors),
     kept on ``c`` per matrix as a tuple of tuples (a library matrix is its
     own key, not copied per cone), so each cone is projected once per map;
-    rows without ``c``'s rank entries raise ``ValueError``."""
+    rows without ``c``'s rank entries raise ``ValueError``, and a
+    non-integer entry ``TypeError``, on either path."""
     if not (type(matrix) is tuple and all(type(r) is tuple for r in matrix)):
         matrix = mat(matrix)
     return _image_cone(c, matrix)
@@ -429,7 +427,7 @@ def image_cone(matrix: Mat, c: Cone) -> Cone:
 
 @kept
 def _image_cone(c: Cone, matrix: Mat) -> Cone:
-    require_shape(matrix, len(matrix), c.ambient_rank)
+    require_shape(mat(matrix), len(matrix), c.ambient_rank)
     lines = [mat_vec(matrix, l) for l in c.lineality]
     return cone_from_generators(
         [mat_vec(matrix, g) for g in c.generators],
@@ -493,25 +491,6 @@ def _span_lattice(c: Cone) -> Sublattice:
     lattice is its integer kernel, already in canonical HNF.
     """
     return Sublattice(c.ambient_rank, integer_kernel(c.equations, c.ambient_rank))
-
-
-# ---------------------------------------------------------------------------
-# strict feasibility by double description
-
-
-def _strict_sample(
-    strict: Sequence[Sequence[int]], eqs: Sequence[Sequence[int]], rank: int
-) -> Optional[Vec]:
-    """An integer point of ``{x : s.x > 0 for s in strict, e.x == 0}``, or None.
-
-    The set is nonempty exactly when it is the relative interior of its
-    closure ``{s.x >= 0, e.x == 0}``, and the sum of the closure's rays lies
-    in that relative interior; so it is nonempty exactly when every ``s`` is
-    positive on the sum.
-    """
-    rays, _, _ = double_description(strict, eqs, rank)
-    total = tuple(map(sum, zip(*rays))) if rays else (0,) * rank
-    return total if all(sum(map(mul, s, total)) > 0 for s in strict) else None
 
 
 def affine_slice_type(c: Cone, psi: Sequence, sub: Sublattice) -> str:

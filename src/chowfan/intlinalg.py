@@ -21,10 +21,12 @@ arithmetic anywhere.  The central objects are
 Vectors are tuples of Python ints, matrices are tuples of row tuples.
 Inside the library that is an invariant, so each vector or matrix kernel
 is one builtin pass (``map`` over :mod:`operator`, ``sum``, ``gcd(*v)``)
-and converts nothing.  ``int()`` coercion happens only at the boundaries:
-the decoders, the public constructors (:func:`vec`, :func:`mat`,
-:func:`sublattice`, the cone constructors) and the inputs of the normal
-forms.  :func:`identity_matrix` is memoised; its tuples are shared.
+and converts nothing.  Entries are read with :func:`operator.index` only
+at the boundaries: the decoders, the public constructors (:func:`vec`,
+:func:`mat`, :func:`sublattice`, the cone constructors) and the inputs of
+the normal forms; a float, a ``Fraction`` or a string raises
+``TypeError`` there instead of being truncated.  :func:`identity_matrix`
+is memoised; its tuples are shared.
 Most Hermite forms are kernels: the cone code takes none for a facet of a
 full-dimensional cone and one for a lineality (not a saturation of the
 lines); a monoid's group ``span(c) ∩ L``, and the group of each of its
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import gcd, prod
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from ._record import Record, kept
@@ -62,7 +64,7 @@ class InternalConsistencyError(RuntimeError):
 
 
 def vec(entries: Iterable[int]) -> Vec:
-    return tuple(map(int, entries))
+    return tuple(map(index, entries))
 
 
 def vadd(a: Sequence[int], b: Sequence[int]) -> Vec:
@@ -98,7 +100,7 @@ def primitive(a: Sequence[int]) -> Vec:
 
 
 def mat(rows: Iterable[Iterable[int]]) -> Mat:
-    return tuple([tuple(map(int, r)) for r in rows])
+    return tuple([tuple(map(index, r)) for r in rows])
 
 
 def require_shape(m: Mat, rows: int, cols: int) -> None:

@@ -112,20 +112,35 @@ def validate_stack_morphism(
     Raises :class:`~chowfan.cones.NoTargetCone` when some cone has no image
     cone, and ``ValueError`` when the matrix is not target rank × source
     rank.  Each monoid must map into the monoid of its assigned cone, by
-    :func:`~chowfan.monoids.monoid_hom`'s test on rays and group, run once
-    per distinct pair (:func:`_maps_every_monoid`).  Only when that fails
-    does ``monoid_hom`` run per monoid in source order, so the first to fail
-    raises: ``ValueError`` for a wrong rank, or :class:`MonoidNotMapped`
-    naming the source cone, the target cone and a generator mapped outside.
+    :func:`~chowfan.monoids.monoid_hom`'s test on rays and group, in one
+    pass over the sources in order: a source's ranks are compared with the
+    fans' before anything is mapped, and only its (vector, target cone)
+    pairs not passed by an earlier source are tested, each image mapped
+    once.  At the first source that fails, ``monoid_hom`` runs on it alone
+    and raises: ``ValueError`` for a wrong rank, or
+    :class:`MonoidNotMapped` naming the source cone, the target cone and a
+    generator mapped outside.
     """
     mtx = mat(matrix)
     fm = check_fan_morphism(mtx, src.fan, dst.fan)
-    if _maps_every_monoid(mtx, src, dst, fm.cone_assignment):
-        return StackMorphism(mtx, src, dst, fm)
-    for i, m in enumerate(src.monoids):
-        j = fm.cone_assignment[i]
+    to_cone, to_group, image = set(), set(), {}
+    for i, (m, j) in enumerate(zip(src.monoids, fm.cone_assignment)):
+        target = dst.monoids[j]
+        if m.ambient_rank == src.fan.ambient_rank and target.ambient_rank == dst.fan.ambient_rank:
+            c = m.cone
+            rays = {(v, j) for v in c.generators + c.lineality + tuple(vscale(-1, l) for l in c.lineality)} - to_cone
+            basis = {(b, j) for b in m.group.basis} - to_group
+            for v, _ in rays | basis:
+                if v not in image:
+                    image[v] = mat_vec(mtx, v)
+            if all(target.cone.contains(image[v]) for v, _ in rays) and all(
+                target.group.contains(image[b]) for b, _ in basis
+            ):
+                to_cone |= rays
+                to_group |= basis
+                continue
         try:
-            monoid_hom(mtx, m, dst.monoids[j])
+            monoid_hom(mtx, m, target)
         except MonoidNotMapped as e:
             raise MonoidNotMapped(
                 f"generator {e.generator} of the monoid at cone {i} does not map into "
@@ -134,24 +149,6 @@ def validate_stack_morphism(
                 e.image,
             ) from e
     return StackMorphism(mtx, src, dst, fm)
-
-
-def _maps_every_monoid(mtx: Mat, src: ToricStackDatum, dst: ToricStackDatum, assignment: Sequence[int]) -> bool:
-    """``monoid_hom``'s test on the union of the monoids assigned to each target
-    cone (``A(c_i ∩ G_i) ⊆ c′ ∩ G′`` for all ``i`` iff the union maps in): each
-    distinct (vector, target cone) pair tested once.  False on a misfit rank."""
-    to_cone, to_group = set(), set()
-    for m, j in zip(src.monoids, assignment):
-        if m.ambient_rank != src.fan.ambient_rank or dst.monoids[j].ambient_rank != dst.fan.ambient_rank:
-            return False
-        c = m.cone
-        to_cone.update((v, j) for v in c.generators + c.lineality + tuple(vscale(-1, l) for l in c.lineality))
-        to_group.update((b, j) for b in m.group.basis)
-    image = {v: mat_vec(mtx, v) for v in {v for v, _ in to_cone | to_group}}
-    target = dst.monoids
-    return all(target[j].cone.contains(image[v]) for v, j in to_cone) and all(
-        target[j].group.contains(image[b]) for b, j in to_group
-    )
 
 
 def stabilizer_invariants(d: ToricStackDatum, cone_index: int) -> tuple[int, ...]:

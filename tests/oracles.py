@@ -5,6 +5,10 @@ reduction, exhaustive search) and shares no code with the library paths it
 is used to check.  The fan oracles at the end are the all-pairs scans that
 fan incidence once used; they build on the library's cone primitives
 (containment, intersection, faces) but not on its fan-level incidence.
+The strict-feasibility test and the cell split after the grid slice
+test are the library's earlier ones, one double description per test and
+a sample per cell built from the samples of its sides; the homogenised
+slice classifier and the cell-hull quotient use them.
 The Smith normal form after the minor gcds is the library's earlier
 elimination loop with both unimodular transforms; the parallelepiped and
 quotient-map oracles below read their boxes and completions off it.
@@ -383,6 +387,67 @@ def grid_slice_nonempty(halfspaces, equations, psi, directions, steps=24, span=6
     return False
 
 
+def strict_sample(strict, eqs, rank):
+    """An integer point of ``{x : s.x > 0 for s in strict, e.x == 0}``, or
+    None: the library's earlier strict-feasibility routine.
+
+    The set is nonempty exactly when it is the relative interior of its
+    closure ``{s.x >= 0, e.x == 0}``, and the sum of the closure's rays lies
+    in that relative interior; so it is nonempty exactly when every ``s`` is
+    positive on the sum.
+    """
+    from chowfan.cones import double_description
+
+    rays, _, _ = double_description(strict, eqs, rank)
+    total = tuple(map(sum, zip(*rays))) if rays else (0,) * rank
+    return total if all(_dot(s, total) > 0 for s in strict) else None
+
+
+def cells_by_feasibility(normals, rank):
+    """One integer sample per nonempty relatively open cell of a central
+    arrangement: the library's earlier cell split, one strict-feasibility
+    test per cell and normal.
+
+    Each cell's signs on the normals before ``h`` are read off its sample.
+    A cell off the hyperplane of ``h`` splits iff the opposite open side is
+    nonempty, and the cell on the hyperplane between the two sides is then
+    sampled by a positive combination of the two samples; a cell on the
+    hyperplane either lies inside it or is cut into both sides.
+    """
+    cells = [(0,) * rank]
+    for idx, h in enumerate(normals):
+        prior = normals[:idx]
+        new_cells = []
+        for sample in cells:
+            vals = [_dot(n, sample) for n in prior]
+            eqs = [n for n, v in zip(prior, vals) if v == 0]
+            strict = [n if v > 0 else tuple(-x for x in n) for n, v in zip(prior, vals) if v != 0]
+
+            def side(sign):
+                return strict_sample(strict + [tuple(sign * x for x in h)], eqs, rank)
+
+            val = _dot(h, sample)
+            if val != 0:
+                new_cells.append(sample)
+                opp = side(-1 if val > 0 else 1)
+                if opp is not None:
+                    b = _dot(h, opp)
+                    middle = [abs(val) * y + abs(b) * x for x, y in zip(sample, opp)]
+                    g = gcd(*middle)
+                    new_cells += [opp, tuple(x // g for x in middle)]
+            else:
+                plus = side(1)
+                if plus is None:
+                    new_cells.append(sample)
+                else:
+                    minus = side(-1)
+                    if minus is None:
+                        raise AssertionError(f"the open cell of sample {sample} meets {h} > 0 but not {h} < 0")
+                    new_cells += [plus, minus, sample]
+        cells = new_cells
+    return cells
+
+
 def affine_slice_type_by_homogenisation(c, psi, sub):
     """Classify ``relint(c) ∩ (psi + span_R(sub))`` by one strict-feasibility
     test in the slice coordinates.
@@ -391,8 +456,6 @@ def affine_slice_type_by_homogenisation(c, psi, sub):
     it is a point when the equations of ``c`` restricted to ``span(sub)``
     have full rank.
     """
-    from chowfan.cones import _strict_sample
-
     basis = sub.basis
 
     def restrict(f):
@@ -403,7 +466,7 @@ def affine_slice_type_by_homogenisation(c, psi, sub):
     eqs = [restrict(e) for e in c.equations]
     strict = [restrict(h) for h in c.halfspaces]
     strict.append(tuple(0 for _ in basis) + (1,))
-    if _strict_sample(strict, eqs, len(basis) + 1) is None:
+    if strict_sample(strict, eqs, len(basis) + 1) is None:
         return "empty"
     restricted = [e[:-1] for e in eqs]
     return "point" if matrix_rank(restricted) == len(basis) else "positive_dim"
@@ -1075,7 +1138,7 @@ def chow_quotient_by_cell_hulls(fan, sub):
     own; and each quotient cone's meeting set found again by scanning every
     image at a sample of its relative interior.  A cell's signs are read
     off its sample, which lies in its relative interior."""
-    from chowfan.chow import ChowQuotient, _canonical_normal, _cell_split, _cone_data, _meeting_set, multiplicity
+    from chowfan.chow import ChowQuotient, _canonical_normal, _cone_data, _meeting_set, multiplicity
     from chowfan.cones import (
         Fan,
         _cone_sort_key,
@@ -1092,7 +1155,7 @@ def chow_quotient_by_cell_hulls(fan, sub):
     images = tuple(image_cone(proj.matrix, c) for c in fan.cones)
     normals = sorted({_canonical_normal(h) for img in images for h in img.halfspaces + img.equations if any(h)})
     groups = {}
-    for sample in _cell_split(tuple(normals), q):
+    for sample in cells_by_feasibility(tuple(normals), q):
         signs = [(d > 0) - (d < 0) for d in (_dot(n, sample) for n in normals)]
         groups.setdefault(_meeting_set(images, sample), []).append(signs)
     merged = []

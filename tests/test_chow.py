@@ -159,22 +159,6 @@ class TestQuotientFan:
         with pytest.raises(InternalConsistencyError, match="quotient cone 2: no cone"):
             chow_quotient(p2, l_horizontal)
 
-    def test_cell_off_one_side_of_its_hyperplane_names_its_sample(self, p2, l_horizontal, monkeypatch):
-        import chowfan.chow
-
-        calls = []
-        real = chowfan.chow._strict_sample
-
-        def one_sided(strict, eqs, rank):
-            # the origin lies on the first hyperplane: its first two samples
-            # are of the sides h > 0 and h < 0, and the second finds none
-            calls.append(strict)
-            return None if len(calls) == 2 else real(strict, eqs, rank)
-
-        monkeypatch.setattr(chowfan.chow, "_strict_sample", one_sided)
-        with pytest.raises(InternalConsistencyError, match=r"^the open cell of sample \(0,\) meets"):
-            chow_quotient(p2, l_horizontal)
-
 
 def _doctored_inputs():
     """The inputs on which a doctored class cone or meeting set is refused."""
@@ -527,6 +511,70 @@ class TestMeetingSetsMatchTheScan:
         doctored = chow_quotient(fan, sub)
         assert doctored.cone_data[origin].meeting_set == {0, 3}
         assert self._mismatched(doctored) == [origin]
+
+
+def _arrangement(fan, sub):
+    """The sorted canonical normals of every image of ``fan`` in the
+    quotient by ``sub``, and the quotient rank, as :func:`chow_quotient`
+    builds them."""
+    from chowfan.chow import _canonical_normal
+    from chowfan.intlinalg import quotient_map
+
+    proj = quotient_map(fan.ambient_rank, sub)
+    images = [image_cone(proj.matrix, c) for c in fan.cones]
+    normals = {_canonical_normal(h) for img in images for h in img.halfspaces + img.equations if any(h)}
+    return tuple(sorted(normals)), proj.target_rank
+
+
+def _covectors(normals, samples):
+    return sorted(
+        tuple((d > 0) - (d < 0) for d in (sum(a * x for a, x in zip(n, v)) for n in normals)) for v in samples
+    )
+
+
+class TestCellsAreChamberFaces:
+    """The cells of an arrangement, read off the faces of its chambers,
+    against one strict-feasibility test per cell and normal: the same
+    covectors, one sample each, and ``2 × chambers − 1`` conversions."""
+
+    @staticmethod
+    def _agree(normals, rank):
+        from chowfan.chow import _cell_split
+
+        got = _covectors(normals, _cell_split(normals, rank))
+        assert got == _covectors(normals, oracles.cells_by_feasibility(normals, rank))
+        assert len(set(got)) == len(got)
+
+    def test_fixtures_corpus_and_rank_4(self):
+        inputs = [parse_input(path.read_text())[:2] for path in sorted(FIXTURES.glob("*.json"))]
+        rank4 = [(orthant_fan(4), sublattice(4, rows)) for rows in ([[1, 2, 3, 5]], [[1, 1, 1, 1], [0, 1, -1, 1]])]
+        for fan, sub in inputs + corpus(count=10) + rank4:
+            self._agree(*_arrangement(fan, sub))
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 4).flatmap(
+        lambda r: st.tuples(st.just(r), st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r), max_size=7))
+    ))
+    def test_random_arrangements(self, drawn):
+        from chowfan.chow import _canonical_normal
+
+        rank, rows = drawn
+        self._agree(tuple(sorted({_canonical_normal(tuple(n)) for n in rows if any(n)})), rank)
+
+    def test_two_conversions_per_chamber_but_one(self, monkeypatch):
+        import chowfan.cones
+        from chowfan.chow import _cell_split
+
+        normals, rank = _arrangement(orthant_fan(4), sublattice(4, [[1, 2, 3, 5]]))
+        real, calls = chowfan.cones.double_description, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(chowfan.cones, "double_description", counted)
+        chambers = [c for c in _covectors(normals, _cell_split(normals, rank)) if 0 not in c]
+        assert len(chambers) == 32 and len(calls) == 2 * 32 - 1
 
 
 class TestRawConesLieInTheLiftLatticeSpan:

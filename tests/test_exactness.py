@@ -12,10 +12,22 @@ call and no import of ``dataclasses``, whose classes are built by ``exec``
 
 Nor does it hold an ``assert`` statement, which ``python -O`` removes: a
 check the library relies on raises.
+
+At run time, a float, a ``Fraction`` or a string entering the library as a
+vector or matrix entry raises ``TypeError`` instead of being truncated.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from chowfan.cones import check_fan_morphism, cone_from_generators, fan_from_cones, image_cone
+from chowfan.intlinalg import mat, sublattice, vec
+from chowfan.monoids import member, monoid_from_cone
+
+from conftest import p1p1_fan
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chowfan"
 
@@ -130,3 +142,33 @@ def test_library_source_has_no_assert():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {k: v for k, v in found.items() if v} == {}
+
+
+_C = cone_from_generators([(1, 0)])
+_LINE = fan_from_cones([cone_from_generators([(1,)]), cone_from_generators([(-1,)])])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_fan_morphism([[1.5, 0]], p1p1_fan(), _LINE),
+        lambda: image_cone([[0.5, 0]], _C),
+        lambda: image_cone(((0.5, 0),), _C),
+        lambda: cone_from_generators([(1.5, 0)]),
+        lambda: sublattice(2, [[1.5, 0]]),
+        lambda: member(monoid_from_cone(cone_from_generators([(1, 0), (0, 1)])), (1.7, 0)),
+        lambda: mat([[Fraction(1, 2)]]),
+        lambda: vec(["1"]),
+    ],
+    ids=["fan-morphism", "image-list", "image-tuple", "generators", "sublattice", "member", "fraction", "string"],
+)
+def test_non_integer_entries_raise(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_integer_entries_still_read():
+    # bools and ints are integers to ``operator.index``; an integral float is not
+    assert mat([[True, 2]]) == ((1, 2),) and vec((3, -4)) == (3, -4)
+    with pytest.raises(TypeError):
+        vec([1.0])

@@ -206,8 +206,9 @@ def _agree(matrix, src, dst):
 
 class TestMorphismByDistinctPairs:
     """validate_stack_morphism tests each distinct (vector, target cone)
-    pair once and falls back to the per-cone loop only on a failure: the
-    same morphism on the families, the same error on every mutant."""
+    pair once, in one pass over the sources in order, and runs
+    ``monoid_hom`` only on the first that fails: the same morphism on the
+    families, the same error on every mutant."""
 
     @pytest.fixture(scope="class")
     def families(self):
