@@ -1,17 +1,10 @@
-"""Command line interface.
-
-Input documents describe a complete fan and a sublattice; subcommands
-compute and print deterministic JSON documents.  Exit codes: 0 success,
-1 usage, 2 parse error, 3 validation error, 4 internal consistency
-(a structural property the theory guarantees failed, which is a bug
-signal rather than a user error).
-"""
+"""Command line interface; ``USAGE`` lists its commands, options and exit codes."""
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from ._record import replace
@@ -75,39 +68,75 @@ class ValidationError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would sys.exit(2); we want exit 1
-        raise UsageError(message)
-
-
 def _degree_bound(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise ValueError(f"must be at least 1, got {value}")
     return value
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="chowfan", description=__doc__)
-    p.add_argument("command", choices=[
-        "validate", "quotient", "multiplicities", "cycle", "family", "fiber",
-        "check", "all",
-    ])
-    p.add_argument("input", help="input document path, or - for stdin")
-    p.add_argument("--saturate", action="store_true",
-                   help="replace the sublattice by its saturation instead of failing")
-    p.add_argument("--cone", type=int, default=None,
-                   help="quotient cone index for cycle/fiber")
-    p.add_argument("--bound", type=_degree_bound, default=8,
-                   help="degree bound for the integrality check")
-    p.add_argument("--integral", action="store_true")
-    p.add_argument("--reduced", action="store_true")
-    p.add_argument("--equidim", action="store_true")
-    p.add_argument("--basic", action="store_true")
-    p.add_argument("--output", default=None, help="write the document here instead of stdout")
-    p.add_argument("--graph-out", default=None,
-                   help="also write the fiber graph in DOT format to this path")
-    return p
+_COMMANDS = ("validate", "quotient", "multiplicities", "cycle", "family", "fiber", "check", "all")
+_FLAGS = ("--saturate", "--integral", "--reduced", "--equidim", "--basic")
+_VALUED = {"--cone": int, "--bound": _degree_bound, "--output": str, "--graph-out": str}
+_OPTIONS = (*_FLAGS, *_VALUED, "--help")
+
+USAGE = f"""usage: chowfan [-h | --help] COMMAND INPUT [options]; INPUT is a path, or - for stdin
+COMMAND: {", ".join(_COMMANDS)}
+Options go anywhere, as --opt VALUE or --opt=VALUE, or by a unique prefix:
+  --saturate        replace the sublattice by its saturation instead of failing
+  --cone K          quotient cone index for cycle and fiber (required there)
+  --bound B         degree bound of the integrality check, at least 1 (default 8)
+  --integral, --reduced, --equidim, --basic: run only these checks (default: all)
+  --output PATH     write the document here instead of stdout
+  --graph-out PATH  also write the fiber graph in DOT format to this path
+Exit codes: 0 success, 1 usage, 2 parse, 3 validation, 4 internal consistency (a bug).
+"""
+
+
+def _option_of(word: str) -> Optional[str]:
+    """The option ``word`` names, ``""`` for none or ``None`` for a positional,
+    by argparse's rules; an ambiguous prefix raises :class:`UsageError`."""
+    if word[:1] != "-" or word == "-":
+        return None
+    name = word.partition("=")[0]
+    found = [o for o in _OPTIONS if o.startswith(name)] if name[:2] == "--" else ["--help"] * (name[:2] == "-h")
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option: {name} could match {', '.join(found)}")
+    negative_number = word[1:].replace(".", "", 1).isdecimal() and word[-1] != "."
+    return found[0] if found else None if negative_number or " " in word else ""
+
+
+def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The attributes ``run`` reads, or ``None`` for ``--help``, from ``argv`` read
+    as argparse read it, errors and their order included (``docs/format.md``)."""
+    ends = argv.index("--") if "--" in argv else len(argv)
+    # the "--" kind ends the options, and argv, for a value lookahead
+    kinds = [_option_of(w) for w in argv[:ends]] + ["--"] + [None] * (len(argv) - ends - 1)
+    args = dict(dict.fromkeys([f[2:] for f in _FLAGS], False), cone=None, bound=8, output=None, graph_out=None)
+    positionals, i = [], 0
+    while i < len(argv):
+        word, option, i = argv[i], kinds[i], i + 1
+        if option is None:
+            if not positionals and word not in _COMMANDS:
+                raise UsageError(f"invalid command {word!r} (choose from {', '.join(_COMMANDS)})")
+            positionals.append(word)
+        elif option in _VALUED:
+            if "=" not in word and kinds[i] is not None:
+                raise UsageError(f"argument {option}: expected one value")
+            value, i = (word.partition("=")[2], i) if "=" in word else (argv[i], i + 1)
+            try:
+                args[option[2:].replace("-", "_")] = _VALUED[option](value)
+            except ValueError as exc:
+                raise UsageError(f"argument {option}: {exc}") from None
+        elif option in _OPTIONS:  # a flag or --help; "" (unknown) and "--" raise or end below
+            if "=" in word or word[1] != "-" and word != "-h":
+                raise UsageError(f"argument {option} takes no value: {word!r}")
+            if option == "--help":
+                return None
+            args[option[2:]] = True
+    if len(positionals) != 2 or "" in kinds:
+        raise UsageError(f"got {positionals} for COMMAND INPUT, unknown {[w for w, k in zip(argv, kinds) if k == '']}")
+    return SimpleNamespace(command=positionals[0], input=positionals[1], **args)
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +298,13 @@ def _cmd_all(fan: Fan, sub: Sublattice, cq: ChowQuotient, fam: UniversalFamily, 
 def run(argv: Optional[Sequence[str]] = None, stdout=None):
     """Dispatch a CLI invocation; returns the process exit code."""
     out = stdout if stdout is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _read_argv(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            out.write(USAGE)
+            return EXIT_OK
+        if args.command in ("cycle", "fiber") and args.cone is None:
+            raise UsageError(f"{args.command} requires --cone")
         if args.input == "-":
             text = sys.stdin.read()
         else:
@@ -295,16 +324,12 @@ def run(argv: Optional[Sequence[str]] = None, stdout=None):
             if command == "quotient":
                 doc = encode_chow_document(cq)
             elif command == "cycle":
-                if args.cone is None:
-                    raise UsageError("cycle requires --cone")
                 doc = _cmd_cycle(cq, args.cone)
             else:
                 fam = universal_family(cq)
                 if command == "family":
                     doc = encode_family_document(fam)
                 elif command == "fiber":
-                    if args.cone is None:
-                        raise UsageError("fiber requires --cone")
                     doc = _cmd_fiber(fam, args.cone, args.graph_out)
                 elif command == "check":
                     doc = _cmd_check(fam, args)

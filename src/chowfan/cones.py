@@ -419,8 +419,13 @@ def image_cone(matrix: Mat, c: Cone) -> Cone:
     kept on ``c`` per matrix as a tuple of tuples (a library matrix is its
     own key, not copied per cone), so each cone is projected once per map;
     rows without ``c``'s rank entries raise ``ValueError``, and a
-    non-integer entry ``TypeError``, on either path."""
-    if not (type(matrix) is tuple and all(type(r) is tuple for r in matrix)):
+    non-integer entry ``TypeError``, on either path and before the kept
+    image is looked up (``((1.0, 0),)`` equals ``((1, 0),)`` as a key)."""
+    if not (
+        type(matrix) is tuple
+        and all(type(r) is tuple for r in matrix)
+        and {type(x) for r in matrix for x in r} <= {int}
+    ):
         matrix = mat(matrix)
     return _image_cone(c, matrix)
 

@@ -55,8 +55,11 @@ test per source cone in source order, against which the test run once
 per distinct vector and target cone is compared, verdicts and errors.
 After it comes the library's earlier provenance check of a universal
 family, which cut every family cone out again as ``p^{-1}(base) ∩ host``.
+The last is the CLI's earlier argv reader, an ``argparse`` parser whose
+errors raise ``chowfan.cli.UsageError`` and whose ``--help`` exits 0.
 """
 
+import argparse
 import json
 from fractions import Fraction
 from itertools import product
@@ -1256,3 +1259,40 @@ def provenance_by_intersection(fam):
     rank = fam.fan.ambient_rank
     preimages = [preimage_cone(fam.chow.projection.matrix, kappa, rank) for kappa in fam.base.fan.cones]
     return tuple(intersect_cones(preimages[base], fam.variety.fan.cones[host]) for host, base in fam.provenance)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would sys.exit(2); we want exit 1
+        from chowfan.cli import UsageError
+
+        raise UsageError(message)
+
+
+def _degree_bound(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _build_parser() -> _Parser:
+    p = _Parser(prog="chowfan", description=__doc__)
+    p.add_argument("command", choices=[
+        "validate", "quotient", "multiplicities", "cycle", "family", "fiber",
+        "check", "all",
+    ])
+    p.add_argument("input", help="input document path, or - for stdin")
+    p.add_argument("--saturate", action="store_true",
+                   help="replace the sublattice by its saturation instead of failing")
+    p.add_argument("--cone", type=int, default=None,
+                   help="quotient cone index for cycle/fiber")
+    p.add_argument("--bound", type=_degree_bound, default=8,
+                   help="degree bound for the integrality check")
+    p.add_argument("--integral", action="store_true")
+    p.add_argument("--reduced", action="store_true")
+    p.add_argument("--equidim", action="store_true")
+    p.add_argument("--basic", action="store_true")
+    p.add_argument("--output", default=None, help="write the document here instead of stdout")
+    p.add_argument("--graph-out", default=None,
+                   help="also write the fiber graph in DOT format to this path")
+    return p

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -9,7 +10,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chowfan.cli import parse_input, run
+from chowfan.cli import USAGE, UsageError, _read_argv, parse_input, run
 from chowfan.serialize import (
     DocumentError,
     _decimal,
@@ -411,6 +412,133 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         code, _ = _run(["quotient", str(path)])
         assert code == 3
+
+
+def _reading(read, argv):
+    """What ``read`` makes of ``argv``: ``"help"``, ``"usage"`` for a usage
+    error, or the attributes it read."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            args = read(argv)
+    except UsageError:
+        return "usage"
+    except SystemExit as exc:  # argparse's --help
+        assert exc.code == 0
+        return "help"
+    return "help" if args is None else vars(args)
+
+
+def _by_argparse(argv):
+    return oracles._build_parser().parse_args(argv)
+
+
+def _argparse_words():
+    """Every command and option string the argparse parser knows."""
+    actions = oracles._build_parser()._actions
+    commands = next(a for a in actions if a.dest == "command").choices
+    return set(commands) | {o for a in actions for o in a.option_strings}
+
+
+# every command and option, the = form, options before and between the
+# positionals, repeats, prefixes, "-" as the input, and each kind of usage error
+ARGVS = [
+    *[[command, P2] for command in ("validate", "quotient", "multiplicities", "cycle", "family", "fiber", "check", "all")],
+    ["check", P2, "--saturate", "--integral", "--reduced", "--equidim", "--basic"],
+    ["fiber", P1P1, "--cone", "1", "--graph-out", "g.dot", "--output", "o.json", "--bound", "3"],
+    ["fiber", P1P1, "--cone=1", "--graph-out=g.dot", "--output=o.json", "--bound=3"],
+    ["check", P2, "--output=", "--output=a b", "--bound", " 4 "],
+    ["--saturate", "--bound", "2", "check", P2],
+    ["--cone", "1", "fiber", "--graph-out", "g.dot", P1P1, "--integral"],
+    ["check", P2, "--bound", "2", "--bound", "5", "--cone=1", "--cone", "3", "--basic", "--basic"],
+    ["validate", P2, "--sat"],
+    ["fiber", P1P1, "--c", "1", "--graph", "g.dot", "--o=o.json", "--bo", "2", "--i", "--r", "--e", "--ba", "--s"],
+    ["check", P2, "--b", "4"],
+    ["check", P2, "--b=4"],
+    ["check", P2, "--bound"],
+    ["check", P2, "--cone", "--saturate"],
+    ["check", P2, "--output", "-x"],
+    ["check", P2, "--bound", "0"],
+    ["check", P2, "--bound", "-3"],
+    ["check", P2, "--bound=0"],
+    ["check", P2, "--bound", "x"],
+    ["cycle", P2, "--cone", "x"],
+    ["cycle", P2, "--cone", "-1"],
+    ["cycle", P2, "--cone", "1.5"],
+    ["validate", P2, "extra"],
+    ["validate", P2, "--frobnicate"],
+    ["validate", P2, "--frobnicate=1"],
+    ["validate", P2, "-x"],
+    ["validate", P2, "--saturate=1"],
+    ["frobnicate", P2],
+    ["validate"],
+    [],
+    ["validate", "-"],
+    ["-", "validate"],
+    ["validate", "-", "--saturate"],
+    ["validate", "-5"],
+    ["validate", "-a b"],
+    ["validate", "--", "-x.json"],
+    ["--help"],
+    ["-h"],
+    ["--he"],
+    ["validate", P2, "--help"],
+    ["--help", "--bound", "0"],
+    ["check", P2, "--bound", "0", "--help"],
+    ["validate", P2, "--frobnicate", "--help"],
+    ["validate", P2, "extra", "-h"],
+    ["frobnicate", "--help"],
+    ["--help", "--b"],
+    ["validate", P2, "-hx"],
+    ["validate", P2, "--help=1"],
+]
+
+
+class TestArgv:
+    """The argv reader against the argparse parser it replaced."""
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda a: " ".join(a).replace(FIXTURES, "") or "empty")
+    def test_reads_as_argparse(self, argv):
+        assert _reading(_read_argv, argv) == _reading(_by_argparse, argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([
+        "validate", "cycle", "fiber", "check", "frobnicate", P2, "-", "x", "0", "3", "-3",
+        "--saturate", "--sat", "--s", "--integral", "--i", "--basic", "--ba", "--b", "--b=2",
+        "--bound", "--bo", "--bound=2", "--bound=0", "--cone", "--c", "--cone=x", "--cone=-1",
+        "--output", "--graph-out", "--g=o.dot", "--saturate=1", "--frob", "-x", "--help", "-h",
+    ]), max_size=7))
+    def test_word_sequences_read_as_argparse(self, argv):
+        assert _reading(_read_argv, argv) == _reading(_by_argparse, argv)
+
+    def test_table_covers_every_command_and_option(self):
+        assert _argparse_words() <= {w.partition("=")[0] for argv in ARGVS for w in argv}
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["validate", P2, "--help"], ["--he", "--frobnicate"]])
+    def test_help_is_returned(self, argv, capsys):
+        buf = io.StringIO()
+        assert run(argv, stdout=buf) == 0
+        assert buf.getvalue() == USAGE
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_names_every_command_and_option(self):
+        assert all(word in USAGE for word in _argparse_words())
+
+    @pytest.mark.parametrize("argv", [a for a in ARGVS if _reading(_by_argparse, a) == "usage"])
+    def test_usage_error_writes_only_stderr(self, argv, capsys):
+        buf = io.StringIO()
+        assert run(argv, stdout=buf) == 1 and buf.getvalue() == ""
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: ")
+
+    def test_cold_run_loads_no_argparse_gettext_or_locale(self):
+        code = (
+            "import io, sys; import chowfan.cli as cli; "
+            "assert cli.run(['validate', sys.argv[1]], stdout=io.StringIO()) == 0; "
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+        out = subprocess.run([sys.executable, "-S", "-c", code, P2], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestDeterminism:

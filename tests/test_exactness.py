@@ -167,6 +167,19 @@ def test_non_integer_entries_raise(call):
         call()
 
 
+@pytest.mark.parametrize("integer_first", [True, False], ids=["integer-first", "float-first"])
+def test_float_matrix_raises_whatever_was_projected_before(integer_first):
+    # ((1.0, 0),) equals ((1, 0),) as a key, so the kept image of the integer
+    # matrix must not answer for it; each order gets a cone of its own
+    c = cone_from_generators([(2, 5), (3, 7)] if integer_first else [(2, 5), (3, 8)])
+    for _ in range(2):
+        if integer_first:
+            image_cone(((1, 0),), c)
+        with pytest.raises(TypeError):
+            image_cone(((1.0, 0),), c)
+        integer_first = not integer_first
+
+
 def test_integer_entries_still_read():
     # bools and ints are integers to ``operator.index``; an integral float is not
     assert mat([[True, 2]]) == ((1, 2),) and vec((3, -4)) == (3, -4)
