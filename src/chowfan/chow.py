@@ -43,7 +43,7 @@ is read off the meeting set too (:func:`fiber_dim_cones`).
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from math import prod
 from typing import Sequence
 
@@ -265,8 +265,9 @@ def chow_quotient(fan: Fan, sub: Sublattice) -> ChowQuotient:
         i: (multiplicity(fan, sub, i), image_lattice(proj.matrix, _span_lattice(c)))
         for i, (c, img) in enumerate(zip(fan.cones, images)) if img.dim == c.dim
     }
+    meet = cache(lattice_intersection)  # one meet per distinct pair of lattices
     data = tuple(
-        _cone_data(images, point_facts, kappa, classes[kappa.key()], k)
+        _cone_data(images, point_facts, meet, kappa, classes[kappa.key()], k)
         for k, kappa in enumerate(gfan.cones)
     )
     return ChowQuotient(fan, sub, proj, gfan, data)
@@ -326,10 +327,10 @@ def _class_cone(members: Sequence[Cone], q: int) -> Cone:
     )
 
 
-def _cone_data(images, point_facts, kappa: Cone, meeting: frozenset[int], index: int) -> QuotientConeData:
+def _cone_data(images, point_facts, meet, kappa: Cone, meeting: frozenset[int], index: int) -> QuotientConeData:
     """The data of quotient cone ``index``, which is ``kappa``, the closure
-    of the class with meeting set ``meeting``; ``point_facts`` maps each
-    cone whose dimension the projection keeps to its weight and p(span σ ∩ N)."""
+    of the class with meeting set ``meeting``; ``point_facts`` maps each cone
+    the projection keeps the dimension of to its weight and p(span σ ∩ N)."""
     point_cones = [i for i in sorted(meeting) if i in point_facts]
     if not point_cones:
         raise InternalConsistencyError(
@@ -337,7 +338,7 @@ def _cone_data(images, point_facts, kappa: Cone, meeting: frozenset[int], index:
             "in a single point"
         )
     cycle = tuple((i, point_facts[i][0]) for i in point_cones)
-    lattice = reduce(lattice_intersection, dict.fromkeys(point_facts[i][1] for i in point_cones))
+    lattice = reduce(meet, dict.fromkeys(point_facts[i][1] for i in point_cones))
     raw_cone = reduce(intersect_cones, (images[i] for i in point_cones))
     monoid = saturated_monoid(kappa, lattice)
     if not monoid.is_pointed:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -248,6 +249,15 @@ def _cmd_fiber(fam: UniversalFamily, cone_index: int, graph_out: Optional[str]) 
     return encode_fiber_document(fam, fc, pres, tropical, dot)
 
 
+def _require_writable(path: Optional[str]) -> None:
+    """Refuse, before any work, a path that :func:`_write_file` could not write."""
+    folder = os.path.dirname(path) or os.curdir if path else None
+    if path and (os.path.isdir(path) or not os.path.isdir(folder)):
+        raise UsageError(f"cannot write {path!r}: {'it is a' if os.path.isdir(path) else 'no such'} directory")
+    if path and not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise UsageError(f"cannot write {path!r}: permission denied")
+
+
 def _write_file(path: str, text: str) -> None:
     """Write ``text`` to ``path``; a path that cannot be written is a usage error."""
     try:
@@ -305,6 +315,8 @@ def run(argv: Optional[Sequence[str]] = None, stdout=None):
             return EXIT_OK
         if args.command in ("cycle", "fiber") and args.cone is None:
             raise UsageError(f"{args.command} requires --cone")
+        _require_writable(args.output)
+        _require_writable(args.graph_out if args.command == "fiber" else None)
         if args.input == "-":
             text = sys.stdin.read()
         else:

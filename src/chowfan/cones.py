@@ -36,7 +36,9 @@ from .intlinalg import (
     Mat,
     Sublattice,
     Vec,
+    _span_cut,
     coordinates_in,
+    full_lattice,
     identity_matrix,
     integer_kernel,
     is_zero,
@@ -490,12 +492,10 @@ def relative_interior_sample(c: Cone) -> Vec:
 
 @kept
 def _span_lattice(c: Cone) -> Sublattice:
-    """The saturated lattice ``span_R(c) ∩ Z^r``, kept on the cone.
-
-    ``c.equations`` is a saturated basis of ``span(c)^⊥``, so the span
-    lattice is its integer kernel, already in canonical HNF.
+    """The saturated lattice ``span_R(c) ∩ Z^r``, kept on the cone: the cut
+    of ``Z^r`` by ``c.equations``, whose memo the cones of one span share.
     """
-    return Sublattice(c.ambient_rank, integer_kernel(c.equations, c.ambient_rank))
+    return _span_cut(full_lattice(c.ambient_rank), c.equations)
 
 
 def affine_slice_type(c: Cone, psi: Sequence, sub: Sublattice) -> str:

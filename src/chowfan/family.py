@@ -38,14 +38,16 @@ from .cones import (
 from .intlinalg import (
     Sublattice,
     Vec,
+    _lift_factor,
     _span_cut,
+    _substitute,
     coordinates_in,
     dot,
     full_lattice,
     identity_matrix,
+    mat_vec,
     preimage_lattice,
     row_lattice_hnf,
-    solve_rational,
     vadd,
     vscale,
     vsub,
@@ -119,9 +121,9 @@ def universal_family(cq: ChowQuotient) -> UniversalFamily:
         raise InternalConsistencyError("the family cones of the meeting pairs do not cover the space")
 
     bases = _guaranteed(check_fan_morphism, proj.matrix, ffan, gfan).cone_assignment
-    # per base cone, the preimage of its lift lattice
-    lattices = [preimage_lattice(proj.matrix, rank, d.lift_lattice) for d in cq.cone_data]
-    monoids = tuple(saturated_monoid(c, lattices[b]) for c, b in zip(ffan.cones, bases))
+    # per base cone, the preimage of its lift lattice, one per distinct lattice
+    pre = {lat: preimage_lattice(proj.matrix, rank, lat) for lat in dict.fromkeys(d.lift_lattice for d in cq.cone_data)}
+    monoids = tuple(saturated_monoid(c, pre[cq.cone_data[b].lift_lattice]) for c, b in zip(ffan.cones, bases))
     datum = ToricStackDatum(rank, ffan, monoids)
     variety, base_datum = variety_datum(fan), chow_stack_datum(cq)
     to_base = _guaranteed(validate_stack_morphism, proj.matrix, datum, base_datum)
@@ -200,18 +202,16 @@ def lift_into_span(proj, c: Cone, value: Sequence[int]) -> tuple[int, Vec]:
 
     The preimage is ``x / d`` with ``x`` integral and ``d > 0`` least; it is
     unique when ``proj`` is injective on the span, as it is on a section.
-    Raises ValueError when ``value`` is not in the projected span.
+    ``x = y @ W @ B``, ``y`` substituted on :func:`_lift_factor`.  Raises
+    ValueError when ``value`` is not in the projected span.
     """
-    span = _span_lattice(c)
-    rows = [tuple(dot(prow, b) for b in span.basis) for prow in proj.matrix]
-    solved = solve_rational(rows, value)
+    if len(value) != len(proj.matrix):
+        raise ValueError(f"target {tuple(value)} does not have length {len(proj.matrix)}")
+    h, columns = _lift_factor(_span_lattice(c), proj.matrix)
+    solved = _substitute(h, value)
     if solved is None:
         raise ValueError("value is not in the projected span")
-    d, coefs = solved
-    out = [0] * c.ambient_rank
-    for coef, b in zip(coefs, span.basis):
-        out = [x + coef * y for x, y in zip(out, b)]
-    return d, tuple(out)
+    return solved[0], mat_vec(columns, solved[1])
 
 
 def integral_lift(proj, c: Cone, value: Sequence[int]) -> Vec:

@@ -9,9 +9,9 @@ arithmetic anywhere.  The central objects are
   ``U`` off the Hermite basis of ``[m | I]``, and rank, kernels,
   unimodular inverses and elementary divisors (row and column Hermite
   forms in turn) come from these,
-* :func:`solve_rational`, which solves every rational linear system in
-  the package by forward substitution on one Hermite form, as an integer
-  numerator over a least common denominator,
+* :func:`solve_rational`, which solves rational linear systems by forward
+  substitution on one Hermite form (kept per span for a lift into it), as
+  an integer numerator over a least common denominator,
 * :class:`Sublattice`, a canonicalized (row HNF) subgroup of Z^r, with
   saturation, sum, intersection and index computations,
 * :class:`QuotientMap`, a surjection Z^r -> Z^q with a prescribed saturated
@@ -23,15 +23,16 @@ Inside the library that is an invariant, so each vector or matrix kernel
 is one builtin pass (``map`` over :mod:`operator`, ``sum``, ``gcd(*v)``)
 and converts nothing.  Entries are read with :func:`operator.index` only
 at the boundaries: the decoders, the public constructors (:func:`vec`,
-:func:`mat`, :func:`sublattice`, the cone constructors) and the inputs of
-the normal forms; a float, a ``Fraction`` or a string raises
-``TypeError`` there instead of being truncated.  :func:`identity_matrix`
-is memoised; its tuples are shared.
+:func:`mat`, :func:`sublattice`, the cone constructors) and
+:func:`row_lattice_hnf`, under every normal form; a float, a ``Fraction``
+or a string raises ``TypeError`` there instead of being truncated.
+:func:`identity_matrix` is memoised; its tuples are shared.
 Most Hermite forms are kernels: the cone code takes none for a facet of a
 full-dimensional cone and one for a lineality (not a saturation of the
 lines); a monoid's group ``span(c) ∩ L``, and the group of each of its
-faces, is one kernel in the coordinates of ``L`` (:func:`_span_cut`, kept
-per lattice and span), none for a full-dimensional ``c``.
+faces, is one kernel in the coordinates of ``L`` (:func:`_span_cut`), none
+for a full-dimensional ``c``.  Private steps only are memoised by value: as
+``1.0 == 1``, a public one would answer a float from an int's entry.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from math import gcd, prod
 from operator import add, index, mul, sub
 from typing import Iterable, Optional, Sequence
 
-from ._record import Record, kept
+from ._record import Record
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -141,7 +142,7 @@ def row_lattice_hnf(rows: Sequence[Sequence[int]]) -> Mat:
     result is the unique canonical basis of the row lattice.  This is the
     library's only Hermite elimination loop.
     """
-    work = [list(map(int, r)) for r in rows if any(r)]
+    work = [w for w in [list(map(index, r)) for r in rows] if any(w)]
     done: list[list[int]] = []
     col = 0
     while work:
@@ -258,6 +259,12 @@ def solve_rational(
     if m:
         _require_row_length(m, len(m[0]))
     h, w = hermite_normal_form(transpose(m))
+    solved = _substitute(h, target)
+    return None if solved is None else (solved[0], mat_vec(transpose(w), solved[1]))
+
+
+def _substitute(h: Mat, target: Sequence[int]) -> Optional[tuple[int, list[int]]]:
+    """``(d, y)``, one entry per row of ``h``, by the substitution above, or None."""
     d, y = 1, []
     rest = list(target)  # d * target - sum_i y_i h_i
     for row in h:
@@ -273,9 +280,14 @@ def solve_rational(
         q = rest[j] // lead
         y.append(q)
         rest = [x - q * r for x, r in zip(rest, row)]
-    if any(rest):
-        return None
-    return d, mat_vec(transpose(w), y + [0] * (len(w) - len(y)))
+    return None if any(rest) else (d, y + [0] * (len(h) - len(y)))
+
+
+@cache
+def _lift_factor(span: Sublattice, matrix: Mat) -> tuple[Mat, Mat]:
+    """``H = W @ B @ transpose(matrix)``, ``B = span.basis``, and the columns of ``W @ B``."""
+    h, w = hermite_normal_form(transpose([mat_vec(span.basis, prow) for prow in matrix]))
+    return h, transpose(mat_mul(w, span.basis)) or ((),) * span.ambient_rank
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +370,12 @@ def lattice_intersection(a: Sublattice, b: Sublattice) -> Sublattice:
     return Sublattice(a.ambient_rank, row_lattice_hnf(gens))
 
 
-@kept
+@cache
 def _span_cut(lat: Sublattice, equations: Mat) -> Sublattice:
     """``{x in lat : equations @ x == 0}`` as ``y @ B``, ``B`` the basis of
     ``lat`` and ``y`` in the kernel of ``equations @ transpose(B)``: one kernel
     where an intersection with the span lattice of ``equations`` takes two.
-    Kept on ``lat``, keyed by ``equations``: the cones of one span share it."""
+    Memoised by value: equal lattices and one span share it."""
     if not equations or not lat.basis:
         return lat
     coords = integer_kernel([mat_vec(lat.basis, e) for e in equations], lat.rank)

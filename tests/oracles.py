@@ -57,6 +57,8 @@ After it comes the library's earlier provenance check of a universal
 family, which cut every family cone out again as ``p^{-1}(base) ∩ host``.
 The last is the CLI's earlier argv reader, an ``argparse`` parser whose
 errors raise ``chowfan.cli.UsageError`` and whose ``--help`` exits 0.
+After it comes the library's earlier lift into a span, one
+``solve_rational`` (so one Hermite form) per lift, on the span basis.
 """
 
 import argparse
@@ -1151,7 +1153,7 @@ def chow_quotient_by_cell_hulls(fan, sub):
         image_cone,
         relative_interior_sample,
     )
-    from chowfan.intlinalg import image_lattice, quotient_map
+    from chowfan.intlinalg import image_lattice, lattice_intersection, quotient_map
 
     proj = quotient_map(fan.ambient_rank, sub)
     q = proj.target_rank
@@ -1181,7 +1183,9 @@ def chow_quotient_by_cell_hulls(fan, sub):
         if images[i].dim == c.dim
     }
     data = tuple(
-        _cone_data(images, point_facts, kappa, _meeting_set(images, relative_interior_sample(kappa)), k)
+        _cone_data(
+            images, point_facts, lattice_intersection, kappa, _meeting_set(images, relative_interior_sample(kappa)), k
+        )
         for k, kappa in enumerate(gfan.cones)
     )
     return ChowQuotient(fan, sub, proj, gfan, data)
@@ -1296,3 +1300,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--graph-out", default=None,
                    help="also write the fiber graph in DOT format to this path")
     return p
+
+
+def lift_into_span_by_solving(proj, c, value):
+    """``(d, x)`` with ``x / d`` the preimage of ``value`` in the span of
+    ``c``, solved afresh on the HNF basis of the span; ValueError when there
+    is none."""
+    from chowfan.intlinalg import dot, solve_rational
+
+    span = span_lattice_by_saturation(c)
+    rows = [tuple(dot(prow, b) for b in span.basis) for prow in proj.matrix]
+    solved = solve_rational(rows, value)
+    if solved is None:
+        raise ValueError("value is not in the projected span")
+    d, coefs = solved
+    out = [0] * c.ambient_rank
+    for coef, b in zip(coefs, span.basis):
+        out = [x + coef * y for x, y in zip(out, b)]
+    return d, tuple(out)

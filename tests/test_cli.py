@@ -351,6 +351,39 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("usage error: ")
         assert not target.exists()
 
+    @pytest.mark.parametrize(
+        "args, flag, where",
+        [
+            (["family", P2], "--output", "missing/out.json"),
+            (["family", P2], "--output", "."),
+            (["fiber", P1P1, "--cone", "1"], "--graph-out", "missing/g.dot"),
+        ],
+        ids=["output-in-missing-directory", "output-is-a-directory", "graph-out-in-missing-directory"],
+    )
+    def test_unwritable_output_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch, args, flag, where):
+        import chowfan.cli
+
+        def refused(*_args):
+            raise AssertionError("the input was computed on")
+
+        monkeypatch.setattr(chowfan.cli, "parse_input", refused)
+        monkeypatch.setattr(chowfan.cli, "chow_quotient", refused)
+        target = tmp_path / where
+        capsys.readouterr()
+        code, out = _run(args + [flag, str(target)])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err.startswith(f"usage error: cannot write {str(target)!r}: ")
+        assert target.is_dir() == (where == ".")
+
+    def test_a_later_error_leaves_the_output_file_alone(self, tmp_path):
+        bad, target = tmp_path / "bad.json", tmp_path / "out.json"
+        bad.write_text('{"lattice_rank": 2')
+        assert _run(["quotient", str(bad), "--output", str(target)]) == (2, "")
+        assert not target.exists()
+        target.write_text("kept")
+        assert _run(["quotient", str(bad), "--output", str(target)]) == (2, "")
+        assert target.read_text() == "kept"
+
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"lattice_rank": 2')

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chowfan import cones, monoids, replace
+from chowfan import cones, intlinalg, monoids, replace
 from chowfan.cones import (
     Fan,
     NoTargetCone,
@@ -636,23 +636,41 @@ class TestInterning:
         assert all(is_face_of(f, c) for f in faces)
         assert calls == []
 
-    def test_span_lattice_runs_one_kernel_per_cone(self, monkeypatch):
-        monkeypatch.setattr(cones, "_cone_cache", {})
-        a = dual_cone(cone_from_generators([(1, 0, 0), (1, 2, 0)]))
-        # the dual is interned; an equal copy that is not keeps its own span
-        b = replace(a)
-        assert dual_cone(cone_from_generators([(1, 0, 0), (1, 2, 0)])) is a and b is not a
+    @pytest.fixture
+    def span_kernels(self, monkeypatch):
+        """Kernels run by span cuts from here on, with both memos empty."""
         calls = []
-        real = cones.integer_kernel
+        real = intlinalg.integer_kernel
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(cones, "integer_kernel", counted)
-        spans = [cones._span_lattice(c) for c in (a, a, b, a, b)]
-        assert len(calls) == 2
+        monkeypatch.setattr(cones, "_cone_cache", {})
+        monkeypatch.setattr(intlinalg, "integer_kernel", counted)
+        _span_cut.cache_clear()
+        yield calls
+        _span_cut.cache_clear()  # drop the values computed with the counter
+
+    def test_span_lattice_runs_one_kernel_per_span(self, span_kernels):
+        a = cone_from_generators([(1, 0, 0), (1, 2, 0)])
+        # another interned cone of the same span, and an equal copy of a
+        # that is not interned and keeps no span of its own yet
+        c = cone_from_generators([(0, 1, 0), (-1, 0, 0)])
+        b = replace(a)
+        assert cone_from_generators([(1, 0, 0), (1, 2, 0)]) is a and b is not a and c is not a
+        spans = [cones._span_lattice(x) for x in (a, a, b, c, a, b, c)]
+        assert len(span_kernels) == 1
         assert all(s == oracles.span_lattice_by_saturation(a) for s in spans)
+
+    def test_equal_lattices_share_one_span_cut(self, span_kernels):
+        lat = sublattice(3, [(1, 1, 0), (0, 2, 0), (0, 0, 3)])
+        twin = sublattice(3, [(1, 1, 0), (0, 2, 0), (0, 0, 3)])
+        assert twin == lat and twin is not lat
+        plane = ((0, 0, 1),)
+        cuts = [_span_cut(x, plane) for x in (lat, twin, lat, twin)]
+        assert len(span_kernels) == 1
+        assert all(k == sublattice(3, [(1, 1, 0), (0, 2, 0)]) for k in cuts)
 
     def test_cache_holds_one_entry_per_cone(self):
         cone_from_generators([(1, 0), (1, 2)])

@@ -14,7 +14,9 @@ Nor does it hold an ``assert`` statement, which ``python -O`` removes: a
 check the library relies on raises.
 
 At run time, a float, a ``Fraction`` or a string entering the library as a
-vector or matrix entry raises ``TypeError`` instead of being truncated.
+vector or matrix entry, or as an entry of a normal form's input, raises
+``TypeError`` instead of being truncated, even when an equal integer input
+was computed before.
 """
 
 import ast
@@ -24,7 +26,17 @@ from pathlib import Path
 import pytest
 
 from chowfan.cones import check_fan_morphism, cone_from_generators, fan_from_cones, image_cone
-from chowfan.intlinalg import mat, sublattice, vec
+from chowfan.intlinalg import (
+    elementary_divisors,
+    hermite_normal_form,
+    integer_kernel,
+    mat,
+    preimage_lattice,
+    row_lattice_hnf,
+    solve_rational,
+    sublattice,
+    vec,
+)
 from chowfan.monoids import member, monoid_from_cone
 
 from conftest import p1p1_fan
@@ -159,8 +171,17 @@ _LINE = fan_from_cones([cone_from_generators([(1,)]), cone_from_generators([(-1,
         lambda: member(monoid_from_cone(cone_from_generators([(1, 0), (0, 1)])), (1.7, 0)),
         lambda: mat([[Fraction(1, 2)]]),
         lambda: vec(["1"]),
+        lambda: hermite_normal_form([[2.9, 1]]),
+        lambda: integer_kernel([[1.5, 1]], 2),
+        lambda: solve_rational([[1.5]], [3]),
+        lambda: elementary_divisors([[2.5, 0], [0, 3]]),
+        lambda: row_lattice_hnf([[0.0, 0], [1, 0]]),
+        lambda: row_lattice_hnf([[Fraction(3, 1)]]),
     ],
-    ids=["fan-morphism", "image-list", "image-tuple", "generators", "sublattice", "member", "fraction", "string"],
+    ids=[
+        "fan-morphism", "image-list", "image-tuple", "generators", "sublattice", "member", "fraction", "string",
+        "hermite", "kernel", "solve", "elementary-divisors", "zero-float-row", "integral-fraction",
+    ],
 )
 def test_non_integer_entries_raise(call):
     with pytest.raises(TypeError):
@@ -178,6 +199,26 @@ def test_float_matrix_raises_whatever_was_projected_before(integer_first):
         with pytest.raises(TypeError):
             image_cone(((1.0, 0),), c)
         integer_first = not integer_first
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: hermite_normal_form([[x, 2], [3, 4]]),
+        lambda x: integer_kernel([[x, 2]], 2),
+        lambda x: solve_rational([[x, 0], [0, 2]], [3, 4]),
+        lambda x: elementary_divisors([[x, 0], [0, 6]]),
+        lambda x: preimage_lattice(((x, 0),), 2, sublattice(1, [[2]])),
+    ],
+    ids=["hermite", "kernel", "solve", "elementary-divisors", "preimage"],
+)
+def test_public_normal_forms_answer_no_float_from_a_memo(call):
+    # an integral float equals its integer as a key; no public function
+    # answers it from a value computed for the integer
+    for _ in range(2):
+        call(1)
+        with pytest.raises(TypeError):
+            call(1.0)
 
 
 def test_integer_entries_still_read():

@@ -1,12 +1,14 @@
+import random
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from chowfan import replace
 from chowfan.cli import parse_input
 from chowfan.chow import chow_quotient
-from chowfan.cones import Fan, cone_from_generators, zero_cone
+from chowfan.cones import Fan, cone_from_generators, is_complete, relative_interior_sample, validate_fan, zero_cone
 from chowfan.intlinalg import full_lattice, identity_matrix, sublattice, zero_sublattice
 from chowfan.monoids import member, monoid_from_cone, saturated_monoid
 from chowfan.stacks import InternalConsistencyError
@@ -17,6 +19,7 @@ from chowfan.family import (
     cones_over,
     fiber_complex,
     is_refinement_fixed_point,
+    lift_into_span,
     presentation_tuple,
     presentation_value,
     segment_length,
@@ -26,10 +29,39 @@ from chowfan.family import (
     wall_structure,
 )
 
-from conftest import corpus, orthant_fan, p2_fan, p1p1_fan
+from conftest import (
+    corpus,
+    orthant_fan,
+    p1p1_fan,
+    p2_fan,
+    random_complete_fan_rank2,
+    random_complete_fan_rank3,
+    random_saturated_sublattice,
+)
 import oracles
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def lift_outcomes(fam):
+    """Per family cone, lifts of the images of its rays, lines and interior
+    sample, and of the target's unit vectors (often outside the projected
+    span), by the library and by the solving oracle: each a ``(d, x)`` or
+    ``"outside"``."""
+    proj = fam.chow.projection
+    units = identity_matrix(proj.target_rank)
+    pairs = []
+    for c in fam.fan.cones:
+        points = c.generators + c.lineality + (relative_interior_sample(c),)
+        for v in [proj.apply(x) for x in points] + list(units):
+            got = []
+            for lift in (lift_into_span, oracles.lift_into_span_by_solving):
+                try:
+                    got.append(lift(proj, c, v))
+                except ValueError:
+                    got.append("outside")
+            pairs.append(tuple(got))
+    return pairs
 
 
 def _fam_p2():
@@ -151,7 +183,7 @@ class TestRefinement:
         with pytest.raises(InternalConsistencyError, match="meeting pairs do not cover"):
             universal_family(replace(cq, cone_data=cone_data))
 
-    def test_one_preimage_lattice_per_base_cone(self, monkeypatch):
+    def test_one_preimage_lattice_per_distinct_lift_lattice(self, monkeypatch):
         import chowfan.family
 
         cq = chow_quotient(p1p1_fan(), sublattice(2, [[1, 1]]))
@@ -164,7 +196,38 @@ class TestRefinement:
 
         monkeypatch.setattr(chowfan.family, "preimage_lattice", counted)
         fam = universal_family(cq)
-        assert len(calls) == len({base for _, base in fam.provenance}) < len(fam.fan.cones)
+        distinct = {d.lift_lattice for d in cq.cone_data}
+        assert sorted(calls, key=repr) == sorted(distinct, key=repr)
+        assert len(calls) < len({base for _, base in fam.provenance}) < len(fam.fan.cones)
+
+
+class TestLiftIntoSpan:
+    """Lifts substituted on the factorisation kept per span and map, against
+    a fresh solve per lift."""
+
+    def test_every_cone_of_the_corpus_families(self):
+        inputs = [parse_input(path.read_text())[:2] for path in sorted(FIXTURES.glob("*.json"))]
+        pairs = [
+            p for fan, sub in inputs + corpus(count=10)
+            for p in lift_outcomes(universal_family(chow_quotient(fan, sub)))
+        ]
+        assert all(lib == oracle for lib, oracle in pairs)
+        assert {lib == "outside" for lib, _ in pairs} == {True, False}
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(0, 10**6), st.sampled_from([(2, 1), (3, 1), (3, 2)]))
+    def test_random_rank_2_and_3_fans(self, seed, shape):
+        rank, dim = shape
+        rng = random.Random(seed)
+        fan = (random_complete_fan_rank2 if rank == 2 else random_complete_fan_rank3)(rng)
+        sub = random_saturated_sublattice(rng, rank, dim)
+        assume(validate_fan(fan).ok and is_complete(fan))
+        assert all(lib == oracle for lib, oracle in lift_outcomes(universal_family(chow_quotient(fan, sub))))
+
+    def test_a_value_of_the_wrong_length_is_refused(self):
+        fam = _fam_p1p1()
+        with pytest.raises(ValueError, match="does not have length 1"):
+            lift_into_span(fam.chow.projection, fam.fan.cones[-1], (1, 0))
 
 
 class TestHostCones:
