@@ -89,7 +89,7 @@ Options go anywhere, as --opt VALUE or --opt=VALUE, or by a unique prefix:
   --bound B         degree bound of the integrality check, at least 1 (default 8)
   --integral, --reduced, --equidim, --basic: run only these checks (default: all)
   --output PATH     write the document here instead of stdout
-  --graph-out PATH  also write the fiber graph in DOT format to this path
+  --graph-out PATH  fiber only: also write the fiber graph in DOT format to this path
 Exit codes: 0 success, 1 usage, 2 parse, 3 validation, 4 internal consistency (a bug).
 """
 
@@ -315,8 +315,10 @@ def run(argv: Optional[Sequence[str]] = None, stdout=None):
             return EXIT_OK
         if args.command in ("cycle", "fiber") and args.cone is None:
             raise UsageError(f"{args.command} requires --cone")
+        if args.graph_out is not None and args.command != "fiber":
+            raise UsageError(f"--graph-out is written only by fiber, not by {args.command}")
         _require_writable(args.output)
-        _require_writable(args.graph_out if args.command == "fiber" else None)
+        _require_writable(args.graph_out)
         if args.input == "-":
             text = sys.stdin.read()
         else:

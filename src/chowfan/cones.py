@@ -374,6 +374,21 @@ def _cone_from_run(
     return _intern(_cone_by_incidence(rank, rays, lin, constraints, tight, equations))
 
 
+def _cone_by_constraints(rank: int, rays: Sequence[Vec], dim: int, constraints: Sequence[Vec]) -> Cone:
+    """The interned pointed cone of dimension ``dim`` generated by the
+    primitive ``rays``, given ``constraints`` nonnegative on it whose zero
+    sets include every facet: its facets are read off their incidence
+    (:func:`_cone_by_incidence`), its equations are the kernel of the rays
+    (none when ``dim == rank``), and no double description runs."""
+    rays = tuple(sorted(set(rays)))
+    cached = _cone_cache.get((rank, rays, ()))
+    if cached is not None:
+        return cached
+    tight = [sum(1 << k for k, r in enumerate(rays) if not sum(map(mul, h, r))) for h in constraints]
+    equations = integer_kernel(rays, rank) if dim < rank else ()
+    return _intern(_cone_by_incidence(rank, rays, (), constraints, tight, (), equations))
+
+
 def zero_cone(ambient_rank: int) -> Cone:
     return cone_from_generators([], ambient_rank=ambient_rank)
 
@@ -618,16 +633,25 @@ class Fan(Record):
         return c.key() in self._index()
 
     @kept
+    def _facets(self) -> tuple[tuple[Optional[int], ...], ...]:
+        """Per cone, the indices of its facets in the order of its
+        halfspaces (:func:`facets`), None for a facet missing from the
+        collection; read off each cone's incidence once, with no double
+        description, and shared by the fan's validation, its maximal cones,
+        its completeness test and the fan morphisms from it."""
+        index = self._index()
+        return tuple(tuple(index.get(f.key()) for f in facets(c)) for c in self.cones)
+
+    @kept
     def maximal_indices(self) -> tuple[int, ...]:
         """Indices of the cones that are a facet of no cone of the fan.
 
         In a fan a cone inside another is a face of it, hence a facet of a
         cone in between; so on a fan these are the cones contained in no
-        other cone.  Facets are read off each cone's incidence, so no double
-        description runs here.
+        other cone.  They are read off the facet table (:meth:`_facets`).
         """
-        covered = {f.key() for c in self.cones for f in facets(c)}
-        return tuple(i for i, c in enumerate(self.cones) if c.key() not in covered)
+        covered = {j for row in self._facets() for j in row}
+        return tuple(i for i in range(len(self.cones)) if i not in covered)
 
     def cone_containing_in_relint(self, v: Sequence) -> Optional[int]:
         """Index of the cone whose relative interior contains ``v``, or None.
@@ -687,11 +711,10 @@ def validate_fan(f: Fan) -> FanValidationReport:
     the same fan shares one pass.
     """
     problems = []
-    index = f._index()
-    for i, c in enumerate(f.cones):
+    for i, (c, row) in enumerate(zip(f.cones, f._facets())):
         if not c.is_strictly_convex:
             problems.append(f"cone {i} contains a line")
-        if any(face.key() not in index for face in facets(c)):
+        if None in row:
             problems.append(f"cone {i} has a face missing from the fan")
     for i, j in combinations(f.maximal_indices(), 2):
         a, b = _separated_faces(f.cones[i], f.cones[j])
@@ -730,25 +753,28 @@ def is_complete(f: Fan) -> bool:
 
     A valid fan is complete iff it has a full-dimensional cone and every
     cone of codimension one is a facet of exactly two full-dimensional
-    cones (no boundary facets).
+    cones (no boundary facets).  Facets are read off the facet table
+    (:meth:`Fan._facets`); a facet missing from the collection is counted
+    by its key, so two missing facets stay apart.
     """
     n = f.ambient_rank
     if n == 0:
         return len(f.cones) >= 1
-    top = [c for c in f.cones if c.dim == n]
+    top = [i for i, c in enumerate(f.cones) if c.dim == n]
     if not top:
         return False
     ridge_count: dict = {}
-    for c in top:
-        for facet in facets(c):
-            ridge_count[facet.key()] = ridge_count.get(facet.key(), 0) + 1
+    table = f._facets()
+    for i in top:
+        row = table[i]
+        if None in row:
+            row = [face.key() if j is None else j for j, face in zip(row, facets(f.cones[i]))]
+        for j in row:
+            ridge_count[j] = ridge_count.get(j, 0) + 1
     if any(v != 2 for v in ridge_count.values()):
         return False
     # every codimension-one cone of the fan must appear among those facets
-    for c in f.cones:
-        if c.dim == n - 1 and c.key() not in ridge_count:
-            return False
-    return True
+    return all(c.dim != n - 1 or i in ridge_count for i, c in enumerate(f.cones))
 
 
 class FanMorphism(Record):
@@ -763,15 +789,26 @@ def check_fan_morphism(matrix: Mat, src: Fan, dst: Fan) -> FanMorphism:
 
     ``dst`` must be a valid fan; its kept :func:`validate_fan` report is
     consulted and :class:`ValueError` raised otherwise.  Each source cone is
-    assigned the minimal target cone containing its (kept) image: the image
-    itself when it is a cone of ``dst``, needing no containment test, else
-    the cone whose relative interior holds a relative-interior point of the
-    image (in a fan, any cone containing the image contains that one),
-    tested to contain it.  Raises :class:`NoTargetCone` naming the first
-    source cone whose image that cone does not contain, and ``ValueError``
-    when the matrix is not target rank × source rank.  The morphism is
-    kept on ``src`` per matrix and target; a call that raises keeps
-    nothing.
+    assigned the minimal target cone containing its image.
+
+    A maximal source cone takes its (kept) image: the image itself when it
+    is a cone of ``dst``, needing no containment test, else the cone whose
+    relative interior holds a relative-interior point of the image (in a
+    fan, any cone containing the image contains that one), tested to
+    contain it.  Every other cone ``f`` is a facet of a cone of higher
+    dimension (:meth:`Fan._facets`); cones are walked by descending
+    dimension (descending index in a fan's canonical order), so one such
+    coface is assigned first, to ``T``; ``f`` takes the smallest face of
+    ``T`` holding ``M·p``, ``p`` the relative-interior sample of ``f``.
+    This is exact, with no image and no containment test (the face lemma):
+    ``M·relint(f) = relint(M f) ⊆ T``, so that face of ``T`` holds ``M f``,
+    and in the valid ``dst`` it lies in every cone holding ``M f``.
+
+    Raises :class:`NoTargetCone` naming the first maximal source cone whose
+    image no target cone contains (its faces then need no test), and
+    ``ValueError`` when the matrix is not target rank × source rank.  The
+    morphism is kept on ``src`` per matrix and target; a call that raises
+    keeps nothing.
     """
     return _fan_morphism(src, mat(matrix), dst)
 
@@ -782,13 +819,20 @@ def _fan_morphism(src: Fan, matrix: Mat, dst: Fan) -> FanMorphism:
         raise ValueError("the target of a fan morphism is not a valid fan")
     require_shape(matrix, dst.ambient_rank, src.ambient_rank)
     index = dst._index()
-    assignment = []
-    for i, c in enumerate(src.cones):
-        img = image_cone(matrix, c)
+    assignment: list = [None] * len(src.cones)
+    for i in src.maximal_indices():
+        img = image_cone(matrix, src.cones[i])
         j = index.get(img.key())
         if j is None:
             j = dst.cone_containing_in_relint(relative_interior_sample(img))
             if j is None or not dst.cones[j].contains_cone(img):
                 raise NoTargetCone(f"image of source cone {i} lies in no target cone")
-        assignment.append(j)
+        assignment[i] = j
+    table = src._facets()
+    for i in sorted(range(len(src.cones)), key=lambda i: -src.cones[i].dim):
+        target = dst.cones[assignment[i]]
+        for k in table[i]:
+            if k is not None and assignment[k] is None:
+                point = mat_vec(matrix, relative_interior_sample(src.cones[k]))
+                assignment[k] = index[_smallest_face_key(target, (point,))]
     return FanMorphism(matrix, src, dst, tuple(assignment))

@@ -23,6 +23,8 @@ from .chow import ChowQuotient, chow_stack_datum
 from .cones import (
     Cone,
     Fan,
+    _cone_by_constraints,
+    _pull_back,
     _span_lattice,
     check_fan_morphism,
     cone_from_generators,
@@ -627,7 +629,12 @@ def tropical_moduli_cone(fam: UniversalFamily, base_index: int) -> Cone:
                 f"quotient cone {base_index}: basic monoid element {g} lies outside its group"
             )
         coords.append(c)
-    dual = dual_cone(cone_from_generators(coords, ambient_rank=span.rank))
+    # the coordinate cone is the monoid's cone pulled back to its group, as
+    # the Hilbert basis generates it; full-dimensional, so its dual is pointed
+    dual = dual_cone(_pull_back(pres.monoid.cone, span.basis))
+    # a primitive functional has coprime values on the basis, which generates Z^k
     embed = [tuple(dot(g, c) for c in coords) for g in dual.generators]
-    embed_lines = [tuple(dot(l, c) for c in coords) for l in dual.lineality]
-    return cone_from_generators(embed, embed_lines, len(coords))
+    # each facet of the dual is a ray of the coordinate cone, a basis
+    # element c_i, so the coordinates themselves are nonnegative on the
+    # embedded cone and vanish on each of its facets
+    return _cone_by_constraints(len(coords), embed, span.rank, identity_matrix(len(coords)))

@@ -5,11 +5,14 @@ lattice it generates; membership is the two containment tests ``v ∈ c``
 and ``v ∈ G``.  The workhorse is :func:`saturated_monoid`.  The Hilbert
 basis is computed in the coordinates of the basis of ``G``, where ``c``
 is full-dimensional, so every rule below sees a full-dimensional cone in
-``Z^k``; it comes from the first of four rules that applies
-(:func:`_hilbert_basis_full`):
+``Z^k``; it comes from the first of four rules that applies:
 
-1. the rays of ``c``, when each facet, a primitive functional, is 1 on
-   the one ray off it (the cone is then unimodular);
+1. the rays of ``c``, when ``c`` has ``k`` rays whose group-primitive
+   coordinates have determinant ±1 (the cone is then unimodular, the
+   smooth-cone criterion of Cox–Little–Schenck, *Toric Varieties*, 2011,
+   §1.2 and §11.1); a pointed monoid decides it in
+   :attr:`AffineMonoid.hilbert_basis`, on the coordinates of its rays,
+   before any cone is pulled back;
 2. for a 2-dimensional cone, its Hirzebruch–Jung chain, the rays of its
    minimal resolution (Oda, *Convex Bodies and Algebraic Geometry*, 1988,
    §1.6; Cox–Little–Schenck, *Toric Varieties*, 2011, §10.2), in time
@@ -80,6 +83,7 @@ from .intlinalg import (
     Sublattice,
     Vec,
     _span_cut,
+    coordinates_in,
     dot,
     full_lattice,
     hermite_normal_form,
@@ -140,12 +144,27 @@ class AffineMonoid(Record):
     def hilbert_basis(self) -> tuple[Vec, ...]:
         """Computed in the coordinates of ``group.basis``, where the cone is
         full-dimensional; with units, one element per coset, fixed by the
-        cone and the group alone."""
+        cone and the group alone.
+
+        Rule 1 is tried first, on the rays' coordinates.  A pointed monoid
+        of dimension ``k >= 1`` with ``k`` rays takes the coordinates of
+        its rays in the group basis, made primitive (integral after
+        scaling by the product of the pivots): when they are a basis of
+        ``Z^k`` (:func:`_is_lattice_basis`) the rays so scaled are the
+        Hilbert basis, and no cone is pulled back.  Every other monoid
+        goes to :func:`_hilbert_basis_full` on its pulled-back cone, the
+        pointed quotient when it has units."""
         basis = self.group.basis
         k, basis_t = len(basis), transpose(basis)  # y @ basis == mat_vec(basis_t, y)
+        rays = self.cone.generators
+        if not self.cone.lineality:
+            if len(rays) == k:
+                scale = prod(next(filter(None, row)) for row in basis)
+                ys = [primitive(coordinates_in(basis, vscale(scale, r))) for r in rays]
+                if _is_lattice_basis(ys, k):
+                    return tuple(sorted(mat_vec(basis_t, y) for y in ys))
+            return _hilbert_basis_full(_pull_back(self.cone, basis), basis_t)
         cy = _pull_back(self.cone, basis)
-        if not cy.lineality:
-            return _hilbert_basis_full(cy, basis_t)
         units_y = Sublattice(k, cy.lineality)
         qu = quotient_map(k, units_y)
         pointed = cone_from_generators([qu.apply(g) for g in cy.generators], ambient_rank=qu.target_rank)
@@ -295,16 +314,31 @@ def _value_inverse(c: Cone) -> tuple[Mat, int]:
     return mat_mul(adj, y[:c.ambient_rank]), den
 
 
-def _unimodular(c: Cone) -> bool:
-    """Is the full-dimensional strictly convex ``c`` simplicial and
-    unimodular?
+def _is_lattice_basis(rays: Sequence[Vec], k: int) -> bool:
+    """Are the primitive ``rays`` of a ``k``-dimensional pointed cone in
+    ``Z^k``, ``k >= 1``, a basis of ``Z^k`` (rule 1: the cone is
+    unimodular, and its rays are its Hilbert basis)?
 
-    A facet normal is a primitive functional, at least 1 on every ray off
-    its facet.  So ``sum_r h.r == 1`` for every facet ``h`` iff each facet
-    is off exactly one ray, where it is 1: then the facet functionals and
-    the rays are dual bases, and the rays are a basis of ``Z^rank``.
+    A cone with ``k`` rays is simplicial; its rays are then a basis iff
+    their determinant is ±1, computed up to sign by fraction-free
+    (Bareiss) elimination, in which every division is exact, with no
+    Hermite form.  Rank 0 is excluded: its zero cone is pulled back.
     """
-    return all(sum(dot(h, r) for r in c.generators) == 1 for h in c.halfspaces)
+    if not 0 < len(rays) == k:
+        return False
+    a = [list(r) for r in rays]
+    prev = 1
+    for i in range(k):
+        p = next((j for j in range(i, k) if a[j][i]), None)
+        if p is None:
+            return False
+        a[i], a[p] = a[p], a[i]
+        top = a[i]
+        for row in a[i + 1 :]:
+            x = row[i]
+            row[i + 1 :] = [(y * top[i] - x * z) // prev for y, z in zip(row[i + 1 :], top[i + 1 :])]
+        prev = top[i]
+    return prev in (1, -1)
 
 
 def _sieve(candidates: Iterable[int], guard: int) -> list[int]:
@@ -486,7 +520,11 @@ def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
 
     Four rules, in this order:
 
-    1. if :func:`_unimodular` holds, the rays are the Hilbert basis;
+    1. if the rays are a basis of ``Z^rank`` (:func:`_is_lattice_basis`),
+       they are the Hilbert basis.  A pointed monoid decides this rule in
+       :attr:`AffineMonoid.hilbert_basis`, on its rays' coordinates,
+       before its cone is pulled back; here it serves the pointed quotient
+       of a monoid with units;
     2. a 2-dimensional cone's basis is its Hirzebruch–Jung chain
        (:func:`_plane_chain`);
     3. a 3-dimensional cone with an integral functional ``g`` that is 1 on
@@ -551,7 +589,7 @@ def _hilbert_basis_full(c: Cone, out: Optional[Mat] = None) -> tuple[Vec, ...]:
     """
     if c.dim == 0:
         return ()
-    if _unimodular(c):
+    if _is_lattice_basis(c.generators, c.dim):
         return tuple(sorted(c.generators if out is None else [mat_vec(out, r) for r in c.generators]))
     if c.dim == 2:
         return _plane_chain(c, out)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ._record import Record
-from .cones import Fan, FanMorphism, check_fan_morphism, facets
+from .cones import Fan, FanMorphism, check_fan_morphism
 from .intlinalg import InternalConsistencyError, Mat, elementary_divisors, mat, mat_vec, vscale
 from .monoids import AffineMonoid, MonoidNotMapped, monoid_from_cone, monoid_hom, restrict_to_face
 
@@ -52,7 +52,8 @@ class StackValidationReport(Record):
 def validate_stack_datum(d: ToricStackDatum) -> StackValidationReport:
     """Check containment, face compatibility and finite index on maximal cones.
 
-    Faces are tested one level down, on each cone and its facets: in a fan
+    Faces are tested one level down, on each cone and its facets, read off
+    the fan's facet table (:meth:`~chowfan.cones.Fan._facets`): in a fan
     every proper face of a cone is a face of one of its facets, tested in
     turn, and restriction is transitive (to ``F`` it has the group
     ``span(F) ∩ group``).
@@ -67,12 +68,10 @@ def validate_stack_datum(d: ToricStackDatum) -> StackValidationReport:
             part = "not all of" if c.contains_cone(m.cone) else "outside"
             problems.append(f"monoid {i} spans {m.cone}, {part} its cone")
             continue
-        for face in (c, *facets(c)):
-            j = fan._index().get(face.key())
+        for j in (i, *fan._facets()[i]):
             if j is None:
                 continue  # reported by fan validation
-            expected = d.monoids[j]
-            if restrict_to_face(m, face) != expected:
+            if restrict_to_face(m, fan.cones[j]) != d.monoids[j]:
                 problems.append(
                     f"face compatibility fails between cones {i} and {j}"
                 )

@@ -55,7 +55,7 @@ from chowfan.cones import (
 )
 from chowfan.family import basic_monoid, lift_into_span
 from chowfan.chow import InfiniteIndex
-from chowfan.intlinalg import _span_cut, dot, identity_matrix, integer_kernel, mat_mul, mat_vec, saturate, solve_rational
+from chowfan.intlinalg import _span_cut, dot, identity_matrix, integer_kernel, mat_mul, mat_vec, saturate, solve_rational, transpose
 from chowfan.monoids import (
     _hermite_box,
     _hilbert_basis_full,
@@ -784,7 +784,7 @@ def test_geometric_rules_match_tuple_sieve_on_acceptance_monoids(monkeypatch, tm
         monkeypatch.setattr(monoids, name, counted)
     rules = {2: 0, 3: 0}
     for c, out in dict.fromkeys(calls):
-        if c.dim not in rules or monoids._unimodular(c):
+        if c.dim not in rules or monoids._is_lattice_basis(c.generators, c.dim):
             continue
         height = solve_rational(c.generators, [1] * len(c.generators))
         if c.dim == 3 and (height is None or height[0] > 1):
@@ -825,9 +825,12 @@ def test_packed_sieve_matches_tuple_sieve_on_family_monoids(corpus_families, mon
         # out, the transposed lattice basis, is injective: equal images are equal bases
         assert hb == (expected if out is None else tuple(sorted(mat_vec(out, x) for x in expected)))
     assert max(len(hb) for hb in bases.values()) > 1000
-    sieved = {c for c, _ in bases}
+    # every family monoid's basis, unimodular ones included, which rule 1
+    # answers before any cone reaches _hilbert_basis_full
     for fan, sub, cq, fam in corpus_families:
-        assert all(_lattice_coordinate_cone(m) in sieved for m in fam.datum.monoids)
+        for m in fam.datum.monoids:
+            expected = oracles.hilbert_basis_by_tuple_sieve(_lattice_coordinate_cone(m))
+            assert m.hilbert_basis == tuple(sorted(mat_vec(transpose(m.group.basis), x) for x in expected))
     _announce(f"packed dominance sieve equals the tuple sieve on all {len(bases)} "
               "Hilbert bases of the twelve acceptance inputs")
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chowfan.cli import USAGE, UsageError, _read_argv, parse_input, run
+from chowfan.cli import USAGE, UsageError, _cmd_validate, _read_argv, parse_input, run
 from chowfan.serialize import (
     DocumentError,
     _decimal,
@@ -27,11 +27,11 @@ from chowfan.serialize import (
     encode_sublattice,
 )
 from chowfan.intlinalg import NotSaturated, sublattice
-from chowfan.cones import cone_from_generators
+from chowfan.cones import Fan, cone_from_generators
 from chowfan.monoids import dual_monoid, monoid_from_cone, saturated_monoid
 from chowfan.stacks import variety_datum
 
-from conftest import corpus_documents, p2_fan, p1p1_fan
+from conftest import corpus_documents, p2_fan, p1p1_fan, random_complete_fan_rank3
 import oracles
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -349,6 +349,23 @@ class TestExitCodes:
         code, out = _run(args + [flag, str(target)])
         assert code == 1 and out == ""
         assert capsys.readouterr().err.startswith("usage error: ")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "quotient", "multiplicities", "cycle", "family", "check", "all"])
+    def test_graph_out_on_another_command_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        # only fiber writes a graph: elsewhere --graph-out is a usage error,
+        # raised before the input is read, and no graph file is created
+        import chowfan.cli
+
+        def refused(*_args):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr(chowfan.cli, "parse_input", refused)
+        target = tmp_path / "g.dot"
+        capsys.readouterr()
+        code, out = _run([command, "-", "--cone", "1", "--graph-out", str(target)])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"usage error: --graph-out is written only by fiber, not by {command}\n"
         assert not target.exists()
 
     @pytest.mark.parametrize(
@@ -956,3 +973,42 @@ class TestSerializeRoundTrips:
         with pytest.raises(DocumentError) as err:
             decode_datum(doc)
         assert str(err.value).startswith(f"monoids[{i}].hilbert_basis: ")
+
+
+class TestValidateDocumentOnMissingFacets:
+    """The ``validate`` document of a collection missing one, two or three
+    codimension-one cones of a complete fan: the facet table records each
+    missing facet as None, and the completeness test, which counts such a
+    facet by its key, keeps the verdicts the per-cone facet scan gave."""
+
+    @staticmethod
+    def _doctored(fan):
+        n = fan.ambient_rank
+        ridges = [k for k, c in enumerate(fan.cones) if c.dim == n - 1]
+        drops = [(k,) for k in ridges] + [tuple(ridges[:2]), tuple(ridges[-3:])]
+        return [Fan(n, tuple(c for k, c in enumerate(fan.cones) if k not in drop)) for drop in drops]
+
+    def test_two_missing_rays_of_p2(self):
+        # each missing ray is a facet of two maximal cones, so the
+        # collection still covers the plane: complete, but not a fan
+        doc = _cmd_validate(self._doctored(p2_fan())[-2], sublattice(2, [[1, 0]]))
+        assert (doc["fan_ok"], doc["complete"], doc["maximal_cones"], doc["cones"]) == (False, True, 3, 5)
+
+    @pytest.mark.parametrize(
+        "fan, rows, count, digest",
+        [
+            (p2_fan(), [[1, 0]], 5, "d45eb4d9f5da0f657dd482c003c162a70f14b609bb08970583d26a317da339fe"),
+            (p1p1_fan(), [[1, 1]], 6, "e653c01c114b3cb365b7852500377335917ccb719869ddb92623ba6c25cf447f"),
+            (
+                random_complete_fan_rank3(random.Random(0)), [[1, 2, 3]], 17,
+                "7b5ad3118b31419e661f84976c3edd657eac4787479d6176831c48dc45488315",
+            ),
+        ],
+        ids=["p2", "p1p1", "rank3"],
+    )
+    def test_documents_match_the_facet_scan(self, fan, rows, count, digest):
+        # the digests are of the documents the facet scan gave, before the
+        # facet table existed
+        docs = [dumps(_cmd_validate(f, sublattice(fan.ambient_rank, rows))) for f in self._doctored(fan)]
+        assert len(docs) == count and all(not json.loads(d)["fan_ok"] for d in docs)
+        assert hashlib.sha256("".join(docs).encode()).hexdigest() == digest

@@ -850,16 +850,24 @@ class TestFacesAndFans:
             check_fan_morphism(((1, 0), (0, 1)), src, overlapping)
 
     def test_fan_morphism_is_kept_on_its_source(self, monkeypatch):
-        # a second check of the same (matrix, target) walks no source cone;
-        # a refused morphism is not kept, so it is refused again
+        # the maximal source cones are imaged, in index order, and no other
+        # cone is: faces take a face of a coface's target; a second check of
+        # the same (matrix, target) images nothing; a refused morphism is
+        # not kept, so it is refused again
         line = fan_from_cones([cone_from_generators([(1,)]), cone_from_generators([(-1,)])])
+        quadrants = p1p1_fan()
+        expected = oracles.minimal_targets_by_scan(((1, 0),), quadrants, line)
         walked = []
         real = cones.image_cone
         monkeypatch.setattr(cones, "image_cone", lambda m, c: walked.append(c) or real(m, c))
-        quadrants = p1p1_fan()
         first = check_fan_morphism(((1, 0),), quadrants, line)
-        assert len(walked) == len(quadrants.cones)
-        assert check_fan_morphism([[1, 0]], quadrants, line) is first and len(walked) == len(quadrants.cones)
+        maximal = [quadrants.cones[i] for i in quadrants.maximal_indices()]
+        assert walked == maximal and len(maximal) == 4
+        assert first.cone_assignment == expected
+        assert check_fan_morphism([[1, 0]], quadrants, line) is first and walked == maximal
+        # cones out of canonical order: cofaces are still walked before faces
+        shuffled = Fan(2, tuple(reversed(quadrants.cones)))
+        assert check_fan_morphism(((1, 0),), shuffled, line).cone_assignment == tuple(reversed(expected))
         walked.clear()
         for _ in range(2):
             with pytest.raises(NoTargetCone):

@@ -8,8 +8,18 @@ from hypothesis import assume, given, settings, strategies as st
 from chowfan import replace
 from chowfan.cli import parse_input
 from chowfan.chow import chow_quotient
-from chowfan.cones import Fan, cone_from_generators, is_complete, relative_interior_sample, validate_fan, zero_cone
-from chowfan.intlinalg import full_lattice, identity_matrix, sublattice, zero_sublattice
+from chowfan.cones import (
+    Fan,
+    NoTargetCone,
+    check_fan_morphism,
+    cone_from_generators,
+    fan_from_cones,
+    is_complete,
+    relative_interior_sample,
+    validate_fan,
+    zero_cone,
+)
+from chowfan.intlinalg import dot, full_lattice, identity_matrix, sublattice, zero_sublattice
 from chowfan.monoids import member, monoid_from_cone, saturated_monoid
 from chowfan.stacks import InternalConsistencyError
 from chowfan.family import (
@@ -76,6 +86,23 @@ def _idx(fan, gens, rank=2):
     return fan.index_of(cone_from_generators(gens, ambient_rank=rank))
 
 
+def _assert_morphisms_walked(fam, fan, monkeypatch):
+    """Both morphisms of ``fam`` against the per-cone scan, and a fresh check
+    of each on a copy of the family fan images its maximal cones only."""
+    import chowfan.cones as cones
+
+    matrix, identity = fam.chow.projection.matrix, identity_matrix(fan.ambient_rank)
+    for morphism, m, dst in ((fam.to_base, matrix, fam.base.fan), (fam.to_target, identity, fan)):
+        assert morphism.cone_assignment == oracles.minimal_targets_by_scan(m, fam.fan, dst)
+        copy = Fan(fam.fan.ambient_rank, fam.fan.cones)  # a new record keeps no morphism
+        imaged = []
+        real = cones.image_cone
+        with monkeypatch.context() as patch:
+            patch.setattr(cones, "image_cone", lambda a, c: imaged.append(c) or real(a, c))
+            assert check_fan_morphism(m, copy, dst).cone_assignment == morphism.cone_assignment
+        assert imaged == [copy.cones[i] for i in copy.maximal_indices()]
+
+
 class TestRefinement:
     def test_p2_family_is_hirzebruch(self):
         fam = _fam_p2()
@@ -115,31 +142,40 @@ class TestRefinement:
             fam = universal_family(chow_quotient(fan, sub))
             assert oracles.provenance_by_intersection(fam) == fam.fan.cones
 
-    def test_both_morphisms_validated(self):
+    def test_both_morphisms_validated(self, monkeypatch):
         # each cone assignment is the least target cone holding the image,
-        # found by scanning every target cone
-        for fan, sub in [(p1p1_fan(), sublattice(2, [[1, 1]])), corpus(count=2)[1]]:
+        # found by scanning every target cone, on the fixtures and the corpus
+        fixtures = [parse_input(path.read_text())[:2] for path in sorted(FIXTURES.glob("*.json"))]
+        for fan, sub in [(p1p1_fan(), sublattice(2, [[1, 1]]))] + fixtures + corpus(count=10):
             fam = universal_family(chow_quotient(fan, sub))
-            matrix, identity = fam.chow.projection.matrix, identity_matrix(fan.ambient_rank)
-            assert fam.to_base.cone_assignment == oracles.minimal_targets_by_scan(matrix, fam.fan, fam.base.fan)
-            assert fam.to_target.cone_assignment == oracles.minimal_targets_by_scan(identity, fam.fan, fan)
+            _assert_morphisms_walked(fam, fan, monkeypatch)
             assert fam.provenance == tuple(zip(fam.to_target.cone_assignment, fam.to_base.cone_assignment))
 
     def test_consistency_error_names_the_family_cone(self, monkeypatch):
-        # the first Hirzebruch surface projected along (0, 1): family cone 3
-        # is the new ray (0, -1), whose host the to-target validation finds
-        # by a relative-interior search
+        # the first Hirzebruch surface projected along (0, 1): the new ray
+        # (0, -1), family cone 3, splits input cone 6 into the maximal
+        # family cones 7 and 9, whose hosts the to-target validation finds
+        # by a relative-interior search; lost there, it names cone 7, the
+        # first maximal cone that fails, and the ray, a face walked from
+        # its coface, is never searched
         cq = chow_quotient(_fam_p2().fan, sublattice(2, [[0, 1]]))
-        assert universal_family(cq).fan.cones[3].generators == ((0, -1),)
-        ray = cone_from_generators([(0, -1)])
+        fam = universal_family(cq)
+        split = cone_from_generators([(-1, -1), (1, 0)])
+        host = cq.fan.index_of(split)
+        assert fam.fan.cones[3].generators == ((0, -1),) and fam.to_target.cone_assignment[3] == host
+        assert [i for i in fam.fan.maximal_indices() if fam.provenance[i][0] == host] == [7, 9]
         real = Fan.cone_containing_in_relint
+        searched = []
 
-        def lost_on_the_new_ray(fan, v):
-            return None if ray.contains_in_relint(v) else real(fan, v)
+        def lost_in_the_split_cone(fan, v):
+            searched.append(v)
+            return None if len(v) == 2 and split.contains_in_relint(v) else real(fan, v)
 
-        monkeypatch.setattr(Fan, "cone_containing_in_relint", lost_on_the_new_ray)
-        with pytest.raises(InternalConsistencyError, match="source cone 3 lies in no target cone"):
+        monkeypatch.setattr(Fan, "cone_containing_in_relint", lost_in_the_split_cone)
+        with pytest.raises(InternalConsistencyError, match="source cone 7 lies in no target cone"):
             universal_family(cq)
+        assert searched[-1] == relative_interior_sample(fam.fan.cones[7])
+        assert relative_interior_sample(fam.fan.cones[3]) not in searched
 
     def test_one_intersection_per_pair(self, monkeypatch):
         import chowfan.family
@@ -228,6 +264,40 @@ class TestLiftIntoSpan:
         fam = _fam_p1p1()
         with pytest.raises(ValueError, match="does not have length 1"):
             lift_into_span(fam.chow.projection, fam.fan.cones[-1], (1, 0))
+
+
+class TestMorphismTargetsWalkedDownFaces:
+    """A family's two morphisms image only its maximal cones; every other
+    cone takes the smallest face of a coface's target holding the image of
+    its relative-interior sample, the least target cone by the face lemma
+    of check_fan_morphism."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(0, 10**6), st.sampled_from([(2, 1), (3, 1), (3, 2)]))
+    def test_random_rank_2_and_3_fans(self, seed, shape):
+        rank, dim = shape
+        rng = random.Random(seed)
+        fan = (random_complete_fan_rank2 if rank == 2 else random_complete_fan_rank3)(rng)
+        sub = random_saturated_sublattice(rng, rank, dim)
+        assume(validate_fan(fan).ok and is_complete(fan))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _assert_morphisms_walked(universal_family(chow_quotient(fan, sub)), fan, monkeypatch)
+
+    def test_doctored_target_names_the_first_failing_maximal_cone(self):
+        # the input fan without one maximal cone is a valid fan that misses
+        # the images of the family cones it held: the refusal names the
+        # first of those that is maximal, in index order, and none of its faces
+        for fan, sub in corpus(count=3):
+            fam = universal_family(chow_quotient(fan, sub))
+            identity = identity_matrix(fan.ambient_rank)
+            hosts = [h for h, _ in fam.provenance]
+            gone = fan.maximal_indices()[-1]
+            doctored = fan_from_cones([fan.cones[i] for i in fan.maximal_indices() if i != gone])
+            assert validate_fan(doctored).ok
+            assert oracles.minimal_targets_by_scan(identity, fam.fan, doctored) is None
+            first = min(i for i in fam.fan.maximal_indices() if hosts[i] == gone)
+            with pytest.raises(NoTargetCone, match=f"^image of source cone {first} lies in no target cone$"):
+                check_fan_morphism(identity, fam.fan, doctored)
 
 
 class TestHostCones:
@@ -541,6 +611,38 @@ class TestTropicalCones:
                     continue
                 t = tropical_moduli_cone(fam, k)
                 assert t.ambient_rank == 1 and t.generators == ((1,),)
+
+    def test_embedded_cones_match_two_conversions(self, monkeypatch):
+        # with a cone cache of its own, no tropical cone runs a double
+        # description: the coordinate cone is pulled back, its dual swapped,
+        # and the embedded cone read off the incidence of the coordinate
+        # functionals; its canonical data are those of two conversions
+        import chowfan.cones as cones
+
+        fixtures = [parse_input(path.read_text())[:2] for path in sorted(FIXTURES.glob("*.json"))]
+        # corpus(seed=2)[1] and [7] have presentations with more basis
+        # elements than their rank, whose embedded cones have equations
+        embedded = 0
+        for fan, sub in fixtures + corpus(count=10) + corpus(seed=2, count=8)[1::6]:
+            monkeypatch.setattr(cones, "_cone_cache", {})
+            fam = universal_family(chow_quotient(fan, sub))
+            for k in range(len(fam.base.fan.cones)):
+                pres = basic_monoid(fam, k)
+                group = pres.monoid.group
+                coords = [oracles.coordinates_in_by_scan(group.basis, g) for g in pres.monoid.hilbert_basis]
+                with monkeypatch.context() as patch:
+                    patch.setattr(cones, "double_description", None)
+                    t = tropical_moduli_cone(fam, k)
+                if group.rank == 0:
+                    continue
+                _, _, dual_rays, _ = oracles.cone_by_two_conversions(coords, (), group.rank)
+                embed = [tuple(dot(g, c) for c in coords) for g in dual_rays]
+                assert (t.generators, t.lineality, t.halfspaces, t.equations) == oracles.cone_by_two_conversions(
+                    embed, (), len(coords)
+                )
+                assert t.incidence == oracles.incidence_by_dot_products(t)
+                embedded += len(coords) > group.rank
+        assert embedded == 3
 
     def test_trivial_monoid_full_dual(self):
         fam = _fam_p2()

@@ -42,12 +42,12 @@ from chowfan.monoids import (
     NotAFace,
     _grading,
     _hilbert_basis_full,
+    _is_lattice_basis,
     _packed_columns,
     _parallelepiped_keys,
     _plane_chain,
     _hermite_box,
     _sieve,
-    _unimodular,
     dual_monoid,
     member,
     monoid_from_cone,
@@ -580,7 +580,7 @@ class TestGeometricRules:
     # entries of 2^40, determinant 100
     @example(cone_from_generators([(2**40, 2**40 - 1), (2**40 - 100, 2**40 - 101)]))
     def test_plane_chain_matches_tuple_sieve(self, c):
-        assume(c.dim == 2 and not _unimodular(_in_span(c)[0]))
+        assume(c.dim == 2 and not _is_lattice_basis(_in_span(c)[0].generators, 2))
         with mock.patch.object(chowfan.monoids, "_hermite_box", _refused):
             _matches_oracle_with_and_without_out(c)
 
@@ -603,7 +603,7 @@ class TestGeometricRules:
     @example(cone_from_generators([(1, 0, 0), (1, 3, 0), (1, 0, 3), (1, 3, 3)]))
     @example(THIN)
     def test_height_one_points_match_tuple_sieve(self, c):
-        assume(c.dim == 3 and not _unimodular(_in_span(c)[0]))
+        assume(c.dim == 3 and not _is_lattice_basis(_in_span(c)[0].generators, 3))
         with _keyed_path_refused():
             _matches_oracle_with_and_without_out(c)
 
@@ -651,7 +651,7 @@ class TestGeometricRules:
     def test_cones_off_height_one_reach_the_sieve(self, monkeypatch):
         sieved = counted_calls(monkeypatch, "_sieve")
         for c in (MANY_BLOCKS[0], cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2)])):
-            assert c.dim == 3 and not _unimodular(c)
+            assert c.dim == 3 and not _is_lattice_basis(c.generators, c.dim)
             assert solve_rational(c.generators, [1] * len(c.generators))[0] > 1
             del sieved[:]
             assert _hilbert_basis_full(c) == oracles.hilbert_basis_by_tuple_sieve(c)
@@ -709,7 +709,7 @@ class TestUnimodularExit:
     def test_cones_return_their_rays(self, no_parallelepipeds):
         for rays in self.CONES:
             c = cone_from_generators(rays)
-            assert c.dim == len(rays) and _unimodular(_in_span(c)[0])
+            assert c.dim == len(rays) and _is_lattice_basis(_in_span(c)[0].generators, c.dim)
             assert _basis_of(c) == c.generators
             assert saturated_monoid(c, full_lattice(4)).hilbert_basis == c.generators
 
@@ -718,7 +718,7 @@ class TestUnimodularExit:
             c = cone_from_generators(rays)
             assert c.dim == len(rays) < c.ambient_rank
             assert max(sum(dot(h, r) for r in c.generators) for h in c.halfspaces) > 1
-            assert _unimodular(_in_span(c)[0])
+            assert _is_lattice_basis(_in_span(c)[0].generators, c.dim)
             assert _basis_of(c) == c.generators
             assert monoid_from_cone(c).hilbert_basis == c.generators
 
@@ -726,6 +726,18 @@ class TestUnimodularExit:
         for rays, rows, basis in self.PULLED_BACK:
             m = saturated_monoid(cone_from_generators(rays), sublattice(4, rows))
             assert m.hilbert_basis == basis
+
+    def test_unimodular_monoids_pull_no_cone_back(self, no_parallelepipeds, monkeypatch):
+        # rule 1 reads the rays' coordinates in the group basis; only a
+        # monoid it does not answer builds its pulled-back cone
+        pulled = []
+        real = chowfan.monoids._pull_back
+        monkeypatch.setattr(chowfan.monoids, "_pull_back", lambda c, b: pulled.append(c) or real(c, b))
+        monoids = [monoid_from_cone(cone_from_generators(rays)) for rays in self.CONES + self.SPAN_UNIMODULAR]
+        monoids += [saturated_monoid(cone_from_generators(rays), sublattice(4, rows)) for rays, rows, _ in self.PULLED_BACK]
+        assert all(m.hilbert_basis for m in monoids) and pulled == []
+        plane = monoid_from_cone(cone_from_generators([(1, 0), (1, 2)]))
+        assert plane.hilbert_basis == ((1, 0), (1, 1), (1, 2)) and pulled == [plane.cone]
 
     @settings(deadline=None, max_examples=150)
     @given(st.one_of(lattice_basis_cones(), _pointed_cones(4, 2, 2, 5), rank3_cones))
@@ -736,8 +748,8 @@ class TestUnimodularExit:
         assume(c.is_strictly_convex and c.dim)
         cy, _ = _in_span(c)
         if len(c.generators) == c.dim and set(oracles.elementary_divisors_by_minors(c.generators)) == {1}:
-            assert _unimodular(cy)  # a cone on a basis of its span lattice always exits
-        if _unimodular(cy):
+            assert _is_lattice_basis(cy.generators, cy.dim)  # a cone on a basis of its span lattice always exits
+        if _is_lattice_basis(cy.generators, cy.dim):
             assert len(c.generators) == c.dim
             assert oracles.elementary_divisors_by_minors(c.generators) == (1,) * c.dim
             assert _basis_of(c) == oracles.hilbert_basis_by_tuple_sieve(c) == c.generators

@@ -270,8 +270,11 @@ def _kept_functions():
 def test_readme_caches_table_names_every_kept_function():
     section = README.read_text().split("### Caches", 1)[1].split("\n## ", 1)[0]
     table = section.split("| kept function |", 1)[1].split("\n\n", 1)[0]
-    named = set(re.findall(r"^\| `([\w.]+)` \|", table, re.M))
-    assert named and named == _kept_functions()
+    rows = [re.split(r"\s*\|\s*", line.strip())[1:-1] for line in table.splitlines()[2:]]
+    named = [re.fullmatch(r"`([\w.]+)`", row[0]).group(1) for row in rows]
+    # one row per kept function, each with its key, what it holds and its lifetime
+    assert named and sorted(named) == sorted(_kept_functions())
+    assert all(len(row) == 4 and all(row) for row in rows)
 
 
 def test_only_the_record_module_writes_onto_a_record():
